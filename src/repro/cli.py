@@ -570,6 +570,8 @@ def _base_config(args):
 
 
 def _cmd_run(args) -> int:
+    import time
+
     from repro.pipeline import ArtifactStore, ExperimentPipeline
     from repro.pipeline.runner import RunRecord
 
@@ -586,10 +588,13 @@ def _cmd_run(args) -> int:
         config = config.with_overrides(voltages=tuple(args.voltages))
     store = ArtifactStore(args.cache_dir) if args.cache_dir else ArtifactStore()
     pipeline = ExperimentPipeline(config, store=store)
+    started = time.perf_counter()
     result = pipeline.run()
+    wall_time_s = time.perf_counter() - started
     if args.json:
         record = RunRecord.from_result(
             result,
+            wall_time_s=wall_time_s,
             cache_hits=store.stats.hits,
             cache_misses=store.stats.misses,
             stage_timings=pipeline.stage_timings,

@@ -12,7 +12,7 @@ from repro.dram.organization import DramOrganization, DramCoordinate
 from repro.dram.voltage import ArrayVoltageModel
 from repro.dram.timing import TimingParameters, timing_for_voltage
 from repro.dram.commands import DramCommand, CommandKind, AccessCondition
-from repro.dram.row_buffer import RowBufferSimulator, BankState
+from repro.dram.row_buffer import RowBufferSimulator
 from repro.dram.energy import DramEnergyModel, AccessEnergyBreakdown
 from repro.dram.controller import DramController, TraceExecutionResult
 from repro.dram.refresh import RefreshModel, RefreshParameters
@@ -31,7 +31,6 @@ __all__ = [
     "CommandKind",
     "AccessCondition",
     "RowBufferSimulator",
-    "BankState",
     "DramEnergyModel",
     "AccessEnergyBreakdown",
     "DramController",

@@ -74,12 +74,15 @@ class DramController:
         )
         self.energy_model = energy_model or DramEnergyModel(spec, self.voltage_model)
 
-    def _coordinates(self, trace: TraceLike) -> Iterable[DramCoordinate]:
-        for item in trace:
-            if isinstance(item, DramCoordinate):
-                yield item
-            else:
-                yield self.organization.coordinate_of(int(item))
+    def _slot_array(self, trace: TraceLike) -> np.ndarray:
+        """``trace`` as one int64 array of flat slot indices."""
+        if isinstance(trace, np.ndarray):
+            return trace.astype(np.int64, copy=False)
+        slot_of = self.organization.slot_of
+        return np.array(
+            [slot_of(item) if isinstance(item, DramCoordinate) else int(item) for item in trace],
+            dtype=np.int64,
+        )
 
     def execute(
         self,
@@ -98,7 +101,7 @@ class DramController:
         """
         timing = timing_for_voltage(self.spec, v_supply, self.voltage_model)
         simulator = RowBufferSimulator(self.organization, timing)
-        stats = simulator.run(self._coordinates(trace), write=write)
+        stats = simulator.run(self._slot_array(trace), write=write)
         energy = self.energy_model.trace_energy(stats, v_supply)
         if include_refresh:
             from repro.dram.refresh import RefreshModel
@@ -117,7 +120,5 @@ class DramController:
         self, trace: TraceLike, v_supplies: Sequence[float]
     ) -> list[TraceExecutionResult]:
         """Run the same trace at several supply voltages (Fig. 12a sweep)."""
-        materialised = [
-            c for c in self._coordinates(trace)
-        ]  # traces may be generators; reuse across voltages
-        return [self.execute(materialised, v) for v in v_supplies]
+        slots = self._slot_array(trace)  # traces may be generators; reuse across voltages
+        return [self.execute(slots, v) for v in v_supplies]

@@ -1,7 +1,7 @@
 """Row-buffer state machine and cycle accounting.
 
-Processes a sequence of column-granular read accesses (a *trace*),
-classifies each as row-buffer **hit**, **miss** or **conflict**
+Executes a sequence of column-granular accesses (a *trace* of flat slot
+indices), classifies each as row-buffer **hit**, **miss** or **conflict**
 (Section II-B1), expands it into DRAM commands, and tracks a simple but
 faithful latency model:
 
@@ -16,35 +16,27 @@ This is an open-page policy controller: rows stay open until a conflict
 forces a precharge, which matches both the baseline mapping (sequential
 fill, Section IV-B Step-2) and the SparkXD mapping (row-hit maximising,
 Section IV-D).
+
+The trace is executed as arrays.  It is cut into maximal *segments* of
+consecutive accesses to one row.  Only a segment's first access can
+miss or conflict, so the per-bank recurrence runs once per segment; the
+rest of the segment are hits that stream back to back on the bus, each
+starting when the previous burst finishes.  Their finish times are a
+running sum, accumulated in access order so every time is bitwise the
+one a per-access walk computes (``tests/dram_oracle.py`` holds that walk
+and the tests compare the two with ``==``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Sequence, Union
+
+import numpy as np
 
 from repro.dram.commands import AccessCondition, CommandKind
-from repro.dram.organization import DramCoordinate, DramOrganization
+from repro.dram.organization import DramOrganization
 from repro.dram.timing import TimingParameters
-
-BankKey = Tuple[int, int, int, int]
-RowKey = Tuple[int, int, int, int, int, int]
-
-
-@dataclass
-class BankState:
-    """Mutable per-bank controller state."""
-
-    open_row: Optional[RowKey] = None
-    #: earliest time the next ACT may issue (after tRP of a PRE).
-    ready_for_activate_ns: float = 0.0
-    #: earliest time a RD may issue to the open row (after tRCD).
-    ready_for_read_ns: float = 0.0
-    #: earliest time a PRE may issue (tRAS after the last ACT).
-    ready_for_precharge_ns: float = 0.0
-    #: cumulative time this bank has had a row open (for standby energy).
-    active_time_ns: float = 0.0
-    _last_activate_ns: float = 0.0
 
 
 @dataclass
@@ -84,7 +76,7 @@ class TraceStatistics:
 
 
 class RowBufferSimulator:
-    """Executes a read trace against per-bank row buffers.
+    """Executes an access trace against per-bank row buffers.
 
     Parameters
     ----------
@@ -108,101 +100,105 @@ class RowBufferSimulator:
         #: behind the data transfer.  Same-bank row transitions can
         #: never be hidden (the bank must close its own row first).
         self.open_ahead = open_ahead
-        self.banks: Dict[BankKey, BankState] = {}
-        self._bus_free_ns: float = 0.0
-        self._now_ns: float = 0.0
-        self._last_bank: BankKey | None = None
-        self.stats = TraceStatistics()
-
-    # ------------------------------------------------------------------
-    def _bank(self, key: BankKey) -> BankState:
-        if key not in self.banks:
-            self.banks[key] = BankState()
-        return self.banks[key]
-
-    def classify(self, coord: DramCoordinate) -> AccessCondition:
-        """Row-buffer outcome the next access to ``coord`` would see."""
-        bank = self._bank(self.organization.bank_key(coord))
-        row = self.organization.global_row_key(coord)
-        if bank.open_row is None:
-            return AccessCondition.MISS
-        if bank.open_row == row:
-            return AccessCondition.HIT
-        return AccessCondition.CONFLICT
-
-    # ------------------------------------------------------------------
-    def access(self, coord: DramCoordinate, write: bool = False) -> AccessCondition:
-        """Execute one column access; returns its row-buffer condition.
-
-        ``write=True`` issues WR instead of RD (same row-buffer and bus
-        behaviour; the energy model prices the commands differently).
-        """
-        timing = self.timing
-        bank_key = self.organization.bank_key(coord)
-        bank = self._bank(bank_key)
-        row = self.organization.global_row_key(coord)
-        condition = self.classify(coord)
-
-        # With open-ahead, PRE/ACT to a bank that is not the one
-        # currently driving the bus may be issued before "now" (the
-        # controller saw the stream coming); same-bank transitions
-        # always pay their latency in-line.
-        hidden = self.open_ahead and self._last_bank is not None and bank_key != self._last_bank
-
-        t = self._now_ns
-        if condition is AccessCondition.CONFLICT:
-            # PRE may only issue tRAS after the row was opened.
-            t = bank.ready_for_precharge_ns if hidden else max(t, bank.ready_for_precharge_ns)
-            self._close_row(bank, t)
-            self.stats.command_counts[CommandKind.PRE] += 1
-            bank.ready_for_activate_ns = t + timing.t_rp_ns
-
-        if condition in (AccessCondition.MISS, AccessCondition.CONFLICT):
-            t = bank.ready_for_activate_ns if hidden else max(t, bank.ready_for_activate_ns)
-            bank.open_row = row
-            bank._last_activate_ns = t
-            bank.ready_for_read_ns = t + timing.t_rcd_ns
-            bank.ready_for_precharge_ns = t + timing.t_ras_ns
-            self.stats.command_counts[CommandKind.ACT] += 1
-
-        # RD: wait for the bank's tRCD and for the shared data bus.
-        start = max(t, bank.ready_for_read_ns, self._bus_free_ns)
-        finish = start + timing.burst_time_ns
-        self._bus_free_ns = finish
-        self._now_ns = start  # the controller can issue to other banks meanwhile
-        self.stats.command_counts[CommandKind.WR if write else CommandKind.RD] += 1
-        self.stats.bus_busy_time_ns += timing.burst_time_ns
-        self._last_bank = bank_key
-
-        self.stats.accesses += 1
-        if condition is AccessCondition.HIT:
-            self.stats.hits += 1
-        elif condition is AccessCondition.MISS:
-            self.stats.misses += 1
-        else:
-            self.stats.conflicts += 1
-        self.stats.total_time_ns = max(self.stats.total_time_ns, finish)
-        return condition
-
-    def _close_row(self, bank: BankState, when_ns: float) -> None:
-        if bank.open_row is not None:
-            bank.active_time_ns += max(0.0, when_ns - bank._last_activate_ns)
-            bank.open_row = None
 
     def run(
-        self, trace: Iterable[DramCoordinate], write: bool = False
+        self, slots: Union[Sequence[int], np.ndarray], write: bool = False
     ) -> TraceStatistics:
-        """Execute a whole trace and return the final statistics."""
-        conditions: List[AccessCondition] = []
-        for coord in trace:
-            conditions.append(self.access(coord, write=write))
-        return self.finish()
+        """Execute a trace of flat slot indices, in access order.
 
-    def finish(self) -> TraceStatistics:
-        """Close all rows and finalise aggregate counters."""
-        end = self.stats.total_time_ns
-        for bank in self.banks.values():
-            self._close_row(bank, end)
-        self.stats.bank_active_time_ns = sum(b.active_time_ns for b in self.banks.values())
-        self.stats.banks_touched = len(self.banks)
-        return self.stats
+        Every call starts from an idle device with all rows closed and
+        ends by closing the open rows.  ``write=True`` issues WR instead
+        of RD (same row-buffer and bus behaviour; the energy model
+        prices the commands differently).  A slot outside the device
+        raises :class:`IndexError`.
+        """
+        slots = np.asarray(slots, dtype=np.int64)
+        total_slots = self.organization.total_slots
+        if slots.size and (slots.min() < 0 or slots.max() >= total_slots):
+            bad = slots[(slots < 0) | (slots >= total_slots)][0]
+            raise IndexError(f"slot {bad} out of range [0, {total_slots})")
+
+        geometry = self.organization.geometry
+        rows = slots // geometry.columns_per_row
+        # Segment heads: the first access and every access whose row
+        # differs from the previous access's.
+        heads = np.flatnonzero(rows[1:] != rows[:-1]) + 1
+        if rows.size:
+            heads = np.concatenate(([0], heads))
+        lengths = np.diff(heads, append=rows.size)
+        head_rows = rows[heads]
+        head_banks = head_rows // geometry.rows_per_bank
+
+        timing = self.timing
+        t_rcd, t_ras, t_rp = timing.t_rcd_ns, timing.t_ras_ns, timing.t_rp_ns
+        burst = timing.burst_time_ns
+        open_ahead = self.open_ahead
+        # Per touched bank, in first-touch order: (open row, ready for
+        # RD, ready for PRE, last ACT time, active time so far).
+        banks: Dict[int, tuple] = {}
+        bus_free = now = total_time = busy = 0.0
+        last_bank = None
+        misses = conflicts = 0
+        for row, bank, length in zip(head_rows.tolist(), head_banks.tolist(), lengths.tolist()):
+            # With open-ahead, PRE/ACT to a bank that is not the one
+            # currently driving the bus may be issued before "now" (the
+            # controller saw the stream coming); same-bank transitions
+            # always pay their latency in-line.
+            hidden = open_ahead and last_bank is not None and bank != last_bank
+            t = now
+            state = banks.get(bank)
+            if state is None:
+                # Miss: the bank has been precharged and idle since t = 0.
+                misses += 1
+                t = 0.0 if hidden else max(t, 0.0)
+                opened_at, ready_read, ready_pre, active = t, t + t_rcd, t + t_ras, 0.0
+            else:
+                open_row, ready_read, ready_pre, opened_at, active = state
+                if row != open_row:
+                    # Conflict: PRE may only issue tRAS after the row was
+                    # opened; ACT follows tRP later.
+                    conflicts += 1
+                    t = ready_pre if hidden else max(t, ready_pre)
+                    active += max(0.0, t - opened_at)
+                    ready_activate = t + t_rp
+                    t = ready_activate if hidden else max(t, ready_activate)
+                    opened_at, ready_read, ready_pre = t, t + t_rcd, t + t_ras
+            banks[bank] = (row, ready_read, ready_pre, opened_at, active)
+
+            # RD: wait for the bank's tRCD and for the shared data bus.
+            start = max(t, ready_read, bus_free)
+            finish = start + burst
+            busy += burst
+            if length > 1:
+                # The rest of the segment: each hit starts as the
+                # previous burst finishes.
+                steps = np.full(length, burst)
+                steps[0] = finish
+                np.add.accumulate(steps, out=steps)
+                start, finish = float(steps[-2]), float(steps[-1])
+                steps.fill(burst)
+                steps[0] = busy
+                busy = float(np.add.accumulate(steps, out=steps)[-1])
+            bus_free, now = finish, start
+            total_time = max(total_time, finish)
+            last_bank = bank
+
+        accesses = int(rows.size)
+        stats = TraceStatistics(
+            accesses=accesses,
+            hits=accesses - misses - conflicts,
+            misses=misses,
+            conflicts=conflicts,
+            total_time_ns=total_time,
+            bus_busy_time_ns=busy,
+            banks_touched=len(banks),
+        )
+        stats.command_counts[CommandKind.PRE] = conflicts
+        stats.command_counts[CommandKind.ACT] = misses + conflicts
+        stats.command_counts[CommandKind.WR if write else CommandKind.RD] = accesses
+        # Close every open row at the end of the trace, bank by bank.
+        stats.bank_active_time_ns = sum(
+            active + max(0.0, total_time - opened_at)
+            for _, _, _, opened_at, active in banks.values()
+        )
+        return stats

@@ -74,7 +74,8 @@ def inference_read_trace(
         )
     if slots.size and (slots.min() < 0 or slots.max() >= organization.total_slots):
         raise IndexError("mapped slot out of device range")
-    if len(np.unique(slots)) != slots.size:
+    ordered = np.sort(slots)
+    if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("mapping assigns two chunks to the same DRAM slot")
     if spec.refetch_passes == 1:
         return slots

@@ -351,3 +351,5 @@ class TestTrainingEngineFlags:
         payload = json.loads(capsys.readouterr().out)
         assert payload["train_batch_size"] == 4
         assert payload["compute_dtype"] == "float32"
+        assert payload["wall_time_s"] > 0
+        assert payload["wall_time_s"] >= sum(payload["stage_timings"].values())

@@ -38,6 +38,13 @@ class TestExecute:
         assert "1.350V" in text
         assert "accesses=2" in text
 
+    def test_slot_outside_device_rejected(self, controller):
+        total = controller.organization.total_slots
+        with pytest.raises(IndexError, match=f"slot {total} out of range"):
+            controller.execute([0, total], 1.35)
+        with pytest.raises(IndexError, match="slot -1 out of range"):
+            controller.execute_at_voltages(np.array([-1, 0]), [1.35])
+
     def test_timing_attached_matches_voltage(self, controller):
         result = controller.execute([0], 1.025)
         assert result.timing.v_supply == pytest.approx(1.025)

@@ -136,7 +136,7 @@ class TestTraceEnergy:
         org = DramOrganization(spec)
         timing = timing_for_voltage(spec, 1.35)
         sim = RowBufferSimulator(org, timing)
-        stats = sim.run([org.coordinate_of(s) for s in range(8)])
+        stats = sim.run(range(8))
         model = DramEnergyModel(spec)
         energy = model.trace_energy(stats, 1.35)
         expected_commands = sum(
@@ -151,7 +151,7 @@ class TestTraceEnergy:
         org = DramOrganization(spec)
         model = DramEnergyModel(spec)
         sim = RowBufferSimulator(org, timing_for_voltage(spec, 1.35))
-        stats = sim.run([org.coordinate_of(s) for s in range(16)])
+        stats = sim.run(range(16))
         e_nom = model.trace_energy(stats, 1.35).total_nj
         e_low = model.trace_energy(stats, 1.025).total_nj
         assert e_low < e_nom
@@ -161,6 +161,6 @@ class TestTraceEnergy:
         org = DramOrganization(spec)
         model = DramEnergyModel(spec)
         sim = RowBufferSimulator(org, timing_for_voltage(spec, 1.35))
-        stats = sim.run([org.coordinate_of(0)])
+        stats = sim.run([0])
         e = model.trace_energy(stats, 1.35)
         assert e.total_mj == pytest.approx(e.total_nj * 1e-6)

@@ -1,12 +1,19 @@
 """Tests of the row-buffer state machine and cycle accounting."""
 
-import pytest
+import dataclasses
 
-from repro.dram.commands import AccessCondition, CommandKind
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dram_oracle import OracleRowBufferSimulator, oracle_stats
+from repro.dram.commands import CommandKind
 from repro.dram.organization import DramOrganization
 from repro.dram.row_buffer import RowBufferSimulator
-from repro.dram.specs import tiny_spec
+from repro.dram.specs import DDR5_4800_8GB, LPDDR3_1600_4GB, tiny_spec
 from repro.dram.timing import timing_for_voltage
+
+VOLTAGES = (1.35, 1.175, 1.025)
 
 
 @pytest.fixture
@@ -20,58 +27,52 @@ def sim(org):
     return RowBufferSimulator(org, timing)
 
 
-def coords(org, *slots):
-    return [org.coordinate_of(s) for s in slots]
+def per_bank(org):
+    g = org.geometry
+    return g.subarrays_per_bank * g.rows_per_subarray * g.columns_per_row
 
 
 class TestClassification:
-    def test_first_access_is_miss(self, sim, org):
-        assert sim.access(org.coordinate_of(0)) is AccessCondition.MISS
+    def test_first_access_is_miss(self, sim):
+        assert sim.run([0]).misses == 1
 
-    def test_same_row_access_is_hit(self, sim, org):
-        sim.access(org.coordinate_of(0))
-        assert sim.access(org.coordinate_of(1)) is AccessCondition.HIT
+    def test_same_row_access_is_hit(self, sim):
+        stats = sim.run([0, 1])
+        assert (stats.misses, stats.hits) == (1, 1)
 
     def test_other_row_same_bank_is_conflict(self, sim, org):
-        g = org.geometry
-        sim.access(org.coordinate_of(0))
-        other_row = org.coordinate_of(g.columns_per_row)  # row 1, same bank
-        assert sim.access(other_row) is AccessCondition.CONFLICT
+        other_row = org.geometry.columns_per_row  # row 1, same bank
+        stats = sim.run([0, other_row])
+        assert (stats.misses, stats.conflicts) == (1, 1)
 
     def test_other_bank_first_access_is_miss(self, sim, org):
-        g = org.geometry
-        sim.access(org.coordinate_of(0))
-        per_bank = g.subarrays_per_bank * g.rows_per_subarray * g.columns_per_row
-        other_bank = org.coordinate_of(per_bank)
+        other_bank = org.coordinate_of(per_bank(org))
         assert other_bank.bank != 0 or other_bank.chip != 0
-        assert sim.access(other_bank) is AccessCondition.MISS
+        stats = sim.run([0, per_bank(org)])
+        assert (stats.misses, stats.hits, stats.conflicts) == (2, 0, 0)
 
-    def test_classify_does_not_mutate(self, sim, org):
-        c = org.coordinate_of(0)
-        assert sim.classify(c) is AccessCondition.MISS
-        assert sim.classify(c) is AccessCondition.MISS  # still a miss
-        sim.access(c)
-        assert sim.classify(c) is AccessCondition.HIT
+    def test_classify_does_not_mutate(self, sim):
+        # Each run starts from an idle device: nothing carries over.
+        assert sim.run([0]).misses == 1
+        assert sim.run([0]).misses == 1  # still a miss
+        assert sim.run([0, 0]).hits == 1
 
 
 class TestCommandCounts:
-    def test_hit_issues_only_rd(self, sim, org):
-        sim.access(org.coordinate_of(0))
-        sim.access(org.coordinate_of(1))
-        assert sim.stats.command_counts[CommandKind.RD] == 2
-        assert sim.stats.command_counts[CommandKind.ACT] == 1
-        assert sim.stats.command_counts[CommandKind.PRE] == 0
+    def test_hit_issues_only_rd(self, sim):
+        stats = sim.run([0, 1])
+        assert stats.command_counts[CommandKind.RD] == 2
+        assert stats.command_counts[CommandKind.ACT] == 1
+        assert stats.command_counts[CommandKind.PRE] == 0
 
     def test_conflict_issues_pre_act_rd(self, sim, org):
-        g = org.geometry
-        sim.access(org.coordinate_of(0))
-        sim.access(org.coordinate_of(g.columns_per_row))
-        assert sim.stats.command_counts[CommandKind.PRE] == 1
-        assert sim.stats.command_counts[CommandKind.ACT] == 2
-        assert sim.stats.command_counts[CommandKind.RD] == 2
+        stats = sim.run([0, org.geometry.columns_per_row])
+        assert stats.command_counts[CommandKind.PRE] == 1
+        assert stats.command_counts[CommandKind.ACT] == 2
+        assert stats.command_counts[CommandKind.RD] == 2
 
-    def test_stats_accumulate(self, sim, org):
-        stats = sim.run(coords(org, 0, 1, 2, 8, 0))
+    def test_stats_accumulate(self, sim):
+        stats = sim.run([0, 1, 2, 8, 0])
         assert stats.accesses == 5
         assert stats.hits + stats.misses + stats.conflicts == 5
 
@@ -81,7 +82,7 @@ class TestTiming:
         timing = timing_for_voltage(org.spec, 1.35)
         sim = RowBufferSimulator(org, timing)
         n = org.geometry.columns_per_row
-        stats = sim.run(coords(org, *range(n)))
+        stats = sim.run(range(n))
         # After the first ACT+tRCD, hits stream back-to-back on the bus.
         expected_min = timing.t_rcd_ns + n * timing.burst_time_ns
         assert stats.total_time_ns == pytest.approx(expected_min, rel=0.01)
@@ -89,62 +90,50 @@ class TestTiming:
     def test_same_bank_conflict_pays_full_latency(self, org):
         timing = timing_for_voltage(org.spec, 1.35)
         sim = RowBufferSimulator(org, timing)
-        g = org.geometry
-        sim.access(org.coordinate_of(0))
-        sim.access(org.coordinate_of(g.columns_per_row))  # same-bank conflict
+        stats = sim.run([0, org.geometry.columns_per_row])  # same-bank conflict
         # From t=0: the PRE waits out tRAS, then tRP and tRCD gate the
         # second RD, which still needs its burst on the bus.
         lower_bound = (
             timing.t_ras_ns + timing.t_rp_ns + timing.t_rcd_ns + timing.burst_time_ns
         )
-        assert sim.stats.total_time_ns >= lower_bound * 0.99
+        assert stats.total_time_ns >= lower_bound * 0.99
 
     def test_open_ahead_hides_other_bank_activation(self, org):
         """The multi-bank burst (Fig. 9b): rotating banks hides ACT."""
         timing = timing_for_voltage(org.spec, 1.35)
         g = org.geometry
-        per_bank = g.subarrays_per_bank * g.rows_per_subarray * g.columns_per_row
         # alternate banks every row worth of columns
         trace = []
         for row in range(2):
             for bank in range(g.banks_per_chip):
-                base = bank * per_bank + row * g.columns_per_row
+                base = bank * per_bank(org) + row * g.columns_per_row
                 trace.extend(range(base, base + g.columns_per_row))
 
-        sim_ahead = RowBufferSimulator(org, timing, open_ahead=True)
-        ahead = sim_ahead.run(coords(org, *trace)).total_time_ns
-        sim_lazy = RowBufferSimulator(org, timing, open_ahead=False)
-        lazy = sim_lazy.run(coords(org, *trace)).total_time_ns
+        ahead = RowBufferSimulator(org, timing, open_ahead=True).run(trace).total_time_ns
+        lazy = RowBufferSimulator(org, timing, open_ahead=False).run(trace).total_time_ns
         assert ahead < lazy
 
     def test_derated_timing_slows_misses(self, org):
         g = org.geometry
-        trace = coords(org, 0, g.columns_per_row, 2 * g.columns_per_row)
+        trace = [0, g.columns_per_row, 2 * g.columns_per_row]
         nominal = RowBufferSimulator(org, timing_for_voltage(org.spec, 1.35))
         reduced = RowBufferSimulator(org, timing_for_voltage(org.spec, 1.025))
-        t_nominal = nominal.run(list(trace)).total_time_ns
-        t_reduced = reduced.run(list(trace)).total_time_ns
-        assert t_reduced > t_nominal
+        assert reduced.run(trace).total_time_ns > nominal.run(trace).total_time_ns
 
 
 class TestFinishAccounting:
-    def test_active_time_counted(self, sim, org):
-        sim.access(org.coordinate_of(0))
-        stats = sim.finish()
+    def test_active_time_counted(self, sim):
+        stats = sim.run([0])
         assert stats.bank_active_time_ns > 0
         assert stats.banks_touched == 1
 
     def test_idle_time_nonnegative(self, sim, org):
-        g = org.geometry
-        per_bank = g.subarrays_per_bank * g.rows_per_subarray * g.columns_per_row
-        sim.access(org.coordinate_of(0))
-        sim.access(org.coordinate_of(per_bank))
-        stats = sim.finish()
+        stats = sim.run([0, per_bank(org)])
         assert stats.idle_time_ns >= 0
         assert stats.banks_touched == 2
 
-    def test_hit_rate(self, sim, org):
-        stats = sim.run(coords(org, 0, 1, 2, 3))
+    def test_hit_rate(self, sim):
+        stats = sim.run([0, 1, 2, 3])
         assert stats.hit_rate == pytest.approx(3 / 4)
 
     def test_empty_trace(self, sim):
@@ -152,3 +141,98 @@ class TestFinishAccounting:
         assert stats.accesses == 0
         assert stats.hit_rate == 0.0
         assert stats.total_time_ns == 0.0
+
+
+# ----------------------------------------------------------------------
+# Bitwise agreement with the per-access oracle (tests/dram_oracle.py).
+
+
+def assert_matches_oracle(org, slots, v, write, open_ahead):
+    timing = timing_for_voltage(org.spec, v)
+    measured = RowBufferSimulator(org, timing, open_ahead=open_ahead).run(slots, write=write)
+    expected = oracle_stats(org, timing, slots, write=write, open_ahead=open_ahead)
+    assert dataclasses.asdict(measured) == dataclasses.asdict(expected)
+
+
+#: 4 banks of 64-column rows, so same-row runs can be long.  DDR5
+#: timing gives a burst time (3.336 ns) that binary floats cannot hold
+#: exactly, so summing in another order than the oracle shows.
+WIDE_SPEC = dataclasses.replace(
+    tiny_spec("wide-test-dram").scaled(banks_per_chip=4, columns_per_row=64),
+    timings=DDR5_4800_8GB.timings,
+)
+
+
+@st.composite
+def row_runs(draw):
+    """A trace of same-row runs: each a random row, start column and length."""
+    columns = WIDE_SPEC.geometry.columns_per_row
+    n_rows = DramOrganization(WIDE_SPEC).total_slots // columns
+    runs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n_rows - 1),
+                st.integers(0, columns - 1),
+                st.integers(1, 2 * columns),
+            ),
+            max_size=12,
+        )
+    )
+    return [
+        row * columns + (start + k) % columns
+        for row, start, length in runs
+        for k in range(length)
+    ]
+
+
+class TestMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        slots=st.lists(st.integers(min_value=0, max_value=127), max_size=60),
+        v=st.sampled_from(VOLTAGES),
+        write=st.booleans(),
+        open_ahead=st.booleans(),
+    )
+    @example(slots=[], v=1.35, write=False, open_ahead=True)
+    @example(slots=[], v=1.025, write=True, open_ahead=False)
+    def test_random_tiny_traces(self, slots, v, write, open_ahead):
+        assert_matches_oracle(DramOrganization(tiny_spec()), slots, v, write, open_ahead)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        slots=row_runs(),
+        v=st.sampled_from(VOLTAGES),
+        write=st.booleans(),
+        open_ahead=st.booleans(),
+    )
+    def test_long_same_row_runs(self, slots, v, write, open_ahead):
+        assert_matches_oracle(DramOrganization(WIDE_SPEC), slots, v, write, open_ahead)
+
+    @pytest.mark.parametrize(
+        "spec,mild_v", [(LPDDR3_1600_4GB, 1.325), (DDR5_4800_8GB, 1.000)]
+    )
+    def test_n400_sweep_traces(self, spec, mild_v):
+        """The N400 baseline and SparkXD inference traces of the energy
+        sweeps, at nominal and at the lowest studied voltage."""
+        from repro.core.mapping_policy import baseline_mapping, sparkxd_mapping
+        from repro.errors.weak_cells import WeakCellMap
+        from repro.trace.generator import InferenceTraceSpec, inference_read_trace
+
+        org = DramOrganization(spec)
+        n_weights = 784 * 400
+        profile = WeakCellMap(org, sigma=0.8, seed=42).profile_at(mild_v)
+        mappings = (
+            baseline_mapping(org, n_weights, 32),
+            sparkxd_mapping(org, n_weights, 32, profile, 1e-3),
+        )
+        trace_spec = InferenceTraceSpec(n_weights=n_weights, bits_per_weight=32)
+        lowest_v = 1.025 if spec is LPDDR3_1600_4GB else 0.975
+        for mapping in mappings:
+            trace = inference_read_trace(trace_spec, mapping.slot_of_chunk, org)
+            coords = [org.coordinate_of(int(s)) for s in trace]
+            for v in (spec.electrical.v_nominal_volts, lowest_v):
+                timing = timing_for_voltage(spec, v)
+                measured = RowBufferSimulator(org, timing).run(trace)
+                expected = OracleRowBufferSimulator(org, timing).run(coords)
+                assert dataclasses.asdict(measured) == dataclasses.asdict(expected)
+                assert measured.conflicts > 0 and measured.hit_rate > 0.99
