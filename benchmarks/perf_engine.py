@@ -2,8 +2,9 @@
 """Engine throughput benchmark: sequential vs batched samples/sec.
 
 Measures how many (sample x error-realization) evaluations per second
-each engine sustains on two network sizes, double-checks that both
-engines produced identical spike counts, and writes the results to
+the batched evaluator and the per-sample reference loop
+(``tests/snn_oracle.py``) sustain on two network sizes, double-checks
+that both produced identical spike counts, and writes the results to
 ``BENCH_engine.json`` — the repo's performance trajectory artifact.
 
 Also guards the telemetry contract: the batched evaluator path is
@@ -36,6 +37,17 @@ from repro.engine import BatchedEvaluator
 from repro.errors.injection import ErrorInjector
 from repro.snn.network import DiehlCookNetwork, NetworkParameters
 from repro.snn.quantization import Float32Representation
+
+# The reference loops live with the tests they serve as oracles for.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from snn_oracle import sequential_spike_counts  # noqa: E402
+
+#: Spike-count function per timed path; both take
+#: ``(evaluator, images, n_steps, rng, weights)``.
+ENGINES = {
+    "sequential": sequential_spike_counts,
+    "batched": BatchedEvaluator.spike_counts,
+}
 
 FULL_SCENARIOS = (
     {"n_neurons": 100, "n_samples": 40, "n_realizations": 4, "n_steps": 100,
@@ -75,12 +87,10 @@ def _time_engine(network, stack, images, n_steps, engine, dtype, repeats):
     best = np.inf
     counts = None
     for _ in range(repeats):
-        evaluator = BatchedEvaluator.for_network(
-            network, engine=engine, dtype=np.dtype(dtype)
-        )
+        evaluator = BatchedEvaluator.for_network(network, dtype=np.dtype(dtype))
         started = time.perf_counter()
-        counts = evaluator.spike_counts(
-            images, n_steps, np.random.default_rng(99), weights=stack
+        counts = ENGINES[engine](
+            evaluator, images, n_steps, np.random.default_rng(99), stack
         )
         best = min(best, time.perf_counter() - started)
     return best, counts
@@ -94,7 +104,7 @@ def run_benchmark(quick: bool, repeats: int) -> dict:
         evaluations = stack.shape[0] * images.shape[0]
         row = dict(scenario, n_input=network.n_input, evaluations=evaluations)
         reference = {}
-        for engine in ("sequential", "batched"):
+        for engine in ENGINES:
             seconds, counts = _time_engine(
                 network, stack, images, scenario["n_steps"], engine,
                 scenario["dtype"], repeats,
@@ -145,7 +155,7 @@ def measure_telemetry_overhead(quick: bool, pairs: int = 5) -> dict:
 
     def once() -> float:
         evaluator = BatchedEvaluator.for_network(
-            network, engine="batched", dtype=np.dtype(scenario["dtype"])
+            network, dtype=np.dtype(scenario["dtype"])
         )
         started = time.perf_counter()
         evaluator.spike_counts(

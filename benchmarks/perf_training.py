@@ -2,15 +2,16 @@
 """Training throughput benchmark: sequential vs minibatch vs fused STDP.
 
 Measures how many training-sample presentations per second the
-sequential (``batch_size=1``), minibatch-reference
-(``kernel="reference"``) and fused (``kernel="auto"``) training
-engines sustain on two network sizes at both compute precisions.
-Timing is steady-state: each engine column reuses one trainer (so
-workspaces, minibatch machinery and the drive operator cache are warm)
-and reports its best epoch.  Two bitwise gates guard the numbers:
-``batch_size=1`` must reproduce the historical sequential loop, and
-the fused kernel must reproduce the minibatch-reference kernel —
-weight for weight, threshold for threshold.  Results go to
+sequential (``batch_size=1``), minibatch-reference (the unfused loop
+of ``tests/snn_oracle.py``, swapped in for
+``DiehlCookNetwork.run_batch_stdp``) and fused (the library's
+minibatch loop) training engines sustain on two network sizes at both
+compute precisions.  Timing is steady-state: each engine column reuses
+one trainer (so workspaces, minibatch machinery and the drive operator
+cache are warm) and reports its best epoch.  Two bitwise gates guard
+the numbers: ``batch_size=1`` must reproduce the historical sequential
+loop, and the fused kernel must reproduce the minibatch-reference loop
+— weight for weight, threshold for threshold.  Results go to
 ``BENCH_training.json`` — the training half of the repo's performance
 trajectory artifacts (see ``BENCH_engine.json`` for evaluation).
 
@@ -31,15 +32,20 @@ import json
 import platform
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from repro.engine.trainer import BatchedTrainer
-from repro.snn.encoding import poisson_rate_code
-from repro.snn.kernels import resolve_kernel
-from repro.snn.network import DiehlCookNetwork, NetworkParameters, make_stdp
-from repro.snn.stdp import normalize_columns
+from repro.snn.network import DiehlCookNetwork, NetworkParameters
+
+# The reference loops live with the tests they serve as oracles for.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from snn_oracle import (  # noqa: E402
+    reference_run_batch_stdp,
+    reference_sequential_train,
+)
 
 # N400 runs batch 32: the dense-step cutoff in the accumulate makes
 # larger minibatches profitable there (with the purely column-restricted
@@ -91,23 +97,18 @@ def _corrupter(network: DiehlCookNetwork, seed: int = 5):
     return corrupt
 
 
-def _reference_train(network, images, n_steps, rng, corrupt):
-    """The pre-refactor sequential loop (ground truth for the identity check)."""
-    stdp = make_stdp(network)
-    order = rng.permutation(len(images))
-    for i in order:
-        train = poisson_rate_code(images[i], n_steps, rng=rng)
-        clean = network.weights
-        corrupted = np.asarray(corrupt(clean), dtype=network.dtype)
-        network.weights = corrupted.copy()
-        network.run_sample(train, stdp=stdp, normalize=False)
-        delta = network.weights - corrupted
-        network.weights = np.clip(clean + delta, 0.0, network.w_max)
-        if network.parameters.weight_norm > 0:
-            normalize_columns(network.weights, network.parameters.weight_norm)
+@contextmanager
+def _reference_minibatch_loop():
+    """Run minibatches through the unfused oracle loop, restored afterwards."""
+    fused = DiehlCookNetwork.run_batch_stdp
+    DiehlCookNetwork.run_batch_stdp = reference_run_batch_stdp
+    try:
+        yield
+    finally:
+        DiehlCookNetwork.run_batch_stdp = fused
 
 
-def _time_trainer(scenario, batch_size, repeats, kernel="reference"):
+def _time_trainer(scenario, batch_size, repeats):
     """Best steady-state epoch seconds of one engine configuration.
 
     One trainer serves warmup + all timed epochs, the way the training
@@ -121,7 +122,6 @@ def _time_trainer(scenario, batch_size, repeats, kernel="reference"):
         network,
         batch_size=batch_size,
         corrupt_weights=_corrupter(network),
-        kernel=kernel,
     )
     rng = np.random.default_rng(99)
     trainer.train(images, n_steps=scenario["n_steps"], epochs=1, rng=rng)
@@ -135,14 +135,13 @@ def _time_trainer(scenario, batch_size, repeats, kernel="reference"):
     return best
 
 
-def _trained_network(scenario, batch_size, kernel):
+def _trained_network(scenario, batch_size):
     """One fresh-trainer epoch at a fixed seed (for the identity gates)."""
     network = _network(scenario)
     trainer = BatchedTrainer(
         network,
         batch_size=batch_size,
         corrupt_weights=_corrupter(network),
-        kernel=kernel,
     )
     trainer.train(
         _images(scenario), n_steps=scenario["n_steps"], epochs=1,
@@ -160,31 +159,32 @@ def _same_state(a, b) -> bool:
 
 def run_benchmark(quick: bool, repeats: int) -> dict:
     scenarios = QUICK_SCENARIOS if quick else FULL_SCENARIOS
-    fused_kernel = resolve_kernel("auto")
     results = []
     for scenario in scenarios:
         n_train = scenario["n_train"]
         batch = scenario["batch_size"]
-        row = dict(scenario, n_input=784, fused_kernel=fused_kernel)
+        row = dict(scenario, n_input=784)
 
         # Bit-identity gates: batch_size=1 must equal the historical
         # loop; the fused kernel must equal the minibatch reference.
         ref_net = _network(scenario)
-        _reference_train(
-            ref_net, _images(scenario), scenario["n_steps"],
+        reference_sequential_train(
+            ref_net, _images(scenario), scenario["n_steps"], 1,
             np.random.default_rng(99), _corrupter(ref_net),
         )
         row["sequential_matches_reference"] = _same_state(
-            ref_net, _trained_network(scenario, 1, "reference")
+            ref_net, _trained_network(scenario, 1)
         )
+        with _reference_minibatch_loop():
+            batched_net = _trained_network(scenario, batch)
         row["fused_matches_batched"] = _same_state(
-            _trained_network(scenario, batch, "reference"),
-            _trained_network(scenario, batch, "auto"),
+            batched_net, _trained_network(scenario, batch)
         )
 
         seq_seconds = _time_trainer(scenario, 1, repeats)
-        batch_seconds = _time_trainer(scenario, batch, repeats)
-        fused_seconds = _time_trainer(scenario, batch, repeats, kernel="auto")
+        with _reference_minibatch_loop():
+            batch_seconds = _time_trainer(scenario, batch, repeats)
+        fused_seconds = _time_trainer(scenario, batch, repeats)
 
         row["sequential_seconds"] = seq_seconds
         row["sequential_samples_per_sec"] = n_train / seq_seconds
@@ -201,7 +201,7 @@ def run_benchmark(quick: bool, repeats: int) -> dict:
             f"sequential {row['sequential_samples_per_sec']:7.1f}/s | "
             f"batched {row['batched_samples_per_sec']:7.1f}/s "
             f"({row['speedup']:5.2f}x) | "
-            f"fused[{fused_kernel}] {row['fused_samples_per_sec']:7.1f}/s "
+            f"fused {row['fused_samples_per_sec']:7.1f}/s "
             f"({row['fused_speedup']:5.2f}x) | "
             f"seq-identical={row['sequential_matches_reference']} "
             f"fused-identical={row['fused_matches_batched']}"

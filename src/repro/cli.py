@@ -92,10 +92,6 @@ def _add_run_parser(subparsers) -> None:
     p.add_argument("--error-model", default="model0", metavar="NAME",
                    help="DRAM error model injected during training "
                         "(see 'stages' for choices)")
-    p.add_argument("--engine", choices=("batched", "sequential"),
-                   default="batched",
-                   help="simulation engine (results are identical; "
-                        "batched is the fast path)")
     p.add_argument("--train-batch-size", type=int, default=1, metavar="B",
                    help="samples per STDP presentation (1 = bit-exact "
                         "sequential reference; >1 = vectorized minibatch "
@@ -132,9 +128,6 @@ def _add_grid_arguments(p) -> None:
     p.add_argument("--error-models", nargs="+", default=None, metavar="NAME",
                    help="error-model axis (training-side: each model "
                         "retrains, see 'stages' for choices)")
-    p.add_argument("--engine", choices=("batched", "sequential"),
-                   default="batched",
-                   help="simulation engine for every grid point")
     p.add_argument("--train-batch-size", type=int, nargs="+", default=None,
                    metavar="B", dest="train_batch_sizes",
                    help="train-batch-size axis (training-side: each size "
@@ -579,7 +572,6 @@ def _cmd_run(args) -> int:
         representation=args.representation,
         mapping_policy=args.mapping,
         error_model=args.error_model,
-        engine=args.engine,
         train_batch_size=args.train_batch_size,
         compute_dtype=args.compute_dtype,
         stage_encoding=args.stage_encoding,
@@ -679,7 +671,7 @@ def _emit_records(args, records, title: str) -> None:
 def _cmd_sweep(args) -> int:
     from repro.pipeline import ArtifactStore, Runner
 
-    base = _base_config(args).with_overrides(engine=args.engine)
+    base = _base_config(args)
     grid = _grid_from_args(args, base)
     store = ArtifactStore(args.cache_dir) if args.cache_dir else ArtifactStore()
     runner = Runner(
@@ -998,7 +990,7 @@ def _cmd_cluster(args) -> int:
         from repro.cluster.http_api import ServiceClient
         from repro.pipeline.runner import RunRecord
 
-        base = _base_config(args).with_overrides(engine=args.engine)
+        base = _base_config(args)
         grid = _grid_from_args(args, base)
         client = ServiceClient(args.service, token=args.token)
         submitted = client.submit(base, grid, name=args.name)
@@ -1069,7 +1061,7 @@ def _cmd_cluster(args) -> int:
 
     from repro.cluster import ClusterExecutor, format_address
 
-    base = _base_config(args).with_overrides(engine=args.engine)
+    base = _base_config(args)
     grid = _grid_from_args(args, base)
     store = ArtifactStore(args.cache_dir) if args.cache_dir else ArtifactStore()
     journal = _resolve_journal(args)

@@ -10,10 +10,6 @@ from repro.core.mapping_policy import MAPPING_POLICIES
 from repro.dram.specs import DramSpec, LPDDR3_1600_4GB, spec_from_dict, spec_to_dict
 from repro.errors.models import ERROR_MODELS
 
-#: Valid values of the ``engine`` switch (mirrors ``repro.engine.ENGINES``;
-#: duplicated here so the config layer stays import-light).
-ENGINE_CHOICES = ("batched", "sequential")
-
 #: Valid compute precisions (numpy dtype names; the config layer stays
 #: import-light, stages convert via ``np.dtype``).
 COMPUTE_DTYPES = ("float64", "float32")
@@ -53,8 +49,8 @@ class SparkXDConfig:
     epochs_per_rate: int = 1
     #: Samples per STDP presentation (see docs/training.md).  1 is the
     #: bit-exact sequential reference; >1 trains in vectorized
-    #: minibatches — a result-changing approximation, so unlike
-    #: ``engine`` this knob IS part of the stage cache fingerprints.
+    #: minibatches — a result-changing approximation, so this knob is
+    #: part of the stage cache fingerprints.
     train_batch_size: int = 1
     #: Simulation/training precision ("float64" or "float32").  float32
     #: halves memory bandwidth but changes results, so it is
@@ -75,13 +71,6 @@ class SparkXDConfig:
     #: DRAM error model injected during training/tolerance analysis
     #: (a :data:`repro.errors.models.ERROR_MODELS` name).
     error_model: str = "model0"
-
-    #: Simulation engine: "batched" evaluates whole sample sets (and
-    #: error-realization stacks) in vectorized passes; "sequential" is
-    #: the reference per-sample loop.  Results are identical (the
-    #: :mod:`repro.engine` equivalence guarantee), so this switch is
-    #: deliberately *not* part of any stage cache fingerprint.
-    engine: str = "batched"
 
     # storage + DRAM
     representation: str = "float32"
@@ -115,10 +104,6 @@ class SparkXDConfig:
             raise ValueError(f"voltages must lie in (0, {v_nom}]")
         MAPPING_POLICIES.canonical_name(self.mapping_policy)  # raises if unknown
         ERROR_MODELS.canonical_name(self.error_model)  # raises if unknown
-        if self.engine not in ENGINE_CHOICES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; choose from {list(ENGINE_CHOICES)}"
-            )
         if self.train_batch_size < 1:
             raise ValueError(
                 f"train_batch_size must be >= 1, got {self.train_batch_size}"

@@ -85,7 +85,6 @@ def improve_error_tolerance(
     stdp_parameters: Optional[STDPParameters] = None,
     rng: Optional[np.random.Generator] = None,
     n_classes: int = 10,
-    engine: str = "batched",
     batch_size: int = 1,
     dtype: np.dtype = np.float64,
     stage_encoding: str = "fresh",
@@ -105,10 +104,6 @@ def improve_error_tolerance(
         Ascending BER schedule; Step-1 of Section IV-B.
     epochs_per_rate:
         Training epochs spent at each BER stage.
-    engine:
-        Evaluation path for the per-stage accuracy measurements
-        (``"batched"`` default / ``"sequential"``); both yield the same
-        numbers (see :mod:`repro.engine`).
     batch_size:
         Samples per STDP presentation at every BER stage
         (:class:`repro.engine.trainer.BatchedTrainer`).  With
@@ -182,7 +177,6 @@ def improve_error_tolerance(
             rng=rng,
             corrupt_weights=corrupt,
             n_classes=n_classes,
-            engine=engine,
             batch_size=batch_size,
             encoding_cache=encoding_cache,
         )
@@ -191,9 +185,7 @@ def improve_error_tolerance(
         # error injection at this stage's BER.
         corrupted_weights, _ = injector.inject_uniform(model.weights, rate, rng=rng)
         network.set_weights(corrupted_weights)
-        counts = run_spike_counts(
-            network, dataset.train_images, n_steps, rng, engine=engine
-        )
+        counts = run_spike_counts(network, dataset.train_images, n_steps, rng)
         model.assignments = assign_labels(counts, dataset.train_labels, n_classes)
         accuracy = evaluate_accuracy(
             network,
@@ -203,7 +195,6 @@ def improve_error_tolerance(
             n_steps,
             rng,
             n_classes=n_classes,
-            engine=engine,
         )
         network.set_weights(model.weights)
         accuracy_per_rate[rate] = accuracy
@@ -244,7 +235,6 @@ def train_baseline(
     stdp_parameters: Optional[STDPParameters] = None,
     rng: Optional[np.random.Generator] = None,
     n_classes: int = 10,
-    engine: str = "batched",
     batch_size: int = 1,
     dtype: np.dtype = np.float64,
 ) -> TrainedModel:
@@ -267,13 +257,10 @@ def train_baseline(
         stdp_parameters=stdp_parameters,
         rng=rng,
         n_classes=n_classes,
-        engine=engine,
         batch_size=batch_size,
     )
     # Report accuracy on the held-out test split.
-    counts = run_spike_counts(
-        network, dataset.train_images, n_steps, rng, engine=engine
-    )
+    counts = run_spike_counts(network, dataset.train_images, n_steps, rng)
     model.assignments = assign_labels(counts, dataset.train_labels, n_classes)
     model.accuracy = evaluate_accuracy(
         network,
@@ -283,6 +270,5 @@ def train_baseline(
         n_steps,
         rng,
         n_classes=n_classes,
-        engine=engine,
     )
     return model

@@ -73,7 +73,6 @@ def analyze_error_tolerance(
     network_parameters: Optional[NetworkParameters] = None,
     rng: Optional[np.random.Generator] = None,
     n_classes: int = 10,
-    engine: str = "batched",
     chunk_policy: Optional[ChunkPolicy] = None,
     dtype: np.dtype = np.float64,
 ) -> ToleranceReport:
@@ -83,9 +82,7 @@ def analyze_error_tolerance(
     that rate's ``trials`` corrupted-weight stack in a single call, the
     test set is encoded once per rate, and the
     :class:`~repro.engine.BatchedEvaluator` scores all realizations
-    against the shared spike trains.  ``engine="sequential"`` runs the
-    reference per-sample loop over the same stacks and trains,
-    producing identical accuracies.
+    against the shared spike trains.
 
     Parameters
     ----------
@@ -98,8 +95,6 @@ def analyze_error_tolerance(
     trials:
         Error masks are random; averaging over multiple injections per
         rate reduces evaluation noise.
-    engine:
-        Evaluation path, ``"batched"`` (default) or ``"sequential"``.
     chunk_policy:
         Optional :class:`~repro.engine.ChunkPolicy` bounding the peak
         memory of the batched pass.
@@ -123,7 +118,6 @@ def analyze_error_tolerance(
     evaluator = BatchedEvaluator(
         params,
         theta=model.theta,
-        engine=engine,
         chunk_policy=chunk_policy,
         dtype=dtype,
     )

@@ -5,21 +5,22 @@ paper's tolerance curves (Fig. 8) and accuracy-vs-BER sweeps (Fig. 11)
 evaluate one trained network under dozens of corrupted weight copies —
 this package turns those N independent slow loops into a single
 vectorized pass over ``(E, B, n_neurons)`` state, with chunking to
-bound peak memory and a sequential fallback that is bit-identical at
-the same seed.
+bound peak memory.  Spike counts are bit-identical to the per-sample
+loop at the same seed; :class:`BatchedTrainer` is the minibatch
+training counterpart.
 
-See ``docs/engine.md`` for the batching model and knobs.
+See ``docs/engine.md`` for the batching model and ``docs/training.md``
+for training.
 """
 
 from repro.engine.chunking import ChunkPolicy
 from repro.engine.encoding import encode_spike_trains
-from repro.engine.evaluator import ENGINES, BatchedEvaluator
+from repro.engine.evaluator import BatchedEvaluator
 from repro.engine.trainer import BatchedTrainer
 
 __all__ = [
     "BatchedEvaluator",
     "BatchedTrainer",
     "ChunkPolicy",
-    "ENGINES",
     "encode_spike_trains",
 ]

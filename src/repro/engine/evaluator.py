@@ -9,19 +9,14 @@ BER points, see :meth:`repro.errors.injection.ErrorInjector.inject_stack`),
 simulates state arrays of shape ``(E, B, n_neurons)`` per chunk, and
 returns per-realization spike counts or accuracies.
 
-Engines
--------
-``engine="batched"``
-    One :meth:`repro.snn.network.DiehlCookNetwork.run_batch` pass per
-    chunk — the fast path.
-``engine="sequential"``
-    The reference per-sample, per-timestep :meth:`run_sample` loop.
-    Spike counts are **bit-identical** to the batched engine at the
-    same seed: encoding draws the same random stream regardless of
-    batching, the batched drive rows equal the scalar per-step
-    index-sum exactly (see :func:`repro.snn.network.sample_drive`),
-    and all state updates are elementwise.  The switch is therefore a
-    fallback / cross-check, not a different estimator.
+Each chunk is one :meth:`repro.snn.network.DiehlCookNetwork.run_batch`
+pass.  Spike counts are **bit-identical** to the per-sample,
+per-timestep :meth:`~repro.snn.network.DiehlCookNetwork.run_sample`
+loop at the same seed: encoding draws the same random stream regardless
+of batching, the batched drive rows equal the scalar per-step index-sum
+exactly (see :func:`repro.snn.network.sample_drive`), and all state
+updates are elementwise.  ``tests/snn_oracle.py`` keeps that loop as the
+test oracle.
 
 Memory is bounded by a :class:`repro.engine.chunking.ChunkPolicy`:
 arbitrarily large evaluation sets stream through fixed-size chunks
@@ -40,15 +35,6 @@ from repro.engine.encoding import Encoder, encode_spike_trains
 from repro.snn.network import DiehlCookNetwork, NetworkParameters
 from repro.telemetry import get_metrics, span
 
-#: Valid values of the engine switch (``SparkXDConfig.engine``).
-ENGINES = ("batched", "sequential")
-
-
-def _validate_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {list(ENGINES)}")
-    return engine
-
 
 class BatchedEvaluator:
     """Evaluate many samples × many weight realizations in one pass.
@@ -63,17 +49,12 @@ class BatchedEvaluator:
         during evaluation).  Defaults to zeros.
     w_max:
         Physical weight ceiling of the network.
-    engine:
-        ``"batched"`` (default) or ``"sequential"`` — see module
-        docstring; both produce identical results.
     chunk_policy:
         Memory-bounding policy; defaults to a 256 MiB budget.
     dtype:
         Compute precision of the simulation state and drives
         (``numpy.float64`` default, or ``numpy.float32`` for roughly
-        half the memory bandwidth on large passes).  Both engines use
-        the same dtype, so the equivalence guarantee holds at either
-        precision.
+        half the memory bandwidth on large passes).
     """
 
     def __init__(
@@ -81,12 +62,10 @@ class BatchedEvaluator:
         parameters: NetworkParameters,
         theta: Optional[np.ndarray] = None,
         w_max: float = 1.0,
-        engine: str = "batched",
         chunk_policy: Optional[ChunkPolicy] = None,
         dtype: np.dtype = np.float64,
     ):
         self.parameters = parameters
-        self.engine = _validate_engine(engine)
         self.chunk_policy = chunk_policy or ChunkPolicy()
         self.dtype = np.dtype(dtype)
         if theta is None:
@@ -145,7 +124,7 @@ class BatchedEvaluator:
         (returns ``(E, B, n_neurons)``); every sample is encoded once
         and presented to all ``E`` realizations.
 
-        ``base_weights`` (stacked batched evaluation only) names the
+        ``base_weights`` (stacked evaluation only) names the
         clean tensor the stack's realizations were corrupted *from*:
         the drive precompute is then shared across realizations — the
         clean drive is built once and each realization recomputes only
@@ -197,24 +176,16 @@ class BatchedEvaluator:
             chunk_t0 = time.perf_counter()
             with span(
                 "eval.chunk",
-                engine=self.engine,
                 samples=window.stop - window.start,
                 realizations=n_real,
             ):
                 trains = encode_spike_trains(
                     images[window], n_steps, rng, encoder=encoder
                 )
-                if self.engine == "batched":
-                    counts = self._batched_counts(
-                        trains, weights, stacked, installed, base_weights
-                    )
-                    installed = True
-                else:
-                    # The sequential reference computes per-sample drives
-                    # directly; base_weights is a batched-path optimization
-                    # only (results are identical either way).
-                    counts = self._sequential_counts(trains, weights, stacked)
-                out[..., window, :] = counts
+                out[..., window, :] = self._batched_counts(
+                    trains, weights, stacked, installed, base_weights
+                )
+                installed = True
             chunk_hist.observe(time.perf_counter() - chunk_t0)
         return out
 
@@ -270,25 +241,4 @@ class BatchedEvaluator:
                 self.theta, net.neurons.state_shape
             ).copy()
             net.set_weights(weights)
-        return net.run_batch(trains, adapt=False, base_weights=base_weights)
-
-    def _sequential_counts(
-        self, trains: np.ndarray, weights: np.ndarray, stacked: bool
-    ) -> np.ndarray:
-        n_batch = trains.shape[0]
-        net = self._network
-        net.set_batch_shape(())
-        net.neurons.theta = self.theta.copy()
-        n = self.parameters.n_neurons
-        if not stacked:
-            net.set_weights(weights)
-            counts = np.empty((n_batch, n), dtype=np.int64)
-            for b in range(n_batch):
-                counts[b] = net.run_sample(trains[b], stdp=None)
-            return counts
-        counts = np.empty((weights.shape[0], n_batch, n), dtype=np.int64)
-        for e in range(weights.shape[0]):
-            net.set_weights(weights[e])
-            for b in range(n_batch):
-                counts[e, b] = net.run_sample(trains[b], stdp=None)
-        return counts
+        return net.run_batch(trains, base_weights=base_weights)

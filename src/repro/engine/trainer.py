@@ -19,8 +19,7 @@ one vectorized pass —
 4. **Accumulate** STDP deltas across all lanes and timesteps against
    the frozen tensor, with per-lane adaptive-threshold (theta)
    dynamics.  The time loop runs in a fused, allocation-free kernel
-   (:mod:`repro.snn.kernels`) — jitted with numba when available, the
-   exact-ufunc numpy twin otherwise — writing into a per-minibatch-size
+   (:mod:`repro.snn.kernels`) writing into a per-minibatch-size
    :class:`~repro.snn.kernels.FusedWorkspace` reused across steps *and*
    minibatches;
 5. **Apply** once per minibatch: the summed delta is credited back to
@@ -47,11 +46,9 @@ encoding draws are still byte-for-byte the sequential stream (a
 exception: it is called once per minibatch instead of once per sample,
 so fault-aware runs consume fewer injection draws), and the trained
 weights differ — which is why ``train_batch_size`` is part of the
-pipeline's stage cache fingerprints, unlike the result-identical
-``engine`` switch.  The ``kernel`` switch, by contrast, is
-result-identical: every backend produces bit-identical weights, theta
-and counts (asserted in tests).  See ``docs/training.md`` for the full
-semantics.
+pipeline's stage cache fingerprints.  The fused kernel itself is exact:
+it reproduces the unfused minibatch loop of ``tests/snn_oracle.py`` bit
+for bit.  See ``docs/training.md`` for the full semantics.
 
 Encode-once-per-BER-stack amortization
 --------------------------------------
@@ -77,7 +74,7 @@ import numpy as np
 from repro.engine.encoding import Encoder, EncodedMinibatch, encode_spike_trains
 from repro.rng import ensure_rng
 from repro.snn.encoding import poisson_rate_code
-from repro.snn.kernels import FusedWorkspace, resolve_kernel
+from repro.snn.kernels import FusedWorkspace
 from repro.snn.network import DiehlCookNetwork, make_stdp
 from repro.snn.stdp import STDPParameters
 from repro.snn.training import apply_post_sample_update
@@ -154,13 +151,6 @@ class BatchedTrainer:
         Fault-aware read hook: maps the stored clean tensor to what a
         DRAM read returns.  Called once per presentation — per sample
         at ``batch_size=1``, per minibatch otherwise.
-    kernel:
-        Time-loop implementation of the minibatch pass (see
-        :data:`repro.snn.kernels.KERNEL_CHOICES`): ``"auto"``
-        (default; numba when available, else the fused numpy kernel),
-        ``"numba"``, ``"numpy"``, or ``"reference"`` (the unfused
-        loop).  Result-identical — every kernel produces bit-identical
-        trained weights.
     """
 
     def __init__(
@@ -170,7 +160,6 @@ class BatchedTrainer:
         batch_size: int = 1,
         encoder: Optional[Encoder] = None,
         corrupt_weights: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        kernel: str = "auto",
     ):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -179,12 +168,10 @@ class BatchedTrainer:
                 "BatchedTrainer trains an unbatched network "
                 f"(batch_shape {network.batch_shape})"
             )
-        resolve_kernel(kernel)  # validate eagerly; resolved per call
         self.network = network
         self.batch_size = int(batch_size)
         self.encoder = encoder
         self.corrupt_weights = corrupt_weights
-        self.kernel = kernel
         self.stdp = make_stdp(network, stdp_parameters)
         # Batched machinery (shell network + batched rule + fused-kernel
         # workspace), built lazily and memoized *per minibatch size*: a
@@ -327,7 +314,6 @@ class BatchedTrainer:
             trains,
             stdp,
             delta,
-            kernel=self.kernel,
             workspace=workspace,
             matrix=prepared.matrix,
         )

@@ -58,8 +58,8 @@ BASELINE_FIELDS: Tuple[str, ...] = WORKLOAD_FIELDS + (
     "baseline_epochs",
     "representation",
     "seed",
-    # Unlike `engine` (result-identical, fingerprint-neutral), these two
-    # change the trained weights and so invalidate the training chain.
+    # These two change the trained weights and so invalidate the
+    # training chain.
     "train_batch_size",
     "compute_dtype",
 )
@@ -162,10 +162,6 @@ class TrainBaselineStage(Stage):
             epochs=cfg.baseline_epochs,
             n_steps=cfg.n_steps,
             rng=rng,
-            # ``engine`` is result-identical by the repro.engine
-            # equivalence guarantee (enforced in CI), so it is
-            # deliberately fingerprint-neutral here and below.
-            engine=cfg.engine,  # lint: disable=fingerprint-completeness
             batch_size=cfg.train_batch_size,
             dtype=np.dtype(cfg.compute_dtype),
         )
@@ -194,7 +190,6 @@ class FaultAwareTrainStage(Stage):
             n_steps=cfg.n_steps,
             accuracy_bound=cfg.accuracy_bound,
             rng=rng,
-            engine=cfg.engine,  # lint: disable=fingerprint-completeness
             batch_size=cfg.train_batch_size,
             dtype=np.dtype(cfg.compute_dtype),
             stage_encoding=cfg.stage_encoding,
@@ -226,7 +221,6 @@ class ToleranceStage(Stage):
             n_steps=cfg.n_steps,
             trials=cfg.tolerance_trials,
             rng=rng,
-            engine=cfg.engine,  # lint: disable=fingerprint-completeness
             dtype=np.dtype(cfg.compute_dtype),
         )
         return ToleranceArtifact(report=report, rng_state=rng.bit_generator.state)

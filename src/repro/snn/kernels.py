@@ -1,91 +1,29 @@
-"""Fused per-step state kernels for the minibatch STDP training loop.
+"""Fused per-step state kernel of the minibatch STDP training loop.
 
 The training time loop of
 :meth:`repro.snn.network.DiehlCookNetwork.run_batch_stdp` advances, per
 timestep, the full dynamic state of ``B`` network lanes — conductances,
 membrane potentials, refractory clocks, adaptive thresholds and the
 presynaptic STDP traces.  Written as numpy expressions that is a dozen
-temporary arrays per step; this module provides the same arithmetic as
+temporary arrays per step; :func:`numpy_state_step` performs the exact
+ufunc sequence of ``DiehlCookNetwork._step_from_drive`` +
+``AdaptiveLIFLayer.step`` + the STDP trace decay/bump into a
+preallocated :class:`FusedWorkspace` instead (the training analogue of
+the allocation-free inference loop ``_run_batch_frozen``).
 
-- a **numpy** kernel: the exact ufunc sequence of
-  ``DiehlCookNetwork._step_from_drive`` + ``AdaptiveLIFLayer.step`` +
-  the trace decay/bump of ``STDPRule.step_accumulate``, written into a
-  preallocated :class:`FusedWorkspace` (the training analogue of the
-  allocation-free inference loop ``_run_batch_frozen``);
-- an optional **numba** kernel: one jitted elementwise pass over the
-  same state arrays, compiled lazily per dtype.
-
-Both kernels are **bit-identical** to the reference step (and therefore
-to each other).  For numpy that holds because every ufunc call below
-has the same operands, operand order and output dtype as the reference
-expression form.  For numba it holds by construction: the kernel is
-written scalar-by-scalar with every intermediate rounded at exactly the
-points the numpy ufunc sequence rounds — constants are pre-cast to the
-compute dtype, and the one mixed-precision chain (lateral inhibition,
-which numpy evaluates in float64 before storing back to the compute
-dtype) is mirrored with explicit float64 intermediates and an explicit
-downcast.  The column-restricted STDP *accumulation* (a BLAS matmul)
-deliberately stays in shared numpy code
-(:meth:`repro.snn.stdp.STDPRule.accumulate_step`) so both backends
-reduce in the same order there too.
-
-Backend selection happens at import: ``numba`` is used when importable,
-pure numpy otherwise — nothing is ever installed, and every caller can
-force a backend explicitly (tests assert cross-backend identity).
+The kernel is **bit-identical** to the unfused reference step: every
+ufunc call below has the same operands, operand order and output dtype
+as the reference expression form.  The column-restricted STDP
+*accumulation* (a BLAS matmul) stays in
+:meth:`repro.snn.stdp.STDPRule.accumulate_step`, which the reference
+loop (``tests/snn_oracle.py``) shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
-
-from repro.telemetry import get_metrics
-
-try:  # optional accelerator; the numpy kernel is always available.
-    import numba as _numba
-except ImportError:  # pragma: no cover - exercised on numba-less hosts
-    _numba = None
-
-#: Whether the optional numba backend can be used in this process.
-HAVE_NUMBA = _numba is not None
-
-#: Valid values of the training ``kernel`` switch.  ``"auto"`` resolves
-#: to ``"numba"`` when available, else ``"numpy"``; ``"reference"`` is
-#: the unfused `_step_from_drive` + `step_accumulate` loop kept for
-#: cross-checking.
-KERNEL_CHOICES = ("auto", "numba", "numpy", "reference")
-
-
-def default_kernel() -> str:
-    """The backend ``kernel="auto"`` resolves to in this process."""
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def resolve_kernel(kernel: str) -> str:
-    """Validate and resolve a ``kernel`` switch value.
-
-    Returns one of ``"numba"``, ``"numpy"`` or ``"reference"``.  Asking
-    for ``"numba"`` explicitly on a host without numba raises — silently
-    falling back would let a CI leg meant to exercise the jitted kernel
-    pass without running it.
-    """
-    if kernel not in KERNEL_CHOICES:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; choose from {list(KERNEL_CHOICES)}"
-        )
-    if kernel == "auto":
-        resolved = default_kernel()
-    elif kernel == "numba" and not HAVE_NUMBA:
-        raise RuntimeError(
-            "kernel='numba' requested but numba is not installed; "
-            "use kernel='auto' to fall back to the numpy kernel"
-        )
-    else:
-        resolved = kernel
-    get_metrics().counter(f"kernels.resolved.{resolved}").inc()
-    return resolved
 
 
 class FusedWorkspace:
@@ -142,16 +80,15 @@ class FusedWorkspace:
 
 @dataclass(frozen=True)
 class FusedConstants:
-    """Pre-cast step constants shared by both fused kernels.
+    """Pre-cast step constants of the fused kernel.
 
     Every constant that meets a compute-dtype array is stored as a
     numpy scalar of that dtype — under NEP 50 a weak python float
     behaves exactly as-if cast to the array's dtype, so pre-casting
-    reproduces the reference expressions bit for bit while giving the
-    numba kernel concrete types.  ``inhibition`` alone stays float64:
-    the reference inhibition chain mixes an int64 row reduction with a
-    python float, which numpy evaluates in float64 before the store
-    downcasts.
+    reproduces the reference expressions bit for bit.  ``inhibition``
+    alone stays float64: the reference inhibition chain mixes an int64
+    row reduction with a python float, which numpy evaluates in float64
+    before the store downcasts.
     """
 
     decay_e: np.number
@@ -194,26 +131,6 @@ class FusedConstants:
             one=D(1.0),
         )
 
-    def as_args(self) -> Tuple:
-        """Positional constant block of the numba kernel signature."""
-        return (
-            self.decay_e,
-            self.decay_i,
-            self.inhibition,
-            self.v_rest,
-            self.e_excitatory,
-            self.e_inhibitory,
-            self.k,
-            self.v_threshold,
-            self.v_reset,
-            self.dt_ms,
-            self.refractory_ms,
-            self.theta_decay,
-            self.theta_plus,
-            self.trace_decay,
-            self.one,
-        )
-
 
 def numpy_state_step(
     c: FusedConstants,
@@ -229,11 +146,11 @@ def numpy_state_step(
     spikes: np.ndarray,
     counts: np.ndarray,
 ) -> None:
-    """One fused training step (numpy backend), allocation-free.
+    """One fused training step, allocation-free.
 
     Performs exactly the ufunc sequence of ``_step_from_drive`` with
-    ``adapt=True`` plus the trace decay/bump of ``step_accumulate`` —
-    same operations, same operand order, written into ``ws``'s scratch
+    ``adapt=True`` plus the STDP trace decay/bump — same operations,
+    same operand order, written into ``ws``'s scratch
     buffers.  ``ws.pre`` must already hold this step's presynaptic
     spikes; ``spikes`` receives the postsynaptic result (the caller
     swaps ``last``/``spikes`` afterwards, like the inference loop).
@@ -279,131 +196,8 @@ def numpy_state_step(
     counts += spikes
 
 
-# ----------------------------------------------------------------------
-# Numba backend: one jitted elementwise pass per step, specialised (and
-# compiled lazily) per compute dtype.
-
-_NUMBA_STEPS: dict = {}
-
-
-def _build_numba_step(castf):
-    """Compile the per-step kernel with ``castf`` as the dtype downcast.
-
-    ``castf`` (``np.float32``/``np.float64``) marks the two spots where
-    the reference ufunc sequence computes in float64 and the store
-    rounds to the compute dtype (the lateral-inhibition chain).  All
-    other arithmetic runs directly in the compute dtype because every
-    constant argument is pre-cast (:class:`FusedConstants`).
-    """
-
-    def step(
-        drive,
-        pre,
-        g_e,
-        g_i,
-        v,
-        refr,
-        theta,
-        x_pre,
-        last,
-        spikes,
-        counts,
-        decay_e,
-        decay_i,
-        inhibition,
-        v_rest,
-        e_excitatory,
-        e_inhibitory,
-        k,
-        v_threshold,
-        v_reset,
-        dt_ms,
-        refractory_ms,
-        theta_decay,
-        theta_plus,
-        trace_decay,
-        one,
-    ):  # pragma: no cover - compiled; covered by the optional-numba CI leg
-        n_batch, n_neurons = v.shape
-        n_pre = x_pre.shape[1]
-        for b in range(n_batch):
-            fired_last = 0
-            for j in range(n_neurons):
-                if last[b, j]:
-                    fired_last += 1
-            row_inh = np.float64(fired_last) * inhibition
-            for j in range(n_neurons):
-                ge = g_e[b, j] * decay_e
-                ge = ge + drive[b, j]
-                g_e[b, j] = ge
-                lateral = castf(inhibition) if last[b, j] else castf(0.0)
-                lateral = castf(row_inh - np.float64(lateral))
-                gi = g_i[b, j] * decay_i
-                gi = gi + lateral
-                g_i[b, j] = gi
-                vv = v[b, j]
-                is_active = refr[b, j] <= 0.0
-                dv = v_rest - vv
-                s2 = e_excitatory - vv
-                s2 = s2 * ge
-                dv = dv + s2
-                s2 = e_inhibitory - vv
-                s2 = s2 * gi
-                dv = dv + s2
-                dv = dv * k
-                dv = dv + vv
-                if is_active:
-                    vv = dv
-                thr = v_threshold + theta[b, j]
-                fired = is_active and (vv >= thr)
-                if fired:
-                    vv = v_reset
-                v[b, j] = vv
-                r = refr[b, j] - dt_ms
-                if r < castf(0.0):
-                    r = castf(0.0)
-                if fired:
-                    r = refractory_ms
-                refr[b, j] = r
-                th = theta[b, j] * theta_decay
-                if fired:
-                    th = th + theta_plus
-                theta[b, j] = th
-                spikes[b, j] = fired
-                if fired:
-                    counts[b, j] += 1
-            for i in range(n_pre):
-                x = x_pre[b, i] * trace_decay
-                if pre[b, i]:
-                    x = one
-                x_pre[b, i] = x
-
-    # cache=False: the closure over ``castf`` defeats numba's on-disk
-    # cache; the per-process compile (a few seconds, once per dtype)
-    # amortises over the training run.
-    return _numba.njit(cache=False, fastmath=False)(step)
-
-
-def numba_state_step(dtype: np.dtype):
-    """The compiled numba step kernel for ``dtype`` (lazily built)."""
-    if _numba is None:  # pragma: no cover - guarded by resolve_kernel
-        raise RuntimeError("numba is not installed")
-    dtype = np.dtype(dtype)
-    fn = _NUMBA_STEPS.get(dtype)
-    if fn is None:
-        castf = np.float32 if dtype == np.dtype(np.float32) else np.float64
-        fn = _build_numba_step(castf)
-        _NUMBA_STEPS[dtype] = fn
-    return fn
-
-
 __all__ = [
     "FusedConstants",
     "FusedWorkspace",
-    "HAVE_NUMBA",
-    "KERNEL_CHOICES",
-    "default_kernel",
-    "numba_state_step",
     "numpy_state_step",
-    "resolve_kernel",
 ]

@@ -18,16 +18,16 @@ Batched input drive is a ``spikes @ weights`` matmul (via
 sparse whole-sample form of :func:`sample_drive`).
 
 :meth:`DiehlCookNetwork.run_batch` evaluates a whole batch of encoded
-samples in one vectorized pass.  The per-step drive of the sequential
-path is the classic sparse index-sum ``weights[active].sum(axis=0)``;
-the batched path computes all drives up front with one sparse
-``spikes @ weights`` matmul per realization (:func:`sample_drive`),
-whose output rows are **bit-identical** to the per-step index-sum —
-CSR row accumulation and numpy's axis-0 row reduction both add the
-active weight rows left-to-right.  Every state update is elementwise,
-so batched spike counts equal a sequential per-sample, per-timestep
-loop exactly (the :mod:`repro.engine` equivalence guarantee, covered
-by tests).
+samples in one vectorized pass.  The per-step drive of
+:meth:`DiehlCookNetwork.run_sample` is the classic sparse index-sum
+``weights[active].sum(axis=0)``; the batched path computes all drives
+up front with one sparse ``spikes @ weights`` matmul per realization
+(:func:`sample_drive`), whose output rows are **bit-identical** to the
+per-step index-sum — CSR row accumulation and numpy's axis-0 row
+reduction both add the active weight rows left-to-right.  Every state
+update is elementwise, so batched spike counts equal a per-sample,
+per-timestep ``run_sample`` loop exactly (``tests/snn_oracle.py`` keeps
+that loop as the test oracle).
 """
 
 from __future__ import annotations
@@ -43,13 +43,7 @@ except ImportError:  # pragma: no cover - exercised via the forced fallback test
     _sparse = None
 
 from repro.rng import ensure_rng
-from repro.snn.kernels import (
-    FusedConstants,
-    FusedWorkspace,
-    numba_state_step,
-    numpy_state_step,
-    resolve_kernel,
-)
+from repro.snn.kernels import FusedConstants, FusedWorkspace, numpy_state_step
 from repro.snn.neurons import AdaptiveLIFLayer, LIFParameters
 from repro.snn.stdp import STDPParameters, STDPRule, normalize_columns
 from repro.snn.synapses import (
@@ -347,7 +341,7 @@ class DiehlCookNetwork:
 
         Everything here is elementwise over the state shape, so the
         arithmetic of a batched step is bit-identical per element to the
-        scalar step — the keystone of the engine equivalence guarantee.
+        scalar step — the keystone of the batched ≡ per-sample guarantee.
         """
         p = self.parameters
         self.g_excitatory.step(drive)
@@ -432,7 +426,6 @@ class DiehlCookNetwork:
     def run_batch(
         self,
         spike_trains: np.ndarray,
-        adapt: bool = False,
         base_weights: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Present a batch of encoded samples in one vectorized pass.
@@ -452,9 +445,10 @@ class DiehlCookNetwork:
         rows its changed input rows touch (:func:`_delta_drive_rows`),
         which is bit-identical to the per-realization matmul.
 
-        The spike counts are bit-identical to looping
-        :meth:`run_sample` over realizations and samples at the same
-        installed weights (see module docstring).
+        Adaptive thresholds stay frozen.  The spike counts are
+        bit-identical to looping :meth:`run_sample` over realizations
+        and samples at the same installed weights (see module
+        docstring).
         """
         p = self.parameters
         bs = self.batch_shape
@@ -516,12 +510,7 @@ class DiehlCookNetwork:
             drives *= gain
 
         self.reset_state(keep_theta=True)
-        if not adapt:
-            return self._run_batch_frozen(drives, n_steps)
-        counts = np.zeros(bs + (p.n_neurons,), dtype=np.int64)
-        for t in range(n_steps):
-            counts += self._step_from_drive(drives[t], adapt=adapt)
-        return counts
+        return self._run_batch_frozen(drives, n_steps)
 
     def prepare_drive_matrix(self, spike_trains: np.ndarray):
         """Prebuild the reusable sparse drive operator of a minibatch.
@@ -575,7 +564,6 @@ class DiehlCookNetwork:
         spike_trains: np.ndarray,
         stdp: STDPRule,
         delta: np.ndarray,
-        kernel: str = "auto",
         workspace: Optional[FusedWorkspace] = None,
         matrix=None,
     ) -> np.ndarray:
@@ -593,20 +581,15 @@ class DiehlCookNetwork:
         at the start (one presentation per lane).  Returns per-lane
         spike counts ``(B, n_neurons)``.
 
-        ``kernel`` selects the time-loop implementation (see
-        :data:`repro.snn.kernels.KERNEL_CHOICES`): ``"auto"`` resolves
-        to the jitted numba kernel when available, else the fused
-        allocation-free numpy kernel; ``"reference"`` runs the original
-        `_step_from_drive` + `step_accumulate` loop.  All three produce
-        bit-identical weights, thresholds and counts (asserted in
-        tests).  ``workspace`` optionally supplies the preallocated
-        :class:`~repro.snn.kernels.FusedWorkspace` scratch of the fused
-        kernels (one is allocated per call otherwise); ``matrix`` the
-        prebuilt :meth:`prepare_drive_matrix` operator.
+        The time loop is the fused, allocation-free
+        :meth:`_run_batch_stdp_fused`.  ``workspace`` optionally
+        supplies its preallocated
+        :class:`~repro.snn.kernels.FusedWorkspace` scratch (one is
+        allocated per call otherwise); ``matrix`` the prebuilt
+        :meth:`prepare_drive_matrix` operator.
         """
         p = self.parameters
         bs = self.batch_shape
-        resolved = resolve_kernel(kernel)
         if len(bs) != 1:
             raise ValueError(
                 f"run_batch_stdp requires batch_shape (B,), got {bs}"
@@ -634,14 +617,8 @@ class DiehlCookNetwork:
         stdp.reset_state()
         pre_steps = trains.transpose(1, 0, 2)  # (n_steps, B, n_input) view
         counts = np.zeros(bs + (p.n_neurons,), dtype=np.int64)
-        if resolved == "reference":
-            for t in range(trains.shape[1]):
-                spikes = self._step_from_drive(drives[t], adapt=True)
-                stdp.step_accumulate(pre_steps[t], spikes, delta, bound)
-                counts += spikes
-            return counts
         return self._run_batch_stdp_fused(
-            drives, pre_steps, stdp, delta, bound, counts, workspace, resolved
+            drives, pre_steps, stdp, delta, bound, counts, workspace
         )
 
     def _run_batch_stdp_fused(
@@ -653,19 +630,17 @@ class DiehlCookNetwork:
         bound: np.ndarray,
         counts: np.ndarray,
         workspace: Optional[FusedWorkspace],
-        backend: str,
     ) -> np.ndarray:
         """The training time loop, allocation-free.
 
         The training counterpart of :meth:`_run_batch_frozen`: per step
-        the state kernel (:func:`repro.snn.kernels.numpy_state_step` or
-        the jitted numba twin) performs exactly the ufunc sequence of
-        :meth:`_step_from_drive` with ``adapt=True`` plus the STDP
-        trace decay/bump into preallocated workspace buffers, then the
-        spiking-column accumulation
-        (:meth:`~repro.snn.stdp.STDPRule.accumulate_step`) runs in
-        shared numpy/BLAS code for both backends.  Bit-identity with
-        the reference loop is asserted in ``tests/test_engine_trainer``.
+        the state kernel (:func:`repro.snn.kernels.numpy_state_step`)
+        performs exactly the ufunc sequence of :meth:`_step_from_drive`
+        with ``adapt=True`` plus the STDP trace decay/bump into
+        preallocated workspace buffers, then the spiking-column
+        accumulation (:meth:`~repro.snn.stdp.STDPRule.accumulate_step`)
+        runs.  Bit-identity with the unfused reference loop of
+        ``tests/snn_oracle.py`` is asserted in ``tests/test_snn_kernels``.
         """
         p = self.parameters
         n_batch = self.batch_shape[0]
@@ -679,26 +654,14 @@ class DiehlCookNetwork:
         theta, x_pre = self.neurons.theta, stdp.x_pre
         np.copyto(ws.last, self._last_spikes)
         last, spikes = ws.last, ws.spikes
-        if backend == "numba":
-            step_fn = numba_state_step(self.dtype)
-            const_args = consts.as_args()
-            for t in range(n_steps):
-                np.copyto(ws.pre, pre_steps[t])
-                step_fn(
-                    drives[t], ws.pre, g_e, g_i, v, refr, theta, x_pre,
-                    last, spikes, counts, *const_args,
-                )
-                stdp.accumulate_step(spikes, delta, bound, ws.offset)
-                last, spikes = spikes, last
-        else:
-            for t in range(n_steps):
-                np.copyto(ws.pre, pre_steps[t])
-                numpy_state_step(
-                    consts, ws, drives[t], g_e, g_i, v, refr, theta, x_pre,
-                    last, spikes, counts,
-                )
-                stdp.accumulate_step(spikes, delta, bound, ws.offset)
-                last, spikes = spikes, last
+        for t in range(n_steps):
+            np.copyto(ws.pre, pre_steps[t])
+            numpy_state_step(
+                consts, ws, drives[t], g_e, g_i, v, refr, theta, x_pre,
+                last, spikes, counts,
+            )
+            stdp.accumulate_step(spikes, delta, bound, ws.offset)
+            last, spikes = spikes, last
         self._last_spikes = last.copy()
         return counts
 
@@ -711,7 +674,8 @@ class DiehlCookNetwork:
         operand order, written into preallocated scratch buffers.  Cuts
         the per-step cost several-fold by eliminating the temporary
         arrays the expression forms would allocate; bit-identity with
-        the scalar path is covered by the engine equivalence tests.
+        the per-sample ``run_sample`` loop is covered by the oracle
+        tests of ``tests/test_engine.py``.
         """
         p = self.parameters
         lif = p.lif

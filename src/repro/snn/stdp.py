@@ -21,16 +21,18 @@ arbitrary leading batch shape: a rule created with ``batch_shape=(B,)``
 tracks ``B`` independent trace vectors and updates ``B`` weight tensors
 (shaped ``(B, n_pre, n_post)``) in one call.
 
-Two update modes cover the two training engines:
+Two update modes cover the two training paths:
 
-- :meth:`STDPRule.step` — the reference in-place rule: each post spike
-  immediately moves (and clips) its incoming weights, so later steps of
-  the same sample see the updated tensor;
-- :meth:`STDPRule.step_accumulate` — the minibatch rule: every update
+- :meth:`STDPRule.step` — the in-place rule of ``batch_size=1``: each
+  post spike immediately moves (and clips) its incoming weights, so
+  later steps of the same sample see the updated tensor;
+- :meth:`STDPRule.accumulate_step` — the minibatch rule: every update
   is computed against a *frozen* weight tensor (its precomputed
   :meth:`frozen_bound` factor) and summed — over timesteps and over
   batch lanes — into a delta tensor the caller applies, clips and
   normalizes once per minibatch (see :mod:`repro.engine.trainer`).
+  The fused training loop advances the traces itself
+  (:func:`repro.snn.kernels.numpy_state_step`).
 """
 
 from __future__ import annotations
@@ -185,14 +187,14 @@ class STDPRule:
         # for the default linear bound.
         return diff if p.mu == 1.0 else diff**p.mu
 
-    def step_accumulate(
+    def accumulate_step(
         self,
-        pre_spikes: np.ndarray,
         post_spikes: np.ndarray,
         delta: np.ndarray,
         bound: np.ndarray,
+        offset_out: np.ndarray,
     ) -> np.ndarray:
-        """Advance traces one step; *accumulate* the update into ``delta``.
+        """Accumulate one (already-traced) step's update into ``delta``.
 
         Minibatch mode: the weight movement every post spike would apply
         is computed against a frozen tensor — ``bound`` is its
@@ -202,51 +204,10 @@ class STDPRule:
         :meth:`step`, updates from concurrent lanes therefore neither
         compound through the bound factor nor clip per step; the caller
         applies + clips + normalizes the summed delta once per
-        minibatch.  The per-lane trace dynamics are identical to the
-        in-place rule.
-        """
-        p = self.parameters
-        pre = np.asarray(pre_spikes, dtype=bool)
-        if pre.shape != self.state_shape:
-            raise ValueError(
-                f"pre_spikes must have shape {self.state_shape}, got {pre.shape}"
-            )
-        n_post = delta.shape[-1]
-        if delta.shape != (self.n_pre, n_post):
-            raise ValueError(
-                f"delta must have shape ({self.n_pre}, n_post), got {delta.shape}"
-            )
-        if bound.shape != delta.shape:
-            raise ValueError(
-                f"bound must match delta's shape {delta.shape}, got {bound.shape}"
-            )
-        self.x_pre *= self._trace_decay
-        self.x_pre[pre] = 1.0
-        post = np.asarray(post_spikes, dtype=bool)
-        if post.shape != self.batch_shape + (n_post,):
-            raise ValueError(
-                f"post_spikes must have shape {self.batch_shape + (n_post,)}, "
-                f"got {post.shape}"
-            )
-        return self.accumulate_step(post, delta, bound, np.empty_like(self.x_pre))
-
-    def accumulate_step(
-        self,
-        post_spikes: np.ndarray,
-        delta: np.ndarray,
-        bound: np.ndarray,
-        offset_out: np.ndarray,
-    ) -> np.ndarray:
-        """The spiking-column accumulation of one (already-traced) step.
-
-        The second half of :meth:`step_accumulate`, split out so the
-        fused training loop (whose state kernel advances the trace
-        itself) and the reference path share one implementation — the
-        fused == reference bit-identity holds by construction here.
-        ``offset_out`` is scratch shaped like ``x_pre``; the fused loop
-        passes a preallocated workspace buffer, the reference path a
-        fresh array (same values either way).  No validation: callers
-        have checked shapes already.
+        minibatch.  ``x_pre`` must already hold this step's traces (the
+        fused state kernel advances them).  ``offset_out`` is scratch
+        shaped like ``x_pre``.  No validation: callers have checked
+        shapes already.
         """
         p = self.parameters
         n_post = delta.shape[-1]
@@ -276,8 +237,7 @@ class STDPRule:
             # the full matmul beats the fancy-indexed gathers/scatters.
             # Non-spiking columns contribute exact-zero products, so
             # this adds 0.0 there and the identical arithmetic on the
-            # spiking columns — and both kernels route through this
-            # same branch, so fused == reference is untouched.
+            # spiking columns.
             active = self._active_scratch
             update = self._update_scratch
             if active.shape != lanes.shape or update.shape != delta.shape:

@@ -67,19 +67,16 @@ def run_spike_counts(
     n_steps: int,
     rng: np.random.Generator,
     encoder: Encoder = _default_encoder,
-    engine: str = "batched",
 ) -> np.ndarray:
     """Spike-count responses (n_samples, n_neurons) without learning.
 
-    Routed through :class:`repro.engine.BatchedEvaluator`:
-    ``engine="batched"`` (default) simulates the whole set in chunked
-    vectorized passes, ``engine="sequential"`` runs the reference
-    per-sample loop.  Both produce identical counts at the same ``rng``
-    state; neither mutates ``network``.
+    Routed through :class:`repro.engine.BatchedEvaluator`, which
+    simulates the whole set in chunked vectorized passes without
+    mutating ``network``.
     """
     from repro.engine import BatchedEvaluator
 
-    evaluator = BatchedEvaluator.for_network(network, engine=engine)
+    evaluator = BatchedEvaluator.for_network(network)
     return evaluator.spike_counts(
         np.asarray(images, dtype=np.float64),
         n_steps,
@@ -137,14 +134,9 @@ def evaluate_accuracy(
     rng: np.random.Generator,
     encoder: Encoder = _default_encoder,
     n_classes: int = 10,
-    engine: str = "batched",
 ) -> float:
-    """Classification accuracy of ``network`` on a labelled set.
-
-    ``engine`` selects the evaluation path (see
-    :func:`run_spike_counts`); both engines return the same accuracy.
-    """
-    counts = run_spike_counts(network, images, n_steps, rng, encoder, engine=engine)
+    """Classification accuracy of ``network`` on a labelled set."""
+    counts = run_spike_counts(network, images, n_steps, rng, encoder)
     predictions = predict(counts, assignments, n_classes)
     return float((predictions == np.asarray(labels)).mean())
 
@@ -182,9 +174,7 @@ def train_unsupervised(
     encoder: Encoder = _default_encoder,
     corrupt_weights: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     n_classes: int = 10,
-    engine: str = "batched",
     batch_size: int = 1,
-    kernel: str = "auto",
     encoding_cache=None,
 ) -> TrainedModel:
     """Train ``network`` with STDP and return the packaged model.
@@ -203,10 +193,8 @@ def train_unsupervised(
     state; ``batch_size>1`` presents minibatches in vectorized passes —
     a documented approximation that changes the trained weights (see
     ``docs/training.md``) while consuming the same random stream.
-    ``kernel`` selects the (result-identical) minibatch time-loop
-    backend; ``encoding_cache`` records/replays the encoded sample
-    stream across repeated calls (see
-    :class:`repro.engine.trainer.StageEncodingCache`).
+    ``encoding_cache`` records/replays the encoded sample stream across
+    repeated calls (see :class:`repro.engine.trainer.StageEncodingCache`).
     """
     from repro.engine.trainer import BatchedTrainer
 
@@ -222,7 +210,6 @@ def train_unsupervised(
         batch_size=batch_size,
         encoder=None if encoder is _default_encoder else encoder,
         corrupt_weights=corrupt_weights,
-        kernel=kernel,
     )
     trainer.train(
         images,
@@ -232,11 +219,10 @@ def train_unsupervised(
         encoding_cache=encoding_cache,
     )
 
-    counts = run_spike_counts(network, images, n_steps, rng, encoder, engine=engine)
+    counts = run_spike_counts(network, images, n_steps, rng, encoder)
     assignments = assign_labels(counts, labels, n_classes)
     accuracy = evaluate_accuracy(
-        network, images, labels, assignments, n_steps, rng, encoder, n_classes,
-        engine=engine,
+        network, images, labels, assignments, n_steps, rng, encoder, n_classes
     )
     return TrainedModel(
         weights=network.weights.copy(),

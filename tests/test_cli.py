@@ -291,13 +291,11 @@ class TestCacheCommand:
 
 
 class TestEngineFlags:
-    def test_run_parser_accepts_engine(self):
-        args = build_parser().parse_args(["run", "--engine", "sequential"])
-        assert args.engine == "sequential"
-
     def test_run_parser_rejects_unknown_engine(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--engine", "warp"])
+        # There is one evaluation path: even the old default is unknown.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "--engine", "batched"])
+        assert exc.value.code == 2
 
     def test_sweep_parser_accepts_error_models(self):
         args = build_parser().parse_args(

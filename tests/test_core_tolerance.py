@@ -119,38 +119,3 @@ class TestReport:
     def test_min_voltage_without_threshold_is_safe(self):
         report = self._report(None)
         assert report.min_voltage() == DEFAULT_BER_CURVE.v_safe
-
-
-class TestEngineEquivalence:
-    def test_batched_and_sequential_reports_identical(self, trained):
-        dataset, model = trained
-        reports = {}
-        for engine in ("batched", "sequential"):
-            injector = ErrorInjector(
-                Float32Representation(clip_range=(0, 1)), seed=1
-            )
-            reports[engine] = analyze_error_tolerance(
-                model,
-                dataset,
-                injector,
-                rates=(1e-4, 1e-2),
-                baseline_accuracy=model.accuracy,
-                accuracy_bound=0.10,
-                n_steps=50,
-                trials=2,
-                rng=np.random.default_rng(0),
-                engine=engine,
-            )
-        assert reports["batched"].curve == reports["sequential"].curve
-        assert (
-            reports["batched"].ber_threshold == reports["sequential"].ber_threshold
-        )
-
-    def test_unknown_engine_rejected(self, trained):
-        dataset, model = trained
-        injector = ErrorInjector(Float32Representation(), seed=1)
-        with pytest.raises(ValueError):
-            analyze_error_tolerance(
-                model, dataset, injector, rates=(1e-5,),
-                baseline_accuracy=0.8, engine="quantum",
-            )

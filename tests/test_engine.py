@@ -1,21 +1,22 @@
 """Tests of the batched vectorized evaluation engine (repro.engine).
 
-The load-bearing property is *bit-identity*: the batched engine must
+The load-bearing property is *bit-identity*: the batched evaluator must
 produce exactly the per-neuron spike counts of the sequential
-per-sample loop at the same seed — for single weights, for E>1
-realization stacks, and across ragged chunk boundaries.
+per-sample loop (``snn_oracle.sequential_spike_counts``) at the same
+seed — for single weights, for E>1 realization stacks, and across
+ragged chunk boundaries.
 """
 
 import numpy as np
 import pytest
+from snn_oracle import sequential_spike_counts
 
 from repro.engine import BatchedEvaluator, ChunkPolicy, encode_spike_trains
-from repro.engine.evaluator import ENGINES
 from repro.errors.injection import ErrorInjector
 from repro.snn.encoding import poisson_rate_code
 from repro.snn.network import DiehlCookNetwork, NetworkParameters, sample_drive
 from repro.snn.quantization import Float32Representation
-from repro.snn.training import run_spike_counts, evaluate_accuracy
+from repro.snn.training import evaluate_accuracy, predict, run_spike_counts
 
 
 PARAMS = NetworkParameters(n_input=64, n_neurons=20)
@@ -33,34 +34,39 @@ def setup():
     return network, images, stack
 
 
-def _counts(network, images, stack_or_weights, engine, chunk_policy=None, seed=21):
-    evaluator = BatchedEvaluator.for_network(
-        network, engine=engine, chunk_policy=chunk_policy
-    )
+def _counts(network, images, stack_or_weights, chunk_policy=None, seed=21):
+    evaluator = BatchedEvaluator.for_network(network, chunk_policy=chunk_policy)
     return evaluator.spike_counts(
         images, 25, np.random.default_rng(seed), weights=stack_or_weights
+    )
+
+
+def _oracle(network, images, stack_or_weights, seed=21, n_steps=25):
+    return sequential_spike_counts(
+        BatchedEvaluator.for_network(network), images, n_steps,
+        np.random.default_rng(seed), stack_or_weights,
     )
 
 
 class TestSpikeCountIdentity:
     def test_single_weights_fixed_seed_identity(self, setup):
         network, images, _ = setup
-        batched = _counts(network, images, network.weights, "batched")
-        sequential = _counts(network, images, network.weights, "sequential")
+        batched = _counts(network, images, network.weights)
+        sequential = _oracle(network, images, network.weights)
         assert batched.shape == (len(images), PARAMS.n_neurons)
         assert batched.sum() > 0, "test network must actually spike"
         assert np.array_equal(batched, sequential)
 
     def test_realization_stack_identity(self, setup):
         network, images, stack = setup
-        batched = _counts(network, images, stack, "batched")
-        sequential = _counts(network, images, stack, "sequential")
+        batched = _counts(network, images, stack)
+        sequential = _oracle(network, images, stack)
         assert batched.shape == (len(stack), len(images), PARAMS.n_neurons)
         assert np.array_equal(batched, sequential)
 
     def test_stack_matches_manual_run_sample_loop(self, setup):
         network, images, stack = setup
-        batched = _counts(network, images, stack, "batched")
+        batched = _counts(network, images, stack)
         # Hand-rolled reference: encode every image (same stream), then
         # loop realizations x samples through the scalar legacy API.
         rng = np.random.default_rng(21)
@@ -76,24 +82,19 @@ class TestSpikeCountIdentity:
 
     def test_ragged_final_chunk_identity(self, setup):
         network, images, stack = setup
-        unchunked = _counts(network, images, stack, "batched")
+        unchunked = _counts(network, images, stack)
         # 13 samples in chunks of 5 -> final chunk of 3 (ragged).
         ragged = _counts(
-            network, images, stack, "batched",
-            chunk_policy=ChunkPolicy(max_samples=5),
+            network, images, stack, chunk_policy=ChunkPolicy(max_samples=5)
         )
         assert np.array_equal(unchunked, ragged)
-        ragged_seq = _counts(
-            network, images, stack, "sequential",
-            chunk_policy=ChunkPolicy(max_samples=5),
-        )
-        assert np.array_equal(unchunked, ragged_seq)
+        assert np.array_equal(ragged, _oracle(network, images, stack))
 
     def test_evaluator_does_not_mutate_network(self, setup):
         network, images, stack = setup
         weights_before = network.weights.copy()
         theta_before = network.neurons.theta.copy()
-        _counts(network, images, stack, "batched")
+        _counts(network, images, stack)
         assert np.array_equal(network.weights, weights_before)
         assert np.array_equal(network.neurons.theta, theta_before)
 
@@ -125,27 +126,19 @@ class TestAccuracies:
 class TestTrainingHelpersRouting:
     def test_run_spike_counts_engines_agree(self, setup):
         network, images, _ = setup
-        batched = run_spike_counts(
-            network, images, 25, np.random.default_rng(7), engine="batched"
-        )
-        sequential = run_spike_counts(
-            network, images, 25, np.random.default_rng(7), engine="sequential"
-        )
+        batched = run_spike_counts(network, images, 25, np.random.default_rng(7))
+        sequential = _oracle(network, images, network.weights, seed=7)
         assert np.array_equal(batched, sequential)
 
     def test_evaluate_accuracy_engines_agree(self, setup):
         network, images, _ = setup
         labels = np.arange(len(images)) % 10
         assignments = np.arange(PARAMS.n_neurons) % 10
-        kwargs = dict(n_steps=25, n_classes=10)
         a = evaluate_accuracy(
-            network, images, labels, assignments, kwargs["n_steps"],
-            np.random.default_rng(5), engine="batched",
+            network, images, labels, assignments, 25, np.random.default_rng(5)
         )
-        b = evaluate_accuracy(
-            network, images, labels, assignments, kwargs["n_steps"],
-            np.random.default_rng(5), engine="sequential",
-        )
+        counts = _oracle(network, images, network.weights, seed=5)
+        b = float((predict(counts, assignments, 10) == labels).mean())
         assert a == b
 
     def test_custom_encoder_still_vectorizes_simulation(self, setup):
@@ -257,11 +250,6 @@ class TestInjectStack:
 
 
 class TestValidation:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            BatchedEvaluator(PARAMS, engine="warp-drive")
-        assert ENGINES == ("batched", "sequential")
-
     def test_theta_shape_checked(self):
         with pytest.raises(ValueError):
             BatchedEvaluator(PARAMS, theta=np.zeros(3))
@@ -331,24 +319,23 @@ class TestDriveIdentity:
 
         monkeypatch.setattr(network_module, "_sparse", None)
         network, images, stack = setup
-        batched = _counts(network, images[:4], stack, "batched")
-        sequential = _counts(network, images[:4], stack, "sequential")
+        batched = _counts(network, images[:4], stack)
+        sequential = _oracle(network, images[:4], stack)
         assert np.array_equal(batched, sequential)
 
 
 class TestFloat32Engine:
     def test_engines_agree_at_float32(self, setup):
         network, images, stack = setup
-        counts = {}
-        for engine in ENGINES:
-            evaluator = BatchedEvaluator.for_network(
-                network, engine=engine, dtype=np.float32
-            )
-            counts[engine] = evaluator.spike_counts(
-                images, 25, np.random.default_rng(21), weights=stack
-            )
-        assert counts["batched"].sum() > 0
-        assert np.array_equal(counts["batched"], counts["sequential"])
+        evaluator = BatchedEvaluator.for_network(network, dtype=np.float32)
+        batched = evaluator.spike_counts(
+            images, 25, np.random.default_rng(21), weights=stack
+        )
+        sequential = sequential_spike_counts(
+            evaluator, images, 25, np.random.default_rng(21), stack
+        )
+        assert batched.sum() > 0
+        assert np.array_equal(batched, sequential)
 
     def test_for_network_inherits_dtype(self):
         net = DiehlCookNetwork(PARAMS, init_weights=False, dtype=np.float32)
@@ -363,12 +350,13 @@ class TestFloat32Engine:
         rng = np.random.default_rng(6)
         huge = np.full((PARAMS.n_input, PARAMS.n_neurons), 3e38, dtype=np.float32)
         images = rng.random((4, PARAMS.n_input))
-        counts = {}
+        evaluator = BatchedEvaluator(PARAMS, dtype=np.float32)
         with np.errstate(over="ignore", invalid="ignore"):
-            for engine in ENGINES:
-                evaluator = BatchedEvaluator(PARAMS, engine=engine, dtype=np.float32)
-                counts[engine] = evaluator.spike_counts(
-                    images, 10, np.random.default_rng(2), weights=huge
-                )
-        assert np.array_equal(counts["batched"], counts["sequential"])
-        assert counts["batched"].sum() > 0
+            batched = evaluator.spike_counts(
+                images, 10, np.random.default_rng(2), weights=huge
+            )
+            sequential = sequential_spike_counts(
+                evaluator, images, 10, np.random.default_rng(2), huge
+            )
+        assert np.array_equal(batched, sequential)
+        assert batched.sum() > 0

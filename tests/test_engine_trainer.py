@@ -11,11 +11,11 @@ weights stay physical, random stream unchanged), not bit-equality.
 
 import numpy as np
 import pytest
+from snn_oracle import reference_sequential_train, step_accumulate
 
 from repro.engine.trainer import BatchedTrainer
-from repro.snn.encoding import poisson_rate_code
 from repro.snn.network import DiehlCookNetwork, NetworkParameters, make_stdp
-from repro.snn.stdp import STDPRule, normalize_columns
+from repro.snn.stdp import STDPRule
 from repro.snn.training import train_unsupervised
 
 PARAMS = NetworkParameters(n_input=64, n_neurons=16)
@@ -30,36 +30,6 @@ def _workload(n_samples=12, seed=3):
 
 def _network(dtype=np.float64, seed=1):
     return DiehlCookNetwork(PARAMS, rng=np.random.default_rng(seed), dtype=dtype)
-
-
-def reference_sequential_train(
-    network, images, n_steps, epochs, rng, corrupt_weights=None
-):
-    """The pre-refactor ``train_unsupervised`` loop, replicated verbatim.
-
-    This is the ground truth the ``batch_size=1`` engine must match bit
-    for bit (the historical code cast the corrupted read to float64;
-    at a float64 network — the only dtype it supported — casting to
-    ``network.dtype`` is the identical operation).
-    """
-    stdp = make_stdp(network)
-    for _epoch in range(epochs):
-        order = rng.permutation(len(images))
-        for i in order:
-            train = poisson_rate_code(images[i], n_steps, rng=rng)
-            if corrupt_weights is not None:
-                clean = network.weights
-                corrupted = np.asarray(corrupt_weights(clean), dtype=network.dtype)
-                network.weights = corrupted.copy()
-                network.run_sample(train, stdp=stdp, normalize=False)
-                delta = network.weights - corrupted
-                network.weights = np.clip(clean + delta, 0.0, network.w_max)
-                if network.parameters.weight_norm > 0:
-                    normalize_columns(
-                        network.weights, network.parameters.weight_norm
-                    )
-            else:
-                network.run_sample(train, stdp=stdp)
 
 
 def _gaussian_corrupter(seed):
@@ -258,20 +228,6 @@ class TestValidation:
                 np.zeros((PARAMS.n_input, PARAMS.n_neurons)),
             )
 
-    def test_step_accumulate_validates_shapes(self):
-        rule = STDPRule(4, batch_shape=(2,))
-        delta = np.zeros((4, 3))
-        bound = np.ones((4, 3))
-        with pytest.raises(ValueError):
-            rule.step_accumulate(np.zeros((3, 4), bool), np.zeros((2, 3), bool),
-                                 delta, bound)
-        with pytest.raises(ValueError):
-            rule.step_accumulate(np.zeros((2, 4), bool), np.zeros((2, 5), bool),
-                                 delta, bound)
-        with pytest.raises(ValueError):
-            rule.step_accumulate(np.zeros((2, 4), bool), np.zeros((2, 3), bool),
-                                 delta, np.ones((4, 4)))
-
 
 class TestStepAccumulate:
     def test_single_lane_matches_in_place_step_before_clipping(self):
@@ -289,7 +245,7 @@ class TestStepAccumulate:
             post = rng.random(4) < 0.3
             first_post = post.any() and not (applied != weights).any()
             in_place.step(applied, pre, post)
-            acc.step_accumulate(pre[None, :], post[None, :], delta, bound)
+            step_accumulate(acc, pre[None, :], post[None, :], delta, bound)
             if first_post:
                 # after the first update the in-place rule compounds
                 # through the bound; only the first step is comparable
@@ -306,12 +262,12 @@ class TestStepAccumulate:
         rule_both = STDPRule(5, batch_shape=(2,))
         bound = rule_both.frozen_bound(weights)
         delta_both = np.zeros_like(weights)
-        rule_both.step_accumulate(pre, post, delta_both, bound)
+        step_accumulate(rule_both, pre, post, delta_both, bound)
         total = np.zeros_like(weights)
         for lane in range(2):
             rule = STDPRule(5, batch_shape=(1,))
             delta = np.zeros_like(weights)
-            rule.step_accumulate(pre[lane : lane + 1], post[lane : lane + 1],
-                                 delta, bound)
+            step_accumulate(rule, pre[lane : lane + 1], post[lane : lane + 1],
+                            delta, bound)
             total += delta
         assert np.allclose(delta_both, total)

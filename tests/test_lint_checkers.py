@@ -184,10 +184,10 @@ class TestWorkspaceDiscipline:
         network_src = (SRC_ROOT / "snn" / "network.py").read_text()
         needle = "np.copyto(ws.pre, pre_steps[t])"
         assert needle in network_src
+        line = next(l for l in network_src.splitlines() if needle in l)
+        indent = line[: len(line) - len(line.lstrip())]
         mutated = network_src.replace(
-            needle,
-            "scratch = np.zeros_like(drives[t])\n                " + needle,
-            1,
+            needle, "scratch = np.zeros_like(drives[t])\n" + indent + needle, 1
         )
         (tmp_path / "network.py").write_text(mutated)
         report = run_lint(tmp_path, checkers=[WorkspaceDisciplineChecker()])

@@ -128,32 +128,14 @@ class TestCaching:
 
 
 class TestEngineSwitch:
-    def test_sequential_fallback_matches_batched(self):
-        """The full pipeline is engine-invariant: same results, and —
-        because ``engine`` is fingerprint-neutral — the same cache keys."""
-        from repro.pipeline.runner import RunRecord
-
-        results = {}
-        for engine in ("batched", "sequential"):
-            config = TINY.with_overrides(engine=engine)
-            results[engine] = ExperimentPipeline(config, store=ArtifactStore()).run()
-        a = RunRecord.from_result(results["batched"]).to_dict()
-        b = RunRecord.from_result(results["sequential"]).to_dict()
-        for volatile in ("wall_time_s", "cache_hits", "cache_misses",
-                         "stage_timings"):
-            a.pop(volatile)
-            b.pop(volatile)
-        assert a == b
-
-    def test_engine_shares_cache_fingerprints(self):
-        batched = TINY.with_overrides(engine="batched")
-        sequential = TINY.with_overrides(engine="sequential")
-        for stage in default_stages():
-            assert stage.cache_key(batched) == stage.cache_key(sequential)
+    """Config switches of the simulation: the error model is one; the
+    former ``engine`` switch is gone and stays rejected on the wire."""
 
     def test_unknown_engine_rejected_by_config(self):
-        with pytest.raises(ValueError):
-            TINY.with_overrides(engine="warp")
+        payload = TINY.to_wire()
+        payload["engine"] = "batched"
+        with pytest.raises(ValueError, match="engine"):
+            SparkXDConfig.from_wire(payload)
 
     def test_error_model_invalidates_training_fingerprints(self):
         from repro.pipeline.stages import FaultAwareTrainStage, TrainBaselineStage
@@ -175,9 +157,8 @@ class TestEngineSwitch:
 
 
 class TestTrainingEngineFingerprints:
-    """train_batch_size / compute_dtype change results, so — unlike the
-    result-identical ``engine`` switch — they must invalidate the whole
-    training chain."""
+    """train_batch_size / compute_dtype change results, so they must
+    invalidate the whole training chain."""
 
     def test_train_batch_size_invalidates_every_stage(self):
         minibatched = TINY.with_overrides(train_batch_size=8)

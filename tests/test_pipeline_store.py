@@ -45,13 +45,9 @@ class TestStageFieldGroups:
     def test_dram_fields_cover_every_config_field(self):
         import dataclasses
 
-        # ``engine`` is deliberately fingerprint-neutral: batched and
-        # sequential execution produce identical results (the
-        # repro.engine equivalence guarantee), so flipping the switch
-        # must keep hitting the same cache entries.
         assert set(DRAM_FIELDS) == {
             f.name for f in dataclasses.fields(SparkXDConfig)
-        } - {"engine"}
+        }
 
     def test_dram_side_override_keeps_training_fingerprint(self):
         cfg = SparkXDConfig.small()

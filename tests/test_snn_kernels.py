@@ -1,8 +1,8 @@
 """Tests of the fused minibatch STDP kernel (repro.snn.kernels).
 
-The load-bearing property: every kernel backend — the unfused
-``"reference"`` loop, the fused ``"numpy"`` kernel, and (when numba is
-installed) the jitted ``"numba"`` kernel — produces **bit-identical**
+The load-bearing property: the fused loop of
+``DiehlCookNetwork.run_batch_stdp`` and the unfused reference loop
+(``snn_oracle.reference_run_batch_stdp``) produce **bit-identical**
 results: same accumulated delta, same adaptive thresholds, same spike
 counts, same presynaptic traces, same trained weights.  The fused path
 is a pure reordering into preallocated workspace buffers, not an
@@ -12,22 +12,13 @@ approximation, so these are ``array_equal`` assertions, not
 
 import numpy as np
 import pytest
+from snn_oracle import reference_run_batch_stdp
 
 from repro.engine.trainer import BatchedTrainer, StageEncodingCache
-from repro.snn.kernels import (
-    FusedWorkspace,
-    HAVE_NUMBA,
-    KERNEL_CHOICES,
-    default_kernel,
-    resolve_kernel,
-)
+from repro.snn.kernels import FusedWorkspace
 from repro.snn.network import DiehlCookNetwork, NetworkParameters, make_stdp
 
 PARAMS = NetworkParameters(n_input=64, n_neurons=16)
-
-#: Fused backends available in this environment (the numba leg of CI
-#: adds "numba"; the default numpy-only leg tests the fallback).
-BACKENDS = ["numpy"] + (["numba"] if HAVE_NUMBA else [])
 
 
 def _network(dtype=np.float64, seed=1):
@@ -63,12 +54,12 @@ def _batched_setup(dtype, n_batch=5, n_steps=30, seed=2):
     return shell, trains
 
 
-def _run_kernel(shell, trains, kernel, dtype):
-    """One run_batch_stdp pass; returns every observable output."""
+def _run_kernel(shell, trains, run_batch_stdp, dtype):
+    """One minibatch pass of ``run_batch_stdp``; every observable output."""
     stdp = make_stdp(shell, batch_shape=shell.batch_shape)
     delta = np.zeros((PARAMS.n_input, PARAMS.n_neurons), dtype=dtype)
     theta0 = shell.neurons.theta.copy()
-    counts = shell.run_batch_stdp(trains, stdp, delta, kernel=kernel)
+    counts = run_batch_stdp(shell, trains, stdp, delta)
     outputs = {
         "delta": delta,
         "counts": counts,
@@ -76,29 +67,9 @@ def _run_kernel(shell, trains, kernel, dtype):
         "x_pre": stdp.x_pre.copy(),
         "last": shell._last_spikes.copy(),
     }
-    shell.neurons.theta = theta0  # restore for the next backend
+    shell.neurons.theta = theta0  # restore for the next run
     shell.reset_state()
     return outputs
-
-
-class TestKernelResolution:
-    def test_choices_and_default(self):
-        assert set(KERNEL_CHOICES) == {"auto", "numba", "numpy", "reference"}
-        assert default_kernel() == ("numba" if HAVE_NUMBA else "numpy")
-        assert resolve_kernel("auto") == default_kernel()
-        assert resolve_kernel("numpy") == "numpy"
-        assert resolve_kernel("reference") == "reference"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_kernel("fortran")
-        with pytest.raises(ValueError):
-            BatchedTrainer(_network(), kernel="fortran")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed here")
-    def test_explicit_numba_without_numba_raises(self):
-        with pytest.raises(RuntimeError):
-            resolve_kernel("numba")
 
 
 class TestFusedWorkspace:
@@ -110,76 +81,55 @@ class TestFusedWorkspace:
 
 
 class TestFusedBitIdentity:
-    """Fused backends == the unfused reference loop, bit for bit."""
+    """The fused loop == the unfused reference loop, bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_run_batch_stdp_matches_reference(self, dtype, backend):
+    def test_run_batch_stdp_matches_reference(self, dtype):
         shell, trains = _batched_setup(dtype)
-        ref = _run_kernel(shell, trains, "reference", dtype)
-        got = _run_kernel(shell, trains, backend, dtype)
+        ref = _run_kernel(shell, trains, reference_run_batch_stdp, dtype)
+        got = _run_kernel(shell, trains, DiehlCookNetwork.run_batch_stdp, dtype)
         for key in ref:
-            assert np.array_equal(ref[key], got[key]), (backend, key)
+            assert np.array_equal(ref[key], got[key]), key
         assert got["counts"].sum() > 0  # the comparison is not vacuous
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_workspace_reuse_does_not_change_results(self, backend):
-        """Passing a dirty, reused workspace is bit-identical to none."""
+    def test_workspace_reuse_does_not_change_results(self):
+        """Passing a dirty, reused workspace is bit-identical to the
+        reference loop."""
         shell, trains = _batched_setup(np.float64)
+        ref = _run_kernel(shell, trains, reference_run_batch_stdp, np.float64)
         stdp = make_stdp(shell, batch_shape=shell.batch_shape)
         ws = FusedWorkspace(5, PARAMS.n_neurons, PARAMS.n_input, np.float64)
         theta0 = shell.neurons.theta.copy()
-        delta_ws = np.zeros((PARAMS.n_input, PARAMS.n_neurons))
-        shell.run_batch_stdp(trains, stdp, delta_ws, kernel=backend, workspace=ws)
-        shell.reset_state()
-        stdp.reset_state()
-        shell.neurons.theta = theta0.copy()
-        delta_again = np.zeros((PARAMS.n_input, PARAMS.n_neurons))
-        shell.run_batch_stdp(
-            trains, stdp, delta_again, kernel=backend, workspace=ws
-        )
-        assert np.array_equal(delta_ws, delta_again)
+        for _ in range(2):  # the second pass reuses the dirty workspace
+            shell.reset_state()
+            shell.neurons.theta = theta0.copy()
+            delta = np.zeros((PARAMS.n_input, PARAMS.n_neurons))
+            shell.run_batch_stdp(trains, stdp, delta, workspace=ws)
+            assert np.array_equal(delta, ref["delta"])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("corrupt", [False, True])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_trained_weights_match_across_kernels(self, dtype, corrupt, backend):
-        """Full minibatch training is kernel-invariant end to end."""
+    def test_trained_weights_match_across_kernels(self, dtype, corrupt, monkeypatch):
+        """Full minibatch training matches the reference loop end to end."""
         images = _workload()
-        nets, rngs = {}, {}
-        for kernel in ("reference", backend):
+
+        def train():
             net = _network(dtype)
             rng = np.random.default_rng(7)
             hook = _gaussian_corrupter(5) if corrupt else None
-            BatchedTrainer(
-                net, batch_size=5, corrupt_weights=hook, kernel=kernel
-            ).train(images, n_steps=30, epochs=2, rng=rng)
-            nets[kernel], rngs[kernel] = net, rng
-        assert np.array_equal(
-            nets["reference"].weights, nets[backend].weights
-        )
-        assert np.array_equal(
-            nets["reference"].neurons.theta, nets[backend].neurons.theta
-        )
-        assert (
-            rngs["reference"].bit_generator.state
-            == rngs[backend].bit_generator.state
-        )
+            BatchedTrainer(net, batch_size=5, corrupt_weights=hook).train(
+                images, n_steps=30, epochs=2, rng=rng
+            )
+            return net, rng
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batch_size_one_unaffected_by_kernel(self, backend):
-        """batch_size=1 is the sequential reference under every kernel."""
-        images = _workload()
-        net_ref, net_k = _network(), _network()
-        rng_ref, rng_k = np.random.default_rng(7), np.random.default_rng(7)
-        BatchedTrainer(net_ref, batch_size=1, kernel="reference").train(
-            images, n_steps=25, rng=rng_ref
+        fused, fused_rng = train()
+        monkeypatch.setattr(
+            DiehlCookNetwork, "run_batch_stdp", reference_run_batch_stdp
         )
-        BatchedTrainer(net_k, batch_size=1, kernel=backend).train(
-            images, n_steps=25, rng=rng_k
-        )
-        assert np.array_equal(net_ref.weights, net_k.weights)
-        assert rng_ref.bit_generator.state == rng_k.bit_generator.state
+        ref, ref_rng = train()
+        assert np.array_equal(ref.weights, fused.weights)
+        assert np.array_equal(ref.neurons.theta, fused.neurons.theta)
+        assert ref_rng.bit_generator.state == fused_rng.bit_generator.state
 
 
 class TestWorkspaceReuseAcrossMinibatches:
@@ -357,7 +307,7 @@ class TestBaseWeightsDriveSharing:
                 PARAMS, batch_shape=(3, 4), init_weights=False, dtype=dtype
             )
             net.set_weights(stack)
-            return net.run_batch(trains, adapt=False, base_weights=base_weights)
+            return net.run_batch(trains, base_weights=base_weights)
 
         assert np.array_equal(counts(None), counts(base))
 
