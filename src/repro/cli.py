@@ -8,18 +8,21 @@ Commands
     Run a grid of pipeline configs through the parallel sweep runner,
     reusing trained models across DRAM-side grid points.
 ``cluster``
-    Distribute sweeps across hosts (see docs/cluster.md):
-    ``cluster coordinator`` serves a grid's jobs to networked workers,
+    Distribute sweeps across hosts (see docs/cluster.md).  Every
+    coordinator is an experiment service: ``cluster serve`` keeps one
+    up for ``cluster submit``/``cancel``/``results`` clients, while
+    ``cluster coordinator`` (one grid for networked workers) and
+    ``cluster sweep`` (the same plus N localhost worker subprocesses)
+    embed a single-shot one that exits after the sweep.
     ``cluster worker`` runs one worker agent against a coordinator, and
-    ``cluster sweep`` is the single-command localhost form (embedded
-    coordinator + N worker subprocesses), and ``cluster status``
-    queries a running coordinator for job-state counts and worker
-    ages.  ``--journal`` persists job transitions next to the store
-    and ``--resume`` replays them, so a coordinator killed mid-sweep
-    restarts without re-executing done work; ``--no-affinity``
-    disables holding-aware job placement.  ``cluster top`` renders a
-    live fleet table (jobs, per-worker throughput, peer-vs-hub bytes,
-    slowest open spans) from a running coordinator's telemetry.
+    ``cluster status`` queries a running coordinator for job-state
+    counts, worker ages and per-sweep journal lag.  ``--journal``
+    persists job transitions next to the store and ``--resume`` replays
+    them, so a coordinator killed mid-sweep restarts without
+    re-executing done work; ``--no-affinity`` disables holding-aware
+    job placement.  ``cluster top`` renders a live fleet table (jobs,
+    per-worker throughput, peer-vs-hub bytes, slowest open spans) from
+    a running coordinator's telemetry.
 ``telemetry``
     Work with recorded traces: ``telemetry export`` converts the
     JSONL file written by ``--trace`` to a Chrome/Perfetto
@@ -786,9 +789,7 @@ def _render_top(status: dict) -> str:
 def _sweep_status_lines(status: dict) -> list:
     """Per-tenant lines for ``status``/``top``: state, counts, journal lag.
 
-    Covers both shapes the wire ``status`` op can take: the service's
-    ``sweeps`` map (one entry per tenant) and the single-plan
-    coordinator's top-level ``journal`` summary.
+    One line per entry of the ``status`` op's ``sweeps`` map.
     """
     lines = []
     sweeps = status.get("sweeps") or {}
@@ -807,13 +808,6 @@ def _sweep_status_lines(status: dict) -> list:
         if info.get("failure"):
             line += f" | failure: {info['failure']}"
         lines.append(line)
-    journal = status.get("journal") or {}
-    if journal and not sweeps:
-        lines.append(
-            f"journal: {journal.get('events', 0)} event(s), "
-            f"lag {journal.get('lag', 0)} since last snapshot "
-            f"({journal.get('path', '?')})"
-        )
     return lines
 
 
@@ -1059,79 +1053,41 @@ def _cmd_cluster(args) -> int:
         )
         return 0
 
-    from repro.cluster import ClusterExecutor, format_address
+    if args.cluster_command not in ("coordinator", "sweep"):
+        raise ValueError(f"unknown cluster command {args.cluster_command!r}")
 
+    import contextlib
+
+    from repro.cluster import (
+        ClusterExecutor,
+        format_address,
+        local_worker_processes,
+    )
+
+    # Both single-shot forms are one ClusterExecutor (an embedded
+    # experiment service that exits after the sweep); they differ only
+    # in the bind address and in what happens once the grid is queued.
+    sweep = args.cluster_command == "sweep"
     base = _base_config(args)
     grid = _grid_from_args(args, base)
-    store = ArtifactStore(args.cache_dir) if args.cache_dir else ArtifactStore()
-    journal = _resolve_journal(args)
-
-    if args.cluster_command == "coordinator":
-        executor = ClusterExecutor(
-            base,
-            store=store,
-            address=args.bind,
-            lease_timeout=args.lease_s,
-            max_attempts=args.max_retries,
-            wait_timeout=args.wait_timeout,
-            journal=journal,
-            resume=args.resume,
-            affinity=args.affinity,
-            peer_sync=args.peer_sync,
-            compact_every=args.compact_every,
-        )
-
-        def announce(address):
-            if not args.json:
-                print(f"coordinator listening on {format_address(address)}; "
-                      "waiting for workers "
-                      f"(repro cluster worker --coordinator {format_address(address)})")
-
-        records = executor.run(grid, on_ready=announce)
-        _emit_records(
-            args, records, title=f"distributed sweep: {len(records)} grid points"
-        )
-        return 0
-
-    if args.cluster_command == "sweep":
-        # The single-command localhost form is the service composition,
-        # thin: an in-process ExperimentService in single-shot mode
-        # (shutdown_when_idle tells workers to exit when the one sweep
-        # is done), submit, a local worker fleet, wait, assemble.
-        from repro.cluster import local_worker_processes
-        from repro.cluster.service import ExperimentService
-        from repro.telemetry import span
-
-        service = ExperimentService(
-            store=store,
-            port=args.port,
-            lease_timeout=args.lease_s,
-            max_attempts=args.max_retries,
-            affinity=args.affinity,
-            peer_sync=args.peer_sync,
-            shutdown_when_idle=True,
-        )
-        service.start()
-        grid_points = 1
-        for values in grid.values():
-            grid_points *= max(1, len(values))
-        try:
-            with span(
-                "cluster.sweep",
-                grid_points=grid_points,
-                workers=args.workers,
-            ):
-                # Submitted inside the span: lease grants carry it as
-                # remote parent, so worker job spans land in this trace.
-                managed = service.submit(
-                    base,
-                    grid,
-                    journal_path=journal,
-                    resume=bool(args.resume),
-                    compact_every=args.compact_every,
-                )
-                with local_worker_processes(
-                    service.worker_address,
+    executor = ClusterExecutor(
+        base,
+        store=ArtifactStore(args.cache_dir) if args.cache_dir else ArtifactStore(),
+        address=("127.0.0.1", args.port) if sweep else args.bind,
+        lease_timeout=args.lease_s,
+        max_attempts=args.max_retries,
+        wait_timeout=args.wait_timeout,
+        journal=_resolve_journal(args),
+        resume=args.resume,
+        affinity=args.affinity,
+        peer_sync=args.peer_sync,
+        compact_every=args.compact_every,
+    )
+    with contextlib.ExitStack() as fleet:
+        if sweep:
+            def on_ready(address):
+                fleet.enter_context(local_worker_processes(
+                    address,
                     args.workers,
                     max_idle_s=args.max_idle_s,
                     threads_per_worker=(
@@ -1141,22 +1097,22 @@ def _cmd_cluster(args) -> int:
                     peer=args.peer_sync,
                     trace=args.trace,
                     log_level=args.log_level,
-                ):
-                    service.wait(managed.sweep_id, timeout=args.wait_timeout)
-                records = service.results(managed.sweep_id)
-        finally:
-            service.stop()
-        _emit_records(
-            args,
-            records,
-            title=(
-                f"cluster sweep: {len(records)} grid points over "
-                f"{args.workers} localhost worker(s)"
-            ),
-        )
-        return 0
-
-    raise ValueError(f"unknown cluster command {args.cluster_command!r}")
+                ))
+        else:
+            def on_ready(address):
+                if not args.json:
+                    print(f"coordinator listening on {format_address(address)}; "
+                          "waiting for workers "
+                          f"(repro cluster worker --coordinator {format_address(address)})")
+        records = executor.run(grid, on_ready=on_ready)
+    title = (
+        f"cluster sweep: {len(records)} grid points over "
+        f"{args.workers} localhost worker(s)"
+        if sweep
+        else f"distributed sweep: {len(records)} grid points"
+    )
+    _emit_records(args, records, title=title)
+    return 0
 
 
 def _cmd_telemetry(args) -> int:

@@ -2,20 +2,20 @@
 
 The cluster subsystem turns the single-host sweep engine
 (:mod:`repro.pipeline`) into a horizontally scalable service, using
-nothing beyond the standard library (``socket`` + ``json``):
+nothing beyond the standard library (``asyncio``, ``socket``, ``json``):
 
-- a **coordinator** (:class:`CoordinatorServer` around a
-  :class:`SweepPlan`) expands the grid, dedupes jobs by stage
-  fingerprint and hands them out over a small line protocol with
-  leases, heartbeats, requeue-with-exclusion, bounded retries and
-  affinity-aware grants (jobs prefer the worker already holding their
-  upstream artifacts);
+- a **coordinator** (:class:`CoordinatorCore` dispatching over the
+  :class:`SweepPlan` of each :class:`ManagedSweep`) expands the grid,
+  dedupes jobs by stage fingerprint and hands them out over a small
+  line protocol with leases, heartbeats, requeue-with-exclusion,
+  bounded retries and affinity-aware grants (jobs prefer the worker
+  already holding their upstream artifacts);
 - **worker agents** (:class:`WorkerAgent`) lease jobs, run them through
   the ordinary :class:`~repro.pipeline.stages.ExperimentPipeline`
   against a local store, and sync artifacts by fingerprint
   (:class:`ArtifactSync` — idempotent, resumable by retry);
 - the **executor** (:class:`ClusterExecutor`) drives one sweep end to
-  end — overlapping record assembly with the distribution tail — and
+  end on an embedded, single-shot :class:`ExperimentService` and
   assembles :class:`~repro.pipeline.runner.RunRecord` lists whose
   values are identical to the serial
   :class:`~repro.pipeline.runner.Runner`;
@@ -23,10 +23,10 @@ nothing beyond the standard library (``socket`` + ``json``):
   transition next to the store, so a coordinator killed mid-sweep
   restarts with ``--resume`` and never re-leases a journaled-done
   fingerprint;
-- the **experiment service** (:class:`ExperimentService`) runs the
-  coordinator logic persistently: many named sweeps (each with its own
-  plan + journal) multiplexed over one shared store and one worker
-  fleet, administered through an HTTP/JSON control plane
+- the **experiment service** (:class:`ExperimentService`) is the one
+  coordinator runtime: many named sweeps (each with its own plan +
+  journal) multiplexed over one shared store and one worker fleet,
+  administered through an HTTP/JSON control plane
   (:class:`ServiceClient`), with shared-token auth on both planes.
 
 Minimal end-to-end (one process per block, any hosts)::
@@ -50,14 +50,9 @@ See ``docs/cluster.md`` for the protocol, lease semantics and the
 artifact sync contract.
 """
 
-from repro.cluster.coordinator import (
-    CoordinatorCore,
-    CoordinatorServer,
-    SweepEndpoint,
-)
+from repro.cluster.coordinator import CoordinatorCore, ManagedSweep
 from repro.cluster.executor import (
     ClusterExecutor,
-    DistributionTimeout,
     local_worker_processes,
     local_worker_threads,
 )
@@ -80,7 +75,11 @@ from repro.cluster.protocol import (
     format_address,
     parse_address,
 )
-from repro.cluster.service import ExperimentService, ManagedSweep, sweep_identity
+from repro.cluster.service import (
+    DistributionTimeout,
+    ExperimentService,
+    sweep_identity,
+)
 from repro.cluster.sync import ArtifactSync
 from repro.cluster.worker import WorkerAgent, WorkerStats, default_worker_name
 
@@ -91,7 +90,6 @@ __all__ = [
     "ClusterExecutor",
     "ConnectionClosed",
     "CoordinatorCore",
-    "CoordinatorServer",
     "DEFAULT_HTTP_PORT",
     "DEFAULT_PORT",
     "DistributionTimeout",
@@ -105,7 +103,6 @@ __all__ = [
     "ServiceAuthError",
     "ServiceClient",
     "ServiceError",
-    "SweepEndpoint",
     "SweepJournal",
     "SweepPlan",
     "WorkerAgent",

@@ -1,14 +1,15 @@
 """Coordinator request handling: lease jobs and sync artifacts.
 
 The handler logic lives in :class:`CoordinatorCore`, a transport-free
-dispatcher shared by every server front end: the classic blocking
-:class:`CoordinatorServer` below (one ``ThreadingTCPServer`` per sweep,
-born and dying with it) and the persistent asyncio
+dispatcher behind the asyncio
 :class:`~repro.cluster.service.ExperimentService`, which serves *many*
-tenant sweeps — each its own :class:`~repro.cluster.plan.SweepPlan` —
-through one core over one shared
-:class:`~repro.pipeline.store.ArtifactStore` and one
-:class:`~repro.cluster.plan.WorkerRegistry`.
+tenant sweeps — each a :class:`ManagedSweep` owning its own
+:class:`~repro.cluster.plan.SweepPlan` — through one core over one
+shared :class:`~repro.pipeline.store.ArtifactStore` and one
+:class:`~repro.cluster.plan.WorkerRegistry`.  A single-shot sweep
+(:class:`~repro.cluster.executor.ClusterExecutor`, ``repro cluster
+sweep``/``coordinator``) is that same service with one tenant, told to
+shut its workers down once the tenant finishes.
 
 Operations (one JSON request line → one JSON reply line, blobs framed
 by ``blob_bytes``):
@@ -19,10 +20,10 @@ by ``blob_bytes``):
              registers the worker's artifact server in the routing
              table (its host is taken from the TCP source address)
 ``lease``    request a job from *any* active sweep; replies ``{"job":
-             …}`` (plus ``sources``: peer addresses for the job's
-             upstream keys, and ``sweep_id`` when serving a named
-             tenant), ``{"wait": s}`` or ``{"shutdown": true}`` once a
-             non-persistent plan finishes
+             …, "sweep_id": …}`` (plus ``sources``: peer addresses for
+             the job's upstream keys), ``{"wait": s}`` or
+             ``{"shutdown": true}`` once a non-persistent core's sweeps
+             all finish
 ``heartbeat``  renew a lease; ``{"ok": false}`` means the lease is lost
 ``complete``   report a finished job (idempotent); the reply's
              ``holding`` count lets the worker skip redundant holdings
@@ -34,9 +35,9 @@ by ``blob_bytes``):
 ``put``      upload one artifact blob by fingerprint (idempotent: an
              already-present fingerprint is acknowledged, not rewritten)
 ``status``   job-state counts + transfer counters + aggregated worker
-             telemetry + per-plan journal lag, for monitoring
-             (``repro cluster top``); service cores add a per-sweep
-             breakdown under ``sweeps``
+             telemetry + a per-sweep breakdown (state, counts, failure,
+             journal lag) under ``sweeps``, for monitoring
+             (``repro cluster top``)
 ===========  ==========================================================
 
 Multi-tenant routing: a ``heartbeat``/``complete``/``fail`` may carry
@@ -78,19 +79,16 @@ from __future__ import annotations
 
 import hmac
 import pickle
-import socketserver
 import threading
+import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.cluster.journal import SweepJournal
 from repro.cluster.plan import SweepPlan, WorkerRegistry
-from repro.cluster.protocol import (
-    PROTOCOL_CAPS,
-    encode_blob,
-    recv_message,
-    send_message,
-)
+from repro.cluster.protocol import PROTOCOL_CAPS, encode_blob
+from repro.pipeline.runner import RunRecord
 from repro.pipeline.store import MISS, ArtifactStore
 from repro.telemetry import get_metrics, merge_snapshots
 
@@ -135,19 +133,22 @@ class _WireCache:
                 self.total_bytes -= len(evicted)
 
 
-@dataclass(frozen=True)
-class SweepEndpoint:
-    """One schedulable tenant as the core sees it.
+@dataclass
+class ManagedSweep:
+    """One tenant: its plan, its journal, its lifecycle state."""
 
-    ``sweep_id`` is ``None`` exactly in single-sweep mode
-    (:class:`CoordinatorServer`), where grants are not stamped and the
-    wire format stays byte-compatible with pre-service workers.
-    """
-
-    sweep_id: Optional[str]
+    sweep_id: str
     plan: SweepPlan
-    trace_context: Optional[Dict[str, str]] = None
+    journal: Optional[SweepJournal] = None
     name: Optional[str] = None
+    #: Trace context adopted by lease grants of THIS sweep (the
+    #: submitter's active span), so worker job spans join the
+    #: submitting client's trace, tenant by tenant.
+    trace_context: Optional[Dict[str, str]] = None
+    created_at: float = field(default_factory=time.time)
+    #: Assembled records, cached after the first ``results`` call —
+    #: assembly is deterministic, so one pass serves every poller.
+    records: Optional[List[RunRecord]] = None
 
     @property
     def state(self) -> str:
@@ -162,34 +163,33 @@ class SweepEndpoint:
 
 
 class CoordinatorCore:
-    """Transport-agnostic coordinator dispatch, shared by both planes.
+    """Transport-agnostic coordinator dispatch (no sockets, no loop).
 
     Parameters
     ----------
     store:
         The shared artifact store all tenants publish into.
     sweeps:
-        A callable returning the current endpoints in submission order.
-        Single-sweep servers pass a constant one-tuple; the experiment
-        service passes a live view of its tenant registry, so newly
-        submitted sweeps become leasable without any rebind.
+        A callable returning the current tenants in submission order —
+        a live view of the service's registry, so newly submitted
+        sweeps become leasable without any rebind.
     registry:
         The :class:`~repro.cluster.plan.WorkerRegistry` every tenant
-        plan shares (single-sweep mode: the plan's own).
+        plan shares.
     token:
         Optional shared secret; when set, every request must carry it.
     persistent:
-        ``True`` (service mode) never answers ``shutdown`` — idle
-        workers poll forever, ready for the next submitted sweep.
-        ``False`` reproduces the classic lifecycle: once every known
-        sweep is finished (done, failed, or cancelled) workers are told
-        to shut down.
+        ``True`` (the always-on service) never answers ``shutdown`` —
+        idle workers poll forever, ready for the next submitted sweep.
+        ``False`` is the single-shot lifecycle: once every known sweep
+        is finished (done, failed, or cancelled) workers are told to
+        shut down.
     """
 
     def __init__(
         self,
         store: ArtifactStore,
-        sweeps: Callable[[], Sequence[SweepEndpoint]],
+        sweeps: Callable[[], Sequence[ManagedSweep]],
         registry: WorkerRegistry,
         *,
         token: Optional[str] = None,
@@ -220,10 +220,6 @@ class CoordinatorCore:
         #: lock: snapshot ingest must not contend with blob traffic).
         self._telemetry_lock = threading.Lock()
         self._telemetry: Dict[str, Dict[str, Any]] = {}
-        #: Trace context (``{"trace_id", "span_id"}``) stamped onto
-        #: lease grants so worker job spans join the sweep's trace.
-        #: Per-endpoint contexts (service tenants) take precedence.
-        self.trace_context: Optional[Dict[str, str]] = None
 
     # ------------------------------------------------------------------
     # Request dispatch.
@@ -330,27 +326,23 @@ class CoordinatorCore:
     def _resolve_plan(self, payload: Dict[str, Any]) -> Optional[SweepPlan]:
         """Route a job report to its tenant plan.
 
-        Grants from a service core carry ``sweep_id`` and workers echo
-        it back; reports without one (single-sweep mode, or an older
-        worker against a service) fall back to the sole endpoint or to
-        a ``job_id`` lookup — job ids embed the full stage fingerprint,
-        so whichever plan knows the id owns (an identical copy of) the
-        artifact.
+        Grants carry ``sweep_id`` and workers echo it back; reports
+        without one (older workers) fall back to a ``job_id`` lookup —
+        job ids embed the full stage fingerprint, so whichever plan
+        knows the id owns (an identical copy of) the artifact.
         """
-        endpoints = self.sweeps()
+        tenants = self.sweeps()
         sweep_id = payload.get("sweep_id")
         if sweep_id is not None:
-            for endpoint in endpoints:
-                if endpoint.sweep_id == sweep_id:
-                    return endpoint.plan
+            for tenant in tenants:
+                if tenant.sweep_id == sweep_id:
+                    return tenant.plan
             return None
-        if len(endpoints) == 1:
-            return endpoints[0].plan
         job_id = payload.get("job_id")
         if job_id is not None:
-            for endpoint in endpoints:
-                if str(job_id) in endpoint.plan.jobs:
-                    return endpoint.plan
+            for tenant in tenants:
+                if str(job_id) in tenant.plan.jobs:
+                    return tenant.plan
         return None
 
     # ------------------------------------------------------------------
@@ -381,20 +373,21 @@ class CoordinatorCore:
     def _op_lease(self, worker: str, holding: Optional[Any] = None) -> Dict[str, Any]:
         if holding is not None:
             self.registry.set_holdings(worker, holding)
-        endpoints = self.sweeps()
-        for endpoint in endpoints:
-            plan = endpoint.plan
+        tenants = self.sweeps()
+        for tenant in tenants:
+            plan = tenant.plan
             if plan.failed or plan.cancelled:
                 continue
             job = plan.lease(worker)
             if job is None:
                 continue
-            reply: Dict[str, Any] = {"job": job.to_wire(plan.lease_timeout)}
-            if endpoint.sweep_id is not None:
-                # Workers echo this back on heartbeat/complete/fail so
-                # reports route straight to the owning tenant; old
-                # workers ignore it and fall back to job-id routing.
-                reply["sweep_id"] = endpoint.sweep_id
+            # Workers echo ``sweep_id`` back on heartbeat/complete/fail
+            # so reports route straight to the owning tenant; old
+            # workers ignore it and fall back to job-id routing.
+            reply: Dict[str, Any] = {
+                "job": job.to_wire(plan.lease_timeout),
+                "sweep_id": tenant.sweep_id,
+            }
             # Routing hints ride along with the grant: peer addresses
             # for every upstream key some live peer holds, so the
             # worker can pull missing inputs without a separate
@@ -402,23 +395,23 @@ class CoordinatorCore:
             sources = plan.locate(job.upstream, exclude=worker)
             if sources:
                 reply["sources"] = sources
-            trace = endpoint.trace_context or self.trace_context
+            trace = tenant.trace_context
             if trace:
                 # Workers adopt this as the remote parent of their job
                 # spans; old workers simply ignore the unknown key.
                 reply["trace"] = dict(trace)
             return reply
         # Nothing grantable right now.  A persistent core waits for the
-        # next submission; the classic lifecycle shuts workers down once
+        # next submission; a single-shot core shuts workers down once
         # every sweep it ever knew is finished.  Note "reason", not
         # "error": the client treats an "error" key as a protocol
         # failure and raises, which would turn the graceful plan-failed
         # shutdown into apparent unreachability.
-        if not self.persistent and endpoints and all(
-            e.plan.done or e.plan.failed or e.plan.cancelled for e in endpoints
+        if not self.persistent and tenants and all(
+            t.plan.done or t.plan.failed or t.plan.cancelled for t in tenants
         ):
             reason = next(
-                (e.plan.failure for e in endpoints if e.plan.failure is not None),
+                (t.plan.failure for t in tenants if t.plan.failure is not None),
                 None,
             )
             reply = {"shutdown": True}
@@ -433,26 +426,24 @@ class CoordinatorCore:
         return self._op_status()
 
     def _op_status(self) -> Dict[str, Any]:
-        endpoints = self.sweeps()
         totals = {"pending": 0, "leased": 0, "done": 0, "failed": 0}
         failure: Optional[str] = None
         sweeps: Dict[str, Any] = {}
-        for endpoint in endpoints:
-            counts = endpoint.plan.counts()
+        for tenant in self.sweeps():
+            counts = tenant.plan.counts()
             for state in totals:
                 totals[state] += counts.get(state, 0)
             if failure is None:
-                failure = endpoint.plan.failure
-            if endpoint.sweep_id is not None:
-                entry: Dict[str, Any] = dict(counts)
-                entry["state"] = endpoint.state
-                entry["failure"] = endpoint.plan.failure
-                if endpoint.name:
-                    entry["name"] = endpoint.name
-                journal = endpoint.plan.journal_status()
-                if journal is not None:
-                    entry["journal"] = journal
-                sweeps[endpoint.sweep_id] = entry
+                failure = tenant.plan.failure
+            entry: Dict[str, Any] = dict(counts)
+            entry["state"] = tenant.state
+            entry["failure"] = tenant.plan.failure
+            if tenant.name:
+                entry["name"] = tenant.name
+            journal = tenant.plan.journal_status()
+            if journal is not None:
+                entry["journal"] = journal
+            sweeps[tenant.sweep_id] = entry
         payload: Dict[str, Any] = dict(totals)
         payload["failure"] = failure
         payload["workers"] = {
@@ -460,14 +451,7 @@ class CoordinatorCore:
         }
         payload["transfers"] = self.transfer_stats()
         payload["telemetry"] = self.telemetry_view()
-        if len(endpoints) == 1 and endpoints[0].sweep_id is None:
-            journal = endpoints[0].plan.journal_status()
-            if journal is not None:
-                payload["journal"] = journal
-        else:
-            # Multi-tenant (or empty persistent) coordinator: always
-            # present the tenant map, even when it has no rows yet.
-            payload["sweeps"] = sweeps
+        payload["sweeps"] = sweeps
         return payload
 
     def _op_get(
@@ -519,128 +503,7 @@ class CoordinatorCore:
             }
 
 
-class CoordinatorServer:
-    """Serve one :class:`SweepPlan` + :class:`ArtifactStore` over TCP.
-
-    The classic single-sweep front end: a ``ThreadingTCPServer`` whose
-    handler threads feed one :class:`CoordinatorCore` wrapping exactly
-    one plan.  Wire behaviour (including shutdown-when-finished) is
-    identical to the pre-service coordinator; ``token`` adds the shared
-    secret check on every op.
-    """
-
-    def __init__(
-        self,
-        plan: SweepPlan,
-        store: ArtifactStore,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        poll_s: Optional[float] = None,
-        wire_cache_bytes: int = 64 * 1024 * 1024,
-        token: Optional[str] = None,
-    ):
-        self.plan = plan
-        self.store = store
-        #: Seconds an idle worker should wait before polling again.
-        self.poll_s = (
-            float(poll_s) if poll_s is not None else min(1.0, plan.lease_timeout / 4.0)
-        )
-        endpoint = SweepEndpoint(sweep_id=None, plan=plan)
-        self.core = CoordinatorCore(
-            store,
-            lambda: (endpoint,),
-            plan.registry,
-            token=token,
-            poll_s=self.poll_s,
-            wire_cache_bytes=wire_cache_bytes,
-            peer_sync=plan.peer_sync,
-            persistent=False,
-        )
-
-        coordinator = self
-
-        class Handler(socketserver.StreamRequestHandler):
-            def handle(self) -> None:  # pragma: no cover - thin shim
-                coordinator._handle(self)
-
-        class Server(socketserver.ThreadingTCPServer):
-            daemon_threads = True
-            allow_reuse_address = True
-
-        self._server = Server((host, port), Handler)
-        self.address: Tuple[str, int] = self._server.server_address[:2]
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def trace_context(self) -> Optional[Dict[str, str]]:
-        return self.core.trace_context
-
-    @trace_context.setter
-    def trace_context(self, context: Optional[Dict[str, str]]) -> None:
-        self.core.trace_context = context
-
-    # ------------------------------------------------------------------
-    def start(self) -> "CoordinatorServer":
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="repro-cluster-coordinator",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "CoordinatorServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # ------------------------------------------------------------------
-    def _handle(self, request: socketserver.StreamRequestHandler) -> None:
-        try:
-            payload, blob = recv_message(request.rfile)
-        except Exception:
-            return  # half-open connection; nothing to answer
-        try:
-            reply, reply_blob, reply_encoding = self._dispatch(
-                payload, blob, client_host=str(request.client_address[0])
-            )
-        except Exception as error:  # surface, don't kill the thread
-            reply, reply_blob, reply_encoding = (
-                {"error": f"{type(error).__name__}: {error}"},
-                None,
-                None,
-            )
-        try:
-            send_message(request.wfile, reply, reply_blob, encoding=reply_encoding)
-        except Exception:
-            pass  # requester vanished; the protocol is stateless
-
-    def _dispatch(
-        self,
-        payload: Dict[str, Any],
-        blob: Optional[bytes],
-        client_host: str = "127.0.0.1",
-    ) -> Tuple[Dict[str, Any], Optional[bytes], Optional[str]]:
-        return self.core.dispatch(payload, blob, client_host=client_host)
-
-    def telemetry_view(self) -> Dict[str, Any]:
-        return self.core.telemetry_view()
-
-    def transfer_stats(self) -> Dict[str, int]:
-        return self.core.transfer_stats()
-
-
 __all__ = [
     "CoordinatorCore",
-    "CoordinatorServer",
-    "SweepEndpoint",
+    "ManagedSweep",
 ]

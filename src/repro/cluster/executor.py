@@ -1,4 +1,4 @@
-"""Distributed sweep execution: coordinator-side driver + local fleets.
+"""Distributed sweep execution: single-shot sweeps + local fleets.
 
 :class:`ClusterExecutor` is the cluster twin of
 :class:`repro.pipeline.runner.Runner`: it expands the same grids,
@@ -11,20 +11,19 @@ every grid; only the execution-dependent record fields differ, and each
 record additionally carries per-job placement/transfer stats under
 ``cluster/…`` keys in ``stage_timings``.
 
-Record assembly **overlaps the tail of distribution**: grid points are
-assembled in order as soon as their own chain is fully cached, while
-stragglers for later points are still computing on the workers — the
-coordinator never sits idle waiting for the last lease to finish
-before it starts pulling finished results together.
+:meth:`ClusterExecutor.run` is the one single-shot composition: it
+starts an embedded :class:`~repro.cluster.service.ExperimentService`
+that shuts its workers down once idle, submits the grid as the
+service's only tenant, waits for the plan to drain, and assembles the
+records in grid order.  ``Runner(coordinator=...)``, ``repro cluster
+sweep`` and ``repro cluster coordinator`` all run through it, so
+existing sweep call sites scale out by adding one argument.
 
-With ``journal=...`` the executor keeps a disk journal of every job
+With ``journal=...`` the tenant keeps a disk journal of every job
 transition next to the store; ``resume=True`` replays it so a
 coordinator killed mid-sweep restarts without re-leasing a single
 journaled-done fingerprint (see docs/cluster.md, "Journal and
 resume").
-
-``Runner(coordinator=...)`` delegates here, so existing sweep call
-sites scale out by adding one argument.
 """
 
 from __future__ import annotations
@@ -34,94 +33,19 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.cluster.coordinator import CoordinatorServer
-from repro.cluster.journal import SweepJournal
 from repro.cluster.plan import PlanFailed, SweepPlan
 from repro.cluster.protocol import format_address, parse_address
+from repro.cluster.service import ExperimentService
 from repro.cluster.worker import WorkerAgent
 from repro.core.config import SparkXDConfig
 from repro.pipeline.runner import RunRecord
-from repro.pipeline.stages import ExperimentPipeline
 from repro.pipeline.store import ArtifactStore
-from repro.telemetry import current_context, get_logger, span
+from repro.telemetry import get_logger, span
 
 LOG = get_logger(__name__)
-
-
-class DistributionTimeout(TimeoutError):
-    """``wait_timeout`` elapsed with the sweep still incomplete.
-
-    Carries the scheduling diagnostics an operator needs to tell "no
-    workers ever connected" apart from "a worker went quiet mid-sweep":
-    ``counts`` is the job-state histogram at expiry and ``worker_ages``
-    maps each known worker to seconds since its last contact.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        counts: Dict[str, int],
-        worker_ages: Dict[str, float],
-    ):
-        super().__init__(message)
-        self.counts = dict(counts)
-        self.worker_ages = dict(worker_ages)
-
-
-def assemble_point(
-    plan: SweepPlan,
-    store: ArtifactStore,
-    params: Mapping[str, Any],
-    config: SparkXDConfig,
-    keys: Sequence[Tuple[str, str]],
-) -> RunRecord:
-    """Assemble one grid point's :class:`RunRecord` from a warmed store.
-
-    Identical in values to one iteration of :meth:`Runner.run`'s
-    assembly loop; the volatile fields additionally record where each
-    job ran and what its transfers cost (``cluster/…`` keys in
-    ``stage_timings``).  Every key in ``keys`` must already be
-    satisfied — callers wait (executor) or require a done plan
-    (service results) before assembling.
-    """
-    started = time.perf_counter()
-    # A per-record stats view keeps the hit/miss deltas attributable to
-    # THIS record's assembly: the shared store's counters may be
-    # concurrently bumped by server threads serving other tenants or
-    # straggler uploads.
-    view = store.stats_view()
-    pipeline = ExperimentPipeline(config, store=view)
-    result = pipeline.run()
-    record = RunRecord.from_result(
-        result,
-        params=params,
-        wall_time_s=time.perf_counter() - started,
-        cache_hits=view.stats.hits,
-        cache_misses=view.stats.misses,
-        stage_timings=pipeline.stage_timings,
-    )
-    for (stage_name, digest) in keys:
-        job = plan.job_for(stage_name, digest)
-        if job is None or not job.stats:
-            continue
-        prefix = f"cluster/{stage_name}"
-        exec_s = (job.stats.get("exec_s") or {}).get(stage_name)
-        if exec_s is not None:
-            record.stage_timings[prefix] = float(exec_s)
-        record.stage_timings[f"{prefix}:sync_s"] = float(
-            job.stats.get("sync_s", 0.0)
-        )
-        record.stage_timings[f"{prefix}:sync_bytes"] = float(
-            job.stats.get("pulled_bytes", 0)
-        ) + float(job.stats.get("pushed_bytes", 0))
-        record.stage_timings[f"{prefix}:worker"] = float(
-            job.stats.get("slot", -1)
-        )
-    return record
 
 
 class ClusterExecutor:
@@ -132,16 +56,19 @@ class ClusterExecutor:
     base_config / store:
         As in :class:`~repro.pipeline.runner.Runner`.
     address:
-        ``(host, port)`` or ``"host:port"`` the embedded coordinator
-        binds — this is the address workers connect to.  Port ``0``
-        picks an ephemeral port; read :attr:`address` once running.
+        ``(host, port)`` or ``"host:port"`` the embedded service's
+        worker plane binds — this is the address workers connect to.
+        Port ``0`` picks an ephemeral port; read :attr:`address` once
+        running.  The service's HTTP control plane, which a single-shot
+        sweep never uses, always binds an ephemeral loopback port.
     lease_timeout / max_attempts:
         Lease semantics (see :mod:`repro.cluster.plan`).
     wait_timeout:
         Optional ceiling in seconds on one sweep's distribution phase;
         ``None`` waits for workers indefinitely.  On expiry a
-        :class:`DistributionTimeout` is raised carrying the job-state
-        counts and each worker's last-contact age.
+        :class:`~repro.cluster.service.DistributionTimeout` is raised
+        carrying the job-state counts and each worker's last-contact
+        age.
     journal:
         Optional path to the coordinator journal (JSONL of job
         transitions, conventionally next to the store).  An existing
@@ -168,7 +95,7 @@ class ClusterExecutor:
         Optional control-plane address (``host:port`` or
         ``http://host:port``) of a running
         :class:`~repro.cluster.service.ExperimentService`.  When set,
-        :meth:`run` does not bind an embedded coordinator at all — it
+        :meth:`run` does not start an embedded service at all — it
         *submits* the sweep over HTTP, polls until completion, and
         rebuilds the records the service assembled, so many executors
         (and many tenants) share one fleet and one store.  The
@@ -177,7 +104,7 @@ class ClusterExecutor:
     token:
         Shared cluster secret: stamped onto control-plane requests
         (service mode) or required of workers by the embedded
-        coordinator.
+        service.
     """
 
     def __init__(
@@ -228,71 +155,59 @@ class ClusterExecutor:
     ) -> List[RunRecord]:
         """Distribute ``grid`` and assemble records deterministically.
 
-        ``on_ready(address)`` — if given — is called once the
-        coordinator is listening, with the bound ``(host, port)``;
+        ``on_ready(address)`` — if given — is called once the grid is
+        submitted, with the worker plane's bound ``(host, port)``;
         convenient for launching a worker fleet against an ephemeral
-        port (see :func:`local_worker_processes`).
+        port (see :func:`local_worker_processes`).  Workers that connect
+        earlier are told to wait, never to shut down.
 
-        In service mode (``service=...``) there is no embedded
-        coordinator: the grid is submitted to the running service and
-        ``on_ready`` is not called (the fleet already exists).
+        In service mode (``service=...``) there is no embedded service:
+        the grid is submitted to the running one and ``on_ready`` is not
+        called (the fleet already exists).
         """
         if self.service is not None:
             return self._run_via_service(grid)
-        journal = (
-            SweepJournal(
-                self.journal_path,
+        host, port = self.bind_address
+        service = ExperimentService(
+            store=self.store,
+            host=host,
+            port=port,
+            http_host="127.0.0.1",
+            token=self.token,
+            lease_timeout=self.lease_timeout,
+            max_attempts=self.max_attempts,
+            poll_s=self.poll_s,
+            affinity=self.affinity,
+            peer_sync=self.peer_sync,
+            shutdown_when_idle=True,
+        )
+        # The sweep span opens before submit: the tenant adopts it as
+        # the trace context its lease grants carry, so worker job spans
+        # land in this trace (no-op when tracing is off).
+        with service, span("cluster.sweep") as sweep_span:
+            managed = service.submit(
+                self.base_config,
+                grid,
+                journal_path=self.journal_path,
                 resume=self.resume,
                 compact_every=self.compact_every,
             )
-            if self.journal_path is not None
-            else None
-        )
-        try:
-            plan = SweepPlan(
-                self.base_config,
-                grid,
-                self.store,
-                lease_timeout=self.lease_timeout,
-                max_attempts=self.max_attempts,
-                journal=journal,
-                affinity=self.affinity,
-                peer_sync=self.peer_sync,
-            )
+            plan = managed.plan
             self.last_plan = plan
-            host, port = self.bind_address
-            with span(
-                "cluster.sweep",
+            self.address = service.worker_address
+            sweep_span.set(
                 plan_id=plan.plan_id[:16],
                 jobs=len(plan.jobs),
                 grid_points=len(plan.configs),
-            ), CoordinatorServer(
-                plan,
-                self.store,
-                host=host,
-                port=port,
-                poll_s=self.poll_s,
-                token=self.token,
-            ) as server:
-                # Lease grants carry the sweep span as remote parent, so
-                # worker job spans land in this trace (no-op when
-                # tracing is off: current_context() is None).
-                server.trace_context = current_context()
-                self.address = server.address
-                if on_ready is not None:
-                    on_ready(server.address)
-                # Assembly overlaps the distribution tail: each grid
-                # point is assembled the moment its own chain is fully
-                # cached, while later points' jobs are still running —
-                # and the server keeps answering throughout, so late
-                # pollers get their shutdown reply instead of a
-                # connection error.
-                records = self._assemble(plan)
-                self.last_transfer_stats = server.transfer_stats()
-            return records
-        finally:
-            if journal is not None:
-                journal.close()
+            )
+            if on_ready is not None:
+                on_ready(self.address)
+            service.wait(managed.sweep_id, timeout=self.wait_timeout)
+            # Assembled while the service still answers, so late
+            # pollers get their shutdown reply, not a connection error.
+            records = service.results(managed.sweep_id)
+            self.last_transfer_stats = service.core.transfer_stats()
+        return records
 
     def _run_via_service(
         self, grid: Mapping[str, Sequence[Any]]
@@ -320,74 +235,6 @@ class ClusterExecutor:
         return [
             RunRecord.from_dict(entry) for entry in payload.get("records", [])
         ]
-
-    def _wait_for_keys(
-        self,
-        plan: SweepPlan,
-        keys: Sequence[Tuple[str, str]],
-        deadline: Optional[float],
-    ) -> None:
-        """Block until every ``(stage, digest)`` in ``keys`` is satisfied.
-
-        A key is satisfied when it has no job (cached before the sweep
-        started) or its job is done (which implies the artifact reached
-        the store).  Raises :class:`PlanFailed` on plan failure and a
-        diagnostic :class:`DistributionTimeout` once ``deadline``
-        passes — never returns with the keys incomplete.
-        """
-        while True:
-            # The expiry tick below is what detects worker death even
-            # when no other worker ever polls again.
-            plan.expire_leases()
-            plan.raise_on_failure()
-            if all(
-                (job := plan.job_for(stage, digest)) is None or job.state == "done"
-                for stage, digest in keys
-            ):
-                return
-            if deadline is not None and time.monotonic() > deadline:
-                counts = plan.counts()
-                ages = plan.worker_ages()
-                contacts = (
-                    ", ".join(
-                        f"{name} seen {age:.1f}s ago"
-                        for name, age in sorted(ages.items(), key=lambda kv: kv[1])
-                    )
-                    or "none ever connected"
-                )
-                raise DistributionTimeout(
-                    f"distributed sweep incomplete after {self.wait_timeout}s "
-                    f"(job states: {counts}; workers: {contacts}) — are "
-                    f"workers connected to {format_address(self.address)}?",
-                    counts=counts,
-                    worker_ages=ages,
-                )
-            time.sleep(0.05)
-
-    # ------------------------------------------------------------------
-    def _assemble(self, plan: SweepPlan) -> List[RunRecord]:
-        """Deterministic record assembly, overlapped with distribution.
-
-        Identical in values to :meth:`Runner.run`'s assembly loop —
-        grid order, warmed cache — but each record is built as soon as
-        *its* chain is fully cached instead of after the whole plan
-        drains, so assembly of finished grid points proceeds while
-        stragglers run.  The volatile fields additionally record where
-        each job ran, how long transfers took and how many bytes moved.
-        """
-        deadline = (
-            None if self.wait_timeout is None else time.monotonic() + self.wait_timeout
-        )
-        records: List[RunRecord] = []
-        for params, config, keys in zip(plan.param_sets, plan.configs, plan.chain_keys):
-            self._wait_for_keys(plan, keys, deadline)
-            records.append(
-                assemble_point(plan, self.store, params, config, keys)
-            )
-        # Belt and braces: every job must be done once all records are
-        # assembled (chain keys cover every job by construction).
-        plan.raise_on_failure()
-        return records
 
 
 # ----------------------------------------------------------------------
@@ -533,9 +380,7 @@ def local_worker_processes(
 
 __all__ = [
     "ClusterExecutor",
-    "DistributionTimeout",
     "PlanFailed",
-    "assemble_point",
     "local_worker_processes",
     "local_worker_threads",
 ]

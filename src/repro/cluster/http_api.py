@@ -242,6 +242,11 @@ class HttpControlPlane:
         except (TypeError, ValueError, KeyError) as error:
             return 400, {"error": f"bad sweep description: {error}"}
         resume = body.get("resume", "auto")
+        if resume != "auto" and not isinstance(resume, bool):
+            return 400, {
+                "error": "'resume' must be \"auto\", true or false, "
+                f"got {resume!r}"
+            }
         name = body.get("name")
         try:
             managed = self.service.submit(
@@ -402,12 +407,12 @@ class ServiceClient:
         """Poll until the sweep leaves ``running``; returns final status.
 
         Raises :class:`~repro.cluster.plan.PlanFailed` on a failed
-        sweep and the executor's ``DistributionTimeout`` (same type the
-        embedded coordinator raises) when ``timeout`` elapses first.
+        sweep and ``DistributionTimeout`` (same type the embedded
+        service raises) when ``timeout`` elapses first.
         """
         import time as _time
 
-        from repro.cluster.executor import DistributionTimeout
+        from repro.cluster.service import DistributionTimeout
         from repro.cluster.plan import PlanFailed
 
         deadline = None if timeout is None else _time.monotonic() + float(timeout)

@@ -4,7 +4,7 @@ A :class:`SweepPlan` expands a parameter grid into a deduplicated DAG of
 stage-aligned jobs — one job per *unique missing* stage fingerprint,
 exactly the waves :class:`repro.pipeline.runner.Runner` runs through its
 process pool, but expressed as leasable units a
-:class:`~repro.cluster.coordinator.CoordinatorServer` can hand to
+:class:`~repro.cluster.coordinator.CoordinatorCore` can hand to
 networked workers:
 
 - **dedupe** — two grid points agreeing on a stage's fingerprint share

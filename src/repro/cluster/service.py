@@ -3,12 +3,12 @@
 :class:`ExperimentService` turns the cluster stack from "run a sweep"
 into "serve sweep traffic": one asyncio event loop runs two listeners —
 
-- the **worker plane**: the existing JSON line protocol
+- the **worker plane**: the JSON line protocol
   (:mod:`repro.cluster.protocol`), served by an asyncio transport that
-  feeds the same :class:`~repro.cluster.coordinator.CoordinatorCore`
-  dispatch the blocking coordinator uses.  Workers stay generic: one
-  ``lease`` call draws from *any* active sweep and the grant carries a
-  ``sweep_id`` the worker echoes on heartbeat/complete/fail;
+  feeds :class:`~repro.cluster.coordinator.CoordinatorCore` dispatch.
+  Workers stay generic: one ``lease`` call draws from *any* active
+  sweep and the grant carries a ``sweep_id`` the worker echoes on
+  heartbeat/complete/fail;
 - the **control plane**: the HTTP/JSON API of
   :mod:`repro.cluster.http_api` (`POST /sweeps`, `GET /sweeps/{id}`,
   `POST /sweeps/{id}/cancel`, `GET /sweeps/{id}/results`,
@@ -31,10 +31,12 @@ re-execute nothing".  Scheduling state lives in plans (thread-safe,
 lock-based), so request handling runs in the loop's default thread pool
 and the event loop itself only ever parses frames and shuttles bytes.
 
-``shutdown_when_idle=True`` reproduces the classic single-shot
-lifecycle (workers get ``shutdown`` once every submitted sweep
-finished); ``repro cluster sweep`` is exactly that: an in-process
-serve → submit → wait → assemble composition.
+``shutdown_when_idle=True`` is the single-shot lifecycle (workers get
+``shutdown`` once every submitted sweep finished).
+:meth:`~repro.cluster.executor.ClusterExecutor.run` — behind
+``Runner(coordinator=)``, ``repro cluster sweep`` and ``repro cluster
+coordinator`` — is exactly that: an embedded serve → submit → wait →
+assemble composition, one sweep, then the service stops.
 """
 
 from __future__ import annotations
@@ -43,12 +45,10 @@ import asyncio
 import contextlib
 import threading
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.cluster.coordinator import CoordinatorCore, SweepEndpoint
-from repro.cluster.executor import DistributionTimeout, assemble_point
+from repro.cluster.coordinator import CoordinatorCore, ManagedSweep
 from repro.cluster.http_api import HttpControlPlane
 from repro.cluster.journal import SweepJournal
 from repro.cluster.plan import PlanFailed, SweepPlan, WorkerRegistry
@@ -57,10 +57,12 @@ from repro.cluster.protocol import (
     ProtocolError,
     build_frame,
     decode_wire_blob,
+    format_address,
     parse_header,
 )
 from repro.core.config import SparkXDConfig
 from repro.pipeline.runner import RunRecord
+from repro.pipeline.stages import ExperimentPipeline
 from repro.pipeline.store import ArtifactStore, fingerprint
 from repro.telemetry import current_context, get_logger, get_metrics
 
@@ -82,34 +84,75 @@ def sweep_identity(
     )[:12]
 
 
-@dataclass
-class ManagedSweep:
-    """One tenant: its plan, its journal, its lifecycle state."""
+class DistributionTimeout(TimeoutError):
+    """``wait_timeout`` elapsed with the sweep still incomplete.
 
-    sweep_id: str
-    plan: SweepPlan
-    journal: Optional[SweepJournal] = None
-    name: Optional[str] = None
-    #: Trace context adopted by lease grants of THIS sweep (the
-    #: submitter's active span), so worker job spans join the
-    #: submitting client's trace, tenant by tenant.
-    trace_context: Optional[Dict[str, str]] = None
-    created_at: float = field(default_factory=time.time)
-    #: Assembled records, cached after the first ``results`` call —
-    #: assembly is deterministic, so one pass serves every poller.
-    records: Optional[List[RunRecord]] = None
+    Carries the scheduling diagnostics an operator needs to tell "no
+    workers ever connected" apart from "a worker went quiet mid-sweep":
+    ``counts`` is the job-state histogram at expiry and ``worker_ages``
+    maps each known worker to seconds since its last contact.
+    """
 
-    @property
-    def state(self) -> str:
-        return self.endpoint().state
+    def __init__(
+        self,
+        message: str,
+        counts: Dict[str, int],
+        worker_ages: Dict[str, float],
+    ):
+        super().__init__(message)
+        self.counts = dict(counts)
+        self.worker_ages = dict(worker_ages)
 
-    def endpoint(self) -> SweepEndpoint:
-        return SweepEndpoint(
-            sweep_id=self.sweep_id,
-            plan=self.plan,
-            trace_context=self.trace_context,
-            name=self.name,
+
+def assemble_point(
+    plan: SweepPlan,
+    store: ArtifactStore,
+    params: Mapping[str, Any],
+    config: SparkXDConfig,
+    keys: Sequence[Tuple[str, str]],
+) -> RunRecord:
+    """Assemble one grid point's :class:`RunRecord` from a warmed store.
+
+    Identical in values to one iteration of :meth:`Runner.run`'s
+    assembly loop; the volatile fields additionally record where each
+    job ran and what its transfers cost (``cluster/…`` keys in
+    ``stage_timings``).  Every key in ``keys`` must already be
+    satisfied — :meth:`ExperimentService.results` requires a done plan.
+    """
+    started = time.perf_counter()
+    # A per-record stats view keeps the hit/miss deltas attributable to
+    # THIS record's assembly: the shared store's counters may be
+    # concurrently bumped by server threads serving other tenants or
+    # straggler uploads.
+    view = store.stats_view()
+    pipeline = ExperimentPipeline(config, store=view)
+    result = pipeline.run()
+    record = RunRecord.from_result(
+        result,
+        params=params,
+        wall_time_s=time.perf_counter() - started,
+        cache_hits=view.stats.hits,
+        cache_misses=view.stats.misses,
+        stage_timings=pipeline.stage_timings,
+    )
+    for (stage_name, digest) in keys:
+        job = plan.job_for(stage_name, digest)
+        if job is None or not job.stats:
+            continue
+        prefix = f"cluster/{stage_name}"
+        exec_s = (job.stats.get("exec_s") or {}).get(stage_name)
+        if exec_s is not None:
+            record.stage_timings[prefix] = float(exec_s)
+        record.stage_timings[f"{prefix}:sync_s"] = float(
+            job.stats.get("sync_s", 0.0)
         )
+        record.stage_timings[f"{prefix}:sync_bytes"] = float(
+            job.stats.get("pulled_bytes", 0)
+        ) + float(job.stats.get("pushed_bytes", 0))
+        record.stage_timings[f"{prefix}:worker"] = float(
+            job.stats.get("slot", -1)
+        )
+    return record
 
 
 class ExperimentService:
@@ -139,7 +182,7 @@ class ExperimentService:
     compact_every:
         Per-tenant auto-compaction threshold (journal events).
     shutdown_when_idle:
-        ``True`` restores the classic lifecycle: once every submitted
+        ``True`` is the single-shot lifecycle: once every submitted
         sweep is finished, workers are told to shut down.  The default
         ``False`` keeps the fleet polling for future submissions.
     """
@@ -188,7 +231,7 @@ class ExperimentService:
         self._order: List[str] = []  # submission order = lease priority
         self.core = CoordinatorCore(
             self.store,
-            self._endpoints,
+            self._tenants,
             self.registry,
             token=token,
             poll_s=self.poll_s,
@@ -209,11 +252,9 @@ class ExperimentService:
     # ------------------------------------------------------------------
     # Tenant registry.
 
-    def _endpoints(self) -> Tuple[SweepEndpoint, ...]:
+    def _tenants(self) -> Tuple[ManagedSweep, ...]:
         with self._lock:
-            return tuple(
-                self._sweeps[sweep_id].endpoint() for sweep_id in self._order
-            )
+            return tuple(self._sweeps[sweep_id] for sweep_id in self._order)
 
     def submit(
         self,
@@ -232,8 +273,9 @@ class ExperimentService:
         file and starts fresh otherwise; ``True``/``False`` force the
         :class:`~repro.cluster.journal.SweepJournal` behaviour.
         ``trace_context`` defaults to the caller's current span, so
-        in-process submitters (``cluster sweep``) parent worker job
-        spans under their own trace; HTTP submits pass ``None``.
+        in-process submitters (:class:`~repro.cluster.ClusterExecutor`)
+        parent worker job spans under their own trace; HTTP submits
+        pass ``None``.
         """
         sweep_id = sweep_identity(base_config, grid)
         with self._lock:
@@ -384,12 +426,13 @@ class ExperimentService:
     ) -> str:
         """Block until a sweep leaves ``running``; returns final state.
 
-        In-process convenience for the thin ``cluster sweep``
-        composition and tests; remote clients poll
-        :meth:`~repro.cluster.http_api.ServiceClient.wait` instead.
-        Raises :class:`~repro.cluster.plan.PlanFailed` on failure and
-        :class:`~repro.cluster.executor.DistributionTimeout` on
-        ``timeout``.
+        In-process half of :meth:`ClusterExecutor.run
+        <repro.cluster.executor.ClusterExecutor.run>` and tests; remote
+        clients poll :meth:`~repro.cluster.http_api.ServiceClient.wait`
+        instead.  Raises :class:`~repro.cluster.plan.PlanFailed` on
+        failure and :class:`DistributionTimeout` on ``timeout``, whose
+        message tells "no worker ever connected" apart from "a worker
+        went quiet".
         """
         managed = self._get(sweep_id)
         plan = managed.plan
@@ -403,11 +446,22 @@ class ExperimentService:
             if state in ("done", "cancelled"):
                 return state
             if deadline is not None and time.monotonic() > deadline:
+                counts = plan.counts()
+                ages = plan.worker_ages()
+                contacts = (
+                    ", ".join(
+                        f"{name} seen {age:.1f}s ago"
+                        for name, age in sorted(ages.items(), key=lambda kv: kv[1])
+                    )
+                    or "none ever connected"
+                )
                 raise DistributionTimeout(
-                    f"sweep {sweep_id} incomplete after {timeout}s — are "
-                    f"workers connected to {self.worker_address}?",
-                    counts=plan.counts(),
-                    worker_ages=plan.worker_ages(),
+                    f"sweep {sweep_id} incomplete after {timeout}s "
+                    f"(job states: {counts}; workers: {contacts}) — are "
+                    f"workers connected to "
+                    f"{format_address(self.worker_address)}?",
+                    counts=counts,
+                    worker_ages=ages,
                 )
             time.sleep(max(0.01, float(poll_s)))
 
@@ -459,10 +513,9 @@ class ExperimentService:
     async def _expiry_loop(self) -> None:
         """Detect worker death even when nobody polls: expire leases.
 
-        The blocking executor gets this for free from its assembly
-        loop; a persistent service needs its own tick, or a dead
-        worker's lease would only requeue when some other worker's
-        lease call happens to run expiry.
+        Without this tick a dead worker's lease would only requeue when
+        some other worker's lease call (or an in-process :meth:`wait`)
+        happens to run expiry.
         """
         tick = max(0.05, min(1.0, self.lease_timeout / 4.0))
         loop = asyncio.get_running_loop()
@@ -471,12 +524,12 @@ class ExperimentService:
             await loop.run_in_executor(None, self._expire_all)
 
     def _expire_all(self) -> None:
-        for endpoint in self._endpoints():
+        for tenant in self._tenants():
             try:
-                endpoint.plan.expire_leases()
+                tenant.plan.expire_leases()
             except Exception:  # journaling I/O error must not kill the tick
                 LOG.exception(
-                    "lease expiry failed", extra={"sweep_id": endpoint.sweep_id}
+                    "lease expiry failed", extra={"sweep_id": tenant.sweep_id}
                 )
 
     async def _handle_line(
@@ -485,8 +538,8 @@ class ExperimentService:
         """Asyncio transport for the worker line protocol.
 
         Frame parsing happens on the loop; dispatch (plan locks, store
-        I/O, pickling) runs in the default thread pool — the same
-        thread-safe :class:`CoordinatorCore` the blocking server uses.
+        I/O, pickling) runs in the default thread pool through the
+        thread-safe :class:`CoordinatorCore`.
         """
         peer = writer.get_extra_info("peername")
         client_host = str(peer[0]) if peer else "127.0.0.1"
@@ -576,8 +629,9 @@ class ExperimentService:
 
 
 __all__ = [
+    "DistributionTimeout",
     "ExperimentService",
-    "ManagedSweep",
     "PlanFailed",
+    "assemble_point",
     "sweep_identity",
 ]

@@ -4,9 +4,9 @@ The repo's correctness rests on conventions no general-purpose tool
 knows about: stage ``fields`` tuples must cover every config read
 (cache soundness), randomness must flow through seeded generators
 (bit-exact reproduction), ``self._lock``-guarded state must stay
-guarded (the threaded coordinator), both ends of the cluster wire
-protocol must agree on the ``op`` vocabulary, fused simulation loops
-must stay allocation-free, and diagnostics must flow through the
+guarded (the coordinator's request threads), both ends of the cluster
+wire protocol must agree on the ``op`` vocabulary, fused simulation
+loops must stay allocation-free, and diagnostics must flow through the
 structured telemetry loggers rather than ``print``.  Each is a
 project-specific static pass here — run them all with ``repro lint``
 (see ``docs/lint.md``).

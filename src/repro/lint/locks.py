@@ -1,8 +1,9 @@
 """lock-discipline: attributes guarded by ``self._lock`` stay guarded.
 
-The ``ThreadingTCPServer`` coordinator made several classes' internal
-locks load-bearing: every request handler thread mutates plan/store
-state through them.  The convention this rule enforces:
+The coordinator dispatches worker requests on a thread pool
+(``ExperimentService``), which makes several classes' internal locks
+load-bearing: every request thread mutates plan/store state through
+them.  The convention this rule enforces:
 
 - a class that creates a ``threading.Lock``/``RLock`` attribute owns a
   *guarded set* — every ``self.<attr>`` touched (read or written)

@@ -355,11 +355,12 @@ class Runner:
         platform (previously only non-Linux), exactly as the
         :mod:`multiprocessing` docs require.
     coordinator:
-        A ``"host:port"`` (or ``(host, port)``) to *bind a cluster
-        coordinator on* instead of computing locally: :meth:`run`
-        delegates to :class:`repro.cluster.ClusterExecutor`, serving the
-        grid's unique missing fingerprints to networked
-        ``repro cluster worker`` agents and assembling identical records
+        A ``"host:port"`` (or ``(host, port)``) for the worker plane of
+        a cluster coordinator instead of computing locally: :meth:`run`
+        delegates to :class:`repro.cluster.ClusterExecutor`, which
+        starts an embedded single-shot experiment service there, serves
+        the grid's unique missing fingerprints to networked
+        ``repro cluster worker`` agents and assembles identical records
         from the synced artifacts (see docs/cluster.md).
         ``max_workers``/``threads_per_worker`` are ignored in this mode
         — parallelism belongs to the connected workers.
@@ -417,7 +418,7 @@ class Runner:
     def run(self, grid: Mapping[str, Sequence[Any]]) -> List[RunRecord]:
         """Run every grid point; return records in grid order."""
         if self.coordinator is not None:
-            # Cluster mode: bind a coordinator at the given address and
+            # Cluster mode: serve the grid at the given address and
             # let networked workers compute the unique fingerprints.
             # Imported here so the pipeline layer has no hard dependency
             # on the cluster subsystem.

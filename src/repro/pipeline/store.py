@@ -117,9 +117,9 @@ class ArtifactStore:
         self._memory: Dict[Tuple[str, str], Any] = {}
         self.stats = CacheStats()
         # The memory map and the CacheStats counters are read-modify-
-        # written from every thread of a ThreadingTCPServer coordinator
-        # (has/get/put handlers), so all their mutations go through this
-        # lock.  File I/O deliberately stays outside it: disk publishes
+        # written from every request thread of the coordinator (the
+        # service dispatches has/get/put on a thread pool), so all their
+        # mutations go through this lock.  File I/O deliberately stays outside it: disk publishes
         # are atomic (and treat a lost race as a hit), so artifact
         # traffic from many workers stays concurrent.
         self._lock = threading.RLock()

@@ -16,18 +16,16 @@ post-synaptic rule of the Diehl & Cook unsupervised pipeline:
 Weights therefore always stay inside ``[0, w_max]`` — the property the
 fixed-point storage representation and the DRAM error analysis rely on.
 
-Like the neuron and synapse state, the presynaptic trace carries an
-arbitrary leading batch shape: a rule created with ``batch_shape=(B,)``
-tracks ``B`` independent trace vectors and updates ``B`` weight tensors
-(shaped ``(B, n_pre, n_post)``) in one call.
-
 Two update modes cover the two training paths:
 
-- :meth:`STDPRule.step` — the in-place rule of ``batch_size=1``: each
-  post spike immediately moves (and clips) its incoming weights, so
-  later steps of the same sample see the updated tensor;
-- :meth:`STDPRule.accumulate_step` — the minibatch rule: every update
-  is computed against a *frozen* weight tensor (its precomputed
+- :meth:`STDPRule.step` — the in-place rule of ``batch_size=1`` on an
+  unbatched rule (``batch_shape=()``): each post spike immediately
+  moves (and clips) its incoming weights, so later steps of the same
+  sample see the updated tensor;
+- :meth:`STDPRule.accumulate_step` — the minibatch rule, on a rule
+  created with ``batch_shape=(B,)`` whose presynaptic trace holds ``B``
+  independent lanes (shape ``(B, n_pre)``): every update is computed
+  against a *frozen* weight tensor (its precomputed
   :meth:`frozen_bound` factor) and summed — over timesteps and over
   batch lanes — into a delta tensor the caller applies, clips and
   normalizes once per minibatch (see :mod:`repro.engine.trainer`).
@@ -103,11 +101,6 @@ class STDPRule:
     def state_shape(self) -> Tuple[int, ...]:
         return self.batch_shape + (self.n_pre,)
 
-    def set_batch_shape(self, batch_shape: Tuple[int, ...]) -> None:
-        """Reallocate the trace at zero with a new leading batch shape."""
-        self.batch_shape = tuple(int(s) for s in batch_shape)
-        self.x_pre = np.zeros(self.state_shape, dtype=self.dtype)
-
     def reset_state(self) -> None:
         self.x_pre.fill(0.0)
 
@@ -119,14 +112,17 @@ class STDPRule:
     ) -> np.ndarray:
         """Advance traces one step and apply the update in place.
 
-        Scalar form (``batch_shape=()``): ``weights`` has shape
-        ``(n_pre, n_post)``, ``pre_spikes`` / ``post_spikes`` are boolean
-        vectors.  Batched form: ``weights`` has shape
-        ``batch_shape + (n_pre, n_post)`` — one independent weight
-        tensor per batch element — and the spike arrays carry the batch
-        shape on their leading axes.  ``weights`` is modified in place
-        and returned.
+        ``weights`` has shape ``(n_pre, n_post)`` and is modified in
+        place and returned; ``pre_spikes`` / ``post_spikes`` are boolean
+        vectors.  Only unbatched rules step: a batched rule raises
+        :class:`ValueError` (it only accumulates, see
+        :meth:`accumulate_step`).
         """
+        if self.batch_shape:
+            raise ValueError(
+                f"a batched rule (batch_shape={self.batch_shape}) cannot "
+                "step in place; use accumulate_step"
+            )
         p = self.parameters
         pre = np.asarray(pre_spikes, dtype=bool)
         if pre.shape != self.state_shape:
@@ -136,40 +132,18 @@ class STDPRule:
         self.x_pre *= self._trace_decay
         self.x_pre[pre] = 1.0
 
-        if self.batch_shape == ():
-            if weights.shape[0] != self.n_pre:
-                raise ValueError(
-                    f"weights must have {self.n_pre} presynaptic rows, "
-                    f"got {weights.shape}"
-                )
-            post = np.flatnonzero(post_spikes)
-            if post.size:
-                columns = weights[:, post]
-                delta = self.x_pre[:, None] - p.trace_offset
-                bound = (p.w_max - columns) ** p.mu
-                updated = columns + p.learning_rate * delta * bound
-                weights[:, post] = np.clip(updated, 0.0, p.w_max)
-            return weights
-
-        expected = self.batch_shape + (self.n_pre, weights.shape[-1])
-        if weights.ndim != len(expected) or weights.shape != expected:
+        if weights.shape[0] != self.n_pre:
             raise ValueError(
-                f"batched weights must have shape {self.batch_shape + (self.n_pre, 'n_post')}, "
+                f"weights must have {self.n_pre} presynaptic rows, "
                 f"got {weights.shape}"
             )
-        post = np.asarray(post_spikes, dtype=bool)
-        if post.shape != self.batch_shape + (weights.shape[-1],):
-            raise ValueError(
-                f"post_spikes must have shape {self.batch_shape + (weights.shape[-1],)}, "
-                f"got {post.shape}"
-            )
-        if post.any():
-            delta = self.x_pre[..., :, None] - p.trace_offset
-            bound = (p.w_max - weights) ** p.mu
-            updated = np.clip(
-                weights + p.learning_rate * delta * bound, 0.0, p.w_max
-            )
-            np.copyto(weights, updated, where=post[..., None, :])
+        post = np.flatnonzero(post_spikes)
+        if post.size:
+            columns = weights[:, post]
+            delta = self.x_pre[:, None] - p.trace_offset
+            bound = (p.w_max - columns) ** p.mu
+            updated = columns + p.learning_rate * delta * bound
+            weights[:, post] = np.clip(updated, 0.0, p.w_max)
         return weights
 
     # ------------------------------------------------------------------

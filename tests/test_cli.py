@@ -351,3 +351,96 @@ class TestTrainingEngineFlags:
         assert payload["compute_dtype"] == "float32"
         assert payload["wall_time_s"] > 0
         assert payload["wall_time_s"] >= sum(payload["stage_timings"].values())
+
+
+class TestFleetViews:
+    """``cluster top`` / ``cluster status`` rendering of the one
+    ``status`` shape: totals, workers, telemetry and a ``sweeps`` map."""
+
+    FAILURE = "job train-baseline:ab12 failed 3 time(s): boom"
+    STATUS = {
+        "pending": 3, "leased": 1, "done": 5, "failed": 1,
+        "failure": FAILURE,
+        "workers": {"w1": 0.4},
+        "transfers": {"get_count": 0, "get_bytes": 0},
+        "telemetry": {
+            "workers": {
+                "w1": {
+                    "metrics": {"counters": {
+                        "worker.jobs_done": 5,
+                        "worker.jobs_failed": 1,
+                        "sync.retries": 2,
+                        "sync.pulled_bytes_peer": 2048,
+                        "sync.pulled_bytes_hub": 512,
+                    }},
+                    "open_spans": [{"name": "cluster.job", "age_s": 1.5}],
+                },
+            },
+            "fleet": {"counters": {
+                "plan.leases": 7,
+                "plan.requeues": 1,
+                "sync.retries": 2,
+                "sync.pulled_bytes_peer": 2048,
+                "sync.pulled_bytes_hub": 512,
+            }},
+        },
+        "sweeps": {
+            "aaaa": {
+                "name": "alpha", "state": "running", "failure": None,
+                "pending": 3, "leased": 1, "done": 2, "failed": 0,
+                "journal": {"events": 9, "lag": 4},
+            },
+            "bbbb": {
+                "state": "failed", "failure": FAILURE,
+                "pending": 0, "leased": 0, "done": 3, "failed": 1,
+            },
+        },
+    }
+
+    def test_sweep_lines_cover_every_tenant(self):
+        from repro.cli import _sweep_status_lines
+
+        assert _sweep_status_lines(self.STATUS) == [
+            "sweep aaaa (alpha) [running]: pending=3, leased=1, done=2, "
+            "failed=0 | journal lag 4",
+            "sweep bbbb [failed]: pending=0, leased=0, done=3, failed=1 "
+            f"| failure: {self.FAILURE}",
+        ]
+
+    def test_top_renders_totals_fleet_workers_and_tenants(self):
+        from repro.cli import _render_top
+
+        lines = _render_top(self.STATUS).splitlines()
+        assert lines[0] == "jobs: pending=3, leased=1, done=5, failed=1"
+        assert lines[1] == (
+            "fleet: leases=7 requeues=1 sync-retries=2 "
+            "pulled 2.0KiB peer / 512B hub"
+        )
+        (row,) = [line for line in lines if "w1" in line]
+        for cell in ("0.4s", "2.0KiB", "512B", "cluster.job (1.5s)"):
+            assert cell in row
+        assert lines[-3].startswith("sweep aaaa (alpha) [running]")
+        assert lines[-2].startswith("sweep bbbb [failed]")
+        assert lines[-1] == f"failure: {self.FAILURE}"
+
+    def test_live_service_without_workers(self):
+        from repro import SparkXDConfig
+        from repro.cli import _render_top, _sweep_status_lines
+        from repro.cluster import ExperimentService
+
+        service = ExperimentService()
+        managed = service.submit(
+            SparkXDConfig.small(), {"voltages": [(1.325,)]}, name="solo"
+        )
+        status = service.fleet()
+        pending = len(managed.plan.jobs)
+        assert _sweep_status_lines(status) == [
+            f"sweep {managed.sweep_id} (solo) [running]: pending={pending}, "
+            "leased=0, done=0, failed=0"
+        ]
+        text = _render_top(status)
+        assert "no workers registered" in text
+        assert text.splitlines()[0] == (
+            f"jobs: pending={pending}, leased=0, done=0, failed=0"
+        )
+

@@ -11,6 +11,7 @@ import pickle
 import socket
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,9 +20,8 @@ from repro.analysis.export import records_equivalent, run_record_value_dict
 from repro.cluster import (
     ClusterClient,
     ClusterExecutor,
-    CoordinatorServer,
+    ExperimentService,
     PlanFailed,
-    SweepPlan,
     WorkerAgent,
     local_worker_threads,
     parse_address,
@@ -132,11 +132,12 @@ class TestConfigWire:
 
 @pytest.fixture
 def coordinator():
-    plan = SweepPlan(
-        TINY, {}, ArtifactStore(), lease_timeout=0.3, max_attempts=5
-    )
-    with CoordinatorServer(plan, plan.store, poll_s=0.05) as server:
-        yield server
+    """A running service with one single-point tenant: its address and plan."""
+    with ExperimentService(
+        lease_timeout=0.3, max_attempts=5, poll_s=0.05
+    ) as service:
+        managed = service.submit(TINY, {})
+        yield SimpleNamespace(address=service.worker_address, plan=managed.plan)
 
 
 def _client(server):
@@ -403,18 +404,21 @@ class TestDistributedSweep:
 
     def test_plan_failure_shuts_workers_down_gracefully(self):
         """A failed plan must deliver shutdown, not look unreachable."""
-        plan = SweepPlan(
-            TINY, {}, ArtifactStore(), lease_timeout=5.0, max_attempts=1
-        )
-        with CoordinatorServer(plan, plan.store, poll_s=0.05) as server:
-            client = ClusterClient(server.address, timeout=5.0)
+        with ExperimentService(
+            lease_timeout=5.0, max_attempts=1, poll_s=0.05,
+            shutdown_when_idle=True,
+        ) as service:
+            plan = service.submit(TINY, {}).plan
+            client = ClusterClient(service.worker_address, timeout=5.0)
             reply, _ = client.request({"op": "lease", "worker": "crashy"})
             client.request({
                 "op": "fail", "worker": "crashy",
                 "job_id": reply["job"]["job_id"], "error": "boom",
             })
             assert plan.failed  # retry budget (1) exhausted
-            agent = WorkerAgent(server.address, max_idle_s=10.0, retry_s=0.05)
+            agent = WorkerAgent(
+                service.worker_address, max_idle_s=10.0, retry_s=0.05
+            )
             started = time.monotonic()
             stats = agent.run_forever()
             # Graceful: one lease round trip, not an unreachability
@@ -442,6 +446,31 @@ class TestDistributedSweep:
         records = executor.run(GRID)  # no workers connected at all
         assert records_equivalent(serial_records, records)
         assert executor.last_plan.jobs == {}
+
+    def test_public_worker_bind_keeps_control_plane_on_loopback(
+        self, serial_sweep, monkeypatch
+    ):
+        """The embedded service's HTTP plane, which nothing uses, never
+        follows a public worker bind onto the network."""
+        from repro.cluster import executor as executor_module
+
+        serial_records, serial_store = serial_sweep
+        started = []
+
+        class RecordingService(ExperimentService):
+            def start(self):
+                started.append(self)
+                return super().start()
+
+        monkeypatch.setattr(executor_module, "ExperimentService", RecordingService)
+        executor = ClusterExecutor(
+            TINY, store=serial_store, address=("0.0.0.0", 0), wait_timeout=30.0
+        )
+        records = executor.run(GRID)
+        assert records_equivalent(serial_records, records)
+        (service,) = started
+        assert executor.address[0] == "0.0.0.0"
+        assert service.http_address[0] == "127.0.0.1"
 
 
 class TestClusterCLI:
@@ -557,25 +586,23 @@ class TestJournalResume:
     ):
         import contextlib
 
-        from repro.cluster import CoordinatorServer, SweepJournal, SweepPlan
-
         serial_records, _ = serial_sweep
         root = tmp_path / "cache"
         journal_path = root / "journal.jsonl"
 
         # ---- Phase 1: a sweep that dies after 2 of 5 jobs. ----------
         store1 = ArtifactStore(root)
-        journal1 = SweepJournal(journal_path)
-        plan1 = SweepPlan(
-            TINY, GRID, store1, lease_timeout=10.0, journal=journal1
-        )
-        n_jobs = len(plan1.jobs)
-        with CoordinatorServer(plan1, store1, poll_s=0.05) as server:
+        with ExperimentService(
+            store1, lease_timeout=10.0, poll_s=0.05
+        ) as service:
+            plan1 = service.submit(TINY, GRID, journal_path=journal_path).plan
+            n_jobs = len(plan1.jobs)
             agent = WorkerAgent(
-                server.address, name="mortal", max_jobs=2, max_idle_s=30.0
+                service.worker_address, name="mortal", max_jobs=2,
+                max_idle_s=30.0,
             )
             agent.run_forever()  # returns after 2 completed jobs
-        journal1.close()  # the "crash": server gone, journal on disk
+        # The "crash": service gone, its stop() closed the journal.
         assert agent.stats.jobs_done == 2
         done_phase1 = [j for j in plan1.jobs.values() if j.state == "done"]
         assert len(done_phase1) == 2
@@ -613,6 +640,15 @@ class TestJournalResume:
         # resumed coordinator accepted uploads only for the 3 jobs
         # phase 1 never finished.
         assert store2.stats.puts == n_jobs - 2
+
+    def test_existing_journal_refused_without_resume(self, tmp_path):
+        journal_path = tmp_path / "journal.jsonl"
+        journal_path.write_text('{"event": "plan"}\n')
+        executor = ClusterExecutor(
+            TINY, store=ArtifactStore(), journal=journal_path, wait_timeout=5.0
+        )
+        with pytest.raises(ValueError, match="already exists"):
+            executor.run(GRID)
 
     def test_resumed_fully_done_sweep_needs_no_workers(
         self, serial_sweep, tmp_path

@@ -25,7 +25,7 @@ from repro.analysis.export import records_equivalent
 from repro.cluster import (
     ClusterClient,
     ClusterExecutor,
-    CoordinatorServer,
+    ExperimentService,
     ProtocolError,
     SweepJournal,
     SweepPlan,
@@ -200,13 +200,8 @@ class TestPeerRouting:
 
 # ----------------------------------------------------------------------
 def _hub(store=None):
-    """A coordinator over an empty plan, as a pure artifact hub."""
-    store = store if store is not None else ArtifactStore()
-    plan = SweepPlan(TINY, {}, store, lease_timeout=10.0)
-    for job in plan.jobs.values():  # mark everything done: serving only
-        store.put(job.stage, job.digest, "x")
-        plan.complete("setup", job.job_id)
-    return CoordinatorServer(plan, store, port=0)
+    """A service with no tenants, as a pure artifact hub."""
+    return ExperimentService(store if store is not None else ArtifactStore())
 
 
 class TestSyncPeerFirst:
@@ -219,14 +214,14 @@ class TestSyncPeerFirst:
         with _hub(hub_store) as server:
             try:
                 sync = ArtifactSync(
-                    ClusterClient(server.address),
+                    ClusterClient(server.worker_address),
                     ArtifactStore(),
                     sources=[["s", "d", [f"127.0.0.1:{peer.port}"]]],
                 )
                 assert sync.pull("s", "d")
                 assert sync.pulled_bytes_peer > 0
                 assert sync.pulled_bytes_hub == 0
-                assert server.transfer_stats()["get_count"] == 0
+                assert server.core.transfer_stats()["get_count"] == 0
             finally:
                 peer.stop()
 
@@ -236,7 +231,7 @@ class TestSyncPeerFirst:
         dead = _dead_address()
         with _hub(hub_store) as server:
             sync = ArtifactSync(
-                ClusterClient(server.address),
+                ClusterClient(server.worker_address),
                 ArtifactStore(),
                 sources=[["s", "d", [dead]]],
             )
@@ -273,7 +268,7 @@ class TestSyncPeerFirst:
         assert ready.wait(5.0)
         with _hub(hub_store) as server:
             sync = ArtifactSync(
-                ClusterClient(server.address),
+                ClusterClient(server.worker_address),
                 ArtifactStore(),
                 sources=[["s", "d", [f"127.0.0.1:{holder['port']}"]]],
             )
@@ -291,7 +286,7 @@ class TestSyncPeerFirst:
         with _hub(hub_store) as server:
             try:
                 sync = ArtifactSync(
-                    ClusterClient(server.address),
+                    ClusterClient(server.worker_address),
                     ArtifactStore(),
                     sources=[["s", "d", [address]]],
                 )
@@ -309,7 +304,7 @@ class TestSyncPeerFirst:
         hub_store.put("s", "d", "hub")
         with _hub(hub_store) as server:
             sync = ArtifactSync(
-                ClusterClient(server.address),
+                ClusterClient(server.worker_address),
                 ArtifactStore(),
                 peer_sync=False,
                 sources=[["s", "d", [_dead_address()]]],
@@ -418,7 +413,7 @@ class TestGzipWire:
             hub_store = ArtifactStore()
             with _hub(hub_store) as server:
                 sync = ArtifactSync(
-                    ClusterClient(server.address),
+                    ClusterClient(server.worker_address),
                     local,
                     hub_caps=caps,
                 )
@@ -439,80 +434,65 @@ class TestTelemetryWireCompat:
     ignored on reply)."""
 
     @staticmethod
-    def _server():
-        store = ArtifactStore()
-        plan = SweepPlan(TINY, GRID, store, lease_timeout=10.0)
-        return CoordinatorServer(plan, store, port=0)
+    def _core(trace_context=None):
+        """The dispatch core of a service with one tenant (no sockets)."""
+        service = ExperimentService(lease_timeout=10.0)
+        service.submit(TINY, GRID, trace_context=trace_context)
+        return service.core
 
     def test_old_worker_without_telemetry_field_interoperates(self):
-        server = self._server()
-        try:
-            reply, _, _ = server._dispatch({"op": "hello", "worker": "old"}, None)
-            assert reply["ok"] and "caps" in reply
-            reply, _, _ = server._dispatch({"op": "lease", "worker": "old"}, None)
-            assert "job" in reply
-            # No sweep span installed on this server: no trace key, so
-            # a pre-telemetry worker never sees the field at all.
-            assert "trace" not in reply
-            job_id = reply["job"]["job_id"]
-            reply, _, _ = server._dispatch(
-                {"op": "heartbeat", "worker": "old", "job_id": job_id}, None
-            )
-            assert reply["ok"]
-            status, _, _ = server._dispatch({"op": "status"}, None)
-            # The worker is live yet absent from the telemetry view —
-            # it simply never reported a snapshot.
-            assert "old" in status["workers"]
-            assert "old" not in status["telemetry"]["workers"]
-        finally:
-            server._server.server_close()
+        core = self._core()
+        reply, _, _ = core.dispatch({"op": "hello", "worker": "old"}, None)
+        assert reply["ok"] and "caps" in reply
+        reply, _, _ = core.dispatch({"op": "lease", "worker": "old"}, None)
+        assert "job" in reply
+        # No sweep span installed on this tenant: no trace key, so a
+        # pre-telemetry worker never sees the field at all.
+        assert "trace" not in reply
+        job_id = reply["job"]["job_id"]
+        # An old worker echoes no sweep_id: the report routes by job id.
+        reply, _, _ = core.dispatch(
+            {"op": "heartbeat", "worker": "old", "job_id": job_id}, None
+        )
+        assert reply["ok"]
+        status, _, _ = core.dispatch({"op": "status"}, None)
+        # The worker is live yet absent from the telemetry view —
+        # it simply never reported a snapshot.
+        assert "old" in status["workers"]
+        assert "old" not in status["telemetry"]["workers"]
 
     def test_worker_snapshots_aggregate_latest_wins(self):
-        server = self._server()
-        try:
-            snap = {"metrics": {"counters": {"compat.test.jobs": 1}},
-                    "open_spans": [{"name": "cluster.job", "age_s": 0.5}]}
-            server._dispatch(
-                {"op": "hello", "worker": "w1", "telemetry": snap}, None
-            )
-            later = {"metrics": {"counters": {"compat.test.jobs": 3}},
-                     "open_spans": []}
-            server._dispatch(
-                {"op": "lease", "worker": "w1", "telemetry": later}, None
-            )
-            status, _, _ = server._dispatch({"op": "status"}, None)
-            view = status["telemetry"]
-            # Snapshots are cumulative: the latest replaces, never adds.
-            assert (
-                view["workers"]["w1"]["metrics"]["counters"]["compat.test.jobs"]
-                == 3
-            )
-            assert view["fleet"]["counters"]["compat.test.jobs"] == 3
-        finally:
-            server._server.server_close()
+        core = self._core()
+        snap = {"metrics": {"counters": {"compat.test.jobs": 1}},
+                "open_spans": [{"name": "cluster.job", "age_s": 0.5}]}
+        core.dispatch({"op": "hello", "worker": "w1", "telemetry": snap}, None)
+        later = {"metrics": {"counters": {"compat.test.jobs": 3}},
+                 "open_spans": []}
+        core.dispatch({"op": "lease", "worker": "w1", "telemetry": later}, None)
+        status, _, _ = core.dispatch({"op": "status"}, None)
+        view = status["telemetry"]
+        # Snapshots are cumulative: the latest replaces, never adds.
+        assert (
+            view["workers"]["w1"]["metrics"]["counters"]["compat.test.jobs"]
+            == 3
+        )
+        assert view["fleet"]["counters"]["compat.test.jobs"] == 3
 
     def test_malformed_telemetry_field_is_ignored(self):
-        server = self._server()
-        try:
-            reply, _, _ = server._dispatch(
-                {"op": "hello", "worker": "odd", "telemetry": "garbage"}, None
-            )
-            assert reply["ok"]
-            status, _, _ = server._dispatch({"op": "status"}, None)
-            assert "odd" not in status["telemetry"]["workers"]
-        finally:
-            server._server.server_close()
+        core = self._core()
+        reply, _, _ = core.dispatch(
+            {"op": "hello", "worker": "odd", "telemetry": "garbage"}, None
+        )
+        assert reply["ok"]
+        status, _, _ = core.dispatch({"op": "status"}, None)
+        assert "odd" not in status["telemetry"]["workers"]
 
     def test_lease_carries_trace_only_when_context_set(self):
-        server = self._server()
-        try:
-            server.trace_context = {"trace_id": "t" * 16, "span_id": "s" * 16}
-            reply, _, _ = server._dispatch({"op": "lease", "worker": "w"}, None)
-            assert reply["trace"] == {
-                "trace_id": "t" * 16, "span_id": "s" * 16,
-            }
-        finally:
-            server._server.server_close()
+        context = {"trace_id": "t" * 16, "span_id": "s" * 16}
+        reply, _, _ = self._core(trace_context=context).dispatch(
+            {"op": "lease", "worker": "w"}, None
+        )
+        assert reply["trace"] == context
 
     def test_new_worker_against_old_style_replies(self):
         """A telemetry-aware worker adopts ``None`` trace context (old

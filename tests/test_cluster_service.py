@@ -311,6 +311,57 @@ class TestServiceEndToEnd:
         assert any("authentication" in e for e in stats.errors)
 
 
+class TestSubmitResume:
+    """``POST /sweeps`` takes ``resume`` as "auto", true or false only."""
+
+    @pytest.fixture
+    def restarted(self, tmp_path):
+        """A live service restarted over GRID_A's finished journal."""
+        store = ArtifactStore()
+        first = ExperimentService(store=store, journal_dir=tmp_path)
+        drain(first.submit(TINY, GRID_A).plan)
+        first.stop()
+        service = ExperimentService(store=store, journal_dir=tmp_path)
+        service.start()
+        yield service, ServiceClient(service.http_address)
+        service.stop()
+
+    @pytest.mark.parametrize("resume", ["no", [], None, 0])
+    def test_malformed_resume_is_rejected(self, restarted, resume):
+        service, client = restarted
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(TINY, GRID_A, resume=resume)
+        assert excinfo.value.status == 400
+        assert "'resume' must be" in str(excinfo.value)
+        # Refused before submit: the journal was neither replayed nor
+        # reopened.
+        assert service.fleet()["sweeps"] == {}
+
+    @pytest.mark.parametrize("resume", ["auto", True])
+    def test_auto_and_true_replay_the_journal(self, restarted, resume):
+        _, client = restarted
+        reply = client.submit(TINY, GRID_A, resume=resume)
+        assert reply["state"] == "done"
+        assert reply["replayed_done"] == reply["done"] > 0
+
+    def test_absent_resume_means_auto(self, restarted):
+        from repro.cluster.http_api import grid_to_wire
+
+        _, client = restarted
+        reply = client.http_request("POST", "/sweeps", {
+            "base_config": TINY.to_wire(),
+            "grid": grid_to_wire(GRID_A),
+        })
+        assert reply["replayed_done"] == reply["done"] > 0
+
+    def test_false_refuses_an_existing_journal(self, restarted):
+        _, client = restarted
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(TINY, GRID_A, resume=False)
+        assert excinfo.value.status == 400
+        assert "already exists" in str(excinfo.value)
+
+
 class TestAuthRejection:
     def test_line_plane_rejects_missing_and_bad_token(self, live_service):
         service, *_ = live_service

@@ -305,9 +305,10 @@ class TestConcurrentWriters:
 class TestThreadSafety:
     """One shared store under many threads — the coordinator's shape.
 
-    ``CoordinatorServer`` is a ThreadingTCPServer mutating one store
-    from every request thread; the memory map and CacheStats counters
-    must therefore be lock-protected read-modify-writes.
+    ``ExperimentService`` dispatches worker requests on its event
+    loop's thread pool, every thread mutating one store; the memory map
+    and CacheStats counters must therefore be lock-protected
+    read-modify-writes.
     """
 
     def test_concurrent_puts_and_gets_keep_stats_consistent(self):

@@ -127,30 +127,7 @@ class TestNormalization:
 
 
 class TestBatchedSTDP:
-    def test_batched_update_matches_scalar_per_element(self):
-        rng = np.random.default_rng(4)
-        n_pre, n_post, B = 6, 5, 3
-        weights = rng.random((B, n_pre, n_post)) * 0.5
-        pre = rng.random((B, n_pre)) < 0.5
-        post = rng.random((B, n_post)) < 0.5
-        batched = STDPRule(n_pre, batch_shape=(B,))
-        batched_w = weights.copy()
-        batched.step(batched_w, pre, post)
-        for b in range(B):
-            scalar = STDPRule(n_pre)
-            scalar_w = weights[b].copy()
-            scalar.step(scalar_w, pre[b], post[b])
-            assert np.allclose(batched_w[b], scalar_w)
-            assert np.array_equal(batched.x_pre[b], scalar.x_pre)
-
     def test_batched_weight_shape_validated(self):
         rule = STDPRule(6, batch_shape=(2,))
         with pytest.raises(ValueError):
             rule.step(np.zeros((6, 5)), np.zeros((2, 6), bool), np.zeros((2, 5), bool))
-
-    def test_set_batch_shape_resets_trace(self):
-        rule = STDPRule(4)
-        rule.x_pre[:] = 1.0
-        rule.set_batch_shape((3,))
-        assert rule.x_pre.shape == (3, 4)
-        assert not rule.x_pre.any()
