@@ -2,13 +2,11 @@
 """Distributed sweep throughput: localhost worker fleets vs the Runner.
 
 Runs one fixed sweep grid through the in-process serial ``Runner``
-(the baseline), then through ``repro.cluster.ClusterExecutor`` with
-1 / 2 / 4 localhost worker *subprocesses*, and through each fleet's
-process-pool twin — ``Runner(max_workers=N)`` on the same grid, the
-other local-parallel path (``max_workers=1`` is the serial path, so
-the 1-worker twin re-measures serial).  Every run must produce records
-value-identical to the serial baseline; the results go to
-``BENCH_cluster.json`` — the cluster half of the repo's performance
+(the baseline), then through ``ClusterExecutor.run_local`` with
+1 / 2 / 4 localhost worker *subprocesses* — the one local-parallel
+path, which ``Runner(max_workers=N)`` runs too.  Every run must
+produce records value-identical to the serial baseline; the results go
+to ``BENCH_cluster.json`` — the cluster half of the repo's performance
 trajectory artifacts.
 
 Additional scenarios ride along:
@@ -49,15 +47,13 @@ The grid deliberately contains several *training-side* fingerprints
 fresh interpreter computing whole training chains, with artifacts
 flowing back over the content-addressed sync layer.  The quick variant
 doubles as the CI cluster smoke: an embedded single-shot service plus
-2 localhost workers (and a 2-process pool) over a tiny 4-point sweep,
-asserting record equality with the serial ``Runner`` (exit 1 on any
-divergence).
+2 localhost workers over a tiny 4-point sweep, asserting record
+equality with the serial ``Runner`` (exit 1 on any divergence).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import platform
@@ -71,7 +67,7 @@ import numpy as np
 
 from repro import SparkXDConfig
 from repro.analysis.export import records_equivalent
-from repro.cluster import ClusterExecutor, local_worker_processes
+from repro.cluster import ClusterExecutor
 from repro.pipeline import ArtifactStore, Runner
 from repro.pipeline.runner import RunRecord
 
@@ -134,27 +130,8 @@ def _distributed_run(config, grid, n_workers, lease_s=60.0, affinity=True,
         peer_sync=peer,
     )
     started = time.perf_counter()
-    with contextlib.ExitStack() as stack:
-        records = executor.run(
-            grid,
-            on_ready=lambda address: stack.enter_context(
-                local_worker_processes(
-                    address, n_workers, max_idle_s=60.0, peer=peer
-                )
-            ),
-        )
+    records = executor.run_local(grid, n_workers, max_idle_s=60.0, peer=peer)
     return records, time.perf_counter() - started, executor
-
-
-def _pool_run(config, grid, n_workers):
-    """The fleet's process-pool twin: ``Runner(max_workers=N)``.
-
-    Returns ``(records, seconds)`` on a fresh store, so the pool
-    computes every fingerprint exactly like the fleet does.
-    """
-    started = time.perf_counter()
-    records = Runner(config, store=ArtifactStore(), max_workers=n_workers).run(grid)
-    return records, time.perf_counter() - started
 
 
 def run_benchmark(quick: bool) -> dict:
@@ -183,31 +160,19 @@ def run_benchmark(quick: bool) -> dict:
     for n_workers in fleets:
         records, seconds, _ = _distributed_run(config, grid, n_workers)
         identical = records_equivalent(serial_records, records)
-        pool_records, pool_seconds = _pool_run(config, grid, n_workers)
-        pool_identical = records_equivalent(serial_records, pool_records)
         results.append({
             "workers": n_workers,
             "seconds": seconds,
             "points_per_sec": n_points / seconds,
             "speedup_vs_serial": serial_seconds / seconds,
             "records_match_serial": bool(identical),
-            "process_pool": {
-                "seconds": pool_seconds,
-                "points_per_sec": n_points / pool_seconds,
-                "speedup_vs_serial": serial_seconds / pool_seconds,
-                "records_match_serial": bool(pool_identical),
-            },
         })
-        for label, secs, same in (
-            (f"cluster x{n_workers} workers", seconds, identical),
-            (f"pool    x{n_workers} workers", pool_seconds, pool_identical),
-        ):
-            print(
-                f"{label} | {n_points} points | "
-                f"{secs:7.2f}s | {n_points / secs:5.2f} points/s | "
-                f"vs serial {serial_seconds / secs:5.2f}x | "
-                f"identical={same}"
-            )
+        print(
+            f"cluster x{n_workers} workers | {n_points} points | "
+            f"{seconds:7.2f}s | {n_points / seconds:5.2f} points/s | "
+            f"vs serial {serial_seconds / seconds:5.2f}x | "
+            f"identical={identical}"
+        )
     return {
         "benchmark": "repro.cluster distributed sweep throughput",
         "quick": quick,
@@ -589,10 +554,6 @@ def main(argv=None) -> int:
         payload = run_benchmark(args.quick)
         if not all(f["records_match_serial"] for f in payload["fleets"]):
             failures.append("a distributed sweep diverged from the serial Runner")
-        if not all(
-            f["process_pool"]["records_match_serial"] for f in payload["fleets"]
-        ):
-            failures.append("a process-pool sweep diverged from the serial Runner")
         payload["affinity"] = run_affinity_benchmark(args.quick)
         for mode in ("affinity_on", "affinity_off"):
             if not payload["affinity"][mode]["records_match_serial"]:

@@ -7,7 +7,7 @@ dram-eval) whose artifacts are cached content-addressed by config
 fingerprint.  This example:
 
 1. runs one staged pipeline into a shared :class:`ArtifactStore`;
-2. sweeps a voltage × mapping-policy grid through the parallel
+2. sweeps a voltage × mapping-policy grid through the
    :class:`Runner` — every grid point reuses the trained SNN from
    step 1, so the sweep only pays for the cheap DRAM evaluations;
 3. exports the structured :class:`RunRecord` list to CSV and JSON.
@@ -27,7 +27,8 @@ from repro.pipeline import ArtifactStore, ExperimentPipeline, Runner
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workers", type=int, default=1,
-                        help="process-parallel workers for the sweep")
+                        help="localhost worker subprocesses for the sweep "
+                             "(1 = serial, in-process)")
     parser.add_argument("--out-dir", default="results",
                         help="directory for the CSV/JSON records")
     args = parser.parse_args()

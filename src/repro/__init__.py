@@ -43,7 +43,7 @@ Quickstart — staged, cached, swept::
     config = SparkXDConfig.small()
     result = ExperimentPipeline(config, store=store).run()   # trains once
 
-    records = Runner(config, store=store, max_workers=4).run({
+    records = Runner(config, store=store, max_workers=4).run({   # 4 local workers
         "voltages": [(1.325,), (1.175,), (1.025,)],          # BER rises as V drops
         "mapping_policy": ["sparkxd", "baseline"],
     })                               # 6 points, zero retraining: cache hits

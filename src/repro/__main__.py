@@ -1,11 +1,8 @@
 """``python -m repro`` entry point.
 
-The ``__main__`` guard matters: the sweep runner's worker pool can use
-the ``spawn`` start method (see ``repro.pipeline.runner``), which
-re-imports this module in every worker — without the guard each worker
-would re-run the CLI.  It is also the entry point ``repro cluster
-sweep`` launches for each localhost worker subprocess
-(``python -m repro cluster worker``, see ``repro.cluster.executor``).
+Every localhost worker subprocess runs it too (``python -m repro
+cluster worker``, launched by ``Runner(max_workers=N)`` and ``repro
+cluster sweep``; see ``repro.cluster.executor``).
 """
 
 import sys

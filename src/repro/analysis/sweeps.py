@@ -109,7 +109,8 @@ def sparkxd_grid_sweep(
     "mapping_policy": ["sparkxd", "baseline"]}``).  Grid points sharing
     training-side fields reuse one trained model through the shared
     artifact store, so DRAM-side sweeps never retrain; pass
-    ``max_workers > 1`` to fan unique jobs out over processes.  Returns
+    ``max_workers > 1`` to fan unique jobs out over that many localhost
+    worker subprocesses.  Returns
     the structured :class:`~repro.pipeline.runner.RunRecord` list, which
     :mod:`repro.analysis.export` serialises to CSV/JSON.
     """

@@ -195,7 +195,8 @@ def _add_sweep_parser(subparsers) -> None:
     )
     _add_grid_arguments(p)
     p.add_argument("--workers", type=int, default=1,
-                   help="process-parallel workers (1 = serial)")
+                   help="localhost worker subprocesses (1 = serial, "
+                        "in-process)")
     p.add_argument("--threads-per-worker", type=int, default=1, metavar="T",
                    help="BLAS/OpenMP threads each worker may use "
                         "(0 = leave the runtimes uncapped)")
@@ -1056,17 +1057,12 @@ def _cmd_cluster(args) -> int:
     if args.cluster_command not in ("coordinator", "sweep"):
         raise ValueError(f"unknown cluster command {args.cluster_command!r}")
 
-    import contextlib
-
-    from repro.cluster import (
-        ClusterExecutor,
-        format_address,
-        local_worker_processes,
-    )
+    from repro.cluster import ClusterExecutor, format_address
 
     # Both single-shot forms are one ClusterExecutor (an embedded
     # experiment service that exits after the sweep); they differ only
-    # in the bind address and in what happens once the grid is queued.
+    # in the bind address and in who computes: the local fleet, or
+    # networked workers the operator starts.
     sweep = args.cluster_command == "sweep"
     base = _base_config(args)
     grid = _grid_from_args(args, base)
@@ -1083,27 +1079,24 @@ def _cmd_cluster(args) -> int:
         peer_sync=args.peer_sync,
         compact_every=args.compact_every,
     )
-    with contextlib.ExitStack() as fleet:
-        if sweep:
-            def on_ready(address):
-                fleet.enter_context(local_worker_processes(
-                    address,
-                    args.workers,
-                    max_idle_s=args.max_idle_s,
-                    threads_per_worker=(
-                        None if args.threads_per_worker == 0
-                        else args.threads_per_worker
-                    ),
-                    peer=args.peer_sync,
-                    trace=args.trace,
-                    log_level=args.log_level,
-                ))
-        else:
-            def on_ready(address):
-                if not args.json:
-                    print(f"coordinator listening on {format_address(address)}; "
-                          "waiting for workers "
-                          f"(repro cluster worker --coordinator {format_address(address)})")
+    if sweep:
+        records = executor.run_local(
+            grid,
+            args.workers,
+            threads_per_worker=(
+                None if args.threads_per_worker == 0 else args.threads_per_worker
+            ),
+            max_idle_s=args.max_idle_s,
+            peer=args.peer_sync,
+            trace=args.trace,
+            log_level=args.log_level,
+        )
+    else:
+        def on_ready(address):
+            if not args.json:
+                print(f"coordinator listening on {format_address(address)}; "
+                      "waiting for workers "
+                      f"(repro cluster worker --coordinator {format_address(address)})")
         records = executor.run(grid, on_ready=on_ready)
     title = (
         f"cluster sweep: {len(records)} grid points over "

@@ -80,9 +80,8 @@ from __future__ import annotations
 import hmac
 import pickle
 import threading
-import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.journal import SweepJournal
@@ -145,7 +144,6 @@ class ManagedSweep:
     #: submitter's active span), so worker job spans join the
     #: submitting client's trace, tenant by tenant.
     trace_context: Optional[Dict[str, str]] = None
-    created_at: float = field(default_factory=time.time)
     #: Assembled records, cached after the first ``results`` call —
     #: assembly is deterministic, so one pass serves every poller.
     records: Optional[List[RunRecord]] = None

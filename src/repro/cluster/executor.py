@@ -4,20 +4,21 @@
 :class:`repro.pipeline.runner.Runner`: it expands the same grids,
 reuses the same content-addressed store, and returns the same
 :class:`~repro.pipeline.runner.RunRecord` list in the same grid order —
-but the unique missing stage fingerprints are computed by networked
-:class:`~repro.cluster.worker.WorkerAgent` processes instead of a local
-process pool.  Result values are identical to serial execution on
-every grid; only the execution-dependent record fields differ, and each
-record additionally carries per-job placement/transfer stats under
-``cluster/…`` keys in ``stage_timings``.
+but the unique missing stage fingerprints are computed by
+:class:`~repro.cluster.worker.WorkerAgent` processes.  Result values are
+identical to serial execution on every grid; only the
+execution-dependent record fields differ, and each record additionally
+carries per-job placement/transfer stats under ``cluster/…`` keys in
+``stage_timings``.
 
 :meth:`ClusterExecutor.run` is the one single-shot composition: it
 starts an embedded :class:`~repro.cluster.service.ExperimentService`
 that shuts its workers down once idle, submits the grid as the
 service's only tenant, waits for the plan to drain, and assembles the
-records in grid order.  ``Runner(coordinator=...)``, ``repro cluster
-sweep`` and ``repro cluster coordinator`` all run through it, so
-existing sweep call sites scale out by adding one argument.
+records in grid order.  ``Runner(coordinator=...)`` and ``repro
+cluster coordinator`` run through it; :meth:`ClusterExecutor.run_local`
+adds N localhost worker subprocesses, for ``Runner(max_workers=N)`` and
+``repro cluster sweep``.
 
 With ``journal=...`` the tenant keeps a disk journal of every job
 transition next to the store; ``resume=True`` replays it so a
@@ -91,20 +92,9 @@ class ClusterExecutor:
         Auto-compact the journal after this many appended events (see
         :class:`~repro.cluster.journal.SweepJournal`); ``None`` never
         compacts automatically.
-    service:
-        Optional control-plane address (``host:port`` or
-        ``http://host:port``) of a running
-        :class:`~repro.cluster.service.ExperimentService`.  When set,
-        :meth:`run` does not start an embedded service at all — it
-        *submits* the sweep over HTTP, polls until completion, and
-        rebuilds the records the service assembled, so many executors
-        (and many tenants) share one fleet and one store.  The
-        journal/resume/affinity/peer_sync knobs are the service's to
-        decide in this mode.
     token:
-        Shared cluster secret: stamped onto control-plane requests
-        (service mode) or required of workers by the embedded
-        service.
+        Shared cluster secret the embedded service requires of workers
+        (:meth:`run_local` hands it to its fleet).
     """
 
     def __init__(
@@ -122,12 +112,10 @@ class ClusterExecutor:
         affinity: bool = True,
         peer_sync: bool = True,
         compact_every: Optional[int] = None,
-        service: Optional[Any] = None,
         token: Optional[str] = None,
     ):
         self.base_config = base_config or SparkXDConfig()
         self.store = store if store is not None else ArtifactStore()
-        self.service = service
         self.token = token
         self.bind_address: Tuple[str, int] = parse_address(address)
         self.lease_timeout = float(lease_timeout)
@@ -156,17 +144,12 @@ class ClusterExecutor:
         """Distribute ``grid`` and assemble records deterministically.
 
         ``on_ready(address)`` — if given — is called once the grid is
-        submitted, with the worker plane's bound ``(host, port)``;
-        convenient for launching a worker fleet against an ephemeral
-        port (see :func:`local_worker_processes`).  Workers that connect
-        earlier are told to wait, never to shut down.
-
-        In service mode (``service=...``) there is no embedded service:
-        the grid is submitted to the running one and ``on_ready`` is not
-        called (the fleet already exists).
+        submitted (:attr:`last_plan` is set by then), with the worker
+        plane's bound ``(host, port)``; convenient for launching a
+        worker fleet against an ephemeral port (see :meth:`run_local`).
+        Workers that connect earlier are told to wait, never to shut
+        down.
         """
-        if self.service is not None:
-            return self._run_via_service(grid)
         host, port = self.bind_address
         service = ExperimentService(
             store=self.store,
@@ -209,36 +192,103 @@ class ClusterExecutor:
             self.last_transfer_stats = service.core.transfer_stats()
         return records
 
-    def _run_via_service(
-        self, grid: Mapping[str, Sequence[Any]]
+    def run_local(
+        self,
+        grid: Mapping[str, Sequence[Any]],
+        n_workers: int,
+        threads_per_worker: Optional[int] = 1,
+        **fleet_options: Any,
     ) -> List[RunRecord]:
-        """Submit to a running service, poll, and rebuild its records.
+        """:meth:`run` ``grid`` on ``n_workers`` localhost worker subprocesses.
 
-        The records come back through ``RunRecord.to_dict`` /
-        ``from_dict`` — value-identical to local assembly by
-        construction (``records_equivalent`` compares exactly these
-        dicts), minus only the in-memory ``result`` object.
+        Fleet sizes are validated before the service starts; a grid
+        whose artifacts are all cached (or journaled done) launches no
+        worker; a fleet whose workers all exited with work left raises
+        :class:`PlanFailed` naming their exit codes.  The other
+        arguments (and ``token``) go to :func:`local_worker_processes`.
         """
-        from repro.cluster.http_api import ServiceClient
+        if n_workers < 1:
+            raise ValueError(f"workers must be >= 1, got {n_workers}")
+        if threads_per_worker is not None and threads_per_worker < 1:
+            raise ValueError(
+                f"threads_per_worker must be >= 1 or None, got {threads_per_worker}"
+            )
+        exit_codes: List[int] = []
+        with contextlib.ExitStack() as fleet:
 
-        client = ServiceClient(self.service, token=self.token)
-        submitted = client.submit(self.base_config, grid)
-        sweep_id = str(submitted["sweep_id"])
-        LOG.info(
-            "sweep submitted to service",
-            extra={"sweep_id": sweep_id, "state": submitted.get("state")},
-        )
-        final = client.wait(sweep_id, timeout=self.wait_timeout)
-        if final.get("state") == "cancelled":
-            raise PlanFailed(f"sweep {sweep_id} was cancelled on the service")
-        payload = client.results(sweep_id)
-        return [
-            RunRecord.from_dict(entry) for entry in payload.get("records", [])
-        ]
+            def on_ready(address: Tuple[str, int]) -> None:
+                plan = self.last_plan
+                if plan.done:
+                    return
+                workers = fleet.enter_context(local_worker_processes(
+                    address,
+                    n_workers,
+                    threads_per_worker=threads_per_worker,
+                    token=self.token,
+                    **fleet_options,
+                ))
+                fleet.enter_context(
+                    _cancel_when_all_exit(plan, workers, exit_codes)
+                )
+
+            try:
+                return self.run(grid, on_ready=on_ready)
+            except RuntimeError as error:
+                if not exit_codes:
+                    raise
+                raise PlanFailed(
+                    f"all {len(exit_codes)} local worker subprocess(es) "
+                    f"exited (codes {exit_codes}) before the sweep finished "
+                    "— see their stderr above"
+                ) from error
+
+
+@contextlib.contextmanager
+def _cancel_when_all_exit(
+    plan: SweepPlan, workers: Sequence[subprocess.Popen], exit_codes: List[int]
+) -> Iterator[None]:
+    """Cancel ``plan`` (ending the executor's wait) if every worker
+    exited before it finished — a single-shot fleet only exits on the
+    ``shutdown`` sent after it — and record their ``exit_codes``."""
+    stop = threading.Event()
+
+    def watch() -> None:
+        while not stop.wait(0.1):
+            codes = [proc.poll() for proc in workers]
+            if None in codes:
+                continue
+            if not (plan.done or plan.failed):
+                exit_codes.extend(codes)
+                plan.cancel()
+            return
+
+    watcher = threading.Thread(target=watch, name="local-fleet-watch", daemon=True)
+    watcher.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        watcher.join()
 
 
 # ----------------------------------------------------------------------
 # Localhost worker fleets.
+#
+# Workers spend most of their time in large `spikes @ weights` matmuls,
+# and BLAS/OpenMP runtimes default to one thread *per core* — N workers
+# x C BLAS threads oversubscribes the machine C-fold.  These variables
+# cap every common runtime; they must be in a worker's environment
+# *before* it first loads numpy/BLAS, which is why they are set on the
+# subprocess environment and not inside the worker CLI.
+
+THREAD_ENV_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "BLIS_NUM_THREADS",
+)
 
 
 @contextlib.contextmanager
@@ -272,13 +322,9 @@ def local_worker_threads(
 def _worker_env(threads_per_worker: Optional[int]) -> dict:
     """Child env whose ``PYTHONPATH`` can import this very ``repro``.
 
-    With a thread cap, the ``OMP_NUM_THREADS``-family variables are
-    pinned exactly like the process-pool Runner's workers — the cap
-    must be in the environment before the child first loads numpy/BLAS,
-    which is why it is set here and not inside the worker CLI.
+    An integer ``threads_per_worker`` pins every :data:`THREAD_ENV_VARS`
+    entry; ``None`` leaves the parent's values alone.
     """
-    from repro.pipeline.runner import THREAD_ENV_VARS
-
     env = dict(os.environ)
     package_root = str(Path(__file__).resolve().parents[2])
     existing = env.get("PYTHONPATH", "")
@@ -308,8 +354,7 @@ def local_worker_processes(
 
     Each worker is a fresh interpreter, so BLAS parallelism and memory
     are genuinely per-worker — the localhost stand-in for real hosts.
-    ``threads_per_worker`` caps each agent's BLAS/OpenMP threads like
-    :class:`repro.pipeline.runner.Runner` does for its process pool
+    ``threads_per_worker`` caps each agent's BLAS/OpenMP threads
     (``None`` leaves the runtimes at their defaults).  ``peer=False``
     starts the agents with ``--no-peer-sync`` (pure hub topology).
     ``trace`` forwards ``--trace PATH`` so every agent appends spans to

@@ -1,11 +1,11 @@
 """Sweep planning and lease-based job scheduling for the cluster.
 
 A :class:`SweepPlan` expands a parameter grid into a deduplicated DAG of
-stage-aligned jobs — one job per *unique missing* stage fingerprint,
-exactly the waves :class:`repro.pipeline.runner.Runner` runs through its
-process pool, but expressed as leasable units a
-:class:`~repro.cluster.coordinator.CoordinatorCore` can hand to
-networked workers:
+stage-aligned jobs — one job per *unique missing* stage fingerprint —
+expressed as leasable units a
+:class:`~repro.cluster.coordinator.CoordinatorCore` hands to workers,
+networked or the localhost fleet behind
+:class:`repro.pipeline.runner.Runner`'s ``max_workers``:
 
 - **dedupe** — two grid points agreeing on a stage's fingerprint share
   one job, so each training-side fingerprint is executed exactly once

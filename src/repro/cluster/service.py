@@ -34,9 +34,10 @@ and the event loop itself only ever parses frames and shuttles bytes.
 ``shutdown_when_idle=True`` is the single-shot lifecycle (workers get
 ``shutdown`` once every submitted sweep finished).
 :meth:`~repro.cluster.executor.ClusterExecutor.run` — behind
-``Runner(coordinator=)``, ``repro cluster sweep`` and ``repro cluster
-coordinator`` — is exactly that: an embedded serve → submit → wait →
-assemble composition, one sweep, then the service stops.
+``Runner(coordinator=)``, ``Runner(max_workers=N)``, ``repro cluster
+sweep`` and ``repro cluster coordinator`` — is exactly that: an
+embedded serve → submit → wait → assemble composition, one sweep, then
+the service stops.
 """
 
 from __future__ import annotations
@@ -337,7 +338,7 @@ class ExperimentService:
             "sweep submitted",
             extra={
                 "sweep_id": sweep_id,
-                "name": name,
+                "sweep_name": name,
                 "jobs": len(plan.jobs),
                 "replayed_done": plan.replayed_done,
                 "journal": str(path) if path is not None else None,
@@ -618,6 +619,15 @@ class ExperimentService:
             if server is not None:
                 server.close()
                 await server.wait_closed()
+        # Connection handlers outlive their listener: give in-flight
+        # replies (a worker's final ``shutdown``) a moment, then cancel
+        # the rest, so no handler is left pending on a closed loop.
+        handlers = asyncio.all_tasks() - {asyncio.current_task()}
+        if handlers:
+            _, pending = await asyncio.wait(handlers, timeout=1.0)
+            for task in pending:
+                task.cancel()
+            await asyncio.gather(*pending, return_exceptions=True)
         self._line_server = None
         self._http_server = None
 

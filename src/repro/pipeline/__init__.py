@@ -14,7 +14,8 @@ Staged usage::
     store = ArtifactStore()                      # or ArtifactStore("cache/")
     result = ExperimentPipeline(SparkXDConfig.small(), store=store).run()
 
-    # Sweep DRAM-side knobs: the SNN above is NOT retrained.
+    # Sweep DRAM-side knobs on 4 localhost worker subprocesses: the SNN
+    # above is NOT retrained.
     records = Runner(SparkXDConfig.small(), store=store, max_workers=4).run(
         {"voltages": [(1.325,), (1.175,), (1.025,)],
          "mapping_policy": ["sparkxd", "baseline"]}

@@ -1,4 +1,4 @@
-"""Grid sweeps over configs with artifact reuse and process parallelism.
+"""Grid sweeps over configs with artifact reuse and local parallelism.
 
 A sweep is a cartesian grid of :class:`~repro.core.config.SparkXDConfig`
 field overrides::
@@ -15,15 +15,16 @@ the training-side fields share the trained model: the voltage × BER ×
 mapping-policy sweep above trains the SNN exactly once and only re-runs
 the cheap DRAM evaluation per point.
 
-With ``max_workers > 1`` the expensive work is fanned out over a
-:class:`concurrent.futures.ProcessPoolExecutor` in stage-aligned waves
-— one job per *unique missing* fingerprint at each training depth
-(upstream artifacts shipped into the workers), then one DRAM evaluation
-per unique DRAM fingerprint — before the records are assembled
-(deterministically, in grid order) from the warmed cache.  All result
-values are identical to serial execution; only the execution-dependent
-``wall_time_s`` / ``cache_hits`` / ``cache_misses`` / ``stage_timings``
-record fields vary with worker count.
+With ``max_workers > 1`` the grid runs on the cluster stack's local
+fleet (:meth:`repro.cluster.ClusterExecutor.run_local`): an embedded
+single-shot experiment service on a loopback port plus ``max_workers``
+localhost worker subprocesses, which compute one job per *unique
+missing* stage fingerprint and push every artifact into this runner's
+store before the records are assembled (deterministically, in grid
+order) from it.  All result values are identical to serial execution;
+only the execution-dependent ``wall_time_s`` / ``cache_hits`` /
+``cache_misses`` / ``stage_timings`` record fields vary with worker
+count.
 
 Each grid point yields a structured :class:`RunRecord` that serialises
 to JSON/CSV via :mod:`repro.analysis.export`.
@@ -31,29 +32,16 @@ to JSON/CSV via :mod:`repro.analysis.export`.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
-import multiprocessing
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import SparkXDConfig
 from repro.core.results import SparkXDResult
-from repro.pipeline.artifacts import DramArtifact
-from repro.pipeline.stages import (
-    DRAM_FIELDS,
-    DramEvalStage,
-    ExperimentPipeline,
-    StageContext,
-    default_stage_classes,
-)
-from repro.pipeline.store import MISS, ArtifactStore, canonical_form, config_fingerprint
-from repro.telemetry import get_logger, span
-
-LOG = get_logger(__name__)
+from repro.pipeline.stages import DRAM_FIELDS, ExperimentPipeline
+from repro.pipeline.store import ArtifactStore, canonical_form, config_fingerprint
+from repro.telemetry import span
 
 
 def sweep_grid(axes: Mapping[str, Sequence[Any]]) -> List[Dict[str, Any]]:
@@ -242,92 +230,6 @@ class RunRecord:
         )
 
 
-# ----------------------------------------------------------------------
-# Worker-process thread capping.
-#
-# Workers now spend most of their time in large `spikes @ weights`
-# matmuls (the batched engine + minibatch trainer), and BLAS/OpenMP
-# runtimes default to one thread *per core* — N workers x C BLAS
-# threads oversubscribes the machine C-fold.  These variables cap every
-# common runtime; they must be in the environment *before* the worker
-# process first loads numpy/BLAS, which is why the pool uses the
-# "spawn" start context (a forked child would inherit the parent's
-# already-initialised thread pools and ignore the variables).
-
-THREAD_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-    "BLIS_NUM_THREADS",
-)
-
-
-@contextlib.contextmanager
-def _thread_cap_env(n_threads: int) -> Iterator[None]:
-    """Temporarily pin the BLAS/OpenMP thread env vars in this process.
-
-    Spawned worker processes inherit the environment at creation time,
-    so holding the cap for the lifetime of the pool is what actually
-    limits them; the parent's own (already-initialised) BLAS is
-    unaffected, and the previous values are restored on exit.
-    """
-    saved = {var: os.environ.get(var) for var in THREAD_ENV_VARS}
-    for var in THREAD_ENV_VARS:
-        os.environ[var] = str(int(n_threads))
-    try:
-        yield
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-
-
-# ----------------------------------------------------------------------
-# Worker-process entry points (module-level so they pickle).
-_TRAINING_STAGES = default_stage_classes()[:-1]
-
-
-def _compute_stage_chain(config: SparkXDConfig, depth: int, preload=()):
-    """Run the training chain up to ``depth`` (inclusive) in a worker.
-
-    ``preload`` entries (``(stage, digest, artifact)``) seed the worker's
-    local store so already-computed upstream artifacts are not redone.
-    Returns every ``(stage, digest, artifact)`` the worker now holds, so
-    the parent can cache prerequisites the worker had to recompute (e.g.
-    after partial disk-cache eviction) along with the target artifact.
-    """
-    chain = tuple(cls() for cls in _TRAINING_STAGES[: depth + 1])
-    local = ArtifactStore()
-    for stage_name, digest, artifact in preload:
-        local.put(stage_name, digest, artifact)
-    ExperimentPipeline(config, stages=chain, store=local).run_stages()
-    entries = []
-    for stage in chain:
-        digest = stage.cache_key(config)
-        artifact = local.get(stage.name, digest)
-        if artifact is not MISS:
-            entries.append((stage.name, digest, artifact))
-    return entries
-
-
-def _compute_dram_artifact(
-    config: SparkXDConfig,
-    n_weights: int,
-    bits_per_weight: int,
-    ber_threshold: Optional[float],
-) -> DramArtifact:
-    from repro.core.dram_eval import evaluate_dram
-
-    baseline_dram, outcomes = evaluate_dram(
-        config, n_weights, bits_per_weight, ber_threshold
-    )
-    return DramArtifact(baseline_dram=baseline_dram, outcomes=outcomes)
-
-
 class Runner:
     """Execute a grid of experiments with shared caching.
 
@@ -339,21 +241,17 @@ class Runner:
         Shared artifact store; defaults to a fresh in-memory store.
         Pass a disk-backed store to reuse artifacts across sweeps.
     max_workers:
-        ``1`` (default) runs serially in-process; larger values fan the
-        unique training jobs and DRAM evaluations out over a process
-        pool.  Result values are bit-identical either way (the timing
-        and cache-statistics record fields are execution-dependent).
+        ``1`` (default) runs serially in-process; larger values run a
+        multi-point grid on that many localhost worker subprocesses
+        (see the module docstring).  Result values are bit-identical
+        either way (the timing and cache-statistics record fields are
+        execution-dependent).
     threads_per_worker:
-        BLAS/OpenMP threads each worker process may use (default 1 —
+        BLAS/OpenMP threads each worker subprocess may use (default 1 —
         one core per worker, no oversubscription from the workers'
-        large matmuls).  Pass ``None`` to leave the runtimes at their
-        own defaults (and keep the platform-default process start
-        method); any integer cap spawns workers with the
-        ``OMP_NUM_THREADS``-family variables pinned.  Note the spawn
-        start method means scripts using ``max_workers > 1`` need the
-        standard ``if __name__ == "__main__":`` guard on every
-        platform (previously only non-Linux), exactly as the
-        :mod:`multiprocessing` docs require.
+        large matmuls): the ``OMP_NUM_THREADS``-family variables are
+        pinned in each worker's environment.  Pass ``None`` to leave
+        the runtimes at their own defaults.
     coordinator:
         A ``"host:port"`` (or ``(host, port)``) for the worker plane of
         a cluster coordinator instead of computing locally: :meth:`run`
@@ -394,21 +292,6 @@ class Runner:
         self.coordinator = coordinator
         self.cluster_options = dict(cluster_options or {})
 
-    def _make_pool(self) -> ProcessPoolExecutor:
-        """A worker pool honouring the per-worker thread cap.
-
-        With a cap set, workers are *spawned* (fresh interpreters) so
-        the pinned thread env vars are seen before numpy/BLAS loads;
-        with ``threads_per_worker=None`` the platform default start
-        method is kept.
-        """
-        if self.threads_per_worker is None:
-            return ProcessPoolExecutor(max_workers=self.max_workers)
-        return ProcessPoolExecutor(
-            max_workers=self.max_workers,
-            mp_context=multiprocessing.get_context("spawn"),
-        )
-
     # ------------------------------------------------------------------
     def configs_for(self, grid: Mapping[str, Sequence[Any]]) -> List[SparkXDConfig]:
         return [
@@ -417,24 +300,29 @@ class Runner:
 
     def run(self, grid: Mapping[str, Sequence[Any]]) -> List[RunRecord]:
         """Run every grid point; return records in grid order."""
+        # The cluster subsystem is imported per branch, so the pipeline
+        # layer (and a serial sweep) never loads it.
         if self.coordinator is not None:
-            # Cluster mode: serve the grid at the given address and
-            # let networked workers compute the unique fingerprints.
-            # Imported here so the pipeline layer has no hard dependency
-            # on the cluster subsystem.
+            # Serve the grid at the given address and let networked
+            # workers compute the unique fingerprints.
             from repro.cluster import ClusterExecutor
 
-            executor = ClusterExecutor(
+            return ClusterExecutor(
                 self.base_config,
                 store=self.store,
                 address=self.coordinator,
                 **self.cluster_options,
-            )
-            return executor.run(grid)
+            ).run(grid)
         param_sets = sweep_grid(grid)
+        if self.max_workers > 1 and len(param_sets) > 1:
+            from repro.cluster import ClusterExecutor
+
+            return ClusterExecutor(
+                self.base_config, store=self.store, poll_s=0.05
+            ).run_local(
+                grid, self.max_workers, threads_per_worker=self.threads_per_worker
+            )
         configs = [self.base_config.with_overrides(**p) for p in param_sets]
-        if self.max_workers > 1 and len(configs) > 1:
-            self._prefill_parallel(configs)
         records: List[RunRecord] = []
         for params, config in zip(param_sets, configs):
             started = time.perf_counter()
@@ -454,91 +342,3 @@ class Runner:
                 )
             )
         return records
-
-    # ------------------------------------------------------------------
-    def _prefill_parallel(self, configs: Sequence[SparkXDConfig]) -> None:
-        """Warm the store: one wave per training stage, then a DRAM wave.
-
-        Each wave computes only the *unique missing* fingerprints at
-        that depth, with every cached upstream artifact shipped into the
-        worker — so e.g. a ``ber_rates`` sweep trains the shared
-        baseline once, and a ``tolerance_trials`` sweep re-runs only the
-        tolerance analysis.  A config whose prerequisites cannot be
-        assembled (partially evicted disk cache) is simply left for the
-        assembly loop, which recomputes missing stages in-process.
-        """
-        training_chain = tuple(cls() for cls in _TRAINING_STAGES)
-        baseline, _, tolerance = training_chain
-        dram = DramEvalStage()
-
-        cap = (
-            _thread_cap_env(self.threads_per_worker)
-            if self.threads_per_worker is not None
-            else contextlib.nullcontext()
-        )
-        with cap, self._make_pool() as pool:
-            for depth, stage in enumerate(training_chain):
-                jobs: Dict[str, SparkXDConfig] = {}
-                for config in configs:
-                    digest = stage.cache_key(config)
-                    if digest not in jobs and ((stage.name, digest) not in self.store):
-                        jobs[digest] = config
-                if not jobs:
-                    continue
-                LOG.info(
-                    "prefill wave",
-                    extra={"stage": stage.name, "unique_jobs": len(jobs)},
-                )
-                preloads = []
-                for config in jobs.values():
-                    entries = []
-                    for prior in training_chain[:depth]:
-                        prior_digest = prior.cache_key(config)
-                        artifact = self.store.get(prior.name, prior_digest)
-                        if artifact is not MISS:
-                            entries.append((prior.name, prior_digest, artifact))
-                    preloads.append(entries)
-                for entries in pool.map(
-                    _compute_stage_chain,
-                    jobs.values(),
-                    [depth] * len(jobs),
-                    preloads,
-                ):
-                    for stage_name, digest, artifact in entries:
-                        # Preloaded upstream artifacts come back with each
-                        # job; only store what is actually new (a target or
-                        # a recomputed-after-eviction prerequisite).
-                        if (stage_name, digest) not in self.store:
-                            self.store.put(stage_name, digest, artifact)
-
-            dram_inputs = []
-            dram_digests = []
-            seen: set = set()
-            for config in configs:
-                digest = dram.cache_key(config)
-                if digest in seen or ((dram.name, digest) in self.store):
-                    continue
-                seen.add(digest)
-                baseline_artifact = self.store.get(
-                    baseline.name, baseline.cache_key(config)
-                )
-                tolerance_artifact = self.store.get(
-                    tolerance.name, tolerance.cache_key(config)
-                )
-                if baseline_artifact is MISS or tolerance_artifact is MISS:
-                    continue  # assembly loop recomputes this point serially
-                dram_inputs.append(
-                    (
-                        config,
-                        baseline_artifact.model.weights.size,
-                        StageContext(config).representation.bits_per_weight,
-                        tolerance_artifact.ber_threshold,
-                    )
-                )
-                dram_digests.append(digest)
-            if dram_inputs:
-                for digest, artifact in zip(
-                    dram_digests,
-                    pool.map(_compute_dram_artifact, *zip(*dram_inputs)),
-                ):
-                    self.store.put(dram.name, digest, artifact)

@@ -214,6 +214,32 @@ class TestSweepCommand:
         assert records[1].cache_hits >= 3
 
 
+class TestLocalFleetSizes:
+    """``sweep`` and ``cluster sweep`` reject bad fleet sizes with exit 2
+    and an ``error:`` line, before any service starts."""
+
+    @pytest.mark.parametrize("command", [["sweep"], ["cluster", "sweep"]])
+    @pytest.mark.parametrize(
+        "flags", [["--workers", "0"], ["--threads-per-worker", "-3"]]
+    )
+    def test_rejected_before_any_service(self, command, flags, capsys, monkeypatch):
+        from repro.cluster import ExperimentService
+
+        def no_service(self):
+            raise AssertionError("an experiment service was started")
+
+        monkeypatch.setattr(ExperimentService, "start", no_service)
+        exit_code = main([
+            *command, "--neurons", "12", "--train", "40", "--test", "25",
+            "--steps", "30", "--bound", "0.5",
+            "--voltages", "1.325", "1.025", *flags,
+        ])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "must be >= 1" in err
+
+
 class TestCacheCommand:
     def _fill(self, cache_dir):
         from repro.pipeline import ArtifactStore

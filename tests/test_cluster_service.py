@@ -94,6 +94,18 @@ class TestTenantRegistry:
         drain(managed.plan)
         assert service.describe(managed.sweep_id)["state"] == "done"
 
+    def test_submit_logs_at_info_level(self, caplog):
+        """``name`` is a reserved ``LogRecord`` attribute: logging it as
+        an extra key raised ``KeyError`` from every submit once INFO was
+        on (``--log-level INFO``)."""
+        import logging
+
+        caplog.set_level(logging.INFO, logger="repro.cluster.service")
+        managed = ExperimentService().submit(TINY, GRID_A, name="alpha")
+        (record,) = [r for r in caplog.records if r.msg == "sweep submitted"]
+        assert record.sweep_id == managed.sweep_id
+        assert record.sweep_name == "alpha"
+
     def test_unknown_sweep_raises_key_error(self):
         service = ExperimentService()
         with pytest.raises(KeyError):

@@ -1,8 +1,14 @@
 """Tests of the sweep runner: grids, caching across points, parallelism."""
 
+import os
+import subprocess
+import time
+from pathlib import Path
+
 import pytest
 
 from repro import SparkXDConfig
+from repro.analysis.export import records_equivalent
 from repro.pipeline import ArtifactStore, Runner, RunRecord, sweep_grid
 
 TINY = SparkXDConfig.small(
@@ -114,17 +120,7 @@ class TestRunnerExecution:
         serial = Runner(TINY, store=ArtifactStore()).run(grid)
         parallel = Runner(TINY, store=ArtifactStore(), max_workers=2).run(grid)
         assert len(serial) == len(parallel) == 2
-        for a, b in zip(serial, parallel):
-            da, db = a.to_dict(), b.to_dict()
-            for volatile in (
-                "wall_time_s",
-                "cache_hits",
-                "cache_misses",
-                "stage_timings",
-            ):
-                da.pop(volatile)
-                db.pop(volatile)
-            assert da == db
+        assert records_equivalent(serial, parallel)
 
 
 class TestStageTimingsInRecords:
@@ -192,30 +188,76 @@ class TestThreadCapping:
     def test_none_disables_capping(self):
         assert Runner(TINY, threads_per_worker=None).threads_per_worker is None
 
-    def test_thread_cap_env_sets_and_restores(self, monkeypatch):
-        import os
-
-        from repro.pipeline.runner import THREAD_ENV_VARS, _thread_cap_env
+    def test_worker_env_pins_thread_vars(self, monkeypatch):
+        from repro.cluster import executor
 
         # Pin a known pre-state (one set, one unset) regardless of what
         # the host environment exports.
         monkeypatch.setenv("OMP_NUM_THREADS", "7")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        with _thread_cap_env(2):
-            assert all(os.environ[v] == "2" for v in THREAD_ENV_VARS)
+        capped = executor._worker_env(2)
+        assert all(capped[v] == "2" for v in executor.THREAD_ENV_VARS)
+        uncapped = executor._worker_env(None)
+        assert uncapped["OMP_NUM_THREADS"] == "7"
+        assert "MKL_NUM_THREADS" not in uncapped
+        # The parent's own environment is never touched.
         assert os.environ["OMP_NUM_THREADS"] == "7"
         assert "MKL_NUM_THREADS" not in os.environ
+        package_root = str(Path(executor.__file__).resolve().parents[2])
+        for inherited in (None, "/elsewhere", package_root + os.pathsep + "/x"):
+            if inherited is None:
+                monkeypatch.delenv("PYTHONPATH", raising=False)
+            else:
+                monkeypatch.setenv("PYTHONPATH", inherited)
+            for threads in (2, None):
+                entries = executor._worker_env(threads)["PYTHONPATH"].split(os.pathsep)
+                assert entries.count(package_root) == 1
 
     def test_capped_parallel_matches_serial(self):
-        grid = {"voltages": [(1.325,), (1.025,)]}
+        """Uncapped workers (``None``) on a grid with two training
+        chains — a job DAG the voltage-only grid never builds."""
+        grid = {"seed": [42, 43], "voltages": [(1.325,), (1.025,)]}
         serial = Runner(TINY, store=ArtifactStore()).run(grid)
-        capped = Runner(
-            TINY, store=ArtifactStore(), max_workers=2, threads_per_worker=1
+        uncapped = Runner(
+            TINY, store=ArtifactStore(), max_workers=2, threads_per_worker=None
         ).run(grid)
-        for a, b in zip(serial, capped):
-            da, db = a.to_dict(), b.to_dict()
-            for volatile in ("wall_time_s", "cache_hits", "cache_misses",
-                             "stage_timings"):
-                da.pop(volatile)
-                db.pop(volatile)
-            assert da == db
+        assert records_equivalent(serial, uncapped)
+
+
+@pytest.mark.slow
+class TestLocalFleet:
+    """``Runner(max_workers=N)`` runs on localhost worker subprocesses."""
+
+    GRID = {"voltages": [(1.325,), (1.025,)]}
+
+    def test_warm_store_launches_no_worker(self, monkeypatch):
+        store = ArtifactStore()
+        first = Runner(TINY, store=store, max_workers=2).run(self.GRID)
+        # The workers pushed every artifact into the runner's store.
+        assert len(store) == 5  # one training chain + two dram-eval points
+
+        def no_subprocess(*args, **kwargs):
+            raise AssertionError("a worker subprocess was launched")
+
+        monkeypatch.setattr(subprocess, "Popen", no_subprocess)
+        again = Runner(TINY, store=store, max_workers=2).run(self.GRID)
+        assert records_equivalent(first, again)
+
+    def test_dead_fleet_fails_fast_naming_exit_codes(self, monkeypatch, tmp_path):
+        from repro.cluster import PlanFailed, executor
+
+        real_worker_env = executor._worker_env
+
+        def unimportable_env(threads_per_worker):
+            env = real_worker_env(threads_per_worker)
+            env.pop("PYTHONPATH")
+            return env
+
+        # Without PYTHONPATH (and outside the source tree) every worker
+        # dies on ``import repro`` with exit code 1.
+        monkeypatch.setattr(executor, "_worker_env", unimportable_env)
+        monkeypatch.chdir(tmp_path)
+        started = time.monotonic()
+        with pytest.raises(PlanFailed, match=r"codes \[1, 1\]"):
+            Runner(TINY, store=ArtifactStore(), max_workers=2).run(self.GRID)
+        assert time.monotonic() - started < 15.0
