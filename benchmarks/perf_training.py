@@ -21,8 +21,9 @@ Usage::
     PYTHONPATH=src python benchmarks/perf_training.py --quick   # CI smoke
 
 The workload mirrors one fault-aware training stage (Algorithm 1):
-Poisson-encoded samples presented with STDP, a corrupted-weight read
-per presentation, deltas credited back to the stored clean tensor.
+Poisson-encoded samples presented with STDP, a DRAM read through the
+error injector per presentation, deltas credited back to the stored
+clean tensor.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.engine.trainer import BatchedTrainer
+from repro.errors.injection import ErrorInjector
 from repro.snn.network import DiehlCookNetwork, NetworkParameters
+from repro.snn.quantization import Float32Representation
 
 # The reference loops live with the tests they serve as oracles for.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -85,16 +88,12 @@ def _network(scenario: dict, n_input: int = 784) -> DiehlCookNetwork:
 
 
 def _corrupter(network: DiehlCookNetwork, seed: int = 5):
-    """A cheap stand-in for the DRAM error injector (same call pattern)."""
-    rng = np.random.default_rng(seed)
-
-    def corrupt(weights):
-        noisy = weights + rng.normal(0.0, 0.005, weights.shape).astype(
-            weights.dtype, copy=False
-        )
-        return np.clip(noisy, 0.0, network.w_max)
-
-    return corrupt
+    """The pipeline's fault-aware read: FP32 storage saturating into
+    ``[0, w_max]``, Model-0 errors at BER 1e-5."""
+    injector = ErrorInjector(
+        Float32Representation(clip_range=(0.0, network.w_max)), seed=seed
+    )
+    return lambda weights: injector.inject_uniform(weights, 1e-5)[0]
 
 
 @contextmanager

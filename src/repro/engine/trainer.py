@@ -250,7 +250,10 @@ class BatchedTrainer:
         Preserves the historical loop exactly: encode, run with in-place
         STDP (the network computes with the corrupted read under the
         fault-aware hook), credit deltas back to the stored clean
-        tensor, clip, normalize.
+        tensor, clip, normalize.  Under the hook the network trains a
+        private copy of the read; that copy becomes the delta and then,
+        in place, the new clean tensor, so neither the read nor the old
+        clean tensor is written.
         """
         net = self.network
         if self.encoder is not None:
@@ -266,7 +269,7 @@ class BatchedTrainer:
             corrupted = np.asarray(self.corrupt_weights(clean), dtype=net.dtype)
             net.weights = corrupted.copy()
             net.run_sample(train, stdp=self.stdp, normalize=False)
-            delta = net.weights - corrupted
+            delta = np.subtract(net.weights, corrupted, out=net.weights)
             apply_post_sample_update(net, delta=delta, base=clean)
         else:
             net.run_sample(train, stdp=self.stdp, normalize=False)

@@ -57,12 +57,10 @@ def _flip(
     ):
         raise IndexError(f"bit position out of range [0, {word_bits})")
     out = words.copy()
-    # The same word may be hit more than once; XOR must accumulate, so we
-    # fold duplicate word hits into one combined mask first.
+    # The same word may be hit more than once; the unbuffered XOR
+    # accumulates every hit.
     masks = (np.uint64(1) << bit_positions.astype(np.uint64)).astype(words.dtype)
-    combined = np.zeros_like(words)
-    np.bitwise_xor.at(combined, word_indices, masks)
-    out ^= combined
+    np.bitwise_xor.at(out, word_indices, masks)
     return out
 
 
@@ -74,7 +72,7 @@ def flip_bits_float32(
     Bit ``i`` addresses bit ``i % 32`` of element ``i // 32`` in the
     flattened array.  Returns a new array with the original shape.
     """
-    flat = np.ravel(np.asarray(values, dtype=np.float32)).copy()
+    flat = np.ravel(np.asarray(values, dtype=np.float32))
     bits = flat.view(np.uint32)
     idx = np.asarray(flat_bit_indices, dtype=np.int64)
     flipped = _flip(bits, idx // 32, idx % 32, 32)
@@ -83,7 +81,7 @@ def flip_bits_float32(
 
 def flip_bits_int8(values: np.ndarray, flat_bit_indices: np.ndarray) -> np.ndarray:
     """Flip the given flat bit indices of an int8 array (8 bits/element)."""
-    flat = np.ravel(np.asarray(values, dtype=np.int8)).copy()
+    flat = np.ravel(np.asarray(values, dtype=np.int8))
     bits = flat.view(np.uint8)
     idx = np.asarray(flat_bit_indices, dtype=np.int64)
     flipped = _flip(bits, idx // 8, idx % 8, 8)
@@ -94,7 +92,7 @@ def flip_bits_uint(
     words: np.ndarray, flat_bit_indices: np.ndarray, word_bits: int
 ) -> np.ndarray:
     """Flip flat bit indices of an unsigned integer word array."""
-    flat = np.ravel(words).copy()
+    flat = np.ravel(words)
     idx = np.asarray(flat_bit_indices, dtype=np.int64)
     flipped = _flip(flat, idx // word_bits, idx % word_bits, word_bits)
     return flipped.reshape(np.shape(words))

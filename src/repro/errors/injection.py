@@ -9,16 +9,18 @@ Two operating modes cover the paper's uses:
 
 - **uniform** (training, Section IV-B Steps 1-2): one device-level BER,
   Error Model-0, baseline sequential mapping — every stored bit is
-  equally likely to flip;
+  equally likely to flip.  The whole tensor is one region, sampled in
+  one model call without a region map;
 - **per-subarray** (mapping evaluation, Section IV-D): each weight is
   assigned to a subarray with its own error rate; flips are sampled
-  region by region.
+  region by region.  With every weight in region 0 this mode is the
+  reference the uniform mode matches draw for draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -84,14 +86,17 @@ class ErrorInjector:
         ber: float,
         rng: Optional[np.random.Generator] = None,
     ) -> Tuple[np.ndarray, InjectionReport]:
-        """Flip stored bits with one uniform BER (training mode)."""
-        n = int(np.size(weights))
-        return self.inject_by_region(
-            weights,
-            region_of_weight=np.zeros(n, dtype=np.int64),
-            region_rates=np.array([ber], dtype=float),
-            rng=rng,
-        )
+        """Flip stored bits with one uniform BER (training mode).
+
+        The whole tensor is region 0: the same draws, arrays and report
+        as :meth:`inject_by_region` with an all-zeros region map, without
+        building or scanning that map.
+        """
+        rate = float(ber)
+        if rate < 0 or rate > 1:
+            raise ValueError("region rates must lie in [0, 1]")
+        regions = [(0, rate, None)] if np.size(weights) else []
+        return self._inject(weights, regions, rng)
 
     def inject_stack(
         self,
@@ -144,10 +149,7 @@ class ErrorInjector:
         ``i``; ``region_rates[r]`` is region ``r``'s bit error rate.
         Returns ``(corrupted_weights, report)``; the input is untouched.
         """
-        rng = rng if rng is not None else self._rng
-        weights = np.asarray(weights)
-        flat_shape = weights.shape
-        n_weights = int(weights.size)
+        n_weights = int(np.size(weights))
         region_of_weight = np.asarray(region_of_weight, dtype=np.int64).ravel()
         if region_of_weight.shape != (n_weights,):
             raise ValueError(
@@ -162,27 +164,49 @@ class ErrorInjector:
         if np.any(region_rates < 0) or np.any(region_rates > 1):
             raise ValueError("region rates must lie in [0, 1]")
 
+        regions = (
+            (int(region), float(region_rates[region]),
+             np.flatnonzero(region_of_weight == region))
+            for region in np.unique(region_of_weight)
+        )
+        return self._inject(weights, regions, rng)
+
+    # ------------------------------------------------------------------
+    def _inject(
+        self,
+        weights: np.ndarray,
+        regions: Iterable[Tuple[int, float, Optional[np.ndarray]]],
+        rng: Optional[np.random.Generator],
+    ) -> Tuple[np.ndarray, InjectionReport]:
+        """Encode, flip each region's sampled bits, decode and report.
+
+        ``regions`` yields ``(region, rate, members)``: the flat indices
+        of the region's weights, or ``None`` for every weight.
+        """
+        rng = rng if rng is not None else self._rng
+        weights = np.asarray(weights)
+        n_weights = int(weights.size)
         rep = self.representation
         bpw = rep.bits_per_weight
-        words = rep.encode(weights)
-        words_flat = np.ravel(words)
+        words_flat = np.ravel(rep.encode(weights))
 
         all_flips: list[np.ndarray] = []
         per_region: Dict[int, int] = {}
         mean_rate = 0.0
-        for region in np.unique(region_of_weight):
-            rate = float(region_rates[region])
-            members = np.flatnonzero(region_of_weight == region)
-            n_bits = members.size * bpw
-            mean_rate += rate * n_bits
-            context = self._context_for(words_flat, members, bpw, rate)
+        for region, rate, members in regions:
+            if members is None:
+                member_words = words_flat[:n_weights]
+            else:
+                member_words = words_flat[members]
+            context = self._context_for(member_words, bpw, rate)
+            mean_rate += rate * context.n_bits
             local_flips = self.model.sample_flips(context, rng)
-            per_region[int(region)] = int(local_flips.size)
+            per_region[region] = int(local_flips.size)
             if local_flips.size:
-                # local bit index -> (member weight, bit) -> global bit index
-                member_idx = members[local_flips // bpw]
-                global_bits = member_idx * bpw + (local_flips % bpw)
-                all_flips.append(global_bits)
+                if members is not None:
+                    # local bit index -> (member weight, bit) -> global bit
+                    local_flips = members[local_flips // bpw] * bpw + local_flips % bpw
+                all_flips.append(local_flips)
 
         total_bits = n_weights * bpw
         if all_flips:
@@ -191,7 +215,7 @@ class ErrorInjector:
         else:
             flat_bits = np.empty(0, dtype=np.int64)
             corrupted_words = words_flat
-        corrupted = rep.decode(corrupted_words).reshape(flat_shape)
+        corrupted = rep.decode(corrupted_words).reshape(weights.shape)
         report = InjectionReport(
             total_bits=total_bits,
             flipped_bits=int(flat_bits.size),
@@ -200,16 +224,11 @@ class ErrorInjector:
         )
         return corrupted, report
 
-    # ------------------------------------------------------------------
     def _context_for(
-        self,
-        words_flat: np.ndarray,
-        members: np.ndarray,
-        bpw: int,
-        rate: float,
+        self, member_words: np.ndarray, bpw: int, rate: float
     ) -> BitContext:
         """Build the BitContext one region's bits present to the model."""
-        n_bits = members.size * bpw
+        n_bits = member_words.size * bpw
         fields = getattr(self.model, "context_fields", ())
         needs_lanes = "bitline_of" in fields
         needs_rows = "wordline_of" in fields
@@ -225,11 +244,16 @@ class ErrorInjector:
             if needs_rows:
                 wordline_of = positions // self.row_bits
         if needs_values:
-            member_words = words_flat[members].astype(np.uint64)
-            shifts = np.arange(bpw, dtype=np.uint64)
-            values = ((member_words[:, None] >> shifts[None, :]) & 1).astype(
-                np.uint8
-            ).ravel()
+            # Bit b of a word is bit b % 8 of its little-endian byte b // 8;
+            # bits past the word's width read as 0.
+            word_dtype = member_words.dtype
+            width = 8 * word_dtype.itemsize
+            little = member_words.astype(word_dtype.newbyteorder("<"), copy=False)
+            bits = np.unpackbits(little.view(np.uint8), bitorder="little")
+            bits = bits.reshape(member_words.size, width)
+            if width < bpw:
+                bits = np.pad(bits, ((0, 0), (0, bpw - width)))
+            values = bits[:, :bpw].ravel()
         return BitContext(
             n_bits=n_bits,
             base_rate=rate,

@@ -120,10 +120,9 @@ class _StructuredModel(ErrorModel):
 
     def _unit_factors(self, unit_ids: np.ndarray) -> np.ndarray:
         """Deterministic lognormal severity per structural unit id."""
-        unique = np.unique(unit_ids)
         rng = np.random.default_rng(self.structure_seed)
         # Draw enough factors to cover the largest unit id seen.
-        factors = rng.lognormal(mean=0.0, sigma=self.sigma, size=int(unique.max()) + 1)
+        factors = rng.lognormal(mean=0.0, sigma=self.sigma, size=int(unit_ids.max()) + 1)
         per_bit = factors[unit_ids]
         mean = per_bit.mean()
         return per_bit / mean if mean > 0 else per_bit

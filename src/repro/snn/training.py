@@ -151,14 +151,18 @@ def apply_post_sample_update(
     With ``delta``/``base`` given (the fault-aware and minibatch paths),
     the accumulated STDP delta is credited back onto the stored ``base``
     tensor — what the training write-back updates — and clipped to the
-    physical range.  Either way the columns are then re-normalized to
-    the configured L1 mass, so the clean sequential, fault-aware and
+    physical range.  This consumes ``delta``: ``clip(base + delta)`` is
+    computed in its buffer, which becomes the network's weight tensor,
+    so callers pass a private delta of the network's dtype; ``base`` is
+    not written.  Either way the columns are then re-normalized to the
+    configured L1 mass, so the clean sequential, fault-aware and
     minibatch paths all finish a presentation through one code path.
     """
     if delta is not None:
         if base is None:
             raise ValueError("delta requires the base tensor it applies to")
-        network.weights = np.clip(base + delta, 0.0, network.w_max)
+        np.add(base, delta, out=delta)
+        network.weights = np.clip(delta, 0.0, network.w_max, out=delta)
     if network.parameters.weight_norm > 0:
         normalize_columns(network.weights, network.parameters.weight_norm)
 

@@ -14,7 +14,10 @@ import pytest
 from snn_oracle import reference_sequential_train, step_accumulate
 
 from repro.engine.trainer import BatchedTrainer
+from repro.errors.injection import ErrorInjector
+from repro.errors.models import make_error_model
 from repro.snn.network import DiehlCookNetwork, NetworkParameters, make_stdp
+from repro.snn.quantization import Float32Representation
 from repro.snn.stdp import STDPRule
 from repro.snn.training import train_unsupervised
 
@@ -41,15 +44,29 @@ def _gaussian_corrupter(seed):
     return corrupt
 
 
+def _corrupter(corrupt):
+    """No hook (False), the Gaussian stand-in (True), or a DRAM read
+    through ``ErrorInjector`` with the named error model at BER 1e-3."""
+    if corrupt is False:
+        return None
+    if corrupt is True:
+        return _gaussian_corrupter(5)
+    injector = ErrorInjector(
+        Float32Representation(clip_range=(0.0, 1.0)),
+        model=make_error_model(corrupt),
+        seed=5,
+    )
+    return lambda weights: injector.inject_uniform(weights, 1e-3)[0]
+
+
 class TestBatchSizeOneBitIdentity:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("corrupt", [False, True])
+    @pytest.mark.parametrize("corrupt", [False, True, "model0", "eden"])
     def test_matches_pre_refactor_loop(self, dtype, corrupt):
         images, _ = _workload()
         ref_net, new_net = _network(dtype), _network(dtype)
         ref_rng, new_rng = np.random.default_rng(7), np.random.default_rng(7)
-        ref_corrupt = _gaussian_corrupter(5) if corrupt else None
-        new_corrupt = _gaussian_corrupter(5) if corrupt else None
+        ref_corrupt, new_corrupt = _corrupter(corrupt), _corrupter(corrupt)
 
         reference_sequential_train(
             ref_net, images, 30, 2, ref_rng, corrupt_weights=ref_corrupt
@@ -63,6 +80,22 @@ class TestBatchSizeOneBitIdentity:
         assert np.array_equal(ref_net.weights, new_net.weights)
         assert np.array_equal(ref_net.neurons.theta, new_net.neurons.theta)
         assert ref_rng.bit_generator.state == new_rng.bit_generator.state
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_identity_read_leaves_clean_tensor_unwritten(self, batch_size):
+        images, _ = _workload()
+        reads = []
+
+        def corrupt(weights):
+            reads.append((weights, weights.copy()))
+            return weights
+
+        BatchedTrainer(
+            _network(), batch_size=batch_size, corrupt_weights=corrupt
+        ).train(images, n_steps=30, epochs=2, rng=np.random.default_rng(7))
+        assert reads
+        for clean, at_read in reads:
+            assert np.array_equal(clean, at_read)
 
     def test_train_unsupervised_routes_through_trainer(self):
         images, labels = _workload()

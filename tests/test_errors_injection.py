@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.errors.ecc import EccProtectedRepresentation
 from repro.errors.injection import ErrorInjector
-from repro.errors.models import ErrorModel3, make_error_model
+from repro.errors.models import ERROR_MODELS, ErrorModel3, make_error_model
 from repro.snn.quantization import FixedPointRepresentation, Float32Representation
 
 
@@ -65,6 +66,82 @@ class TestUniformInjection:
         rep = Float32Representation(clip_range=(0.0, 1.0))
         out, _ = ErrorInjector(rep, seed=0).inject_uniform(weights, 0.05)
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+class TestUniformMatchesRegionOracle:
+    """``inject_uniform`` is ``inject_by_region`` with one all-zeros region
+    map: same arrays, same reports, same draws."""
+
+    REPRESENTATIONS = {
+        "float32": lambda: Float32Representation(clip_range=(0.0, 1.0)),
+        "int8": lambda: FixedPointRepresentation(bits=8),
+    }
+    TENSORS = {
+        "784xN": lambda: np.random.default_rng(5).random((784, 4)) * 0.3,
+        "784xN-float32": lambda: (
+            np.random.default_rng(5).random((784, 4)) * 0.3
+        ).astype(np.float32),
+        "empty": lambda: np.empty((0, 4)),
+    }
+
+    @pytest.mark.parametrize("tensor", sorted(TENSORS))
+    @pytest.mark.parametrize("ber", [0.0, 1e-9, 1e-5, 1e-2, 1.0])
+    @pytest.mark.parametrize("representation", sorted(REPRESENTATIONS))
+    @pytest.mark.parametrize("model", sorted(ERROR_MODELS))
+    def test_successive_calls_match(self, model, representation, ber, tensor):
+        weights = self.TENSORS[tensor]()
+        original = weights.copy()
+        injector = ErrorInjector(
+            self.REPRESENTATIONS[representation](),
+            model=make_error_model(model),
+            row_bits=8192,
+        )
+        region_of_weight = np.zeros(weights.size, dtype=np.int64)
+        uniform_rng, region_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(20):
+            out, report = injector.inject_uniform(weights, ber, rng=uniform_rng)
+            expected, expected_report = injector.inject_by_region(
+                weights, region_of_weight, [ber], rng=region_rng
+            )
+            assert out.dtype == expected.dtype
+            assert np.array_equal(out, expected)
+            assert report == expected_report
+        assert uniform_rng.bit_generator.state == region_rng.bit_generator.state
+        assert np.array_equal(weights, original)
+
+    @pytest.mark.parametrize("ber", [-0.1, 1.5])
+    def test_same_rate_error(self, ber):
+        weights = self.TENSORS["784xN"]()
+        injector = ErrorInjector(Float32Representation(), seed=0)
+        with pytest.raises(ValueError) as uniform:
+            injector.inject_uniform(weights, ber)
+        with pytest.raises(ValueError) as region:
+            injector.inject_by_region(
+                weights, np.zeros(weights.size, dtype=np.int64), [ber]
+            )
+        assert str(uniform.value) == str(region.value)
+
+    @pytest.mark.parametrize(
+        "representation",
+        [
+            FixedPointRepresentation(bits=8),
+            FixedPointRepresentation(bits=16),
+            Float32Representation(),
+            # One stored bit per uint8 word, 36 bits per weight.
+            EccProtectedRepresentation(Float32Representation()),
+        ],
+        ids=["8-bit", "16-bit", "32-bit", "ecc-36-bit"],
+    )
+    def test_values_match_shift_form(self, representation):
+        rng = np.random.default_rng(8)
+        words = np.ravel(representation.encode(rng.random(1000)))
+        bpw = representation.bits_per_weight
+        injector = ErrorInjector(representation, model=ErrorModel3())
+        values = injector._context_for(words, bpw, 0.01).values
+        shifts = np.arange(bpw, dtype=np.uint64)
+        shifted = (words.astype(np.uint64)[:, None] >> shifts[None, :]) & 1
+        assert values.dtype == np.uint8
+        assert np.array_equal(values, shifted.astype(np.uint8).ravel())
 
 
 class TestFixedPointInjection:

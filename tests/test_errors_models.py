@@ -113,6 +113,15 @@ class TestModel2:
         per_row_uniform = np.bincount(uniform // row_bits, minlength=n_bits // row_bits)
         assert per_row.std() > 2 * per_row_uniform.std()
 
+    def test_unit_factors_match_unique_form(self):
+        model = ErrorModel2(sigma=0.6, structure_seed=3)
+        unit_ids = np.random.default_rng(4).integers(5, 60, size=5000)
+        factors = np.random.default_rng(3).lognormal(
+            mean=0.0, sigma=0.6, size=int(np.unique(unit_ids).max()) + 1
+        )
+        per_bit = factors[unit_ids]
+        assert np.array_equal(model._unit_factors(unit_ids), per_bit / per_bit.mean())
+
 
 class TestModel3:
     def test_requires_values(self):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.snn.network import DiehlCookNetwork, NetworkParameters
+from repro.snn.stdp import normalize_columns
 from repro.snn.training import (
     TrainedModel,
+    apply_post_sample_update,
     assign_labels,
     evaluate_accuracy,
     predict,
@@ -83,6 +85,27 @@ class TestTrainedModel:
         model.install_into(net)
         assert np.array_equal(net.weights, model.weights)
         assert np.array_equal(net.neurons.theta, model.theta)
+
+
+class TestPostSampleUpdate:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_installs_normalized_clip_of_base_plus_delta(self, dtype):
+        net = DiehlCookNetwork(
+            NetworkParameters(n_input=30, n_neurons=8),
+            rng=np.random.default_rng(0),
+            dtype=dtype,
+        )
+        rng = np.random.default_rng(1)
+        base = (rng.random((30, 8)) * net.w_max).astype(dtype)
+        delta = rng.normal(0.0, 0.5, (30, 8)).astype(dtype)
+        before = base.copy()
+        expected = normalize_columns(
+            np.clip(base + delta, 0, net.w_max), net.parameters.weight_norm
+        )
+        apply_post_sample_update(net, delta=delta, base=base)
+        assert net.weights.dtype == np.dtype(dtype)
+        assert np.array_equal(net.weights, expected)
+        assert np.array_equal(base, before)
 
 
 class TestTrainingLoop:
