@@ -10,8 +10,9 @@ compute precisions.  Timing is steady-state: each engine column reuses
 one trainer (so workspaces, minibatch machinery and the drive operator
 cache are warm) and reports its best epoch.  Two bitwise gates guard
 the numbers: ``batch_size=1`` must reproduce the historical sequential
-loop, and the fused kernel must reproduce the minibatch-reference loop
-— weight for weight, threshold for threshold.  Results go to
+loop (``reference_run_sample``) and raise some threshold, so it spiked,
+and the fused kernel must reproduce the minibatch-reference loop —
+weight for weight, threshold for threshold.  Results go to
 ``BENCH_training.json`` — the training half of the repo's performance
 trajectory artifacts (see ``BENCH_engine.json`` for evaluation).
 
@@ -156,6 +157,15 @@ def _same_state(a, b) -> bool:
     )
 
 
+def _spiked(network, scenario) -> bool:
+    """Whether training raised a threshold above its initial value.
+
+    Only a spike raises theta (homeostasis decays it otherwise), so two
+    networks that never spiked cannot pass a gate that requires this.
+    """
+    return bool((network.neurons.theta > _network(scenario).neurons.theta).any())
+
+
 def run_benchmark(quick: bool, repeats: int) -> dict:
     scenarios = QUICK_SCENARIOS if quick else FULL_SCENARIOS
     results = []
@@ -165,15 +175,17 @@ def run_benchmark(quick: bool, repeats: int) -> dict:
         row = dict(scenario, n_input=784)
 
         # Bit-identity gates: batch_size=1 must equal the historical
-        # loop; the fused kernel must equal the minibatch reference.
+        # loop (and have spiked, so the comparison is not vacuous); the
+        # fused kernel must equal the minibatch reference.
         ref_net = _network(scenario)
         reference_sequential_train(
             ref_net, _images(scenario), scenario["n_steps"], 1,
             np.random.default_rng(99), _corrupter(ref_net),
         )
+        seq_net = _trained_network(scenario, 1)
         row["sequential_matches_reference"] = _same_state(
-            ref_net, _trained_network(scenario, 1)
-        )
+            ref_net, seq_net
+        ) and _spiked(seq_net, scenario)
         with _reference_minibatch_loop():
             batched_net = _trained_network(scenario, batch)
         row["fused_matches_batched"] = _same_state(
@@ -234,8 +246,8 @@ def main(argv=None) -> int:
 
     failed = False
     if not all(r["sequential_matches_reference"] for r in payload["scenarios"]):
-        print("ERROR: batch_size=1 diverged from the reference sequential loop",
-              file=sys.stderr)
+        print("ERROR: batch_size=1 diverged from the reference sequential loop "
+              "or never spiked", file=sys.stderr)
         failed = True
     if not all(r["fused_matches_batched"] for r in payload["scenarios"]):
         print("ERROR: fused kernel diverged from the minibatch reference",

@@ -23,9 +23,10 @@ from typing import Iterator, Optional
 #: per-step temporaries) — a deliberate overestimate.
 _STATE_ARRAYS = 10
 
-#: Bytes per encoded sample step: the boolean train plus the transient
-#: float64 uniform draw the Poisson encoder makes.
-_ENCODE_BYTES_PER_BIT = 9
+#: Bytes per encoded input bit: the boolean train plus the step-major
+#: boolean copy the drive operator is built from.  (The Poisson
+#: encoder draws one image at a time into a reused buffer.)
+_ENCODE_BYTES_PER_BIT = 2
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
 """Batched spike encoding.
 
-One vectorized Poisson draw encodes a whole chunk of images at once —
-``rng.random((B, n_steps, n_input))`` — consuming *exactly* the same
-random stream as ``B`` successive per-image
-:func:`repro.snn.encoding.poisson_rate_code` calls (``Generator.random``
-fills arrays from the bit stream in C order).  Encoded trains are
-therefore identical whether samples are encoded one at a time, per
-chunk, or all at once — the engine equivalence guarantee extends
-through the encoder.
+A chunk of images is encoded image by image into one boolean
+``(B, n_steps, n_input)`` tensor: each image's ``(n_steps, n_input)``
+uniforms are drawn into one reused float64 buffer and compared into the
+output, so no chunk-sized float64 draw is ever held.  The draws consume
+*exactly* the random stream of ``B`` successive per-image
+:func:`repro.snn.encoding.poisson_rate_code` calls (and of one
+``rng.random((B, n_steps, n_input))`` draw — ``Generator.random`` fills
+arrays from the bit stream in C order).  Encoded trains are therefore
+identical whether samples are encoded one at a time, per chunk, or all
+at once — the engine equivalence guarantee extends through the encoder.
 
 Non-default encoders fall back to a per-image loop (same stream by
 construction); the simulation stays vectorized either way.
@@ -69,10 +71,10 @@ def encode_spike_trains(
 ) -> np.ndarray:
     """Encode a batch of images into ``(B, n_steps, n_input)`` spikes.
 
-    With ``encoder=None`` the default Poisson rate code is applied in
-    one vectorized draw; a custom encoder is applied per image.  Either
-    way the result (and the state of ``rng``) is identical to calling
-    the encoder on each image in order.
+    With ``encoder=None`` the default Poisson rate code draws each
+    image's uniforms into one reused buffer; a custom encoder is
+    applied per image.  Either way the result (and the state of
+    ``rng``) is identical to calling the encoder on each image in order.
     """
     if n_steps <= 0 or dt_ms <= 0:
         raise ValueError("n_steps and dt_ms must be > 0")
@@ -82,4 +84,9 @@ def encode_spike_trains(
     if encoder is not None and encoder is not poisson_rate_code:
         return np.stack([encoder(image, n_steps, rng) for image in images])
     p = np.clip(images * max_rate_hz * dt_ms * 1e-3, 0.0, 1.0)
-    return rng.random((images.shape[0], n_steps, images.shape[1])) < p[:, None, :]
+    trains = np.empty((images.shape[0], n_steps, images.shape[1]), dtype=bool)
+    draw = np.empty(trains.shape[1:])
+    for train, rate in zip(trains, p):
+        rng.random(out=draw)
+        np.less(draw, rate, out=train)
+    return trains

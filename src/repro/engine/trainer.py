@@ -31,10 +31,13 @@ one vectorized pass —
 Exactness contract
 ------------------
 ``batch_size=1`` runs the reference sequential presentation — the same
-``run_sample`` + in-place STDP + post-sample update ufunc sequence and
-the same RNG stream as the historical ``train_unsupervised`` loop — and
-is therefore **bit-identical** to it (covered by
-``tests/test_engine_trainer.py``).
+in-place STDP + post-sample update ufunc sequence and the same RNG
+stream as the historical ``train_unsupervised`` loop — and is therefore
+**bit-identical** to it (covered by ``tests/test_engine_trainer.py``
+against ``reference_sequential_train``, whose presentations run the
+historical per-step loop ``reference_run_sample`` of
+``tests/snn_oracle.py`` rather than the lean loop of
+:meth:`~repro.snn.network.DiehlCookNetwork.run_sample`).
 
 ``batch_size>1`` is a *documented approximation*, not an equivalent
 reordering: within a minibatch, samples no longer see each other's

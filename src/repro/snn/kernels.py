@@ -21,8 +21,6 @@ loop (``tests/snn_oracle.py``) shares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -78,126 +76,73 @@ class FusedWorkspace:
         )
 
 
-@dataclass(frozen=True)
-class FusedConstants:
-    """Pre-cast step constants of the fused kernel.
-
-    Every constant that meets a compute-dtype array is stored as a
-    numpy scalar of that dtype — under NEP 50 a weak python float
-    behaves exactly as-if cast to the array's dtype, so pre-casting
-    reproduces the reference expressions bit for bit.  ``inhibition``
-    alone stays float64: the reference inhibition chain mixes an int64
-    row reduction with a python float, which numpy evaluates in float64
-    before the store downcasts.
-    """
-
-    decay_e: np.number
-    decay_i: np.number
-    inhibition: np.float64
-    v_rest: np.number
-    e_excitatory: np.number
-    e_inhibitory: np.number
-    k: np.number
-    v_threshold: np.number
-    v_reset: np.number
-    dt_ms: np.number
-    refractory_ms: np.number
-    theta_decay: np.number
-    theta_plus: np.number
-    trace_decay: np.number
-    one: np.number
-
-    @classmethod
-    def for_loop(cls, network, stdp) -> "FusedConstants":
-        """Constants of one ``run_batch_stdp`` fused loop."""
-        p = network.parameters
-        lif = p.lif
-        D = network.dtype.type
-        return cls(
-            decay_e=network.g_excitatory._decay,
-            decay_i=network.g_inhibitory._decay,
-            inhibition=np.float64(p.inhibition_strength),
-            v_rest=D(lif.v_rest),
-            e_excitatory=D(lif.e_excitatory),
-            e_inhibitory=D(lif.e_inhibitory),
-            k=D(p.dt_ms / lif.tau_membrane_ms),
-            v_threshold=D(lif.v_threshold),
-            v_reset=D(lif.v_reset),
-            dt_ms=D(p.dt_ms),
-            refractory_ms=D(lif.refractory_ms),
-            theta_decay=network.neurons._theta_decay,
-            theta_plus=D(lif.theta_plus),
-            trace_decay=stdp._trace_decay,
-            one=D(1.0),
-        )
-
-
 def numpy_state_step(
-    c: FusedConstants,
+    network,
+    stdp,
     ws: FusedWorkspace,
     drive: np.ndarray,
-    g_e: np.ndarray,
-    g_i: np.ndarray,
-    v: np.ndarray,
-    refr: np.ndarray,
-    theta: np.ndarray,
-    x_pre: np.ndarray,
     last: np.ndarray,
     spikes: np.ndarray,
     counts: np.ndarray,
 ) -> None:
-    """One fused training step, allocation-free.
+    """One fused training step of ``network`` and ``stdp``, allocation-free.
 
     Performs exactly the ufunc sequence of ``_step_from_drive`` with
     ``adapt=True`` plus the STDP trace decay/bump — same operations,
-    same operand order, written into ``ws``'s scratch
-    buffers.  ``ws.pre`` must already hold this step's presynaptic
-    spikes; ``spikes`` receives the postsynaptic result (the caller
-    swaps ``last``/``spikes`` afterwards, like the inference loop).
+    same operand order, written into ``ws``'s scratch buffers and the
+    state arrays of ``network`` and ``stdp``.  Constants stay plain
+    Python floats, as in the reference expressions: under NEP 50 they
+    take the array's dtype.  ``ws.pre`` must already hold this step's
+    presynaptic spikes; ``spikes`` receives the postsynaptic result
+    (the caller swaps ``last``/``spikes`` afterwards, like the
+    inference loop).
     """
-    g_e *= c.decay_e
+    p, lif = network.parameters, network.parameters.lif
+    g_e, g_i = network.g_excitatory.g, network.g_inhibitory.g
+    neurons = network.neurons
+    v, refr, theta = neurons.v, neurons.refractory_left, neurons.theta
+    g_e *= network.g_excitatory._decay
     g_e += drive
     # Lateral inhibition: row totals in int64/float64 exactly as the
     # reference `last.sum(axis=-1, keepdims=True) * inhibition` chain.
     np.sum(last, axis=-1, keepdims=True, out=ws.row_count)
-    np.multiply(ws.row_count, c.inhibition, out=ws.row_inh)
-    np.multiply(last, c.inhibition, out=ws.s1)
+    np.multiply(ws.row_count, p.inhibition_strength, out=ws.row_inh)
+    np.multiply(last, p.inhibition_strength, out=ws.s1)
     np.subtract(ws.row_inh, ws.s1, out=ws.s1)
-    g_i *= c.decay_i
+    g_i *= network.g_inhibitory._decay
     g_i += ws.s1
     np.less_equal(refr, 0.0, out=ws.active)
-    np.subtract(c.v_rest, v, out=ws.s1)
-    np.subtract(c.e_excitatory, v, out=ws.s2)
+    np.subtract(lif.v_rest, v, out=ws.s1)
+    np.subtract(lif.e_excitatory, v, out=ws.s2)
     ws.s2 *= g_e
     ws.s1 += ws.s2
-    np.subtract(c.e_inhibitory, v, out=ws.s2)
+    np.subtract(lif.e_inhibitory, v, out=ws.s2)
     ws.s2 *= g_i
     ws.s1 += ws.s2
-    ws.s1 *= c.k
+    ws.s1 *= p.dt_ms / lif.tau_membrane_ms
     # Masked write, not `v += dv * active`: a non-finite dv (float32
     # overflow from unclipped corrupted weights) must leave refractory
     # neurons untouched exactly as the reference np.where does.
     ws.s1 += v
     np.copyto(v, ws.s1, where=ws.active)
-    np.add(c.v_threshold, theta, out=ws.thr)
+    np.add(lif.v_threshold, theta, out=ws.thr)
     np.greater_equal(v, ws.thr, out=spikes)
     spikes &= ws.active
     # Masked scalar writes: same elements, same values as the
     # boolean-indexed assignments of the reference step, minus the
     # index-array extraction those perform.
-    np.copyto(v, c.v_reset, where=spikes)
-    refr -= c.dt_ms
+    np.copyto(v, lif.v_reset, where=spikes)
+    refr -= p.dt_ms
     np.maximum(refr, 0.0, out=refr)
-    np.copyto(refr, c.refractory_ms, where=spikes)
-    theta *= c.theta_decay
-    np.add(theta, c.theta_plus, out=theta, where=spikes)
-    x_pre *= c.trace_decay
-    np.copyto(x_pre, c.one, where=ws.pre)
+    np.copyto(refr, lif.refractory_ms, where=spikes)
+    theta *= neurons._theta_decay
+    np.add(theta, lif.theta_plus, out=theta, where=spikes)
+    stdp.x_pre *= stdp._trace_decay
+    np.copyto(stdp.x_pre, 1.0, where=ws.pre)
     counts += spikes
 
 
 __all__ = [
-    "FusedConstants",
     "FusedWorkspace",
     "numpy_state_step",
 ]

@@ -18,16 +18,24 @@ Batched input drive is a ``spikes @ weights`` matmul (via
 sparse whole-sample form of :func:`sample_drive`).
 
 :meth:`DiehlCookNetwork.run_batch` evaluates a whole batch of encoded
-samples in one vectorized pass.  The per-step drive of
-:meth:`DiehlCookNetwork.run_sample` is the classic sparse index-sum
-``weights[active].sum(axis=0)``; the batched path computes all drives
-up front with one sparse ``spikes @ weights`` matmul per realization
+samples in one vectorized pass.  The canonical per-step drive is the
+sparse index-sum ``weights[active].sum(axis=0)`` (:func:`step_drive`,
+used by :meth:`DiehlCookNetwork.step`); every loop computes its drives
+up front with one sparse ``spikes @ weights`` matmul per weight tensor
 (:func:`sample_drive`), whose output rows are **bit-identical** to the
 per-step index-sum — CSR row accumulation and numpy's axis-0 row
-reduction both add the active weight rows left-to-right.  Every state
-update is elementwise, so batched spike counts equal a per-sample,
-per-timestep ``run_sample`` loop exactly (``tests/snn_oracle.py`` keeps
-that loop as the test oracle).
+reduction both add the active weight rows left-to-right.  Chunk rows
+are step-major, so they reshape to the time-major drive slab without a
+copy.  Every state update is elementwise, so batched spike counts equal
+a per-sample, per-timestep loop exactly.
+
+:meth:`DiehlCookNetwork.run_sample` is the ``batch_size=1`` loop of
+training and inference.  It reads a per-sample drive slab, rewritten
+column-wise after each in-place STDP update, and skips the work whose
+result cannot change on a step (most steps are silent); it stays bit
+for bit the historical ``step`` + ``STDPRule.step`` loop, which
+``tests/snn_oracle.py`` keeps as the test oracle with the other
+reference loops.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ except ImportError:  # pragma: no cover - exercised via the forced fallback test
     _sparse = None
 
 from repro.rng import ensure_rng
-from repro.snn.kernels import FusedConstants, FusedWorkspace, numpy_state_step
+from repro.snn.kernels import FusedWorkspace, numpy_state_step
 from repro.snn.neurons import AdaptiveLIFLayer, LIFParameters
 from repro.snn.stdp import STDPParameters, STDPRule, normalize_columns
 from repro.snn.synapses import (
@@ -157,6 +165,22 @@ def _drive_rows(matrix, weights: np.ndarray) -> np.ndarray:
     for t in np.flatnonzero(matrix.any(axis=1)):
         rows[t] = step_drive(weights, matrix[t])
     return rows
+
+
+def _drive_columns(
+    matrix, weights: np.ndarray, columns: np.ndarray, start: int
+) -> np.ndarray:
+    """Rows ``start:`` of ``_drive_rows(matrix, weights)[:, columns]``, bit for bit.
+
+    CSR accumulates every output column on its own, so the product with
+    the gathered columns alone is exact (and cheaper over all rows than
+    a CSR row slice).  The numpy fallback reduces full rows and then
+    takes the columns: numpy sums a one-column slice pairwise, which the
+    full-row reduce does not.
+    """
+    if _sparse is not None and _sparse.issparse(matrix):
+        return (matrix @ weights[:, columns])[start:]
+    return _drive_rows(matrix[start:], weights)[:, columns]
 
 
 def _delta_drive_rows(
@@ -393,7 +417,9 @@ class DiehlCookNetwork:
         post-sample column normalisation (fault-aware training applies
         it to the stored clean tensor instead of the corrupted copy).
         Only available on an unbatched network; use :meth:`run_batch`
-        for batched evaluation.
+        for batched evaluation.  The time loop (:meth:`_sample_loop`)
+        is bit for bit one :meth:`step` plus one in-place
+        :meth:`~repro.snn.stdp.STDPRule.step` per timestep.
         """
         p = self.parameters
         if self.batch_shape != ():
@@ -406,6 +432,11 @@ class DiehlCookNetwork:
             raise ValueError(
                 f"spike train must have shape (n_steps, {p.n_input}), got {train.shape}"
             )
+        if stdp is not None and stdp.state_shape != (p.n_input,):
+            raise ValueError(
+                f"run_sample needs an unbatched STDP rule over {p.n_input} "
+                f"inputs, got trace shape {stdp.state_shape}"
+            )
         if adapt is None:
             adapt = stdp is not None
         self.reset_state(keep_theta=True)
@@ -413,14 +444,107 @@ class DiehlCookNetwork:
             stdp.reset_state()
         if normalize is None:
             normalize = stdp is not None and p.weight_norm > 0
-        counts = np.zeros(p.n_neurons, dtype=np.int64)
-        for t in range(train.shape[0]):
-            spikes = self.step(train[t], adapt=adapt)
-            if stdp is not None:
-                stdp.step(self.weights, train[t], spikes)
-            counts += spikes
+        counts = self._sample_loop(train, stdp, adapt)
         if normalize and p.weight_norm > 0:
             normalize_columns(self.weights, p.weight_norm)
+        return counts
+
+    def _sample_loop(
+        self, train: np.ndarray, stdp: Optional[STDPRule], adapt: bool
+    ) -> np.ndarray:
+        """The B=1 time loop of :meth:`run_sample`, lean but bit-exact.
+
+        The ufuncs, operand order and dtypes of ``step`` +
+        ``STDPRule.step`` (``reference_run_sample`` in
+        ``tests/snn_oracle.py``), minus work whose result cannot change:
+        drives come from one per-sample slab whose later rows of the
+        updated columns are rewritten after each STDP update
+        (:func:`_drive_columns`); after a silent step ``g_i`` only
+        decays (the skipped inhibition is ``+0.0``, ``g_i`` is never
+        ``-0.0``); with no neuron refractory ``v + dv`` is written
+        unmasked; a silent step resets, bumps, counts and updates
+        nothing.
+        """
+        p, lif = self.parameters, self.parameters.lif
+        weights = self.weights
+        matrix = _drive_matrix(train, weights.dtype)
+        drives = _drive_rows(matrix, weights)
+        drives *= p.excitation_gain
+        g_e, g_i = self.g_excitatory.g, self.g_inhibitory.g
+        decay_e, decay_i = self.g_excitatory._decay, self.g_inhibitory._decay
+        neurons = self.neurons
+        v, refr, theta = neurons.v, neurons.refractory_left, neurons.theta
+        k = p.dt_ms / lif.tau_membrane_ms
+        strength = p.inhibition_strength
+        s1, s2, thr = np.empty_like(v), np.empty_like(v), np.empty_like(v)
+        active = np.empty(v.shape, dtype=bool)
+        spikes, last = np.empty(v.shape, dtype=bool), np.zeros(v.shape, dtype=bool)
+        counts = np.zeros(p.n_neurons, dtype=np.int64)
+        if not adapt:
+            np.add(lif.v_threshold, theta, out=thr)
+        if stdp is not None:
+            rule, x_pre = stdp.parameters, stdp.x_pre
+        n_last = 0
+        refractory = False
+        for t in range(train.shape[0]):
+            g_e *= decay_e
+            g_e += drives[t]
+            g_i *= decay_i
+            if n_last:
+                g_i += n_last * strength - strength * last
+            np.subtract(lif.v_rest, v, out=s1)
+            np.subtract(lif.e_excitatory, v, out=s2)
+            np.multiply(g_e, s2, out=s2)
+            s1 += s2
+            np.subtract(lif.e_inhibitory, v, out=s2)
+            np.multiply(g_i, s2, out=s2)
+            s1 += s2
+            s1 *= k
+            if refractory:
+                # Masked write, as in _run_batch_frozen: a non-finite dv
+                # must leave refractory neurons untouched.
+                np.less_equal(refr, 0.0, out=active)
+                np.add(v, s1, out=s1)
+                np.copyto(v, s1, where=active)
+            else:
+                v += s1
+            if adapt:
+                np.add(lif.v_threshold, theta, out=thr)
+            np.greater_equal(v, thr, out=spikes)
+            if refractory:
+                spikes &= active
+                refr -= p.dt_ms
+                np.maximum(refr, 0.0, out=refr)
+            if adapt:
+                theta *= neurons._theta_decay
+            if stdp is not None:
+                x_pre *= stdp._trace_decay
+                x_pre[train[t]] = 1.0
+            n_last = np.count_nonzero(spikes)
+            if n_last:
+                post = np.flatnonzero(spikes)
+                v[post] = lif.v_reset
+                refr[post] = lif.refractory_ms
+                if adapt:
+                    theta[post] += lif.theta_plus
+                counts[post] += 1
+                if stdp is not None:
+                    columns = weights[:, post]
+                    bound = rule.w_max - columns
+                    if rule.mu != 1.0:  # x ** 1.0 is exactly x
+                        bound = bound**rule.mu
+                    updated = columns + rule.learning_rate * (
+                        x_pre[:, None] - rule.trace_offset
+                    ) * bound
+                    weights[:, post] = np.clip(updated, 0.0, rule.w_max, out=updated)
+                    drives[t + 1 :, post] = (
+                        _drive_columns(matrix, weights, post, t + 1)
+                        * p.excitation_gain
+                    )
+            if refractory or n_last:
+                refractory = np.count_nonzero(refr) > 0
+            last, spikes = spikes, last
+        self._last_spikes = last
         return counts
 
     def run_batch(
@@ -467,7 +591,7 @@ class DiehlCookNetwork:
         gain = p.excitation_gain
 
         # All drives up front: one sparse spikes @ weights matmul per
-        # realization over the whole chunk (rows are per-(sample, step)
+        # realization over the whole chunk (rows are per-(step, sample)
         # and bit-identical to the scalar per-step index-sum).  Layout
         # (n_steps,) + batch_shape + (n_neurons,) so the time loop below
         # reads one contiguous, copy-free slab per step.
@@ -481,9 +605,7 @@ class DiehlCookNetwork:
                 )
             )
         else:
-            matrix = _drive_matrix(
-                trains.reshape(n_batch * n_steps, p.n_input), self.dtype
-            )
+            matrix = self.prepare_drive_matrix(trains)
             n_stack = self.weights.shape[0]
             drives = np.empty(
                 (n_steps,) + bs + (p.n_neurons,), dtype=self.dtype
@@ -504,23 +626,25 @@ class DiehlCookNetwork:
                     rows = _delta_drive_rows(
                         matrix, self.weights[e], base_weights, base_rows
                     )
-                drives[:, e, :, :] = rows.reshape(
-                    n_batch, n_steps, p.n_neurons
-                ).transpose(1, 0, 2)
+                drives[:, e, :, :] = rows.reshape(n_steps, n_batch, p.n_neurons)
             drives *= gain
 
         self.reset_state(keep_theta=True)
         return self._run_batch_frozen(drives, n_steps)
 
     def prepare_drive_matrix(self, spike_trains: np.ndarray):
-        """Prebuild the reusable sparse drive operator of a minibatch.
+        """Prebuild the reusable sparse drive operator of a chunk.
 
-        The CSR matrix (or boolean fallback) that
-        :meth:`run_batch_stdp` and :meth:`_sample_drives` would build
-        from these trains — exposed so a caller presenting the *same*
+        The CSR matrix (or boolean fallback) that :meth:`run_batch`,
+        :meth:`run_batch_stdp` and :meth:`_sample_drives` build from
+        these trains — exposed so a caller presenting the *same*
         encoded minibatch repeatedly (the per-BER-stage amortization of
         :class:`repro.engine.trainer.StageEncodingCache`) pays the
-        sparse-structure construction once.
+        sparse-structure construction once.  Rows are step-major (row
+        ``t * B + b`` is sample ``b`` at step ``t``), built from one
+        contiguous step-major copy of the trains, so the drive rows
+        reshape to the time-major ``(n_steps, B, n_neurons)`` slab
+        without a transposed copy.
         """
         trains = np.asarray(spike_trains, dtype=bool)
         if trains.ndim != 3 or trains.shape[2] != self.n_input:
@@ -528,10 +652,8 @@ class DiehlCookNetwork:
                 f"spike trains must have shape (B, n_steps, {self.n_input}), "
                 f"got {trains.shape}"
             )
-        return _drive_matrix(
-            trains.reshape(trains.shape[0] * trains.shape[1], self.n_input),
-            self.dtype,
-        )
+        steps = np.ascontiguousarray(trains.transpose(1, 0, 2))
+        return _drive_matrix(steps.reshape(-1, self.n_input), self.dtype)
 
     def _sample_drives(
         self, trains: np.ndarray, weights: np.ndarray, matrix=None
@@ -547,17 +669,11 @@ class DiehlCookNetwork:
         :meth:`run_batch_stdp`.
         """
         p = self.parameters
-        n_batch, n_steps = trains.shape[0], trains.shape[1]
         if matrix is None:
-            matrix = _drive_matrix(
-                trains.reshape(n_batch * n_steps, p.n_input), self.dtype
-            )
+            matrix = self.prepare_drive_matrix(trains)
         rows = _drive_rows(matrix, weights)
-        base = np.ascontiguousarray(
-            rows.reshape(n_batch, n_steps, p.n_neurons).transpose(1, 0, 2)
-        )
-        base *= p.excitation_gain
-        return base
+        rows *= p.excitation_gain
+        return rows.reshape(trains.shape[1], trains.shape[0], p.n_neurons)
 
     def run_batch_stdp(
         self,
@@ -648,18 +764,11 @@ class DiehlCookNetwork:
         ws = workspace
         if ws is None or not ws.matches(n_batch, p.n_neurons, p.n_input, self.dtype):
             ws = FusedWorkspace(n_batch, p.n_neurons, p.n_input, self.dtype)
-        consts = FusedConstants.for_loop(self, stdp)
-        g_e, g_i = self.g_excitatory.g, self.g_inhibitory.g
-        v, refr = self.neurons.v, self.neurons.refractory_left
-        theta, x_pre = self.neurons.theta, stdp.x_pre
         np.copyto(ws.last, self._last_spikes)
         last, spikes = ws.last, ws.spikes
         for t in range(n_steps):
             np.copyto(ws.pre, pre_steps[t])
-            numpy_state_step(
-                consts, ws, drives[t], g_e, g_i, v, refr, theta, x_pre,
-                last, spikes, counts,
-            )
+            numpy_state_step(self, stdp, ws, drives[t], last, spikes, counts)
             stdp.accumulate_step(spikes, delta, bound, ws.offset)
             last, spikes = spikes, last
         self._last_spikes = last.copy()

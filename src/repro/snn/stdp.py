@@ -21,7 +21,8 @@ Two update modes cover the two training paths:
 - :meth:`STDPRule.step` — the in-place rule of ``batch_size=1`` on an
   unbatched rule (``batch_shape=()``): each post spike immediately
   moves (and clips) its incoming weights, so later steps of the same
-  sample see the updated tensor;
+  sample see the updated tensor (``DiehlCookNetwork.run_sample``
+  inlines the same arithmetic into its time loop);
 - :meth:`STDPRule.accumulate_step` — the minibatch rule, on a rule
   created with ``batch_shape=(B,)`` whose presynaptic trace holds ``B``
   independent lanes (shape ``(B, n_pre)``): every update is computed

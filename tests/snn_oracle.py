@@ -1,20 +1,24 @@
 """Reference SNN loops: the oracles the vectorized engine must match.
 
 The production evaluator and trainer run one implementation each — the
-batched inference loop (:meth:`DiehlCookNetwork.run_batch`) and the
-fused minibatch training loop (:meth:`DiehlCookNetwork.run_batch_stdp`).
+batched inference loop (:meth:`DiehlCookNetwork.run_batch`), the fused
+minibatch training loop (:meth:`DiehlCookNetwork.run_batch_stdp`) and
+the lean ``batch_size=1`` loop (:meth:`DiehlCookNetwork.run_sample`).
 The plain loops they replaced live here, so tests and the
 ``benchmarks/perf_*.py`` gates can compare against them with
 ``np.array_equal``:
 
+- :func:`reference_run_sample` — the historical B=1 loop
+  (``network.step`` + ``STDPRule.step`` per timestep) that
+  :meth:`DiehlCookNetwork.run_sample`'s lean loop replaced;
 - :func:`sequential_spike_counts` — the per-sample, per-timestep
-  ``run_sample`` evaluation loop;
+  evaluation loop;
 - :func:`reference_run_batch_stdp` — the unfused minibatch loop
   (``_step_from_drive`` + :func:`step_accumulate` per step), call-
   compatible with ``DiehlCookNetwork.run_batch_stdp`` so tests can
   swap it in with ``monkeypatch.setattr``;
 - :func:`reference_sequential_train` — the historical ``batch_size=1``
-  training loop.
+  training loop, on :func:`reference_run_sample`.
 """
 
 from __future__ import annotations
@@ -25,6 +29,42 @@ from repro.engine.encoding import encode_spike_trains
 from repro.snn.encoding import poisson_rate_code
 from repro.snn.network import DiehlCookNetwork, make_stdp
 from repro.snn.stdp import normalize_columns
+
+
+def reference_run_sample(network, train, stdp=None, adapt=None, normalize=None):
+    """The historical body of ``DiehlCookNetwork.run_sample``, verbatim.
+
+    One :meth:`DiehlCookNetwork.step` plus one in-place
+    :meth:`STDPRule.step` per timestep; same validation, state reset,
+    counts and post-sample normalisation as the library method.
+    """
+    p = network.parameters
+    if network.batch_shape != ():
+        raise ValueError(
+            "run_sample requires an unbatched network "
+            f"(batch_shape {network.batch_shape}); use run_batch instead"
+        )
+    train = np.asarray(train, dtype=bool)
+    if train.ndim != 2 or train.shape[1] != p.n_input:
+        raise ValueError(
+            f"spike train must have shape (n_steps, {p.n_input}), got {train.shape}"
+        )
+    if adapt is None:
+        adapt = stdp is not None
+    network.reset_state(keep_theta=True)
+    if stdp is not None:
+        stdp.reset_state()
+    if normalize is None:
+        normalize = stdp is not None and p.weight_norm > 0
+    counts = np.zeros(p.n_neurons, dtype=np.int64)
+    for t in range(train.shape[0]):
+        spikes = network.step(train[t], adapt=adapt)
+        if stdp is not None:
+            stdp.step(network.weights, train[t], spikes)
+        counts += spikes
+    if normalize and p.weight_norm > 0:
+        normalize_columns(network.weights, p.weight_norm)
+    return counts
 
 
 def sequential_spike_counts(evaluator, images, n_steps, rng, weights, encoder=None):
@@ -51,7 +91,7 @@ def sequential_spike_counts(evaluator, images, n_steps, rng, weights, encoder=No
     for e, matrix in enumerate(stack):
         net.set_weights(matrix)
         for b, train in enumerate(trains):
-            counts[e, b] = net.run_sample(train, stdp=None)
+            counts[e, b] = reference_run_sample(net, train)
     return counts if weights.ndim == 3 else counts[0]
 
 
@@ -105,7 +145,7 @@ def reference_sequential_train(
                 clean = network.weights
                 corrupted = np.asarray(corrupt_weights(clean), dtype=network.dtype)
                 network.weights = corrupted.copy()
-                network.run_sample(train, stdp=stdp, normalize=False)
+                reference_run_sample(network, train, stdp=stdp, normalize=False)
                 delta = network.weights - corrupted
                 network.weights = np.clip(clean + delta, 0.0, network.w_max)
                 if network.parameters.weight_norm > 0:
@@ -113,4 +153,4 @@ def reference_sequential_train(
                         network.weights, network.parameters.weight_norm
                     )
             else:
-                network.run_sample(train, stdp=stdp)
+                reference_run_sample(network, train, stdp=stdp)

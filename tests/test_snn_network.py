@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from snn_oracle import reference_run_sample
 
+import repro.snn.network as network_module
 from repro.snn.network import (
     DiehlCookNetwork,
     NetworkParameters,
     PAPER_NETWORK_SIZES,
     make_stdp,
 )
+from repro.snn.neurons import LIFParameters
+from repro.snn.stdp import STDPParameters
 
 
 @pytest.fixture
@@ -204,3 +208,142 @@ class TestBatchedNetwork:
         assert rng.bit_generator.state == state_before
         assert not net.weights.any()
         assert not net.neurons.theta.any()
+
+
+# ----------------------------------------------------------------------
+# The lean B=1 loop of run_sample against the historical loop it replaced.
+
+ORACLE_PARAMS = NetworkParameters(n_input=64, n_neurons=24)
+#: Successive train densities: state (weights, theta) carries over.
+ORACLE_DENSITIES = (0.0, 0.15, 0.3, 0.4, 1.0)
+
+
+def _state_bytes(net, stdp, counts):
+    """Every array a presentation leaves behind, as (dtype, shape, bytes).
+
+    Bytes rather than ``array_equal``: mu=0.5 on weights above ``w_max``
+    makes NaNs, which ``array_equal`` calls unequal.
+    """
+    arrays = {
+        "counts": counts,
+        "weights": net.weights,
+        "theta": net.neurons.theta,
+        "v": net.neurons.v,
+        "refractory": net.neurons.refractory_left,
+        "g_e": net.g_excitatory.g,
+        "g_i": net.g_inhibitory.g,
+        "last_spikes": net._last_spikes,
+    }
+    if stdp is not None:
+        arrays["x_pre"] = stdp.x_pre
+    return {k: (a.dtype.str, a.shape, a.tobytes()) for k, a in arrays.items()}
+
+
+def _presentations(run, dtype, rule, adapt, scale, seed=3):
+    """Five successive presentations through ``run``; their states.
+
+    Scaled weights skip the post-sample normalisation, so they stay
+    above ``w_max`` from sample to sample (and mu=0.5 makes NaNs).
+    """
+    net = DiehlCookNetwork(ORACLE_PARAMS, rng=np.random.default_rng(seed), dtype=dtype)
+    net.weights = (net.weights * scale).astype(dtype)
+    normalize = None if scale == 1.0 else False
+    stdp = None
+    if rule is not None:
+        mu, lr = rule
+        stdp = make_stdp(net, STDPParameters(mu=mu, learning_rate=lr))
+    train_rng = np.random.default_rng(seed + 1)
+    states, spikes = [], 0
+    for density in ORACLE_DENSITIES:
+        train = train_rng.random((40, ORACLE_PARAMS.n_input)) < density
+        counts = run(net, train, stdp=stdp, adapt=adapt, normalize=normalize)
+        spikes += int(counts.sum())
+        states.append(_state_bytes(net, stdp, counts))
+    return states, spikes
+
+
+class TestLeanLoopMatchesOracle:
+    """run_sample == reference_run_sample, byte for byte, on every path."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the NaNs
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    @pytest.mark.parametrize("scipy_on", [True, False], ids=["scipy", "numpy"])
+    @pytest.mark.parametrize("adapt", [None, False, True])
+    @pytest.mark.parametrize(
+        "rule", [None, (1.0, 0.1), (0.5, 0.05)], ids=["frozen", "mu1", "mu0.5"]
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_grid(self, dtype, rule, adapt, scipy_on, scale, monkeypatch):
+        if not scipy_on:
+            monkeypatch.setattr(network_module, "_sparse", None)
+        lean, lean_spikes = _presentations(
+            DiehlCookNetwork.run_sample, dtype, rule, adapt, scale
+        )
+        ref, ref_spikes = _presentations(
+            reference_run_sample, dtype, rule, adapt, scale
+        )
+        assert ref_spikes > 0  # the comparison is not vacuous
+        for i, (got, want) in enumerate(zip(lean, ref)):
+            for key in want:
+                assert got[key] == want[key], (i, key)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_non_finite_drive_spares_refractory_neurons(self, dtype):
+        """An overflowing drive makes dv infinite on every step.
+
+        Refractory neurons must keep their potential (a masked write,
+        not ``v += dv * active``, where ``inf * 0`` is NaN), so every
+        neuron fires again once its refractory period ends.
+        """
+        huge = np.finfo(dtype).max / 10
+        train = np.ones((12, ORACLE_PARAMS.n_input), dtype=bool)
+
+        def present(run):
+            net = DiehlCookNetwork(ORACLE_PARAMS, init_weights=False, dtype=dtype)
+            net.set_weights(np.full((64, 24), huge))
+            counts = run(net, train)
+            return counts, _state_bytes(net, None, counts)
+
+        ref_counts, want = present(reference_run_sample)
+        _, got = present(DiehlCookNetwork.run_sample)
+        assert (ref_counts == 2).all()  # fired, sat out 5 steps, fired again
+        for key in want:
+            assert got[key] == want[key], key
+
+    def test_fallback_refresh_reduces_full_rows(self, monkeypatch):
+        """One column updates while >= 8 inputs spike per step.
+
+        numpy sums a one-column (k, 1) slice pairwise once k >= 8, so a
+        drive refresh that reduced only the updated column would drift
+        from the full-row reduce on weights spanning 1e-3 to 1.  Every
+        prefix of the train is presented, so some presentation ends on
+        each refreshed drive row, where ``g_e`` still shows it.
+        """
+        monkeypatch.setattr(network_module, "_sparse", None)
+        params = NetworkParameters(
+            n_input=32,
+            n_neurons=3,
+            theta_init_max=0.0,
+            lif=LIFParameters(theta_plus=100.0),  # one spike, one update
+        )
+        rng = np.random.default_rng(0)
+        weights = rng.permutation(np.geomspace(1e-3, 1.0, 96)).reshape(32, 3)
+        weights *= np.array([1.0, 0.05, 0.05])
+        train = np.zeros((30, 32), dtype=bool)
+        chosen = np.argsort(rng.random(train.shape), axis=1)[:, :12]
+        np.put_along_axis(train, chosen, True, axis=1)  # 12 inputs per step
+
+        def present(run, n_steps):
+            net = DiehlCookNetwork(params, init_weights=False)
+            net.set_weights(weights)
+            stdp = make_stdp(net)
+            counts = run(net, train[:n_steps], stdp=stdp, normalize=False)
+            return net, _state_bytes(net, stdp, counts)
+
+        for n_steps in range(1, train.shape[0] + 1):
+            ref_net, want = present(reference_run_sample, n_steps)
+            _, got = present(DiehlCookNetwork.run_sample, n_steps)
+            assert got == want, n_steps
+        changed = np.flatnonzero((ref_net.weights != weights).any(axis=0))
+        assert changed.tolist() == [0]  # exactly one column updated
