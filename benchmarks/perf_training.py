@@ -12,7 +12,8 @@ cache are warm) and reports its best epoch.  Two bitwise gates guard
 the numbers: ``batch_size=1`` must reproduce the historical sequential
 loop (``reference_run_sample``) and raise some threshold, so it spiked,
 and the fused kernel must reproduce the minibatch-reference loop —
-weight for weight, threshold for threshold.  Results go to
+weight for weight, threshold for threshold, down to the final
+membrane potentials and excitatory conductances.  Results go to
 ``BENCH_training.json`` — the training half of the repo's performance
 trajectory artifacts (see ``BENCH_engine.json`` for evaluation).
 
@@ -151,9 +152,16 @@ def _trained_network(scenario, batch_size):
 
 
 def _same_state(a, b) -> bool:
+    """Weights, thresholds and the last presentation's ``v`` and ``g_e``.
+
+    The final potentials and conductances show a drive refresh that a
+    short run's weights and thresholds can miss.
+    """
     return bool(
         np.array_equal(a.weights, b.weights)
         and np.array_equal(a.neurons.theta, b.neurons.theta)
+        and np.array_equal(a.neurons.v, b.neurons.v)
+        and np.array_equal(a.g_excitatory.g, b.g_excitatory.g)
     )
 
 

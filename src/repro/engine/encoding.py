@@ -90,3 +90,29 @@ def encode_spike_trains(
         rng.random(out=draw)
         np.less(draw, rate, out=train)
     return trains
+
+
+def skip_spike_trains(
+    rng: np.random.Generator, n_images: int, n_steps: int, n_input: int
+) -> None:
+    """Advance ``rng`` exactly as encoding ``n_images`` images would.
+
+    The default encoder draws one 64-bit word per (image, step, pixel).
+    PCG64 and PCG64DXSM jump over them with ``advance``, which also
+    drops the buffered 32-bit half ``rng.permutation`` may leave; float
+    draws never touch it, so it is put back.  Other bit generators draw
+    and discard.
+    """
+    bit_generator = rng.bit_generator
+    if isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        state = bit_generator.state
+        bit_generator.advance(n_images * n_steps * n_input)
+        bit_generator.state = {
+            **bit_generator.state,
+            "has_uint32": state["has_uint32"],
+            "uinteger": state["uinteger"],
+        }
+        return
+    draw = np.empty((n_steps, n_input))
+    for _ in range(n_images):
+        rng.random(out=draw)

@@ -27,15 +27,18 @@ per-step index-sum — CSR row accumulation and numpy's axis-0 row
 reduction both add the active weight rows left-to-right.  Chunk rows
 are step-major, so they reshape to the time-major drive slab without a
 copy.  Every state update is elementwise, so batched spike counts equal
-a per-sample, per-timestep loop exactly.
+a per-sample, per-timestep loop exactly.  Its time loop
+(:meth:`DiehlCookNetwork._run_batch_frozen`) updates only the lanes
+that spiked last step for inhibition, only the refractory elements for
+refractory bookkeeping and only the spike indices for reset and count.
 
 :meth:`DiehlCookNetwork.run_sample` is the ``batch_size=1`` loop of
 training and inference.  It reads a per-sample drive slab, rewritten
 column-wise after each in-place STDP update, and skips the work whose
 result cannot change on a step (most steps are silent); it stays bit
-for bit the historical ``step`` + ``STDPRule.step`` loop, which
-``tests/snn_oracle.py`` keeps as the test oracle with the other
-reference loops.
+for bit the historical ``step`` + ``STDPRule.step`` loop.
+``tests/snn_oracle.py`` keeps that loop and the dense inference loop as
+test oracles, with the other reference loops.
 """
 
 from __future__ import annotations
@@ -775,43 +778,71 @@ class DiehlCookNetwork:
         return counts
 
     def _run_batch_frozen(self, drives: np.ndarray, n_steps: int) -> np.ndarray:
-        """The inference time loop, allocation-free.
+        """The inference time loop, from the rest state ``run_batch`` resets.
 
-        Performs exactly the ufunc sequence of
-        :meth:`_step_from_drive` + :meth:`AdaptiveLIFLayer.step` (with
-        frozen thresholds), element for element — same operations, same
-        operand order, written into preallocated scratch buffers.  Cuts
-        the per-step cost several-fold by eliminating the temporary
-        arrays the expression forms would allocate; bit-identity with
-        the per-sample ``run_sample`` loop is covered by the oracle
-        tests of ``tests/test_engine.py``.
+        The ufuncs, operand order and dtypes of :meth:`_step_from_drive`
+        + :meth:`AdaptiveLIFLayer.step` with frozen thresholds (the dense
+        loop ``reference_run_batch_frozen`` of ``tests/snn_oracle.py``)
+        minus work whose result cannot change.  Inhibition is added only
+        to the lanes (rows of ``n_neurons``) that spiked last step: the
+        others would add ``+0.0``, and ``g_i`` is never ``-0.0``.  Only
+        refractory elements count down and have their spikes cleared;
+        their ``v`` is saved before the unmasked ``v += dv`` and put
+        back, so a non-finite ``dv`` (e.g. float32 overflow from
+        unclipped corrupted weights) never reaches them.  Reset,
+        refractory set and count touch only the spike indices.  Nothing
+        is allocated per step: gathers write into buffers made before the
+        loop (``mode="clip"``: the default mode copies ``out``), and
+        scatters are index assignments.
         """
-        p = self.parameters
-        lif = p.lif
+        p, lif = self.parameters, self.parameters.lif
         shape = self.batch_shape + (p.n_neurons,)
+        size = int(np.prod(shape))
+        n_lanes = size // p.n_neurons
         k = p.dt_ms / lif.tau_membrane_ms
+        strength = p.inhibition_strength
+        enters_refractory = self.dtype.type(lif.refractory_ms) > 0
         g_e, g_i = self.g_excitatory, self.g_inhibitory
         v, refr = self.neurons.v, self.neurons.refractory_left
+        v_flat, refr_flat = v.reshape(-1), refr.reshape(-1)
+        g_i_rows = g_i.g.reshape(n_lanes, -1)
         # Frozen thresholds: v_threshold + theta is step-invariant.
         thr = lif.v_threshold + self.neurons.theta
-        s1 = np.empty(shape, dtype=self.dtype)
-        s2 = np.empty(shape, dtype=self.dtype)
-        active = np.empty(shape, dtype=bool)
-        spikes = np.empty(shape, dtype=bool)
-        last = self._last_spikes
-        counts = np.zeros(shape, dtype=np.int64)
-        row_count = np.empty(shape[:-1] + (1,), dtype=np.int64)
-        row_inh = np.empty(shape[:-1] + (1,), dtype=np.float64)
+        s1, s2 = np.empty(shape, dtype=self.dtype), np.empty(shape, dtype=self.dtype)
+        # Rows of s1 and s2 also hold the spiking lanes' inhibition and g_i.
+        inh, g_rows = s1.reshape(n_lanes, -1), s2.reshape(n_lanes, -1)
+        spikes, last = np.empty(shape, dtype=bool), self._last_spikes
+        counts = np.zeros(size, dtype=np.int64)
+        flat_index, lane_ids = np.arange(size), np.arange(n_lanes)
+        lane_any = np.empty(n_lanes, dtype=bool)
+        lanes = np.empty(n_lanes, dtype=np.intp)
+        last_rows = np.empty((n_lanes, p.n_neurons), dtype=bool)
+        row_count = np.empty((n_lanes, 1), dtype=np.int64)
+        row_inh = np.empty((n_lanes, 1), dtype=np.float64)
+        # Last step's spike indices, and the refractory ones double-buffered.
+        spk, scratch = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+        refractory, spare = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+        held_values, keep = np.empty(size, dtype=self.dtype), np.empty(size, dtype=bool)
+        n_last = n_refr = 0
         for t in range(n_steps):
             g_e.g *= g_e._decay
             g_e.g += drives[t]
-            np.sum(last, axis=-1, keepdims=True, out=row_count)
-            np.multiply(row_count, p.inhibition_strength, out=row_inh)
-            np.multiply(last, p.inhibition_strength, out=s1)
-            np.subtract(row_inh, s1, out=s1)
             g_i.g *= g_i._decay
-            g_i.g += s1
-            np.less_equal(refr, 0.0, out=active)
+            if n_last:
+                np.floor_divide(spk[:n_last], p.n_neurons, out=scratch[:n_last])
+                lane_any.fill(False)
+                lane_any[scratch[:n_last]] = True
+                m = np.count_nonzero(lane_any)
+                rows = np.compress(lane_any, lane_ids, out=lanes[:m])
+                last_2d = last.reshape(n_lanes, -1)
+                np.take(last_2d, rows, axis=0, out=last_rows[:m], mode="clip")
+                np.sum(last_rows[:m], axis=-1, keepdims=True, out=row_count[:m])
+                np.multiply(row_count[:m], strength, out=row_inh[:m])
+                np.multiply(last_rows[:m], strength, out=inh[:m])
+                np.subtract(row_inh[:m], inh[:m], out=inh[:m])
+                np.take(g_i_rows, rows, axis=0, out=g_rows[:m], mode="clip")
+                np.add(g_rows[:m], inh[:m], out=g_rows[:m])
+                g_i_rows[rows] = g_rows[:m]
             np.subtract(lif.v_rest, v, out=s1)
             np.subtract(lif.e_excitatory, v, out=s2)
             s2 *= g_e.g
@@ -820,22 +851,37 @@ class DiehlCookNetwork:
             s2 *= g_i.g
             s1 += s2
             s1 *= k
-            # Masked write, not `v += dv * active`: a non-finite dv (e.g.
-            # float32 overflow from unclipped corrupted weights) must
-            # leave refractory neurons untouched exactly as the scalar
-            # np.where does — inf * False would poison them with NaN.
-            s1 += v
-            np.copyto(v, s1, where=active)
-            np.greater_equal(v, thr, out=spikes)
-            spikes &= active
-            v[spikes] = lif.v_reset
-            refr -= p.dt_ms
-            np.maximum(refr, 0.0, out=refr)
-            refr[spikes] = lif.refractory_ms
-            counts += spikes
+            if n_refr:
+                held, values = refractory[:n_refr], held_values[:n_refr]
+                np.take(v_flat, held, out=values, mode="clip")
+                np.add(s1, v, out=v)
+                v_flat[held] = values
+                np.greater_equal(v, thr, out=spikes)
+                spikes.reshape(-1)[held] = False
+                np.take(refr_flat, held, out=values, mode="clip")
+                np.subtract(values, p.dt_ms, out=values)
+                np.maximum(values, 0.0, out=values)
+                refr_flat[held] = values
+                kept = np.count_nonzero(np.greater(values, 0.0, out=keep[:n_refr]))
+                np.compress(keep[:n_refr], held, out=spare[:kept])
+                refractory, spare, n_refr = spare, refractory, kept
+            else:
+                np.add(s1, v, out=v)
+                np.greater_equal(v, thr, out=spikes)
+            n_last = np.count_nonzero(spikes)
+            if n_last:
+                fired, hits = spk[:n_last], scratch[:n_last]
+                np.compress(spikes.reshape(-1), flat_index, out=fired)
+                v_flat[fired] = lif.v_reset
+                refr_flat[fired] = lif.refractory_ms
+                np.add(np.take(counts, fired, out=hits, mode="clip"), 1, out=hits)
+                counts[fired] = hits
+                if enters_refractory:
+                    refractory[n_refr : n_refr + n_last] = fired
+                    n_refr += n_last
             last, spikes = spikes, last
         self._last_spikes = last.copy()
-        return counts
+        return counts.reshape(shape)
 
 
 def make_stdp(

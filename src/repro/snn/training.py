@@ -199,45 +199,55 @@ def train_unsupervised(
     ``docs/training.md``) while consuming the same random stream.
     ``encoding_cache`` records/replays the encoded sample stream across
     repeated calls (see :class:`repro.engine.trainer.StageEncodingCache`).
+    The model is then labelled and scored on the training images.
     """
-    from repro.engine.trainer import BatchedTrainer
-
     rng = ensure_rng(rng)
     images = np.asarray(images)
     labels = np.asarray(labels)
     if len(images) != len(labels):
         raise ValueError("images and labels must align")
 
-    trainer = BatchedTrainer(
-        network,
+    model = _fit(
+        network, images, n_steps, epochs, rng, encoder, encoding_cache,
         stdp_parameters=stdp_parameters,
         batch_size=batch_size,
-        encoder=None if encoder is _default_encoder else encoder,
         corrupt_weights=corrupt_weights,
     )
-    trainer.train(
-        images,
-        n_steps=n_steps,
-        epochs=epochs,
-        rng=rng,
-        encoding_cache=encoding_cache,
-    )
-
     counts = run_spike_counts(network, images, n_steps, rng, encoder)
-    assignments = assign_labels(counts, labels, n_classes)
-    accuracy = evaluate_accuracy(
-        network, images, labels, assignments, n_steps, rng, encoder, n_classes
+    model.assignments = assign_labels(counts, labels, n_classes)
+    model.accuracy = evaluate_accuracy(
+        network, images, labels, model.assignments, n_steps, rng, encoder, n_classes
+    )
+    return model
+
+
+def _fit(
+    network, images, n_steps, epochs, rng, encoder=_default_encoder,
+    encoding_cache=None, **trainer,
+) -> TrainedModel:
+    """The training of :func:`train_unsupervised`: no labels, no score.
+
+    Every neuron's assignment is ``-1`` and the accuracy ``0.0`` until
+    the caller labels and scores the model; ``trainer`` goes to
+    :class:`~repro.engine.trainer.BatchedTrainer`.
+    """
+    from repro.engine.trainer import BatchedTrainer
+
+    fitter = BatchedTrainer(
+        network, encoder=None if encoder is _default_encoder else encoder, **trainer
+    )
+    fitter.train(
+        images, n_steps=n_steps, epochs=epochs, rng=rng, encoding_cache=encoding_cache
     )
     return TrainedModel(
         weights=network.weights.copy(),
         theta=network.neurons.theta.copy(),
-        assignments=assignments,
+        assignments=np.full(network.n_neurons, -1, dtype=np.int64),
         n_input=network.n_input,
         n_neurons=network.n_neurons,
-        accuracy=accuracy,
         metadata={
             "epochs": epochs,
             "n_steps": n_steps,
-            "train_batch_size": int(batch_size),
+            "train_batch_size": fitter.batch_size,
         },
     )

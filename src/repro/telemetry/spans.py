@@ -24,6 +24,7 @@ exporter separates timelines by ``pid``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
@@ -47,10 +48,22 @@ __all__ = [
 ]
 
 
-def new_id() -> str:
-    """A fresh 16-hex-char trace/span id (uuid4-backed, not seeded RNG)."""
+def _start_process() -> None:  # and again in a forked child
+    global _id_prefix, _id_counter, _pid
+    _id_prefix, _id_counter, _pid = uuid.uuid4().hex[:8], itertools.count(), os.getpid()
 
-    return uuid.uuid4().hex[:16]
+
+_start_process()
+os.register_at_fork(after_in_child=_start_process)
+#: One encoder for all records; ``json.dumps`` with options makes one per call.
+_encode = json.JSONEncoder(sort_keys=True, default=str).encode
+
+
+def new_id() -> str:
+    """A fresh 16-hex-char trace/span id: a random per-process prefix
+    (uuid4-backed, not seeded RNG) and a counter, with no system call."""
+
+    return f"{_id_prefix}{next(_id_counter):08x}"
 
 
 class TraceWriter:
@@ -67,7 +80,7 @@ class TraceWriter:
         self._handle = open(self.path, "a", encoding="utf-8")
 
     def write(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True, default=str)
+        line = _encode(record)
         with self._lock:
             self._handle.write(line + "\n")
             self._handle.flush()
@@ -185,7 +198,7 @@ class Span:
                 "trace": self.trace_id,
                 "span": self.span_id,
                 "parent": self.parent_id,
-                "pid": os.getpid(),
+                "pid": _pid,
                 "tid": threading.get_ident(),
                 "ts": self._wall0,
                 "dur_s": self.duration_s,

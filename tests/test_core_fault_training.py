@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from snn_oracle import reference_improve_error_tolerance, reference_train_baseline
 
 from repro.core.fault_aware_training import (
     default_ber_schedule,
@@ -9,6 +10,7 @@ from repro.core.fault_aware_training import (
     train_baseline,
 )
 from repro.errors.injection import ErrorInjector
+from repro.errors.models import ErrorModel0, ErrorModelEden
 from repro.snn.network import NetworkParameters
 from repro.snn.quantization import Float32Representation
 
@@ -135,3 +137,70 @@ class TestImproveErrorTolerance:
             improve_error_tolerance(baseline, dataset, injector, rates=())
         with pytest.raises(ValueError):
             improve_error_tolerance(baseline, dataset, injector, rates=(2.0,))
+
+
+def _model_bytes(model):
+    return (
+        model.weights.dtype,
+        model.weights.tobytes(),
+        model.theta.tobytes(),
+        model.assignments.dtype,
+        model.assignments.tobytes(),
+        model.accuracy,
+        model.metadata,
+    )
+
+
+class TestSkippedScoringMatchesOracle:
+    """The pipeline trainers skip train_unsupervised's discarded scoring.
+
+    They advance the generator past exactly its draws, so models, stage
+    accuracies and the final generator state equal the oracle's, which
+    still scores and discards.
+    """
+
+    @pytest.mark.parametrize(
+        "batch_size, stage_encoding, error_model",
+        [
+            (1, "fresh", ErrorModel0),
+            (1, "fresh", ErrorModelEden),
+            (4, "fresh", ErrorModel0),
+            (4, "shared", ErrorModel0),
+        ],
+        ids=["B1-model0", "B1-eden", "B4-fresh", "B4-shared"],
+    )
+    def test_matches_scoring_trainers(self, batch_size, stage_encoding, error_model):
+        from repro.datasets import load_dataset
+
+        dataset = load_dataset("mnist", 30, 20, seed=7)
+
+        def pipeline(baseline_fn, improve_fn):
+            rng = np.random.default_rng(5)
+            baseline = baseline_fn(
+                dataset, n_neurons=20, n_steps=30, rng=rng, batch_size=batch_size
+            )
+            injector = ErrorInjector(
+                Float32Representation(clip_range=(0, 1)), model=error_model(), seed=3
+            )
+            result = improve_fn(
+                baseline,
+                dataset,
+                injector,
+                rates=(1e-4, 1e-2),
+                n_steps=30,
+                rng=rng,
+                batch_size=batch_size,
+                stage_encoding=stage_encoding,
+            )
+            return baseline, result, rng.bit_generator.state
+
+        base, result, state = pipeline(train_baseline, improve_error_tolerance)
+        ref_base, ref_result, ref_state = pipeline(
+            reference_train_baseline, reference_improve_error_tolerance
+        )
+        assert _model_bytes(base) == _model_bytes(ref_base)
+        assert _model_bytes(result.model) == _model_bytes(ref_result.model)
+        assert result.accuracy_per_rate == ref_result.accuracy_per_rate
+        assert result.selected_rate == ref_result.selected_rate
+        assert state == ref_state
+        assert (base.assignments >= 0).any()  # labelled, not vacuous

@@ -12,6 +12,7 @@ import pytest
 from snn_oracle import sequential_spike_counts
 
 from repro.engine import BatchedEvaluator, ChunkPolicy, encode_spike_trains
+from repro.engine.encoding import skip_spike_trains
 from repro.errors.injection import ErrorInjector
 from repro.snn.encoding import poisson_rate_code
 from repro.snn.network import DiehlCookNetwork, NetworkParameters, sample_drive
@@ -177,6 +178,43 @@ class TestEncoding:
             np.empty((0, 12)), 5, np.random.default_rng(0)
         )
         assert out.shape == (0, 5, 12)
+
+
+def _same_state(a, b):
+    """Bit-generator state dicts equal, array-valued entries included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return bool(np.array_equal(a, b))
+
+
+class TestSkipSpikeTrains:
+    """skip_spike_trains leaves a generator where encoding would."""
+
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.MT19937],
+    )
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_matches_encoding(self, bit_generator, seed):
+        images = np.random.default_rng(0).random((3, 20))
+        encoded = np.random.Generator(bit_generator(seed))
+        skipped = np.random.Generator(bit_generator(seed))
+        for rng in (encoded, skipped):
+            rng.permutation(37)  # bounded integers may buffer a 32-bit half
+        encode_spike_trains(images, 7, encoded)
+        skip_spike_trains(skipped, 3, 7, 20)
+        assert _same_state(encoded.bit_generator.state, skipped.bit_generator.state)
+        assert np.array_equal(encoded.permutation(300), skipped.permutation(300))
+        assert np.array_equal(encoded.random(5), skipped.random(5))
+
+    def test_keeps_the_buffered_half_a_plain_advance_drops(self):
+        encoded, advanced = np.random.default_rng(2), np.random.default_rng(2)
+        for rng in (encoded, advanced):
+            rng.permutation(37)
+        assert encoded.bit_generator.state["has_uint32"] == 1
+        encode_spike_trains(np.full((2, 5), 0.5), 3, encoded)
+        advanced.bit_generator.advance(2 * 3 * 5)
+        assert not np.array_equal(encoded.permutation(300), advanced.permutation(300))
 
 
 class TestChunkPolicy:

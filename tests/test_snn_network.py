@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from snn_oracle import reference_run_sample
+from snn_oracle import reference_run_batch_frozen, reference_run_sample
 
 import repro.snn.network as network_module
 from repro.snn.network import (
@@ -347,3 +347,98 @@ class TestLeanLoopMatchesOracle:
             assert got == want, n_steps
         changed = np.flatnonzero((ref_net.weights != weights).any(axis=0))
         assert changed.tolist() == [0]  # exactly one column updated
+
+
+def _frozen_state(net, counts):
+    """dtype and bytes of the counts and of every state array."""
+    arrays = {
+        "counts": counts,
+        "v": net.neurons.v,
+        "refractory_left": net.neurons.refractory_left,
+        "g_e": net.g_excitatory.g,
+        "g_i": net.g_inhibitory.g,
+        "last_spikes": net._last_spikes,
+    }
+    return {key: (a.dtype, a.shape, a.tobytes()) for key, a in arrays.items()}
+
+
+FROZEN_SCALES = (1.0, 30.0, 1e3, 1e30, 3e37)  # 3e37 overflows at float32
+
+
+class TestSparseFrozenLoopMatchesOracle:
+    """run_batch's sparse loop == the dense reference loop, byte for byte."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow
+    @pytest.mark.parametrize("scipy_on", [True, False], ids=["scipy", "numpy"])
+    @pytest.mark.parametrize(
+        "batch", [((5,), False), ((3, 4), True), ((3, 4), False)],
+        ids=["B", "E-stack", "E-shared"],
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_grid(self, dtype, batch, scipy_on, monkeypatch):
+        if not scipy_on:
+            monkeypatch.setattr(network_module, "_sparse", None)
+        shape, stacked = batch
+
+        def run(refractory_ms, scale, density):
+            rng = np.random.default_rng(3)
+            params = NetworkParameters(
+                n_input=30,
+                n_neurons=12,
+                lif=LIFParameters(refractory_ms=refractory_ms),
+            )
+            net = DiehlCookNetwork(params, rng=rng, batch_shape=shape, dtype=dtype)
+            stack = shape[:1] if stacked else ()
+            net.set_weights(rng.random(stack + (30, 12)) * scale)
+            trains = rng.random((shape[-1], 25, 30)) < density
+            return net, _frozen_state(net, net.run_batch(trains))
+
+        overflowed = spikes = 0
+        for refractory_ms in (5.0, 2.5, 0.0):
+            for scale in FROZEN_SCALES:
+                for density in (0.0, 0.05, 0.3):
+                    config = (refractory_ms, scale, density)
+                    net, got = run(*config)
+                    overflowed += int(np.isinf(net.g_excitatory.g).any())
+                    with monkeypatch.context() as patch:
+                        patch.setattr(
+                            DiehlCookNetwork,
+                            "_run_batch_frozen",
+                            reference_run_batch_frozen,
+                        )
+                        net, want = run(*config)
+                    spikes += int(np.frombuffer(want["counts"][2], np.int64).sum())
+                    for key in want:
+                        assert got[key] == want[key], (config, key)
+        assert spikes > 0  # the comparison is not vacuous
+        assert (overflowed > 0) == (dtype == np.float32)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the inf drive
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_refractory_across_the_last_step(self, dtype):
+        """A neuron spikes at step 5 of 8 and is still refractory at the end.
+
+        The last step drives its lane with ``inf``, so only the saved-``v``
+        restore keeps its potential, and it resets to the threshold
+        itself, so only clearing its spikes keeps it silent.
+        """
+        threshold = LIFParameters().v_threshold
+        params = NetworkParameters(
+            n_input=4, n_neurons=4, lif=LIFParameters(v_reset=threshold)
+        )
+        drives = np.zeros((8, 2, 4), dtype=dtype)
+        drives[5, 0, 0] = 1e3
+        drives[7, 0] = np.inf
+
+        def present(loop):
+            net = DiehlCookNetwork(
+                params, init_weights=False, batch_shape=(2,), dtype=dtype
+            )
+            return net, _frozen_state(net, loop(net, drives, 8))
+
+        ref, want = present(reference_run_batch_frozen)
+        _, got = present(DiehlCookNetwork._run_batch_frozen)
+        assert ref.neurons.refractory_left[0, 0] > 0  # across the last step
+        assert np.isinf(ref.g_excitatory.g[0]).all()
+        for key in want:
+            assert got[key] == want[key], key
