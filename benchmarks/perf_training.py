@@ -13,7 +13,11 @@ the numbers: ``batch_size=1`` must reproduce the historical sequential
 loop (``reference_run_sample``) and raise some threshold, so it spiked,
 and the fused kernel must reproduce the minibatch-reference loop —
 weight for weight, threshold for threshold, down to the final
-membrane potentials and excitatory conductances.  Results go to
+membrane potentials and excitatory conductances.  An injection section
+times one fault-aware DRAM read (``ErrorInjector.inject_uniform``) for
+Model-0 and EDEN against the historical per-bit path of
+``tests/errors_oracle.py``, and gates on reproducing it byte for byte —
+corrupted weights and random-stream end state.  Results go to
 ``BENCH_training.json`` — the training half of the repo's performance
 trajectory artifacts (see ``BENCH_engine.json`` for evaluation).
 
@@ -42,11 +46,13 @@ import numpy as np
 
 from repro.engine.trainer import BatchedTrainer
 from repro.errors.injection import ErrorInjector
+from repro.errors.models import make_error_model
 from repro.snn.network import DiehlCookNetwork, NetworkParameters
 from repro.snn.quantization import Float32Representation
 
 # The reference loops live with the tests they serve as oracles for.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from errors_oracle import OracleInjector  # noqa: E402
 from snn_oracle import (  # noqa: E402
     reference_run_batch_stdp,
     reference_sequential_train,
@@ -72,6 +78,13 @@ QUICK_SCENARIOS = (
     {"n_neurons": 100, "n_train": 12, "n_steps": 30, "dtype": "float32",
      "batch_size": 6},
 )
+
+
+#: Injection section: (network size, error model) per-read timings at
+#: one BER of the fault-aware schedule.
+FULL_INJECTION = tuple((n, m) for n in (100, 400) for m in ("model0", "eden"))
+QUICK_INJECTION = ((100, "model0"), (100, "eden"))
+INJECTION_BER = 1e-4
 
 
 def _images(scenario: dict, n_input: int = 784) -> np.ndarray:
@@ -174,6 +187,37 @@ def _spiked(network, scenario) -> bool:
     return bool((network.neurons.theta > _network(scenario).neurons.theta).any())
 
 
+def _injection_row(n_neurons: int, model: str, reads: int) -> dict:
+    """Per-read seconds of the injector and of its oracle on the same
+    weights, and whether the two agree byte for byte."""
+    weights = _network({"n_neurons": n_neurons, "dtype": "float64"}).weights
+    row = {"n_neurons": n_neurons, "error_model": model, "ber": INJECTION_BER}
+    outputs = {}
+    for key, cls in (("", ErrorInjector), ("oracle_", OracleInjector)):
+        injector = cls(
+            Float32Representation(clip_range=(0.0, 1.0)),
+            model=make_error_model(model),
+        )
+        rng = np.random.default_rng(11)
+        injector.inject_uniform(weights, INJECTION_BER, rng=rng)  # warm-up
+        started = time.perf_counter()
+        corrupted = [
+            injector.inject_uniform(weights, INJECTION_BER, rng=rng)[0].tobytes()
+            for _ in range(reads)
+        ]
+        row[f"{key}ms_per_read"] = (time.perf_counter() - started) / reads * 1e3
+        outputs[key] = (corrupted, rng.bit_generator.state)
+    row["speedup"] = row["oracle_ms_per_read"] / row["ms_per_read"]
+    row["matches_oracle"] = outputs[""] == outputs["oracle_"]
+    print(
+        f"inject N{n_neurons:<4} {model:<7} BER {INJECTION_BER:g} | "
+        f"{row['ms_per_read']:7.2f} ms/read | oracle "
+        f"{row['oracle_ms_per_read']:7.2f} ms/read ({row['speedup']:5.1f}x) | "
+        f"identical={row['matches_oracle']}"
+    )
+    return row
+
+
 def run_benchmark(quick: bool, repeats: int) -> dict:
     scenarios = QUICK_SCENARIOS if quick else FULL_SCENARIOS
     results = []
@@ -225,8 +269,13 @@ def run_benchmark(quick: bool, repeats: int) -> dict:
             f"seq-identical={row['sequential_matches_reference']} "
             f"fused-identical={row['fused_matches_batched']}"
         )
+    injection = [
+        _injection_row(n_neurons, model, reads=2 if quick else 5 * repeats)
+        for n_neurons, model in (QUICK_INJECTION if quick else FULL_INJECTION)
+    ]
     return {
         "benchmark": "repro.engine.trainer sequential-vs-minibatch throughput",
+        "injection": injection,
         "quick": quick,
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -260,6 +309,10 @@ def main(argv=None) -> int:
     if not all(r["fused_matches_batched"] for r in payload["scenarios"]):
         print("ERROR: fused kernel diverged from the minibatch reference",
               file=sys.stderr)
+        failed = True
+    if not all(r["matches_oracle"] for r in payload["injection"]):
+        print("ERROR: error injection diverged from the per-bit oracle "
+              "(tests/errors_oracle.py)", file=sys.stderr)
         failed = True
     return 1 if failed else 0
 

@@ -254,9 +254,9 @@ class BatchedTrainer:
         STDP (the network computes with the corrupted read under the
         fault-aware hook), credit deltas back to the stored clean
         tensor, clip, normalize.  Under the hook the network trains a
-        private copy of the read; that copy becomes the delta and then,
-        in place, the new clean tensor, so neither the read nor the old
-        clean tensor is written.
+        private copy of the read; the write-back credits only the columns
+        STDP changed and turns that copy, in place, into the new clean
+        tensor, so neither the read nor the old clean tensor is written.
         """
         net = self.network
         if self.encoder is not None:
@@ -269,11 +269,12 @@ class BatchedTrainer:
             # credited back to the stored clean tensor (what the
             # training write-back updates).
             clean = net.weights
-            corrupted = np.asarray(self.corrupt_weights(clean), dtype=net.dtype)
-            net.weights = corrupted.copy()
-            net.run_sample(train, stdp=self.stdp, normalize=False)
-            delta = np.subtract(net.weights, corrupted, out=net.weights)
-            apply_post_sample_update(net, delta=delta, base=clean)
+            read = self.corrupt_weights(clean)
+            net.weights = np.array(read, dtype=net.dtype, order="C")
+            counts = net.run_sample(train, stdp=self.stdp, normalize=False)
+            apply_post_sample_update(
+                net, base=clean, read=read, columns=np.flatnonzero(counts)
+            )
         else:
             net.run_sample(train, stdp=self.stdp, normalize=False)
             apply_post_sample_update(net)

@@ -42,8 +42,9 @@ def _flip(
     word_indices: np.ndarray,
     bit_positions: np.ndarray,
     word_bits: int,
+    out=None,
 ) -> np.ndarray:
-    """XOR single bits into a flat word array (out-of-place)."""
+    """XOR single bits into a flat word array (a copy unless ``out``)."""
     word_indices = np.asarray(word_indices, dtype=np.int64)
     bit_positions = np.asarray(bit_positions, dtype=np.int64)
     if word_indices.shape != bit_positions.shape:
@@ -56,7 +57,8 @@ def _flip(
         bit_positions.min() < 0 or bit_positions.max() >= word_bits
     ):
         raise IndexError(f"bit position out of range [0, {word_bits})")
-    out = words.copy()
+    if out is None:
+        out = words.copy()
     # The same word may be hit more than once; the unbuffered XOR
     # accumulates every hit.
     masks = (np.uint64(1) << bit_positions.astype(np.uint64)).astype(words.dtype)
@@ -89,12 +91,13 @@ def flip_bits_int8(values: np.ndarray, flat_bit_indices: np.ndarray) -> np.ndarr
 
 
 def flip_bits_uint(
-    words: np.ndarray, flat_bit_indices: np.ndarray, word_bits: int
+    words: np.ndarray, flat_bit_indices: np.ndarray, word_bits: int, out=None
 ) -> np.ndarray:
-    """Flip flat bit indices of an unsigned integer word array."""
+    """Flip flat bit indices of an unsigned integer word array (into a
+    copy, or in place into ``out``: a flat array such as ``words``)."""
     flat = np.ravel(words)
     idx = np.asarray(flat_bit_indices, dtype=np.int64)
-    flipped = _flip(flat, idx // word_bits, idx % word_bits, word_bits)
+    flipped = _flip(flat, idx // word_bits, idx % word_bits, word_bits, out=out)
     return flipped.reshape(np.shape(words))
 
 

@@ -159,6 +159,8 @@ class EccProtectedRepresentation:
     """
 
     name = "ecc-protected"
+    #: the stored words are single bits (one uint8 0/1 per stored bit).
+    word_bits = 1
 
     def __init__(self, inner):
         if DATA_BITS % inner.bits_per_weight != 0:
@@ -203,6 +205,9 @@ class EccProtectedRepresentation:
             inner_words = inner_words[: self._last_n_weights]
         return self.inner.decode(inner_words)
 
+    #: :meth:`decode` never writes its input, so the owned form is the same.
+    decode_in_place = decode
+
     def flip_bits(self, stored_bits: np.ndarray, flat_bit_indices: np.ndarray) -> np.ndarray:
         out = np.ravel(stored_bits).copy()
         idx = np.asarray(flat_bit_indices, dtype=np.int64)
@@ -228,9 +233,7 @@ class EccProtectedRepresentation:
         shifts = (np.arange(self.weights_per_word, dtype=np.uint64) * np.uint64(bpw))
         mask = np.uint64((1 << bpw) - 1) if bpw < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
         pieces = (data_words[:, None] >> shifts[None, :]) & mask
-        flat = pieces.ravel()
-        self._n_inner_words = flat.size
-        return flat.astype(self.inner.word_dtype)
+        return pieces.ravel().astype(self.inner.word_dtype)
 
     def protected_roundtrip(
         self, weights: np.ndarray, flat_bit_indices: np.ndarray

@@ -15,6 +15,10 @@ Two operating modes cover the paper's uses:
   assigned to a subarray with its own error rate; flips are sampled
   region by region.  With every weight in region 0 this mode is the
   reference the uniform mode matches draw for draw.
+
+A read costs O(stored words + flip candidates): the models sample from
+a geometry-form :class:`~repro.errors.models.BitContext` over the encoded
+words, and the injector XORs the flips into them and decodes in place.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.errors.bitops import flip_bits_uint
 from repro.errors.models import BitContext, ErrorModel, ErrorModel0
 
 
@@ -181,24 +186,26 @@ class ErrorInjector:
         """Encode, flip each region's sampled bits, decode and report.
 
         ``regions`` yields ``(region, rate, members)``: the flat indices
-        of the region's weights, or ``None`` for every weight.
+        of the region's weights, or ``None`` for every weight.  The
+        encoded words are this call's own buffer: the flips are XORed
+        into it and it is decoded in place.
         """
         rng = rng if rng is not None else self._rng
         weights = np.asarray(weights)
         n_weights = int(weights.size)
         rep = self.representation
-        bpw = rep.bits_per_weight
-        words_flat = np.ravel(rep.encode(weights))
+        bpw, word_bits = rep.bits_per_weight, rep.word_bits
+        words_flat = rep.encode(weights).reshape(-1)
+        # One stored word per weight, except under ECC (one bit per word).
+        per_weight = bpw // word_bits
+        stored = words_flat[: n_weights * per_weight].reshape(n_weights, per_weight)
 
         all_flips: list[np.ndarray] = []
         per_region: Dict[int, int] = {}
         mean_rate = 0.0
         for region, rate, members in regions:
-            if members is None:
-                member_words = words_flat[:n_weights]
-            else:
-                member_words = words_flat[members]
-            context = self._context_for(member_words, bpw, rate)
+            member_words = (stored if members is None else stored[members]).ravel()
+            context = self._context_for(member_words, word_bits, rate)
             mean_rate += rate * context.n_bits
             local_flips = self.model.sample_flips(context, rng)
             per_region[region] = int(local_flips.size)
@@ -210,54 +217,26 @@ class ErrorInjector:
 
         total_bits = n_weights * bpw
         if all_flips:
-            flat_bits = np.concatenate(all_flips)
-            corrupted_words = rep.flip_bits(words_flat, flat_bits)
-        else:
-            flat_bits = np.empty(0, dtype=np.int64)
-            corrupted_words = words_flat
-        corrupted = rep.decode(corrupted_words).reshape(weights.shape)
+            flip_bits_uint(words_flat, np.concatenate(all_flips), word_bits, out=words_flat)
+        corrupted = rep.decode_in_place(words_flat).reshape(weights.shape)
         report = InjectionReport(
             total_bits=total_bits,
-            flipped_bits=int(flat_bits.size),
+            flipped_bits=sum(per_region.values()),
             requested_ber=mean_rate / total_bits if total_bits else 0.0,
             per_region_flips=per_region,
         )
         return corrupted, report
 
     def _context_for(
-        self, member_words: np.ndarray, bpw: int, rate: float
+        self, member_words: np.ndarray, word_bits: int, rate: float
     ) -> BitContext:
-        """Build the BitContext one region's bits present to the model."""
-        n_bits = member_words.size * bpw
-        fields = getattr(self.model, "context_fields", ())
-        needs_lanes = "bitline_of" in fields
-        needs_rows = "wordline_of" in fields
-        needs_values = "values" in fields
-        bitline_of = wordline_of = values = None
-        if needs_lanes or needs_rows:
-            # Bits of consecutive member weights stream into consecutive
-            # DRAM columns; lane = position within the column width,
-            # wordline advances every row_bits bits.
-            positions = np.arange(n_bits, dtype=np.int64)
-            if needs_lanes:
-                bitline_of = positions % self.lane_bits
-            if needs_rows:
-                wordline_of = positions // self.row_bits
-        if needs_values:
-            # Bit b of a word is bit b % 8 of its little-endian byte b // 8;
-            # bits past the word's width read as 0.
-            word_dtype = member_words.dtype
-            width = 8 * word_dtype.itemsize
-            little = member_words.astype(word_dtype.newbyteorder("<"), copy=False)
-            bits = np.unpackbits(little.view(np.uint8), bitorder="little")
-            bits = bits.reshape(member_words.size, width)
-            if width < bpw:
-                bits = np.pad(bits, ((0, 0), (0, bpw - width)))
-            values = bits[:, :bpw].ravel()
+        """The geometry-form BitContext of one region's stored words: their
+        bits stream into consecutive DRAM columns and rows."""
         return BitContext(
-            n_bits=n_bits,
-            base_rate=rate,
-            bitline_of=bitline_of,
-            wordline_of=wordline_of,
-            values=values,
+            member_words.size * word_bits,
+            rate,
+            words=member_words,
+            word_bits=word_bits,
+            lane_bits=self.lane_bits,
+            row_bits=self.row_bits,
         )

@@ -32,13 +32,8 @@ def sample_flip_positions(
     values: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw one flip set from a model over a synthetic bit space."""
-    positions = np.arange(n_bits, dtype=np.int64)
     context = BitContext(
-        n_bits=n_bits,
-        base_rate=ber,
-        bitline_of=positions % lane_bits,
-        wordline_of=positions // row_bits,
-        values=values,
+        n_bits, ber, values=values, lane_bits=lane_bits, row_bits=row_bits
     )
     return model.sample_flips(context, rng)
 

@@ -10,7 +10,8 @@ the quantization ablation compares the two.
 Every representation maps a float weight tensor to an integer *word*
 array (``encode``), back (``decode``), and knows how to flip stored
 bits (``flip_bits``).  ``decode(encode(w))`` is exact for FP32 and a
-quantisation of ``w`` for fixed point.
+quantisation of ``w`` for fixed point.  ``encode`` returns an array the
+caller owns; ``decode`` and ``flip_bits`` never write their input.
 """
 
 from __future__ import annotations
@@ -32,13 +33,20 @@ class WeightRepresentation(abc.ABC):
     word_dtype: np.dtype
     name: str
 
+    #: bits of the flat bit space one stored word holds: one weight's.
+    word_bits = property(lambda self: self.bits_per_weight)
+
     @abc.abstractmethod
     def encode(self, weights: np.ndarray) -> np.ndarray:
-        """Float weights -> stored integer words (same shape)."""
+        """Float weights -> stored integer words (same shape, caller-owned)."""
 
     @abc.abstractmethod
     def decode(self, words: np.ndarray) -> np.ndarray:
         """Stored integer words -> float weights (same shape)."""
+
+    def decode_in_place(self, words: np.ndarray) -> np.ndarray:
+        """:meth:`decode` of words the caller gives up: may reuse their buffer."""
+        return self.decode(words)
 
     def flip_bits(self, words: np.ndarray, flat_bit_indices: np.ndarray) -> np.ndarray:
         """Flip flat bit indices of the stored words (out-of-place)."""
@@ -84,14 +92,18 @@ class Float32Representation(WeightRepresentation):
         self.clip_range = clip_range
 
     def encode(self, weights: np.ndarray) -> np.ndarray:
-        arr = np.ascontiguousarray(weights, dtype=np.float32)
-        return arr.view(np.uint32).copy()
+        # One copy: the cast (a float32 input is copied as it is).
+        return np.array(weights, dtype=np.float32, order="C", ndmin=1).view(np.uint32)
 
     def decode(self, words: np.ndarray) -> np.ndarray:
-        arr = np.ascontiguousarray(words, dtype=np.uint32)
-        values = arr.view(np.float32).copy()
+        return self.decode_in_place(np.array(words, dtype=np.uint32, order="C", ndmin=1))
+
+    def decode_in_place(self, words: np.ndarray) -> np.ndarray:
+        values = np.ascontiguousarray(words, dtype=np.uint32).view(np.float32)
         if self.sanitize:
-            values[~np.isfinite(values)] = 0.0
+            finite = np.isfinite(values)
+            if not finite.all():
+                values[~finite] = 0.0
         if self.clip_range is not None:
             np.clip(values, self.clip_range[0], self.clip_range[1], out=values)
         return values

@@ -145,20 +145,41 @@ def apply_post_sample_update(
     network: DiehlCookNetwork,
     delta: Optional[np.ndarray] = None,
     base: Optional[np.ndarray] = None,
+    read: Optional[np.ndarray] = None,
+    columns: Optional[np.ndarray] = None,
 ) -> None:
     """The post-presentation weight update shared by every training path.
 
-    With ``delta``/``base`` given (the fault-aware and minibatch paths),
-    the accumulated STDP delta is credited back onto the stored ``base``
-    tensor — what the training write-back updates — and clipped to the
-    physical range.  This consumes ``delta``: ``clip(base + delta)`` is
-    computed in its buffer, which becomes the network's weight tensor,
-    so callers pass a private delta of the network's dtype; ``base`` is
-    not written.  Either way the columns are then re-normalized to the
-    configured L1 mass, so the clean sequential, fault-aware and
-    minibatch paths all finish a presentation through one code path.
+    With ``delta``/``base`` given (the minibatch path), the accumulated
+    STDP delta is credited back onto the stored ``base`` tensor — what
+    the training write-back updates — and clipped to the physical range.
+    This consumes ``delta``: ``clip(base + delta)`` is computed in its
+    buffer, which becomes the network's weight tensor, so callers pass a
+    private delta of the network's dtype; ``base`` is not written.
+
+    With ``read``/``base``/``columns`` given (the ``batch_size=1``
+    fault-aware path), the network holds its private trained copy ``W``
+    of the DRAM ``read``, and STDP changed only ``columns``.  ``W``
+    becomes, in place, the dense ``clip(base + (W - read))`` bit for bit:
+    elsewhere ``W - read`` is ``+0.0`` (so ``-0.0`` becomes ``+0.0``), or
+    NaN at a non-finite read.
+
+    Either way the columns are then re-normalized to the configured L1
+    mass, so the clean sequential, fault-aware and minibatch paths all
+    finish a presentation through one code path.
     """
-    if delta is not None:
+    if read is not None:
+        new = network.weights
+        delta = new[:, columns] - np.asarray(read)[:, columns].astype(new.dtype, copy=False)
+        finite = np.isfinite(new)
+        replay = None if finite.all() else new[~finite]
+        np.add(base, 0.0, out=new)
+        if replay is not None:
+            new[~finite] = base[~finite] + (replay - replay)
+        np.clip(new, 0.0, network.w_max, out=new)
+        np.add(base[:, columns], delta, out=delta)
+        new[:, columns] = np.clip(delta, 0.0, network.w_max, out=delta)
+    elif delta is not None:
         if base is None:
             raise ValueError("delta requires the base tensor it applies to")
         np.add(base, delta, out=delta)

@@ -59,6 +59,21 @@ def _corrupter(corrupt):
     return lambda weights: injector.inject_uniform(weights, 1e-3)[0]
 
 
+def _edge_read(case):
+    """The read hook of a write-back edge case: a non-sanitizing FP32
+    read, with planted +inf, -inf and NaN for ``non-finite-read`` and
+    returned as float64 for ``float64-read``."""
+    injector = ErrorInjector(Float32Representation(sanitize=False), seed=5)
+
+    def read(weights):
+        out = injector.inject_uniform(weights, 1e-3)[0]
+        if case == "non-finite-read":
+            out[3, 1], out[40, 5], out[17, 9] = np.inf, -np.inf, np.nan
+        return out.astype(np.float64) if case == "float64-read" else out
+
+    return read
+
+
 class TestBatchSizeOneBitIdentity:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("corrupt", [False, True, "model0", "eden"])
@@ -80,6 +95,41 @@ class TestBatchSizeOneBitIdentity:
         assert np.array_equal(ref_net.weights, new_net.weights)
         assert np.array_equal(ref_net.neurons.theta, new_net.neurons.theta)
         assert ref_rng.bit_generator.state == new_rng.bit_generator.state
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN arithmetic
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "case",
+        ["negative-zero", "above-w-max", "non-finite-read", "float64-read", "float32-read"],
+    )
+    def test_write_back_edge_cases(self, dtype, case):
+        """The column-restricted write-back against the dense one of
+        ``reference_sequential_train``, byte for byte.  Three samples:
+        over longer runs every column gets trained, which hides a
+        ``-0.0`` left in an untrained one."""
+        images, _ = _workload(n_samples=3)
+        nets, rngs = [], []
+        for _ in range(2):
+            net, rng = _network(dtype), np.random.default_rng(7)
+            if case == "negative-zero":
+                net.weights[::3, ::2] = -0.0
+            elif case == "above-w-max":
+                net.weights[:, ::3] *= 4.0
+            nets.append(net)
+            rngs.append(rng)
+        ref_corrupt, new_corrupt = _edge_read(case), _edge_read(case)
+
+        reference_sequential_train(
+            nets[0], images, 30, 1, rngs[0], corrupt_weights=ref_corrupt
+        )
+        BatchedTrainer(nets[1], batch_size=1, corrupt_weights=new_corrupt).train(
+            images, n_steps=30, epochs=1, rng=rngs[1]
+        )
+
+        assert nets[1].weights.dtype == np.dtype(dtype)
+        assert nets[0].weights.tobytes() == nets[1].weights.tobytes()
+        assert nets[0].neurons.theta.tobytes() == nets[1].neurons.theta.tobytes()
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
     @pytest.mark.parametrize("batch_size", [1, 4])
     def test_identity_read_leaves_clean_tensor_unwritten(self, batch_size):

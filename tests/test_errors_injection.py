@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from errors_oracle import OracleInjector
 
 from repro.errors.ecc import EccProtectedRepresentation
 from repro.errors.injection import ErrorInjector
@@ -225,3 +226,157 @@ class TestStructuredModels:
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
             ErrorInjector(Float32Representation(), lane_bits=0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+class TestInjectionMatchesOracle:
+    """The injector against the historical per-bit path of
+    ``tests/errors_oracle.py``: same corrupted bytes, same reports, same
+    random-stream end state, for every model, representation, geometry,
+    BER and entry point."""
+
+    REPRESENTATIONS = {
+        "float32": lambda: Float32Representation(clip_range=(0.0, 1.0)),
+        "float32-raw": lambda: Float32Representation(sanitize=False),
+        "int8": lambda: FixedPointRepresentation(bits=8),
+        "int16": lambda: FixedPointRepresentation(bits=16),
+    }
+    #: (neurons, row_bits, lane_bits): every region ends on a partial
+    #: wordline; 1001 and 12 are divided by no word width.
+    GEOMETRIES = {
+        "N3": (3, 8192, 64),
+        "N3-odd": (3, 1001, 12),
+        "N100": (100, 65536, 64),
+    }
+    BERS = (0.0, 1e-9, 1e-5, 1e-3, 0.3, 1.0)
+
+    @staticmethod
+    def _tensor(kind, n_neurons):
+        weights = np.random.default_rng(5).random((784, n_neurons)) * 0.3
+        if kind == "zero-block":
+            weights[:, : max(1, n_neurons // 3)] = 0.0
+        elif kind == "all-zero":
+            weights[:] = 0.0
+        elif kind == "non-finite":
+            weights[::97, 0] = np.nan
+            weights[5::89, 1] = np.inf
+            weights[7::83, 2] = -np.inf
+        return weights
+
+    @staticmethod
+    def _pair(representation, model, geometry):
+        _, row_bits, lane_bits = geometry
+        return [
+            cls(
+                TestInjectionMatchesOracle.REPRESENTATIONS[representation](),
+                model=make_error_model(model),
+                row_bits=row_bits,
+                lane_bits=lane_bits,
+            )
+            for cls in (ErrorInjector, OracleInjector)
+        ]
+
+    @staticmethod
+    def _assert_same(got, expected):
+        (out, report), (ref, ref_report) = got, expected
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+        assert report == ref_report
+
+    def _check(self, representation, model, geometry, kind, bers):
+        weights = self._tensor(kind, geometry[0])
+        original = weights.copy()
+        injector, oracle = self._pair(representation, model, geometry)
+        regions = np.arange(weights.size) % 3 // 2  # two interleaved regions
+        for ber in bers:
+            rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+            for _ in range(2):
+                self._assert_same(
+                    injector.inject_uniform(weights, ber, rng=rng),
+                    oracle.inject_uniform(weights, ber, rng=ref_rng),
+                )
+            self._assert_same(
+                injector.inject_by_region(weights, regions, [ber, ber / 7], rng=rng),
+                oracle.inject_by_region(weights, regions, [ber, ber / 7], rng=ref_rng),
+            )
+            stack, reports = injector.inject_stack(weights, [ber, ber / 2], rng=rng)
+            ref_stack, ref_reports = oracle.inject_stack(weights, [ber, ber / 2], rng=ref_rng)
+            assert stack.tobytes() == ref_stack.tobytes() and reports == ref_reports
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.array_equal(weights, original, equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "representation,kind",
+        [
+            (representation, kind)
+            for representation in sorted(REPRESENTATIONS)
+            for kind in ("random", "zero-block", "all-zero", "non-finite")
+            # fixed point cannot store NaN or inf
+            if kind != "non-finite" or representation.startswith("float32")
+        ],
+    )
+    @pytest.mark.parametrize("geometry", ["N3", "N3-odd"])
+    @pytest.mark.parametrize("model", sorted(ERROR_MODELS))
+    def test_small_geometries(self, model, geometry, representation, kind):
+        self._check(representation, model, self.GEOMETRIES[geometry], kind, self.BERS)
+
+    @pytest.mark.parametrize("kind", ["random", "zero-block"])
+    @pytest.mark.parametrize("model", sorted(ERROR_MODELS))
+    def test_n100(self, model, kind):
+        self._check("float32", model, self.GEOMETRIES["N100"], kind, (1e-5, 1e-3))
+
+    @pytest.mark.parametrize("model", ["model1", "model2", "model3", "eden"])
+    def test_n400(self, model):
+        weights = self._tensor("zero-block", 400)
+        injector, oracle = self._pair("float32", model, (400, 65536, 64))
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        for ber in (1e-9, 1e-3):
+            self._assert_same(
+                injector.inject_uniform(weights, ber, rng=rng),
+                oracle.inject_uniform(weights, ber, rng=ref_rng),
+            )
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("model", ["model1", "model3", "eden"])
+    def test_ecc_matches_corrected_oracle(self, model):
+        weights = np.random.default_rng(2).random((64, 9))
+        injector, oracle = (
+            cls(
+                EccProtectedRepresentation(Float32Representation()),
+                model=make_error_model(model),
+                row_bits=1001,
+            )
+            for cls in (ErrorInjector, OracleInjector)
+        )
+        regions = np.arange(weights.size) % 2
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for ber in (1e-5, 1e-2, 0.3):
+            self._assert_same(
+                injector.inject_uniform(weights, ber, rng=rng),
+                oracle.inject_uniform(weights, ber, rng=ref_rng),
+            )
+            self._assert_same(
+                injector.inject_by_region(weights, regions, [ber, ber / 3], rng=rng),
+                oracle.inject_by_region(weights, regions, [ber, ber / 3], rng=ref_rng),
+            )
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestEccBitSpace:
+    def test_data_dependent_models_read_the_stored_bits(self):
+        # ECC stores one bit per uint8 word: Model-3 must see the stored
+        # codeword bits, not the first n_weights words read 36 bits wide.
+        representation = EccProtectedRepresentation(Float32Representation())
+        weights = np.random.default_rng(8).random(1000)
+        seen = []
+
+        class Recording(ErrorModel3):
+            def sample_flips(self, context, rng):
+                seen.append((context.n_bits, int(context.values.sum())))
+                return super().sample_flips(context, rng)
+
+        injector = ErrorInjector(representation, model=Recording(), seed=0)
+        injector.inject_uniform(weights, 1e-3)
+        stored = representation.encode(weights)
+        assert seen == [(36_000, int(stored[:36_000].sum()))]
+        assert seen[0][1] > 15_000  # about half of the stored bits are 1s

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from errors_oracle import ReferenceBitContext, reference_sample_flips
 
 from repro.errors.models import (
+    ERROR_MODELS,
     BitContext,
     ErrorModel0,
     ErrorModel1,
     ErrorModel2,
     ErrorModel3,
+    ErrorModelEden,
     make_error_model,
 )
+from repro.errors.validation import sample_flip_positions
 
 
 def make_context(n_bits=100_000, rate=1e-3, lanes=64, rows=4096, values=None):
@@ -234,3 +238,181 @@ class TestEdenModel:
         corrupted, report = injector.inject_uniform(weights, 0.01)
         assert corrupted.shape == weights.shape
         assert report.flipped_bits > 0
+
+
+class TestSamplersMatchOracle:
+    """Every model against its historical per-bit ``sample_flips`` body
+    (``tests/errors_oracle.py``): same flips, same random-stream end
+    state, on explicit-array contexts and on the geometry form that
+    :func:`repro.errors.validation.sample_flip_positions` builds."""
+
+    N_BITS = 50_000
+    BERS = (0.0, 1e-9, 1e-5, 1e-3, 0.3, 1.0)
+    MODELS = {
+        **{name: (lambda name=name: make_error_model(name)) for name in ERROR_MODELS},
+        "model1-wide": lambda: ErrorModel1(sigma=2.0, structure_seed=7),
+        "eden-flat": lambda: ErrorModelEden(sigma=0.0, one_to_zero_ratio=8.0),
+    }
+
+    @classmethod
+    def _arrays(cls, kind):
+        n = cls.N_BITS
+        positions = np.arange(n, dtype=np.int64)
+        rng = np.random.default_rng(6)
+        values = (rng.random(n) < 0.4).astype(np.uint8)
+        if kind == "irregular":
+            return dict(
+                bitline_of=rng.integers(3, 40, n),
+                wordline_of=rng.integers(5, 60, n),
+                values=values * 3,
+            )
+        if kind == "eden-rows":  # TestEdenModel's context
+            return dict(
+                bitline_of=positions % 64,
+                wordline_of=np.repeat(np.arange(n // 100), 100).astype(np.int64),
+                values=values,
+            )
+        return dict(  # make_context's, with all-zero values for "zero-values"
+            bitline_of=positions % 64,
+            wordline_of=positions // 4096,
+            values=values if kind == "regular" else np.zeros(n, dtype=np.uint8),
+        )
+
+    @staticmethod
+    def _assert_same_draws(flips, ref, rng, ref_rng):
+        assert flips.dtype == ref.dtype and flips.tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["regular", "irregular", "eden-rows", "zero-values"])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_explicit_arrays(self, model, kind):
+        arrays = self._arrays(kind)
+        sampler = self.MODELS[model]()
+        rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+        for ber in self.BERS:
+            flips = sampler.sample_flips(BitContext(self.N_BITS, ber, **arrays), rng)
+            ref = reference_sample_flips(
+                sampler, ReferenceBitContext(self.N_BITS, ber, **arrays), ref_rng
+            )
+            self._assert_same_draws(flips, ref, rng, ref_rng)
+
+    @pytest.mark.parametrize("geometry", [(64, 4096), (24, 1000)])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_validation_geometry(self, model, geometry):
+        lane_bits, row_bits = geometry
+        n = self.N_BITS + 7
+        positions = np.arange(n, dtype=np.int64)
+        values = (positions % 3 == 0).astype(np.uint8)
+        sampler = self.MODELS[model]()
+        rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+        for ber in self.BERS:
+            flips = sample_flip_positions(
+                sampler, n, ber, rng, lane_bits=lane_bits, row_bits=row_bits,
+                values=values,
+            )
+            ref = reference_sample_flips(
+                sampler,
+                ReferenceBitContext(
+                    n, ber, positions % lane_bits, positions // row_bits, values
+                ),
+                ref_rng,
+            )
+            self._assert_same_draws(flips, ref, rng, ref_rng)
+
+
+class TestGeometryForm:
+    """A geometry-form context answers every query exactly as the
+    explicit per-bit arrays it stands for (the shift form of the words)."""
+
+    CASES = {
+        # name: (dtype, word_bits, lane_bits, row_bits)
+        "float32-words": (np.uint32, 32, 64, 1001),
+        "int8-words": (np.uint8, 8, 12, 800),
+        "int16-words": (np.uint16, 16, 24, 100),
+        "ecc-bits": (np.uint8, 1, 64, 77),
+        "wider-than-word": (np.uint8, 36, 64, 1001),
+        "narrower-than-word": (np.uint32, 12, 5, 97),
+    }
+
+    @classmethod
+    def _words(cls, case):
+        dtype, word_bits = cls.CASES[case][:2]
+        rng = np.random.default_rng(9)
+        top = 2 if word_bits == 1 else np.iinfo(dtype).max + 1
+        words = rng.integers(0, top, size=3000, dtype=np.uint64).astype(dtype)
+        # Runs of all-zero and all-one words, each followed by a word
+        # whose lowest bit is set, so line boundaries fall next to them.
+        ones = 1 if word_bits == 1 else np.iinfo(dtype).max
+        words[100:900], words[900] = 0, 1
+        words[1200:2100], words[2100] = ones, 1
+        return words
+
+    def _pair(self, case):
+        _, word_bits, lane_bits, row_bits = self.CASES[case]
+        words = self._words(case)
+        n_bits = words.size * word_bits
+        geometry = BitContext(
+            n_bits, 0.01, words=words, word_bits=word_bits,
+            lane_bits=lane_bits, row_bits=row_bits,
+        )
+        shifts = np.arange(word_bits, dtype=np.uint64)
+        values = ((words.astype(np.uint64)[:, None] >> shifts) & 1).astype(np.uint8)
+        positions = np.arange(n_bits, dtype=np.int64)
+        explicit = BitContext(
+            n_bits, 0.01, bitline_of=positions % lane_bits,
+            wordline_of=positions // row_bits, values=values.ravel(),
+        )
+        return geometry, explicit
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_queries_match_explicit_arrays(self, case):
+        geometry, explicit = self._pair(case)
+        for name in ("bitline_of", "wordline_of", "values"):
+            derived = getattr(geometry, name)
+            assert derived.dtype == getattr(explicit, name).dtype
+            assert np.array_equal(derived, getattr(explicit, name))
+        positions = np.random.default_rng(1).integers(0, geometry.n_bits, 500)
+        assert np.array_equal(geometry.values_at(positions), explicit.values_at(positions))
+        table = np.random.default_rng(2).random(geometry.n_bits)
+        for name in ("bitline_of", "wordline_of"):
+            assert geometry.n_lines(name) == explicit.n_lines(name)
+            assert np.array_equal(
+                geometry.lines_at(name, positions), explicit.lines_at(name, positions)
+            )
+            n_lines = geometry.n_lines(name)
+            assert geometry.line_mean(name, table[:n_lines]) == explicit.line_mean(
+                name, table[:n_lines]
+            )
+            for by_value in (False, True):
+                assert np.array_equal(
+                    geometry.line_presence(name, by_value),
+                    explicit.line_presence(name, by_value),
+                )
+
+    def test_a_line_of_ones_holds_no_zero(self):
+        rows = BitContext(
+            16, 0.01, words=np.array([255, 255], dtype=np.uint8), word_bits=8,
+            row_bits=8,
+        )
+        assert rows.line_presence("wordline_of", by_value=True).tolist() == [
+            [False, False], [True, True],
+        ]
+
+    @pytest.mark.parametrize("ratio", [0.25, 4.0])
+    @pytest.mark.parametrize("case", ["int8-words", "ecc-bits", "wider-than-word"])
+    def test_eden_matches_oracle_on_runs(self, case, ratio):
+        # With ratio < 1 zeros fail more often: counting the absent
+        # (line, 0) pair of a line of ones would raise p_max.
+        geometry, explicit = self._pair(case)
+        model = ErrorModelEden(sigma=0.8, structure_seed=3, one_to_zero_ratio=ratio)
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for ber in (1e-4, 1e-2, 0.5):
+            geometry.base_rate = ber
+            reference = ReferenceBitContext(
+                explicit.n_bits, ber, wordline_of=explicit.wordline_of,
+                values=explicit.values,
+            )
+            flips = model.sample_flips(geometry, rng)
+            ref = reference_sample_flips(model, reference, ref_rng)
+            assert flips.tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
