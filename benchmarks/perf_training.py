@@ -7,17 +7,17 @@ of ``tests/snn_oracle.py``, swapped in for
 ``DiehlCookNetwork.run_batch_stdp``) and fused (the library's
 minibatch loop) training engines sustain on two network sizes at both
 compute precisions.  Timing is steady-state: each engine column reuses
-one trainer (so workspaces, minibatch machinery and the drive operator
-cache are warm) and reports its best epoch.  Two bitwise gates guard
-the numbers: ``batch_size=1`` must reproduce the historical sequential
-loop (``reference_run_sample``) and raise some threshold, so it spiked,
-and the fused kernel must reproduce the minibatch-reference loop —
-weight for weight, threshold for threshold, down to the final
-membrane potentials and excitatory conductances.  An injection section
-times one fault-aware DRAM read (``ErrorInjector.inject_uniform``) for
-Model-0 and EDEN against the historical per-bit path of
-``tests/errors_oracle.py``, and gates on reproducing it byte for byte —
-corrupted weights and random-stream end state.  Results go to
+one trainer, warmed by one untimed epoch, and reports its best epoch.
+Two bitwise gates guard the numbers: ``batch_size=1`` must reproduce
+the historical sequential loop (``reference_run_sample``) and raise
+some threshold, so it spiked, and the fused loop must reproduce the
+minibatch-reference loop — weight for weight, threshold for threshold,
+down to the final membrane potentials and excitatory conductances.  An
+injection section times one fault-aware DRAM read
+(``ErrorInjector.inject_uniform``) for Model-0 and EDEN against the
+historical per-bit path of ``tests/errors_oracle.py``, and gates on
+reproducing it byte for byte — corrupted weights and random-stream end
+state.  Results go to
 ``BENCH_training.json`` — the training half of the repo's performance
 trajectory artifacts (see ``BENCH_engine.json`` for evaluation).
 
@@ -127,8 +127,8 @@ def _time_trainer(scenario, batch_size, repeats):
 
     One trainer serves warmup + all timed epochs, the way the training
     engine runs in a fault-aware sweep (many epochs x BER stages per
-    trainer): the minibatch machinery, fused workspaces and first-touch
-    costs are paid once, outside the timed region.
+    trainer): first-touch costs are paid once, in an untimed warmup
+    epoch.
     """
     images = _images(scenario)
     network = _network(scenario)

@@ -13,7 +13,6 @@ from repro.analysis.sweeps import (
     accuracy_vs_ber_sweep,
     energy_vs_voltage_sweep,
     per_voltage_axis,
-    sparkxd_grid_sweep,
 )
 from repro.analysis.reporting import format_table, format_percent_row
 from repro.analysis.pareto import ParetoPoint, tolerance_frontier, frontier_is_monotone
@@ -26,7 +25,6 @@ from repro.analysis.sensitivity import (
 from repro.analysis.export import (
     export_accuracy_curve,
     export_run_records,
-    export_sparkxd_result,
     export_tolerance_report,
     load_run_records,
     run_records_to_json,
@@ -39,7 +37,6 @@ __all__ = [
     "accuracy_by_bit",
     "weight_perturbation_by_bit",
     "export_accuracy_curve",
-    "export_sparkxd_result",
     "export_tolerance_report",
     "write_rows",
     "ParetoPoint",
@@ -55,7 +52,6 @@ __all__ = [
     "accuracy_vs_ber_sweep",
     "energy_vs_voltage_sweep",
     "per_voltage_axis",
-    "sparkxd_grid_sweep",
     "export_run_records",
     "load_run_records",
     "run_records_to_json",

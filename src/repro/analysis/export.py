@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from repro.analysis.sweeps import AccuracySweepPoint
-from repro.core.framework import SparkXDResult
 from repro.core.tolerance_analysis import ToleranceReport
 from repro.pipeline.store import canonical_form
 
@@ -69,29 +68,6 @@ def export_tolerance_report(path: PathLike, report: ToleranceReport) -> Path:
     rows.append(["target_accuracy", "", report.target_accuracy, ""])
     rows.append(["ber_threshold", report.ber_threshold, "", ""])
     return write_rows(path, ["kind", "ber", "accuracy", "trials"], rows)
-
-
-def export_sparkxd_result(path: PathLike, result: SparkXDResult) -> Path:
-    """The per-voltage energy/speed-up outcomes of one framework run."""
-    rows = []
-    rows.append([
-        result.baseline_dram.v_supply, "baseline", 1, 0.0, 1.0,
-        result.baseline_dram.energy.total_mj,
-    ])
-    for v, outcome in sorted(result.outcomes.items(), reverse=True):
-        rows.append([
-            v,
-            outcome.mapping_policy,
-            int(outcome.feasible),
-            outcome.energy_saving,
-            outcome.speedup,
-            outcome.result.energy.total_mj if outcome.result else "",
-        ])
-    return write_rows(
-        path,
-        ["v_supply", "mapping", "feasible", "energy_saving", "speedup", "energy_mj"],
-        rows,
-    )
 
 
 # ----------------------------------------------------------------------

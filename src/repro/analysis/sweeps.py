@@ -96,30 +96,6 @@ def energy_vs_voltage_sweep(
     return {r.v_supply: r.energy.total_mj for r in results}
 
 
-def sparkxd_grid_sweep(
-    grid,
-    base_config=None,
-    store=None,
-    max_workers: int = 1,
-):
-    """Run a config grid through the staged pipeline's :class:`Runner`.
-
-    ``grid`` maps :class:`~repro.core.config.SparkXDConfig` field names
-    to value sequences (e.g. ``{"voltages": [(1.325,), (1.025,)],
-    "mapping_policy": ["sparkxd", "baseline"]}``).  Grid points sharing
-    training-side fields reuse one trained model through the shared
-    artifact store, so DRAM-side sweeps never retrain; pass
-    ``max_workers > 1`` to fan unique jobs out over that many localhost
-    worker subprocesses.  Returns
-    the structured :class:`~repro.pipeline.runner.RunRecord` list, which
-    :mod:`repro.analysis.export` serialises to CSV/JSON.
-    """
-    from repro.pipeline.runner import Runner
-
-    runner = Runner(base_config=base_config, store=store, max_workers=max_workers)
-    return runner.run(grid)
-
-
 def per_voltage_axis(voltages) -> list:
     """Turn a voltage list into a sweep axis of single-voltage configs.
 

@@ -11,7 +11,7 @@ from repro.dram.specs import DramSpec, LPDDR3_1600_4GB
 from repro.dram.organization import DramOrganization, DramCoordinate
 from repro.dram.voltage import ArrayVoltageModel
 from repro.dram.timing import TimingParameters, timing_for_voltage
-from repro.dram.commands import DramCommand, CommandKind, AccessCondition
+from repro.dram.commands import CommandKind, AccessCondition
 from repro.dram.row_buffer import RowBufferSimulator
 from repro.dram.energy import DramEnergyModel, AccessEnergyBreakdown
 from repro.dram.controller import DramController, TraceExecutionResult
@@ -27,7 +27,6 @@ __all__ = [
     "ArrayVoltageModel",
     "TimingParameters",
     "timing_for_voltage",
-    "DramCommand",
     "CommandKind",
     "AccessCondition",
     "RowBufferSimulator",

@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-
-from repro.dram.organization import DramCoordinate
 
 
 class CommandKind(enum.Enum):
@@ -28,19 +25,6 @@ class AccessCondition(enum.Enum):
     HIT = "hit"
     MISS = "miss"
     CONFLICT = "conflict"
-
-
-@dataclass(frozen=True)
-class DramCommand:
-    """One command issued to a specific location, stamped with time."""
-
-    kind: CommandKind
-    coordinate: DramCoordinate
-    issue_time_ns: float
-
-    def __post_init__(self):
-        if self.issue_time_ns < 0:
-            raise ValueError(f"issue_time_ns must be >= 0, got {self.issue_time_ns}")
 
 
 #: Commands each access condition expands to, in issue order.

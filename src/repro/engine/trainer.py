@@ -18,10 +18,9 @@ one vectorized pass —
    (:meth:`repro.snn.network.DiehlCookNetwork.run_batch_stdp`);
 4. **Accumulate** STDP deltas across all lanes and timesteps against
    the frozen tensor, with per-lane adaptive-threshold (theta)
-   dynamics.  The time loop runs in a fused, allocation-free kernel
-   (:mod:`repro.snn.kernels`) writing into a per-minibatch-size
-   :class:`~repro.snn.kernels.FusedWorkspace` reused across steps *and*
-   minibatches;
+   dynamics.  The time loop is fused and allocation-free: it allocates
+   its scratch once per minibatch, before the loop
+   (:meth:`~repro.snn.network.DiehlCookNetwork._run_batch_stdp_fused`);
 5. **Apply** once per minibatch: the summed delta is credited back to
    the stored clean tensor, clipped to the physical range and
    column-normalized
@@ -49,7 +48,7 @@ encoding draws are still byte-for-byte the sequential stream (a
 exception: it is called once per minibatch instead of once per sample,
 so fault-aware runs consume fewer injection draws), and the trained
 weights differ — which is why ``train_batch_size`` is part of the
-pipeline's stage cache fingerprints.  The fused kernel itself is exact:
+pipeline's stage cache fingerprints.  The fused loop itself is exact:
 it reproduces the unfused minibatch loop of ``tests/snn_oracle.py`` bit
 for bit.  See ``docs/training.md`` for the full semantics.
 
@@ -70,14 +69,13 @@ config knob (see ``docs/training.md``).
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.engine.encoding import Encoder, EncodedMinibatch, encode_spike_trains
 from repro.rng import ensure_rng
 from repro.snn.encoding import poisson_rate_code
-from repro.snn.kernels import FusedWorkspace
 from repro.snn.network import DiehlCookNetwork, make_stdp
 from repro.snn.stdp import STDPParameters
 from repro.snn.training import apply_post_sample_update
@@ -176,14 +174,6 @@ class BatchedTrainer:
         self.encoder = encoder
         self.corrupt_weights = corrupt_weights
         self.stdp = make_stdp(network, stdp_parameters)
-        # Batched machinery (shell network + batched rule + fused-kernel
-        # workspace), built lazily and memoized *per minibatch size*: a
-        # ragged final minibatch gets its own (small) state, and the
-        # next epoch's full-size minibatch gets the full-shape buffers
-        # back without any reallocation.
-        self._machinery: Dict[
-            int, Tuple[DiehlCookNetwork, object, FusedWorkspace]
-        ] = {}
 
     # ------------------------------------------------------------------
     def train(
@@ -294,13 +284,25 @@ class BatchedTrainer:
         :class:`~repro.engine.encoding.EncodedMinibatch` — trains plus
         lazily-built sparse drive operator — is returned so callers can
         record it.
+
+        Each call builds its own shell network and batched rule: neither
+        carries state from one presentation to the next, and a shell
+        built with ``init_weights=False`` draws nothing from the RNG.
         """
         net = self.network
         if prepared is None:
             trains = encode_spike_trains(images, n_steps, rng, encoder=self.encoder)
             prepared = EncodedMinibatch(trains=trains)
         trains = prepared.trains
-        shell, stdp, workspace = self._batched_machinery(trains.shape[0])
+        n_batch = trains.shape[0]
+        shell = DiehlCookNetwork(
+            net.parameters,
+            w_max=net.w_max,
+            batch_shape=(n_batch,),
+            init_weights=False,
+            dtype=net.dtype,
+        )
+        stdp = make_stdp(net, self.stdp.parameters, batch_shape=(n_batch,))
         if prepared.matrix is None:
             prepared.matrix = shell.prepare_drive_matrix(trains)
         clean = net.weights
@@ -317,13 +319,7 @@ class BatchedTrainer:
         shell.set_weights(read)
         delta = np.zeros_like(clean)
         kernel_t0 = time.perf_counter()
-        shell.run_batch_stdp(
-            trains,
-            stdp,
-            delta,
-            workspace=workspace,
-            matrix=prepared.matrix,
-        )
+        shell.run_batch_stdp(trains, stdp, delta, matrix=prepared.matrix)
         get_metrics().histogram("engine.kernel_step_s").observe(
             time.perf_counter() - kernel_t0
         )
@@ -333,30 +329,3 @@ class BatchedTrainer:
         net.neurons.theta = theta0 + (shell.neurons.theta - theta0).sum(axis=0)
         apply_post_sample_update(net, delta=delta, base=clean)
         return prepared
-
-    # ------------------------------------------------------------------
-    def _batched_machinery(self, n_batch: int):
-        """Shell network + accumulate-mode rule + workspace for one size.
-
-        Memoized per minibatch size: ragged→full round trips across
-        epochs hand back the same objects (and their buffers) instead
-        of reallocating the full-size state every time the shape flips
-        (covered by a regression test).
-        """
-        net = self.network
-        machinery = self._machinery.get(n_batch)
-        if machinery is None:
-            shell = DiehlCookNetwork(
-                net.parameters,
-                w_max=net.w_max,
-                batch_shape=(n_batch,),
-                init_weights=False,
-                dtype=net.dtype,
-            )
-            rule = make_stdp(net, self.stdp.parameters, batch_shape=(n_batch,))
-            workspace = FusedWorkspace(
-                n_batch, net.n_neurons, net.n_input, net.dtype
-            )
-            machinery = (shell, rule, workspace)
-            self._machinery[n_batch] = machinery
-        return machinery

@@ -1,14 +1,13 @@
 """workspace-discipline: fused loops must not allocate per step.
 
-The fused training kernels (:mod:`repro.snn.kernels`,
-``DiehlCookNetwork._run_batch_stdp_fused`` / ``_run_batch_frozen``)
-exist to run the per-timestep simulation loop allocation-free: every
-intermediate lives in a preallocated
-:class:`~repro.snn.kernels.FusedWorkspace` (or equivalent local
-buffer) reused across steps and minibatches.  A numpy allocation
-sneaking back into the ``for t in range(n_steps)`` body silently
-reintroduces per-step garbage pressure — the regression this rule
-catches at review time instead of in the benchmark history.
+The fused training loop and the frozen inference loop
+(``DiehlCookNetwork._run_batch_stdp_fused`` / ``_run_batch_frozen``)
+run the per-timestep simulation allocation-free: every intermediate
+lives in a buffer the method allocates once, before its time loop, and
+reuses across steps.  A numpy allocation sneaking back into the
+``for t in range(n_steps)`` body silently reintroduces per-step
+garbage pressure — the regression this rule catches at review time
+instead of in the benchmark history.
 
 The rule inspects functions whose name contains ``fused`` or
 ``frozen`` and flags, inside any ``for ... in range(...)`` body:

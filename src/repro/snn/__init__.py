@@ -32,11 +32,8 @@ from repro.snn.quantization import (
 from repro.snn.pruning import prune_by_magnitude, connectivity
 from repro.snn.serialization import save_model, load_model
 from repro.snn.diagnostics import TrainingHealth, check_training_health
-from repro.snn.inhibitory import InhibitoryParameters, TwoLayerDiehlCookNetwork
 
 __all__ = [
-    "InhibitoryParameters",
-    "TwoLayerDiehlCookNetwork",
     "save_model",
     "load_model",
     "TrainingHealth",

@@ -36,9 +36,13 @@ refractory bookkeeping and only the spike indices for reset and count.
 training and inference.  It reads a per-sample drive slab, rewritten
 column-wise after each in-place STDP update, and skips the work whose
 result cannot change on a step (most steps are silent); it stays bit
-for bit the historical ``step`` + ``STDPRule.step`` loop.
-``tests/snn_oracle.py`` keeps that loop and the dense inference loop as
-test oracles, with the other reference loops.
+for bit the historical loop of one :meth:`DiehlCookNetwork.step` plus
+one in-place STDP step per timestep.  ``tests/snn_oracle.py`` keeps
+that loop, its in-place rule and the dense inference loop as test
+oracles, with the other reference loops.
+
+Each time loop allocates its scratch once per call, before the loop,
+and shares one membrane update (:func:`_membrane_dv`).
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ except ImportError:  # pragma: no cover - exercised via the forced fallback test
     _sparse = None
 
 from repro.rng import ensure_rng
-from repro.snn.kernels import FusedWorkspace, numpy_state_step
 from repro.snn.neurons import AdaptiveLIFLayer, LIFParameters
 from repro.snn.stdp import STDPParameters, STDPRule, normalize_columns
 from repro.snn.synapses import (
@@ -226,6 +229,24 @@ def _delta_drive_rows(
     for t in touched:
         rows[t] = step_drive(weights, matrix[t])
     return rows
+
+
+def _membrane_dv(lif, k, v, g_e, g_i, dv, scratch) -> None:
+    """``dv = ((v_rest - v) + g_e (e_exc - v) + g_i (e_inh - v)) * k``, in place.
+
+    The ufuncs and operand order of :meth:`AdaptiveLIFLayer.step`'s
+    expression, written into ``dv`` with ``scratch`` as the second
+    buffer.  Every time loop below computes its membrane update here
+    and applies it with its own refractory handling.
+    """
+    np.subtract(lif.v_rest, v, out=dv)
+    np.subtract(lif.e_excitatory, v, out=scratch)
+    np.multiply(g_e, scratch, out=scratch)
+    dv += scratch
+    np.subtract(lif.e_inhibitory, v, out=scratch)
+    np.multiply(g_i, scratch, out=scratch)
+    dv += scratch
+    dv *= k
 
 
 class DiehlCookNetwork:
@@ -421,8 +442,8 @@ class DiehlCookNetwork:
         it to the stored clean tensor instead of the corrupted copy).
         Only available on an unbatched network; use :meth:`run_batch`
         for batched evaluation.  The time loop (:meth:`_sample_loop`)
-        is bit for bit one :meth:`step` plus one in-place
-        :meth:`~repro.snn.stdp.STDPRule.step` per timestep.
+        is bit for bit one :meth:`step` plus one in-place STDP step per
+        timestep (``reference_run_sample`` in ``tests/snn_oracle.py``).
         """
         p = self.parameters
         if self.batch_shape != ():
@@ -457,9 +478,9 @@ class DiehlCookNetwork:
     ) -> np.ndarray:
         """The B=1 time loop of :meth:`run_sample`, lean but bit-exact.
 
-        The ufuncs, operand order and dtypes of ``step`` +
-        ``STDPRule.step`` (``reference_run_sample`` in
-        ``tests/snn_oracle.py``), minus work whose result cannot change:
+        The ufuncs, operand order and dtypes of ``step`` + the in-place
+        STDP step (``reference_run_sample`` and ``reference_stdp_step``
+        in ``tests/snn_oracle.py``), minus work whose result cannot change:
         drives come from one per-sample slab whose later rows of the
         updated columns are rewritten after each STDP update
         (:func:`_drive_columns`); after a silent step ``g_i`` only
@@ -495,14 +516,7 @@ class DiehlCookNetwork:
             g_i *= decay_i
             if n_last:
                 g_i += n_last * strength - strength * last
-            np.subtract(lif.v_rest, v, out=s1)
-            np.subtract(lif.e_excitatory, v, out=s2)
-            np.multiply(g_e, s2, out=s2)
-            s1 += s2
-            np.subtract(lif.e_inhibitory, v, out=s2)
-            np.multiply(g_i, s2, out=s2)
-            s1 += s2
-            s1 *= k
+            _membrane_dv(lif, k, v, g_e, g_i, s1, s2)
             if refractory:
                 # Masked write, as in _run_batch_frozen: a non-finite dv
                 # must leave refractory neurons untouched.
@@ -683,7 +697,6 @@ class DiehlCookNetwork:
         spike_trains: np.ndarray,
         stdp: STDPRule,
         delta: np.ndarray,
-        workspace: Optional[FusedWorkspace] = None,
         matrix=None,
     ) -> np.ndarray:
         """Present a minibatch with learning against *frozen* weights.
@@ -701,11 +714,8 @@ class DiehlCookNetwork:
         spike counts ``(B, n_neurons)``.
 
         The time loop is the fused, allocation-free
-        :meth:`_run_batch_stdp_fused`.  ``workspace`` optionally
-        supplies its preallocated
-        :class:`~repro.snn.kernels.FusedWorkspace` scratch (one is
-        allocated per call otherwise); ``matrix`` the prebuilt
-        :meth:`prepare_drive_matrix` operator.
+        :meth:`_run_batch_stdp_fused`.  ``matrix`` optionally supplies
+        the prebuilt :meth:`prepare_drive_matrix` operator.
         """
         p = self.parameters
         bs = self.batch_shape
@@ -736,9 +746,7 @@ class DiehlCookNetwork:
         stdp.reset_state()
         pre_steps = trains.transpose(1, 0, 2)  # (n_steps, B, n_input) view
         counts = np.zeros(bs + (p.n_neurons,), dtype=np.int64)
-        return self._run_batch_stdp_fused(
-            drives, pre_steps, stdp, delta, bound, counts, workspace
-        )
+        return self._run_batch_stdp_fused(drives, pre_steps, stdp, delta, bound, counts)
 
     def _run_batch_stdp_fused(
         self,
@@ -748,33 +756,70 @@ class DiehlCookNetwork:
         delta: np.ndarray,
         bound: np.ndarray,
         counts: np.ndarray,
-        workspace: Optional[FusedWorkspace],
     ) -> np.ndarray:
         """The training time loop, allocation-free.
 
         The training counterpart of :meth:`_run_batch_frozen`: per step
-        the state kernel (:func:`repro.snn.kernels.numpy_state_step`)
-        performs exactly the ufunc sequence of :meth:`_step_from_drive`
-        with ``adapt=True`` plus the STDP trace decay/bump into
-        preallocated workspace buffers, then the spiking-column
-        accumulation (:meth:`~repro.snn.stdp.STDPRule.accumulate_step`)
-        runs.  Bit-identity with the unfused reference loop of
+        it performs exactly the ufunc sequence of
+        :meth:`_step_from_drive` with ``adapt=True`` plus the STDP trace
+        decay/bump, into buffers allocated before the loop, then the
+        spiking-column accumulation
+        (:meth:`~repro.snn.stdp.STDPRule.accumulate_step`) runs.
+        Constants stay plain Python floats, as in the reference
+        expressions: under NEP 50 they take the array's dtype.
+        Bit-identity with the unfused reference loop of
         ``tests/snn_oracle.py`` is asserted in ``tests/test_snn_kernels``.
         """
-        p = self.parameters
-        n_batch = self.batch_shape[0]
-        n_steps = drives.shape[0]
-        ws = workspace
-        if ws is None or not ws.matches(n_batch, p.n_neurons, p.n_input, self.dtype):
-            ws = FusedWorkspace(n_batch, p.n_neurons, p.n_input, self.dtype)
-        np.copyto(ws.last, self._last_spikes)
-        last, spikes = ws.last, ws.spikes
-        for t in range(n_steps):
-            np.copyto(ws.pre, pre_steps[t])
-            numpy_state_step(self, stdp, ws, drives[t], last, spikes, counts)
-            stdp.accumulate_step(spikes, delta, bound, ws.offset)
+        p, lif = self.parameters, self.parameters.lif
+        k = p.dt_ms / lif.tau_membrane_ms
+        strength = p.inhibition_strength
+        g_e, g_i = self.g_excitatory, self.g_inhibitory
+        neurons, x_pre = self.neurons, stdp.x_pre
+        v, refr, theta = neurons.v, neurons.refractory_left, neurons.theta
+        s1, s2, thr = np.empty_like(v), np.empty_like(v), np.empty_like(v)
+        active, spikes = np.empty(v.shape, dtype=bool), np.empty(v.shape, dtype=bool)
+        last = self._last_spikes
+        row_count = np.empty(v.shape[:-1] + (1,), dtype=np.int64)
+        row_inh = np.empty(v.shape[:-1] + (1,), dtype=np.float64)
+        pre, offset = np.empty(x_pre.shape, dtype=bool), np.empty_like(x_pre)
+        for t in range(drives.shape[0]):
+            np.copyto(pre, pre_steps[t])
+            g_e.g *= g_e._decay
+            g_e.g += drives[t]
+            # Lateral inhibition: row totals in int64/float64 exactly as the
+            # reference `last.sum(axis=-1, keepdims=True) * inhibition` chain.
+            np.sum(last, axis=-1, keepdims=True, out=row_count)
+            np.multiply(row_count, strength, out=row_inh)
+            np.multiply(last, strength, out=s1)
+            np.subtract(row_inh, s1, out=s1)
+            g_i.g *= g_i._decay
+            g_i.g += s1
+            np.less_equal(refr, 0.0, out=active)
+            _membrane_dv(lif, k, v, g_e.g, g_i.g, s1, s2)
+            # Masked write, not `v += dv * active`: a non-finite dv (float32
+            # overflow from unclipped corrupted weights) must leave
+            # refractory neurons untouched exactly as the reference
+            # np.where does.
+            s1 += v
+            np.copyto(v, s1, where=active)
+            np.add(lif.v_threshold, theta, out=thr)
+            np.greater_equal(v, thr, out=spikes)
+            spikes &= active
+            # Masked scalar writes: same elements, same values as the
+            # boolean-indexed assignments of the reference step, minus the
+            # index-array extraction those perform.
+            np.copyto(v, lif.v_reset, where=spikes)
+            refr -= p.dt_ms
+            np.maximum(refr, 0.0, out=refr)
+            np.copyto(refr, lif.refractory_ms, where=spikes)
+            theta *= neurons._theta_decay
+            np.add(theta, lif.theta_plus, out=theta, where=spikes)
+            x_pre *= stdp._trace_decay
+            np.copyto(x_pre, 1.0, where=pre)
+            counts += spikes
+            stdp.accumulate_step(spikes, delta, bound, offset)
             last, spikes = spikes, last
-        self._last_spikes = last.copy()
+        self._last_spikes = last
         return counts
 
     def _run_batch_frozen(self, drives: np.ndarray, n_steps: int) -> np.ndarray:
@@ -843,14 +888,7 @@ class DiehlCookNetwork:
                 np.take(g_i_rows, rows, axis=0, out=g_rows[:m], mode="clip")
                 np.add(g_rows[:m], inh[:m], out=g_rows[:m])
                 g_i_rows[rows] = g_rows[:m]
-            np.subtract(lif.v_rest, v, out=s1)
-            np.subtract(lif.e_excitatory, v, out=s2)
-            s2 *= g_e.g
-            s1 += s2
-            np.subtract(lif.e_inhibitory, v, out=s2)
-            s2 *= g_i.g
-            s1 += s2
-            s1 *= k
+            _membrane_dv(lif, k, v, g_e.g, g_i.g, s1, s2)
             if n_refr:
                 held, values = refractory[:n_refr], held_values[:n_refr]
                 np.take(v_flat, held, out=values, mode="clip")

@@ -18,11 +18,11 @@ fixed-point storage representation and the DRAM error analysis rely on.
 
 Two update modes cover the two training paths:
 
-- :meth:`STDPRule.step` — the in-place rule of ``batch_size=1`` on an
-  unbatched rule (``batch_shape=()``): each post spike immediately
-  moves (and clips) its incoming weights, so later steps of the same
-  sample see the updated tensor (``DiehlCookNetwork.run_sample``
-  inlines the same arithmetic into its time loop);
+- the in-place rule of ``batch_size=1``, on an unbatched rule
+  (``batch_shape=()``): each post spike immediately moves (and clips)
+  its incoming weights, so later steps of the same sample see the
+  updated tensor.  ``DiehlCookNetwork.run_sample``'s time loop applies
+  it, reading the rule's parameters and traces;
 - :meth:`STDPRule.accumulate_step` — the minibatch rule, on a rule
   created with ``batch_shape=(B,)`` whose presynaptic trace holds ``B``
   independent lanes (shape ``(B, n_pre)``): every update is computed
@@ -30,8 +30,8 @@ Two update modes cover the two training paths:
   :meth:`frozen_bound` factor) and summed — over timesteps and over
   batch lanes — into a delta tensor the caller applies, clips and
   normalizes once per minibatch (see :mod:`repro.engine.trainer`).
-  The fused training loop advances the traces itself
-  (:func:`repro.snn.kernels.numpy_state_step`).
+
+Both time loops advance the traces themselves.
 """
 
 from __future__ import annotations
@@ -105,48 +105,6 @@ class STDPRule:
     def reset_state(self) -> None:
         self.x_pre.fill(0.0)
 
-    def step(
-        self,
-        weights: np.ndarray,
-        pre_spikes: np.ndarray,
-        post_spikes: np.ndarray,
-    ) -> np.ndarray:
-        """Advance traces one step and apply the update in place.
-
-        ``weights`` has shape ``(n_pre, n_post)`` and is modified in
-        place and returned; ``pre_spikes`` / ``post_spikes`` are boolean
-        vectors.  Only unbatched rules step: a batched rule raises
-        :class:`ValueError` (it only accumulates, see
-        :meth:`accumulate_step`).
-        """
-        if self.batch_shape:
-            raise ValueError(
-                f"a batched rule (batch_shape={self.batch_shape}) cannot "
-                "step in place; use accumulate_step"
-            )
-        p = self.parameters
-        pre = np.asarray(pre_spikes, dtype=bool)
-        if pre.shape != self.state_shape:
-            raise ValueError(
-                f"pre_spikes must have shape {self.state_shape}, got {pre.shape}"
-            )
-        self.x_pre *= self._trace_decay
-        self.x_pre[pre] = 1.0
-
-        if weights.shape[0] != self.n_pre:
-            raise ValueError(
-                f"weights must have {self.n_pre} presynaptic rows, "
-                f"got {weights.shape}"
-            )
-        post = np.flatnonzero(post_spikes)
-        if post.size:
-            columns = weights[:, post]
-            delta = self.x_pre[:, None] - p.trace_offset
-            bound = (p.w_max - columns) ** p.mu
-            updated = columns + p.learning_rate * delta * bound
-            weights[:, post] = np.clip(updated, 0.0, p.w_max)
-        return weights
-
     # ------------------------------------------------------------------
     # Minibatch (accumulate) mode — see repro.engine.trainer.
     def frozen_bound(self, weights: np.ndarray) -> np.ndarray:
@@ -176,11 +134,11 @@ class STDPRule:
         :meth:`frozen_bound` — and summed over all batch lanes into the
         single ``(n_pre, n_post)`` tensor ``delta`` (modified in place
         and returned) instead of being applied to the weights.  Unlike
-        :meth:`step`, updates from concurrent lanes therefore neither
-        compound through the bound factor nor clip per step; the caller
-        applies + clips + normalizes the summed delta once per
+        the in-place rule, updates from concurrent lanes therefore
+        neither compound through the bound factor nor clip per step; the
+        caller applies + clips + normalizes the summed delta once per
         minibatch.  ``x_pre`` must already hold this step's traces (the
-        fused state kernel advances them).  ``offset_out`` is scratch
+        fused training loop advances them).  ``offset_out`` is scratch
         shaped like ``x_pre``.  No validation: callers have checked
         shapes already.
         """

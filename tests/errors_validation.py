@@ -1,9 +1,10 @@
-"""Statistical validation of the error models.
+"""Statistical validation of the error models (test helpers).
 
 Section III justifies Error Model-0 by its similarity to real
 approximate-DRAM error patterns.  These utilities quantify the
 statistical properties each model is supposed to have, so the claim is
-testable in this reproduction:
+testable in this reproduction (``test_errors_validation.py`` and
+``test_errors_models.py`` use them):
 
 - :func:`uniformity_pvalue` — chi-square test that Model-0's flips are
   uniform over the bit space;

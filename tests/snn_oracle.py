@@ -8,13 +8,16 @@ The plain loops they replaced live here, so tests and the
 ``benchmarks/perf_*.py`` gates can compare against them with
 ``np.array_equal``:
 
+- :func:`reference_stdp_step` — the in-place B=1 STDP rule, once the
+  ``STDPRule.step`` method;
 - :func:`reference_run_sample` — the historical B=1 loop
-  (``network.step`` + ``STDPRule.step`` per timestep) that
+  (``network.step`` + :func:`reference_stdp_step` per timestep) that
   :meth:`DiehlCookNetwork.run_sample`'s lean loop replaced;
 - :func:`sequential_spike_counts` — the per-sample, per-timestep
   evaluation loop;
 - :func:`reference_run_batch_stdp` — the unfused minibatch loop
-  (``_step_from_drive`` + :func:`step_accumulate` per step), call-
+  (``_step_from_drive`` + :func:`step_accumulate` per step) that
+  :meth:`DiehlCookNetwork._run_batch_stdp_fused` replaced, call-
   compatible with ``DiehlCookNetwork.run_batch_stdp`` so tests can
   swap it in with ``monkeypatch.setattr``;
 - :func:`reference_sequential_train` — the historical ``batch_size=1``
@@ -50,12 +53,50 @@ from repro.snn.training import (
 )
 
 
+def reference_stdp_step(rule, weights, pre_spikes, post_spikes):
+    """Advance ``rule``'s traces one step and apply the update in place.
+
+    The historical ``STDPRule.step``, verbatim.  ``weights`` has shape
+    ``(n_pre, n_post)`` and is modified in place and returned;
+    ``pre_spikes`` / ``post_spikes`` are boolean vectors.  Only
+    unbatched rules step: a batched rule raises :class:`ValueError` (it
+    only accumulates, see :meth:`STDPRule.accumulate_step`).
+    """
+    if rule.batch_shape:
+        raise ValueError(
+            f"a batched rule (batch_shape={rule.batch_shape}) cannot "
+            "step in place; use accumulate_step"
+        )
+    p = rule.parameters
+    pre = np.asarray(pre_spikes, dtype=bool)
+    if pre.shape != rule.state_shape:
+        raise ValueError(
+            f"pre_spikes must have shape {rule.state_shape}, got {pre.shape}"
+        )
+    rule.x_pre *= rule._trace_decay
+    rule.x_pre[pre] = 1.0
+
+    if weights.shape[0] != rule.n_pre:
+        raise ValueError(
+            f"weights must have {rule.n_pre} presynaptic rows, "
+            f"got {weights.shape}"
+        )
+    post = np.flatnonzero(post_spikes)
+    if post.size:
+        columns = weights[:, post]
+        delta = rule.x_pre[:, None] - p.trace_offset
+        bound = (p.w_max - columns) ** p.mu
+        updated = columns + p.learning_rate * delta * bound
+        weights[:, post] = np.clip(updated, 0.0, p.w_max)
+    return weights
+
+
 def reference_run_sample(network, train, stdp=None, adapt=None, normalize=None):
     """The historical body of ``DiehlCookNetwork.run_sample``, verbatim.
 
     One :meth:`DiehlCookNetwork.step` plus one in-place
-    :meth:`STDPRule.step` per timestep; same validation, state reset,
-    counts and post-sample normalisation as the library method.
+    :func:`reference_stdp_step` per timestep; same validation, state
+    reset, counts and post-sample normalisation as the library method.
     """
     p = network.parameters
     if network.batch_shape != ():
@@ -79,7 +120,7 @@ def reference_run_sample(network, train, stdp=None, adapt=None, normalize=None):
     for t in range(train.shape[0]):
         spikes = network.step(train[t], adapt=adapt)
         if stdp is not None:
-            stdp.step(network.weights, train[t], spikes)
+            reference_stdp_step(stdp, network.weights, train[t], spikes)
         counts += spikes
     if normalize and p.weight_norm > 0:
         normalize_columns(network.weights, p.weight_norm)
@@ -117,7 +158,7 @@ def sequential_spike_counts(evaluator, images, n_steps, rng, weights, encoder=No
 def step_accumulate(rule, pre_spikes, post_spikes, delta, bound):
     """Advance ``rule``'s traces one step, then accumulate its update.
 
-    The unfused form of the fused kernel's trace decay/bump followed by
+    The unfused form of the fused loop's trace decay/bump followed by
     :meth:`STDPRule.accumulate_step` against the frozen ``bound``.
     """
     pre = np.asarray(pre_spikes, dtype=bool)
@@ -127,10 +168,8 @@ def step_accumulate(rule, pre_spikes, post_spikes, delta, bound):
     return rule.accumulate_step(post, delta, bound, np.empty_like(rule.x_pre))
 
 
-def reference_run_batch_stdp(
-    network, spike_trains, stdp, delta, workspace=None, matrix=None
-):
-    """The unfused minibatch loop; ``workspace`` is accepted and unused."""
+def reference_run_batch_stdp(network, spike_trains, stdp, delta, matrix=None):
+    """The unfused minibatch loop of ``DiehlCookNetwork.run_batch_stdp``."""
     trains = np.asarray(spike_trains, dtype=bool)
     drives = network._sample_drives(trains, network.weights, matrix=matrix)
     bound = stdp.frozen_bound(network.weights)

@@ -120,6 +120,20 @@ class TestTiming:
         reduced = RowBufferSimulator(org, timing_for_voltage(org.spec, 1.025))
         assert reduced.run(trace).total_time_ns > nominal.run(trace).total_time_ns
 
+    def test_streaming_hits_keep_the_bus_busy(self):
+        org = DramOrganization(LPDDR3_1600_4GB)
+        sim = RowBufferSimulator(org, timing_for_voltage(org.spec, 1.35))
+        stats = sim.run(range(4096))
+        assert stats.bus_busy_time_ns / stats.total_time_ns > 0.9
+
+    def test_row_ping_pong_idles_the_bus(self, sim, org):
+        # Two rows of one bank in turn: every access after the first is
+        # a conflict, so PRE/ACT latency dominates the bus time.
+        trace = [0, org.geometry.columns_per_row] * 20
+        stats = sim.run(trace)
+        assert stats.conflicts == len(trace) - 1
+        assert stats.bus_busy_time_ns / stats.total_time_ns < 0.3
+
 
 class TestFinishAccounting:
     def test_active_time_counted(self, sim):

@@ -11,7 +11,11 @@ weights stay physical, random stream unchanged), not bit-equality.
 
 import numpy as np
 import pytest
-from snn_oracle import reference_sequential_train, step_accumulate
+from snn_oracle import (
+    reference_sequential_train,
+    reference_stdp_step,
+    step_accumulate,
+)
 
 from repro.engine.trainer import BatchedTrainer
 from repro.errors.injection import ErrorInjector
@@ -327,7 +331,7 @@ class TestStepAccumulate:
             pre = rng.random(6) < 0.4
             post = rng.random(4) < 0.3
             first_post = post.any() and not (applied != weights).any()
-            in_place.step(applied, pre, post)
+            reference_stdp_step(in_place, applied, pre, post)
             step_accumulate(acc, pre[None, :], post[None, :], delta, bound)
             if first_post:
                 # after the first update the in-place rule compounds

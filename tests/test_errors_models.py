@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from errors_oracle import ReferenceBitContext, reference_sample_flips
+from errors_validation import sample_flip_positions
 
 from repro.errors.models import (
     ERROR_MODELS,
@@ -14,7 +15,6 @@ from repro.errors.models import (
     ErrorModelEden,
     make_error_model,
 )
-from repro.errors.validation import sample_flip_positions
 
 
 def make_context(n_bits=100_000, rate=1e-3, lanes=64, rows=4096, values=None):
@@ -244,7 +244,7 @@ class TestSamplersMatchOracle:
     """Every model against its historical per-bit ``sample_flips`` body
     (``tests/errors_oracle.py``): same flips, same random-stream end
     state, on explicit-array contexts and on the geometry form that
-    :func:`repro.errors.validation.sample_flip_positions` builds."""
+    :func:`errors_validation.sample_flip_positions` builds."""
 
     N_BITS = 50_000
     BERS = (0.0, 1e-9, 1e-5, 1e-3, 0.3, 1.0)

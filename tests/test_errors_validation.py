@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-
-from repro.errors.models import ErrorModel0, ErrorModel1, ErrorModel2, ErrorModel3
-from repro.errors.validation import (
+from errors_validation import (
     data_dependence_ratio,
     sample_flip_positions,
     structure_score,
     uniformity_pvalue,
 )
+
+from repro.errors.models import ErrorModel0, ErrorModel1, ErrorModel2, ErrorModel3
 
 N_BITS = 600_000
 BER = 2e-3

@@ -182,7 +182,7 @@ class TestWorkspaceDiscipline:
     def test_injected_loop_allocation_is_caught(self, tmp_path):
         """A fresh allocation slipped into the real fused loop trips lint."""
         network_src = (SRC_ROOT / "snn" / "network.py").read_text()
-        needle = "np.copyto(ws.pre, pre_steps[t])"
+        needle = "np.copyto(pre, pre_steps[t])"
         assert needle in network_src
         line = next(l for l in network_src.splitlines() if needle in l)
         indent = line[: len(line) - len(line.lstrip())]

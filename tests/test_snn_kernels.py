@@ -1,13 +1,14 @@
-"""Tests of the fused minibatch STDP kernel (repro.snn.kernels).
+"""Tests of the fused minibatch STDP loop.
 
 The load-bearing property: the fused loop of
-``DiehlCookNetwork.run_batch_stdp`` and the unfused reference loop
-(``snn_oracle.reference_run_batch_stdp``) produce **bit-identical**
-results: same accumulated delta, same adaptive thresholds, same spike
-counts, same presynaptic traces, same trained weights.  The fused path
-is a pure reordering into preallocated workspace buffers, not an
-approximation, so these are ``array_equal`` assertions, not
-``allclose``.
+``DiehlCookNetwork.run_batch_stdp`` (``_run_batch_stdp_fused``) and the
+unfused reference loop (``snn_oracle.reference_run_batch_stdp``)
+produce **bit-identical** results: same accumulated delta, same
+adaptive thresholds, same spike counts, same presynaptic traces, same
+neuron and conductance state, same trained weights.  The fused path is
+a pure reordering into buffers allocated before its time loop, not an
+approximation, so these are ``array_equal`` / ``tobytes()``
+assertions, not ``allclose``.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ import pytest
 from snn_oracle import reference_run_batch_stdp
 
 from repro.engine.trainer import BatchedTrainer, StageEncodingCache
-from repro.snn.kernels import FusedWorkspace
 from repro.snn.network import DiehlCookNetwork, NetworkParameters, make_stdp
 
 PARAMS = NetworkParameters(n_input=64, n_neurons=16)
@@ -65,19 +65,15 @@ def _run_kernel(shell, trains, run_batch_stdp, dtype):
         "counts": counts,
         "theta": shell.neurons.theta.copy(),
         "x_pre": stdp.x_pre.copy(),
+        "v": shell.neurons.v.copy(),
+        "refractory_left": shell.neurons.refractory_left.copy(),
+        "g_e": shell.g_excitatory.g.copy(),
+        "g_i": shell.g_inhibitory.g.copy(),
         "last": shell._last_spikes.copy(),
     }
     shell.neurons.theta = theta0  # restore for the next run
     shell.reset_state()
     return outputs
-
-
-class TestFusedWorkspace:
-    def test_matches(self):
-        ws = FusedWorkspace(4, 16, 64, np.float64)
-        assert ws.matches(4, 16, 64, np.dtype(np.float64))
-        assert not ws.matches(5, 16, 64, np.dtype(np.float64))
-        assert not ws.matches(4, 16, 64, np.dtype(np.float32))
 
 
 class TestFusedBitIdentity:
@@ -92,20 +88,31 @@ class TestFusedBitIdentity:
             assert np.array_equal(ref[key], got[key]), key
         assert got["counts"].sum() > 0  # the comparison is not vacuous
 
-    def test_workspace_reuse_does_not_change_results(self):
-        """Passing a dirty, reused workspace is bit-identical to the
-        reference loop."""
-        shell, trains = _batched_setup(np.float64)
-        ref = _run_kernel(shell, trains, reference_run_batch_stdp, np.float64)
-        stdp = make_stdp(shell, batch_shape=shell.batch_shape)
-        ws = FusedWorkspace(5, PARAMS.n_neurons, PARAMS.n_input, np.float64)
-        theta0 = shell.neurons.theta.copy()
-        for _ in range(2):  # the second pass reuses the dirty workspace
-            shell.reset_state()
-            shell.neurons.theta = theta0.copy()
-            delta = np.zeros((PARAMS.n_input, PARAMS.n_neurons))
-            shell.run_batch_stdp(trains, stdp, delta, workspace=ws)
-            assert np.array_equal(delta, ref["delta"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e30, 3e37])
+    @pytest.mark.parametrize("nonfinite", [False, True])
+    def test_extreme_and_nonfinite_reads_match_reference(
+        self, dtype, scale, nonfinite
+    ):
+        """Huge, overflowing and non-finite reads (what unclipped
+        corrupted weights can hold) take the same path through both
+        loops, byte for byte: float32 conductances overflow to inf at
+        the largest scale, and NaN, +inf, -inf and a negative weight
+        reach the drives, the conductances, the membranes and the
+        accumulated delta."""
+        shell, trains = _batched_setup(dtype)
+        read = shell.weights * scale
+        if nonfinite:
+            read[0, 0], read[1, 1], read[2, 2] = np.nan, np.inf, -np.inf
+            read[3, 3] = -0.5 * scale
+        shell.set_weights(read)
+        with np.errstate(all="ignore"):
+            ref = _run_kernel(shell, trains, reference_run_batch_stdp, dtype)
+            got = _run_kernel(shell, trains, DiehlCookNetwork.run_batch_stdp, dtype)
+        for key in ref:
+            assert got[key].dtype == ref[key].dtype, key
+            assert got[key].tobytes() == ref[key].tobytes(), key
+        assert got["counts"].sum() > 0
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("corrupt", [False, True])
@@ -133,47 +140,17 @@ class TestFusedBitIdentity:
 
 
 class TestWorkspaceReuseAcrossMinibatches:
-    def test_ragged_to_full_round_trips_allocate_once_per_size(
-        self, monkeypatch
-    ):
-        """The satellite regression: a ragged final minibatch must not
-        evict the full-size machinery — across epochs, exactly one
-        workspace (and shell) is built per distinct minibatch size."""
-        import repro.engine.trainer as trainer_mod
-
-        built = []
-        real_workspace = trainer_mod.FusedWorkspace
-
-        def counting_workspace(*args, **kwargs):
-            built.append(args[:1])
-            return real_workspace(*args, **kwargs)
-
-        monkeypatch.setattr(trainer_mod, "FusedWorkspace", counting_workspace)
-        images = _workload(n_samples=7)  # batches of 3: sizes 3, 3, 1
-        trainer = BatchedTrainer(_network(), batch_size=3)
-        trainer.train(images, n_steps=20, epochs=3, rng=np.random.default_rng(7))
-        assert len(built) == 2  # one per distinct size, NOT per epoch
-        assert set(trainer._machinery) == {3, 1}
-
-    def test_machinery_objects_stable_across_epochs(self):
-        trainer = BatchedTrainer(_network(), batch_size=3)
-        images = _workload(n_samples=7)
-        trainer.train(images, n_steps=20, epochs=1, rng=np.random.default_rng(7))
-        first = {k: tuple(map(id, v)) for k, v in trainer._machinery.items()}
-        trainer.train(images, n_steps=20, epochs=2, rng=np.random.default_rng(8))
-        second = {k: tuple(map(id, v)) for k, v in trainer._machinery.items()}
-        assert first == second
-
     def test_ragged_matches_uncached_results(self):
-        """Machinery reuse is invisible in the results: two epochs via
-        one trainer == two fresh single-epoch trainers chained."""
+        """A ragged final minibatch leaves no trace in the next epoch:
+        two epochs via one trainer == two fresh single-epoch trainers
+        chained."""
         images = _workload(n_samples=7)
         rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
         net_a, net_b = _network(), _network()
         BatchedTrainer(net_a, batch_size=3).train(
             images, n_steps=20, epochs=2, rng=rng_a
         )
-        for _ in range(2):  # fresh trainer (fresh machinery) per epoch
+        for _ in range(2):  # a fresh trainer per epoch
             BatchedTrainer(net_b, batch_size=3).train(
                 images, n_steps=20, epochs=1, rng=rng_b
             )

