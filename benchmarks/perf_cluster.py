@@ -11,21 +11,20 @@ trajectory artifacts.
 
 Additional scenarios ride along:
 
-- **affinity** — the same 2-worker sweep with worker-affinity
-  scheduling on vs off, comparing artifact bytes transferred and
-  sync seconds (affinity keeps dependency chains on the worker already
-  holding their artifacts, so both should drop);
-- **peer fabric** — the affinity-*off* 2-worker sweep (maximum
-  cross-worker traffic) with the peer-to-peer artifact fabric on vs
-  off.  With peers on, every pull is served worker-to-worker and the
-  coordinator's ``get`` path moves **zero** bytes (asserted); with
-  peers off every byte routes through the hub, the pre-fabric
-  topology.  Records must match serial in both modes;
-- **kill-resume** (``--kill-resume``) — a ``repro cluster sweep
+- **peer fabric** — a 2-worker sweep with several DRAM-side points per
+  training chain (creation-order grants routinely hand a worker a job
+  whose upstream artifacts the *other* worker computed) with the
+  peer-to-peer artifact fabric on vs off.  With peers on, every pull
+  is served worker-to-worker and the coordinator's ``get`` path moves
+  **zero** bytes (asserted); with peers off every byte routes through
+  the hub, the pre-fabric topology.  Records must match serial in both
+  modes;
+- **kill-resume** (``--kill-resume``) — a ``repro sweep --workers 2
   --journal`` subprocess SIGKILLed at ~50% journaled completion and
-  restarted with ``--resume``; the resumed records must be
-  value-identical to the serial Runner with no fingerprint executed
-  twice.  This is the CI crash-recovery smoke;
+  restarted with ``--resume``; the kill must land with work left, and
+  the resumed records must be value-identical to the serial Runner
+  with no fingerprint executed twice.  This is the CI crash-recovery
+  smoke;
 - **compact-resume** (``--compact-resume``) — same SIGKILL recipe, but
   the sweep journals with ``--compact-every`` and the orphaned journal
   is compacted *offline* (``repro cluster journal compact``) down to
@@ -85,15 +84,15 @@ QUICK_GRID = {"seed": [42, 43], "voltages": [(1.325,), (1.025,)]}
 FULL_FLEETS = (1, 2, 4)
 QUICK_FLEETS = (2,)
 
-# The affinity scenario needs several DRAM-side points per training
+# The peer-fabric scenario needs several DRAM-side points per training
 # chain: once both chains finish, every dram-eval job is ready at once
-# and a non-affine scheduler hands workers jobs whose upstream
-# artifacts live on the *other* worker.
-FULL_AFFINITY_GRID = {
+# and creation-order grants hand workers jobs whose upstream artifacts
+# live on the *other* worker.
+FULL_FABRIC_GRID = {
     "seed": [42, 43],
     "voltages": [(1.325,), (1.250,), (1.175,), (1.100,), (1.025,)],
 }
-QUICK_AFFINITY_GRID = {
+QUICK_FABRIC_GRID = {
     "seed": [42, 43],
     "voltages": [(1.325,), (1.175,), (1.025,)],
 }
@@ -112,8 +111,7 @@ CLI_GRID_ARGS = ["--seeds", "42", "43", "--voltages", "1.325", "1.025"]
 CLI_GRID = {"seed": [42, 43], "voltages": [(1.325,), (1.025,)]}
 
 
-def _distributed_run(config, grid, n_workers, lease_s=60.0, affinity=True,
-                     peer=True):
+def _distributed_run(config, grid, n_workers, lease_s=60.0, peer=True):
     """One cluster sweep against a fresh fleet.
 
     Returns ``(records, seconds, executor)`` — the executor exposes the
@@ -124,13 +122,11 @@ def _distributed_run(config, grid, n_workers, lease_s=60.0, affinity=True,
         config,
         store=ArtifactStore(),
         lease_timeout=lease_s,
-        poll_s=0.05,
         wait_timeout=1800.0,
-        affinity=affinity,
         peer_sync=peer,
     )
     started = time.perf_counter()
-    records = executor.run_local(grid, n_workers, max_idle_s=60.0, peer=peer)
+    records = executor.run_local(grid, n_workers)
     return records, time.perf_counter() - started, executor
 
 
@@ -215,22 +211,24 @@ def _plan_transfer_totals(executor) -> dict:
 
 
 def run_peer_fabric_benchmark(quick: bool) -> dict:
-    """The affinity-off 2-worker sweep with the peer fabric on vs off.
+    """The 2-worker fabric sweep with the peer fabric on vs off.
 
-    Affinity *off* maximises cross-worker transfers — every dram-eval
-    grant routinely lands on the worker that did not compute the chain
-    — which is exactly the traffic the fabric reroutes.  With peers on
-    the coordinator's ``get`` path must serve zero bytes: the store
-    starts empty, so every pulled key was computed by a live registered
-    peer and the lease ``sources`` hints always cover it.
+    Creation-order grants can land a dram-eval job on the worker that
+    did not compute its chain — the cross-worker traffic the fabric
+    reroutes — but need not: a run whose jobs all stay with their
+    chain's worker pulls nothing.  With peers on the coordinator's
+    ``get`` path must serve zero bytes: the store starts empty, so
+    every pulled key was computed by a live registered peer and the
+    lease ``sources`` hints always cover it.  That check also passes
+    when no pull happened; ``bytes_pulled_peer`` says which it was.
     """
     config = SparkXDConfig.small(**(QUICK_CONFIG if quick else FULL_CONFIG))
-    grid = QUICK_AFFINITY_GRID if quick else FULL_AFFINITY_GRID
+    grid = QUICK_FABRIC_GRID if quick else FULL_FABRIC_GRID
     serial_records = Runner(config, store=ArtifactStore()).run(grid)
     modes = {}
     for label, peer in (("peers_on", True), ("peers_off", False)):
         records, seconds, executor = _distributed_run(
-            config, grid, n_workers=2, affinity=False, peer=peer
+            config, grid, n_workers=2, peer=peer
         )
         totals = _plan_transfer_totals(executor)
         hub = executor.last_transfer_stats
@@ -255,53 +253,9 @@ def run_peer_fabric_benchmark(quick: bool) -> dict:
     )
     return {
         "workers": 2,
-        "affinity": False,
         "grid": {k: [list(v) if isinstance(v, tuple) else v for v in vs]
                  for k, vs in grid.items()},
         "hub_get_bytes_saved": off["hub"]["get_bytes"] - on["hub"]["get_bytes"],
-        **modes,
-    }
-
-
-def run_affinity_benchmark(quick: bool) -> dict:
-    """2-worker sweep with affinity scheduling on vs off.
-
-    With several dram-eval points per training chain, a non-affine
-    scheduler routinely grants a worker jobs whose upstream artifacts
-    the *other* worker computed — every such grant pulls the whole
-    chain over the wire.  Affinity keeps chains where their artifacts
-    live, so ``bytes_pulled``/``sync_s`` drop.
-    """
-    config = SparkXDConfig.small(**(QUICK_CONFIG if quick else FULL_CONFIG))
-    grid = QUICK_AFFINITY_GRID if quick else FULL_AFFINITY_GRID
-    serial_records = Runner(config, store=ArtifactStore()).run(grid)
-    modes = {}
-    for label, affinity in (("affinity_on", True), ("affinity_off", False)):
-        records, seconds, executor = _distributed_run(
-            config, grid, n_workers=2, affinity=affinity
-        )
-        totals = _plan_transfer_totals(executor)
-        modes[label] = {
-            "seconds": seconds,
-            "records_match_serial": bool(
-                records_equivalent(serial_records, records)
-            ),
-            **totals,
-        }
-        print(
-            f"{label:<13} | {seconds:6.2f}s | "
-            f"pulled {totals['artifacts_pulled']:2d} artifact(s) / "
-            f"{totals['bytes_pulled']:>9d} B | sync {totals['sync_s']:.3f}s"
-        )
-    on, off = modes["affinity_on"], modes["affinity_off"]
-    saved = off["bytes_pulled"] - on["bytes_pulled"]
-    print(f"affinity saved {saved} pulled byte(s) "
-          f"({off['bytes_pulled']} -> {on['bytes_pulled']})")
-    return {
-        "workers": 2,
-        "grid": {k: [list(v) if isinstance(v, tuple) else v for v in vs]
-                 for k, vs in grid.items()},
-        "bytes_pulled_saved": saved,
         **modes,
     }
 
@@ -332,8 +286,14 @@ def _journal_done_keys(journal: Path) -> list:
     return keys
 
 
+#: Seconds between journal polls while waiting for the kill point: the
+#: quick sweep takes ~1 s, so a coarse poll lets the kill land after
+#: the last job and the resume verify nothing.
+KILL_POLL_S = 0.02
+
+
 def run_kill_resume(quick: bool) -> dict:
-    """SIGKILL a journaled ``cluster sweep`` at ~50%, resume, verify.
+    """SIGKILL a journaled ``sweep --workers 2`` at ~50%, resume, verify.
 
     Drives the real CLI in a subprocess — the same recipe an operator
     follows after a coordinator crash (docs/cluster.md) — and checks
@@ -361,10 +321,10 @@ def run_kill_resume(quick: bool) -> dict:
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
         command = [
-            sys.executable, "-m", "repro", "cluster", "sweep",
+            sys.executable, "-m", "repro", "sweep",
             *cli_args, *CLI_GRID_ARGS,
-            "--workers", "2", "--lease-s", "15", "--max-idle-s", "5",
-            "--cache-dir", str(cache), "--journal", "--out", str(out),
+            "--workers", "2", "--cache-dir", str(cache), "--journal",
+            "--out", str(out),
         ]
 
         def done_events():
@@ -385,12 +345,12 @@ def run_kill_resume(quick: bool) -> dict:
         while time.monotonic() < deadline:
             if len(done_events()) >= kill_at or proc.poll() is not None:
                 break
-            time.sleep(0.2)
+            time.sleep(KILL_POLL_S)
         killed = proc.poll() is None
-        done_at_kill = len(done_events())
         if killed:
             proc.send_signal(signal.SIGKILL)
         proc.wait()
+        done_at_kill = len(done_events())
         print(f"coordinator {'SIGKILLed' if killed else 'finished'} at "
               f"{done_at_kill}/{n_jobs} jobs done")
 
@@ -449,11 +409,10 @@ def run_compact_resume(quick: bool) -> dict:
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
         command = [
-            sys.executable, "-m", "repro", "cluster", "sweep",
+            sys.executable, "-m", "repro", "sweep",
             *cli_args, *CLI_GRID_ARGS,
-            "--workers", "2", "--lease-s", "15", "--max-idle-s", "5",
-            "--cache-dir", str(cache), "--journal", "--compact-every", "5",
-            "--out", str(out),
+            "--workers", "2", "--cache-dir", str(cache), "--journal",
+            "--compact-every", "5", "--out", str(out),
         ]
 
         proc = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
@@ -462,12 +421,12 @@ def run_compact_resume(quick: bool) -> dict:
             done_now = len(set(_journal_done_keys(journal)))
             if done_now >= kill_at or proc.poll() is not None:
                 break
-            time.sleep(0.2)
+            time.sleep(KILL_POLL_S)
         killed = proc.poll() is None
-        done_at_kill = len(set(_journal_done_keys(journal)))
         if killed:
             proc.send_signal(signal.SIGKILL)
         proc.wait()
+        done_at_kill = len(set(_journal_done_keys(journal)))
         print(f"coordinator {'SIGKILLed' if killed else 'finished'} at "
               f"{done_at_kill}/{n_jobs} jobs done")
 
@@ -511,6 +470,20 @@ def run_compact_resume(quick: bool) -> dict:
         return result
 
 
+def _kill_failures(leg: str, result: dict) -> list:
+    """A crash-recovery leg proves nothing unless the SIGKILL landed
+    while the sweep still had work left for the resume to do."""
+    if result["killed_mid_sweep"] and (
+        0 < result["jobs_done_at_kill"] < result["total_jobs"]
+    ):
+        return []
+    return [
+        f"{leg}: the kill landed with no work left "
+        f"(killed={result['killed_mid_sweep']}, "
+        f"{result['jobs_done_at_kill']}/{result['total_jobs']} jobs done)"
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -526,8 +499,8 @@ def main(argv=None) -> int:
                         help="force the peer-fabric comparison even with "
                              "--skip-throughput (it always runs without)")
     parser.add_argument("--skip-throughput", action="store_true",
-                        help="skip the fleet-throughput, affinity and "
-                             "peer-fabric scans (combine with --kill-resume/"
+                        help="skip the fleet-throughput and peer-fabric "
+                             "scans (combine with --kill-resume/"
                              "--compact-resume/--peer-fabric to run only "
                              "those)")
     parser.add_argument("--out", default="BENCH_cluster.json", metavar="PATH",
@@ -554,10 +527,6 @@ def main(argv=None) -> int:
         payload = run_benchmark(args.quick)
         if not all(f["records_match_serial"] for f in payload["fleets"]):
             failures.append("a distributed sweep diverged from the serial Runner")
-        payload["affinity"] = run_affinity_benchmark(args.quick)
-        for mode in ("affinity_on", "affinity_off"):
-            if not payload["affinity"][mode]["records_match_serial"]:
-                failures.append(f"{mode} sweep diverged from the serial Runner")
 
     if args.peer_fabric or not args.skip_throughput:
         payload["peer_fabric"] = run_peer_fabric_benchmark(args.quick)
@@ -572,6 +541,7 @@ def main(argv=None) -> int:
 
     if args.kill_resume:
         payload["kill_resume"] = run_kill_resume(args.quick)
+        failures += _kill_failures("kill-resume", payload["kill_resume"])
         if not payload["kill_resume"]["records_match_serial"]:
             failures.append("resumed sweep diverged from the serial Runner")
         if payload["kill_resume"]["reexecuted_fingerprints"]:
@@ -579,6 +549,7 @@ def main(argv=None) -> int:
 
     if args.compact_resume:
         payload["compact_resume"] = run_compact_resume(args.quick)
+        failures += _kill_failures("compact-resume", payload["compact_resume"])
         if not payload["compact_resume"]["records_match_serial"]:
             failures.append(
                 "compact-resumed sweep diverged from the serial Runner"

@@ -12,7 +12,8 @@ processes over a shared 2-worker fleet, with token auth on. Contracts:
    leases are freed, and the first two sweeps' results stay intact and
    fetchable afterwards.
 3. **Auth is loud** — an unauthenticated submit (HTTP plane) and an
-   unauthenticated status probe (line plane) both exit non-zero.
+   unauthenticated worker (line plane) both exit non-zero with an
+   ``auth`` error on stderr.
 
 Usage::
 
@@ -268,13 +269,16 @@ def main(argv=None) -> int:
             "unauthenticated submit rejected on the HTTP plane",
         )
         unauthenticated_line = subprocess.run(
-            cli("cluster", "status", "--coordinator", worker_addr),
+            cli(
+                "cluster", "worker", "--coordinator", worker_addr,
+                "--max-idle-s", "5",
+            ),
             env=naked, capture_output=True, text=True, timeout=60,
         )
         check(
             unauthenticated_line.returncode != 0
             and "auth" in unauthenticated_line.stderr.lower(),
-            "unauthenticated status rejected on the line plane",
+            "unauthenticated worker rejected on the line plane",
         )
     finally:
         for process in [p for _, _, p in clients] + workers:

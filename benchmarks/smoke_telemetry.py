@@ -6,8 +6,8 @@ Two contracts, checked end-to-end through the real CLI:
 1. **Off is free** — without ``--trace`` no writer is ever allocated
    and the hot-path ``span()`` helper hands back its shared no-op, so
    instrumented code paths cost one global read.
-2. **On is coherent** — a 2-worker localhost ``cluster sweep --trace``
-   appends coordinator and worker spans to one JSONL file; the spans
+2. **On is coherent** — a 2-worker localhost ``sweep --workers 2
+   --trace`` appends coordinator and worker spans to one JSONL file; the spans
    parse, carry ids, come from multiple processes, nest under parents
    present in the same file within wall-clock bounds, and export to a
    structurally valid Chrome/Perfetto ``trace.json``.
@@ -35,13 +35,12 @@ from pathlib import Path
 NEST_SLACK_S = 0.25
 
 SWEEP_ARGS = [
-    "cluster", "sweep",
+    "sweep",
     "--workers", "2",
     "--voltages", "1.325", "1.025",
     "--seeds", "42", "43",
     "--neurons", "12", "--train", "40", "--test", "25", "--steps", "30",
     "--bound", "0.5",
-    "--wait-timeout", "300",
     "--json",
 ]
 
@@ -83,7 +82,7 @@ def run_traced_sweep(trace_path: Path) -> None:
     if result.returncode != 0:
         print(result.stdout, file=sys.stderr)
         print(result.stderr, file=sys.stderr)
-    check(result.returncode == 0, "2-worker cluster sweep --trace completed")
+    check(result.returncode == 0, "2-worker sweep --trace completed")
     records = json.loads(result.stdout)
     check(len(records) == 4, "sweep produced all 4 grid-point records")
 

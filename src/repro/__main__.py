@@ -2,7 +2,7 @@
 
 Every localhost worker subprocess runs it too (``python -m repro
 cluster worker``, launched by ``Runner(max_workers=N)`` and ``repro
-cluster sweep``; see ``repro.cluster.executor``).
+sweep --workers N``; see ``repro.cluster.executor``).
 """
 
 import sys

@@ -5,24 +5,20 @@ Commands
 ``run``
     Execute the full SparkXD pipeline (Fig. 7) and print the summary.
 ``sweep``
-    Run a grid of pipeline configs through the parallel sweep runner,
-    reusing trained models across DRAM-side grid points.
+    Run a grid of pipeline configs, reusing trained models across
+    DRAM-side grid points; ``--workers N`` runs it on N localhost
+    worker subprocesses behind an embedded single-shot experiment
+    service.  ``--journal`` persists that service's job transitions
+    next to the store and ``--resume`` replays them, so a sweep killed
+    mid-run restarts without re-executing done work.
 ``cluster``
-    Distribute sweeps across hosts (see docs/cluster.md).  Every
-    coordinator is an experiment service: ``cluster serve`` keeps one
-    up for ``cluster submit``/``cancel``/``results`` clients, while
-    ``cluster coordinator`` (one grid for networked workers) and
-    ``cluster sweep`` (the same plus N localhost worker subprocesses)
-    embed a single-shot one that exits after the sweep.
-    ``cluster worker`` runs one worker agent against a coordinator, and
-    ``cluster status`` queries a running coordinator for job-state
-    counts, worker ages and per-sweep journal lag.  ``--journal``
-    persists job transitions next to the store and ``--resume`` replays
-    them, so a coordinator killed mid-sweep restarts without
-    re-executing done work; ``--no-affinity`` disables holding-aware
-    job placement.  ``cluster top`` renders a live fleet table (jobs,
-    per-worker throughput, peer-vs-hub bytes, slowest open spans) from
-    a running coordinator's telemetry.
+    Distribute sweeps across hosts (see docs/cluster.md): ``cluster
+    serve`` keeps an experiment service up for ``cluster submit``/
+    ``cancel``/``results`` clients and ``cluster worker`` agents;
+    ``cluster status`` renders its fleet view (jobs, per-worker
+    throughput, peer-vs-hub bytes, slowest open spans, per-sweep
+    journal lag), once or live with ``--watch``; ``cluster journal
+    compact`` folds a journal offline.
 ``telemetry``
     Work with recorded traces: ``telemetry export`` converts the
     JSONL file written by ``--trace`` to a Chrome/Perfetto
@@ -163,31 +159,6 @@ def _add_record_output_arguments(p) -> None:
                    help="print the records as JSON instead of the table")
 
 
-def _add_cluster_resilience_arguments(p) -> None:
-    """Journal/resume/affinity/fabric knobs shared by coordinator + sweep."""
-    p.add_argument("--journal", nargs="?", const="auto", default=None,
-                   metavar="PATH",
-                   help="append job transitions to a JSONL journal; with "
-                        "no PATH it lives next to the store "
-                        "(CACHE_DIR/journal.jsonl, requires --cache-dir)")
-    p.add_argument("--resume", action="store_true",
-                   help="replay an existing journal: journaled-done jobs "
-                        "whose artifacts are still cached are never "
-                        "re-leased (implies --journal)")
-    p.add_argument("--compact-every", type=int, default=None, metavar="N",
-                   help="auto-compact the journal after every N events, "
-                        "folding lease/requeue chatter into one done "
-                        "snapshot (default: never)")
-    p.add_argument("--no-affinity", dest="affinity", action="store_false",
-                   help="disable worker-affinity scheduling (grants fall "
-                        "back to plain creation order)")
-    p.add_argument("--no-peer-sync", dest="peer_sync", action="store_false",
-                   help="disable the peer-to-peer artifact fabric: the "
-                        "coordinator answers no locate queries and every "
-                        "artifact byte routes through it (pre-fabric hub "
-                        "topology)")
-
-
 def _add_sweep_parser(subparsers) -> None:
     p = subparsers.add_parser(
         "sweep",
@@ -196,12 +167,26 @@ def _add_sweep_parser(subparsers) -> None:
     _add_grid_arguments(p)
     p.add_argument("--workers", type=int, default=1,
                    help="localhost worker subprocesses (1 = serial, "
-                        "in-process)")
+                        "in-process, unless journaling)")
     p.add_argument("--threads-per-worker", type=int, default=1, metavar="T",
                    help="BLAS/OpenMP threads each worker may use "
                         "(0 = leave the runtimes uncapped)")
     p.add_argument("--cache-dir", metavar="DIR",
                    help="artifact-store directory shared across sweeps")
+    p.add_argument("--journal", nargs="?", const="auto", default=None,
+                   metavar="PATH",
+                   help="run the worker fleet (even at --workers 1) and "
+                        "append its job transitions to a JSONL journal; "
+                        "with no PATH it lives next to the store "
+                        "(CACHE_DIR/journal.jsonl, requires --cache-dir)")
+    p.add_argument("--resume", action="store_true",
+                   help="replay an existing journal: journaled-done jobs "
+                        "whose artifacts are still cached are never "
+                        "re-leased (implies --journal)")
+    p.add_argument("--compact-every", type=int, default=None, metavar="N",
+                   help="auto-compact the journal after every N events, "
+                        "folding lease/requeue chatter into one done "
+                        "snapshot (implies --journal; default: never)")
     _add_record_output_arguments(p)
     _add_telemetry_arguments(p)
 
@@ -247,8 +232,6 @@ def _add_cluster_parser(subparsers) -> None:
     serve.add_argument("--compact-every", type=int, default=None, metavar="N",
                        help="auto-compact each tenant journal after every "
                             "N events (default: never)")
-    serve.add_argument("--no-affinity", dest="affinity", action="store_false",
-                       help="disable worker-affinity scheduling")
     serve.add_argument("--no-peer-sync", dest="peer_sync",
                        action="store_false",
                        help="disable the peer-to-peer artifact fabric")
@@ -300,26 +283,6 @@ def _add_cluster_parser(subparsers) -> None:
     _add_record_output_arguments(results)
     _add_telemetry_arguments(results)
 
-    coord = commands.add_parser(
-        "coordinator",
-        help="serve a sweep's jobs to networked workers, then print records",
-    )
-    _add_grid_arguments(coord)
-    coord.add_argument("--bind", default="127.0.0.1:8752", metavar="HOST:PORT",
-                       help="address to listen on (port 0 = ephemeral)")
-    coord.add_argument("--lease-s", type=float, default=30.0, metavar="S",
-                       help="job lease/heartbeat timeout in seconds")
-    coord.add_argument("--max-retries", type=int, default=3, metavar="N",
-                       help="lease grants per job before the sweep fails")
-    coord.add_argument("--wait-timeout", type=float, default=None, metavar="S",
-                       help="give up if the sweep is not distributed within "
-                            "S seconds (default: wait for workers forever)")
-    coord.add_argument("--cache-dir", metavar="DIR",
-                       help="artifact-store directory shared across sweeps")
-    _add_cluster_resilience_arguments(coord)
-    _add_record_output_arguments(coord)
-    _add_telemetry_arguments(coord)
-
     worker = commands.add_parser(
         "worker",
         help="run one worker agent against a coordinator",
@@ -348,37 +311,21 @@ def _add_cluster_parser(subparsers) -> None:
 
     status = commands.add_parser(
         "status",
-        help="query a running coordinator or service: job-state counts, "
-             "worker ages, per-sweep journal lag",
+        help="fleet view of a running service: job-state counts, "
+             "per-worker throughput and transfer bytes, per-sweep "
+             "tenants and journal lag, the slowest open spans",
     )
-    status.add_argument("--coordinator", default=None, metavar="HOST:PORT",
-                        help="coordinator address to query (line protocol)")
-    status.add_argument("--service", default=None, metavar="HOST:PORT",
-                        help="experiment-service control-plane address to "
-                             "query over HTTP instead of --coordinator")
+    status.add_argument("--service", required=True, metavar="HOST:PORT",
+                        help="control-plane address of the service")
+    status.add_argument("--watch", type=float, default=None, metavar="S",
+                        help="refresh every S seconds until interrupted "
+                             "(default: render one frame and exit)")
     status.add_argument("--timeout", type=float, default=10.0, metavar="S",
                         help="connection timeout in seconds")
     status.add_argument("--json", action="store_true",
-                        help="print the raw status reply as JSON")
+                        help="print the raw fleet view as JSON")
     _add_token_argument(status)
     _add_telemetry_arguments(status)
-
-    top = commands.add_parser(
-        "top",
-        help="live fleet view: per-worker throughput, transfer bytes, "
-             "retries, per-sweep tenants and the slowest open spans",
-    )
-    top.add_argument("--coordinator", required=True, metavar="HOST:PORT",
-                     help="coordinator address to query")
-    _add_token_argument(top)
-    top.add_argument("--watch", type=float, default=None, metavar="S",
-                     help="refresh every S seconds until interrupted "
-                          "(default: render one frame and exit)")
-    top.add_argument("--timeout", type=float, default=10.0, metavar="S",
-                     help="connection timeout in seconds")
-    top.add_argument("--json", action="store_true",
-                     help="print the raw status reply as JSON")
-    _add_telemetry_arguments(top)
 
     journal = commands.add_parser(
         "journal",
@@ -397,33 +344,6 @@ def _add_cluster_parser(subparsers) -> None:
     compact.add_argument("--json", action="store_true",
                          help="print the compaction summary as JSON")
     _add_telemetry_arguments(compact)
-
-    sweep = commands.add_parser(
-        "sweep",
-        help="localhost cluster sweep: embedded coordinator + N worker "
-             "subprocesses",
-    )
-    _add_grid_arguments(sweep)
-    sweep.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="worker subprocesses to launch")
-    sweep.add_argument("--threads-per-worker", type=int, default=1, metavar="T",
-                       help="BLAS/OpenMP threads each worker may use "
-                            "(0 = leave the runtimes uncapped)")
-    sweep.add_argument("--port", type=int, default=0, metavar="PORT",
-                       help="coordinator port (0 = ephemeral)")
-    sweep.add_argument("--lease-s", type=float, default=30.0, metavar="S")
-    sweep.add_argument("--max-retries", type=int, default=3, metavar="N")
-    sweep.add_argument("--wait-timeout", type=float, default=600.0, metavar="S",
-                       help="abort if not distributed within S seconds")
-    sweep.add_argument("--max-idle-s", type=float, default=30.0, metavar="S",
-                       help="worker subprocesses exit after S seconds of "
-                            "coordinator unreachability (bounds orphan "
-                            "lifetime after a coordinator crash)")
-    sweep.add_argument("--cache-dir", metavar="DIR",
-                       help="coordinator artifact-store directory")
-    _add_cluster_resilience_arguments(sweep)
-    _add_record_output_arguments(sweep)
-    _add_telemetry_arguments(sweep)
 
 
 def _add_telemetry_parser(subparsers) -> None:
@@ -678,15 +598,25 @@ def _cmd_sweep(args) -> int:
     base = _base_config(args)
     grid = _grid_from_args(args, base)
     store = ArtifactStore(args.cache_dir) if args.cache_dir else ArtifactStore()
-    runner = Runner(
-        base,
-        store=store,
-        max_workers=args.workers,
-        threads_per_worker=(
-            None if args.threads_per_worker == 0 else args.threads_per_worker
-        ),
-    )
-    records = runner.run(grid)
+    threads = None if args.threads_per_worker == 0 else args.threads_per_worker
+    journal = _resolve_journal(args)
+    if journal is None:
+        records = Runner(
+            base, store=store, max_workers=args.workers,
+            threads_per_worker=threads,
+        ).run(grid)
+    else:
+        # The journal belongs to the fleet's coordinator, so a journaled
+        # sweep runs the fleet even at --workers 1.
+        from repro.cluster import ClusterExecutor
+
+        records = ClusterExecutor(
+            base,
+            store=store,
+            journal=journal,
+            resume=args.resume,
+            compact_every=args.compact_every,
+        ).run_local(grid, args.workers, threads_per_worker=threads)
     _emit_records(args, records, title=f"sweep: {len(records)} grid points")
     return 0
 
@@ -694,13 +624,15 @@ def _cmd_sweep(args) -> int:
 def _resolve_journal(args):
     """The journal path the ``--journal``/``--resume`` flags describe.
 
-    ``--resume`` implies journaling; the bare ``--journal`` flag (no
-    PATH) places the journal next to the store, which therefore
-    requires ``--cache-dir`` — an in-memory store cannot resume anyway.
+    ``--resume`` and ``--compact-every`` imply journaling; the bare
+    ``--journal`` flag (no PATH) places the journal next to the store,
+    which therefore requires ``--cache-dir`` — an in-memory store
+    cannot resume anyway.
     """
     from pathlib import Path
 
-    journal = args.journal or ("auto" if args.resume else None)
+    implied = args.resume or args.compact_every is not None
+    journal = args.journal or ("auto" if implied else None)
     if journal is None:
         return None
     if journal == "auto":
@@ -725,11 +657,11 @@ def _format_bytes(n: float) -> str:
 
 
 def _render_top(status: dict) -> str:
-    """One frame of the ``cluster top`` fleet view.
+    """One frame of the ``cluster status`` fleet view.
 
-    Pure function over a ``status`` reply so tests can feed canned
-    payloads; tolerant of coordinators predating the ``telemetry``
-    field (the table simply loses its metric columns).
+    Pure function over a ``GET /fleet`` reply so tests can feed canned
+    payloads; tolerant of services predating the ``telemetry`` field
+    (the table simply loses its metric columns).
     """
     from repro.analysis.reporting import format_table
 
@@ -788,9 +720,9 @@ def _render_top(status: dict) -> str:
 
 
 def _sweep_status_lines(status: dict) -> list:
-    """Per-tenant lines for ``status``/``top``: state, counts, journal lag.
+    """Per-tenant lines of the fleet view: state, counts, journal lag.
 
-    One line per entry of the ``status`` op's ``sweeps`` map.
+    One line per entry of the ``GET /fleet`` reply's ``sweeps`` map.
     """
     lines = []
     sweeps = status.get("sweeps") or {}
@@ -831,6 +763,8 @@ def _cmd_cluster(args) -> int:
             token=args.token,
         )
         stats = agent.run_forever()
+        if agent.auth_error is not None:
+            raise agent.auth_error  # main() prints it and exits 2
         if args.json:
             print(json.dumps(stats.to_dict(), indent=2, sort_keys=True))
         else:
@@ -870,52 +804,15 @@ def _cmd_cluster(args) -> int:
         return 0
 
     if args.cluster_command == "status":
-        if bool(args.coordinator) == bool(args.service):
-            print(
-                "error: pass exactly one of --coordinator or --service",
-                file=sys.stderr,
-            )
-            return 2
-        if args.service:
-            from repro.cluster.http_api import ServiceClient
-
-            status = ServiceClient(
-                args.service, token=args.token, timeout=args.timeout
-            ).fleet()
-        else:
-            from repro.cluster import ClusterClient
-
-            client = ClusterClient(
-                args.coordinator, timeout=args.timeout, token=args.token
-            )
-            status = client.status()
-        if args.json:
-            print(json.dumps(status, indent=2, sort_keys=True))
-        else:
-            counts = ", ".join(
-                f"{state}={status.get(state, 0)}"
-                for state in ("pending", "leased", "done", "failed")
-            )
-            print(f"jobs: {counts}")
-            workers = status.get("workers") or {}
-            for name in sorted(workers):
-                print(f"worker {name}: seen {workers[name]:.1f}s ago")
-            for line in _sweep_status_lines(status):
-                print(line)
-            if status.get("failure"):
-                print(f"failure: {status['failure']}")
-        return 1 if status.get("failure") else 0
-
-    if args.cluster_command == "top":
         import time
 
-        from repro.cluster import ClusterClient
+        from repro.cluster.http_api import ServiceClient
 
-        client = ClusterClient(
-            args.coordinator, timeout=args.timeout, token=args.token
+        client = ServiceClient(
+            args.service, token=args.token, timeout=args.timeout
         )
         while True:
-            status = client.status()
+            status = client.fleet()
             if args.json:
                 print(json.dumps(status, indent=2, sort_keys=True))
             else:
@@ -956,7 +853,6 @@ def _cmd_cluster(args) -> int:
             token=args.token,
             lease_timeout=args.lease_s,
             max_attempts=args.max_retries,
-            affinity=args.affinity,
             peer_sync=args.peer_sync,
             journal_dir=args.journal_dir,
             compact_every=args.compact_every,
@@ -1054,58 +950,7 @@ def _cmd_cluster(args) -> int:
         )
         return 0
 
-    if args.cluster_command not in ("coordinator", "sweep"):
-        raise ValueError(f"unknown cluster command {args.cluster_command!r}")
-
-    from repro.cluster import ClusterExecutor, format_address
-
-    # Both single-shot forms are one ClusterExecutor (an embedded
-    # experiment service that exits after the sweep); they differ only
-    # in the bind address and in who computes: the local fleet, or
-    # networked workers the operator starts.
-    sweep = args.cluster_command == "sweep"
-    base = _base_config(args)
-    grid = _grid_from_args(args, base)
-    executor = ClusterExecutor(
-        base,
-        store=ArtifactStore(args.cache_dir) if args.cache_dir else ArtifactStore(),
-        address=("127.0.0.1", args.port) if sweep else args.bind,
-        lease_timeout=args.lease_s,
-        max_attempts=args.max_retries,
-        wait_timeout=args.wait_timeout,
-        journal=_resolve_journal(args),
-        resume=args.resume,
-        affinity=args.affinity,
-        peer_sync=args.peer_sync,
-        compact_every=args.compact_every,
-    )
-    if sweep:
-        records = executor.run_local(
-            grid,
-            args.workers,
-            threads_per_worker=(
-                None if args.threads_per_worker == 0 else args.threads_per_worker
-            ),
-            max_idle_s=args.max_idle_s,
-            peer=args.peer_sync,
-            trace=args.trace,
-            log_level=args.log_level,
-        )
-    else:
-        def on_ready(address):
-            if not args.json:
-                print(f"coordinator listening on {format_address(address)}; "
-                      "waiting for workers "
-                      f"(repro cluster worker --coordinator {format_address(address)})")
-        records = executor.run(grid, on_ready=on_ready)
-    title = (
-        f"cluster sweep: {len(records)} grid points over "
-        f"{args.workers} localhost worker(s)"
-        if sweep
-        else f"distributed sweep: {len(records)} grid points"
-    )
-    _emit_records(args, records, title=title)
-    return 0
+    raise ValueError(f"unknown cluster command {args.cluster_command!r}")
 
 
 def _cmd_telemetry(args) -> int:

@@ -6,10 +6,9 @@ nothing beyond the standard library (``asyncio``, ``socket``, ``json``):
 
 - a **coordinator** (:class:`CoordinatorCore` dispatching over the
   :class:`SweepPlan` of each :class:`ManagedSweep`) expands the grid,
-  dedupes jobs by stage fingerprint and hands them out over a small
-  line protocol with leases, heartbeats, requeue-with-exclusion,
-  bounded retries and affinity-aware grants (jobs prefer the worker
-  already holding their upstream artifacts);
+  dedupes jobs by stage fingerprint and hands them out in creation
+  order over a small line protocol with leases, heartbeats,
+  requeue-with-exclusion and bounded retries;
 - **worker agents** (:class:`WorkerAgent`) lease jobs, run them through
   the ordinary :class:`~repro.pipeline.stages.ExperimentPipeline`
   against a local store, and sync artifacts by fingerprint
@@ -20,31 +19,30 @@ nothing beyond the standard library (``asyncio``, ``socket``, ``json``):
   values are identical to the serial
   :class:`~repro.pipeline.runner.Runner`;
 - an optional **journal** (:class:`SweepJournal`) persists every job
-  transition next to the store, so a coordinator killed mid-sweep
-  restarts with ``--resume`` and never re-leases a journaled-done
-  fingerprint;
+  transition next to the store, so a sweep killed mid-run restarts
+  with ``--resume`` and never re-leases a journaled-done fingerprint;
 - the **experiment service** (:class:`ExperimentService`) is the one
   coordinator runtime: many named sweeps (each with its own plan +
   journal) multiplexed over one shared store and one worker fleet,
   administered through an HTTP/JSON control plane
   (:class:`ServiceClient`), with shared-token auth on both planes.
 
-Minimal end-to-end (one process per block, any hosts)::
+One entry point per concept: a local parallel sweep is ``repro sweep
+--workers N`` (``Runner(max_workers=N)``); networked sweeps go to one
+always-on service, watched with ``repro cluster status``::
 
-    # coordinator host
-    python -m repro cluster coordinator --bind 0.0.0.0:8752 --seeds 1 2 3
+    # service host
+    python -m repro cluster serve --bind 0.0.0.0:8752
 
     # each worker host
-    python -m repro cluster worker --coordinator coord-host:8752
+    python -m repro cluster worker --coordinator service-host:8752
 
-or keep one service up and submit sweeps to it as they come::
+    # any client
+    python -m repro cluster submit --service service-host:8753 --seeds 1 2 3 --wait
 
-    python -m repro cluster serve --bind 0.0.0.0:8752
-    python -m repro cluster submit --service coord-host:8753 --seeds 1 2 3
+or, from a script, one single-shot sweep for networked workers::
 
-or programmatically, with the runner facade::
-
-    records = Runner(config, store=store, coordinator="0.0.0.0:8752").run(grid)
+    records = ClusterExecutor(config, store=store, address="0.0.0.0:8752").run(grid)
 
 See ``docs/cluster.md`` for the protocol, lease semantics and the
 artifact sync contract.

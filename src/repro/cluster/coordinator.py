@@ -7,8 +7,8 @@ tenant sweeps — each a :class:`ManagedSweep` owning its own
 :class:`~repro.cluster.plan.SweepPlan` — through one core over one
 shared :class:`~repro.pipeline.store.ArtifactStore` and one
 :class:`~repro.cluster.plan.WorkerRegistry`.  A single-shot sweep
-(:class:`~repro.cluster.executor.ClusterExecutor`, ``repro cluster
-sweep``/``coordinator``) is that same service with one tenant, told to
+(:class:`~repro.cluster.executor.ClusterExecutor`, behind ``repro
+sweep --workers N``) is that same service with one tenant, told to
 shut its workers down once the tenant finishes.
 
 Operations (one JSON request line → one JSON reply line, blobs framed
@@ -34,11 +34,10 @@ by ``blob_bytes``):
 ``get``      download one artifact blob by fingerprint
 ``put``      upload one artifact blob by fingerprint (idempotent: an
              already-present fingerprint is acknowledged, not rewritten)
-``status``   job-state counts + transfer counters + aggregated worker
-             telemetry + a per-sweep breakdown (state, counts, failure,
-             journal lag) under ``sweeps``, for monitoring
-             (``repro cluster top``)
 ===========  ==========================================================
+
+Monitoring is not a line op: :meth:`CoordinatorCore.status_view` is
+served over HTTP only (``GET /fleet``, ``repro cluster status``).
 
 Multi-tenant routing: a ``heartbeat``/``complete``/``fail`` may carry
 the ``sweep_id`` its lease grant named; requests without one (older
@@ -309,8 +308,6 @@ class CoordinatorCore:
                 None,
                 None,
             )
-        if op == "status":
-            return self._op_status(), None, None
         return {"error": f"unknown op {op!r}"}, None, None
 
     def _authorized(self, payload: Dict[str, Any]) -> bool:
@@ -419,11 +416,9 @@ class CoordinatorCore:
         return {"wait": self.poll_s}
 
     def status_view(self) -> Dict[str, Any]:
-        """The ``status`` op's payload, for in-process callers (HTTP
-        ``/fleet``, the service's own monitoring) — no socket, no auth."""
-        return self._op_status()
-
-    def _op_status(self) -> Dict[str, Any]:
+        """The fleet view behind HTTP ``GET /fleet``: job-state totals,
+        worker ages, transfer counters, aggregated worker telemetry and
+        a per-sweep breakdown (state, counts, failure, journal lag)."""
         totals = {"pending": 0, "leased": 0, "done": 0, "failed": 0}
         failure: Optional[str] = None
         sweeps: Dict[str, Any] = {}

@@ -15,10 +15,10 @@ carries per-job placement/transfer stats under ``cluster/…`` keys in
 starts an embedded :class:`~repro.cluster.service.ExperimentService`
 that shuts its workers down once idle, submits the grid as the
 service's only tenant, waits for the plan to drain, and assembles the
-records in grid order.  ``Runner(coordinator=...)`` and ``repro
-cluster coordinator`` run through it; :meth:`ClusterExecutor.run_local`
-adds N localhost worker subprocesses, for ``Runner(max_workers=N)`` and
-``repro cluster sweep``.
+records in grid order; networked ``repro cluster worker`` agents
+compute.  :meth:`ClusterExecutor.run_local` adds N localhost worker
+subprocesses instead, for ``Runner(max_workers=N)`` and ``repro sweep
+--workers N``.
 
 With ``journal=...`` the tenant keeps a disk journal of every job
 transition next to the store; ``resume=True`` replays it so a
@@ -44,9 +44,14 @@ from repro.cluster.worker import WorkerAgent
 from repro.core.config import SparkXDConfig
 from repro.pipeline.runner import RunRecord
 from repro.pipeline.store import ArtifactStore
-from repro.telemetry import get_logger, span
+from repro.telemetry import get_logger, span, telemetry_log_level, trace_writer
 
 LOG = get_logger(__name__)
+
+#: Lease re-poll interval of a :meth:`ClusterExecutor.run_local` fleet
+#: whose executor sets no ``poll_s``: its coordinator is on loopback,
+#: and a worker waiting on an upstream chain should pick it up at once.
+LOCAL_POLL_S = 0.05
 
 
 class ClusterExecutor:
@@ -78,16 +83,13 @@ class ClusterExecutor:
         Replay an existing journal before distributing: jobs whose
         ``done`` events are journaled and whose artifacts are still in
         the store are never re-leased.
-    affinity:
-        Enable worker-affinity scheduling (default).  ``False``
-        restores plain creation-order grants — kept for comparison
-        benchmarks (see benchmarks/perf_cluster.py).
     peer_sync:
         Enable the peer-to-peer artifact fabric (default): the
         coordinator answers ``locate`` with live peer addresses and
         workers pull artifacts from each other.  ``False`` turns the
         routing table off — every byte routes through the hub, exactly
-        the pre-fabric topology.
+        the pre-fabric topology (:meth:`run_local` starts its fleet
+        with ``--no-peer-sync`` to match).
     compact_every:
         Auto-compact the journal after this many appended events (see
         :class:`~repro.cluster.journal.SweepJournal`); ``None`` never
@@ -109,7 +111,6 @@ class ClusterExecutor:
         wait_timeout: Optional[float] = None,
         journal: Optional[Union[str, Path]] = None,
         resume: bool = False,
-        affinity: bool = True,
         peer_sync: bool = True,
         compact_every: Optional[int] = None,
         token: Optional[str] = None,
@@ -124,7 +125,6 @@ class ClusterExecutor:
         self.wait_timeout = wait_timeout
         self.journal_path = Path(journal) if journal is not None else None
         self.resume = bool(resume)
-        self.affinity = bool(affinity)
         self.peer_sync = bool(peer_sync)
         self.compact_every = None if compact_every is None else int(compact_every)
         #: Actual bound address of the most recent (or current) run.
@@ -150,6 +150,9 @@ class ClusterExecutor:
         Workers that connect earlier are told to wait, never to shut
         down.
         """
+        return self._serve(grid, on_ready, self.poll_s)
+
+    def _serve(self, grid, on_ready, poll_s: Optional[float]) -> List[RunRecord]:
         host, port = self.bind_address
         service = ExperimentService(
             store=self.store,
@@ -159,8 +162,7 @@ class ClusterExecutor:
             token=self.token,
             lease_timeout=self.lease_timeout,
             max_attempts=self.max_attempts,
-            poll_s=self.poll_s,
-            affinity=self.affinity,
+            poll_s=poll_s,
             peer_sync=self.peer_sync,
             shutdown_when_idle=True,
         )
@@ -197,15 +199,16 @@ class ClusterExecutor:
         grid: Mapping[str, Sequence[Any]],
         n_workers: int,
         threads_per_worker: Optional[int] = 1,
-        **fleet_options: Any,
     ) -> List[RunRecord]:
         """:meth:`run` ``grid`` on ``n_workers`` localhost worker subprocesses.
 
         Fleet sizes are validated before the service starts; a grid
         whose artifacts are all cached (or journaled done) launches no
         worker; a fleet whose workers all exited with work left raises
-        :class:`PlanFailed` naming their exit codes.  The other
-        arguments (and ``token``) go to :func:`local_worker_processes`.
+        :class:`PlanFailed` naming their exit codes.  Idle workers
+        re-poll every :data:`LOCAL_POLL_S` unless ``poll_s`` was set;
+        ``threads_per_worker``, ``token`` and ``peer_sync`` go to
+        :func:`local_worker_processes`.
         """
         if n_workers < 1:
             raise ValueError(f"workers must be >= 1, got {n_workers}")
@@ -224,15 +227,16 @@ class ClusterExecutor:
                     address,
                     n_workers,
                     threads_per_worker=threads_per_worker,
+                    peer=self.peer_sync,
                     token=self.token,
-                    **fleet_options,
                 ))
                 fleet.enter_context(
                     _cancel_when_all_exit(plan, workers, exit_codes)
                 )
 
+            poll_s = LOCAL_POLL_S if self.poll_s is None else self.poll_s
             try:
-                return self.run(grid, on_ready=on_ready)
+                return self._serve(grid, on_ready, poll_s)
             except RuntimeError as error:
                 if not exit_codes:
                     raise
@@ -342,12 +346,8 @@ def _worker_env(threads_per_worker: Optional[int]) -> dict:
 def local_worker_processes(
     address: Any,
     n_workers: int,
-    cache_dir: Optional[str] = None,
-    max_idle_s: float = 30.0,
     threads_per_worker: Optional[int] = 1,
     peer: bool = True,
-    trace: Optional[str] = None,
-    log_level: Optional[str] = None,
     token: Optional[str] = None,
 ) -> Iterator[List[subprocess.Popen]]:
     """``n_workers`` subprocess agents (``python -m repro cluster worker``).
@@ -357,10 +357,13 @@ def local_worker_processes(
     ``threads_per_worker`` caps each agent's BLAS/OpenMP threads
     (``None`` leaves the runtimes at their defaults).  ``peer=False``
     starts the agents with ``--no-peer-sync`` (pure hub topology).
-    ``trace`` forwards ``--trace PATH`` so every agent appends spans to
-    the same JSONL file as the coordinator (line-atomic appends; the
-    exporter separates processes by pid) — this is how a single
-    ``repro cluster sweep --trace`` yields one merged fleet trace.
+    The agents inherit this process's telemetry: with a trace writer
+    installed they append spans to the same JSONL file (line-atomic
+    appends; the exporter separates processes by pid) — this is how
+    ``repro sweep --workers N --trace`` yields one merged fleet trace —
+    and they log at the level :func:`~repro.telemetry.configure_telemetry`
+    set.  They keep the worker command's default idle limit: an agent
+    exits once its coordinator has been unreachable for 30 s.
     """
     target = format_address(parse_address(address))
     command = [
@@ -371,17 +374,15 @@ def local_worker_processes(
         "worker",
         "--coordinator",
         target,
-        "--max-idle-s",
-        str(max_idle_s),
     ]
-    if cache_dir:
-        command += ["--cache-dir", str(cache_dir)]
     if not peer:
         command.append("--no-peer-sync")
-    if trace:
-        command += ["--trace", str(trace)]
-    if log_level:
-        command += ["--log-level", str(log_level)]
+    writer = trace_writer()
+    if writer is not None:
+        command += ["--trace", writer.path]
+    log_level = telemetry_log_level()
+    if log_level is not None:
+        command += ["--log-level", log_level]
     env = _worker_env(threads_per_worker)
     if token:
         # The secret travels by environment, not argv: process listings

@@ -21,12 +21,9 @@ networked or the localhost fleet behind
   could;
 - **bounded retries** — a job leased ``max_attempts`` times without a
   completion fails the whole plan with a diagnostic;
-- **affinity** — a leasing worker reports which artifacts it already
-  holds locally; among the ready jobs it is granted the one with the
-  most upstream artifacts already in its hands, so dependency chains
-  stay on the worker that computed (or pulled) them and transfer bytes
-  stay down.  With nothing reported (or ``affinity=False``) grants fall
-  back to plain creation order, exactly the pre-affinity behaviour;
+- **grant order** — a leasing worker gets the first ready job in
+  creation order (grid-major, depth-minor); what it reports holding
+  only feeds the peer routing table, never the grant;
 - **journal** — with a :class:`~repro.cluster.journal.SweepJournal`
   attached, every transition is appended to disk and a reconstructed
   plan replays ``done`` events (validated against the store), so a
@@ -82,7 +79,7 @@ class Job:
     deps: Set[str] = field(default_factory=set)
     #: Every upstream ``(stage, digest)`` key of the chain prefix —
     #: exactly what the executing worker must hold (pull or recompute)
-    #: before running; the affinity scorer counts these.
+    #: before running; lease grants carry their peer sources.
     upstream: Tuple[Tuple[str, str], ...] = ()
     state: str = "pending"  # pending | leased | done | failed
     attempts: int = 0
@@ -122,8 +119,8 @@ class WorkerRegistry:
     In single-sweep mode each :class:`SweepPlan` creates its own
     registry, reproducing the pre-service behaviour exactly.  The
     experiment service instead passes ONE registry to every tenant
-    plan, so worker liveness, stable slot numbers, affinity holdings
-    and the peer routing table describe the whole fleet no matter which
+    plan, so worker liveness, stable slot numbers, holdings and the
+    peer routing table describe the whole fleet no matter which
     sweep a worker last touched — a worker that went silent is dead for
     *every* tenant, and an artifact it holds is locatable from *every*
     tenant.
@@ -210,11 +207,6 @@ class WorkerRegistry:
         with self._lock:
             return len(self._holdings.get(worker, ()))
 
-    def holdings_view(self, worker: str) -> Set[Tuple[str, str]]:
-        """A snapshot copy of ``worker``'s reported holdings."""
-        with self._lock:
-            return set(self._holdings.get(worker, ()))
-
     def register_peer(self, worker: str, host: str, port: int) -> None:
         with self._lock:
             self._touch_locked(worker)
@@ -271,18 +263,13 @@ class SweepPlan:
         whose artifact is still in the store comes back as a done job
         (original worker attribution and stats intact) and is never
         re-leased.
-    affinity:
-        With ``True`` (default), :meth:`lease` prefers the ready job
-        with the most upstream artifacts among those the worker
-        reported holding; ``False`` restores plain creation-order
-        grants (the pre-affinity scheduler).
     peer_sync:
         With ``True`` (default) the plan doubles as the artifact
         *routing table*: workers register a peer-serving address
         (:meth:`register_peer`) and :meth:`locate` answers "who holds
-        this key" from the same holdings map affinity scheduling uses,
-        so artifact bytes flow worker-to-worker and the coordinator
-        degrades to a metadata service.  ``False`` disables
+        this key" from the registry's holdings map, so artifact bytes
+        flow worker-to-worker and the coordinator degrades to a
+        metadata service.  ``False`` disables
         registration and makes :meth:`locate` answer nothing, which
         reproduces the PR 4/5 hub topology exactly.
     registry:
@@ -302,7 +289,6 @@ class SweepPlan:
         max_attempts: int = 3,
         clock: Callable[[], float] = time.monotonic,
         journal: Optional[SweepJournal] = None,
-        affinity: bool = True,
         peer_sync: bool = True,
         registry: Optional[WorkerRegistry] = None,
     ):
@@ -315,7 +301,6 @@ class SweepPlan:
         self.max_attempts = int(max_attempts)
         self.clock = clock
         self.journal = journal
-        self.affinity = bool(affinity)
         self.peer_sync = bool(peer_sync)
         self._lock = threading.Lock()
         self.param_sets = sweep_grid(grid)
@@ -559,57 +544,31 @@ class SweepPlan:
                     expired.append(job.job_id)
         return expired
 
-    def lease(
-        self,
-        worker: str,
-        holding: Optional[Iterable[Sequence[str]]] = None,
-    ) -> Optional[Job]:
-        """Grant a ready, eligible job to ``worker`` (or ``None``).
-
-        ``holding`` — the ``(stage, digest)`` keys the worker reports
-        having locally — steers the grant: among the ready jobs, the
-        one with the most upstream artifacts already on that worker
-        wins (ties break by creation order), so chains stay where
-        their artifacts live and sync traffic shrinks.  Without a
-        report (or with ``affinity=False``) the first ready job in
-        creation order is granted, exactly as before.
-        """
+    def lease(self, worker: str) -> Optional[Job]:
+        """Grant the first ready, eligible job in creation order (or ``None``)."""
         self.expire_leases()
-        if holding is not None:
-            self.registry.set_holdings(worker, holding)
         with self._lock:
             self._touch_locked(worker)
             if self.failure is not None or self._cancelled:
                 return None
-            held = (
-                self.registry.holdings_view(worker) if self.affinity else ()
-            )
-            best: Optional[Job] = None
-            best_score = -1
             for job_id in self._order:
                 job = self.jobs[job_id]
-                if not (self._ready(job) and self._eligible(job, worker)):
-                    continue
-                if not held:
-                    best = job
+                if self._ready(job) and self._eligible(job, worker):
                     break
-                score = sum(1 for key in job.upstream if key in held)
-                if score > best_score:
-                    best, best_score = job, score
-            if best is None:
+            else:
                 return None
-            best.state = "leased"
-            best.worker = worker
-            best.attempts += 1
-            best.deadline = self.clock() + self.lease_timeout
+            job.state = "leased"
+            job.worker = worker
+            job.attempts += 1
+            job.deadline = self.clock() + self.lease_timeout
             self._journal_event({
                 "event": "lease",
-                "job": best.job_id,
+                "job": job.job_id,
                 "worker": worker,
-                "attempt": best.attempts,
+                "attempt": job.attempts,
             })
             get_metrics().counter("plan.leases").inc()
-            return best
+            return job
 
     def heartbeat(self, worker: str, job_id: str) -> bool:
         """Extend the lease; False means the lease is no longer held."""

@@ -289,14 +289,3 @@ class ClusterClient:
             if check:
                 raise ProtocolError(str(reply["error"]))
         return reply, reply_blob
-
-    def status(self) -> Dict[str, Any]:
-        """Job-state counts plus worker last-seen ages, for monitoring.
-
-        The reply mirrors the coordinator's ``status`` op: one count per
-        job state (``pending``/``leased``/``done``/``failed``), the
-        sweep ``failure`` string (``None`` while healthy), and a
-        ``workers`` map of name → seconds since last contact.
-        """
-        reply, _ = self.request({"op": "status"})
-        return reply

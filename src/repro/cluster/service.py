@@ -21,8 +21,8 @@ compaction and replay are strictly per tenant — while every tenant
 shares ONE :class:`~repro.pipeline.store.ArtifactStore` (cross-sweep
 fingerprint dedupe comes for free: a stage another tenant already
 computed needs no job at all) and ONE
-:class:`~repro.cluster.plan.WorkerRegistry` (liveness, affinity
-holdings and the peer routing table describe the whole fleet).
+:class:`~repro.cluster.plan.WorkerRegistry` (liveness, holdings and
+the peer routing table describe the whole fleet).
 
 Sweep identity is deterministic: ``sweep_id`` fingerprints the config ×
 grid, so resubmitting after a service crash reattaches to the same
@@ -34,10 +34,9 @@ and the event loop itself only ever parses frames and shuttles bytes.
 ``shutdown_when_idle=True`` is the single-shot lifecycle (workers get
 ``shutdown`` once every submitted sweep finished).
 :meth:`~repro.cluster.executor.ClusterExecutor.run` — behind
-``Runner(coordinator=)``, ``Runner(max_workers=N)``, ``repro cluster
-sweep`` and ``repro cluster coordinator`` — is exactly that: an
-embedded serve → submit → wait → assemble composition, one sweep, then
-the service stops.
+``Runner(max_workers=N)`` and ``repro sweep --workers N`` — is exactly
+that: an embedded serve → submit → wait → assemble composition, one
+sweep, then the service stops.
 """
 
 from __future__ import annotations
@@ -111,49 +110,48 @@ def assemble_point(
     params: Mapping[str, Any],
     config: SparkXDConfig,
     keys: Sequence[Tuple[str, str]],
+    owned: Sequence[Tuple[str, str]],
 ) -> RunRecord:
     """Assemble one grid point's :class:`RunRecord` from a warmed store.
 
     Identical in values to one iteration of :meth:`Runner.run`'s
-    assembly loop; the volatile fields additionally record where each
-    job ran and what its transfers cost (``cluster/…`` keys in
-    ``stage_timings``).  Every key in ``keys`` must already be
-    satisfied — :meth:`ExperimentService.results` requires a done plan.
+    assembly loop.  ``owned`` are the chain ``keys`` this point computed
+    (:meth:`ExperimentService.results` gives each job's key to the first
+    grid point that needs it), so the execution fields tell what a
+    serial run would: those keys are the misses, the rest are hits,
+    only those jobs' ``cluster/…`` placement/transfer entries land in
+    ``stage_timings``, and ``wall_time_s`` is their worker ``exec_s`` +
+    ``sync_s`` plus this assembly.  Every key must already be in the
+    store — :meth:`ExperimentService.results` requires a done plan.
     """
     started = time.perf_counter()
-    # A per-record stats view keeps the hit/miss deltas attributable to
-    # THIS record's assembly: the shared store's counters may be
-    # concurrently bumped by server threads serving other tenants or
-    # straggler uploads.
-    view = store.stats_view()
-    pipeline = ExperimentPipeline(config, store=view)
-    result = pipeline.run()
-    record = RunRecord.from_result(
+    # A stats view keeps this read out of the shared store's hit/miss
+    # counters (the record's counts come from ``owned``).
+    result = ExperimentPipeline(config, store=store.stats_view()).run()
+    timings: Dict[str, float] = {}
+    job_s = 0.0
+    for (stage_name, digest) in owned:
+        stats = plan.job_for(stage_name, digest).stats
+        if not stats:
+            continue
+        exec_s = stats.get("exec_s") or {}
+        job_s += sum(exec_s.values()) + float(stats.get("sync_s", 0.0))
+        prefix = f"cluster/{stage_name}"
+        if stage_name in exec_s:
+            timings[prefix] = float(exec_s[stage_name])
+        timings[f"{prefix}:sync_s"] = float(stats.get("sync_s", 0.0))
+        timings[f"{prefix}:sync_bytes"] = float(
+            stats.get("pulled_bytes", 0)
+        ) + float(stats.get("pushed_bytes", 0))
+        timings[f"{prefix}:worker"] = float(stats.get("slot", -1))
+    return RunRecord.from_result(
         result,
         params=params,
-        wall_time_s=time.perf_counter() - started,
-        cache_hits=view.stats.hits,
-        cache_misses=view.stats.misses,
-        stage_timings=pipeline.stage_timings,
+        wall_time_s=job_s + time.perf_counter() - started,
+        cache_hits=len(keys) - len(owned),
+        cache_misses=len(owned),
+        stage_timings=timings,
     )
-    for (stage_name, digest) in keys:
-        job = plan.job_for(stage_name, digest)
-        if job is None or not job.stats:
-            continue
-        prefix = f"cluster/{stage_name}"
-        exec_s = (job.stats.get("exec_s") or {}).get(stage_name)
-        if exec_s is not None:
-            record.stage_timings[prefix] = float(exec_s)
-        record.stage_timings[f"{prefix}:sync_s"] = float(
-            job.stats.get("sync_s", 0.0)
-        )
-        record.stage_timings[f"{prefix}:sync_bytes"] = float(
-            job.stats.get("pulled_bytes", 0)
-        ) + float(job.stats.get("pushed_bytes", 0))
-        record.stage_timings[f"{prefix}:worker"] = float(
-            job.stats.get("slot", -1)
-        )
-    return record
 
 
 class ExperimentService:
@@ -173,7 +171,7 @@ class ExperimentService:
     token:
         Shared secret enforced on BOTH planes (line ops and HTTP
         bearer); ``None`` disables auth.
-    lease_timeout / max_attempts / affinity / peer_sync / poll_s:
+    lease_timeout / max_attempts / peer_sync / poll_s:
         Scheduling semantics, applied to every tenant plan (see
         :class:`~repro.cluster.plan.SweepPlan`).
     journal_dir:
@@ -200,7 +198,6 @@ class ExperimentService:
         lease_timeout: float = 30.0,
         max_attempts: int = 3,
         poll_s: Optional[float] = None,
-        affinity: bool = True,
         peer_sync: bool = True,
         journal_dir: Optional[Union[str, Path]] = None,
         compact_every: Optional[int] = None,
@@ -220,7 +217,6 @@ class ExperimentService:
             if poll_s is not None
             else min(1.0, self.lease_timeout / 4.0)
         )
-        self.affinity = bool(affinity)
         self.peer_sync = bool(peer_sync)
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
         self.compact_every = None if compact_every is None else int(compact_every)
@@ -312,7 +308,6 @@ class ExperimentService:
                     lease_timeout=self.lease_timeout,
                     max_attempts=self.max_attempts,
                     journal=journal,
-                    affinity=self.affinity,
                     peer_sync=self.peer_sync,
                     registry=self.registry,
                 )
@@ -406,17 +401,27 @@ class ExperimentService:
             raise RuntimeError(
                 f"sweep {sweep_id} is not complete (job states: {counts})"
             )
+        # Each key a job of this sweep produced (journal replays
+        # included) is owned by the first grid point that needs it.
+        owner: Dict[Tuple[str, str], int] = {}
+        for index, keys in enumerate(plan.chain_keys):
+            for key in keys:
+                if plan.job_for(*key) is not None:
+                    owner.setdefault(key, index)
         records = [
-            assemble_point(plan, self.store, params, config, keys)
-            for params, config, keys in zip(
-                plan.param_sets, plan.configs, plan.chain_keys
+            assemble_point(
+                plan, self.store, params, config, keys,
+                [key for key in keys if owner.get(key) == index],
+            )
+            for index, (params, config, keys) in enumerate(
+                zip(plan.param_sets, plan.configs, plan.chain_keys)
             )
         ]
         managed.records = records
         return list(records)
 
     def fleet(self) -> Dict[str, Any]:
-        """The whole-service view (same shape as the ``status`` op)."""
+        """The whole-service view (``GET /fleet``, ``cluster status``)."""
         return self.core.status_view()
 
     def wait(

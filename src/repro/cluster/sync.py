@@ -138,8 +138,8 @@ class ArtifactSync:
         self.pulled = 0
         self.pushed = 0
         #: Cumulative artifact payload bytes moved in each direction —
-        #: raw (decoded) sizes; the quantity affinity scheduling and
-        #: the peer fabric exist to shrink on the hub.
+        #: raw (decoded) sizes; the quantity the peer fabric exists to
+        #: shrink on the hub.
         self.pulled_bytes = 0
         self.pushed_bytes = 0
         #: Actual on-the-wire sizes (differ from the raw counts only

@@ -327,8 +327,10 @@ class WorkerAgent:
         Shared cluster secret; stamped onto every request.  A
         token-requiring coordinator rejects tokenless workers with an
         :class:`~repro.cluster.protocol.AuthError`, on which this agent
-        exits immediately and loudly (recorded in ``stats.errors``) —
-        an auth mismatch is a deployment error, not a transient.
+        exits immediately and loudly (recorded in ``stats.errors`` and
+        kept as :attr:`auth_error`, which ``repro cluster worker`` turns
+        into exit 2) — an auth mismatch is a deployment error, not a
+        transient.
     """
 
     def __init__(
@@ -359,12 +361,14 @@ class WorkerAgent:
         self._hub_caps: Tuple[str, ...] = ()
         self._said_hello = False
         self._stop = threading.Event()
+        #: The coordinator's rejection of our token, once it happened.
+        self.auth_error: Optional[AuthError] = None
         #: (stage, digest) keys this agent holds locally — computed or
         #: pulled this session.  Reported on lease requests (only when
         #: changed since the last delivered report — the coordinator
         #: remembers the previous one, so idle wait-polls stay small)
-        #: so the affinity scheduler can keep dependency chains on the
-        #: worker that already has their artifacts.
+        #: so the peer routing table can send other workers here for
+        #: them.
         self._holding: set = set()
         self._holding_reported = False
 
@@ -421,6 +425,7 @@ class WorkerAgent:
             # a healthy-but-idle worker to the operator.
             message = f"authentication rejected by coordinator: {error}"
             self.stats.errors.append(message)
+            self.auth_error = error
             get_metrics().counter("worker.auth_rejects").inc()
             LOG.error("worker auth rejected", extra={"worker": self.name})
             return self.stats
@@ -570,7 +575,7 @@ class WorkerAgent:
             }
         )
         # Everything in the chain is now local: report it on the next
-        # lease so affinity scheduling can route dependants back here.
+        # lease so the routing table can point peers here for it.
         before = len(self._holding)
         self._holding.update(
             (stage.name, stage.cache_key(config)) for stage in chain

@@ -21,10 +21,12 @@ single-shot experiment service on a loopback port plus ``max_workers``
 localhost worker subprocesses, which compute one job per *unique
 missing* stage fingerprint and push every artifact into this runner's
 store before the records are assembled (deterministically, in grid
-order) from it.  All result values are identical to serial execution;
-only the execution-dependent ``wall_time_s`` / ``cache_hits`` /
-``cache_misses`` / ``stage_timings`` record fields vary with worker
-count.
+order) from it.  All result values are identical to serial execution,
+and so are the per-record ``cache_hits`` / ``cache_misses``: a stage
+the fleet computed is a miss of the first grid point that needs it.
+Only ``wall_time_s`` (that point's own jobs' worker time plus its
+assembly) and ``stage_timings`` (placement under ``cluster/…`` keys)
+vary with worker count.
 
 Each grid point yields a structured :class:`RunRecord` that serialises
 to JSON/CSV via :mod:`repro.analysis.export`.
@@ -243,29 +245,18 @@ class Runner:
     max_workers:
         ``1`` (default) runs serially in-process; larger values run a
         multi-point grid on that many localhost worker subprocesses
-        (see the module docstring).  Result values are bit-identical
-        either way (the timing and cache-statistics record fields are
-        execution-dependent).
+        (see the module docstring).  Result values and cache
+        statistics are identical either way (the timing record fields
+        are execution-dependent).
     threads_per_worker:
         BLAS/OpenMP threads each worker subprocess may use (default 1 —
         one core per worker, no oversubscription from the workers'
         large matmuls): the ``OMP_NUM_THREADS``-family variables are
         pinned in each worker's environment.  Pass ``None`` to leave
         the runtimes at their own defaults.
-    coordinator:
-        A ``"host:port"`` (or ``(host, port)``) for the worker plane of
-        a cluster coordinator instead of computing locally: :meth:`run`
-        delegates to :class:`repro.cluster.ClusterExecutor`, which
-        starts an embedded single-shot experiment service there, serves
-        the grid's unique missing fingerprints to networked
-        ``repro cluster worker`` agents and assembles identical records
-        from the synced artifacts (see docs/cluster.md).
-        ``max_workers``/``threads_per_worker`` are ignored in this mode
-        — parallelism belongs to the connected workers.
-    cluster_options:
-        Extra keyword arguments forwarded to
-        :class:`~repro.cluster.ClusterExecutor` (``lease_timeout``,
-        ``max_attempts``, ``wait_timeout``, …).
+
+    Networked workers are :class:`repro.cluster.ClusterExecutor`'s job
+    (``ClusterExecutor(address=...).run(grid)``, docs/cluster.md).
     """
 
     def __init__(
@@ -274,8 +265,6 @@ class Runner:
         store: Optional[ArtifactStore] = None,
         max_workers: int = 1,
         threads_per_worker: Optional[int] = 1,
-        coordinator: Optional[Any] = None,
-        cluster_options: Optional[Mapping[str, Any]] = None,
     ):
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
@@ -283,14 +272,10 @@ class Runner:
             raise ValueError(
                 f"threads_per_worker must be >= 1 or None, got {threads_per_worker}"
             )
-        if cluster_options and coordinator is None:
-            raise ValueError("cluster_options requires a coordinator address")
         self.base_config = base_config or SparkXDConfig()
         self.store = store if store is not None else ArtifactStore()
         self.max_workers = max_workers
         self.threads_per_worker = threads_per_worker
-        self.coordinator = coordinator
-        self.cluster_options = dict(cluster_options or {})
 
     # ------------------------------------------------------------------
     def configs_for(self, grid: Mapping[str, Sequence[Any]]) -> List[SparkXDConfig]:
@@ -300,26 +285,13 @@ class Runner:
 
     def run(self, grid: Mapping[str, Sequence[Any]]) -> List[RunRecord]:
         """Run every grid point; return records in grid order."""
-        # The cluster subsystem is imported per branch, so the pipeline
-        # layer (and a serial sweep) never loads it.
-        if self.coordinator is not None:
-            # Serve the grid at the given address and let networked
-            # workers compute the unique fingerprints.
-            from repro.cluster import ClusterExecutor
-
-            return ClusterExecutor(
-                self.base_config,
-                store=self.store,
-                address=self.coordinator,
-                **self.cluster_options,
-            ).run(grid)
         param_sets = sweep_grid(grid)
         if self.max_workers > 1 and len(param_sets) > 1:
+            # Imported here, so the pipeline layer (and a serial sweep)
+            # never loads the cluster subsystem.
             from repro.cluster import ClusterExecutor
 
-            return ClusterExecutor(
-                self.base_config, store=self.store, poll_s=0.05
-            ).run_local(
+            return ClusterExecutor(self.base_config, store=self.store).run_local(
                 grid, self.max_workers, threads_per_worker=self.threads_per_worker
             )
         configs = [self.base_config.with_overrides(**p) for p in param_sets]

@@ -19,7 +19,12 @@ writer is ever allocated unless ``--trace`` (or
 :func:`~repro.telemetry.spans.configure_tracing`) asks for one.
 """
 
-from repro.telemetry.logs import JsonLineFormatter, configure_telemetry, get_logger
+from repro.telemetry.logs import (
+    JsonLineFormatter,
+    configure_telemetry,
+    get_logger,
+    telemetry_log_level,
+)
 from repro.telemetry.metrics import (
     DEFAULT_SECONDS_BUCKETS,
     Counter,
@@ -64,6 +69,7 @@ __all__ = [
     "open_spans",
     "shutdown_tracing",
     "span",
+    "telemetry_log_level",
     "telemetry_snapshot",
     "timed_span",
     "trace_writer",

@@ -20,7 +20,12 @@ from typing import Any, Dict, Optional
 
 from repro.telemetry import spans
 
-__all__ = ["JsonLineFormatter", "configure_telemetry", "get_logger"]
+__all__ = [
+    "JsonLineFormatter",
+    "configure_telemetry",
+    "get_logger",
+    "telemetry_log_level",
+]
 
 #: Attributes present on every LogRecord; anything else arrived via
 #: ``extra=`` and is surfaced in the JSON payload.
@@ -88,3 +93,12 @@ def configure_telemetry(
         root.setLevel(numeric)
     if trace_path is not None:
         spans.configure_tracing(trace_path)
+
+
+def telemetry_log_level() -> Optional[str]:
+    """The level name :func:`configure_telemetry` installed, else ``None``."""
+
+    root = logging.getLogger("repro")
+    if any(h.get_name() == _HANDLER_NAME for h in root.handlers):
+        return logging.getLevelName(root.level)
+    return None

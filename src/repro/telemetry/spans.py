@@ -295,7 +295,7 @@ def open_spans(limit: int = 5) -> List[Dict[str, Any]]:
     """The oldest currently-open spans as ``{"name", "age_s"}`` rows.
 
     This is the "slowest open spans" feed for worker telemetry
-    snapshots and ``repro cluster top`` — a span that has been open for
+    snapshots and ``repro cluster status`` — a span that has been open for
     minutes is a straggler regardless of whether tracing writes a file.
     """
 

@@ -41,61 +41,72 @@ class TestClusterParser:
         assert args.coordinator == "host:8752"
         assert args.max_idle_s == 30.0
 
-    def test_coordinator_grid_flags_match_sweep(self):
-        args = build_parser().parse_args([
-            "cluster", "coordinator", "--bind", "0.0.0.0:9999",
-            "--seeds", "1", "2", "--voltages", "1.325", "1.025",
-            "--lease-s", "15", "--max-retries", "5",
-        ])
-        assert args.bind == "0.0.0.0:9999"
-        assert args.seeds == [1, 2]
-        assert args.lease_s == 15.0
-        assert args.max_retries == 5
+    def test_submit_grid_flags_match_sweep(self):
+        grid = ["--seeds", "1", "2", "--voltages", "1.325", "1.025"]
+        submit = build_parser().parse_args(
+            ["cluster", "submit", "--service", "0.0.0.0:9999", *grid]
+        )
+        sweep = build_parser().parse_args(["sweep", *grid])
+        assert submit.seeds == sweep.seeds == [1, 2]
+        assert submit.voltages == sweep.voltages == [1.325, 1.025]
 
-    def test_cluster_sweep_defaults(self):
-        args = build_parser().parse_args(["cluster", "sweep"])
-        assert args.workers == 2
-        assert args.port == 0
-        assert args.wait_timeout == 600.0
-        assert args.max_idle_s == 30.0
+    def test_cluster_lists_one_entry_point_per_concept(self):
+        import argparse
+
+        def subcommands(parser):
+            (action,) = [
+                a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)
+            ]
+            return action.choices
+
+        cluster = subcommands(subcommands(build_parser())["cluster"])
+        assert sorted(cluster) == sorted([
+            "serve", "submit", "cancel", "results", "worker", "status",
+            "journal",
+        ])
+
+    def test_sweep_fleet_defaults(self):
+        args = build_parser().parse_args(["sweep"])
+        assert args.workers == 1
         assert args.journal is None
         assert args.resume is False
-        assert args.affinity is True
+        assert args.compact_every is None
+        # The local fleet's port, lease, idle and fabric settings are fixed.
+        for flag in (["--port", "0"], ["--lease-s", "15"], ["--max-idle-s", "5"],
+                     ["--wait-timeout", "60"], ["--no-affinity"],
+                     ["--no-peer-sync"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["sweep", *flag])
 
-    def test_journal_resume_affinity_flags(self):
-        for command in (["cluster", "coordinator"], ["cluster", "sweep"]):
-            args = build_parser().parse_args(
-                command + ["--journal", "--resume", "--no-affinity"]
-            )
-            assert args.journal == "auto"  # bare flag: next to the store
-            assert args.resume is True
-            assert args.affinity is False
-            args = build_parser().parse_args(
-                command + ["--journal", "/tmp/j.jsonl"]
-            )
-            assert args.journal == "/tmp/j.jsonl"
+    def test_journal_resume_flags(self):
+        args = build_parser().parse_args(["sweep", "--journal", "--resume"])
+        assert args.journal == "auto"  # bare flag: next to the store
+        assert args.resume is True
+        args = build_parser().parse_args(["sweep", "--journal", "/tmp/j.jsonl"])
+        assert args.journal == "/tmp/j.jsonl"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["cluster", "serve", "--no-affinity"])
 
     def test_journal_path_resolution(self, tmp_path):
         from repro.cli import _resolve_journal
 
-        # Bare --journal/--resume need --cache-dir to place the file.
-        args = build_parser().parse_args(
-            ["cluster", "sweep", "--journal", "--cache-dir", str(tmp_path)]
-        )
-        assert _resolve_journal(args) == tmp_path / "journal.jsonl"
-        args = build_parser().parse_args(
-            ["cluster", "sweep", "--resume", "--cache-dir", str(tmp_path)]
-        )
-        assert _resolve_journal(args) == tmp_path / "journal.jsonl"
-        args = build_parser().parse_args(["cluster", "sweep", "--resume"])
-        with pytest.raises(ValueError, match="cache-dir"):
-            _resolve_journal(args)
+        # Bare --journal/--resume/--compact-every need --cache-dir to
+        # place the file.
+        for flags in (["--journal"], ["--resume"], ["--compact-every", "5"]):
+            args = build_parser().parse_args(
+                ["sweep", *flags, "--cache-dir", str(tmp_path)]
+            )
+            assert _resolve_journal(args) == tmp_path / "journal.jsonl"
+            args = build_parser().parse_args(["sweep", *flags])
+            with pytest.raises(ValueError, match="cache-dir"):
+                _resolve_journal(args)
         # Explicit paths pass through, no journal means None.
         args = build_parser().parse_args(
-            ["cluster", "sweep", "--journal", str(tmp_path / "j.jsonl")]
+            ["sweep", "--journal", str(tmp_path / "j.jsonl")]
         )
         assert _resolve_journal(args) == tmp_path / "j.jsonl"
-        args = build_parser().parse_args(["cluster", "sweep"])
+        args = build_parser().parse_args(["sweep"])
         assert _resolve_journal(args) is None
 
 
@@ -215,20 +226,26 @@ class TestSweepCommand:
 
 
 class TestLocalFleetSizes:
-    """``sweep`` and ``cluster sweep`` reject bad fleet sizes with exit 2
-    and an ``error:`` line, before any service starts."""
+    """``sweep`` rejects bad fleet sizes with exit 2 and an ``error:``
+    line, before any service starts — journaled (always the fleet) or
+    not."""
 
-    @pytest.mark.parametrize("command", [["sweep"], ["cluster", "sweep"]])
+    @pytest.mark.parametrize(
+        "command", [["sweep"], ["sweep", "--journal", "j.jsonl"]]
+    )
     @pytest.mark.parametrize(
         "flags", [["--workers", "0"], ["--threads-per-worker", "-3"]]
     )
-    def test_rejected_before_any_service(self, command, flags, capsys, monkeypatch):
+    def test_rejected_before_any_service(
+        self, command, flags, capsys, monkeypatch, tmp_path
+    ):
         from repro.cluster import ExperimentService
 
         def no_service(self):
             raise AssertionError("an experiment service was started")
 
         monkeypatch.setattr(ExperimentService, "start", no_service)
+        monkeypatch.chdir(tmp_path)
         exit_code = main([
             *command, "--neurons", "12", "--train", "40", "--test", "25",
             "--steps", "30", "--bound", "0.5",
@@ -238,6 +255,7 @@ class TestLocalFleetSizes:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "must be >= 1" in err
+        assert not (tmp_path / "j.jsonl").exists()
 
 
 class TestCacheCommand:
@@ -380,8 +398,8 @@ class TestTrainingEngineFlags:
 
 
 class TestFleetViews:
-    """``cluster top`` / ``cluster status`` rendering of the one
-    ``status`` shape: totals, workers, telemetry and a ``sweeps`` map."""
+    """``cluster status`` rendering of the one fleet view (``GET
+    /fleet``): totals, workers, telemetry and a ``sweeps`` map."""
 
     FAILURE = "job train-baseline:ab12 failed 3 time(s): boom"
     STATUS = {
@@ -470,3 +488,25 @@ class TestFleetViews:
             f"jobs: pending={pending}, leased=0, done=0, failed=0"
         )
 
+    def test_status_command_renders_a_live_fleet(self, capsys, monkeypatch):
+        import json
+
+        from repro import SparkXDConfig
+        from repro.cluster import ExperimentService, format_address
+
+        monkeypatch.delenv("REPRO_CLUSTER_TOKEN", raising=False)
+        with ExperimentService() as service:
+            managed = service.submit(
+                SparkXDConfig.small(), {"voltages": [(1.325,)]}, name="solo"
+            )
+            address = format_address(service.http_address)
+            assert main(["cluster", "status", "--service", address]) == 0
+            text = capsys.readouterr().out
+            assert main(
+                ["cluster", "status", "--service", address, "--json"]
+            ) == 0
+            view = json.loads(capsys.readouterr().out)
+        assert text.splitlines()[0].startswith("jobs: pending=")
+        assert "no workers registered" in text
+        assert f"sweep {managed.sweep_id} (solo) [running]" in text
+        assert view["sweeps"][managed.sweep_id]["name"] == "solo"

@@ -137,7 +137,9 @@ def coordinator():
         lease_timeout=0.3, max_attempts=5, poll_s=0.05
     ) as service:
         managed = service.submit(TINY, {})
-        yield SimpleNamespace(address=service.worker_address, plan=managed.plan)
+        yield SimpleNamespace(
+            address=service.worker_address, plan=managed.plan, core=service.core
+        )
 
 
 def _client(server):
@@ -245,9 +247,14 @@ class TestCoordinatorFaultPaths:
             _client(coordinator).request({"op": "frobnicate"})
 
     def test_status_reports_counts(self, coordinator):
-        reply, _ = _client(coordinator).request({"op": "status"})
+        from repro.cluster.protocol import ProtocolError
+
+        reply = coordinator.core.status_view()
         assert reply["pending"] == len(coordinator.plan.jobs)
         assert reply["failure"] is None
+        # The fleet view is served over HTTP only (GET /fleet).
+        with pytest.raises(ProtocolError, match="unknown op"):
+            _client(coordinator).request({"op": "status"})
 
 
 class TestWireCache:
@@ -348,7 +355,7 @@ class TestDistributedSweep:
             "dram-eval",
         ]
 
-    def test_runner_delegates_to_cluster(self, serial_sweep):
+    def test_executor_serves_networked_workers_at_address(self, serial_sweep):
         serial_records, _ = serial_sweep
         # Pre-pick a port so workers can be launched before the
         # coordinator binds (they retry until it appears).
@@ -357,22 +364,17 @@ class TestDistributedSweep:
             port = probe.getsockname()[1]
         address = ("127.0.0.1", port)
         with local_worker_threads(address, 2, max_idle_s=60.0):
-            runner = Runner(
+            executor = ClusterExecutor(
                 TINY,
                 store=ArtifactStore(),
-                coordinator=address,
-                cluster_options={
-                    "lease_timeout": 10.0,
-                    "poll_s": 0.05,
-                    "wait_timeout": 300.0,
-                },
+                address=address,
+                lease_timeout=10.0,
+                poll_s=0.05,
+                wait_timeout=300.0,
             )
-            records = runner.run(GRID)
+            records = executor.run(GRID)
         assert records_equivalent(serial_records, records)
-
-    def test_cluster_options_require_coordinator(self):
-        with pytest.raises(ValueError, match="coordinator"):
-            Runner(TINY, cluster_options={"lease_timeout": 5.0})
+        assert executor.address == address
 
     def test_always_failing_job_fails_the_sweep(self, monkeypatch):
         from repro.pipeline import stages as stages_module
@@ -473,21 +475,37 @@ class TestDistributedSweep:
         assert service.http_address[0] == "127.0.0.1"
 
 
+def _cli_env():
+    """Subprocess env whose ``PYTHONPATH`` imports this very ``repro``."""
+    import os
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ)
+    package_root = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = package_root + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    env.pop("REPRO_CLUSTER_TOKEN", None)
+    return env
+
+
 class TestClusterCLI:
     @pytest.mark.slow
-    def test_cluster_sweep_cli_matches_serial(self, capsys):
-        """``repro cluster sweep`` with real worker subprocesses."""
+    def test_sweep_workers_cli_matches_serial(self, capsys):
+        """``repro sweep --workers 2`` with real worker subprocesses."""
         import json
 
         from repro.cli import main
         from repro.pipeline.runner import RunRecord
 
         exit_code = main([
-            "cluster", "sweep",
+            "sweep",
             "--neurons", "12", "--train", "40", "--test", "25",
             "--steps", "30", "--bound", "0.5",
             "--voltages", "1.325", "1.025",
-            "--workers", "2", "--lease-s", "15", "--json",
+            "--workers", "2", "--json",
         ])
         payload = json.loads(capsys.readouterr().out)
         assert exit_code == 0
@@ -502,6 +520,38 @@ class TestClusterCLI:
             {"voltages": [(1.325,), (1.025,)]}
         )
         assert records_equivalent(reference, cli_records)
+        assert [(r.cache_hits, r.cache_misses) for r in cli_records] == [
+            (r.cache_hits, r.cache_misses) for r in reference
+        ]
+
+    @pytest.mark.slow
+    def test_sweep_workers_trace_merges_worker_spans(self, tmp_path):
+        """``sweep --workers 2 --trace`` hands the trace to its fleet:
+        ``cluster.job`` spans from at least two worker processes land
+        in the coordinator's file, under its ``cluster.sweep`` span."""
+        import json
+        import subprocess
+        import sys
+
+        trace = tmp_path / "fleet.jsonl"
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "sweep",
+                "--neurons", "12", "--train", "40", "--test", "25",
+                "--steps", "30", "--bound", "0.5",
+                "--seeds", "42", "43", "--voltages", "1.325", "1.025",
+                "--workers", "2", "--trace", str(trace), "--json",
+            ],
+            env=_cli_env(), capture_output=True, text=True, timeout=600,
+        )
+        assert result.returncode == 0, result.stderr
+        spans = [json.loads(line) for line in trace.read_text().splitlines()]
+        (sweep,) = [s for s in spans if s["name"] == "cluster.sweep"]
+        jobs = [s for s in spans if s["name"] == "cluster.job"]
+        worker_pids = {job["pid"] for job in jobs}
+        assert len(worker_pids) >= 2
+        assert sweep["pid"] not in worker_pids
+        assert all(job["parent"] == sweep["span"] for job in jobs)
 
 
 class TestRecordValueHelpers:
@@ -706,36 +756,28 @@ class TestKillResumeSubprocess:
     def test_sigkill_mid_sweep_then_resume_matches_serial(
         self, cli_reference, tmp_path
     ):
-        """The operational recipe end to end: ``cluster sweep --journal``
+        """The operational recipe end to end: ``sweep --journal``
         SIGKILLed mid-run, restarted with ``--resume``, records
         value-identical to serial and no fingerprint executed twice."""
         import json
-        import os
         import signal
         import subprocess
         import sys
         import time as _time
-        from pathlib import Path
 
-        import repro
         from repro.pipeline.runner import RunRecord
 
         base, serial_records = cli_reference
         cache = tmp_path / "cache"
         journal = cache / "journal.jsonl"
         out = tmp_path / "records.json"
-        package_root = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = package_root + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
+        env = _cli_env()
         command = [
-            sys.executable, "-m", "repro", "cluster", "sweep",
+            sys.executable, "-m", "repro", "sweep",
             "--neurons", "12", "--train", "40", "--test", "25",
             "--steps", "30", "--bound", "0.5",
             "--voltages", "1.325", "1.025",
-            "--workers", "2", "--lease-s", "15", "--max-idle-s", "5",
-            "--cache-dir", str(cache), "--journal",
+            "--workers", "2", "--cache-dir", str(cache), "--journal",
             "--out", str(out),
         ]
 
@@ -751,12 +793,14 @@ class TestKillResumeSubprocess:
             command, env=env, stdout=subprocess.DEVNULL
         )
         try:
-            # SIGKILL the coordinator at ~50% of the 5-job sweep.
+            # SIGKILL the coordinator at ~50% of the 5-job sweep; the
+            # poll must be fine next to the ~1 s sweep, or the kill
+            # lands after the last job and the resume has nothing to do.
             deadline = _time.monotonic() + 300.0
             while _time.monotonic() < deadline:
                 if journal_done_count() >= 2 or proc.poll() is not None:
                     break
-                _time.sleep(0.2)
+                _time.sleep(0.02)
             killed = proc.poll() is None
             if killed:
                 proc.send_signal(signal.SIGKILL)
@@ -764,7 +808,9 @@ class TestKillResumeSubprocess:
         finally:
             if proc.poll() is None:  # pragma: no cover - cleanup path
                 proc.kill()
-        assert journal.exists()
+        done_at_kill = journal_done_count()
+        assert killed
+        assert 0 < done_at_kill < 5  # the resume really has work left
 
         resumed = subprocess.run(
             command + ["--resume"], env=env,
@@ -782,15 +828,13 @@ class TestKillResumeSubprocess:
             if event.get("event") == "done"
         ]
         assert len(done) == len(set(done))
-        if killed:
-            assert len(done) >= 2  # phase 1 really contributed
 
 
 class TestWorkerAffinityE2E:
     def test_workers_report_holdings_and_get_affine_jobs(self, serial_sweep):
-        """With chains for two seeds and one worker per seed, affinity
-        keeps every dram-eval job on the worker already holding its
-        upstream artifacts — zero dram-side pulls."""
+        """A single warm worker that already holds the training chain
+        and reports it runs every dram-eval job without pulling a
+        byte (creation-order grants; the holdings feed peer routing)."""
         import contextlib
 
         serial_records, serial_store = serial_sweep
@@ -819,7 +863,7 @@ class TestWorkerAffinityE2E:
                 agent = WorkerAgent(
                     address, name="warm", store=worker_store, max_idle_s=60.0
                 )
-                # Tell the scheduler what this worker already holds.
+                # Report what this worker already holds.
                 agent._holding.update(
                     (stage.name, stage.cache_key(TINY))
                     for stage in default_stages()[:-1]

@@ -151,14 +151,14 @@ class TestPeerRouting:
     def test_locate_answers_from_holdings(self):
         plan = SweepPlan(TINY, {}, ArtifactStore(), lease_timeout=10.0)
         plan.register_peer("w1", "10.0.0.1", 7001)
-        plan.lease("w1", holding=[["train-baseline", "abc"]])
+        plan.registry.set_holdings("w1", [["train-baseline", "abc"]])
         located = plan.locate([("train-baseline", "abc"), ("other", "zzz")])
         assert located == [["train-baseline", "abc", ["10.0.0.1:7001"]]]
 
     def test_locate_excludes_requester(self):
         plan = SweepPlan(TINY, {}, ArtifactStore(), lease_timeout=10.0)
         plan.register_peer("w1", "10.0.0.1", 7001)
-        plan.lease("w1", holding=[["a", "1"]])
+        plan.registry.set_holdings("w1", [["a", "1"]])
         assert plan.locate([("a", "1")], exclude="w1") == []
 
     def test_locate_drops_dead_workers(self):
@@ -168,14 +168,14 @@ class TestPeerRouting:
             lease_timeout=10.0, clock=lambda: clock["now"],
         )
         plan.register_peer("w1", "10.0.0.1", 7001)
-        plan.lease("w1", holding=[["a", "1"]])
+        plan.registry.set_holdings("w1", [["a", "1"]])
         assert plan.locate([("a", "1")]) != []
         clock["now"] = 31.0  # past the 3x lease_timeout liveness window
         assert plan.locate([("a", "1")]) == []
 
     def test_unregistered_worker_never_listed(self):
         plan = SweepPlan(TINY, {}, ArtifactStore(), lease_timeout=10.0)
-        plan.lease("w1", holding=[["a", "1"]])  # holdings but no peer_port
+        plan.registry.set_holdings("w1", [["a", "1"]])  # no peer_port
         assert plan.locate([("a", "1")]) == []
 
     def test_peer_sync_disabled_answers_nothing(self):
@@ -183,7 +183,7 @@ class TestPeerRouting:
             TINY, {}, ArtifactStore(), lease_timeout=10.0, peer_sync=False
         )
         plan.register_peer("w1", "10.0.0.1", 7001)
-        plan.lease("w1", holding=[["a", "1"]])
+        plan.registry.set_holdings("w1", [["a", "1"]])
         assert plan.locate([("a", "1")]) == []
 
     def test_complete_folds_chain_into_holdings(self):
@@ -455,7 +455,7 @@ class TestTelemetryWireCompat:
             {"op": "heartbeat", "worker": "old", "job_id": job_id}, None
         )
         assert reply["ok"]
-        status, _, _ = core.dispatch({"op": "status"}, None)
+        status = core.status_view()
         # The worker is live yet absent from the telemetry view —
         # it simply never reported a snapshot.
         assert "old" in status["workers"]
@@ -469,7 +469,7 @@ class TestTelemetryWireCompat:
         later = {"metrics": {"counters": {"compat.test.jobs": 3}},
                  "open_spans": []}
         core.dispatch({"op": "lease", "worker": "w1", "telemetry": later}, None)
-        status, _, _ = core.dispatch({"op": "status"}, None)
+        status = core.status_view()
         view = status["telemetry"]
         # Snapshots are cumulative: the latest replaces, never adds.
         assert (
@@ -484,7 +484,7 @@ class TestTelemetryWireCompat:
             {"op": "hello", "worker": "odd", "telemetry": "garbage"}, None
         )
         assert reply["ok"]
-        status, _, _ = core.dispatch({"op": "status"}, None)
+        status = core.status_view()
         assert "odd" not in status["telemetry"]["workers"]
 
     def test_lease_carries_trace_only_when_context_set(self):
@@ -653,7 +653,6 @@ class TestPeerFabricE2E:
             lease_timeout=10.0,
             poll_s=0.05,
             wait_timeout=300.0,
-            affinity=False,  # maximise cross-worker transfers
         )
         agents = []
         with contextlib.ExitStack() as stack:
@@ -685,7 +684,6 @@ class TestPeerFabricE2E:
             lease_timeout=10.0,
             poll_s=0.05,
             wait_timeout=300.0,
-            affinity=False,
             peer_sync=False,
         )
         agents = []

@@ -300,7 +300,8 @@ class TestWorkerAges:
 
 
 class TestAffinity:
-    """Affinity-aware leasing: held upstream artifacts steer grants."""
+    """Grants follow creation order; held upstream artifacts (the peer
+    routing table) never steer them."""
 
     GRID = {"seed": [1, 2], "voltages": [(1.325,), (1.175,), (1.025,)]}
 
@@ -309,7 +310,7 @@ class TestAffinity:
 
         Completion is holder-agnostic, so the 6 training jobs (3 stages
         x 2 seeds) are finished directly — leaving every dram-eval job
-        ready at once, the affinity-relevant state.
+        ready at once, where only the grant order decides.
         """
         training = sorted(
             (j for j in plan.jobs.values() if j.stage != "dram-eval"),
@@ -324,15 +325,6 @@ class TestAffinity:
                 upstream.setdefault(job.config.seed, list(job.upstream))
         return upstream
 
-    def test_holding_upstream_wins_over_creation_order(self):
-        plan, _ = make_plan(self.GRID)
-        upstream = self._drain_training(plan)
-        seeds = sorted(upstream)
-        later = seeds[1]  # its dram jobs come AFTER seed[0]'s in order
-        job = plan.lease("w2", holding=upstream[later])
-        assert job.stage == "dram-eval"
-        assert job.config.seed == later  # affinity beat creation order
-
     def test_no_holdings_falls_back_to_creation_order(self):
         plan, _ = make_plan(self.GRID)
         upstream = self._drain_training(plan)
@@ -340,12 +332,16 @@ class TestAffinity:
         job = plan.lease("w2")  # nothing reported
         assert job.config.seed == first_seed
 
-    def test_affinity_disabled_ignores_holdings(self):
-        plan, _ = make_plan(self.GRID, affinity=False)
+    def test_reported_holdings_never_reorder_grants(self):
+        plan, _ = make_plan(self.GRID)
         upstream = self._drain_training(plan)
         seeds = sorted(upstream)
-        job = plan.lease("w2", holding=upstream[seeds[1]])
-        assert job.config.seed == seeds[0]  # plain creation order
+        # w2 holds the LATER seed's chain; its dram jobs still wait
+        # behind the first seed's in creation order.
+        plan.registry.set_holdings("w2", upstream[seeds[1]])
+        job = plan.lease("w2")
+        assert job.stage == "dram-eval"
+        assert job.config.seed == seeds[0]
 
     def test_upstream_keys_cover_the_chain_prefix(self):
         plan, _ = make_plan({})

@@ -308,10 +308,15 @@ class TestServiceEndToEnd:
         assert reply["leases_freed"] == 1
         assert managed.plan.lease("interloper") is None
 
-    def test_line_status_includes_sweeps(self, live_service):
-        service, _, sweep_a, _ = live_service
-        reply = ClusterClient(service.worker_address, token=TOKEN).status()
-        assert sweep_a in reply["sweeps"]
+    def test_status_is_served_over_http_only(self, live_service):
+        from repro.cluster import ProtocolError
+
+        service, client, sweep_a, _ = live_service
+        assert sweep_a in client.fleet()["sweeps"]
+        with pytest.raises(ProtocolError, match="unknown op"):
+            ClusterClient(service.worker_address, token=TOKEN).request(
+                {"op": "status"}
+            )
 
     def test_worker_exits_loudly_on_bad_token(self, live_service):
         service, *_ = live_service
@@ -393,6 +398,24 @@ class TestAuthRejection:
             naked.submit(TINY, GRID_B)
         with pytest.raises(ServiceAuthError):
             ServiceClient(service.http_address, token="bad").fleet()
+
+    def test_worker_cli_exits_2_on_rejected_token(
+        self, live_service, capsys, monkeypatch
+    ):
+        from repro.cli import main
+        from repro.cluster import format_address
+
+        service, *_ = live_service
+        monkeypatch.delenv("REPRO_CLUSTER_TOKEN", raising=False)
+        exit_code = main([
+            "cluster", "worker", "--coordinator",
+            format_address(service.worker_address), "--max-idle-s", "5",
+        ])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith("error:")
+        assert "auth" in captured.err
+        assert "job(s) done" not in captured.out
 
     def test_tokenless_service_accepts_anonymous(self):
         service = ExperimentService()  # no token: auth disabled

@@ -121,6 +121,11 @@ class TestRunnerExecution:
         parallel = Runner(TINY, store=ArtifactStore(), max_workers=2).run(grid)
         assert len(serial) == len(parallel) == 2
         assert records_equivalent(serial, parallel)
+        # The cache statistics obey the RunRecord contract too: the
+        # fleet computed the chain once, for the first point.
+        assert [(r.cache_hits, r.cache_misses) for r in parallel] == [
+            (r.cache_hits, r.cache_misses) for r in serial
+        ]
 
 
 class TestStageTimingsInRecords:

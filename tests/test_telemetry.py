@@ -33,6 +33,7 @@ from repro.telemetry import (
     open_spans,
     shutdown_tracing,
     span,
+    telemetry_log_level,
     telemetry_snapshot,
     timed_span,
     trace_writer,
@@ -215,7 +216,9 @@ class TestLogs:
         named = [h for h in root.handlers if h.get_name() == "repro-telemetry"]
         assert len(named) == 1  # replaced, not stacked
         assert root.level == logging.DEBUG
+        assert telemetry_log_level() == "DEBUG"  # what a fleet inherits
         root.removeHandler(named[0])
+        assert telemetry_log_level() is None
 
     def test_bad_level_raises(self):
         with pytest.raises(ValueError, match="unknown log level"):
