@@ -11,9 +11,10 @@ processes over a shared 2-worker fleet, with token auth on. Contracts:
 2. **Cancel is surgical** — a third sweep is cancelled mid-lease; its
    leases are freed, and the first two sweeps' results stay intact and
    fetchable afterwards.
-3. **Auth is loud** — an unauthenticated submit (HTTP plane) and an
-   unauthenticated worker (line plane) both exit non-zero with an
-   ``auth`` error on stderr.
+3. **Auth is loud on every route** — an unauthenticated submit and an
+   unauthenticated worker both exit non-zero with an ``auth`` error on
+   stderr, and an unauthenticated artifact download from a live
+   worker's peer port is answered 401.
 
 Usage::
 
@@ -25,9 +26,11 @@ Exits non-zero on the first violated contract.
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import time
@@ -92,30 +95,29 @@ def start_service(workdir: Path) -> tuple:
     process = subprocess.Popen(
         cli(
             "cluster", "serve",
-            "--bind", "127.0.0.1:0", "--http-bind", "127.0.0.1:0",
+            "--bind", "127.0.0.1:0",
             "--cache-dir", str(workdir / "cache"),
             "--journal-dir", str(workdir / "journals"),
         ),
         env=env_with_token(), stdout=subprocess.PIPE, text=True,
     )
-    worker_addr = http_addr = None
+    address = None
     deadline = time.monotonic() + 60
-    while time.monotonic() < deadline and (not worker_addr or not http_addr):
+    while time.monotonic() < deadline and not address:
         line = process.stdout.readline()
         if not line:
             break
-        found = re.search(r"--coordinator (\S+)", line)
+        found = re.match(r"address:\s+(\S+)", line)
         if found:
-            worker_addr = found.group(1)
-        found = re.search(r"--service (\S+)", line)
-        if found:
-            http_addr = found.group(1)
-    check(
-        bool(worker_addr and http_addr),
-        f"service announced both planes (workers={worker_addr}, "
-        f"control={http_addr})",
-    )
-    return process, worker_addr, http_addr
+            address = found.group(1)
+    check(bool(address), f"service announced one address ({address})")
+    return process, address
+
+
+def free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
 
 def main(argv=None) -> int:
@@ -141,14 +143,16 @@ def main(argv=None) -> int:
     workers = []
     clients = []
     try:
-        service, worker_addr, http_addr = start_service(workdir)
+        service, address = start_service(workdir)
+        peer_port = free_port()
         for index in range(2):
             workers.append(subprocess.Popen(
                 cli(
                     "cluster", "worker",
-                    "--coordinator", worker_addr,
+                    "--coordinator", address,
                     "--name", f"smoke-w{index}",
                     "--max-idle-s", "600",
+                    *(["--peer-port", str(peer_port)] if index == 0 else []),
                 ),
                 env=env_with_token(),
                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -158,7 +162,7 @@ def main(argv=None) -> int:
         for name, grid_args in (("alpha", SWEEP_A), ("beta", SWEEP_B)):
             clients.append((name, grid_args, subprocess.Popen(
                 cli(
-                    "cluster", "submit", "--service", http_addr,
+                    "cluster", "submit", "--service", address,
                     "--name", name, *CONFIG_ARGS, *grid_args,
                     "--wait", "--wait-timeout", "600", "--json",
                 ),
@@ -184,7 +188,7 @@ def main(argv=None) -> int:
         # Third tenant: submit, wait for a live lease, cancel.
         submitted = subprocess.run(
             cli(
-                "cluster", "submit", "--service", http_addr,
+                "cluster", "submit", "--service", address,
                 "--name", "doomed", *SWEEP_C, "--json",
             ),
             env=env_with_token(), capture_output=True, text=True, timeout=120,
@@ -195,7 +199,7 @@ def main(argv=None) -> int:
         deadline = time.monotonic() + 300
         while time.monotonic() < deadline:
             status = subprocess.run(
-                cli("cluster", "status", "--service", http_addr, "--json"),
+                cli("cluster", "status", "--service", address, "--json"),
                 env=env_with_token(), capture_output=True, text=True,
                 timeout=60,
             )
@@ -209,7 +213,7 @@ def main(argv=None) -> int:
         cancelled = subprocess.run(
             cli(
                 "cluster", "cancel", doomed_id,
-                "--service", http_addr, "--json",
+                "--service", address, "--json",
             ),
             env=env_with_token(), capture_output=True, text=True, timeout=60,
         )
@@ -225,7 +229,7 @@ def main(argv=None) -> int:
         # still identical.
         for name, grid_args, _ in clients:
             sweep_id = json.loads(subprocess.run(
-                cli("cluster", "status", "--service", http_addr, "--json"),
+                cli("cluster", "status", "--service", address, "--json"),
                 env=env_with_token(), capture_output=True, text=True,
                 timeout=60,
             ).stdout)
@@ -237,7 +241,7 @@ def main(argv=None) -> int:
             fetched = subprocess.run(
                 cli(
                     "cluster", "results", survivors[0],
-                    "--service", http_addr, "--json",
+                    "--service", address, "--json",
                 ),
                 env=env_with_token(), capture_output=True, text=True,
                 timeout=120,
@@ -253,12 +257,12 @@ def main(argv=None) -> int:
                 f"sweep {name} results unchanged after the cancel",
             )
 
-        # Auth is loud on both planes: no token, no service.
+        # Auth is loud on every route: no token, no service.
         naked = env_with_token(token="")
         naked.pop("REPRO_CLUSTER_TOKEN", None)
         unauthenticated_submit = subprocess.run(
             cli(
-                "cluster", "submit", "--service", http_addr,
+                "cluster", "submit", "--service", address,
                 *CONFIG_ARGS, *SWEEP_B, "--json",
             ),
             env=naked, capture_output=True, text=True, timeout=60,
@@ -266,19 +270,30 @@ def main(argv=None) -> int:
         check(
             unauthenticated_submit.returncode != 0
             and "auth" in unauthenticated_submit.stderr.lower(),
-            "unauthenticated submit rejected on the HTTP plane",
+            "unauthenticated submit rejected",
         )
-        unauthenticated_line = subprocess.run(
+        unauthenticated_worker = subprocess.run(
             cli(
-                "cluster", "worker", "--coordinator", worker_addr,
+                "cluster", "worker", "--coordinator", address,
                 "--max-idle-s", "5",
             ),
             env=naked, capture_output=True, text=True, timeout=60,
         )
         check(
-            unauthenticated_line.returncode != 0
-            and "auth" in unauthenticated_line.stderr.lower(),
-            "unauthenticated worker rejected on the line plane",
+            unauthenticated_worker.returncode != 0
+            and "auth" in unauthenticated_worker.stderr.lower(),
+            "unauthenticated worker rejected",
+        )
+        peer = http.client.HTTPConnection("127.0.0.1", peer_port, timeout=30)
+        try:
+            peer.request("GET", "/artifacts/train-baseline/any")
+            peer_status = peer.getresponse().status
+        finally:
+            peer.close()
+        check(
+            peer_status == 401,
+            f"unauthenticated artifact GET rejected by a worker's peer "
+            f"port ({peer_status})",
         )
     finally:
         for process in [p for _, _, p in clients] + workers:

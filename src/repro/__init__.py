@@ -23,7 +23,7 @@ depends on:
   corrupted-weight realizations, bit-identical to the sequential
   per-sample loop (see ``docs/engine.md``),
 - and a distributed sweep service (:mod:`repro.cluster`): a
-  coordinator/worker fleet over a stdlib line protocol with
+  coordinator/worker fleet speaking stdlib HTTP on one port, with
   fingerprint-deduplicated jobs, lease-based fault tolerance and
   content-addressed artifact sync — records identical to single-host
   runs (see ``docs/cluster.md``).

@@ -14,7 +14,8 @@ Commands
 ``cluster``
     Distribute sweeps across hosts (see docs/cluster.md): ``cluster
     serve`` keeps an experiment service up for ``cluster submit``/
-    ``cancel``/``results`` clients and ``cluster worker`` agents;
+    ``cancel``/``results`` clients and ``cluster worker`` agents, all
+    of them speaking HTTP to its one address;
     ``cluster status`` renders its fleet view (jobs, per-worker
     throughput, peer-vs-hub bytes, slowest open spans, per-sweep
     journal lag), once or live with ``--watch``; ``cluster journal
@@ -192,7 +193,7 @@ def _add_sweep_parser(subparsers) -> None:
 
 
 def _add_token_argument(p) -> None:
-    """The shared cluster secret, enforced on both protocol planes.
+    """The shared cluster secret: the bearer token of every request.
 
     Defaults from ``$REPRO_CLUSTER_TOKEN`` so the secret never has to
     appear in ``ps`` output; an explicit ``--token`` wins.
@@ -212,14 +213,12 @@ def _add_cluster_parser(subparsers) -> None:
 
     serve = commands.add_parser(
         "serve",
-        help="run the always-on experiment service: worker plane + "
-             "HTTP/JSON control plane, multi-tenant sweeps on one store",
+        help="run the always-on experiment service: one HTTP port for "
+             "workers and clients, multi-tenant sweeps on one store",
     )
     serve.add_argument("--bind", default="127.0.0.1:8752", metavar="HOST:PORT",
-                       help="worker line-protocol bind (port 0 = ephemeral)")
-    serve.add_argument("--http-bind", default=None, metavar="HOST:PORT",
-                       help="control-plane bind (default: the worker host "
-                            "on port 8753)")
+                       help="the one address workers and clients use "
+                            "(port 0 = ephemeral)")
     serve.add_argument("--cache-dir", metavar="DIR",
                        help="artifact-store directory shared by every sweep")
     serve.add_argument("--journal-dir", metavar="DIR",
@@ -247,7 +246,7 @@ def _add_cluster_parser(subparsers) -> None:
     )
     _add_grid_arguments(submit)
     submit.add_argument("--service", required=True, metavar="HOST:PORT",
-                        help="control-plane address of the service")
+                        help="address of the service")
     submit.add_argument("--name", default=None, metavar="NAME",
                         help="human-readable sweep label")
     submit.add_argument("--wait", action="store_true",
@@ -266,7 +265,7 @@ def _add_cluster_parser(subparsers) -> None:
     )
     cancel.add_argument("sweep_id", metavar="SWEEP_ID")
     cancel.add_argument("--service", required=True, metavar="HOST:PORT",
-                        help="control-plane address of the service")
+                        help="address of the service")
     cancel.add_argument("--json", action="store_true",
                         help="print the cancel reply as JSON")
     _add_token_argument(cancel)
@@ -278,7 +277,7 @@ def _add_cluster_parser(subparsers) -> None:
     )
     results.add_argument("sweep_id", metavar="SWEEP_ID")
     results.add_argument("--service", required=True, metavar="HOST:PORT",
-                         help="control-plane address of the service")
+                         help="address of the service")
     _add_token_argument(results)
     _add_record_output_arguments(results)
     _add_telemetry_arguments(results)
@@ -302,7 +301,7 @@ def _add_cluster_parser(subparsers) -> None:
                              "from them; sync exclusively with the "
                              "coordinator")
     worker.add_argument("--peer-port", type=int, default=0, metavar="PORT",
-                        help="fixed port for the peer artifact server "
+                        help="fixed port for the peer artifact endpoint "
                              "(default: ephemeral)")
     worker.add_argument("--json", action="store_true",
                         help="print the worker's lifetime stats as JSON")
@@ -316,7 +315,7 @@ def _add_cluster_parser(subparsers) -> None:
              "tenants and journal lag, the slowest open spans",
     )
     status.add_argument("--service", required=True, metavar="HOST:PORT",
-                        help="control-plane address of the service")
+                        help="address of the service")
     status.add_argument("--watch", type=float, default=None, metavar="S",
                         help="refresh every S seconds until interrupted "
                              "(default: render one frame and exit)")
@@ -831,16 +830,9 @@ def _cmd_cluster(args) -> int:
         import time
 
         from repro.cluster import format_address, parse_address
-        from repro.cluster.http_api import DEFAULT_HTTP_PORT
         from repro.cluster.service import ExperimentService
 
         host, port = parse_address(args.bind)
-        if args.http_bind is not None:
-            http_host, http_port = parse_address(
-                args.http_bind, default_port=DEFAULT_HTTP_PORT
-            )
-        else:
-            http_host, http_port = host, DEFAULT_HTTP_PORT
         store = (
             ArtifactStore(args.cache_dir) if args.cache_dir else ArtifactStore()
         )
@@ -848,8 +840,6 @@ def _cmd_cluster(args) -> int:
             store=store,
             host=host,
             port=port,
-            http_host=http_host,
-            http_port=http_port,
             token=args.token,
             lease_timeout=args.lease_s,
             max_attempts=args.max_retries,
@@ -860,14 +850,10 @@ def _cmd_cluster(args) -> int:
         )
         service.start()
         try:
-            print(
-                f"workers:  repro cluster worker --coordinator "
-                f"{format_address(service.worker_address)}"
-            )
-            print(
-                f"control:  repro cluster submit --service "
-                f"{format_address(service.http_address)}"
-            )
+            address = format_address(service.address)
+            print(f"address:  {address}")
+            print(f"workers:  repro cluster worker --coordinator {address}")
+            print(f"clients:  repro cluster submit --service {address}")
             print(f"auth:     {'token required' if args.token else 'off'}")
             while True:
                 time.sleep(3600)
@@ -1219,12 +1205,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except Exception as error:
-        # Cluster auth/control-plane rejections carry their own
-        # user-actionable message; anything else keeps its traceback.
+        # Cluster error replies (auth rejections included) carry their
+        # own user-actionable message; anything else keeps its traceback.
         from repro.cluster.http_api import ServiceError
-        from repro.cluster.protocol import AuthError
 
-        if isinstance(error, (AuthError, ServiceError)):
+        if isinstance(error, ServiceError):
             print(f"error: {error}", file=sys.stderr)
             return 2
         if isinstance(error, ConnectionError):

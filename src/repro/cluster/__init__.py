@@ -2,13 +2,14 @@
 
 The cluster subsystem turns the single-host sweep engine
 (:mod:`repro.pipeline`) into a horizontally scalable service, using
-nothing beyond the standard library (``asyncio``, ``socket``, ``json``):
+nothing beyond the standard library (``http.server``, ``http.client``,
+``json``):
 
-- a **coordinator** (:class:`CoordinatorCore` dispatching over the
+- a **coordinator** (:class:`CoordinatorCore` over the
   :class:`SweepPlan` of each :class:`ManagedSweep`) expands the grid,
   dedupes jobs by stage fingerprint and hands them out in creation
-  order over a small line protocol with leases, heartbeats,
-  requeue-with-exclusion and bounded retries;
+  order with leases, heartbeats, requeue-with-exclusion and bounded
+  retries;
 - **worker agents** (:class:`WorkerAgent`) lease jobs, run them through
   the ordinary :class:`~repro.pipeline.stages.ExperimentPipeline`
   against a local store, and sync artifacts by fingerprint
@@ -23,9 +24,13 @@ nothing beyond the standard library (``asyncio``, ``socket``, ``json``):
   with ``--resume`` and never re-leases a journaled-done fingerprint;
 - the **experiment service** (:class:`ExperimentService`) is the one
   coordinator runtime: many named sweeps (each with its own plan +
-  journal) multiplexed over one shared store and one worker fleet,
-  administered through an HTTP/JSON control plane
-  (:class:`ServiceClient`), with shared-token auth on both planes.
+  journal) multiplexed over one shared store and one worker fleet.
+
+One wire: every client, worker and peer request is one HTTP request
+through :class:`ServiceClient`, dispatched by one route table
+(:mod:`repro.cluster.http_api`) — the service serves every route on
+one port, and each worker serves artifact downloads to its peers with
+the same endpoint class, all behind one shared bearer token.
 
 One entry point per concept: a local parallel sweep is ``repro sweep
 --workers N`` (``Runner(max_workers=N)``); networked sweeps go to one
@@ -38,13 +43,13 @@ always-on service, watched with ``repro cluster status``::
     python -m repro cluster worker --coordinator service-host:8752
 
     # any client
-    python -m repro cluster submit --service service-host:8753 --seeds 1 2 3 --wait
+    python -m repro cluster submit --service service-host:8752 --seeds 1 2 3 --wait
 
 or, from a script, one single-shot sweep for networked workers::
 
     records = ClusterExecutor(config, store=store, address="0.0.0.0:8752").run(grid)
 
-See ``docs/cluster.md`` for the protocol, lease semantics and the
+See ``docs/cluster.md`` for the route table, lease semantics and the
 artifact sync contract.
 """
 
@@ -54,21 +59,11 @@ from repro.cluster.executor import (
     local_worker_processes,
     local_worker_threads,
 )
-from repro.cluster.http_api import (
-    DEFAULT_HTTP_PORT,
-    ServiceAuthError,
-    ServiceClient,
-    ServiceError,
-)
+from repro.cluster.http_api import ServiceAuthError, ServiceClient, ServiceError
 from repro.cluster.journal import JournalMismatch, SweepJournal
 from repro.cluster.plan import Job, PlanFailed, SweepPlan, WorkerRegistry
 from repro.cluster.protocol import (
-    AuthError,
-    ClusterClient,
-    ConnectionClosed,
     DEFAULT_PORT,
-    PROTOCOL_CAPS,
-    ProtocolError,
     encode_blob,
     format_address,
     parse_address,
@@ -83,21 +78,15 @@ from repro.cluster.worker import WorkerAgent, WorkerStats, default_worker_name
 
 __all__ = [
     "ArtifactSync",
-    "AuthError",
-    "ClusterClient",
     "ClusterExecutor",
-    "ConnectionClosed",
     "CoordinatorCore",
-    "DEFAULT_HTTP_PORT",
     "DEFAULT_PORT",
     "DistributionTimeout",
     "ExperimentService",
     "Job",
     "JournalMismatch",
     "ManagedSweep",
-    "PROTOCOL_CAPS",
     "PlanFailed",
-    "ProtocolError",
     "ServiceAuthError",
     "ServiceClient",
     "ServiceError",

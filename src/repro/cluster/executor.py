@@ -16,9 +16,10 @@ starts an embedded :class:`~repro.cluster.service.ExperimentService`
 that shuts its workers down once idle, submits the grid as the
 service's only tenant, waits for the plan to drain, and assembles the
 records in grid order; networked ``repro cluster worker`` agents
-compute.  :meth:`ClusterExecutor.run_local` adds N localhost worker
-subprocesses instead, for ``Runner(max_workers=N)`` and ``repro sweep
---workers N``.
+compute, reaching the service on its one port.
+:meth:`ClusterExecutor.run_local` adds N localhost worker subprocesses
+instead, for ``Runner(max_workers=N)`` and ``repro sweep --workers
+N``.
 
 With ``journal=...`` the tenant keeps a disk journal of every job
 transition next to the store; ``resume=True`` replays it so a
@@ -53,20 +54,25 @@ LOG = get_logger(__name__)
 #: and a worker waiting on an upstream chain should pick it up at once.
 LOCAL_POLL_S = 0.05
 
+#: Idle limit (``--max-idle-s``) of a local fleet's workers: their
+#: coordinator is on loopback, so a few seconds without it means the
+#: sweep's process is gone, and an orphan should not outlive it long.
+LOCAL_MAX_IDLE_S = 5.0
+
 
 class ClusterExecutor:
-    """Run sweeps by fanning jobs out to workers over the line protocol.
+    """Run sweeps by fanning jobs out to workers over HTTP.
 
     Parameters
     ----------
     base_config / store:
         As in :class:`~repro.pipeline.runner.Runner`.
     address:
-        ``(host, port)`` or ``"host:port"`` the embedded service's
-        worker plane binds — this is the address workers connect to.
-        Port ``0`` picks an ephemeral port; read :attr:`address` once
-        running.  The service's HTTP control plane, which a single-shot
-        sweep never uses, always binds an ephemeral loopback port.
+        ``(host, port)`` or ``"host:port"`` the embedded service binds —
+        this is the address workers connect to.  Port ``0`` picks an
+        ephemeral port; read :attr:`address` once running.  The service
+        serves its control routes on the same port, so a public bind
+        exposes them too (behind the same ``token``).
     lease_timeout / max_attempts:
         Lease semantics (see :mod:`repro.cluster.plan`).
     wait_timeout:
@@ -95,8 +101,8 @@ class ClusterExecutor:
         :class:`~repro.cluster.journal.SweepJournal`); ``None`` never
         compacts automatically.
     token:
-        Shared cluster secret the embedded service requires of workers
-        (:meth:`run_local` hands it to its fleet).
+        Shared cluster secret the embedded service requires on every
+        route (:meth:`run_local` hands it to its fleet).
     """
 
     def __init__(
@@ -144,8 +150,8 @@ class ClusterExecutor:
         """Distribute ``grid`` and assemble records deterministically.
 
         ``on_ready(address)`` — if given — is called once the grid is
-        submitted (:attr:`last_plan` is set by then), with the worker
-        plane's bound ``(host, port)``; convenient for launching a
+        submitted (:attr:`last_plan` is set by then), with the
+        service's bound ``(host, port)``; convenient for launching a
         worker fleet against an ephemeral port (see :meth:`run_local`).
         Workers that connect earlier are told to wait, never to shut
         down.
@@ -158,7 +164,6 @@ class ClusterExecutor:
             store=self.store,
             host=host,
             port=port,
-            http_host="127.0.0.1",
             token=self.token,
             lease_timeout=self.lease_timeout,
             max_attempts=self.max_attempts,
@@ -179,7 +184,7 @@ class ClusterExecutor:
             )
             plan = managed.plan
             self.last_plan = plan
-            self.address = service.worker_address
+            self.address = service.address
             sweep_span.set(
                 plan_id=plan.plan_id[:16],
                 jobs=len(plan.jobs),
@@ -362,8 +367,9 @@ def local_worker_processes(
     appends; the exporter separates processes by pid) — this is how
     ``repro sweep --workers N --trace`` yields one merged fleet trace —
     and they log at the level :func:`~repro.telemetry.configure_telemetry`
-    set.  They keep the worker command's default idle limit: an agent
-    exits once its coordinator has been unreachable for 30 s.
+    set.  Each agent exits once its coordinator has been unreachable
+    for :data:`LOCAL_MAX_IDLE_S`, so the fleet of a killed sweep does
+    not linger.
     """
     target = format_address(parse_address(address))
     command = [
@@ -374,6 +380,8 @@ def local_worker_processes(
         "worker",
         "--coordinator",
         target,
+        "--max-idle-s",
+        str(LOCAL_MAX_IDLE_S),
     ]
     if not peer:
         command.append("--no-peer-sync")

@@ -149,7 +149,7 @@ class WorkerRegistry:
         self._slots: Dict[str, int] = {}
         #: worker name -> (stage, digest) keys it reported holding
         self._holdings: Dict[str, Set[Tuple[str, str]]] = {}
-        #: worker name -> (host, port) of its peer artifact server
+        #: worker name -> (host, port) of its peer endpoint
         self._peers: Dict[str, Tuple[str, int]] = {}
 
     def touch(self, worker: str) -> None:
@@ -265,13 +265,13 @@ class SweepPlan:
         re-leased.
     peer_sync:
         With ``True`` (default) the plan doubles as the artifact
-        *routing table*: workers register a peer-serving address
-        (:meth:`register_peer`) and :meth:`locate` answers "who holds
-        this key" from the registry's holdings map, so artifact bytes
-        flow worker-to-worker and the coordinator degrades to a
-        metadata service.  ``False`` disables
-        registration and makes :meth:`locate` answer nothing, which
-        reproduces the PR 4/5 hub topology exactly.
+        *routing table*: workers register a peer endpoint with the
+        registry (:meth:`WorkerRegistry.register_peer`) and
+        :meth:`locate` answers "who holds this key" from its holdings
+        map, so artifact bytes flow worker-to-worker and the
+        coordinator degrades to a metadata service.  ``False`` makes
+        :meth:`locate` answer nothing, which reproduces the pure hub
+        topology exactly.
     registry:
         Optional shared :class:`WorkerRegistry`.  ``None`` (the
         default) creates a private one whose liveness window is the
@@ -431,21 +431,12 @@ class SweepPlan:
                 counts[job.state] += 1
             return counts
 
-    def worker_slot(self, worker: str) -> int:
-        return self.registry.slot(worker)
-
     def worker_ages(self) -> Dict[str, float]:
         """Seconds since each known worker was last heard from."""
         return self.registry.ages()
 
     # ------------------------------------------------------------------
     # Peer routing (the registry's holdings map as a routing table).
-
-    def register_peer(self, worker: str, host: str, port: int) -> None:
-        """Record ``worker``'s peer artifact server address (from hello)."""
-        if not self.peer_sync:
-            return
-        self.registry.register_peer(worker, host, port)
 
     def locate(
         self,
@@ -454,9 +445,9 @@ class SweepPlan:
     ) -> List[List[Any]]:
         """``[[stage, digest, [address, …]], …]`` for keys a live peer holds.
 
-        The addresses are peer artifact servers (``host:port`` strings)
+        The addresses are peer endpoints (``host:port`` strings)
         of workers that reported holding the key, registered a peer
-        server, and were heard from recently — dead workers drop out of
+        endpoint, and were heard from recently — dead workers drop out of
         the answer by the same liveness window lease exclusion uses.
         Keys nobody (but possibly the coordinator) holds are omitted:
         the caller falls back to the hub for those.  ``exclude`` drops
@@ -465,10 +456,6 @@ class SweepPlan:
         if not self.peer_sync:
             return []
         return self.registry.locate(keys, exclude=exclude)
-
-    def worker_holding_count(self, worker: str) -> int:
-        """How many keys the coordinator attributes to ``worker``."""
-        return self.registry.holding_count(worker)
 
     # ------------------------------------------------------------------
     # Scheduling.

@@ -1,16 +1,16 @@
-"""The always-on experiment service: multi-tenant sweeps on one loop.
+"""The always-on experiment service: multi-tenant sweeps on one port.
 
 :class:`ExperimentService` turns the cluster stack from "run a sweep"
-into "serve sweep traffic": one asyncio event loop runs two listeners —
+into "serve sweep traffic": one stdlib HTTP server
+(:class:`~repro.cluster.http_api.HttpEndpoint`) serves every route of
+:data:`~repro.cluster.http_api.ROUTES` on one port —
 
-- the **worker plane**: the JSON line protocol
-  (:mod:`repro.cluster.protocol`), served by an asyncio transport that
-  feeds :class:`~repro.cluster.coordinator.CoordinatorCore` dispatch.
-  Workers stay generic: one ``lease`` call draws from *any* active
-  sweep and the grant carries a ``sweep_id`` the worker echoes on
-  heartbeat/complete/fail;
-- the **control plane**: the HTTP/JSON API of
-  :mod:`repro.cluster.http_api` (`POST /sweeps`, `GET /sweeps/{id}`,
+- **worker routes** (``/worker/...``, ``/artifacts/...``) that call
+  into :class:`~repro.cluster.coordinator.CoordinatorCore` and the
+  tenant plans.  Workers stay generic: one lease call draws from *any*
+  active sweep and the grant carries a ``sweep_id`` the worker names
+  back on heartbeat/complete/fail;
+- **control routes** (`POST /sweeps`, `GET /sweeps/{id}`,
   `POST /sweeps/{id}/cancel`, `GET /sweeps/{id}/results`,
   `GET /fleet`), through which clients submit and harvest sweeps.
 
@@ -28,8 +28,8 @@ Sweep identity is deterministic: ``sweep_id`` fingerprints the config ×
 grid, so resubmitting after a service crash reattaches to the same
 journal and replays it — the restart story is "resubmit everything,
 re-execute nothing".  Scheduling state lives in plans (thread-safe,
-lock-based), so request handling runs in the loop's default thread pool
-and the event loop itself only ever parses frames and shuttles bytes.
+lock-based), so requests run on the server's per-connection threads; a
+separate thread expires the leases of workers that went quiet.
 
 ``shutdown_when_idle=True`` is the single-shot lifecycle (workers get
 ``shutdown`` once every submitted sweep finished).
@@ -41,25 +41,16 @@ sweep, then the service stops.
 
 from __future__ import annotations
 
-import asyncio
-import contextlib
 import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.cluster.coordinator import CoordinatorCore, ManagedSweep
-from repro.cluster.http_api import HttpControlPlane
+from repro.cluster.http_api import HttpEndpoint
 from repro.cluster.journal import SweepJournal
 from repro.cluster.plan import PlanFailed, SweepPlan, WorkerRegistry
-from repro.cluster.protocol import (
-    MAX_HEADER_BYTES,
-    ProtocolError,
-    build_frame,
-    decode_wire_blob,
-    format_address,
-    parse_header,
-)
+from repro.cluster.protocol import format_address
 from repro.core.config import SparkXDConfig
 from repro.pipeline.runner import RunRecord
 from repro.pipeline.stages import ExperimentPipeline
@@ -155,7 +146,7 @@ def assemble_point(
 
 
 class ExperimentService:
-    """Persistent multi-sweep coordinator with an HTTP control plane.
+    """Persistent multi-sweep coordinator behind one HTTP port.
 
     Parameters
     ----------
@@ -163,14 +154,12 @@ class ExperimentService:
         The one shared artifact store (in-memory by default; pass a
         disk-backed store for real deployments).
     host / port:
-        Bind address of the worker line-protocol listener (port 0 =
-        ephemeral; read :attr:`worker_address` after :meth:`start`).
-    http_host / http_port:
-        Bind address of the HTTP control plane (defaults: same host,
-        ephemeral port; read :attr:`http_address`).
+        Bind address of the one listener that workers and clients
+        share (port 0 = ephemeral; read :attr:`address` after
+        :meth:`start`).
     token:
-        Shared secret enforced on BOTH planes (line ops and HTTP
-        bearer); ``None`` disables auth.
+        Shared secret required as a bearer token on every route;
+        ``None`` disables auth.
     lease_timeout / max_attempts / peer_sync / poll_s:
         Scheduling semantics, applied to every tenant plan (see
         :class:`~repro.cluster.plan.SweepPlan`).
@@ -191,8 +180,6 @@ class ExperimentService:
         store: Optional[ArtifactStore] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        http_host: Optional[str] = None,
-        http_port: int = 0,
         *,
         token: Optional[str] = None,
         lease_timeout: float = 30.0,
@@ -207,8 +194,6 @@ class ExperimentService:
         self.store = store if store is not None else ArtifactStore()
         self.bind_host = str(host)
         self.bind_port = int(port)
-        self.http_host = str(http_host) if http_host is not None else self.bind_host
-        self.http_port = int(http_port)
         self.token = token
         self.lease_timeout = float(lease_timeout)
         self.max_attempts = int(max_attempts)
@@ -230,21 +215,16 @@ class ExperimentService:
             self.store,
             self._tenants,
             self.registry,
-            token=token,
             poll_s=self.poll_s,
             wire_cache_bytes=wire_cache_bytes,
             peer_sync=self.peer_sync,
             persistent=not shutdown_when_idle,
         )
-        self.http = HttpControlPlane(self, token=token)
-        #: Bound addresses, set by :meth:`start`.
-        self.worker_address: Optional[Tuple[str, int]] = None
-        self.http_address: Optional[Tuple[str, int]] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._line_server: Optional[asyncio.AbstractServer] = None
-        self._http_server: Optional[asyncio.AbstractServer] = None
-        self._expiry_task: Optional["asyncio.Task[None]"] = None
+        #: The bound address, set by :meth:`start`.
+        self.address: Optional[Tuple[str, int]] = None
+        self._endpoint: Optional[HttpEndpoint] = None
+        self._stopping = threading.Event()
+        self._expiry_thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
     # Tenant registry.
@@ -465,7 +445,7 @@ class ExperimentService:
                     f"sweep {sweep_id} incomplete after {timeout}s "
                     f"(job states: {counts}; workers: {contacts}) — are "
                     f"workers connected to "
-                    f"{format_address(self.worker_address)}?",
+                    f"{format_address(self.address)}?",
                     counts=counts,
                     worker_ages=ages,
                 )
@@ -475,48 +455,29 @@ class ExperimentService:
     # Lifecycle.
 
     def start(self) -> "ExperimentService":
-        """Bind both listeners on a fresh background event loop."""
-        if self._loop is not None:
+        """Bind the one listener and start the lease-expiry tick."""
+        if self._endpoint is not None:
             raise RuntimeError("service already started")
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever,
-            name="repro-experiment-service",
-            daemon=True,
+        self._endpoint = HttpEndpoint(
+            self.core.artifacts,
+            service=self,
+            token=self.token,
+            host=self.bind_host,
+            port=self.bind_port,
+        ).start()
+        self.address = self._endpoint.address
+        self._stopping.clear()
+        self._expiry_thread = threading.Thread(
+            target=self._expiry_loop, name="repro-lease-expiry", daemon=True
         )
-        self._thread.start()
-        future = asyncio.run_coroutine_threadsafe(self._start_async(), self._loop)
-        future.result(timeout=30.0)
+        self._expiry_thread.start()
         LOG.info(
             "experiment service listening",
-            extra={
-                "workers": self.worker_address,
-                "control": self.http_address,
-                "auth": self.token is not None,
-            },
+            extra={"address": self.address, "auth": self.token is not None},
         )
         return self
 
-    async def _start_async(self) -> None:
-        self._line_server = await asyncio.start_server(
-            self._handle_line,
-            host=self.bind_host,
-            port=self.bind_port,
-            limit=MAX_HEADER_BYTES + 1024,
-        )
-        self.worker_address = self._line_server.sockets[0].getsockname()[:2]
-        self._http_server = await asyncio.start_server(
-            self.http.handle,
-            host=self.http_host,
-            port=self.http_port,
-            limit=MAX_HEADER_BYTES + 1024,
-        )
-        self.http_address = self._http_server.sockets[0].getsockname()[:2]
-        self._expiry_task = asyncio.get_running_loop().create_task(
-            self._expiry_loop()
-        )
-
-    async def _expiry_loop(self) -> None:
+    def _expiry_loop(self) -> None:
         """Detect worker death even when nobody polls: expire leases.
 
         Without this tick a dead worker's lease would only requeue when
@@ -524,117 +485,28 @@ class ExperimentService:
         happens to run expiry.
         """
         tick = max(0.05, min(1.0, self.lease_timeout / 4.0))
-        loop = asyncio.get_running_loop()
-        while True:
-            await asyncio.sleep(tick)
-            await loop.run_in_executor(None, self._expire_all)
-
-    def _expire_all(self) -> None:
-        for tenant in self._tenants():
-            try:
-                tenant.plan.expire_leases()
-            except Exception:  # journaling I/O error must not kill the tick
-                LOG.exception(
-                    "lease expiry failed", extra={"sweep_id": tenant.sweep_id}
-                )
-
-    async def _handle_line(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Asyncio transport for the worker line protocol.
-
-        Frame parsing happens on the loop; dispatch (plan locks, store
-        I/O, pickling) runs in the default thread pool through the
-        thread-safe :class:`CoordinatorCore`.
-        """
-        peer = writer.get_extra_info("peername")
-        client_host = str(peer[0]) if peer else "127.0.0.1"
-        try:
-            try:
-                line = await reader.readline()
-                if not line:
-                    return
-                payload = parse_header(line)
-                blob: Optional[bytes] = None
-                size = payload.pop("blob_bytes", None)
-                if size is not None:
-                    size = int(size)
-                    if size < 0:
-                        raise ProtocolError(f"negative blob size {size}")
-                    blob = decode_wire_blob(
-                        payload, await reader.readexactly(size)
+        while not self._stopping.wait(tick):
+            for tenant in self._tenants():
+                try:
+                    tenant.plan.expire_leases()
+                except Exception:  # journaling I/O error must not kill the tick
+                    LOG.exception(
+                        "lease expiry failed", extra={"sweep_id": tenant.sweep_id}
                     )
-            except (
-                ProtocolError,
-                ValueError,
-                asyncio.IncompleteReadError,
-                ConnectionError,
-            ):
-                return  # half-open or malformed; nothing to answer
-            loop = asyncio.get_running_loop()
-            try:
-                reply, reply_blob, reply_encoding = await loop.run_in_executor(
-                    None, self.core.dispatch, payload, blob, client_host
-                )
-            except Exception as error:  # surface, don't kill the listener
-                reply, reply_blob, reply_encoding = (
-                    {"error": f"{type(error).__name__}: {error}"},
-                    None,
-                    None,
-                )
-            try:
-                header, wire_blob = build_frame(reply, reply_blob, reply_encoding)
-                writer.write(header)
-                if wire_blob is not None:
-                    writer.write(wire_blob)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass  # requester vanished; the protocol is stateless
-        finally:
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
 
     def stop(self) -> None:
-        """Close both listeners, stop the loop, close tenant journals."""
-        loop = self._loop
-        if loop is not None:
-            future = asyncio.run_coroutine_threadsafe(self._stop_async(), loop)
-            with contextlib.suppress(Exception):
-                future.result(timeout=10.0)
-            loop.call_soon_threadsafe(loop.stop)
-            if self._thread is not None:
-                self._thread.join(timeout=10.0)
-                self._thread = None
-            loop.close()
-            self._loop = None
+        """Close the listener, stop the tick, close tenant journals."""
+        if self._endpoint is not None:
+            self._endpoint.stop()
+            self._endpoint = None
+            self._stopping.set()
+            self._expiry_thread.join(timeout=10.0)
+            self._expiry_thread = None
         with self._lock:
             managed_sweeps = list(self._sweeps.values())
         for managed in managed_sweeps:
             if managed.journal is not None:
                 managed.journal.close()
-
-    async def _stop_async(self) -> None:
-        if self._expiry_task is not None:
-            self._expiry_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._expiry_task
-            self._expiry_task = None
-        for server in (self._line_server, self._http_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
-        # Connection handlers outlive their listener: give in-flight
-        # replies (a worker's final ``shutdown``) a moment, then cancel
-        # the rest, so no handler is left pending on a closed loop.
-        handlers = asyncio.all_tasks() - {asyncio.current_task()}
-        if handlers:
-            _, pending = await asyncio.wait(handlers, timeout=1.0)
-            for task in pending:
-                task.cancel()
-            await asyncio.gather(*pending, return_exceptions=True)
-        self._line_server = None
-        self._http_server = None
 
     def __enter__(self) -> "ExperimentService":
         return self.start()

@@ -7,10 +7,11 @@ Artifacts move by ``(stage, fingerprint)`` key, never by job identity:
   enabled the pull is *peer-first*: the coordinator's routing table
   (lease ``sources`` hints or an explicit ``locate`` round trip) names
   workers already holding the key, and the bytes move worker-to-worker
-  over the same line protocol (``peer_get``).  A refused key, a dead
-  peer, or a worker with no peers falls back transparently to the
-  coordinator ``get`` — the hub is always correct, peers are only
-  faster;
+  with the very request a hub download makes (``GET
+  /artifacts/{stage}/{digest}`` against the peer's endpoint).  A
+  refused key, a dead peer, or a worker with no peers falls back
+  transparently to the coordinator — the hub is always correct, peers
+  are only faster;
 - **push** — after running, the worker uploads every chain artifact
   the coordinator is missing (one ``has`` round trip filters the
   list, so nothing is ever re-sent).  Pushes always target the hub:
@@ -27,22 +28,19 @@ failure.  Peer requests are deliberately single-shot: the fallback
 path *is* the retry.
 
 Blobs compress on the wire (gzip, :func:`repro.cluster.protocol.
-encode_blob`) when the receiver advertised the capability; stats track
-raw and wire bytes separately so transfer accounting stays honest.
+encode_blob`, announced in ``Content-Encoding``) whenever that shrinks
+them; stats track raw and wire bytes separately so transfer accounting
+stays honest.
 """
 
 from __future__ import annotations
 
 import pickle
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.cluster.protocol import (
-    ClusterClient,
-    ConnectionClosed,
-    ProtocolError,
-    encode_blob,
-)
+from repro.cluster.http_api import ServiceClient, ServiceError
+from repro.cluster.protocol import encode_blob
 from repro.pipeline.store import MISS, ArtifactStore
 from repro.telemetry import get_logger, get_metrics
 
@@ -60,7 +58,7 @@ DEFAULT_BACKOFF_S = 0.05
 #: Peers get a shorter connect/read timeout than the hub: a dead peer
 #: should cost one quick failure and a fallback, not a full hub
 #: timeout per key.
-DEFAULT_PEER_TIMEOUT_S = 10.0
+PEER_TIMEOUT_S = 10.0
 
 
 def _backoff_jitter() -> float:
@@ -80,7 +78,7 @@ class ArtifactSync:
     Parameters
     ----------
     client:
-        The coordinator (hub) client.
+        The coordinator (hub) client; peers are dialled with its token.
     store:
         The local artifact store.
     worker:
@@ -93,38 +91,27 @@ class ArtifactSync:
         ``False`` disables peer pulls and ``locate`` entirely — every
         byte routes through the hub, bit-for-bit the pre-fabric
         behaviour.
-    hub_caps:
-        Wire capabilities the coordinator advertised in its ``hello``
-        reply; uploads are only gzip-encoded when the hub declared it
-        can decode them.
-    compress:
-        ``False`` additionally stops *advertising* gzip on downloads,
-        forcing raw blobs both ways (tests, debugging).
+    max_attempts / backoff_s:
+        Hub round trips per request, and the first retry's sleep.
     """
 
     def __init__(
         self,
-        client: ClusterClient,
+        client: ServiceClient,
         store: ArtifactStore,
         *,
         worker: Optional[str] = None,
         sources: Optional[Iterable[Sequence[Any]]] = None,
         peer_sync: bool = True,
-        hub_caps: Sequence[str] = (),
-        compress: bool = True,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff_s: float = DEFAULT_BACKOFF_S,
-        peer_timeout: float = DEFAULT_PEER_TIMEOUT_S,
     ):
         self.client = client
         self.store = store
         self.worker = worker
         self.peer_sync = bool(peer_sync)
-        self.hub_caps = tuple(str(c) for c in hub_caps)
-        self.compress = bool(compress)
         self.max_attempts = max(1, int(max_attempts))
         self.backoff_s = float(backoff_s)
-        self.peer_timeout = float(peer_timeout)
         #: key -> peer addresses believed to hold it (coordinator hints).
         self.sources: Dict[Key, List[str]] = {}
         if sources:
@@ -173,13 +160,10 @@ class ArtifactSync:
             return 0
         started = time.perf_counter()
         try:
-            payload: Dict[str, Any] = {
-                "op": "locate",
-                "keys": [list(key) for key in keys],
-            }
-            if self.worker is not None:
-                payload["worker"] = self.worker
-            reply, _ = self._hub_request(payload)
+            payload = {"worker": self.worker, "keys": [list(key) for key in keys]}
+            reply = self._hub("locate", lambda: self.client.http_request(
+                "POST", "/artifacts/locate", payload
+            ))
             triples = reply.get("sources", [])
             self.update_sources(triples)
             return len(triples)
@@ -189,65 +173,73 @@ class ArtifactSync:
     # ------------------------------------------------------------------
     # Transport helpers.
 
-    def _accept(self) -> List[str]:
-        return ["gzip"] if self.compress else []
-
-    def _hub_request(
-        self,
-        payload: Dict[str, Any],
-        blob: Optional[bytes] = None,
-        encoding: Optional[str] = None,
-    ) -> Tuple[Dict[str, Any], Optional[bytes]]:
+    def _hub(self, label: str, call: Callable[[], Dict[str, Any]]) -> Dict[str, Any]:
         """One hub round trip, retried on *transport* errors only.
 
-        Error replies and malformed frames (plain
-        :class:`ProtocolError`) are deterministic — retrying them just
-        repeats the answer — so only :class:`OSError` and
-        :class:`ConnectionClosed` trigger the backoff loop.
+        Error replies (:class:`ServiceError`) are deterministic —
+        retrying them just repeats the answer — so only :class:`OSError`
+        (refused, reset or truncated connections) triggers the backoff
+        loop.
         """
         for attempt in range(self.max_attempts):
             try:
-                return self.client.request(payload, blob=blob, encoding=encoding)
-            except (OSError, ConnectionClosed):
+                return call()
+            except OSError:
                 if attempt + 1 >= self.max_attempts:
                     raise
                 self.retries += 1
                 get_metrics().counter("sync.retries").inc()
                 LOG.warning(
                     "hub round trip retrying after transport error",
-                    extra={"sync_op": payload.get("op"), "attempt": attempt + 1},
+                    extra={"sync_op": label, "attempt": attempt + 1},
                 )
                 time.sleep(self.backoff_s * (2.0 ** attempt) * _backoff_jitter())
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _peer_get(
-        self, address: str, stage: str, digest: str
-    ) -> Optional[Tuple[Dict[str, Any], bytes]]:
-        """Single-shot ``peer_get``; ``None`` means try the next source.
+    @staticmethod
+    def _download(client: ServiceClient, stage: str, digest: str) -> Optional[Dict[str, Any]]:
+        """``GET`` one artifact from a hub or a peer; ``None`` on 404."""
+        try:
+            return client.http_request("GET", f"/artifacts/{stage}/{digest}")
+        except ServiceError as error:
+            if error.status == 404:
+                return None
+            raise
 
-        A transport-level failure marks the address dead for the rest
-        of this sync session; a clean refusal (peer evicted the key)
-        does not — the peer is healthy, it just can't serve this one.
+    def _peer_get(self, address: str, stage: str, digest: str) -> Optional[Dict[str, Any]]:
+        """Single-shot peer download; ``None`` means try the next source.
+
+        A transport-level failure (a dead peer, a truncated or corrupt
+        body) marks the address dead for the rest of this sync session;
+        an error reply (the peer does not hold the key) does not — the
+        peer is healthy, it just can't serve this one.
         """
         if address in self._dead_peers:
             return None
-        peer = ClusterClient(address, timeout=self.peer_timeout)
+        peer = ServiceClient(address, token=self.client.token, timeout=PEER_TIMEOUT_S)
         try:
-            reply, blob = peer.request(
-                {
-                    "op": "peer_get",
-                    "stage": stage,
-                    "digest": digest,
-                    "accept": self._accept(),
-                },
-                check=False,
-            )
-        except (OSError, ProtocolError):
+            return self._download(peer, stage, digest)
+        except ServiceError:
+            return None
+        except OSError:
             self._dead_peers.add(address)
             return None
-        if reply.get("error") or not reply.get("found") or blob is None:
-            return None
-        return reply, blob
+
+    def _keep(self, stage: str, digest: str, reply: Dict[str, Any], source: str) -> None:
+        """Store one downloaded artifact and account for it."""
+        blob = reply["blob"]
+        self.store.put(stage, digest, pickle.loads(blob))
+        self.pulled += 1
+        self.pulled_bytes += len(blob)
+        self.pulled_wire_bytes += int(reply["wire_bytes"])
+        if source == "peer":
+            self.pulled_bytes_peer += len(blob)
+        else:
+            self.pulled_bytes_hub += len(blob)
+        metrics = get_metrics()
+        metrics.counter("sync.pulled").inc()
+        metrics.counter("sync.pulled_bytes").inc(len(blob))
+        metrics.counter(f"sync.pulled_bytes_{source}").inc(len(blob))
 
     # ------------------------------------------------------------------
     def pull(
@@ -272,40 +264,17 @@ class ArtifactSync:
                 else:
                     candidates = self.sources.get((stage, digest), ())
             for address in candidates:
-                served = self._peer_get(address, stage, digest)
-                if served is None:
-                    continue
-                reply, blob = served
-                self.store.put(stage, digest, pickle.loads(blob))
-                self.pulled += 1
-                self.pulled_bytes += len(blob)
-                self.pulled_wire_bytes += int(
-                    reply.get("blob_wire_bytes", len(blob))
-                )
-                self.pulled_bytes_peer += len(blob)
-                metrics = get_metrics()
-                metrics.counter("sync.pulled").inc()
-                metrics.counter("sync.pulled_bytes").inc(len(blob))
-                metrics.counter("sync.pulled_bytes_peer").inc(len(blob))
-                return True
+                reply = self._peer_get(address, stage, digest)
+                if reply is not None:
+                    self._keep(stage, digest, reply, "peer")
+                    return True
             if candidates:
                 self.peer_fallbacks += 1
                 get_metrics().counter("sync.peer_fallbacks").inc()
-            payload: Dict[str, Any] = {"op": "get", "stage": stage, "digest": digest}
-            if self.compress:
-                payload["accept"] = self._accept()
-            reply, blob = self._hub_request(payload)
-            if not reply.get("found") or blob is None:
+            reply = self._hub("get", lambda: self._download(self.client, stage, digest))
+            if reply is None:
                 return False
-            self.store.put(stage, digest, pickle.loads(blob))
-            self.pulled += 1
-            self.pulled_bytes += len(blob)
-            self.pulled_wire_bytes += int(reply.get("blob_wire_bytes", len(blob)))
-            self.pulled_bytes_hub += len(blob)
-            metrics = get_metrics()
-            metrics.counter("sync.pulled").inc()
-            metrics.counter("sync.pulled_bytes").inc(len(blob))
-            metrics.counter("sync.pulled_bytes_hub").inc(len(blob))
+            self._keep(stage, digest, reply, "hub")
             return True
         finally:
             self.seconds += time.perf_counter() - started
@@ -318,15 +287,10 @@ class ArtifactSync:
             if artifact is MISS:
                 return False
             blob = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
-            # Encode only what the hub declared it can decode; a hub
-            # that never said "gzip" gets raw bytes (mixed fleets).
-            accept = self.hub_caps if self.compress else ()
-            wire_blob, encoding = encode_blob(blob, accept)
-            self._hub_request(
-                {"op": "put", "stage": stage, "digest": digest},
-                blob=wire_blob,
-                encoding=encoding,
-            )
+            wire_blob, encoding = encode_blob(blob, ("gzip",))
+            self._hub("put", lambda: self.client.http_request(
+                "PUT", f"/artifacts/{stage}/{digest}", blob=wire_blob, encoding=encoding
+            ))
             self.pushed += 1
             self.pushed_bytes += len(blob)
             self.pushed_wire_bytes += len(wire_blob)
@@ -337,27 +301,6 @@ class ArtifactSync:
         finally:
             self.seconds += time.perf_counter() - started
 
-    def peer_has(self, address: str, keys: Iterable[Key]) -> List[Key]:
-        """Which of ``keys`` the peer at ``address`` currently holds.
-
-        A cheap single-round-trip probe (no blobs move) for validating
-        routing hints before bulk pulls and for fabric diagnostics;
-        transport errors mark the peer dead exactly like a failed
-        ``peer_get``.
-        """
-        keys = list(keys)
-        if not keys or address in self._dead_peers:
-            return []
-        peer = ClusterClient(address, timeout=self.peer_timeout)
-        try:
-            reply, _ = peer.request(
-                {"op": "peer_has", "keys": [list(key) for key in keys]}
-            )
-        except (OSError, ProtocolError):
-            self._dead_peers.add(address)
-            return []
-        return [(str(s), str(d)) for s, d in reply.get("present", [])]
-
     # ------------------------------------------------------------------
     def remote_has(self, keys: Iterable[Key]) -> List[Key]:
         """The subset of ``keys`` the coordinator already holds."""
@@ -366,9 +309,10 @@ class ArtifactSync:
             return []
         started = time.perf_counter()
         try:
-            reply, _ = self._hub_request(
-                {"op": "has", "keys": [list(key) for key in keys]}
-            )
+            payload = {"keys": [list(key) for key in keys]}
+            reply = self._hub("has", lambda: self.client.http_request(
+                "POST", "/artifacts/has", payload
+            ))
             return [(str(s), str(d)) for s, d in reply.get("present", [])]
         finally:
             self.seconds += time.perf_counter() - started

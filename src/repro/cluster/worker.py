@@ -19,43 +19,43 @@ exceptions are reported with ``fail`` (the coordinator requeues the job
 elsewhere); connection errors are retried until ``max_idle_s`` of
 continuous unreachability, after which the agent exits — which is how
 workers outlive a coordinator restart but don't linger forever after a
-sweep ends.
+sweep ends.  Every request is one HTTP exchange through
+:class:`~repro.cluster.http_api.ServiceClient`.
 
-**Peer serving.**  Unless disabled, the agent also binds a lightweight
-artifact server (:class:`_PeerServer`, same JSON line protocol) on an
-ephemeral port and advertises that port in ``hello``.  Other workers
-then pull this worker's artifacts directly (``peer_get``) instead of
-routing every byte through the coordinator — see
-:class:`~repro.cluster.sync.ArtifactSync` for the pull policy and
-``docs/cluster.md`` for the fabric topology.  The server only ever
-*reads* the local store, refuses keys it no longer holds (the puller
-falls back to the hub), and dies with the agent.
+**Peer serving.**  Unless disabled, the agent also runs the service's
+own endpoint class (:class:`~repro.cluster.http_api.HttpEndpoint`)
+over its local store on an ephemeral port — its one listener — and
+advertises that port in ``hello``.  It serves only the artifact
+download route, under the fleet's bearer token.  Other workers then
+pull this worker's artifacts directly instead of routing every byte
+through the coordinator — see :class:`~repro.cluster.sync.ArtifactSync`
+for the pull policy and ``docs/cluster.md`` for the fabric topology.
+The endpoint only ever *reads* the local store, answers 404 for keys
+it does not hold (the puller falls back to the hub), and dies with the
+agent.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import socket
-import socketserver
 import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from repro.cluster.protocol import (
-    AuthError,
-    ClusterClient,
-    ProtocolError,
-    encode_blob,
-    recv_message,
-    send_message,
+from repro.cluster.http_api import (
+    ArtifactEndpoint,
+    HttpEndpoint,
+    ServiceAuthError,
+    ServiceClient,
+    ServiceError,
 )
 from repro.cluster.sync import ArtifactSync
 from repro.core.config import SparkXDConfig
 from repro.pipeline.stages import ExperimentPipeline, default_stage_classes
-from repro.pipeline.store import MISS, ArtifactStore
+from repro.pipeline.store import ArtifactStore
 from repro.telemetry import (
     adopt_context,
     get_logger,
@@ -95,7 +95,7 @@ class WorkerStats:
     #: hub round trips retried after transient transport errors.
     peer_fallbacks: int = 0
     sync_retries: int = 0
-    #: What this worker's own peer server handed out.
+    #: What this worker's own peer endpoint handed out.
     peer_served: int = 0
     peer_served_bytes: int = 0
     sync_s: float = 0.0
@@ -130,11 +130,11 @@ class _LeaseHeartbeat:
 
     def __init__(
         self,
-        client: ClusterClient,
+        client: ServiceClient,
         worker: str,
         job_id: str,
         interval: float,
-        sweep_id: Optional[str] = None,
+        sweep_id: Optional[str],
     ):
         self._client = client
         self._worker = worker
@@ -150,8 +150,8 @@ class _LeaseHeartbeat:
     def _run(self) -> None:
         while not self._stop.wait(self._interval):
             request = {
-                "op": "heartbeat",
                 "worker": self._worker,
+                "sweep_id": self._sweep_id,
                 "job_id": self._job_id,
                 # Periodic beats are the natural piggyback for
                 # the cumulative metrics snapshot: the
@@ -159,21 +159,19 @@ class _LeaseHeartbeat:
                 # long job runs, at zero extra round trips.
                 "telemetry": telemetry_snapshot(),
             }
-            if self._sweep_id is not None:
-                request["sweep_id"] = self._sweep_id
             try:
-                reply, _ = self._client.request(request)
+                reply = self._client.http_request("POST", "/worker/heartbeat", request)
                 if not reply.get("ok", False):
                     # Lease revoked (expiry raced us).  Keep computing:
                     # completion is idempotent and content-addressed, so
                     # finishing is still useful — but remember it.
                     self.lease_lost = True
-            except AuthError:
+            except ServiceAuthError:
                 # The main loop will hit the same rejection on its next
                 # request and exit loudly; beating again is pointless.
                 self.lease_lost = True
                 return
-            except (OSError, ProtocolError):
+            except (OSError, ServiceError):
                 pass  # transient; the next beat retries
 
     def __enter__(self) -> "_LeaseHeartbeat":
@@ -183,117 +181,6 @@ class _LeaseHeartbeat:
     def __exit__(self, *exc_info) -> None:
         self._stop.set()
         self._thread.join(timeout=2.0)
-
-
-class _PeerServer:
-    """Serve this worker's local artifacts to peers over TCP.
-
-    The read-only sibling of the coordinator's artifact side — same
-    line protocol, two ops:
-
-    ``peer_get``
-        download one artifact blob by ``(stage, digest)``; replies
-        ``{"found": false}`` (never an error) for keys this worker does
-        not hold, so a stale routing hint costs the puller one cheap
-        round trip before its hub fallback.
-    ``peer_has``
-        filter a list of ``[stage, digest]`` keys to those held.
-
-    Pickling happens per request under no lock (the store is
-    thread-safe and content-addressed blobs are immutable), so serving
-    never blocks the worker's own job execution.
-    """
-
-    def __init__(self, store: ArtifactStore, host: str = "0.0.0.0", port: int = 0):
-        self.store = store
-        self._stats_lock = threading.Lock()
-        self._served = 0
-        self._served_bytes = 0
-        self._served_wire_bytes = 0
-
-        peer_server = self
-
-        class Handler(socketserver.StreamRequestHandler):
-            def handle(self) -> None:  # pragma: no cover - thin shim
-                peer_server._handle(self)
-
-        class Server(socketserver.ThreadingTCPServer):
-            daemon_threads = True
-            allow_reuse_address = True
-
-        self._server = Server((host, port), Handler)
-        self.port: int = self._server.server_address[1]
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> "_PeerServer":
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name=f"repro-peer-server-{self.port}",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def transfer_stats(self) -> Dict[str, int]:
-        with self._stats_lock:
-            return {
-                "served": self._served,
-                "served_bytes": self._served_bytes,
-                "served_wire_bytes": self._served_wire_bytes,
-            }
-
-    # ------------------------------------------------------------------
-    def _handle(self, request: socketserver.StreamRequestHandler) -> None:
-        try:
-            payload, _ = recv_message(request.rfile)
-        except Exception:
-            return  # half-open connection; nothing to answer
-        try:
-            reply, blob, encoding = self._dispatch(payload)
-        except Exception as error:  # surface, don't kill the thread
-            reply, blob, encoding = (
-                {"error": f"{type(error).__name__}: {error}"},
-                None,
-                None,
-            )
-        try:
-            send_message(request.wfile, reply, blob, encoding=encoding)
-        except Exception:
-            pass  # puller vanished; it will fall back to the hub
-
-    def _dispatch(
-        self, payload: Dict[str, Any]
-    ) -> Tuple[Dict[str, Any], Optional[bytes], Optional[str]]:
-        op = payload.get("op")
-        if op == "peer_get":
-            stage = str(payload.get("stage"))
-            digest = str(payload.get("digest"))
-            artifact = self.store.get(stage, digest)
-            if artifact is MISS:
-                # Refusal, not error: evicted or never held here.
-                return {"found": False}, None, None
-            blob = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
-            wire_blob, encoding = encode_blob(
-                blob, [str(c) for c in payload.get("accept") or ()]
-            )
-            with self._stats_lock:
-                self._served += 1
-                self._served_bytes += len(blob)
-                self._served_wire_bytes += len(wire_blob)
-            return {"found": True}, wire_blob, encoding
-        if op == "peer_has":
-            keys = [(str(s), str(d)) for s, d in payload.get("keys", [])]
-            present = [list(key) for key in keys if key in self.store]
-            return {"present": present}, None, None
-        return {"error": f"unknown op {op!r}"}, None, None
 
 
 class WorkerAgent:
@@ -318,19 +205,22 @@ class WorkerAgent:
         unlimited).
     peer:
         With ``True`` (default) the agent serves its local artifacts
-        to other workers (:class:`_PeerServer`) and pulls peer-first;
-        ``False`` reproduces the pure hub topology (no serving socket,
-        no ``peer_port`` in hello, every byte via the coordinator).
+        to other workers (a download-only
+        :class:`~repro.cluster.http_api.HttpEndpoint`) and pulls
+        peer-first; ``False`` reproduces the pure hub topology (no
+        listener, no ``peer_port`` in hello, every byte via the
+        coordinator).
     peer_port:
-        Fixed port for the peer server (0 = ephemeral, the default).
+        Fixed port for the peer endpoint (0 = ephemeral, the default).
     token:
-        Shared cluster secret; stamped onto every request.  A
-        token-requiring coordinator rejects tokenless workers with an
-        :class:`~repro.cluster.protocol.AuthError`, on which this agent
-        exits immediately and loudly (recorded in ``stats.errors`` and
-        kept as :attr:`auth_error`, which ``repro cluster worker`` turns
-        into exit 2) — an auth mismatch is a deployment error, not a
-        transient.
+        Shared cluster secret: sent as the bearer token of every
+        request, and required of every peer pulling from this agent.
+        A token-requiring coordinator rejects tokenless workers with a
+        :class:`~repro.cluster.http_api.ServiceAuthError`, on which
+        this agent exits immediately and loudly (recorded in
+        ``stats.errors`` and kept as :attr:`auth_error`, which ``repro
+        cluster worker`` turns into exit 2) — an auth mismatch is a
+        deployment error, not a transient.
     """
 
     def __init__(
@@ -346,7 +236,7 @@ class WorkerAgent:
         peer_port: int = 0,
         token: Optional[str] = None,
     ):
-        self.client = ClusterClient(address, timeout=client_timeout, token=token)
+        self.client = ServiceClient(address, token=token, timeout=client_timeout)
         self.name = name or default_worker_name()
         self.store = store if store is not None else ArtifactStore()
         self.max_idle_s = float(max_idle_s)
@@ -355,14 +245,11 @@ class WorkerAgent:
         self.peer = bool(peer)
         self.peer_port = int(peer_port)
         self.stats = WorkerStats()
-        self._peer_server: Optional[_PeerServer] = None
-        #: Wire capabilities the coordinator advertised (hello reply);
-        #: gates gzip-encoded uploads in ArtifactSync.
-        self._hub_caps: Tuple[str, ...] = ()
+        self._peer_endpoint: Optional[HttpEndpoint] = None
         self._said_hello = False
         self._stop = threading.Event()
         #: The coordinator's rejection of our token, once it happened.
-        self.auth_error: Optional[AuthError] = None
+        self.auth_error: Optional[ServiceAuthError] = None
         #: (stage, digest) keys this agent holds locally — computed or
         #: pulled this session.  Reported on lease requests (only when
         #: changed since the last delivered report — the coordinator
@@ -378,48 +265,52 @@ class WorkerAgent:
 
     # ------------------------------------------------------------------
     def _register(self) -> None:
-        """Send ``hello``: slot, hub capabilities, peer registration.
+        """Send ``hello``: slot and peer registration.
 
         Best-effort — a coordinator that is still starting up learns
         our name from the first lease instead, and ``_said_hello``
         stays False so the next reconnect retries (a *restarted*
         coordinator must relearn our peer address).
         """
-        request: Dict[str, Any] = {"op": "hello", "worker": self.name}
-        if self._peer_server is not None:
-            request["peer_port"] = self._peer_server.port
-        # Optional field: a coordinator that predates telemetry drops
-        # the unknown key; the handshake itself is unchanged.
-        request["telemetry"] = telemetry_snapshot()
+        request: Dict[str, Any] = {
+            "worker": self.name,
+            "telemetry": telemetry_snapshot(),
+        }
+        if self._peer_endpoint is not None:
+            request["peer_port"] = self._peer_endpoint.address[1]
         try:
-            reply, _ = self.client.request(request)
-        except AuthError:
+            reply = self.client.http_request("POST", "/worker/hello", request)
+        except ServiceAuthError:
             raise  # deployment error: surface through the run loop
-        except (OSError, ProtocolError):
+        except (OSError, ServiceError):
             return
         if "slot" in reply:
             self.stats.slot = int(reply["slot"])
-        self._hub_caps = tuple(str(c) for c in reply.get("caps", ()))
         self._said_hello = True
 
     def run_forever(self) -> WorkerStats:
         """Serve jobs until the coordinator says shutdown (or vanishes)."""
-        if self.peer and self._peer_server is None:
-            self._peer_server = _PeerServer(self.store, port=self.peer_port).start()
+        if self.peer and self._peer_endpoint is None:
+            self._peer_endpoint = HttpEndpoint(
+                ArtifactEndpoint(self.store),
+                token=self.client.token,
+                host="0.0.0.0",
+                port=self.peer_port,
+            ).start()
         try:
             return self._run_loop()
         finally:
-            if self._peer_server is not None:
-                served = self._peer_server.transfer_stats()
-                self.stats.peer_served = served["served"]
-                self.stats.peer_served_bytes = served["served_bytes"]
-                self._peer_server.stop()
-                self._peer_server = None
+            if self._peer_endpoint is not None:
+                served = self._peer_endpoint.artifacts.transfer_stats()
+                self.stats.peer_served = served["get_count"]
+                self.stats.peer_served_bytes = served["get_bytes"]
+                self._peer_endpoint.stop()
+                self._peer_endpoint = None
 
     def _run_loop(self) -> WorkerStats:
         try:
             return self._lease_loop()
-        except AuthError as error:
+        except ServiceAuthError as error:
             # Loud, immediate exit: a token mismatch never heals by
             # retrying, and silently polling through it would look like
             # a healthy-but-idle worker to the operator.
@@ -441,15 +332,17 @@ class WorkerAgent:
                 break
             if not self._said_hello:
                 self._register()
-            request: Dict[str, Any] = {"op": "lease", "worker": self.name}
+            request: Dict[str, Any] = {
+                "worker": self.name,
+                "telemetry": telemetry_snapshot(),
+            }
             if self._holding and not self._holding_reported:
                 request["holding"] = sorted(list(key) for key in self._holding)
-            request["telemetry"] = telemetry_snapshot()
             try:
-                reply, _ = self.client.request(request)
-            except AuthError:
+                reply = self.client.http_request("POST", "/worker/lease", request)
+            except ServiceAuthError:
                 raise  # handled (loudly) one frame up
-            except (OSError, ProtocolError) as error:
+            except (OSError, ServiceError) as error:
                 # The coordinator may be restarting (crash + --resume):
                 # its holdings map and peer registry start empty, so
                 # re-hello and re-report ours when it comes back.
@@ -488,9 +381,9 @@ class WorkerAgent:
     def _execute(
         self,
         job: Dict[str, Any],
-        sources: Optional[Any] = None,
-        trace: Optional[Dict[str, str]] = None,
-        sweep_id: Optional[str] = None,
+        sources: Optional[Any],
+        trace: Optional[Dict[str, str]],
+        sweep_id: Optional[str],
     ) -> None:
         job_id = str(job["job_id"])
         depth = int(job["depth"])
@@ -503,7 +396,6 @@ class WorkerAgent:
             worker=self.name,
             sources=sources or (),
             peer_sync=self.peer,
-            hub_caps=self._hub_caps,
         )
         started = time.perf_counter()
         try:
@@ -545,19 +437,17 @@ class WorkerAgent:
                 "job failed",
                 extra={"job_id": job_id, "worker": self.name, "reason": message},
             )
-            report: Dict[str, Any] = {
-                "op": "fail",
+            report = {
                 "worker": self.name,
+                "sweep_id": sweep_id,
                 "job_id": job_id,
                 "error": message,
             }
-            if sweep_id is not None:
-                report["sweep_id"] = sweep_id
             try:
-                self.client.request(report)
-            except AuthError:
+                self.client.http_request("POST", "/worker/fail", report)
+            except ServiceAuthError:
                 raise  # handled (loudly) one frame up
-            except (OSError, ProtocolError):
+            except (OSError, ServiceError):
                 pass  # lease expiry will requeue it anyway
             return
         wall_s = time.perf_counter() - started
@@ -596,20 +486,18 @@ class WorkerAgent:
         self.stats.sync_retries += sync.retries
         self.stats.sync_s += sync.seconds
         self.stats.exec_s += sum(pipeline.stage_timings.values())
-        completion: Dict[str, Any] = {
-            "op": "complete",
+        completion = {
             "worker": self.name,
+            "sweep_id": sweep_id,
             "job_id": job_id,
             "stats": stats,
             "telemetry": telemetry_snapshot(),
         }
-        if sweep_id is not None:
-            completion["sweep_id"] = sweep_id
         try:
-            reply, _ = self.client.request(completion)
-        except AuthError:
+            reply = self.client.http_request("POST", "/worker/complete", completion)
+        except ServiceAuthError:
             raise  # handled (loudly) one frame up
-        except (OSError, ProtocolError) as error:
+        except (OSError, ServiceError) as error:
             # The artifacts are pushed; a lost completion only costs a
             # redundant re-lease of an already-satisfiable job.
             self.stats.errors.append(f"{job_id}: completion not delivered: {error}")

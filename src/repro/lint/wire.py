@@ -1,36 +1,20 @@
-"""protocol-consistency: every wire ``op`` has both ends implemented.
+"""protocol-consistency: every wire route has both ends implemented.
 
-The cluster line protocol is stringly typed: clients emit
-``{"op": "lease", ...}`` dicts and servers dispatch on ``op ==
-"lease"`` comparisons.  Nothing but this rule connects the two — a
-typo'd or half-added op surfaces only at runtime as an ``unknown op``
-error reply (or as a handler no client can ever reach).
+The cluster's one wire (``cluster/http_api.py``) is stringly typed:
+clients emit ``http_request("POST", "/worker/lease", ...)`` calls while
+the endpoint dispatches on a ``ROUTES`` table of ``(method,
+path_template, handler_name)`` rows.  Nothing but this rule connects
+the two — a typo'd or half-added route surfaces only at runtime as a
+404 (or as a handler no client can ever reach).  Every client, worker
+and peer request goes through that table, so the rule cross-checks it
+in both directions:
 
-There are now two dispatch tables: the coordinator's
-(``cluster/coordinator.py``) and the worker's peer artifact server
-(``cluster/worker.py`` — ``peer_get``/``peer_has``), and a handler
-module can itself emit ops (the worker both serves peers and leases
-jobs).  Both directions are checked across all of them:
-
-- an op **emitted** anywhere under ``cluster/`` with no dispatch
-  handling it is an *error* (the request can never succeed);
-- a **handler** whose op no *other* module emits is a *warning* (it
-  may serve out-of-tree tooling, but more often it is dead or drifted
-  protocol; a module "emitting" only to its own dispatch proves
-  nothing about the wire).
-
-The HTTP control plane (``cluster/http_api.py``) is the same trap in a
-different syntax: ``ServiceClient`` emits ``http_request("GET",
-f"/sweeps/{id}")`` strings while the server dispatches on a ``ROUTES``
-table of ``(method, path_template, handler_name)`` rows.  The rule
-cross-checks that table too:
-
-- a client path **emitted** (``.http_request(METHOD, PATH)``, constant
-  or f-string — placeholders match template parameters) with no
-  ``ROUTES`` row is an *error* (guaranteed 404);
-- a ``ROUTES`` row no client emits is a *warning* (unlike ops, the
-  client lives in the same module as the table, so same-module
-  emission counts);
+- a path **emitted** anywhere under ``cluster/``
+  (``.http_request(METHOD, PATH)``, constant or f-string —
+  placeholders match template parameters) with no ``ROUTES`` row is
+  an *error* (guaranteed 404);
+- a ``ROUTES`` row no client emits is a *warning* (dead or drifted
+  wire surface);
 - a ``ROUTES`` row naming a handler with no ``_route_<name>`` function
   in the module is an *error* (dispatch would die at request time).
 """
@@ -54,95 +38,20 @@ from repro.lint.findings import Finding
 class ProtocolConsistencyChecker(Checker):
     rule = "protocol-consistency"
     description = (
-        "ops emitted under cluster/ must have a dispatch handler "
-        "(coordinator or worker peer server), and handlers must have an "
-        "in-tree emitter outside their own module"
+        "HTTP paths emitted under cluster/ must match a ROUTES row, and "
+        "every row must have an in-tree emitter and a _route_ handler"
     )
 
     def __init__(
         self,
-        handler_suffixes: Sequence[str] = (
-            "cluster/coordinator.py",
-            "cluster/worker.py",
-        ),
         emitter_dir: str = "cluster/",
-        op_key: str = "op",
         http_suffix: str = "cluster/http_api.py",
     ):
-        self.handler_suffixes = tuple(handler_suffixes)
         self.emitter_dir = emitter_dir
-        self.op_key = op_key
         self.http_suffix = http_suffix
-
-    def _is_handler(self, module: SourceModule) -> bool:
-        return any(module.relpath.endswith(s) for s in self.handler_suffixes)
-
-    def _is_emitter(self, module: SourceModule) -> bool:
-        # Handler modules emit too: the worker serves peer ops while
-        # emitting lease/heartbeat/... requests of its own.
-        return self.emitter_dir in module.relpath
 
     # ------------------------------------------------------------------
     def check_project(self, modules: Sequence[SourceModule]) -> Iterator[Finding]:
-        yield from self._check_ops(modules)
-        yield from self._check_http_routes(modules)
-
-    def _check_ops(self, modules: Sequence[SourceModule]) -> Iterator[Finding]:
-        handlers = [m for m in modules if self._is_handler(m)]
-        emitters = [m for m in modules if self._is_emitter(m)]
-        if not handlers:
-            return  # nothing to cross-check against (fixture trees, subsets)
-        emitted: Dict[str, List[Tuple[SourceModule, int, str]]] = {}
-        for module in emitters:
-            for op, line, symbol in _emitted_ops(module, self.op_key):
-                emitted.setdefault(op, []).append((module, line, symbol))
-        handled: Dict[str, List[Tuple[SourceModule, int, str]]] = {}
-        for module in handlers:
-            for op, line, symbol in _handled_ops(module, self.op_key):
-                handled.setdefault(op, []).append((module, line, symbol))
-
-        for op in sorted(set(emitted) - set(handled)):
-            for module, line, symbol in emitted[op]:
-                yield Finding(
-                    rule=self.rule,
-                    severity="error",
-                    path=module.relpath,
-                    line=line,
-                    symbol=symbol or op,
-                    message=(
-                        f"op {op!r} is emitted here but no coordinator or "
-                        "worker dispatch handles it; the request can only "
-                        "produce an 'unknown op' error reply"
-                    ),
-                )
-        for op in sorted(handled):
-            for module, line, symbol in handled[op]:
-                # An emitter inside the handler's own module proves
-                # nothing (it never crosses the wire to this dispatch);
-                # require one anywhere else in the tree.
-                external = [
-                    entry for entry in emitted.get(op, ())
-                    if entry[0] is not module
-                ]
-                if external:
-                    continue
-                yield Finding(
-                    rule=self.rule,
-                    severity="warning",
-                    path=module.relpath,
-                    line=line,
-                    symbol=symbol or op,
-                    message=(
-                        f"dispatch handles op {op!r} but no in-tree "
-                        "client emits it; dead protocol surface drifts "
-                        "silently (add an emitter, or suppress if it serves "
-                        "external tooling)"
-                    ),
-                )
-
-    def _check_http_routes(
-        self, modules: Sequence[SourceModule]
-    ) -> Iterator[Finding]:
         route_modules = [
             m for m in modules if m.relpath.endswith(self.http_suffix)
         ]
@@ -172,16 +81,16 @@ class ProtocolConsistencyChecker(Checker):
                     symbol=symbol or path,
                     message=(
                         f"HTTP request {method} {path!r} is emitted here "
-                        "but matches no row of the control-plane ROUTES "
-                        "table; the call can only produce a 404"
+                        "but matches no row of the ROUTES table; the call "
+                        "can only produce a 404"
                     ),
                 )
         for key in sorted(routes):
             method, path = key
             for module, line, handler in routes[key]:
-                # Unlike line-protocol ops, the route table and the
-                # client live in the same module by design — any
-                # in-tree emission (same module included) matches.
+                # The route table and the control client live in the
+                # same module by design — any in-tree emission (same
+                # module included) matches.
                 if key not in emitted:
                     yield Finding(
                         rule=self.rule,
@@ -191,9 +100,9 @@ class ProtocolConsistencyChecker(Checker):
                         symbol=handler or path,
                         message=(
                             f"ROUTES row {method} {path!r} has no in-tree "
-                            "client emitting it; dead control-plane surface "
-                            "drifts silently (add a ServiceClient helper, or "
-                            "suppress if it serves external tooling)"
+                            "client emitting it; dead wire surface drifts "
+                            "silently (add an emitter, or suppress if it "
+                            "serves external tooling)"
                         ),
                     )
                 function_name = f"_route_{handler}"
@@ -214,75 +123,7 @@ class ProtocolConsistencyChecker(Checker):
 
 
 # ----------------------------------------------------------------------
-
-
-def _emitted_ops(module: SourceModule, op_key: str):
-    """``(op, line, scope)`` for every ``{"op": "<const>"}`` dict literal."""
-    symbols = enclosing_symbols(module.tree)
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Dict):
-            continue
-        for key, value in zip(node.keys, node.values):
-            if key is not None and const_str(key) == op_key:
-                op = const_str(value)
-                if op is not None:
-                    yield op, node.lineno, symbols.get(node, "")
-
-
-def _handled_ops(module: SourceModule, op_key: str):
-    """``(op, line, scope)`` for every ``op == "<const>"`` comparison.
-
-    The dispatch variable is recognised either by its name being the op
-    key itself (``op == "lease"``) or by being assigned from
-    ``<payload>.get("op")`` earlier in the module.
-    """
-    symbols = enclosing_symbols(module.tree)
-    op_names: Set[str] = {op_key}
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            value = node.value
-            if (
-                isinstance(value, ast.Call)
-                and (attribute_chain(value.func) or "").endswith(".get")
-                and value.args
-                and const_str(value.args[0]) == op_key
-            ):
-                op_names.add(target.id)
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Compare) or len(node.ops) != 1:
-            continue
-        if not isinstance(node.ops[0], (ast.Eq, ast.NotEq)):
-            continue
-        sides = [node.left, node.comparators[0]]
-        names = [s for s in sides if isinstance(s, ast.Name) and s.id in op_names]
-        consts = [s for s in sides if const_str(s) is not None]
-        if names and consts:
-            yield const_str(consts[0]), node.lineno, symbols.get(node, "")
-    # `payload.get("op") == "x"` inline form.
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Compare) or len(node.ops) != 1:
-            continue
-        if not isinstance(node.ops[0], (ast.Eq, ast.NotEq)):
-            continue
-        sides = [node.left, node.comparators[0]]
-        calls = [
-            s
-            for s in sides
-            if isinstance(s, ast.Call)
-            and (attribute_chain(s.func) or "").endswith(".get")
-            and s.args
-            and const_str(s.args[0]) == op_key
-        ]
-        consts = [s for s in sides if const_str(s) is not None]
-        if calls and consts:
-            yield const_str(consts[0]), node.lineno, symbols.get(node, "")
-
-
-# ----------------------------------------------------------------------
-# HTTP control-plane extraction.
+# Route and request extraction.
 
 
 def _normalize_http_path(path: str) -> str:

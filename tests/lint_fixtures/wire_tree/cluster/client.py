@@ -1,13 +1,9 @@
-"""Wire-protocol emitter side (lint fixture; never imported)."""
+"""Wire emitter side (lint fixture; never imported)."""
 
 
-def lease():
-    return {"op": "lease", "worker": "w"}
+def lease(client):
+    return client.http_request("POST", "/worker/lease", {"worker": "w"})
 
 
-def typo():
-    return {"op": "leese", "worker": "w"}
-
-
-def peer_pull():
-    return {"op": "peer_get", "stage": "s", "digest": "d"}
+def typo(client):
+    return client.http_request("POST", "/worker/leese", {"worker": "w"})

@@ -1,8 +1,9 @@
-"""HTTP control-plane fixture (lint fixture; never imported).
+"""Route-table fixture (lint fixture; never imported).
 
-Deliberate violations for the protocol-consistency HTTP extension:
-an emitted path with no ROUTES row, a route no client emits, and a
-route naming a handler function that does not exist.
+Deliberate violations for the protocol-consistency rule: emitted paths
+with no ROUTES row (here and in client.py / worker.py), routes no
+client emits, and a route naming a handler function that does not
+exist.
 """
 
 ROUTES = (
@@ -10,6 +11,9 @@ ROUTES = (
     ("GET", "/sweeps/{sweep_id}", "status"),
     ("POST", "/sweeps/{sweep_id}/cancel", "cancel"),
     ("GET", "/ghost", "ghost"),
+    ("POST", "/worker/lease", "lease"),
+    ("POST", "/worker/orphan", "orphan"),
+    ("GET", "/artifacts/{stage}/{digest}", "download"),
 )
 
 
@@ -21,6 +25,15 @@ class ControlPlane:
         return {"ok": True}
 
     def _route_cancel(self, params):
+        return {"ok": True}
+
+    def _route_lease(self, params):
+        return {"ok": True}
+
+    def _route_orphan(self, params):
+        return {"ok": True}
+
+    def _route_download(self, params):
         return {"ok": True}
 
 

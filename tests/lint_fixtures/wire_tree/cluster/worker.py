@@ -1,20 +1,11 @@
-"""Worker-side peer dispatch (lint fixture; never imported)."""
+"""Worker side of the wire (lint fixture; never imported)."""
 
 
-def request_lease():
-    return {"op": "lease", "worker": "w"}
+def pull(peer, stage, digest):
+    # The peer download is a ROUTES row like any other.
+    return peer.http_request("GET", f"/artifacts/{stage}/{digest}")
 
 
-def serve(payload):
-    op = payload.get("op")
-    if op == "peer_get":
-        return {"found": True}
-    if op == "self_only":
-        return {"ok": True}
-    return {"error": f"unknown op {op!r}"}
-
-
-def self_emit():
-    # Emitting to one's own dispatch proves nothing about the wire:
-    # "self_only" must still be flagged as handler-without-emitter.
-    return {"op": "self_only"}
+def beat(client):
+    # No ROUTES row serves this path: guaranteed 404.
+    return client.http_request("POST", "/worker/hearbeat", {"worker": "w"})

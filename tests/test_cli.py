@@ -499,7 +499,7 @@ class TestFleetViews:
             managed = service.submit(
                 SparkXDConfig.small(), {"voltages": [(1.325,)]}, name="solo"
             )
-            address = format_address(service.http_address)
+            address = format_address(service.address)
             assert main(["cluster", "status", "--service", address]) == 0
             text = capsys.readouterr().out
             assert main(

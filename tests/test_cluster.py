@@ -1,4 +1,4 @@
-"""Cluster subsystem tests: protocol, coordinator fault paths, e2e.
+"""Cluster subsystem tests: the wire, coordinator fault paths, e2e.
 
 The end-to-end tests are the acceptance contract of docs/cluster.md: a
 multi-worker distributed sweep produces records *identical in value* to
@@ -6,7 +6,6 @@ the serial Runner on the same grid, with each training-side fingerprint
 executed exactly once cluster-wide.
 """
 
-import io
 import pickle
 import socket
 import threading
@@ -18,15 +17,15 @@ import pytest
 from repro import SparkXDConfig
 from repro.analysis.export import records_equivalent, run_record_value_dict
 from repro.cluster import (
-    ClusterClient,
     ClusterExecutor,
     ExperimentService,
     PlanFailed,
+    ServiceClient,
+    ServiceError,
     WorkerAgent,
     local_worker_threads,
     parse_address,
 )
-from repro.cluster.protocol import ConnectionClosed, recv_message, send_message
 from repro.pipeline import ArtifactStore, Runner, default_stages
 
 TINY = SparkXDConfig.small(
@@ -69,32 +68,89 @@ class TestProtocol:
         for addr in (("10.0.0.1", 8752), ("2001:db8::1", 9000)):
             assert parse_address(format_address(addr)) == addr
 
-    def test_message_round_trip_with_blob(self):
-        buffer = io.BytesIO()
-        send_message(buffer, {"op": "put", "stage": "s"}, blob=b"\x00\xffraw")
-        buffer.seek(0)
-        payload, blob = recv_message(buffer)
-        assert payload == {"op": "put", "stage": "s"}
-        assert blob == b"\x00\xffraw"
+    def test_ipv6_bind_serves(self):
+        from repro.cluster import format_address
 
-    def test_message_without_blob(self):
-        buffer = io.BytesIO()
-        send_message(buffer, {"op": "lease"})
-        buffer.seek(0)
-        payload, blob = recv_message(buffer)
-        assert payload == {"op": "lease"}
-        assert blob is None
+        try:
+            service = ExperimentService(host="::1").start()
+        except OSError:
+            pytest.skip("no IPv6 loopback on this host")
+        try:
+            address = format_address(service.address)
+            assert address.startswith("[::1]:")
+            assert ServiceClient(address).fleet()["sweeps"] == {}
+        finally:
+            service.stop()
 
-    def test_truncated_blob_raises(self):
-        buffer = io.BytesIO()
-        send_message(buffer, {"op": "put"}, blob=b"full payload")
-        truncated = io.BytesIO(buffer.getvalue()[:-4])
-        with pytest.raises(ConnectionClosed):
-            recv_message(truncated)
+    def test_truncated_blob_raises(self, coordinator):
+        """An upload whose body falls short of its Content-Length stores
+        nothing (and the connection just ends)."""
+        blob = pickle.dumps({"weights": list(range(64))})
+        head = (
+            "PUT /artifacts/s/partial HTTP/1.1\r\n"
+            f"Content-Length: {len(blob)}\r\n"
+            "Content-Type: application/octet-stream\r\n\r\n"
+        ).encode("ascii")
+        with socket.create_connection(coordinator.address, timeout=5.0) as sock:
+            sock.sendall(head + blob[:-4])
+            sock.shutdown(socket.SHUT_WR)
+            reply = sock.makefile("rb").read()
+        assert reply.startswith(b"HTTP/1.0 400")
+        assert ("s", "partial") not in coordinator.core.artifacts.store
+        assert coordinator.core.transfer_stats()["put_count"] == 0
 
     def test_closed_connection_raises(self):
-        with pytest.raises(ConnectionClosed):
-            recv_message(io.BytesIO(b""))
+        """A reply cut short of its Content-Length is a ConnectionError
+        (an OSError, so sync's retry and peer fallback both fire)."""
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+
+            def truncate():
+                conn, _ = listener.accept()
+                with conn:
+                    conn.recv(65536)
+                    conn.sendall(
+                        b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n"
+                        b"Content-Length: 100\r\n\r\n{\"ok\""
+                    )
+
+            thread = threading.Thread(target=truncate, daemon=True)
+            thread.start()
+            client = ServiceClient(listener.getsockname(), timeout=5.0)
+            with pytest.raises(ConnectionError):
+                client.http_request("GET", "/fleet")
+            thread.join(timeout=5.0)
+
+    def test_large_artifact_round_trips_but_large_json_is_refused(
+        self, coordinator
+    ):
+        """Artifact bodies carry no cap; a JSON body over 16 MiB is
+        refused before a byte of it is read."""
+        big = pickle.dumps(bytes(range(256)) * (80 * 1024 + 1))  # > 20 MiB
+        assert len(big) > 20 * 1024 * 1024
+        client = _client(coordinator)
+        reply = client.http_request("PUT", "/artifacts/s/big", blob=big)
+        assert reply["stored"]
+        assert client.http_request("GET", "/artifacts/s/big")["blob"] == big
+        head = (
+            "POST /sweeps HTTP/1.1\r\n"
+            f"Content-Length: {17 * 1024 * 1024}\r\n"
+            "Content-Type: application/json\r\n\r\n"
+        ).encode("ascii")
+        with socket.create_connection(coordinator.address, timeout=5.0) as sock:
+            sock.sendall(head)  # and no body: a reading server would hang
+            status_line = sock.makefile("rb").readline()
+        assert status_line.startswith(b"HTTP/1.0 413")
+
+    def test_unknown_content_encoding_is_400(self, coordinator):
+        with pytest.raises(ServiceError) as excinfo:
+            _client(coordinator).http_request(
+                "PUT", "/artifacts/s/z", blob=b"payload", encoding="zstd"
+            )
+        assert excinfo.value.status == 400
+        assert "Content-Encoding" in str(excinfo.value)
+        assert ("s", "z") not in coordinator.core.artifacts.store
 
 
 class TestConfigWire:
@@ -138,67 +194,80 @@ def coordinator():
     ) as service:
         managed = service.submit(TINY, {})
         yield SimpleNamespace(
-            address=service.worker_address, plan=managed.plan, core=service.core
+            address=service.address,
+            plan=managed.plan,
+            core=service.core,
+            sweep_id=managed.sweep_id,
         )
 
 
 def _client(server):
-    return ClusterClient(server.address, timeout=5.0)
+    return ServiceClient(server.address, timeout=5.0)
 
 
 class TestCoordinatorFaultPaths:
     def test_worker_death_requeues_with_exclusion(self, coordinator):
         client = _client(coordinator)
-        reply, _ = client.request({"op": "lease", "worker": "dying"})
+        reply = client.http_request("POST", "/worker/lease", {"worker": "dying"})
         job = reply["job"]
         # Register a healthy peer before the lease expires.
-        waiting, _ = client.request({"op": "lease", "worker": "healthy"})
+        waiting = client.http_request("POST", "/worker/lease", {"worker": "healthy"})
         assert "wait" in waiting
         time.sleep(0.35)  # no heartbeat: the lease expires
-        retaken, _ = client.request({"op": "lease", "worker": "healthy"})
+        retaken = client.http_request("POST", "/worker/lease", {"worker": "healthy"})
         assert retaken["job"]["job_id"] == job["job_id"]
         # The dead worker is excluded while the healthy one is live.
         plan_job = coordinator.plan.jobs[job["job_id"]]
         assert "dying" in plan_job.excluded
         assert plan_job.worker == "healthy"
-        starved, _ = client.request({"op": "lease", "worker": "dying"})
+        starved = client.http_request("POST", "/worker/lease", {"worker": "dying"})
         assert "wait" in starved
 
     def test_heartbeat_keeps_lease_alive(self, coordinator):
         client = _client(coordinator)
-        reply, _ = client.request({"op": "lease", "worker": "steady"})
+        reply = client.http_request("POST", "/worker/lease", {"worker": "steady"})
         job_id = reply["job"]["job_id"]
+        assert reply["sweep_id"] == coordinator.sweep_id
         for _ in range(3):
             time.sleep(0.15)
-            beat, _ = client.request(
-                {"op": "heartbeat", "worker": "steady", "job_id": job_id}
-            )
+            beat = client.http_request("POST", "/worker/heartbeat", {
+                "worker": "steady", "sweep_id": reply["sweep_id"],
+                "job_id": job_id,
+            })
             assert beat["ok"]
         assert coordinator.plan.jobs[job_id].state == "leased"
+        # A report must name the sweep its grant carried.
+        unnamed = client.http_request("POST", "/worker/heartbeat", {
+            "worker": "steady", "job_id": job_id,
+        })
+        assert not unnamed["ok"]
 
     def test_duplicate_completion_is_idempotent(self, coordinator):
         client = _client(coordinator)
-        reply, _ = client.request({"op": "lease", "worker": "w1"})
+        reply = client.http_request("POST", "/worker/lease", {"worker": "w1"})
         job = reply["job"]
         blob = pickle.dumps({"fake": "artifact"})
-        client.request(
-            {"op": "put", "stage": job["stage"], "digest": job["digest"]}, blob=blob
+        client.http_request(
+            "PUT", f"/artifacts/{job['stage']}/{job['digest']}", blob=blob
         )
-        first, _ = client.request(
-            {"op": "complete", "worker": "w1", "job_id": job["job_id"]}
-        )
-        second, _ = client.request(
-            {"op": "complete", "worker": "w2", "job_id": job["job_id"]}
-        )
+        first = client.http_request("POST", "/worker/complete", {
+            "worker": "w1", "sweep_id": reply["sweep_id"],
+            "job_id": job["job_id"],
+        })
+        second = client.http_request("POST", "/worker/complete", {
+            "worker": "w2", "sweep_id": reply["sweep_id"],
+            "job_id": job["job_id"],
+        })
         assert first["ok"] and second["ok"]
         assert coordinator.plan.jobs[job["job_id"]].state == "done"
 
     def test_completion_without_artifact_rejected(self, coordinator):
         client = _client(coordinator)
-        reply, _ = client.request({"op": "lease", "worker": "liar"})
-        verdict, _ = client.request(
-            {"op": "complete", "worker": "liar", "job_id": reply["job"]["job_id"]}
-        )
+        reply = client.http_request("POST", "/worker/lease", {"worker": "liar"})
+        verdict = client.http_request("POST", "/worker/complete", {
+            "worker": "liar", "sweep_id": reply["sweep_id"],
+            "job_id": reply["job"]["job_id"],
+        })
         assert not verdict["ok"]
         assert coordinator.plan.jobs[reply["job"]["job_id"]].state == "pending"
 
@@ -208,76 +277,71 @@ class TestCoordinatorFaultPaths:
 
         artifact = {"weights": np.arange(32, dtype=np.float64).reshape(4, 8)}
         blob = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
-        stored, _ = client.request(
-            {"op": "put", "stage": "train-baseline", "digest": "d1"}, blob=blob
+        stored = client.http_request(
+            "PUT", "/artifacts/train-baseline/d1", blob=blob
         )
         assert stored["stored"]
         # Idempotent: re-uploading the same fingerprint is a hit.
-        again, _ = client.request(
-            {"op": "put", "stage": "train-baseline", "digest": "d1"}, blob=blob
+        again = client.http_request(
+            "PUT", "/artifacts/train-baseline/d1", blob=blob
         )
         assert again["ok"] and not again["stored"]
-        reply, pulled = client.request(
-            {"op": "get", "stage": "train-baseline", "digest": "d1"}
-        )
-        assert reply["found"]
-        assert pulled == blob  # byte-identical round trip
+        reply = client.http_request("GET", "/artifacts/train-baseline/d1")
+        assert reply["blob"] == blob  # byte-identical round trip
 
     def test_has_filters_present_keys(self, coordinator):
         client = _client(coordinator)
-        client.request(
-            {"op": "put", "stage": "s", "digest": "present"},
-            blob=pickle.dumps("x"),
+        client.http_request(
+            "PUT", "/artifacts/s/present", blob=pickle.dumps("x")
         )
-        reply, _ = client.request(
-            {"op": "has", "keys": [["s", "present"], ["s", "absent"]]}
+        reply = client.http_request(
+            "POST", "/artifacts/has", {"keys": [["s", "present"], ["s", "absent"]]}
         )
         assert reply["present"] == [["s", "present"]]
 
     def test_get_missing_artifact(self, coordinator):
-        reply, blob = _client(coordinator).request(
-            {"op": "get", "stage": "s", "digest": "nope"}
-        )
-        assert reply == {"found": False} and blob is None
+        with pytest.raises(ServiceError) as excinfo:
+            _client(coordinator).http_request("GET", "/artifacts/s/nope")
+        assert excinfo.value.status == 404
+        assert excinfo.value.payload["found"] is False
 
     def test_unknown_op_is_an_error_reply(self, coordinator):
-        from repro.cluster.protocol import ProtocolError
-
-        with pytest.raises(ProtocolError, match="unknown op"):
-            _client(coordinator).request({"op": "frobnicate"})
+        with pytest.raises(ServiceError, match="no route") as excinfo:
+            _client(coordinator).http_request("POST", "/worker/frobnicate", {})
+        assert excinfo.value.status == 404
 
     def test_status_reports_counts(self, coordinator):
-        from repro.cluster.protocol import ProtocolError
-
         reply = coordinator.core.status_view()
         assert reply["pending"] == len(coordinator.plan.jobs)
         assert reply["failure"] is None
-        # The fleet view is served over HTTP only (GET /fleet).
-        with pytest.raises(ProtocolError, match="unknown op"):
-            _client(coordinator).request({"op": "status"})
+        # The same view is GET /fleet on the one port workers use.
+        fleet = _client(coordinator).http_request("GET", "/fleet")
+        assert fleet["pending"] == reply["pending"]
 
 
 class TestWireCache:
     def test_byte_bounded_lru_eviction(self):
-        from repro.cluster.coordinator import _WireCache
+        from repro.cluster.http_api import ArtifactEndpoint
 
-        cache = _WireCache(max_bytes=100)
-        cache.put(("s", "a"), b"x" * 40)
-        cache.put(("s", "b"), b"y" * 40)
-        cache.get(("s", "a"))  # refresh: b becomes the LRU victim
-        cache.put(("s", "c"), b"z" * 40)  # 120 bytes > budget
-        assert cache.get(("s", "b")) is None
-        assert cache.get(("s", "a")) == b"x" * 40
-        assert cache.get(("s", "c")) == b"z" * 40
-        assert cache.total_bytes <= 100
+        endpoint = ArtifactEndpoint(ArtifactStore(), cache_bytes=100)
+        endpoint._remember(("s", "a"), b"x" * 40)
+        endpoint._remember(("s", "b"), b"y" * 40)
+        # Served from the cache (the store holds neither); the hit
+        # refreshes a, so b becomes the LRU victim.
+        assert endpoint.get("s", "a") == (b"x" * 40, None)
+        endpoint._remember(("s", "c"), b"z" * 40)  # 120 bytes > budget
+        assert endpoint.get("s", "b") is None
+        assert endpoint.get("s", "c") == (b"z" * 40, None)
+        assert list(endpoint._cache) == [("s", "a"), ("s", "c")]
+        assert endpoint.cached_bytes <= 100
 
     def test_oversized_blob_is_not_cached(self):
-        from repro.cluster.coordinator import _WireCache
+        from repro.cluster.http_api import ArtifactEndpoint
 
-        cache = _WireCache(max_bytes=10)
-        cache.put(("s", "big"), b"x" * 100)
-        assert cache.get(("s", "big")) is None
-        assert cache.total_bytes == 0
+        endpoint = ArtifactEndpoint(ArtifactStore(), cache_bytes=10)
+        endpoint._remember(("s", "big"), b"x" * 100)
+        assert endpoint.get("s", "big") is None
+        assert endpoint.cached_bytes == 0
 
 
 # ----------------------------------------------------------------------
@@ -411,15 +475,17 @@ class TestDistributedSweep:
             shutdown_when_idle=True,
         ) as service:
             plan = service.submit(TINY, {}).plan
-            client = ClusterClient(service.worker_address, timeout=5.0)
-            reply, _ = client.request({"op": "lease", "worker": "crashy"})
-            client.request({
-                "op": "fail", "worker": "crashy",
+            client = ServiceClient(service.address, timeout=5.0)
+            reply = client.http_request(
+                "POST", "/worker/lease", {"worker": "crashy"}
+            )
+            client.http_request("POST", "/worker/fail", {
+                "worker": "crashy", "sweep_id": reply["sweep_id"],
                 "job_id": reply["job"]["job_id"], "error": "boom",
             })
             assert plan.failed  # retry budget (1) exhausted
             agent = WorkerAgent(
-                service.worker_address, max_idle_s=10.0, retry_s=0.05
+                service.address, max_idle_s=10.0, retry_s=0.05
             )
             started = time.monotonic()
             stats = agent.run_forever()
@@ -450,29 +516,18 @@ class TestDistributedSweep:
         assert executor.last_plan.jobs == {}
 
     def test_public_worker_bind_keeps_control_plane_on_loopback(
-        self, serial_sweep, monkeypatch
+        self, serial_sweep
     ):
-        """The embedded service's HTTP plane, which nothing uses, never
-        follows a public worker bind onto the network."""
-        from repro.cluster import executor as executor_module
-
+        """A public bind serves every route on its one port, control
+        routes included (behind the same token, docs/cluster.md); the
+        records stay identical to serial."""
         serial_records, serial_store = serial_sweep
-        started = []
-
-        class RecordingService(ExperimentService):
-            def start(self):
-                started.append(self)
-                return super().start()
-
-        monkeypatch.setattr(executor_module, "ExperimentService", RecordingService)
         executor = ClusterExecutor(
             TINY, store=serial_store, address=("0.0.0.0", 0), wait_timeout=30.0
         )
         records = executor.run(GRID)
         assert records_equivalent(serial_records, records)
-        (service,) = started
         assert executor.address[0] == "0.0.0.0"
-        assert service.http_address[0] == "127.0.0.1"
 
 
 def _cli_env():
@@ -493,8 +548,10 @@ def _cli_env():
 
 class TestClusterCLI:
     @pytest.mark.slow
-    def test_sweep_workers_cli_matches_serial(self, capsys):
-        """``repro sweep --workers 2`` with real worker subprocesses."""
+    def test_sweep_workers_cli_matches_serial(self, capfd):
+        """``repro sweep --workers 2`` with real worker subprocesses:
+        valid JSON on stdout, and no per-request access lines on stderr
+        from the embedded service or the workers' peer endpoints."""
         import json
 
         from repro.cli import main
@@ -507,8 +564,11 @@ class TestClusterCLI:
             "--voltages", "1.325", "1.025",
             "--workers", "2", "--json",
         ])
-        payload = json.loads(capsys.readouterr().out)
+        captured = capfd.readouterr()
+        payload = json.loads(captured.out)
         assert exit_code == 0
+        assert "HTTP/1." not in captured.err
+        assert "/worker/" not in captured.err
         assert len(payload) == 2
         cli_records = [RunRecord.from_dict(entry) for entry in payload]
         # Serial reference on the exact config the CLI builds.
@@ -616,8 +676,8 @@ class TestDistributionTimeout:
 
         def poke(address):
             # One worker leases a job and is never heard from again.
-            ClusterClient(address, timeout=5.0).request(
-                {"op": "lease", "worker": "ghost"}
+            ServiceClient(address, timeout=5.0).http_request(
+                "POST", "/worker/lease", {"worker": "ghost"}
             )
 
         with pytest.raises(DistributionTimeout) as info:
@@ -648,7 +708,7 @@ class TestJournalResume:
             plan1 = service.submit(TINY, GRID, journal_path=journal_path).plan
             n_jobs = len(plan1.jobs)
             agent = WorkerAgent(
-                service.worker_address, name="mortal", max_jobs=2,
+                service.address, name="mortal", max_jobs=2,
                 max_idle_s=30.0,
             )
             agent.run_forever()  # returns after 2 completed jobs
@@ -828,6 +888,56 @@ class TestKillResumeSubprocess:
             if event.get("event") == "done"
         ]
         assert len(done) == len(set(done))
+
+
+class TestOrphanedFleet:
+    @pytest.mark.slow
+    def test_killed_sweep_leaves_no_workers_behind(self, tmp_path):
+        """SIGKILL a ``sweep --workers 2 --journal`` mid-sweep: its
+        worker subprocesses, orphaned in its process group, exit within
+        seconds (the local fleet's idle limit), not the 30 s default."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        cache = tmp_path / "cache"
+        journal = cache / "journal.jsonl"
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "sweep",
+                "--neurons", "12", "--train", "40", "--test", "25",
+                "--steps", "30", "--bound", "0.5",
+                "--voltages", "1.325", "1.025",
+                "--workers", "2", "--cache-dir", str(cache), "--journal",
+            ],
+            env=_cli_env(), stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, start_new_session=True,
+        )
+        pgid = proc.pid  # a new session's leader leads its own group
+        try:
+            deadline = time.monotonic() + 300.0
+            while time.monotonic() < deadline and proc.poll() is None:
+                if journal.exists() and '"event": "done"' in journal.read_text():
+                    break
+                time.sleep(0.02)
+            assert proc.poll() is None  # the kill lands mid-sweep
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30.0)
+            killed_at = time.monotonic()
+            while time.monotonic() - killed_at < 15.0:
+                try:
+                    os.killpg(pgid, 0)
+                except ProcessLookupError:
+                    break
+                time.sleep(0.1)
+            else:
+                pytest.fail("orphaned workers outlived the sweep by 15 s")
+        finally:
+            try:
+                os.killpg(pgid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 class TestWorkerAffinityE2E:

@@ -23,23 +23,19 @@ import pytest
 from repro import SparkXDConfig
 from repro.analysis.export import records_equivalent
 from repro.cluster import (
-    ClusterClient,
     ClusterExecutor,
     ExperimentService,
-    ProtocolError,
+    ServiceClient,
+    ServiceError,
     SweepJournal,
     SweepPlan,
+    WorkerAgent,
     local_worker_threads,
 )
+from repro.cluster.http_api import ArtifactEndpoint, HttpEndpoint
 from repro.cluster.journal import JournalMismatch
-from repro.cluster.protocol import (
-    GZIP_MIN_BYTES,
-    encode_blob,
-    recv_message,
-    send_message,
-)
+from repro.cluster.protocol import GZIP_MIN_BYTES, encode_blob
 from repro.cluster.sync import ArtifactSync
-from repro.cluster.worker import _PeerServer
 from repro.pipeline import ArtifactStore, Runner, default_stages
 
 TINY = SparkXDConfig.small(
@@ -70,76 +66,92 @@ def _dead_address() -> str:
     return f"127.0.0.1:{port}"
 
 
+def _peer(store):
+    """A worker's peer endpoint over ``store``: downloads only."""
+    return HttpEndpoint(ArtifactEndpoint(store)).start()
+
+
+def _fake_peer(reply_head: bytes, body: bytes):
+    """A one-shot peer that answers any request with raw bytes, then
+    closes; returns ``(address, thread)``."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn, listener:
+            conn.recv(65536)
+            conn.sendall(reply_head + body)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return f"127.0.0.1:{listener.getsockname()[1]}", thread
+
+
 # ----------------------------------------------------------------------
 class TestPeerServer:
     def test_peer_get_round_trip(self):
         store = ArtifactStore()
         store.put("stage", "digest", {"weights": [1.0, 2.0]})
-        server = _PeerServer(store).start()
+        server = _peer(store)
         try:
-            client = ClusterClient(("127.0.0.1", server.port))
-            reply, blob = client.request(
-                {"op": "peer_get", "stage": "stage", "digest": "digest"}
+            reply = ServiceClient(server.address).http_request(
+                "GET", "/artifacts/stage/digest"
             )
-            assert reply["found"]
-            assert pickle.loads(blob) == {"weights": [1.0, 2.0]}
-            stats = server.transfer_stats()
-            assert stats["served"] == 1
-            assert stats["served_bytes"] == len(blob)
+            assert pickle.loads(reply["blob"]) == {"weights": [1.0, 2.0]}
+            stats = server.artifacts.transfer_stats()
+            assert stats["get_count"] == 1
+            assert stats["get_bytes"] == len(reply["blob"])
         finally:
             server.stop()
 
     def test_missing_key_is_refusal_not_error(self):
-        server = _PeerServer(ArtifactStore()).start()
+        server = _peer(ArtifactStore())
         try:
-            client = ClusterClient(("127.0.0.1", server.port))
-            reply, blob = client.request(
-                {"op": "peer_get", "stage": "s", "digest": "gone"}
-            )
-            assert reply == {"found": False}
-            assert blob is None
-            assert server.transfer_stats()["served"] == 0
-        finally:
-            server.stop()
-
-    def test_peer_has_filters(self):
-        store = ArtifactStore()
-        store.put("a", "1", "x")
-        server = _PeerServer(store).start()
-        try:
-            client = ClusterClient(("127.0.0.1", server.port))
-            reply, _ = client.request(
-                {"op": "peer_has", "keys": [["a", "1"], ["b", "2"]]}
-            )
-            assert reply["present"] == [["a", "1"]]
+            with pytest.raises(ServiceError) as excinfo:
+                ServiceClient(server.address).http_request(
+                    "GET", "/artifacts/s/gone"
+                )
+            assert excinfo.value.status == 404
+            assert excinfo.value.payload["found"] is False
+            assert server.artifacts.transfer_stats()["get_count"] == 0
         finally:
             server.stop()
 
     def test_unknown_op_is_error_reply(self):
-        server = _PeerServer(ArtifactStore()).start()
+        """A peer serves the download route only: every other route,
+        uploads included, is a 404 there."""
+        server = _peer(ArtifactStore())
         try:
-            client = ClusterClient(("127.0.0.1", server.port))
-            with pytest.raises(ProtocolError, match="unknown op"):
-                client.request({"op": "lease"})
+            client = ServiceClient(server.address)
+            for method, path in (
+                ("POST", "/worker/lease"),
+                ("PUT", "/artifacts/s/d"),
+                ("GET", "/fleet"),
+            ):
+                with pytest.raises(ServiceError, match="no route") as excinfo:
+                    client.http_request(method, path, {})
+                assert excinfo.value.status == 404
+            assert ("s", "d") not in server.artifacts.store
         finally:
             server.stop()
 
     def test_gzip_accept_shrinks_wire_bytes(self):
         store = ArtifactStore()
         store.put("s", "d", [0.0] * 4096)  # compressible, > GZIP_MIN_BYTES
-        server = _PeerServer(store).start()
+        server = _peer(store)
         try:
-            client = ClusterClient(("127.0.0.1", server.port))
-            reply, blob = client.request(
-                {"op": "peer_get", "stage": "s", "digest": "d",
-                 "accept": ["gzip"]}
+            reply = ServiceClient(server.address).http_request(
+                "GET", "/artifacts/s/d"
             )
+            blob = reply["blob"]
             assert pickle.loads(blob) == [0.0] * 4096
             # Decoded transparently; the wire size is surfaced and small.
-            assert reply["blob_wire_bytes"] < len(blob)
-            stats = server.transfer_stats()
-            assert stats["served_wire_bytes"] == reply["blob_wire_bytes"]
-            assert stats["served_bytes"] == len(blob)
+            assert reply["wire_bytes"] < len(blob)
+            stats = server.artifacts.transfer_stats()
+            assert stats["get_wire_bytes"] == reply["wire_bytes"]
+            assert stats["get_bytes"] == len(blob)
         finally:
             server.stop()
 
@@ -150,14 +162,14 @@ class TestPeerRouting:
 
     def test_locate_answers_from_holdings(self):
         plan = SweepPlan(TINY, {}, ArtifactStore(), lease_timeout=10.0)
-        plan.register_peer("w1", "10.0.0.1", 7001)
+        plan.registry.register_peer("w1", "10.0.0.1", 7001)
         plan.registry.set_holdings("w1", [["train-baseline", "abc"]])
         located = plan.locate([("train-baseline", "abc"), ("other", "zzz")])
         assert located == [["train-baseline", "abc", ["10.0.0.1:7001"]]]
 
     def test_locate_excludes_requester(self):
         plan = SweepPlan(TINY, {}, ArtifactStore(), lease_timeout=10.0)
-        plan.register_peer("w1", "10.0.0.1", 7001)
+        plan.registry.register_peer("w1", "10.0.0.1", 7001)
         plan.registry.set_holdings("w1", [["a", "1"]])
         assert plan.locate([("a", "1")], exclude="w1") == []
 
@@ -167,7 +179,7 @@ class TestPeerRouting:
             TINY, {}, ArtifactStore(),
             lease_timeout=10.0, clock=lambda: clock["now"],
         )
-        plan.register_peer("w1", "10.0.0.1", 7001)
+        plan.registry.register_peer("w1", "10.0.0.1", 7001)
         plan.registry.set_holdings("w1", [["a", "1"]])
         assert plan.locate([("a", "1")]) != []
         clock["now"] = 31.0  # past the 3x lease_timeout liveness window
@@ -182,7 +194,7 @@ class TestPeerRouting:
         plan = SweepPlan(
             TINY, {}, ArtifactStore(), lease_timeout=10.0, peer_sync=False
         )
-        plan.register_peer("w1", "10.0.0.1", 7001)
+        plan.registry.register_peer("w1", "10.0.0.1", 7001)
         plan.registry.set_holdings("w1", [["a", "1"]])
         assert plan.locate([("a", "1")]) == []
 
@@ -191,8 +203,8 @@ class TestPeerRouting:
         job = plan.lease("w1")
         plan.store.put(job.stage, job.digest, "artifact")
         assert plan.complete("w1", job.job_id)
-        assert plan.worker_holding_count("w1") == len(job.upstream) + 1
-        plan.register_peer("w1", "10.0.0.1", 7001)
+        assert plan.registry.holding_count("w1") == len(job.upstream) + 1
+        plan.registry.register_peer("w1", "10.0.0.1", 7001)
         assert plan.locate([(job.stage, job.digest)]) == [
             [job.stage, job.digest, ["10.0.0.1:7001"]]
         ]
@@ -210,13 +222,13 @@ class TestSyncPeerFirst:
         hub_store.put("s", "d", "hub copy")
         peer_store = ArtifactStore()
         peer_store.put("s", "d", "hub copy")
-        peer = _PeerServer(peer_store).start()
+        peer = _peer(peer_store)
         with _hub(hub_store) as server:
             try:
                 sync = ArtifactSync(
-                    ClusterClient(server.worker_address),
+                    ServiceClient(server.address),
                     ArtifactStore(),
-                    sources=[["s", "d", [f"127.0.0.1:{peer.port}"]]],
+                    sources=[["s", "d", [f"127.0.0.1:{peer.address[1]}"]]],
                 )
                 assert sync.pull("s", "d")
                 assert sync.pulled_bytes_peer > 0
@@ -231,7 +243,7 @@ class TestSyncPeerFirst:
         dead = _dead_address()
         with _hub(hub_store) as server:
             sync = ArtifactSync(
-                ClusterClient(server.worker_address),
+                ServiceClient(server.address),
                 ArtifactStore(),
                 sources=[["s", "d", [dead]]],
             )
@@ -243,50 +255,66 @@ class TestSyncPeerFirst:
             assert dead in sync._dead_peers
 
     def test_peer_dying_mid_transfer_falls_back(self):
-        """A peer that truncates the blob mid-send is a fallback, not a
-        job failure: the partial bytes never reach the store."""
+        """A peer that announces a Content-Length it never sends is a
+        fallback, not a job failure: the partial bytes never reach the
+        store."""
         hub_store = ArtifactStore()
         hub_store.put("s", "d", "authoritative")
-        ready = threading.Event()
-        holder = {}
-
-        def truncating_peer():
-            listener = socket.socket()
-            listener.bind(("127.0.0.1", 0))
-            listener.listen(1)
-            holder["port"] = listener.getsockname()[1]
-            ready.set()
-            conn, _ = listener.accept()
-            with conn, listener:
-                recv_message(conn.makefile("rb"))
-                # Announce a big blob, send almost none of it, die.
-                conn.sendall(b'{"found": true, "blob_bytes": 99999}\n')
-                conn.sendall(b"x" * 16)
-
-        thread = threading.Thread(target=truncating_peer, daemon=True)
-        thread.start()
-        assert ready.wait(5.0)
+        address, thread = _fake_peer(
+            b"HTTP/1.0 200 OK\r\nContent-Type: application/octet-stream\r\n"
+            b"Content-Length: 99999\r\n\r\n",
+            b"x" * 16,
+        )
         with _hub(hub_store) as server:
             sync = ArtifactSync(
-                ClusterClient(server.worker_address),
+                ServiceClient(server.address),
                 ArtifactStore(),
-                sources=[["s", "d", [f"127.0.0.1:{holder['port']}"]]],
+                sources=[["s", "d", [address]]],
             )
             assert sync.pull("s", "d")
         thread.join(timeout=5.0)
+        assert not thread.is_alive()
         assert sync.store.get("s", "d") == "authoritative"
         assert sync.pulled_bytes_peer == 0
+        assert sync.peer_fallbacks == 1
+        assert address in sync._dead_peers
+
+    def test_peer_corrupt_gzip_falls_back(self):
+        """A peer reply announcing gzip but carrying garbage is a
+        fallback to the hub, not a job failure."""
+        hub_store = ArtifactStore()
+        hub_store.put("s", "d", "authoritative")
+        garbage = b"not gzip at all"
+        address, thread = _fake_peer(
+            b"HTTP/1.0 200 OK\r\nContent-Type: application/octet-stream\r\n"
+            b"Content-Encoding: gzip\r\n"
+            + f"Content-Length: {len(garbage)}\r\n\r\n".encode("ascii"),
+            garbage,
+        )
+        with _hub(hub_store) as server:
+            sync = ArtifactSync(
+                ServiceClient(server.address),
+                ArtifactStore(),
+                sources=[["s", "d", [address]]],
+            )
+            assert sync.pull("s", "d")
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert sync.store.get("s", "d") == "authoritative"
+        assert sync.pulled_bytes_hub > 0
         assert sync.peer_fallbacks == 1
 
     def test_peer_refusing_evicted_key_falls_back(self):
         hub_store = ArtifactStore()
         hub_store.put("s", "d", "evicted from the peer")
-        peer = _PeerServer(ArtifactStore()).start()  # holds nothing
-        address = f"127.0.0.1:{peer.port}"
+        peer_store = ArtifactStore()
+        peer_store.put("s", "other", "still held")
+        peer = _peer(peer_store)  # does not hold ("s", "d")
+        address = f"127.0.0.1:{peer.address[1]}"
         with _hub(hub_store) as server:
             try:
                 sync = ArtifactSync(
-                    ClusterClient(server.worker_address),
+                    ServiceClient(server.address),
                     ArtifactStore(),
                     sources=[["s", "d", [address]]],
                 )
@@ -295,7 +323,8 @@ class TestSyncPeerFirst:
                 # A refusal is not a death sentence: the peer stays
                 # dialable for other keys.
                 assert address not in sync._dead_peers
-                assert sync.peer_has(address, [("s", "d")]) == []
+                assert sync.pull("s", "other", sources=[address])
+                assert sync.pulled_bytes_peer > 0
             finally:
                 peer.stop()
 
@@ -304,7 +333,7 @@ class TestSyncPeerFirst:
         hub_store.put("s", "d", "hub")
         with _hub(hub_store) as server:
             sync = ArtifactSync(
-                ClusterClient(server.worker_address),
+                ServiceClient(server.address),
                 ArtifactStore(),
                 peer_sync=False,
                 sources=[["s", "d", [_dead_address()]]],
@@ -315,18 +344,20 @@ class TestSyncPeerFirst:
 
 
 class _FlakyClient:
-    """Duck-typed ClusterClient: fails N times, then succeeds."""
+    """Duck-typed ServiceClient: fails N times, then succeeds."""
+
+    token = None
 
     def __init__(self, failures, error=OSError("connection reset")):
         self.failures = failures
         self.error = error
         self.calls = 0
 
-    def request(self, payload, blob=None, check=True, encoding=None):
+    def http_request(self, method, path, payload=None, **kwargs):
         self.calls += 1
         if self.calls <= self.failures:
             raise self.error
-        return {"ok": True, "found": False, "present": []}, None
+        return {"ok": True, "present": []}
 
 
 class TestRetryBackoff:
@@ -349,9 +380,9 @@ class TestRetryBackoff:
     def test_error_replies_are_not_retried(self):
         # A deterministic error reply must surface immediately —
         # retrying it would just repeat the same answer N times.
-        client = _FlakyClient(failures=99, error=ProtocolError("bad request"))
+        client = _FlakyClient(failures=99, error=ServiceError(400, "bad request"))
         sync = ArtifactSync(client, ArtifactStore(), backoff_s=0.001)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ServiceError):
             sync.remote_has([("s", "d")])
         assert client.calls == 1
         assert sync.retries == 0
@@ -374,103 +405,114 @@ class TestGzipWire:
         assert len(wire) < len(blob)
 
     def test_round_trip_decodes_transparently(self):
-        import io
-
-        blob = b"\x01\x02" * GZIP_MIN_BYTES
+        """A gzip upload lands decoded; the download comes back gzip on
+        the wire and decoded to the identical bytes."""
+        blob = pickle.dumps([0.0] * 8192, protocol=pickle.HIGHEST_PROTOCOL)
         wire, encoding = encode_blob(blob, ["gzip"])
-        buffer = io.BytesIO()
-        send_message(buffer, {"op": "put"}, wire, encoding=encoding)
-        buffer.seek(0)
-        payload, decoded = recv_message(buffer)
-        assert decoded == blob
-        assert payload["blob_wire_bytes"] == len(wire)
+        assert encoding == "gzip"
+        hub_store = ArtifactStore()
+        with _hub(hub_store) as server:
+            client = ServiceClient(server.address)
+            client.http_request(
+                "PUT", "/artifacts/s/d", blob=wire, encoding=encoding
+            )
+            assert hub_store.get("s", "d") == [0.0] * 8192
+            reply = client.http_request("GET", "/artifacts/s/d")
+        assert reply["blob"] == blob
+        assert reply["wire_bytes"] < len(blob)
 
     def test_corrupt_gzip_is_protocol_error(self):
-        import io
-
-        buffer = io.BytesIO()
-        send_message(
-            buffer, {"op": "put"}, b"not gzip at all", encoding="gzip"
-        )
-        buffer.seek(0)
-        with pytest.raises(ProtocolError, match="corrupt gzip"):
-            recv_message(buffer)
+        hub_store = ArtifactStore()
+        with _hub(hub_store) as server:
+            with pytest.raises(ServiceError, match="corrupt gzip") as excinfo:
+                ServiceClient(server.address).http_request(
+                    "PUT", "/artifacts/s/d", blob=b"not gzip at all",
+                    encoding="gzip",
+                )
+        assert excinfo.value.status == 400
+        assert ("s", "d") not in hub_store
 
     def test_unknown_encoding_is_protocol_error(self):
-        import io
+        hub_store = ArtifactStore()
+        with _hub(hub_store) as server:
+            with pytest.raises(ServiceError, match="Content-Encoding") as excinfo:
+                ServiceClient(server.address).http_request(
+                    "PUT", "/artifacts/s/d", blob=b"payload", encoding="zstd"
+                )
+        assert excinfo.value.status == 400
+        assert ("s", "d") not in hub_store
 
-        buffer = io.BytesIO()
-        send_message(buffer, {"op": "put"}, b"payload", encoding="zstd")
-        buffer.seek(0)
-        with pytest.raises(ProtocolError, match="unknown blob encoding"):
-            recv_message(buffer)
+    def test_push_never_sends_an_encoding_that_grew(self):
+        """Pushes gzip what shrinks and send the rest raw; the hub
+        decodes either to value-identical artifacts."""
+        import numpy as np
 
-    def test_push_compresses_only_with_hub_capability(self):
-        artifact = [0.0] * 8192
-        for caps, expect_compressed in ((), False), (("gzip",), True):
+        compressible = [0.0] * 8192
+        noise = np.random.default_rng(0).bytes(64 * 1024)
+        for artifact, expect_compressed in ((compressible, True), (noise, False)):
             local = ArtifactStore()
             local.put("s", "d", artifact)
             hub_store = ArtifactStore()
             with _hub(hub_store) as server:
-                sync = ArtifactSync(
-                    ClusterClient(server.worker_address),
-                    local,
-                    hub_caps=caps,
-                )
+                sync = ArtifactSync(ServiceClient(server.address), local)
                 assert sync.push("s", "d")
-                if expect_compressed:
-                    assert sync.pushed_wire_bytes < sync.pushed_bytes
-                else:
-                    assert sync.pushed_wire_bytes == sync.pushed_bytes
-                # The hub decoded transparently: value-identical bytes.
-                assert hub_store.get("s", "d") == artifact
+            if expect_compressed:
+                assert sync.pushed_wire_bytes < sync.pushed_bytes
+            else:
+                assert sync.pushed_wire_bytes == sync.pushed_bytes
+            assert hub_store.get("s", "d") == artifact
 
 
 # ----------------------------------------------------------------------
 class TestTelemetryWireCompat:
-    """The optional ``telemetry``/``trace`` fields degrade exactly like
-    the gzip caps handshake: either side may predate them and the
-    protocol still interoperates (``.get()`` on receive, unknown keys
-    ignored on reply)."""
+    """The optional ``telemetry`` field of worker requests and the
+    ``trace`` field of lease grants: a worker that sends no snapshot
+    simply does not appear in the telemetry view."""
 
     @staticmethod
-    def _core(trace_context=None):
-        """The dispatch core of a service with one tenant (no sockets)."""
-        service = ExperimentService(lease_timeout=10.0)
-        service.submit(TINY, GRID, trace_context=trace_context)
-        return service.core
+    @contextlib.contextmanager
+    def _service(trace_context=None):
+        """A live service with one tenant, and a client for it."""
+        with ExperimentService(lease_timeout=10.0) as service:
+            service.submit(TINY, GRID, trace_context=trace_context)
+            yield service, ServiceClient(service.address)
 
     def test_old_worker_without_telemetry_field_interoperates(self):
-        core = self._core()
-        reply, _, _ = core.dispatch({"op": "hello", "worker": "old"}, None)
-        assert reply["ok"] and "caps" in reply
-        reply, _, _ = core.dispatch({"op": "lease", "worker": "old"}, None)
-        assert "job" in reply
-        # No sweep span installed on this tenant: no trace key, so a
-        # pre-telemetry worker never sees the field at all.
-        assert "trace" not in reply
-        job_id = reply["job"]["job_id"]
-        # An old worker echoes no sweep_id: the report routes by job id.
-        reply, _, _ = core.dispatch(
-            {"op": "heartbeat", "worker": "old", "job_id": job_id}, None
-        )
-        assert reply["ok"]
-        status = core.status_view()
-        # The worker is live yet absent from the telemetry view —
-        # it simply never reported a snapshot.
-        assert "old" in status["workers"]
-        assert "old" not in status["telemetry"]["workers"]
+        with self._service() as (service, client):
+            reply = client.http_request(
+                "POST", "/worker/hello", {"worker": "plain"}
+            )
+            assert reply["ok"]
+            reply = client.http_request(
+                "POST", "/worker/lease", {"worker": "plain"}
+            )
+            assert "job" in reply
+            # No sweep span installed on this tenant: no trace key.
+            assert "trace" not in reply
+            reply = client.http_request("POST", "/worker/heartbeat", {
+                "worker": "plain", "sweep_id": reply["sweep_id"],
+                "job_id": reply["job"]["job_id"],
+            })
+            assert reply["ok"]
+            status = service.core.status_view()
+        # The worker is live yet absent from the telemetry view — it
+        # simply never reported a snapshot.
+        assert "plain" in status["workers"]
+        assert "plain" not in status["telemetry"]["workers"]
 
     def test_worker_snapshots_aggregate_latest_wins(self):
-        core = self._core()
         snap = {"metrics": {"counters": {"compat.test.jobs": 1}},
                 "open_spans": [{"name": "cluster.job", "age_s": 0.5}]}
-        core.dispatch({"op": "hello", "worker": "w1", "telemetry": snap}, None)
         later = {"metrics": {"counters": {"compat.test.jobs": 3}},
                  "open_spans": []}
-        core.dispatch({"op": "lease", "worker": "w1", "telemetry": later}, None)
-        status = core.status_view()
-        view = status["telemetry"]
+        with self._service() as (service, client):
+            client.http_request(
+                "POST", "/worker/hello", {"worker": "w1", "telemetry": snap}
+            )
+            client.http_request(
+                "POST", "/worker/lease", {"worker": "w1", "telemetry": later}
+            )
+            view = service.core.status_view()["telemetry"]
         # Snapshots are cumulative: the latest replaces, never adds.
         assert (
             view["workers"]["w1"]["metrics"]["counters"]["compat.test.jobs"]
@@ -479,24 +521,23 @@ class TestTelemetryWireCompat:
         assert view["fleet"]["counters"]["compat.test.jobs"] == 3
 
     def test_malformed_telemetry_field_is_ignored(self):
-        core = self._core()
-        reply, _, _ = core.dispatch(
-            {"op": "hello", "worker": "odd", "telemetry": "garbage"}, None
-        )
-        assert reply["ok"]
-        status = core.status_view()
+        with self._service() as (service, client):
+            reply = client.http_request(
+                "POST", "/worker/hello", {"worker": "odd", "telemetry": "garbage"}
+            )
+            assert reply["ok"]
+            status = service.core.status_view()
         assert "odd" not in status["telemetry"]["workers"]
 
     def test_lease_carries_trace_only_when_context_set(self):
         context = {"trace_id": "t" * 16, "span_id": "s" * 16}
-        reply, _, _ = self._core(trace_context=context).dispatch(
-            {"op": "lease", "worker": "w"}, None
-        )
+        with self._service(trace_context=context) as (_, client):
+            reply = client.http_request("POST", "/worker/lease", {"worker": "w"})
         assert reply["trace"] == context
 
     def test_new_worker_against_old_style_replies(self):
-        """A telemetry-aware worker adopts ``None`` trace context (old
-        coordinators send no ``trace`` key) without starting a trace."""
+        """A telemetry-aware worker adopts ``None`` trace context (a
+        grant without a ``trace`` key) without starting a trace."""
         from repro.telemetry import adopt_context, current_context, span
 
         with adopt_context(None):
@@ -674,6 +715,55 @@ class TestPeerFabricE2E:
         # cross-worker pull was peer-served.
         pulled = sum(a.stats.bytes_pulled for a in agents)
         assert pulled == sum(a.stats.bytes_pulled_peer for a in agents)
+
+    def test_downstream_job_pulls_its_chain_from_a_peer(self, serial_sweep):
+        """The peer path, deterministically: a live peer endpoint holds
+        a chain's upstream artifacts (so does the hub) and is registered
+        with its holdings; a fresh worker leasing the downstream job is
+        pointed at the peer by its grant and pulls every byte from it —
+        none from the hub."""
+        serial_records, serial_store = serial_sweep
+        grid = {"voltages": [(1.325,)]}
+        keys = [(stage.name, stage.cache_key(TINY)) for stage in default_stages()[:-1]]
+        hub_store, peer_store = ArtifactStore(), ArtifactStore()
+        for key in keys:
+            hub_store.put(*key, serial_store.get(*key))
+            peer_store.put(*key, serial_store.get(*key))
+        peer = _peer(peer_store)
+        peer_address = f"127.0.0.1:{peer.address[1]}"
+        grants = []
+
+        class RecordingAgent(WorkerAgent):
+            def _execute(self, job, sources, trace, sweep_id):
+                grants.append(sources)
+                super()._execute(job, sources=sources, trace=trace, sweep_id=sweep_id)
+
+        try:
+            with ExperimentService(
+                hub_store, lease_timeout=10.0, poll_s=0.05
+            ) as service:
+                managed = service.submit(TINY, grid)
+                (job,) = managed.plan.jobs.values()
+                assert job.stage == "dram-eval"
+                service.registry.register_peer(
+                    "seeded-peer", "127.0.0.1", peer.address[1]
+                )
+                service.registry.set_holdings("seeded-peer", keys)
+                agent = RecordingAgent(
+                    service.address, name="fresh", max_jobs=1,
+                    max_idle_s=10.0, retry_s=0.05,
+                )
+                assert agent.run_forever().jobs_done == 1
+                hub = service.core.transfer_stats()
+                records = service.results(managed.sweep_id)
+        finally:
+            peer.stop()
+        assert grants == [[[stage, digest, [peer_address]] for stage, digest in keys]]
+        assert job.stats["pulled_bytes_peer"] > 0
+        assert job.stats["pulled_bytes_hub"] == 0
+        assert hub["get_count"] == 0
+        assert peer.artifacts.transfer_stats()["get_count"] == len(keys)
+        assert records_equivalent(serial_records[:1], records)
 
     def test_no_peer_sync_reproduces_hub_topology(self, serial_sweep):
         """--no-peer-sync parity: same records, every byte via the hub."""

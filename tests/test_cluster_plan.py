@@ -242,9 +242,9 @@ class TestCompletion:
 class TestWorkerSlots:
     def test_slots_are_stable_first_contact_order(self):
         plan, _ = make_plan({})
-        assert plan.worker_slot("a") == 0
-        assert plan.worker_slot("b") == 1
-        assert plan.worker_slot("a") == 0
+        assert plan.registry.slot("a") == 0
+        assert plan.registry.slot("b") == 1
+        assert plan.registry.slot("a") == 0
 
 
 class _PrefixCollidingStage:

@@ -10,18 +10,18 @@ Three layers:
   overlapping sweeps, a 2-worker fleet, records value-identical to the
   serial Runner; the control-plane HTTP API against the live service;
 - **auth**: unauthenticated/mistokened requests rejected loudly on
-  both planes.
+  every route, worker peer endpoints included.
 """
 
+import socket
 import threading
+import time
 
 import pytest
 
 from repro import SparkXDConfig
 from repro.analysis.export import records_equivalent
 from repro.cluster import (
-    AuthError,
-    ClusterClient,
     ExperimentService,
     ServiceAuthError,
     ServiceClient,
@@ -239,11 +239,11 @@ def live_service(serial_records):
     """One service, two overlapping sweeps, a real 2-worker fleet."""
     service = ExperimentService(token=TOKEN, shutdown_when_idle=False)
     service.start()
-    client = ServiceClient(service.http_address, token=TOKEN)
+    client = ServiceClient(service.address, token=TOKEN)
     submitted_a = client.submit(TINY, GRID_A, name="alpha")
     submitted_b = client.submit(TINY, GRID_B, name="beta")
     workers = [
-        WorkerAgent(service.worker_address, name=f"svc-w{i}", token=TOKEN)
+        WorkerAgent(service.address, name=f"svc-w{i}", token=TOKEN)
         for i in range(2)
     ]
     threads = [
@@ -309,19 +309,18 @@ class TestServiceEndToEnd:
         assert managed.plan.lease("interloper") is None
 
     def test_status_is_served_over_http_only(self, live_service):
-        from repro.cluster import ProtocolError
-
-        service, client, sweep_a, _ = live_service
+        """The fleet view is ``GET /fleet``; there is no worker route
+        for it."""
+        _, client, sweep_a, _ = live_service
         assert sweep_a in client.fleet()["sweeps"]
-        with pytest.raises(ProtocolError, match="unknown op"):
-            ClusterClient(service.worker_address, token=TOKEN).request(
-                {"op": "status"}
-            )
+        with pytest.raises(ServiceError) as excinfo:
+            client.http_request("POST", "/worker/status", {"worker": "w"})
+        assert excinfo.value.status == 404
 
     def test_worker_exits_loudly_on_bad_token(self, live_service):
         service, *_ = live_service
         agent = WorkerAgent(
-            service.worker_address, name="intruder", token="wrong-token"
+            service.address, name="intruder", token="wrong-token"
         )
         stats = agent.run_forever()
         assert stats.jobs_done == 0
@@ -340,7 +339,7 @@ class TestSubmitResume:
         first.stop()
         service = ExperimentService(store=store, journal_dir=tmp_path)
         service.start()
-        yield service, ServiceClient(service.http_address)
+        yield service, ServiceClient(service.address)
         service.stop()
 
     @pytest.mark.parametrize("resume", ["no", [], None, 0])
@@ -379,25 +378,90 @@ class TestSubmitResume:
         assert "already exists" in str(excinfo.value)
 
 
+def _free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
 class TestAuthRejection:
     def test_line_plane_rejects_missing_and_bad_token(self, live_service):
         service, *_ = live_service
-        with pytest.raises(AuthError):
-            ClusterClient(service.worker_address).request(
-                {"op": "hello", "worker": "anon"}
+        with pytest.raises(ServiceAuthError):
+            ServiceClient(service.address).http_request(
+                "POST", "/worker/hello", {"worker": "anon"}
             )
-        with pytest.raises(AuthError):
-            ClusterClient(service.worker_address, token="bad").request(
-                {"op": "lease", "worker": "anon"}
+        with pytest.raises(ServiceAuthError):
+            ServiceClient(service.address, token="bad").http_request(
+                "POST", "/worker/lease", {"worker": "anon"}
             )
+
+    def test_every_route_rejects_a_tokenless_request(self, live_service):
+        """401 on every row of the route table, before any handler
+        runs: nothing is submitted, leased or stored."""
+        from repro.cluster.http_api import ROUTES
+
+        service, client, sweep_a, _ = live_service
+        before = client.fleet()
+        naked = ServiceClient(service.address)
+        for method, template, _ in ROUTES:
+            path = template.format(sweep_id=sweep_a, stage="s", digest="d")
+            if method == "PUT":
+                call = lambda: naked.http_request(method, path, blob=b"x")
+            else:
+                call = lambda: naked.http_request(method, path, {"worker": "anon"})
+            with pytest.raises(ServiceAuthError) as excinfo:
+                call()
+            assert excinfo.value.status == 401, (method, path)
+        after = client.fleet()
+        assert after["sweeps"].keys() == before["sweeps"].keys()
+        assert "anon" not in after["workers"]
+        assert ("s", "d") not in service.store
+
+    def test_peer_endpoint_requires_the_fleet_token(self):
+        """A worker's peer endpoint answers 401 to a tokenless download
+        and serves the artifact to a peer holding the fleet token."""
+        import pickle
+
+        store = ArtifactStore()
+        store.put("s", "d", {"weights": [1.0]})
+        port = _free_port()
+        with ExperimentService(token=TOKEN) as service:
+            agent = WorkerAgent(
+                service.address, store=store, token=TOKEN, peer_port=port,
+                max_idle_s=5.0, retry_s=0.05,
+            )
+            thread = threading.Thread(target=agent.run_forever, daemon=True)
+            thread.start()
+            try:
+                deadline = time.monotonic() + 30.0
+                while agent.stats.slot is None:  # hello: the peer is up
+                    assert time.monotonic() < deadline
+                    time.sleep(0.02)
+                peer = ("127.0.0.1", port)
+                with pytest.raises(ServiceAuthError) as excinfo:
+                    ServiceClient(peer).http_request("GET", "/artifacts/s/d")
+                assert excinfo.value.status == 401
+                with pytest.raises(ServiceAuthError):
+                    ServiceClient(peer, token="bad").http_request(
+                        "GET", "/artifacts/s/d"
+                    )
+                reply = ServiceClient(peer, token=TOKEN).http_request(
+                    "GET", "/artifacts/s/d"
+                )
+                assert pickle.loads(reply["blob"]) == {"weights": [1.0]}
+            finally:
+                agent.stop()
+                thread.join(timeout=10.0)
+            assert not thread.is_alive()
 
     def test_http_plane_rejects_unauthenticated_submit(self, live_service):
         service, *_ = live_service
-        naked = ServiceClient(service.http_address)
+        naked = ServiceClient(service.address)
         with pytest.raises(ServiceAuthError):
             naked.submit(TINY, GRID_B)
         with pytest.raises(ServiceAuthError):
-            ServiceClient(service.http_address, token="bad").fleet()
+            ServiceClient(service.address, token="bad").fleet()
 
     def test_worker_cli_exits_2_on_rejected_token(
         self, live_service, capsys, monkeypatch
@@ -409,7 +473,7 @@ class TestAuthRejection:
         monkeypatch.delenv("REPRO_CLUSTER_TOKEN", raising=False)
         exit_code = main([
             "cluster", "worker", "--coordinator",
-            format_address(service.worker_address), "--max-idle-s", "5",
+            format_address(service.address), "--max-idle-s", "5",
         ])
         captured = capsys.readouterr()
         assert exit_code == 2
@@ -421,7 +485,7 @@ class TestAuthRejection:
         service = ExperimentService()  # no token: auth disabled
         service.start()
         try:
-            reply = ServiceClient(service.http_address).fleet()
+            reply = ServiceClient(service.address).fleet()
             assert reply["sweeps"] == {}
         finally:
             service.stop()

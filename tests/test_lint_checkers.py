@@ -76,35 +76,35 @@ class TestProtocolConsistency:
         report = run_lint(
             FIXTURES / "wire_tree", checkers=[ProtocolConsistencyChecker()]
         )
-        op_findings = [f for f in report.findings if "op '" in f.message]
-        errors = [f for f in op_findings if f.severity == "error"]
-        warnings = [f for f in op_findings if f.severity == "warning"]
-        assert len(errors) == 1
-        assert "'leese'" in errors[0].message
-        assert errors[0].path == "cluster/client.py"
-        orphans = [f for f in warnings if "'orphan'" in f.message]
-        assert len(orphans) == 1
-        assert orphans[0].path == "cluster/coordinator.py"
+        worker_routes = [f for f in report.findings if "'/worker/" in f.message]
+        errors = [f for f in worker_routes if f.severity == "error"]
+        assert {(f.path, f.message.split("'")[1]) for f in errors} == {
+            ("cluster/client.py", "/worker/leese"),
+            ("cluster/worker.py", "/worker/hearbeat"),
+        }
+        orphans = [f for f in worker_routes if "'/worker/orphan'" in f.message]
+        assert [f.severity for f in orphans] == ["warning"]
+        assert orphans[0].path == "cluster/http_api.py"
 
     def test_matched_op_not_flagged(self):
         report = run_lint(
             FIXTURES / "wire_tree", checkers=[ProtocolConsistencyChecker()]
         )
-        assert not any("'lease'" in f.message for f in report.findings)
+        assert not any("'/worker/lease'" in f.message for f in report.findings)
 
     def test_worker_dispatch_covered(self):
-        # The worker's peer dispatch is a handler table too: an op it
-        # serves that a *different* module emits is matched...
+        # The peer download is a ROUTES row like any other: emitted by
+        # the worker module, it is matched...
         report = run_lint(
             FIXTURES / "wire_tree", checkers=[ProtocolConsistencyChecker()]
         )
-        assert not any("'peer_get'" in f.message for f in report.findings)
-        # ...but an op emitted only inside the handler's own module is
-        # still a handler-without-emitter warning: self-emission never
-        # crosses the wire.
-        self_only = [f for f in report.findings if "'self_only'" in f.message]
-        assert [f.severity for f in self_only] == ["warning"]
-        assert self_only[0].path == "cluster/worker.py"
+        assert not any("/artifacts/" in f.message for f in report.findings)
+        # ...and a worker route the worker emits without a row is an
+        # error at the emitting line.
+        typo = [f for f in report.findings if "'/worker/hearbeat'" in f.message]
+        assert [f.severity for f in typo] == ["error"]
+        assert typo[0].path == "cluster/worker.py"
+        assert typo[0].symbol == "beat"
 
     def test_no_handler_module_means_no_findings(self):
         # A fixture subset without a coordinator cross-checks nothing.
