@@ -12,6 +12,13 @@ timed with span tracing off and on (interleaved min-of-N pairs), and
 the run fails if tracing costs more than ``TELEMETRY_GATE_PCT`` —
 instrumentation must stay effectively free on the hot path.
 
+And the memory model: one untimed batched pass per scenario runs under
+``tracemalloc``; its traced peak (``batched_peak_traced_mb``) must stay
+within the :class:`~repro.engine.ChunkPolicy` estimate
+(``batched_peak_estimate_mb``: ``bytes_per_sample`` times the chunk,
+plus the policy's fixed drive-block term and the installed weight
+copy), or the run fails.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/perf_engine.py           # full run
@@ -29,6 +36,7 @@ import json
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +70,10 @@ QUICK_SCENARIOS = (
      "dtype": "float64"},
     {"n_neurons": 100, "n_samples": 8, "n_realizations": 2, "n_steps": 30,
      "dtype": "float32"},
+    # Large enough that the drives stream in blocks and a whole-chunk
+    # drive tensor would break the memory estimate.
+    {"n_neurons": 400, "n_samples": 64, "n_realizations": 2, "n_steps": 100,
+     "dtype": "float64"},
 )
 
 #: Maximum tolerated slowdown of the batched evaluator with tracing on.
@@ -96,6 +108,25 @@ def _time_engine(network, stack, images, n_steps, engine, dtype, repeats):
     return best, counts
 
 
+def _traced_peak(network, stack, images, n_steps, dtype):
+    """Traced peak bytes of one batched pass, and the policy's estimate."""
+    evaluator = BatchedEvaluator.for_network(network, dtype=np.dtype(dtype))
+    stack = np.asarray(stack, dtype=evaluator.dtype)
+    tracemalloc.start()
+    try:
+        evaluator.spike_counts(images, n_steps, np.random.default_rng(99), stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    policy = evaluator.chunk_policy
+    dims = (stack.shape[0], n_steps, network.n_input, network.n_neurons)
+    chunk = min(len(images), policy.samples_per_chunk(*dims))
+    estimate = (
+        policy.bytes_per_sample(*dims) * chunk + policy.fixed_bytes() + stack.nbytes
+    )
+    return peak, estimate
+
+
 def run_benchmark(quick: bool, repeats: int) -> dict:
     scenarios = QUICK_SCENARIOS if quick else FULL_SCENARIOS
     results = []
@@ -118,6 +149,11 @@ def run_benchmark(quick: bool, repeats: int) -> dict:
         row["identical_counts"] = bool(
             np.array_equal(reference["sequential"], reference["batched"])
         )
+        peak, estimate = _traced_peak(
+            network, stack, images, scenario["n_steps"], scenario["dtype"]
+        )
+        row["batched_peak_traced_mb"] = peak / 2**20
+        row["batched_peak_estimate_mb"] = estimate / 2**20
         results.append(row)
         print(
             f"N{scenario['n_neurons']:<4} {scenario['dtype']:<8} "
@@ -125,7 +161,9 @@ def run_benchmark(quick: bool, repeats: int) -> dict:
             f"sequential {row['sequential_samples_per_sec']:8.1f}/s | "
             f"batched {row['batched_samples_per_sec']:8.1f}/s | "
             f"speedup {row['speedup']:5.2f}x | "
-            f"identical={row['identical_counts']}"
+            f"identical={row['identical_counts']} | "
+            f"peak {row['batched_peak_traced_mb']:.1f}/"
+            f"{row['batched_peak_estimate_mb']:.1f} MB"
         )
     return {
         "benchmark": "repro.engine sequential-vs-batched throughput",
@@ -212,6 +250,19 @@ def main(argv=None) -> int:
 
     if not all(row["identical_counts"] for row in payload["scenarios"]):
         print("ERROR: engines disagreed on spike counts", file=sys.stderr)
+        return 1
+    over = [
+        row for row in payload["scenarios"]
+        if row["batched_peak_traced_mb"] > row["batched_peak_estimate_mb"]
+    ]
+    for row in over:
+        print(
+            f"ERROR: N{row['n_neurons']} {row['dtype']} batched pass peaked at "
+            f"{row['batched_peak_traced_mb']:.1f} MB, over its "
+            f"{row['batched_peak_estimate_mb']:.1f} MB ChunkPolicy estimate",
+            file=sys.stderr,
+        )
+    if over:
         return 1
     if not overhead["ok"]:
         print(

@@ -54,11 +54,7 @@ artifact sync contract.
 """
 
 from repro.cluster.coordinator import CoordinatorCore, ManagedSweep
-from repro.cluster.executor import (
-    ClusterExecutor,
-    local_worker_processes,
-    local_worker_threads,
-)
+from repro.cluster.executor import ClusterExecutor, local_worker_processes
 from repro.cluster.http_api import ServiceAuthError, ServiceClient, ServiceError
 from repro.cluster.journal import JournalMismatch, SweepJournal
 from repro.cluster.plan import Job, PlanFailed, SweepPlan, WorkerRegistry
@@ -99,7 +95,6 @@ __all__ = [
     "encode_blob",
     "format_address",
     "local_worker_processes",
-    "local_worker_threads",
     "parse_address",
     "sweep_identity",
 ]

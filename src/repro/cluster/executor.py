@@ -41,7 +41,6 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from repro.cluster.plan import PlanFailed, SweepPlan
 from repro.cluster.protocol import format_address, parse_address
 from repro.cluster.service import ExperimentService
-from repro.cluster.worker import WorkerAgent
 from repro.core.config import SparkXDConfig
 from repro.pipeline.runner import RunRecord
 from repro.pipeline.store import ArtifactStore
@@ -300,34 +299,6 @@ THREAD_ENV_VARS = (
 )
 
 
-@contextlib.contextmanager
-def local_worker_threads(
-    address: Any, n_workers: int, **agent_kwargs
-) -> Iterator[List[WorkerAgent]]:
-    """``n_workers`` in-process agents against ``address`` (tests, demos).
-
-    Threads share the GIL and BLAS, so this is about protocol-level
-    concurrency, not compute throughput — use
-    :func:`local_worker_processes` for real parallelism.
-    """
-    agents = [
-        WorkerAgent(address, name=f"thread-worker-{i}", **agent_kwargs)
-        for i in range(n_workers)
-    ]
-    threads = [
-        threading.Thread(target=agent.run_forever, daemon=True) for agent in agents
-    ]
-    for thread in threads:
-        thread.start()
-    try:
-        yield agents
-    finally:
-        for agent in agents:
-            agent.stop()
-        for thread in threads:
-            thread.join(timeout=10.0)
-
-
 def _worker_env(threads_per_worker: Optional[int]) -> dict:
     """Child env whose ``PYTHONPATH`` can import this very ``repro``.
 
@@ -436,5 +407,4 @@ __all__ = [
     "ClusterExecutor",
     "PlanFailed",
     "local_worker_processes",
-    "local_worker_threads",
 ]

@@ -25,18 +25,22 @@ sweep ends.  Every request is one HTTP exchange through
 **Peer serving.**  Unless disabled, the agent also runs the service's
 own endpoint class (:class:`~repro.cluster.http_api.HttpEndpoint`)
 over its local store on an ephemeral port — its one listener — and
-advertises that port in ``hello``.  It serves only the artifact
-download route, under the fleet's bearer token.  Other workers then
-pull this worker's artifacts directly instead of routing every byte
-through the coordinator — see :class:`~repro.cluster.sync.ArtifactSync`
-for the pull policy and ``docs/cluster.md`` for the fabric topology.
-The endpoint only ever *reads* the local store, answers 404 for keys
-it does not hold (the puller falls back to the hub), and dies with the
-agent.
+advertises that port in ``hello``.  The coordinator pairs it with the
+hello's client address, which is loopback when the coordinator is: an
+agent with a loopback coordinator (every local fleet) listens on
+loopback only (:func:`_peer_bind_host`), any other on every interface.
+It serves only the artifact download route, under the fleet's bearer
+token.  Other workers then pull this worker's artifacts directly
+instead of routing every byte through the coordinator — see
+:class:`~repro.cluster.sync.ArtifactSync` for the pull policy and
+``docs/cluster.md`` for the fabric topology.  The endpoint only ever
+*reads* the local store, answers 404 for keys it does not hold (the
+puller falls back to the hub), and dies with the agent.
 """
 
 from __future__ import annotations
 
+import ipaddress
 import os
 import socket
 import threading
@@ -65,6 +69,22 @@ from repro.telemetry import (
 )
 
 LOG = get_logger(__name__)
+
+
+def _peer_bind_host(coordinator_host: str) -> str:
+    """The interface a worker's peer endpoint listens on.
+
+    Loopback for a loopback coordinator: the worker then reaches it
+    from ``127.0.0.1`` or ``::1``, the address the coordinator
+    advertises to peers.  Every interface otherwise.
+    """
+    try:
+        loopback = ipaddress.ip_address(coordinator_host).is_loopback
+    except ValueError:
+        loopback = coordinator_host == "localhost"
+    if not loopback:
+        return "0.0.0.0"
+    return "::1" if ":" in coordinator_host else "127.0.0.1"
 
 
 def default_worker_name() -> str:
@@ -294,7 +314,7 @@ class WorkerAgent:
             self._peer_endpoint = HttpEndpoint(
                 ArtifactEndpoint(self.store),
                 token=self.client.token,
-                host="0.0.0.0",
+                host=_peer_bind_host(self.client.address[0]),
                 port=self.peer_port,
             ).start()
         try:

@@ -1,12 +1,16 @@
 """Chunking policy: bounding the peak memory of a batched pass.
 
-The batched engine materialises, per chunk of samples, the encoded
-spike trains ``(B, n_steps, n_input)`` and the precomputed drive tensor
-``(n_steps, E, B, n_neurons)`` (float64 — the memory hog).  A
+Per chunk of ``B`` samples and ``E`` realizations, a batched pass holds
+the encoded spike trains (one boolean ``(n_steps, B, n_input)``
+array), the sparse drive operator built from them, the ``E x B``
+network state with the time loop's scratch, and one streamed block of
+gain-scaled drives: :data:`repro.snn.network.DRIVE_BLOCK_BYTES` worth
+of steps, at least one step of ``E x B x n_neurons`` floats (the whole
+``(n_steps, E, B, n_neurons)`` drive tensor is never held).  A
 :class:`ChunkPolicy` turns a byte budget into the largest per-chunk
-sample count ``B`` that keeps those buffers (plus the E×B state arrays)
-under budget, so arbitrarily large evaluation sets and realization
-stacks stream through bounded memory.
+sample count ``B`` that keeps those buffers under budget, so
+arbitrarily large evaluation sets and realization stacks stream through
+bounded memory.
 
 Chunk boundaries never change results: encoding draws the same random
 stream regardless of how the sample axis is split, and the simulation
@@ -18,15 +22,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-#: Number of float64 state arrays the network holds per (e, b) instance
-#: (v, theta, refractory, two conductances, last spikes, counts, plus
-#: per-step temporaries) — a deliberate overestimate.
-_STATE_ARRAYS = 10
+from repro.snn.network import DRIVE_BLOCK_BYTES
 
-#: Bytes per encoded input bit: the boolean train plus the step-major
-#: boolean copy the drive operator is built from.  (The Poisson
-#: encoder draws one image at a time into a reused buffer.)
-_ENCODE_BYTES_PER_BIT = 2
+#: Eight-byte arrays the frozen pass holds per (e, b, neuron) element:
+#: five of network state (v, theta, refractory, two conductances), nine
+#: of time-loop scratch (threshold, two update buffers, counts, flat
+#: index, four spike-index buffers), the saved refractory potentials
+#: and the evaluator's result counts, plus a share for the boolean
+#: masks.
+_STATE_ARRAYS = 17
+
+#: Bytes per encoded input bit: the boolean trains (1), plus the sparse
+#: drive operator with its construction scratch (20 bytes per spike at
+#: most 0.064 spikes per bit, the rate code's 63.75 Hz ceiling at 1 ms),
+#: rounded up to 2.
+_ENCODE_BYTES_PER_BIT = 3
+
+#: Single-realization drive slabs a block is computed through besides
+#: the block itself: the product, a shared base's drive and its patched
+#: copy.
+_DRIVE_SCRATCH_SLABS = 3
 
 
 @dataclass(frozen=True)
@@ -55,13 +70,22 @@ class ChunkPolicy:
     def bytes_per_sample(
         self, n_realizations: int, n_steps: int, n_input: int, n_neurons: int
     ) -> int:
-        """Estimated peak bytes one sample adds to a chunk."""
+        """Estimated peak bytes one sample adds to a chunk.
+
+        The trains and drive operator, the state, and the sample's share
+        of a one-step drive block with its scratch slabs; a block of
+        more than one step stays within :meth:`fixed_bytes`.
+        """
         if min(n_realizations, n_steps, n_input, n_neurons) <= 0:
             raise ValueError("all dimensions must be > 0")
-        drive = n_realizations * n_steps * n_neurons * 8
-        state = _STATE_ARRAYS * n_realizations * n_neurons * 8
         encode = _ENCODE_BYTES_PER_BIT * n_steps * n_input
-        return drive + state + encode
+        state = _STATE_ARRAYS * n_realizations * n_neurons * 8
+        drive = (n_realizations + _DRIVE_SCRATCH_SLABS) * n_neurons * 8
+        return encode + state + drive
+
+    def fixed_bytes(self) -> int:
+        """Peak bytes of a drive block of more than one step, with its scratch."""
+        return (1 + _DRIVE_SCRATCH_SLABS) * DRIVE_BLOCK_BYTES
 
     def samples_per_chunk(
         self, n_realizations: int, n_steps: int, n_input: int, n_neurons: int
@@ -70,7 +94,7 @@ class ChunkPolicy:
         per_sample = self.bytes_per_sample(
             n_realizations, n_steps, n_input, n_neurons
         )
-        chunk = max(1, self.max_bytes // per_sample)
+        chunk = max(1, (self.max_bytes - self.fixed_bytes()) // per_sample)
         if self.max_samples is not None:
             chunk = min(chunk, self.max_samples)
         return int(chunk)

@@ -1,18 +1,21 @@
 """Batched spike encoding.
 
-A chunk of images is encoded image by image into one boolean
-``(B, n_steps, n_input)`` tensor: each image's ``(n_steps, n_input)``
-uniforms are drawn into one reused float64 buffer and compared into the
-output, so no chunk-sized float64 draw is ever held.  The draws consume
-*exactly* the random stream of ``B`` successive per-image
+A chunk of images is encoded image by image into step-major boolean
+storage ``(n_steps, B, n_input)``, returned as its ``(B, n_steps,
+n_input)`` transposed view: each image's ``(n_steps, n_input)`` uniforms
+are drawn into one reused float64 buffer and compared straight into
+its ``[:, b]`` slot.  No chunk-sized float64 draw is held, and the drive
+operator (:meth:`repro.snn.network.DiehlCookNetwork.prepare_drive_matrix`)
+reads its step-major rows without a second copy of the trains.  The
+draws consume *exactly* the random stream of ``B`` successive per-image
 :func:`repro.snn.encoding.poisson_rate_code` calls (and of one
 ``rng.random((B, n_steps, n_input))`` draw — ``Generator.random`` fills
 arrays from the bit stream in C order).  Encoded trains are therefore
 identical whether samples are encoded one at a time, per chunk, or all
 at once — the engine equivalence guarantee extends through the encoder.
 
-Non-default encoders fall back to a per-image loop (same stream by
-construction); the simulation stays vectorized either way.
+Non-default encoders run per image into the same storage (same stream
+by construction); the simulation stays vectorized either way.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ class EncodedMinibatch:
     """One encoded minibatch, replayable across repeated presentations.
 
     ``trains`` is the boolean ``(B, n_steps, n_input)`` spike tensor of
-    one Poisson draw; ``matrix`` lazily caches the sparse drive
-    operator
+    one Poisson draw (a view of step-major storage, see
+    :func:`encode_spike_trains`); ``matrix`` lazily caches the sparse
+    drive operator
     (:meth:`repro.snn.network.DiehlCookNetwork.prepare_drive_matrix`)
     built from it, so a consumer presenting the same minibatch several
     times — the per-BER-stage amortization of
@@ -44,10 +48,6 @@ class EncodedMinibatch:
 
     trains: np.ndarray
     matrix: object = None
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.trains.shape[0])
 
 
 def _check_images(images: np.ndarray) -> np.ndarray:
@@ -71,25 +71,27 @@ def encode_spike_trains(
 ) -> np.ndarray:
     """Encode a batch of images into ``(B, n_steps, n_input)`` spikes.
 
-    With ``encoder=None`` the default Poisson rate code draws each
-    image's uniforms into one reused buffer; a custom encoder is
-    applied per image.  Either way the result (and the state of
-    ``rng``) is identical to calling the encoder on each image in order.
+    The result is the transposed view of step-major ``(n_steps, B,
+    n_input)`` storage.  With ``encoder=None`` the default Poisson rate
+    code draws each image's uniforms into one reused buffer; a custom
+    encoder is applied per image.  Either way the values (and the state
+    of ``rng``) are identical to calling the encoder on each image in
+    order.
     """
     if n_steps <= 0 or dt_ms <= 0:
         raise ValueError("n_steps and dt_ms must be > 0")
     images = _check_images(images)
-    if images.shape[0] == 0:
-        return np.zeros((0, n_steps, images.shape[1]), dtype=bool)
+    steps = np.empty((n_steps,) + images.shape, dtype=bool)
     if encoder is not None and encoder is not poisson_rate_code:
-        return np.stack([encoder(image, n_steps, rng) for image in images])
-    p = np.clip(images * max_rate_hz * dt_ms * 1e-3, 0.0, 1.0)
-    trains = np.empty((images.shape[0], n_steps, images.shape[1]), dtype=bool)
-    draw = np.empty(trains.shape[1:])
-    for train, rate in zip(trains, p):
-        rng.random(out=draw)
-        np.less(draw, rate, out=train)
-    return trains
+        for b, image in enumerate(images):
+            steps[:, b] = encoder(image, n_steps, rng)
+    else:
+        p = np.clip(images * max_rate_hz * dt_ms * 1e-3, 0.0, 1.0)
+        draw = np.empty((n_steps, images.shape[1]))
+        for b, rate in enumerate(p):
+            rng.random(out=draw)
+            np.less(draw, rate, out=steps[:, b])
+    return steps.transpose(1, 0, 2)
 
 
 def skip_spike_trains(

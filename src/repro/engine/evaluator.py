@@ -126,9 +126,9 @@ class BatchedEvaluator:
 
         ``base_weights`` (stacked evaluation only) names the
         clean tensor the stack's realizations were corrupted *from*:
-        the drive precompute is then shared across realizations — the
-        clean drive is built once and each realization recomputes only
-        the drive rows its weight deltas actually touch
+        the drive computation is then shared across realizations — each
+        block's clean drive is built once and each realization
+        recomputes only the drive rows its weight deltas actually touch
         (:meth:`repro.snn.network.DiehlCookNetwork.run_batch`).  Counts
         are bit-identical with or without it; at low BER (few flipped
         weights per realization) it removes nearly all of the per-
@@ -205,7 +205,7 @@ class BatchedEvaluator:
 
         Returns a scalar for a single weight matrix, or an ``(E,)``
         array for a stack.  ``base_weights`` shares the clean drive
-        precompute across a realization stack (see
+        computation across a realization stack (see
         :meth:`spike_counts`).
         """
         from repro.snn.training import predict

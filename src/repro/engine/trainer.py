@@ -13,9 +13,9 @@ one vectorized pass —
    (``corrupt_weights``) produces one corrupted realization per
    minibatch read, modelling one DRAM burst read serving the whole
    batch;
-3. **Drive precompute** from the frozen read tensor with the same
-   sparse CSR ``spikes @ weights`` matmul as the evaluator
-   (:meth:`repro.snn.network.DiehlCookNetwork.run_batch_stdp`);
+3. **Drives** from the frozen read tensor, streamed in blocks of steps
+   with the same sparse CSR ``spikes @ weights`` matmul as the
+   evaluator (:meth:`repro.snn.network.DiehlCookNetwork.run_batch_stdp`);
 4. **Accumulate** STDP deltas across all lanes and timesteps against
    the frozen tensor, with per-lane adaptive-threshold (theta)
    dynamics.  The time loop is fused and allocation-free: it allocates

@@ -20,14 +20,17 @@ sparse whole-sample form of :func:`sample_drive`).
 :meth:`DiehlCookNetwork.run_batch` evaluates a whole batch of encoded
 samples in one vectorized pass.  The canonical per-step drive is the
 sparse index-sum ``weights[active].sum(axis=0)`` (:func:`step_drive`,
-used by :meth:`DiehlCookNetwork.step`); every loop computes its drives
-up front with one sparse ``spikes @ weights`` matmul per weight tensor
-(:func:`sample_drive`), whose output rows are **bit-identical** to the
-per-step index-sum — CSR row accumulation and numpy's axis-0 row
-reduction both add the active weight rows left-to-right.  Chunk rows
-are step-major, so they reshape to the time-major drive slab without a
-copy.  Every state update is elementwise, so batched spike counts equal
-a per-sample, per-timestep loop exactly.  Its time loop
+used by :meth:`DiehlCookNetwork.step`); the loops compute their drives
+with sparse ``spikes @ weights`` matmuls (:func:`sample_drive`), whose
+output rows are **bit-identical** to the per-step index-sum — CSR row
+accumulation and numpy's axis-0 row reduction both add the active
+weight rows left-to-right.  Chunk rows are step-major, so any run of
+steps is a contiguous row slice whose product reshapes to the
+time-major drive slab without a copy: ``run_batch`` streams its drives
+one block of steps at a time (:data:`DRIVE_BLOCK_BYTES`) instead of
+holding the whole ``(n_steps, E, B, n_neurons)`` tensor.  Every state
+update is elementwise, so batched spike counts equal a per-sample,
+per-timestep loop exactly.  Its time loop
 (:meth:`DiehlCookNetwork._run_batch_frozen`) updates only the lanes
 that spiked last step for inhibition, only the refractory elements for
 refractory bookkeeping and only the spike indices for reset and count.
@@ -48,7 +51,7 @@ and shares one membrane update (:func:`_membrane_dv`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -68,6 +71,12 @@ from repro.snn.synapses import (
 
 #: Network sizes evaluated by the paper (Section V).
 PAPER_NETWORK_SIZES = (400, 900, 1600, 2500, 3600)
+
+#: Byte budget of one streamed drive block of :meth:`DiehlCookNetwork.run_batch`
+#: (a block always holds at least one step).  Blocks of 2 to 8 MiB run
+#: equally fast; the chunk-sized drive tensor they replace was the
+#: largest buffer of an evaluation pass.
+DRIVE_BLOCK_BYTES = 4 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -190,25 +199,25 @@ def _drive_columns(
 
 
 def _delta_drive_rows(
-    matrix, weights: np.ndarray, base_weights: np.ndarray, base_rows: np.ndarray
+    matrix, weights: np.ndarray, changed: np.ndarray, base_rows: np.ndarray
 ) -> np.ndarray:
     """Drive rows of a near-clean realization via exact row recomputation.
 
     For an error-realization stack close to a shared base tensor (low
-    BER), most input rows of ``weights`` equal ``base_weights`` exactly
-    — so most drive rows equal ``base_rows`` exactly, because a CSR
-    output row (and the numpy fallback's index-sum) accumulates only
-    the weight rows its spikes select, in a fixed order.  Only the
-    drive rows touched by a *changed* input row need recomputing, and
-    a CSR row-slice matmul preserves each row's accumulation order, so
-    the result is **bit-identical** to ``_drive_rows(matrix, weights)``
-    at a fraction of the flops.
+    BER), most input rows of ``weights`` equal the base exactly
+    (``changed`` lists the others), so most drive rows equal
+    ``base_rows`` exactly, because a CSR output row (and the numpy
+    fallback's index-sum) accumulates only the weight rows its spikes
+    select, in a fixed order.  Only the drive rows touched by a
+    *changed* input row need recomputing, and a CSR row-slice matmul
+    preserves each row's accumulation order, so the result is
+    **bit-identical** to ``_drive_rows(matrix, weights)`` at a fraction
+    of the flops.
 
     Falls back to the full product when the realization is not actually
     sparse against the base (high BER corrupts most input rows, at
     which point the bookkeeping would cost more than it saves).
     """
-    changed = np.flatnonzero((weights != base_weights).any(axis=1))
     if changed.size == 0:
         return base_rows
     if changed.size * 4 >= weights.shape[0]:
@@ -604,64 +613,90 @@ class DiehlCookNetwork:
                 f"spike trains must have shape ({n_batch}, n_steps, {p.n_input}), "
                 f"got {trains.shape}"
             )
-        n_steps = trains.shape[1]
-        gain = p.excitation_gain
-
-        # All drives up front: one sparse spikes @ weights matmul per
-        # realization over the whole chunk (rows are per-(step, sample)
-        # and bit-identical to the scalar per-step index-sum).  Layout
-        # (n_steps,) + batch_shape + (n_neurons,) so the time loop below
-        # reads one contiguous, copy-free slab per step.
-        if self.weights.ndim == 2:
-            base = self._sample_drives(trains, self.weights)
-            drives = (
-                base
-                if len(bs) == 1
-                else np.broadcast_to(
-                    base[:, None, :, :], (n_steps,) + bs + (p.n_neurons,)
+        if base_weights is not None and self.weights.ndim == 3:
+            base_weights = np.asarray(base_weights, dtype=self.dtype)
+            if base_weights.shape != (p.n_input, p.n_neurons):
+                raise ValueError(
+                    f"base_weights must have shape {(p.n_input, p.n_neurons)}, "
+                    f"got {base_weights.shape}"
                 )
-            )
         else:
-            matrix = self.prepare_drive_matrix(trains)
-            n_stack = self.weights.shape[0]
-            drives = np.empty(
-                (n_steps,) + bs + (p.n_neurons,), dtype=self.dtype
-            )
-            base_rows = None
-            if base_weights is not None:
-                base_weights = np.asarray(base_weights, dtype=self.dtype)
-                if base_weights.shape != (p.n_input, p.n_neurons):
-                    raise ValueError(
-                        f"base_weights must have shape {(p.n_input, p.n_neurons)}, "
-                        f"got {base_weights.shape}"
-                    )
-                base_rows = _drive_rows(matrix, base_weights)
-            for e in range(n_stack):
-                if base_rows is None:
-                    rows = _drive_rows(matrix, self.weights[e])
-                else:
-                    rows = _delta_drive_rows(
-                        matrix, self.weights[e], base_weights, base_rows
-                    )
-                drives[:, e, :, :] = rows.reshape(n_steps, n_batch, p.n_neurons)
-            drives *= gain
-
+            base_weights = None
+        blocks = self._drive_blocks(self.prepare_drive_matrix(trains), base_weights)
         self.reset_state(keep_theta=True)
-        return self._run_batch_frozen(drives, n_steps)
+        return self._run_batch_frozen(blocks, trains.shape[1])
+
+    def _drive_blocks(
+        self, matrix, base_weights: Optional[np.ndarray] = None
+    ) -> Iterator[np.ndarray]:
+        """Gain-scaled drives of a chunk, one block of consecutive steps at a time.
+
+        ``matrix`` is the chunk's :meth:`prepare_drive_matrix` operator;
+        block ``[t0, t1)`` is the product of its contiguous row slice
+        ``t0 * B : t1 * B`` (a row's product does not depend on the
+        other rows, so every drive row is bit-identical to the
+        whole-chunk matmul and to the scalar per-step index-sum).  A
+        block holds :data:`DRIVE_BLOCK_BYTES` worth of steps, at least
+        one.  A single matrix yields ``(steps, B, n_neurons)`` blocks,
+        which a ``(E, B)`` network's time loop broadcasts over ``E``; a
+        stack yields ``(steps, E, B, n_neurons)`` views of one reused
+        buffer, each valid until the next block is requested.  With
+        ``base_weights`` every block's base drive is computed once and
+        each realization recomputes only the rows its changed input
+        rows touch (:func:`_delta_drive_rows`), the changed rows found
+        once per realization.
+        """
+        p = self.parameters
+        n_batch = self.batch_shape[-1]
+        n_steps = matrix.shape[0] // n_batch
+        gain = p.excitation_gain
+        stacked = self.weights.ndim == 3
+        n_held = self.weights.shape[0] if stacked else 1
+        step_bytes = n_held * n_batch * p.n_neurons * self.dtype.itemsize
+        block = max(1, min(n_steps, DRIVE_BLOCK_BYTES // step_bytes))
+        if stacked:
+            buffer = np.empty((block,) + self.batch_shape + (p.n_neurons,), self.dtype)
+            if base_weights is not None:
+                changed = [
+                    np.flatnonzero((w != base_weights).any(axis=1))
+                    for w in self.weights
+                ]
+        for t0 in range(0, n_steps, block):
+            t1 = min(t0 + block, n_steps)
+            rows = matrix[t0 * n_batch : t1 * n_batch]
+            shape = (t1 - t0, n_batch, p.n_neurons)
+            if not stacked:
+                drives = _drive_rows(rows, self.weights)
+                drives *= gain
+                yield drives.reshape(shape)
+                continue
+            out = buffer[: t1 - t0]
+            if base_weights is not None:
+                base_rows = _drive_rows(rows, base_weights)
+            for e, weights in enumerate(self.weights):
+                if base_weights is None:
+                    drives = _drive_rows(rows, weights)
+                else:
+                    drives = _delta_drive_rows(rows, weights, changed[e], base_rows)
+                out[:, e] = drives.reshape(shape)
+            out *= gain
+            yield out
 
     def prepare_drive_matrix(self, spike_trains: np.ndarray):
         """Prebuild the reusable sparse drive operator of a chunk.
 
-        The CSR matrix (or boolean fallback) that :meth:`run_batch`,
-        :meth:`run_batch_stdp` and :meth:`_sample_drives` build from
-        these trains — exposed so a caller presenting the *same*
+        The CSR matrix (or boolean fallback) that :meth:`run_batch` and
+        :meth:`run_batch_stdp` stream their drive blocks from
+        (:meth:`_drive_blocks`) — exposed so a caller presenting the *same*
         encoded minibatch repeatedly (the per-BER-stage amortization of
         :class:`repro.engine.trainer.StageEncodingCache`) pays the
         sparse-structure construction once.  Rows are step-major (row
-        ``t * B + b`` is sample ``b`` at step ``t``), built from one
-        contiguous step-major copy of the trains, so the drive rows
-        reshape to the time-major ``(n_steps, B, n_neurons)`` slab
-        without a transposed copy.
+        ``t * B + b`` is sample ``b`` at step ``t``), so the drive rows
+        of any run of steps reshape to the time-major ``(steps, B,
+        n_neurons)`` slab without a transposed copy.  The encoder's
+        trains are step-major storage already
+        (:func:`repro.engine.encoding.encode_spike_trains`) and are read
+        in place; trains in another layout are copied once.
         """
         trains = np.asarray(spike_trains, dtype=bool)
         if trains.ndim != 3 or trains.shape[2] != self.n_input:
@@ -671,26 +706,6 @@ class DiehlCookNetwork:
             )
         steps = np.ascontiguousarray(trains.transpose(1, 0, 2))
         return _drive_matrix(steps.reshape(-1, self.n_input), self.dtype)
-
-    def _sample_drives(
-        self, trains: np.ndarray, weights: np.ndarray, matrix=None
-    ) -> np.ndarray:
-        """Gain-scaled time-major drive slab of a chunk against one matrix.
-
-        ``trains`` is boolean ``(B, n_steps, n_input)``; the result is a
-        contiguous ``(n_steps, B, n_neurons)`` tensor whose rows are
-        bit-identical to the scalar per-step index-sum (see
-        :func:`sample_drive`).  ``matrix`` optionally supplies the
-        prebuilt :meth:`prepare_drive_matrix` operator of these trains.
-        Shared by :meth:`run_batch` (single matrix) and
-        :meth:`run_batch_stdp`.
-        """
-        p = self.parameters
-        if matrix is None:
-            matrix = self.prepare_drive_matrix(trains)
-        rows = _drive_rows(matrix, weights)
-        rows *= p.excitation_gain
-        return rows.reshape(trains.shape[1], trains.shape[0], p.n_neurons)
 
     def run_batch_stdp(
         self,
@@ -702,10 +717,10 @@ class DiehlCookNetwork:
         """Present a minibatch with learning against *frozen* weights.
 
         The batched half of the minibatch STDP engine
-        (:class:`repro.engine.trainer.BatchedTrainer`): drives for the
-        whole minibatch are precomputed from the single installed
-        weight matrix with the same sparse CSR matmul as
-        :meth:`run_batch`, the adaptive neurons advance with
+        (:class:`repro.engine.trainer.BatchedTrainer`): drives stream
+        from the single installed weight matrix through the same drive
+        blocks as :meth:`run_batch` (:meth:`_drive_blocks`), the
+        adaptive neurons advance with
         homeostasis on (``adapt=True``, per-lane thresholds), and each
         step's STDP updates are *accumulated* into ``delta`` against
         the frozen tensor instead of applied in place.  ``stdp`` must
@@ -740,17 +755,19 @@ class DiehlCookNetwork:
                 f"spike trains must have shape ({n_batch}, n_steps, {p.n_input}), "
                 f"got {trains.shape}"
             )
-        drives = self._sample_drives(trains, self.weights, matrix=matrix)
+        if matrix is None:
+            matrix = self.prepare_drive_matrix(trains)
+        blocks = self._drive_blocks(matrix)
         bound = stdp.frozen_bound(self.weights)
         self.reset_state(keep_theta=True)
         stdp.reset_state()
         pre_steps = trains.transpose(1, 0, 2)  # (n_steps, B, n_input) view
         counts = np.zeros(bs + (p.n_neurons,), dtype=np.int64)
-        return self._run_batch_stdp_fused(drives, pre_steps, stdp, delta, bound, counts)
+        return self._run_batch_stdp_fused(blocks, pre_steps, stdp, delta, bound, counts)
 
     def _run_batch_stdp_fused(
         self,
-        drives: np.ndarray,
+        blocks: Iterator[np.ndarray],
         pre_steps: np.ndarray,
         stdp: STDPRule,
         delta: np.ndarray,
@@ -759,8 +776,9 @@ class DiehlCookNetwork:
     ) -> np.ndarray:
         """The training time loop, allocation-free.
 
-        The training counterpart of :meth:`_run_batch_frozen`: per step
-        it performs exactly the ufunc sequence of
+        The training counterpart of :meth:`_run_batch_frozen`, reading
+        the same drive blocks: per step it performs exactly the ufunc
+        sequence of
         :meth:`_step_from_drive` with ``adapt=True`` plus the STDP trace
         decay/bump, into buffers allocated before the loop, then the
         spiking-column accumulation
@@ -782,10 +800,14 @@ class DiehlCookNetwork:
         row_count = np.empty(v.shape[:-1] + (1,), dtype=np.int64)
         row_inh = np.empty(v.shape[:-1] + (1,), dtype=np.float64)
         pre, offset = np.empty(x_pre.shape, dtype=bool), np.empty_like(x_pre)
-        for t in range(drives.shape[0]):
+        start = end = 0
+        for t in range(pre_steps.shape[0]):
+            if t == end:
+                drives = next(blocks)
+                start, end = t, t + drives.shape[0]
             np.copyto(pre, pre_steps[t])
             g_e.g *= g_e._decay
-            g_e.g += drives[t]
+            g_e.g += drives[t - start]
             # Lateral inhibition: row totals in int64/float64 exactly as the
             # reference `last.sum(axis=-1, keepdims=True) * inhibition` chain.
             np.sum(last, axis=-1, keepdims=True, out=row_count)
@@ -822,8 +844,14 @@ class DiehlCookNetwork:
         self._last_spikes = last
         return counts
 
-    def _run_batch_frozen(self, drives: np.ndarray, n_steps: int) -> np.ndarray:
+    def _run_batch_frozen(
+        self, blocks: Iterator[np.ndarray], n_steps: int
+    ) -> np.ndarray:
         """The inference time loop, from the rest state ``run_batch`` resets.
+
+        ``blocks`` yields the gain-scaled drives of consecutive steps
+        (:meth:`_drive_blocks`); the loop reads each block in place and
+        asks for the next one when it is used up.
 
         The ufuncs, operand order and dtypes of :meth:`_step_from_drive`
         + :meth:`AdaptiveLIFLayer.step` with frozen thresholds (the dense
@@ -868,10 +896,13 @@ class DiehlCookNetwork:
         spk, scratch = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
         refractory, spare = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
         held_values, keep = np.empty(size, dtype=self.dtype), np.empty(size, dtype=bool)
-        n_last = n_refr = 0
+        n_last = n_refr = start = end = 0
         for t in range(n_steps):
+            if t == end:
+                drives = next(blocks)
+                start, end = t, t + drives.shape[0]
             g_e.g *= g_e._decay
-            g_e.g += drives[t]
+            g_e.g += drives[t - start]
             g_i.g *= g_i._decay
             if n_last:
                 np.floor_divide(spk[:n_last], p.n_neurons, out=scratch[:n_last])

@@ -170,8 +170,12 @@ def apply_post_sample_update(
     """
     if read is not None:
         new = network.weights
-        delta = new[:, columns] - np.asarray(read)[:, columns].astype(new.dtype, copy=False)
-        finite = np.isfinite(new)
+        read = np.asarray(read)
+        delta = new[:, columns] - read[:, columns].astype(new.dtype, copy=False)
+        # Untrained columns of W equal the read, cast exactly when it
+        # casts safely (a float32 read: half the bytes to scan), and the
+        # trained ones are overwritten below: the read's mask is W's.
+        finite = np.isfinite(read if np.can_cast(read.dtype, new.dtype) else new)
         replay = None if finite.all() else new[~finite]
         np.add(base, 0.0, out=new)
         if replay is not None:

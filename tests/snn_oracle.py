@@ -43,7 +43,12 @@ from repro.core.fault_aware_training import (
 from repro.engine.encoding import encode_spike_trains
 from repro.rng import ensure_rng
 from repro.snn.encoding import poisson_rate_code
-from repro.snn.network import DiehlCookNetwork, NetworkParameters, make_stdp
+from repro.snn.network import (
+    DiehlCookNetwork,
+    NetworkParameters,
+    make_stdp,
+    sample_drive,
+)
 from repro.snn.stdp import STDPParameters, normalize_columns
 from repro.snn.training import (
     assign_labels,
@@ -169,9 +174,14 @@ def step_accumulate(rule, pre_spikes, post_spikes, delta, bound):
 
 
 def reference_run_batch_stdp(network, spike_trains, stdp, delta, matrix=None):
-    """The unfused minibatch loop of ``DiehlCookNetwork.run_batch_stdp``."""
+    """The unfused minibatch loop of ``DiehlCookNetwork.run_batch_stdp``.
+
+    Drives are each sample's :func:`sample_drive` rows, stacked
+    time-major; ``matrix`` is accepted for call compatibility only.
+    """
     trains = np.asarray(spike_trains, dtype=bool)
-    drives = network._sample_drives(trains, network.weights, matrix=matrix)
+    drives = np.stack([sample_drive(train, network.weights) for train in trains], axis=1)
+    drives *= network.parameters.excitation_gain
     bound = stdp.frozen_bound(network.weights)
     network.reset_state(keep_theta=True)
     stdp.reset_state()

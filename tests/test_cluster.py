@@ -13,6 +13,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from cluster_threads import local_worker_threads
 
 from repro import SparkXDConfig
 from repro.analysis.export import records_equivalent, run_record_value_dict
@@ -23,7 +24,6 @@ from repro.cluster import (
     ServiceClient,
     ServiceError,
     WorkerAgent,
-    local_worker_threads,
     parse_address,
 )
 from repro.pipeline import ArtifactStore, Runner, default_stages

@@ -19,6 +19,7 @@ import socket
 import threading
 
 import pytest
+from cluster_threads import local_worker_threads
 
 from repro import SparkXDConfig
 from repro.analysis.export import records_equivalent
@@ -30,12 +31,12 @@ from repro.cluster import (
     SweepJournal,
     SweepPlan,
     WorkerAgent,
-    local_worker_threads,
 )
 from repro.cluster.http_api import ArtifactEndpoint, HttpEndpoint
 from repro.cluster.journal import JournalMismatch
 from repro.cluster.protocol import GZIP_MIN_BYTES, encode_blob
 from repro.cluster.sync import ArtifactSync
+from repro.cluster.worker import _peer_bind_host
 from repro.pipeline import ArtifactStore, Runner, default_stages
 
 TINY = SparkXDConfig.small(
@@ -764,6 +765,74 @@ class TestPeerFabricE2E:
         assert hub["get_count"] == 0
         assert peer.artifacts.transfer_stats()["get_count"] == len(keys)
         assert records_equivalent(serial_records[:1], records)
+
+    def test_loopback_coordinator_peers_listen_on_loopback(self, serial_sweep):
+        """Workers of a loopback coordinator (every local fleet) listen on
+        127.0.0.1 only, are advertised there, and still serve pulls: a
+        holder agent that leases nothing serves a chain's upstream
+        artifacts to a fresh agent running the downstream job."""
+        serial_records, serial_store = serial_sweep
+        grid = {"voltages": [(1.325,)]}
+        keys = [(stage.name, stage.cache_key(TINY)) for stage in default_stages()[:-1]]
+        hub_store, holder_store = ArtifactStore(), ArtifactStore()
+        for key in keys:
+            hub_store.put(*key, serial_store.get(*key))
+            holder_store.put(*key, serial_store.get(*key))
+        serving, listening, grants = threading.Event(), [], []
+
+        class HolderAgent(WorkerAgent):
+            def _lease_loop(self):
+                self._register()
+                listening.append(self._peer_endpoint.address)
+                serving.set()
+                self._stop.wait()
+                return self.stats
+
+        class PullingAgent(WorkerAgent):
+            def _execute(self, job, sources, trace, sweep_id):
+                listening.append(self._peer_endpoint.address)
+                grants.append(sources)
+                super()._execute(job, sources=sources, trace=trace, sweep_id=sweep_id)
+
+        with ExperimentService(hub_store, lease_timeout=10.0, poll_s=0.05) as service:
+            holder = HolderAgent(service.address, name="holder", store=holder_store)
+            thread = threading.Thread(target=holder.run_forever, daemon=True)
+            thread.start()
+            try:
+                assert serving.wait(10.0)
+                service.registry.set_holdings("holder", keys)
+                managed = service.submit(TINY, grid)
+                (job,) = managed.plan.jobs.values()
+                puller = PullingAgent(
+                    service.address, name="puller", max_jobs=1,
+                    max_idle_s=10.0, retry_s=0.05,
+                )
+                assert puller.run_forever().jobs_done == 1
+                records = service.results(managed.sweep_id)
+            finally:
+                holder.stop()
+                thread.join(timeout=10.0)
+        assert [host for host, _ in listening] == ["127.0.0.1", "127.0.0.1"]
+        holder_address = f"127.0.0.1:{listening[0][1]}"
+        assert grants == [[[stage, digest, [holder_address]] for stage, digest in keys]]
+        assert job.stats["pulled_bytes_peer"] > 0
+        assert job.stats["pulled_bytes_hub"] == 0
+        assert records_equivalent(serial_records[:1], records)
+
+    @pytest.mark.parametrize(
+        "coordinator, bind",
+        [
+            ("127.0.0.1", "127.0.0.1"),
+            ("127.0.0.2", "127.0.0.1"),
+            ("localhost", "127.0.0.1"),
+            ("::1", "::1"),
+            ("10.1.2.3", "0.0.0.0"),
+            ("0.0.0.0", "0.0.0.0"),
+            ("coordinator.example", "0.0.0.0"),
+        ],
+    )
+    def test_peer_bind_host(self, coordinator, bind):
+        assert _peer_bind_host(coordinator) == bind
 
     def test_no_peer_sync_reproduces_hub_topology(self, serial_sweep):
         """--no-peer-sync parity: same records, every byte via the hub."""

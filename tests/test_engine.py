@@ -7,6 +7,8 @@ seed — for single weights, for E>1 realization stacks, and across
 ragged chunk boundaries.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from snn_oracle import sequential_spike_counts
@@ -14,7 +16,7 @@ from snn_oracle import sequential_spike_counts
 from repro.engine import BatchedEvaluator, ChunkPolicy, encode_spike_trains
 from repro.engine.encoding import skip_spike_trains
 from repro.errors.injection import ErrorInjector
-from repro.snn.encoding import poisson_rate_code
+from repro.snn.encoding import poisson_rate_code, rank_order_code
 from repro.snn.network import DiehlCookNetwork, NetworkParameters, sample_drive
 from repro.snn.quantization import Float32Representation
 from repro.snn.training import evaluate_accuracy, predict, run_spike_counts
@@ -165,9 +167,45 @@ class TestEncoding:
         loop_rng = np.random.default_rng(42)
         batch = encode_spike_trains(images, 17, batch_rng)
         loop = np.stack([poisson_rate_code(img, 17, rng=loop_rng) for img in images])
+        assert batch.dtype == bool and batch.shape == loop.shape
         assert np.array_equal(batch, loop)
         # ...and the generators end in the same state.
         assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+        # Step-major storage: the drive operator's row order is a view.
+        assert batch.transpose(1, 0, 2).flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "encoder",
+        [
+            lambda image, n_steps, rng: poisson_rate_code(image, n_steps, rng=rng),
+            lambda image, n_steps, rng: rank_order_code(image, n_steps),
+        ],
+        ids=["rate", "rank-order"],
+    )
+    def test_custom_encoder_matches_per_image_calls(self, encoder):
+        images = np.random.default_rng(0).random((6, 30))
+        batch_rng, loop_rng = np.random.default_rng(42), np.random.default_rng(42)
+        batch = encode_spike_trains(images, 17, batch_rng, encoder=encoder)
+        loop = np.stack([encoder(img, 17, loop_rng) for img in images])
+        assert batch.dtype == bool and np.array_equal(batch, loop)
+        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+        assert batch.transpose(1, 0, 2).flags.c_contiguous
+
+    def test_drive_matrix_copies_no_trains(self):
+        """prepare_drive_matrix reads the encoder's step-major trains in place."""
+        rng = np.random.default_rng(4)
+        images = np.clip(rng.random((50, 784)) - 0.55, 0.0, 0.45) * 2
+        trains = encode_spike_trains(images, 100, rng)
+        net = DiehlCookNetwork(
+            NetworkParameters(n_input=784, n_neurons=10), init_weights=False
+        )
+        tracemalloc.start()
+        try:
+            net.prepare_drive_matrix(trains)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < trains.nbytes
 
     def test_rejects_out_of_range_images(self):
         with pytest.raises(ValueError):
@@ -239,6 +277,46 @@ class TestChunkPolicy:
         slices = list(policy.iter_chunks(13, 5))
         assert [s.stop - s.start for s in slices] == [5, 5, 3]
         assert slices[-1] == slice(10, 13)
+
+    @pytest.mark.parametrize("n_realizations", [1, 3])
+    def test_traced_peak_within_the_estimate(self, n_realizations):
+        """An N400 pass holds what the policy counts, far below the drive tensor.
+
+        Besides ``bytes_per_sample x chunk`` and the policy's fixed drive
+        block term, the named overhead is the weight copy the network
+        installs plus 1 MiB of interpreter and index slack.  E=1 runs a
+        single matrix, E=3 a low-BER stack sharing the clean drive.
+        """
+        n_input, n_neurons, n_samples, n_steps = 784, 400, 300, 100
+        rng = np.random.default_rng(8)
+        network = DiehlCookNetwork(
+            NetworkParameters(n_input=n_input, n_neurons=n_neurons), rng=rng
+        )
+        network.neurons.theta = rng.uniform(0.0, 2.0, n_neurons)
+        images = np.clip(rng.random((n_samples, n_input)) - 0.55, 0.0, 0.45) * 2
+        weights, base = network.weights, None
+        if n_realizations > 1:
+            injector = ErrorInjector(Float32Representation(clip_range=(0, 1)), seed=7)
+            weights, _ = injector.inject_stack(
+                network.weights, 1e-5, n_realizations=n_realizations, rng=rng
+            )
+            base = network.weights
+        evaluator = BatchedEvaluator.for_network(network)
+        policy = evaluator.chunk_policy
+        tracemalloc.start()
+        try:
+            counts = evaluator.spike_counts(
+                images, n_steps, np.random.default_rng(99), weights, base_weights=base
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() > 0
+        dims = (n_realizations, n_steps, n_input, n_neurons)
+        chunk = min(n_samples, policy.samples_per_chunk(*dims))
+        overhead = policy.fixed_bytes() + weights.nbytes + 2**20
+        assert peak <= policy.bytes_per_sample(*dims) * chunk + overhead
+        assert peak < n_steps * n_realizations * n_samples * n_neurons * 8
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -66,14 +66,19 @@ def _corrupter(corrupt):
 def _edge_read(case):
     """The read hook of a write-back edge case: a non-sanitizing FP32
     read, with planted +inf, -inf and NaN for ``non-finite-read`` and
-    returned as float64 for ``float64-read``."""
+    returned as float64 for ``float64-read``; ``float64-read-overflow``
+    also plants finite float64 values that overflow a float32 network."""
     injector = ErrorInjector(Float32Representation(sanitize=False), seed=5)
 
     def read(weights):
         out = injector.inject_uniform(weights, 1e-3)[0]
         if case == "non-finite-read":
             out[3, 1], out[40, 5], out[17, 9] = np.inf, -np.inf, np.nan
-        return out.astype(np.float64) if case == "float64-read" else out
+        if case.startswith("float64-read"):
+            out = out.astype(np.float64)
+        if case == "float64-read-overflow":
+            out[3, 1], out[40, 5] = 1e300, -1e300
+        return out
 
     return read
 
@@ -104,7 +109,14 @@ class TestBatchSizeOneBitIdentity:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize(
         "case",
-        ["negative-zero", "above-w-max", "non-finite-read", "float64-read", "float32-read"],
+        [
+            "negative-zero",
+            "above-w-max",
+            "non-finite-read",
+            "float64-read",
+            "float64-read-overflow",
+            "float32-read",
+        ],
     )
     def test_write_back_edge_cases(self, dtype, case):
         """The column-restricted write-back against the dense one of

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from snn_oracle import reference_run_batch_stdp
 
+import repro.snn.network as network_module
 from repro.engine.trainer import BatchedTrainer, StageEncodingCache
 from repro.snn.network import DiehlCookNetwork, NetworkParameters, make_stdp
 
@@ -87,6 +88,21 @@ class TestFusedBitIdentity:
         for key in ref:
             assert np.array_equal(ref[key], got[key]), key
         assert got["counts"].sum() > 0  # the comparison is not vacuous
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("block_steps", [1, 7])
+    def test_drive_blocks_match_reference(self, dtype, block_steps, monkeypatch):
+        """Drives streamed in blocks of 1 or 7 of the 30 steps."""
+        shell, trains = _batched_setup(dtype)
+        step_bytes = 5 * PARAMS.n_neurons * np.dtype(dtype).itemsize
+        monkeypatch.setattr(
+            network_module, "DRIVE_BLOCK_BYTES", block_steps * step_bytes
+        )
+        ref = _run_kernel(shell, trains, reference_run_batch_stdp, dtype)
+        got = _run_kernel(shell, trains, DiehlCookNetwork.run_batch_stdp, dtype)
+        for key in ref:
+            assert got[key].tobytes() == ref[key].tobytes(), key
+        assert got["counts"].sum() > 0
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("scale", [1.0, 1e3, 1e30, 3e37])

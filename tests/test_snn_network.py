@@ -365,6 +365,89 @@ def _frozen_state(net, counts):
 FROZEN_SCALES = (1.0, 30.0, 1e3, 1e30, 3e37)  # 3e37 overflows at float32
 
 
+def _reference_frozen(network, blocks, n_steps):
+    """The dense oracle loop over the concatenated drive blocks.
+
+    A stack's blocks are views of one reused buffer, so each is copied
+    before the next one is requested.
+    """
+    drives = np.concatenate([block.copy() for block in blocks])
+    return reference_run_batch_frozen(network, drives, n_steps)
+
+
+class TestDriveBlocks:
+    """run_batch streams its drives in blocks; block boundaries change nothing."""
+
+    N_STEPS = 20
+
+    @pytest.mark.parametrize("scipy_on", [True, False], ids=["scipy", "numpy"])
+    @pytest.mark.parametrize("case", ["B", "E-shared", "E-stack", "E-stack-base"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_block_length_never_changes_results(
+        self, dtype, case, scipy_on, monkeypatch
+    ):
+        if not scipy_on:
+            monkeypatch.setattr(network_module, "_sparse", None)
+        stacked = case.startswith("E-stack")
+        shape = (4,) if case == "B" else (3, 4)
+        lengths = []
+        blocks_of = DiehlCookNetwork._drive_blocks
+
+        def recording_blocks(net, matrix, base_weights=None):
+            for block in blocks_of(net, matrix, base_weights):
+                lengths.append(block.shape[0])
+                yield block
+
+        monkeypatch.setattr(DiehlCookNetwork, "_drive_blocks", recording_blocks)
+
+        def run(block_steps):
+            rng = np.random.default_rng(5)
+            params = NetworkParameters(
+                n_input=30, n_neurons=12, lif=LIFParameters(refractory_ms=2.0)
+            )
+            net = DiehlCookNetwork(params, rng=rng, batch_shape=shape, dtype=dtype)
+            base = rng.random((30, 12)) * 3.0
+            weights = base
+            if stacked:
+                # Realizations 0..2 differ from the base in no row, in
+                # two rows (patched drive rows) and in every row (the
+                # full-product fallback).
+                weights = np.stack([base, base, rng.random((30, 12)) * 3.0])
+                weights[1, [4, 17]] += 0.5
+            net.set_weights(weights)
+            trains = rng.random((4, self.N_STEPS, 30)) < 0.2
+            held = shape[0] if stacked else 1
+            step_bytes = held * 4 * 12 * np.dtype(dtype).itemsize
+            monkeypatch.setattr(
+                network_module, "DRIVE_BLOCK_BYTES", block_steps * step_bytes
+            )
+            lengths.clear()
+            counts = net.run_batch(
+                trains, base_weights=base if case == "E-stack-base" else None
+            )
+            return lengths.copy(), _frozen_state(net, counts)
+
+        whole, want = run(self.N_STEPS)
+        assert whole == [self.N_STEPS]
+        assert np.frombuffer(want["counts"][2], np.int64).sum() > 0
+        for block_steps, expected in ((1, [1] * 20), (7, [7, 7, 6])):
+            seen, got = run(block_steps)
+            assert seen == expected
+            for key in want:
+                assert got[key] == want[key], (block_steps, key)
+
+    def test_stack_blocks_reuse_one_buffer(self, monkeypatch):
+        params = NetworkParameters(n_input=10, n_neurons=6)
+        rng = np.random.default_rng(2)
+        net = DiehlCookNetwork(params, rng=rng, batch_shape=(2, 3))
+        net.set_weights(rng.random((2, 10, 6)))
+        matrix = net.prepare_drive_matrix(rng.random((3, 9, 10)) < 0.3)
+        monkeypatch.setattr(network_module, "DRIVE_BLOCK_BYTES", 4 * 2 * 3 * 6 * 8)
+        blocks = list(net._drive_blocks(matrix))
+        assert [block.shape for block in blocks] == [(4, 2, 3, 6)] * 2 + [(1, 2, 3, 6)]
+        assert all(np.shares_memory(block, blocks[0]) for block in blocks[1:])
+
+
 class TestSparseFrozenLoopMatchesOracle:
     """run_batch's sparse loop == the dense reference loop, byte for byte."""
 
@@ -402,9 +485,7 @@ class TestSparseFrozenLoopMatchesOracle:
                     overflowed += int(np.isinf(net.g_excitatory.g).any())
                     with monkeypatch.context() as patch:
                         patch.setattr(
-                            DiehlCookNetwork,
-                            "_run_batch_frozen",
-                            reference_run_batch_frozen,
+                            DiehlCookNetwork, "_run_batch_frozen", _reference_frozen
                         )
                         net, want = run(*config)
                     spikes += int(np.frombuffer(want["counts"][2], np.int64).sum())
@@ -434,9 +515,12 @@ class TestSparseFrozenLoopMatchesOracle:
             net = DiehlCookNetwork(
                 params, init_weights=False, batch_shape=(2,), dtype=dtype
             )
-            return net, _frozen_state(net, loop(net, drives, 8))
+            # Blocks of 3, 3 and 2 steps: the spike at step 5 ends a
+            # block, and its refractory period runs into the next.
+            blocks = iter(np.split(drives, [3, 6]))
+            return net, _frozen_state(net, loop(net, blocks, 8))
 
-        ref, want = present(reference_run_batch_frozen)
+        ref, want = present(_reference_frozen)
         _, got = present(DiehlCookNetwork._run_batch_frozen)
         assert ref.neurons.refractory_left[0, 0] > 0  # across the last step
         assert np.isinf(ref.g_excitatory.g[0]).all()
