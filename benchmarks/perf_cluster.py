@@ -12,13 +12,10 @@ trajectory artifacts.
 Additional scenarios ride along:
 
 - **peer fabric** — a 2-worker sweep with several DRAM-side points per
-  training chain (creation-order grants routinely hand a worker a job
-  whose upstream artifacts the *other* worker computed) with the
-  peer-to-peer artifact fabric on vs off.  With peers on, every pull
-  is served worker-to-worker and the coordinator's ``get`` path moves
-  **zero** bytes (asserted); with peers off every byte routes through
-  the hub, the pre-fabric topology.  Records must match serial in both
-  modes;
+  training chain (creation-order grants can hand a worker a job whose
+  upstream artifacts the *other* worker computed).  Every pull is
+  served worker-to-worker, so the coordinator's ``get`` path moves
+  **zero** bytes (asserted), and the records must match serial;
 - **kill-resume** (``--kill-resume``) — a ``repro sweep --workers 2
   --journal`` subprocess SIGKILLed at ~50% journaled completion and
   restarted with ``--resume``; the kill must land with work left, and
@@ -111,7 +108,7 @@ CLI_GRID_ARGS = ["--seeds", "42", "43", "--voltages", "1.325", "1.025"]
 CLI_GRID = {"seed": [42, 43], "voltages": [(1.325,), (1.025,)]}
 
 
-def _distributed_run(config, grid, n_workers, lease_s=60.0, peer=True):
+def _distributed_run(config, grid, n_workers, lease_s=60.0):
     """One cluster sweep against a fresh fleet.
 
     Returns ``(records, seconds, executor)`` — the executor exposes the
@@ -123,7 +120,6 @@ def _distributed_run(config, grid, n_workers, lease_s=60.0, peer=True):
         store=ArtifactStore(),
         lease_timeout=lease_s,
         wait_timeout=1800.0,
-        peer_sync=peer,
     )
     started = time.perf_counter()
     records = executor.run_local(grid, n_workers)
@@ -211,52 +207,38 @@ def _plan_transfer_totals(executor) -> dict:
 
 
 def run_peer_fabric_benchmark(quick: bool) -> dict:
-    """The 2-worker fabric sweep with the peer fabric on vs off.
+    """The 2-worker fabric sweep.
 
     Creation-order grants can land a dram-eval job on the worker that
     did not compute its chain — the cross-worker traffic the fabric
-    reroutes — but need not: a run whose jobs all stay with their
-    chain's worker pulls nothing.  With peers on the coordinator's
-    ``get`` path must serve zero bytes: the store starts empty, so
-    every pulled key was computed by a live registered peer and the
-    lease ``sources`` hints always cover it.  That check also passes
-    when no pull happened; ``bytes_pulled_peer`` says which it was.
+    carries — but need not: a run whose jobs all stay with their
+    chain's worker pulls nothing, so ``bytes_pulled_peer`` is reported,
+    not gated (``test_downstream_job_pulls_its_chain_from_a_peer`` in
+    tests/test_cluster_p2p.py gates the peer path deterministically).
+    The coordinator's ``get`` path must serve zero bytes: the store
+    starts empty, so every pulled key was computed by a live registered
+    peer and the lease ``sources`` hints always cover it.
     """
     config = SparkXDConfig.small(**(QUICK_CONFIG if quick else FULL_CONFIG))
     grid = QUICK_FABRIC_GRID if quick else FULL_FABRIC_GRID
     serial_records = Runner(config, store=ArtifactStore()).run(grid)
-    modes = {}
-    for label, peer in (("peers_on", True), ("peers_off", False)):
-        records, seconds, executor = _distributed_run(
-            config, grid, n_workers=2, peer=peer
-        )
-        totals = _plan_transfer_totals(executor)
-        hub = executor.last_transfer_stats
-        modes[label] = {
-            "seconds": seconds,
-            "records_match_serial": bool(
-                records_equivalent(serial_records, records)
-            ),
-            "hub": dict(hub),
-            **totals,
-        }
-        print(
-            f"{label:<9} | {seconds:6.2f}s | hub get "
-            f"{hub['get_count']:2d} blob(s) / {hub['get_bytes']:>9d} B | "
-            f"peer {totals['bytes_pulled_peer']:>9d} B | "
-            f"hub-pulled {totals['bytes_pulled_hub']:>9d} B"
-        )
-    on, off = modes["peers_on"], modes["peers_off"]
+    records, seconds, executor = _distributed_run(config, grid, n_workers=2)
+    totals = _plan_transfer_totals(executor)
+    hub = executor.last_transfer_stats
     print(
-        f"peer fabric took hub-served get bytes "
-        f"{off['hub']['get_bytes']} -> {on['hub']['get_bytes']}"
+        f"peer fabric | {seconds:6.2f}s | hub get "
+        f"{hub['get_count']:2d} blob(s) / {hub['get_bytes']:>9d} B | "
+        f"peer {totals['bytes_pulled_peer']:>9d} B | "
+        f"hub-pulled {totals['bytes_pulled_hub']:>9d} B"
     )
     return {
         "workers": 2,
         "grid": {k: [list(v) if isinstance(v, tuple) else v for v in vs]
                  for k, vs in grid.items()},
-        "hub_get_bytes_saved": off["hub"]["get_bytes"] - on["hub"]["get_bytes"],
-        **modes,
+        "seconds": seconds,
+        "records_match_serial": bool(records_equivalent(serial_records, records)),
+        "hub": dict(hub),
+        **totals,
     }
 
 
@@ -496,7 +478,7 @@ def main(argv=None) -> int:
                              "the journal offline, and verify the resume "
                              "replays from the snapshot alone")
     parser.add_argument("--peer-fabric", action="store_true",
-                        help="force the peer-fabric comparison even with "
+                        help="force the peer-fabric sweep even with "
                              "--skip-throughput (it always runs without)")
     parser.add_argument("--skip-throughput", action="store_true",
                         help="skip the fleet-throughput and peer-fabric "
@@ -529,13 +511,12 @@ def main(argv=None) -> int:
             failures.append("a distributed sweep diverged from the serial Runner")
 
     if args.peer_fabric or not args.skip_throughput:
-        payload["peer_fabric"] = run_peer_fabric_benchmark(args.quick)
-        for mode in ("peers_on", "peers_off"):
-            if not payload["peer_fabric"][mode]["records_match_serial"]:
-                failures.append(f"{mode} sweep diverged from the serial Runner")
-        if payload["peer_fabric"]["peers_on"]["hub"]["get_bytes"] != 0:
+        fabric = payload["peer_fabric"] = run_peer_fabric_benchmark(args.quick)
+        if not fabric["records_match_serial"]:
+            failures.append("the peer-fabric sweep diverged from the serial Runner")
+        if fabric["hub"]["get_bytes"] != 0:
             failures.append(
-                "the coordinator served artifact get bytes with peers on "
+                "the coordinator served artifact get bytes "
                 "(the fabric must carry every pull)"
             )
 

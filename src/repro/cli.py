@@ -231,9 +231,6 @@ def _add_cluster_parser(subparsers) -> None:
     serve.add_argument("--compact-every", type=int, default=None, metavar="N",
                        help="auto-compact each tenant journal after every "
                             "N events (default: never)")
-    serve.add_argument("--no-peer-sync", dest="peer_sync",
-                       action="store_false",
-                       help="disable the peer-to-peer artifact fabric")
     serve.add_argument("--shutdown-when-idle", action="store_true",
                        help="tell workers to shut down once every submitted "
                             "sweep has finished (single-shot lifecycle)")
@@ -295,11 +292,6 @@ def _add_cluster_parser(subparsers) -> None:
     worker.add_argument("--max-idle-s", type=float, default=30.0, metavar="S",
                         help="exit after S seconds of coordinator "
                              "unreachability")
-    worker.add_argument("--no-peer-sync", dest="peer_sync",
-                        action="store_false",
-                        help="neither serve artifacts to peers nor pull "
-                             "from them; sync exclusively with the "
-                             "coordinator")
     worker.add_argument("--peer-port", type=int, default=0, metavar="PORT",
                         help="fixed port for the peer artifact endpoint "
                              "(default: ephemeral)")
@@ -757,7 +749,6 @@ def _cmd_cluster(args) -> int:
             name=args.name,
             store=store,
             max_idle_s=args.max_idle_s,
-            peer=args.peer_sync,
             peer_port=args.peer_port,
             token=args.token,
         )
@@ -843,7 +834,6 @@ def _cmd_cluster(args) -> int:
             token=args.token,
             lease_timeout=args.lease_s,
             max_attempts=args.max_retries,
-            peer_sync=args.peer_sync,
             journal_dir=args.journal_dir,
             compact_every=args.compact_every,
             shutdown_when_idle=args.shutdown_when_idle,

@@ -5,15 +5,18 @@ The cluster subsystem turns the single-host sweep engine
 nothing beyond the standard library (``http.server``, ``http.client``,
 ``json``):
 
-- a **coordinator** (:class:`CoordinatorCore` over the
-  :class:`SweepPlan` of each :class:`ManagedSweep`) expands the grid,
-  dedupes jobs by stage fingerprint and hands them out in creation
-  order with leases, heartbeats, requeue-with-exclusion and bounded
-  retries;
+- the **coordinator** is the experiment service
+  (:class:`ExperimentService`): the one coordinator runtime, many
+  named sweeps (each a :class:`ManagedSweep` with its own
+  :class:`SweepPlan` and journal) multiplexed over one shared store
+  and one worker fleet.  Each plan expands its grid, dedupes jobs by
+  stage fingerprint and hands them out in creation order with leases,
+  heartbeats, requeue-with-exclusion and bounded retries;
 - **worker agents** (:class:`WorkerAgent`) lease jobs, run them through
   the ordinary :class:`~repro.pipeline.stages.ExperimentPipeline`
   against a local store, and sync artifacts by fingerprint
-  (:class:`ArtifactSync` — idempotent, resumable by retry);
+  (:class:`ArtifactSync` — peer-first with hub fallback, idempotent,
+  resumable by retry);
 - the **executor** (:class:`ClusterExecutor`) drives one sweep end to
   end on an embedded, single-shot :class:`ExperimentService` and
   assembles :class:`~repro.pipeline.runner.RunRecord` lists whose
@@ -21,10 +24,7 @@ nothing beyond the standard library (``http.server``, ``http.client``,
   :class:`~repro.pipeline.runner.Runner`;
 - an optional **journal** (:class:`SweepJournal`) persists every job
   transition next to the store, so a sweep killed mid-run restarts
-  with ``--resume`` and never re-leases a journaled-done fingerprint;
-- the **experiment service** (:class:`ExperimentService`) is the one
-  coordinator runtime: many named sweeps (each with its own plan +
-  journal) multiplexed over one shared store and one worker fleet.
+  with ``--resume`` and never re-leases a journaled-done fingerprint.
 
 One wire: every client, worker and peer request is one HTTP request
 through :class:`ServiceClient`, dispatched by one route table
@@ -53,7 +53,6 @@ See ``docs/cluster.md`` for the route table, lease semantics and the
 artifact sync contract.
 """
 
-from repro.cluster.coordinator import CoordinatorCore, ManagedSweep
 from repro.cluster.executor import ClusterExecutor, local_worker_processes
 from repro.cluster.http_api import ServiceAuthError, ServiceClient, ServiceError
 from repro.cluster.journal import JournalMismatch, SweepJournal
@@ -67,6 +66,7 @@ from repro.cluster.protocol import (
 from repro.cluster.service import (
     DistributionTimeout,
     ExperimentService,
+    ManagedSweep,
     sweep_identity,
 )
 from repro.cluster.sync import ArtifactSync
@@ -75,7 +75,6 @@ from repro.cluster.worker import WorkerAgent, WorkerStats, default_worker_name
 __all__ = [
     "ArtifactSync",
     "ClusterExecutor",
-    "CoordinatorCore",
     "DEFAULT_PORT",
     "DistributionTimeout",
     "ExperimentService",

@@ -88,13 +88,6 @@ class ClusterExecutor:
         Replay an existing journal before distributing: jobs whose
         ``done`` events are journaled and whose artifacts are still in
         the store are never re-leased.
-    peer_sync:
-        Enable the peer-to-peer artifact fabric (default): the
-        coordinator answers ``locate`` with live peer addresses and
-        workers pull artifacts from each other.  ``False`` turns the
-        routing table off — every byte routes through the hub, exactly
-        the pre-fabric topology (:meth:`run_local` starts its fleet
-        with ``--no-peer-sync`` to match).
     compact_every:
         Auto-compact the journal after this many appended events (see
         :class:`~repro.cluster.journal.SweepJournal`); ``None`` never
@@ -116,7 +109,6 @@ class ClusterExecutor:
         wait_timeout: Optional[float] = None,
         journal: Optional[Union[str, Path]] = None,
         resume: bool = False,
-        peer_sync: bool = True,
         compact_every: Optional[int] = None,
         token: Optional[str] = None,
     ):
@@ -130,7 +122,6 @@ class ClusterExecutor:
         self.wait_timeout = wait_timeout
         self.journal_path = Path(journal) if journal is not None else None
         self.resume = bool(resume)
-        self.peer_sync = bool(peer_sync)
         self.compact_every = None if compact_every is None else int(compact_every)
         #: Actual bound address of the most recent (or current) run.
         self.address: Optional[Tuple[str, int]] = None
@@ -167,7 +158,6 @@ class ClusterExecutor:
             lease_timeout=self.lease_timeout,
             max_attempts=self.max_attempts,
             poll_s=poll_s,
-            peer_sync=self.peer_sync,
             shutdown_when_idle=True,
         )
         # The sweep span opens before submit: the tenant adopts it as
@@ -195,7 +185,7 @@ class ClusterExecutor:
             # Assembled while the service still answers, so late
             # pollers get their shutdown reply, not a connection error.
             records = service.results(managed.sweep_id)
-            self.last_transfer_stats = service.core.transfer_stats()
+            self.last_transfer_stats = service.artifacts.transfer_stats()
         return records
 
     def run_local(
@@ -211,7 +201,7 @@ class ClusterExecutor:
         worker; a fleet whose workers all exited with work left raises
         :class:`PlanFailed` naming their exit codes.  Idle workers
         re-poll every :data:`LOCAL_POLL_S` unless ``poll_s`` was set;
-        ``threads_per_worker``, ``token`` and ``peer_sync`` go to
+        ``threads_per_worker`` and ``token`` go to
         :func:`local_worker_processes`.
         """
         if n_workers < 1:
@@ -231,7 +221,6 @@ class ClusterExecutor:
                     address,
                     n_workers,
                     threads_per_worker=threads_per_worker,
-                    peer=self.peer_sync,
                     token=self.token,
                 ))
                 fleet.enter_context(
@@ -323,7 +312,6 @@ def local_worker_processes(
     address: Any,
     n_workers: int,
     threads_per_worker: Optional[int] = 1,
-    peer: bool = True,
     token: Optional[str] = None,
 ) -> Iterator[List[subprocess.Popen]]:
     """``n_workers`` subprocess agents (``python -m repro cluster worker``).
@@ -331,16 +319,15 @@ def local_worker_processes(
     Each worker is a fresh interpreter, so BLAS parallelism and memory
     are genuinely per-worker — the localhost stand-in for real hosts.
     ``threads_per_worker`` caps each agent's BLAS/OpenMP threads
-    (``None`` leaves the runtimes at their defaults).  ``peer=False``
-    starts the agents with ``--no-peer-sync`` (pure hub topology).
-    The agents inherit this process's telemetry: with a trace writer
-    installed they append spans to the same JSONL file (line-atomic
-    appends; the exporter separates processes by pid) — this is how
-    ``repro sweep --workers N --trace`` yields one merged fleet trace —
-    and they log at the level :func:`~repro.telemetry.configure_telemetry`
-    set.  Each agent exits once its coordinator has been unreachable
-    for :data:`LOCAL_MAX_IDLE_S`, so the fleet of a killed sweep does
-    not linger.
+    (``None`` leaves the runtimes at their defaults).  The agents
+    inherit this process's telemetry: with a trace writer installed
+    they append spans to the same JSONL file (line-atomic appends; the
+    exporter separates processes by pid) — this is how ``repro sweep
+    --workers N --trace`` yields one merged fleet trace — and they log
+    at the level :func:`~repro.telemetry.configure_telemetry` set.
+    Each agent exits once its coordinator has been unreachable for
+    :data:`LOCAL_MAX_IDLE_S`, so the fleet of a killed sweep does not
+    linger.
     """
     target = format_address(parse_address(address))
     command = [
@@ -354,8 +341,6 @@ def local_worker_processes(
         "--max-idle-s",
         str(LOCAL_MAX_IDLE_S),
     ]
-    if not peer:
-        command.append("--no-peer-sync")
     writer = trace_writer()
     if writer is not None:
         command += ["--trace", writer.path]

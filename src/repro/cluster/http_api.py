@@ -60,7 +60,6 @@ import json
 import pickle
 import socket
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
@@ -282,7 +281,7 @@ class HttpEndpoint:
     route; a worker passes none and serves only :data:`PEER_ROUTES`
     over ``artifacts`` (its own store).  Route handlers run on the
     server's per-connection threads and call straight into the
-    thread-safe service, coordinator core and plans.
+    thread-safe service and its plans.
     """
 
     def __init__(
@@ -461,9 +460,10 @@ class HttpEndpoint:
             records = self.service.results(sweep_id)
         except KeyError:
             return 404, {"error": f"unknown sweep {sweep_id!r}"}
-        except Exception as error:
-            # Not done / failed / cancelled: a state conflict, not a
-            # protocol error — the client may poll status and retry.
+        except RuntimeError as error:
+            # Not done / failed (PlanFailed) / cancelled: a state
+            # conflict — the client may poll status and retry.  Any
+            # other error is a fault and takes handle()'s logged 500.
             return 409, {
                 "error": str(error),
                 "state": self.service.describe(sweep_id).get("state"),
@@ -477,44 +477,45 @@ class HttpEndpoint:
         return 200, self.service.fleet()
 
     # -- worker routes ---------------------------------------------------
-    def _worker(self, request: _Request) -> Tuple[Any, str]:
-        """The core and the requesting worker's name; ingests the
-        telemetry snapshot a worker request may carry."""
+    def _worker(self, request: _Request) -> str:
+        """The requesting worker's name; ingests the telemetry snapshot
+        a worker request may carry."""
         worker = str(request.body.get("worker", "anonymous"))
-        core = self.service.core
-        core.ingest_telemetry(worker, request.body.get("telemetry"))
-        return core, worker
+        self.service.ingest_telemetry(worker, request.body.get("telemetry"))
+        return worker
 
     def _route_hello(self, request: _Request) -> Tuple[int, Dict[str, Any]]:
-        core, worker = self._worker(request)
+        worker = self._worker(request)
         # The worker advertises only its peer *port*; its reachable
         # host is whatever address this very request came from.
-        return 200, core.hello(worker, request.client_host, request.body.get("peer_port"))
+        return 200, self.service.hello(
+            worker, request.client_host, request.body.get("peer_port")
+        )
 
     def _route_lease(self, request: _Request) -> Tuple[int, Dict[str, Any]]:
-        core, worker = self._worker(request)
-        return 200, core.lease(worker, request.body.get("holding"))
+        worker = self._worker(request)
+        return 200, self.service.lease(worker, request.body.get("holding"))
 
     def _route_heartbeat(self, request: _Request) -> Tuple[int, Dict[str, Any]]:
-        core, worker = self._worker(request)
-        plan = core.plan(request.body.get("sweep_id"))
+        worker = self._worker(request)
+        plan = self.service.plan(request.body.get("sweep_id"))
         job_id = str(request.body.get("job_id"))
         return 200, {"ok": plan is not None and plan.heartbeat(worker, job_id)}
 
     def _route_complete(self, request: _Request) -> Tuple[int, Dict[str, Any]]:
-        core, worker = self._worker(request)
-        plan = core.plan(request.body.get("sweep_id"))
+        worker = self._worker(request)
+        plan = self.service.plan(request.body.get("sweep_id"))
         job_id = str(request.body.get("job_id"))
         ok = plan is not None and plan.complete(
             worker, job_id, request.body.get("stats") or {}
         )
         # ``holding``: how many keys the routing table now credits to
         # this worker; a matching local count skips the next re-report.
-        return 200, {"ok": ok, "holding": core.registry.holding_count(worker)}
+        return 200, {"ok": ok, "holding": self.service.registry.holding_count(worker)}
 
     def _route_fail(self, request: _Request) -> Tuple[int, Dict[str, Any]]:
-        core, worker = self._worker(request)
-        plan = core.plan(request.body.get("sweep_id"))
+        worker = self._worker(request)
+        plan = self.service.plan(request.body.get("sweep_id"))
         if plan is not None:
             plan.fail(
                 worker, str(request.body.get("job_id")), str(request.body.get("error", ""))
@@ -528,11 +529,9 @@ class HttpEndpoint:
         return 200, {"present": [list(key) for key in keys if key in store]}
 
     def _route_locate(self, request: _Request) -> Tuple[int, Dict[str, Any]]:
-        core = self.service.core
         keys = [(str(s), str(d)) for s, d in request.body.get("keys", [])]
         worker = request.body.get("worker")
-        sources = core.registry.locate(keys, exclude=worker) if core.peer_sync else []
-        return 200, {"sources": sources}
+        return 200, {"sources": self.service.registry.locate(keys, exclude=worker)}
 
     def _route_download(self, request: _Request) -> Tuple[int, Any]:
         accept = [
@@ -688,33 +687,20 @@ class ServiceClient:
     ) -> Dict[str, Any]:
         """Poll until the sweep leaves ``running``; returns final status.
 
-        Raises :class:`~repro.cluster.plan.PlanFailed` on a failed
-        sweep and ``DistributionTimeout`` (same type the embedded
-        service raises) when ``timeout`` elapses first.
+        The in-process service's loop
+        (:func:`~repro.cluster.service.wait_for_sweep`) over ``GET
+        /sweeps/{id}``, with the same errors; ``GET /fleet`` supplies
+        the workers' last-contact ages once ``timeout`` elapses.
         """
-        from repro.cluster.service import DistributionTimeout
-        from repro.cluster.plan import PlanFailed
+        from repro.cluster.service import wait_for_sweep
 
-        deadline = None if timeout is None else time.monotonic() + float(timeout)
-        while True:
-            status = self.status(sweep_id)
-            state = status.get("state")
-            if state == "failed":
-                raise PlanFailed(str(status.get("failure") or "sweep failed"))
-            if state in ("done", "cancelled"):
-                return status
-            if deadline is not None and time.monotonic() > deadline:
-                counts = {
-                    key: int(status.get(key, 0))
-                    for key in ("pending", "leased", "done", "failed")
-                }
-                raise DistributionTimeout(
-                    f"sweep {sweep_id} incomplete after {timeout}s "
-                    f"(job states: {counts})",
-                    counts=counts,
-                    worker_ages={},
-                )
-            time.sleep(max(0.05, float(poll_s)))
+        return wait_for_sweep(
+            lambda: self.status(sweep_id),
+            lambda: self.fleet().get("workers") or {},
+            self.address,
+            timeout=timeout,
+            poll_s=poll_s,
+        )
 
 
 __all__ = [

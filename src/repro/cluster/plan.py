@@ -2,8 +2,8 @@
 
 A :class:`SweepPlan` expands a parameter grid into a deduplicated DAG of
 stage-aligned jobs — one job per *unique missing* stage fingerprint —
-expressed as leasable units a
-:class:`~repro.cluster.coordinator.CoordinatorCore` hands to workers,
+expressed as leasable units the
+:class:`~repro.cluster.service.ExperimentService` hands to workers,
 networked or the localhost fleet behind
 :class:`repro.pipeline.runner.Runner`'s ``max_workers``:
 
@@ -60,6 +60,10 @@ from repro.pipeline.store import ArtifactStore, fingerprint
 from repro.telemetry import get_logger, get_metrics
 
 LOG = get_logger(__name__)
+
+#: Every state a :class:`Job` can be in: the keys of
+#: :meth:`SweepPlan.counts` and of the job counts in status bodies.
+JOB_STATES = ("pending", "leased", "done", "failed")
 
 
 @dataclass
@@ -217,7 +221,15 @@ class WorkerRegistry:
         keys: Iterable[Sequence[str]],
         exclude: Optional[str] = None,
     ) -> List[List[Any]]:
-        """``[[stage, digest, [address, …]], …]`` for keys a live peer holds."""
+        """``[[stage, digest, [address, …]], …]`` for keys a live peer holds.
+
+        The addresses are peer endpoints (``host:port`` strings) of
+        workers that reported holding the key, registered a peer
+        endpoint, and were heard from within the liveness window lease
+        exclusion uses.  Keys no peer holds are omitted: the caller
+        falls back to the hub for those.  ``exclude`` drops one worker
+        (the requester) from every answer.
+        """
         from repro.cluster.protocol import format_address
 
         now = self.clock()
@@ -263,15 +275,6 @@ class SweepPlan:
         whose artifact is still in the store comes back as a done job
         (original worker attribution and stats intact) and is never
         re-leased.
-    peer_sync:
-        With ``True`` (default) the plan doubles as the artifact
-        *routing table*: workers register a peer endpoint with the
-        registry (:meth:`WorkerRegistry.register_peer`) and
-        :meth:`locate` answers "who holds this key" from its holdings
-        map, so artifact bytes flow worker-to-worker and the
-        coordinator degrades to a metadata service.  ``False`` makes
-        :meth:`locate` answer nothing, which reproduces the pure hub
-        topology exactly.
     registry:
         Optional shared :class:`WorkerRegistry`.  ``None`` (the
         default) creates a private one whose liveness window is the
@@ -289,7 +292,6 @@ class SweepPlan:
         max_attempts: int = 3,
         clock: Callable[[], float] = time.monotonic,
         journal: Optional[SweepJournal] = None,
-        peer_sync: bool = True,
         registry: Optional[WorkerRegistry] = None,
     ):
         if lease_timeout <= 0:
@@ -301,7 +303,6 @@ class SweepPlan:
         self.max_attempts = int(max_attempts)
         self.clock = clock
         self.journal = journal
-        self.peer_sync = bool(peer_sync)
         self._lock = threading.Lock()
         self.param_sets = sweep_grid(grid)
         self.configs = [base_config.with_overrides(**p) for p in self.param_sets]
@@ -426,36 +427,10 @@ class SweepPlan:
 
     def counts(self) -> Dict[str, int]:
         with self._lock:
-            counts = {"pending": 0, "leased": 0, "done": 0, "failed": 0}
+            counts = dict.fromkeys(JOB_STATES, 0)
             for job in self.jobs.values():
                 counts[job.state] += 1
             return counts
-
-    def worker_ages(self) -> Dict[str, float]:
-        """Seconds since each known worker was last heard from."""
-        return self.registry.ages()
-
-    # ------------------------------------------------------------------
-    # Peer routing (the registry's holdings map as a routing table).
-
-    def locate(
-        self,
-        keys: Iterable[Sequence[str]],
-        exclude: Optional[str] = None,
-    ) -> List[List[Any]]:
-        """``[[stage, digest, [address, …]], …]`` for keys a live peer holds.
-
-        The addresses are peer endpoints (``host:port`` strings)
-        of workers that reported holding the key, registered a peer
-        endpoint, and were heard from recently — dead workers drop out of
-        the answer by the same liveness window lease exclusion uses.
-        Keys nobody (but possibly the coordinator) holds are omitted:
-        the caller falls back to the hub for those.  ``exclude`` drops
-        one worker (the requester) from every answer.
-        """
-        if not self.peer_sync:
-            return []
-        return self.registry.locate(keys, exclude=exclude)
 
     # ------------------------------------------------------------------
     # Scheduling.
@@ -604,15 +579,14 @@ class SweepPlan:
             job.worker = worker
             job.deadline = None
             job.error = None
-            if self.peer_sync:
-                # The completing worker now demonstrably holds the whole
-                # chain prefix (it pulled or computed every upstream key
-                # plus the target), so fold it into the routing table
-                # immediately — peers can pull from it before its next
-                # lease re-reports holdings.
-                self.registry.add_holdings(
-                    worker, list(job.upstream) + [(job.stage, job.digest)]
-                )
+            # The completing worker now demonstrably holds the whole
+            # chain prefix (it pulled or computed every upstream key
+            # plus the target), so fold it into the routing table
+            # immediately — peers can pull from it before its next
+            # lease re-reports holdings.
+            self.registry.add_holdings(
+                worker, list(job.upstream) + [(job.stage, job.digest)]
+            )
             if not job.stats:
                 job.stats = dict(stats or {})
                 job.stats.setdefault("worker", worker)

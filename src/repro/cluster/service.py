@@ -1,28 +1,37 @@
-"""The always-on experiment service: multi-tenant sweeps on one port.
+"""The experiment service: the one coordinator, many sweeps, one port.
 
-:class:`ExperimentService` turns the cluster stack from "run a sweep"
-into "serve sweep traffic": one stdlib HTTP server
-(:class:`~repro.cluster.http_api.HttpEndpoint`) serves every route of
-:data:`~repro.cluster.http_api.ROUTES` on one port —
+:class:`ExperimentService` is the cluster's coordinator.  One stdlib
+HTTP server (:class:`~repro.cluster.http_api.HttpEndpoint`) serves
+every route of :data:`~repro.cluster.http_api.ROUTES` on one port and
+calls the service directly:
 
-- **worker routes** (``/worker/...``, ``/artifacts/...``) that call
-  into :class:`~repro.cluster.coordinator.CoordinatorCore` and the
-  tenant plans.  Workers stay generic: one lease call draws from *any*
-  active sweep and the grant carries a ``sweep_id`` the worker names
-  back on heartbeat/complete/fail;
+- **worker routes** (``/worker/...``, ``/artifacts/...``): workers stay
+  generic — one :meth:`~ExperimentService.lease` draws from *any*
+  active sweep, and the grant carries a ``sweep_id`` the worker names
+  back on heartbeat/complete/fail (:meth:`~ExperimentService.plan`
+  routes the report; one naming no live tenant is refused);
 - **control routes** (`POST /sweeps`, `GET /sweeps/{id}`,
   `POST /sweeps/{id}/cancel`, `GET /sweeps/{id}/results`,
   `GET /fleet`), through which clients submit and harvest sweeps.
 
-Each tenant sweep owns its :class:`~repro.cluster.plan.SweepPlan` and
-(optionally) its own :class:`~repro.cluster.journal.SweepJournal` —
-journal files are keyed by ``sweep_id`` under ``journal_dir``, so
-compaction and replay are strictly per tenant — while every tenant
-shares ONE :class:`~repro.pipeline.store.ArtifactStore` (cross-sweep
-fingerprint dedupe comes for free: a stage another tenant already
-computed needs no job at all) and ONE
-:class:`~repro.cluster.plan.WorkerRegistry` (liveness, holdings and
-the peer routing table describe the whole fleet).
+Each tenant (:class:`ManagedSweep`) owns its
+:class:`~repro.cluster.plan.SweepPlan` and (optionally) its own
+:class:`~repro.cluster.journal.SweepJournal` — journal files are keyed
+by ``sweep_id`` under ``journal_dir``, so compaction and replay are
+strictly per tenant — while every tenant shares ONE
+:class:`~repro.pipeline.store.ArtifactStore` (cross-sweep fingerprint
+dedupe comes for free: a stage another tenant already computed needs
+no job at all) and ONE :class:`~repro.cluster.plan.WorkerRegistry`
+(liveness, holdings and the peer routing table describe the whole
+fleet).  Lease grants name the live peers holding a job's upstream
+keys, so artifact bytes flow worker-to-worker; the store, served
+through :attr:`ExperimentService.artifacts`, receives every newly
+computed artifact and serves any pull a peer cannot.
+
+Telemetry rides the worker routes: a request's optional ``telemetry``
+field (:func:`repro.telemetry.telemetry_snapshot`, cumulative) replaces
+that worker's previous one, and the fleet view merges the latest per
+worker with the service's own registry.
 
 Sweep identity is deterministic: ``sweep_id`` fingerprints the config ×
 grid, so resubmitting after a service crash reattaches to the same
@@ -43,19 +52,19 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.cluster.coordinator import CoordinatorCore, ManagedSweep
-from repro.cluster.http_api import HttpEndpoint
+from repro.cluster.http_api import ArtifactEndpoint, HttpEndpoint
 from repro.cluster.journal import SweepJournal
-from repro.cluster.plan import PlanFailed, SweepPlan, WorkerRegistry
+from repro.cluster.plan import JOB_STATES, PlanFailed, SweepPlan, WorkerRegistry
 from repro.cluster.protocol import format_address
 from repro.core.config import SparkXDConfig
 from repro.pipeline.runner import RunRecord
 from repro.pipeline.stages import ExperimentPipeline
 from repro.pipeline.store import ArtifactStore, fingerprint
-from repro.telemetry import current_context, get_logger, get_metrics
+from repro.telemetry import current_context, get_logger, get_metrics, merge_snapshots
 
 LOG = get_logger(__name__)
 
@@ -93,6 +102,98 @@ class DistributionTimeout(TimeoutError):
         super().__init__(message)
         self.counts = dict(counts)
         self.worker_ages = dict(worker_ages)
+
+
+def wait_for_sweep(
+    status: Callable[[], Dict[str, Any]],
+    worker_ages: Callable[[], Dict[str, float]],
+    address: Tuple[str, int],
+    timeout: Optional[float] = None,
+    poll_s: float = 0.05,
+) -> Dict[str, Any]:
+    """Poll ``status()`` until the sweep leaves ``running``.
+
+    The one sweep-wait loop, in process (:meth:`ExperimentService.wait`)
+    and over HTTP (:meth:`ServiceClient.wait
+    <repro.cluster.http_api.ServiceClient.wait>`).  ``status`` returns
+    a ``GET /sweeps/{id}`` body, the final one of which is returned;
+    ``worker_ages`` is only asked once ``timeout`` has elapsed.  Raises
+    :class:`~repro.cluster.plan.PlanFailed` on a failed sweep and
+    :class:`DistributionTimeout` on timeout, whose message tells "no
+    worker ever connected" apart from "a worker went quiet".
+    """
+    deadline = None if timeout is None else time.monotonic() + float(timeout)
+    while True:
+        body = status()
+        state = body.get("state")
+        if state == "failed":
+            raise PlanFailed(str(body.get("failure") or "sweep failed"))
+        if state in ("done", "cancelled"):
+            return body
+        if deadline is not None and time.monotonic() > deadline:
+            counts = {key: int(body.get(key, 0)) for key in JOB_STATES}
+            ages = worker_ages()
+            contacts = (
+                ", ".join(
+                    f"{name} seen {age:.1f}s ago"
+                    for name, age in sorted(ages.items(), key=lambda kv: kv[1])
+                )
+                or "none ever connected"
+            )
+            raise DistributionTimeout(
+                f"sweep {body.get('sweep_id')} incomplete after {timeout}s "
+                f"(job states: {counts}; workers: {contacts}) — are "
+                f"workers connected to {format_address(address)}?",
+                counts=counts,
+                worker_ages=ages,
+            )
+        time.sleep(max(0.01, float(poll_s)))
+
+
+@dataclass
+class ManagedSweep:
+    """One tenant: its plan, its journal, its lifecycle state."""
+
+    sweep_id: str
+    plan: SweepPlan
+    journal: Optional[SweepJournal] = None
+    name: Optional[str] = None
+    #: Trace context adopted by lease grants of THIS sweep (the
+    #: submitter's active span), so worker job spans join the
+    #: submitting client's trace, tenant by tenant.
+    trace_context: Optional[Dict[str, str]] = None
+    #: Assembled records, cached after the first ``results`` call —
+    #: assembly is deterministic, so one pass serves every poller.
+    records: Optional[List[RunRecord]] = None
+
+    @property
+    def state(self) -> str:
+        plan = self.plan
+        if plan.failed:
+            return "failed"
+        if plan.cancelled:
+            return "cancelled"
+        if plan.done:
+            return "done"
+        return "running"
+
+    def describe(self) -> Dict[str, Any]:
+        """The ``GET /sweeps/{id}`` body: state, counts, failure, journal lag."""
+        plan = self.plan
+        payload: Dict[str, Any] = {
+            "sweep_id": self.sweep_id,
+            "name": self.name,
+            "state": self.state,
+            "plan_id": plan.plan_id,
+            "grid_points": len(plan.configs),
+            "replayed_done": plan.replayed_done,
+            "failure": plan.failure,
+        }
+        payload.update(plan.counts())
+        journal = plan.journal_status()
+        if journal is not None:
+            payload["journal"] = journal
+        return payload
 
 
 def assemble_point(
@@ -146,7 +247,7 @@ def assemble_point(
 
 
 class ExperimentService:
-    """Persistent multi-sweep coordinator behind one HTTP port.
+    """The coordinator: multi-sweep scheduling behind one HTTP port.
 
     Parameters
     ----------
@@ -160,9 +261,11 @@ class ExperimentService:
     token:
         Shared secret required as a bearer token on every route;
         ``None`` disables auth.
-    lease_timeout / max_attempts / peer_sync / poll_s:
+    lease_timeout / max_attempts:
         Scheduling semantics, applied to every tenant plan (see
         :class:`~repro.cluster.plan.SweepPlan`).
+    poll_s:
+        The ``wait`` a lease reply asks an idle worker to sleep.
     journal_dir:
         Directory for per-tenant journals (``sweep-<sweep_id>.jsonl``).
         ``None`` disables journaling unless a submit passes an explicit
@@ -171,8 +274,11 @@ class ExperimentService:
         Per-tenant auto-compaction threshold (journal events).
     shutdown_when_idle:
         ``True`` is the single-shot lifecycle: once every submitted
-        sweep is finished, workers are told to shut down.  The default
-        ``False`` keeps the fleet polling for future submissions.
+        sweep is finished (done, failed or cancelled), workers are told
+        to shut down.  The default ``False`` never answers
+        ``shutdown``: idle workers poll for future submissions.
+    wire_cache_bytes:
+        Byte budget of :attr:`artifacts`' pickle cache.
     """
 
     def __init__(
@@ -185,7 +291,6 @@ class ExperimentService:
         lease_timeout: float = 30.0,
         max_attempts: int = 3,
         poll_s: Optional[float] = None,
-        peer_sync: bool = True,
         journal_dir: Optional[Union[str, Path]] = None,
         compact_every: Optional[int] = None,
         shutdown_when_idle: bool = False,
@@ -202,24 +307,23 @@ class ExperimentService:
             if poll_s is not None
             else min(1.0, self.lease_timeout / 4.0)
         )
-        self.peer_sync = bool(peer_sync)
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
         self.compact_every = None if compact_every is None else int(compact_every)
+        self.shutdown_when_idle = bool(shutdown_when_idle)
         self.registry = WorkerRegistry(
             liveness_window_s=3.0 * self.lease_timeout
         )
+        #: The hub's artifact side: what it served (get) and received
+        #: (put).  The peer-fabric checks assert served get bytes are 0
+        #: when workers pull from each other instead.
+        self.artifacts = ArtifactEndpoint(self.store, wire_cache_bytes)
         self._lock = threading.Lock()
         self._sweeps: Dict[str, ManagedSweep] = {}
         self._order: List[str] = []  # submission order = lease priority
-        self.core = CoordinatorCore(
-            self.store,
-            self._tenants,
-            self.registry,
-            poll_s=self.poll_s,
-            wire_cache_bytes=wire_cache_bytes,
-            peer_sync=self.peer_sync,
-            persistent=not shutdown_when_idle,
-        )
+        #: Latest telemetry snapshot per worker (guarded by its own
+        #: lock: snapshot ingest must not contend with tenant lookups).
+        self._telemetry_lock = threading.Lock()
+        self._telemetry: Dict[str, Dict[str, Any]] = {}
         #: The bound address, set by :meth:`start`.
         self.address: Optional[Tuple[str, int]] = None
         self._endpoint: Optional[HttpEndpoint] = None
@@ -288,7 +392,6 @@ class ExperimentService:
                     lease_timeout=self.lease_timeout,
                     max_attempts=self.max_attempts,
                     journal=journal,
-                    peer_sync=self.peer_sync,
                     registry=self.registry,
                 )
             except Exception:
@@ -321,30 +424,22 @@ class ExperimentService:
         )
         return managed
 
-    def _get(self, sweep_id: str) -> ManagedSweep:
+    def _get(self, sweep_id: Any) -> ManagedSweep:
         with self._lock:
             managed = self._sweeps.get(str(sweep_id))
         if managed is None:
             raise KeyError(f"unknown sweep {sweep_id!r}")
         return managed
 
+    def plan(self, sweep_id: Any) -> Optional[SweepPlan]:
+        """The plan of the tenant a job report names, if it is known."""
+        with self._lock:
+            managed = self._sweeps.get(str(sweep_id))
+        return None if managed is None else managed.plan
+
     def describe(self, sweep_id: str) -> Dict[str, Any]:
-        """One tenant's status: state, counts, failure, journal lag."""
-        managed = self._get(sweep_id)
-        payload: Dict[str, Any] = {
-            "sweep_id": managed.sweep_id,
-            "name": managed.name,
-            "state": managed.state,
-            "plan_id": managed.plan.plan_id,
-            "grid_points": len(managed.plan.configs),
-            "replayed_done": managed.plan.replayed_done,
-            "failure": managed.plan.failure,
-        }
-        payload.update(managed.plan.counts())
-        journal = managed.plan.journal_status()
-        if journal is not None:
-            payload["journal"] = journal
-        return payload
+        """One tenant's ``GET /sweeps/{id}`` body (:meth:`ManagedSweep.describe`)."""
+        return self._get(sweep_id).describe()
 
     def cancel(self, sweep_id: str) -> Dict[str, Any]:
         """Withdraw a tenant: frees its live leases, grants nothing new."""
@@ -400,56 +495,121 @@ class ExperimentService:
         managed.records = records
         return list(records)
 
-    def fleet(self) -> Dict[str, Any]:
-        """The whole-service view (``GET /fleet``, ``cluster status``)."""
-        return self.core.status_view()
-
     def wait(
         self,
         sweep_id: str,
         timeout: Optional[float] = None,
         poll_s: float = 0.05,
-    ) -> str:
-        """Block until a sweep leaves ``running``; returns final state.
-
-        In-process half of :meth:`ClusterExecutor.run
-        <repro.cluster.executor.ClusterExecutor.run>` and tests; remote
-        clients poll :meth:`~repro.cluster.http_api.ServiceClient.wait`
-        instead.  Raises :class:`~repro.cluster.plan.PlanFailed` on
-        failure and :class:`DistributionTimeout` on ``timeout``, whose
-        message tells "no worker ever connected" apart from "a worker
-        went quiet".
-        """
-        managed = self._get(sweep_id)
-        plan = managed.plan
-        deadline = (
-            None if timeout is None else time.monotonic() + float(timeout)
+    ) -> Dict[str, Any]:
+        """Block until a sweep leaves ``running``; returns its final
+        ``GET /sweeps/{id}`` body (:func:`wait_for_sweep`)."""
+        return wait_for_sweep(
+            self._get(sweep_id).describe,
+            self.registry.ages,
+            self.address,
+            timeout=timeout,
+            poll_s=poll_s,
         )
-        while True:
-            plan.expire_leases()
-            plan.raise_on_failure()
-            state = managed.state
-            if state in ("done", "cancelled"):
-                return state
-            if deadline is not None and time.monotonic() > deadline:
-                counts = plan.counts()
-                ages = plan.worker_ages()
-                contacts = (
-                    ", ".join(
-                        f"{name} seen {age:.1f}s ago"
-                        for name, age in sorted(ages.items(), key=lambda kv: kv[1])
-                    )
-                    or "none ever connected"
-                )
-                raise DistributionTimeout(
-                    f"sweep {sweep_id} incomplete after {timeout}s "
-                    f"(job states: {counts}; workers: {contacts}) — are "
-                    f"workers connected to "
-                    f"{format_address(self.address)}?",
-                    counts=counts,
-                    worker_ages=ages,
-                )
-            time.sleep(max(0.01, float(poll_s)))
+
+    def fleet(self) -> Dict[str, Any]:
+        """The whole-service view (``GET /fleet``, ``cluster status``):
+        job-state totals, the first failure, worker ages, the hub's
+        transfer counters, aggregated worker telemetry and every
+        tenant's ``GET /sweeps/{id}`` body under ``sweeps``."""
+        sweeps = {tenant.sweep_id: tenant.describe() for tenant in self._tenants()}
+        payload: Dict[str, Any] = {
+            state: sum(entry[state] for entry in sweeps.values())
+            for state in JOB_STATES
+        }
+        payload["failure"] = next(
+            (e["failure"] for e in sweeps.values() if e["failure"] is not None),
+            None,
+        )
+        payload["workers"] = {
+            name: round(age, 3) for name, age in self.registry.ages().items()
+        }
+        payload["transfers"] = self.artifacts.transfer_stats()
+        payload["telemetry"] = self.telemetry_view()
+        payload["sweeps"] = sweeps
+        return payload
+
+    # ------------------------------------------------------------------
+    # Worker requests.
+
+    def hello(self, worker: str, host: str, peer_port: Any = None) -> Dict[str, Any]:
+        """Register ``worker``; a ``peer_port`` at ``host`` joins routing."""
+        if peer_port is not None:
+            self.registry.register_peer(worker, host, int(peer_port))
+        else:
+            self.registry.touch(worker)
+        return {"ok": True, "slot": self.registry.slot(worker)}
+
+    def lease(self, worker: str, holding: Optional[Any] = None) -> Dict[str, Any]:
+        """A grant from *any* active tenant, else ``wait`` or ``shutdown``."""
+        if holding is not None:
+            self.registry.set_holdings(worker, holding)
+        tenants = self._tenants()
+        for tenant in tenants:
+            plan = tenant.plan
+            if plan.failed or plan.cancelled:
+                continue
+            job = plan.lease(worker)
+            if job is None:
+                continue
+            # The worker names ``sweep_id`` back on every report.
+            reply: Dict[str, Any] = {
+                "job": job.to_wire(plan.lease_timeout),
+                "sweep_id": tenant.sweep_id,
+            }
+            # Routing hints ride along with the grant: peer addresses
+            # for every upstream key some live peer holds, so the
+            # worker can pull missing inputs without a separate
+            # ``locate`` round trip.
+            sources = self.registry.locate(job.upstream, exclude=worker)
+            if sources:
+                reply["sources"] = sources
+            if tenant.trace_context:
+                # Workers adopt this as the remote parent of their job
+                # spans.
+                reply["trace"] = dict(tenant.trace_context)
+            return reply
+        # Nothing grantable right now.  Note "reason", not "error": a
+        # graceful plan-failed shutdown must not read as a failed
+        # request.
+        if self.shutdown_when_idle and tenants and all(
+            tenant.state != "running" for tenant in tenants
+        ):
+            reply = {"shutdown": True}
+            reason = next(
+                (t.plan.failure for t in tenants if t.plan.failure is not None),
+                None,
+            )
+            if reason is not None:
+                reply["reason"] = reason
+            return reply
+        return {"wait": self.poll_s}
+
+    def ingest_telemetry(self, worker: str, snapshot: Any) -> None:
+        """Keep ``worker``'s latest snapshot (a request's ``telemetry``)."""
+        if not isinstance(snapshot, dict) or not snapshot:
+            return  # absent, or a malformed field from a foreign client
+        with self._telemetry_lock:
+            self._telemetry[worker] = snapshot
+
+    def telemetry_view(self) -> Dict[str, Any]:
+        """Per-worker snapshots plus the merged fleet-wide metrics.
+
+        Each worker's snapshot is cumulative for its process, so the
+        fleet view merges the latest one per worker with the service's
+        own registry (store/plan counters live here).
+        """
+        with self._telemetry_lock:
+            workers = {name: dict(snap) for name, snap in self._telemetry.items()}
+        fleet = merge_snapshots(
+            [snap.get("metrics") or {} for snap in workers.values()]
+            + [get_metrics().to_dict()]
+        )
+        return {"workers": workers, "fleet": fleet}
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -459,7 +619,7 @@ class ExperimentService:
         if self._endpoint is not None:
             raise RuntimeError("service already started")
         self._endpoint = HttpEndpoint(
-            self.core.artifacts,
+            self.artifacts,
             service=self,
             token=self.token,
             host=self.bind_host,
@@ -481,8 +641,7 @@ class ExperimentService:
         """Detect worker death even when nobody polls: expire leases.
 
         Without this tick a dead worker's lease would only requeue when
-        some other worker's lease call (or an in-process :meth:`wait`)
-        happens to run expiry.
+        some other worker's lease call happens to run expiry.
         """
         tick = max(0.05, min(1.0, self.lease_timeout / 4.0))
         while not self._stopping.wait(tick):
@@ -518,7 +677,9 @@ class ExperimentService:
 __all__ = [
     "DistributionTimeout",
     "ExperimentService",
+    "ManagedSweep",
     "PlanFailed",
     "assemble_point",
     "sweep_identity",
+    "wait_for_sweep",
 ]

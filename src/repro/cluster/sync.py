@@ -3,15 +3,14 @@
 Artifacts move by ``(stage, fingerprint)`` key, never by job identity:
 
 - **pull** — before running a job, the worker downloads whichever
-  upstream artifacts its local store is missing.  With peer sync
-  enabled the pull is *peer-first*: the coordinator's routing table
-  (lease ``sources`` hints or an explicit ``locate`` round trip) names
-  workers already holding the key, and the bytes move worker-to-worker
-  with the very request a hub download makes (``GET
-  /artifacts/{stage}/{digest}`` against the peer's endpoint).  A
-  refused key, a dead peer, or a worker with no peers falls back
-  transparently to the coordinator — the hub is always correct, peers
-  are only faster;
+  upstream artifacts its local store is missing, *peer-first*: the
+  coordinator's routing table (lease ``sources`` hints or an explicit
+  ``locate`` round trip) names workers already holding the key, and
+  the bytes move worker-to-worker with the very request a hub download
+  makes (``GET /artifacts/{stage}/{digest}`` against the peer's
+  endpoint).  A refused key, a dead peer, or a worker with no peers
+  falls back transparently to the coordinator — the hub is always
+  correct, peers are only faster;
 - **push** — after running, the worker uploads every chain artifact
   the coordinator is missing (one ``has`` round trip filters the
   list, so nothing is ever re-sent).  Pushes always target the hub:
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import pickle
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.http_api import ServiceClient, ServiceError
 from repro.cluster.protocol import encode_blob
@@ -87,10 +86,11 @@ class ArtifactSync:
     sources:
         Initial routing hints, ``[[stage, digest, [address, …]], …]``
         (the lease reply's ``sources`` field).
-    peer_sync:
-        ``False`` disables peer pulls and ``locate`` entirely — every
-        byte routes through the hub, bit-for-bit the pre-fabric
-        behaviour.
+    dead_peers:
+        Peer addresses already known dead, skipped without a dial; a
+        peer that fails at the transport level is added to it.  A
+        :class:`~repro.cluster.worker.WorkerAgent` passes one set to
+        every job's sync, so a dead peer costs one timeout per agent.
     max_attempts / backoff_s:
         Hub round trips per request, and the first retry's sleep.
     """
@@ -102,24 +102,23 @@ class ArtifactSync:
         *,
         worker: Optional[str] = None,
         sources: Optional[Iterable[Sequence[Any]]] = None,
-        peer_sync: bool = True,
+        dead_peers: Optional[Set[str]] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff_s: float = DEFAULT_BACKOFF_S,
     ):
         self.client = client
         self.store = store
         self.worker = worker
-        self.peer_sync = bool(peer_sync)
         self.max_attempts = max(1, int(max_attempts))
         self.backoff_s = float(backoff_s)
         #: key -> peer addresses believed to hold it (coordinator hints).
         self.sources: Dict[Key, List[str]] = {}
         if sources:
             self.update_sources(sources)
-        #: Addresses that failed at the transport level this session —
-        #: skipped for every later key so one dead peer costs one
-        #: timeout, not one per artifact.
-        self._dead_peers: set = set()
+        #: Addresses that failed at the transport level — skipped for
+        #: every later key so one dead peer costs one timeout, not one
+        #: per artifact.
+        self.dead_peers = set() if dead_peers is None else dead_peers
         #: Cumulative wall-clock seconds spent in sync round trips.
         self.seconds = 0.0
         self.pulled = 0
@@ -153,10 +152,10 @@ class ArtifactSync:
         """Ask the coordinator who holds ``keys``; merge into sources.
 
         Returns how many of the asked keys gained at least one peer
-        address.  A no-op (0) with peer sync disabled.
+        address.
         """
         keys = list(keys)
-        if not keys or not self.peer_sync:
+        if not keys:
             return 0
         started = time.perf_counter()
         try:
@@ -210,11 +209,11 @@ class ArtifactSync:
         """Single-shot peer download; ``None`` means try the next source.
 
         A transport-level failure (a dead peer, a truncated or corrupt
-        body) marks the address dead for the rest of this sync session;
-        an error reply (the peer does not hold the key) does not — the
-        peer is healthy, it just can't serve this one.
+        body) adds the address to :attr:`dead_peers`; an error reply
+        (the peer does not hold the key) does not — the peer is
+        healthy, it just can't serve this one.
         """
-        if address in self._dead_peers:
+        if address in self.dead_peers:
             return None
         peer = ServiceClient(address, token=self.client.token, timeout=PEER_TIMEOUT_S)
         try:
@@ -222,7 +221,7 @@ class ArtifactSync:
         except ServiceError:
             return None
         except OSError:
-            self._dead_peers.add(address)
+            self.dead_peers.add(address)
             return None
 
     def _keep(self, stage: str, digest: str, reply: Dict[str, Any], source: str) -> None:
@@ -257,18 +256,14 @@ class ArtifactSync:
         """
         started = time.perf_counter()
         try:
-            candidates: Sequence[str] = ()
-            if self.peer_sync:
-                if sources is not None:
-                    candidates = list(sources)
-                else:
-                    candidates = self.sources.get((stage, digest), ())
-            for address in candidates:
+            if sources is None:
+                sources = self.sources.get((stage, digest), ())
+            for address in sources:
                 reply = self._peer_get(address, stage, digest)
                 if reply is not None:
                     self._keep(stage, digest, reply, "peer")
                     return True
-            if candidates:
+            if sources:
                 self.peer_fallbacks += 1
                 get_metrics().counter("sync.peer_fallbacks").inc()
             reply = self._hub("get", lambda: self._download(self.client, stage, digest))
@@ -320,17 +315,14 @@ class ArtifactSync:
     def pull_missing(self, keys: Iterable[Key]) -> int:
         """Pull every key the local store is missing; returns the count.
 
-        With peer sync on, keys that have no routing hint yet are
-        batch-``locate``\\ d first, so even pulls outside a lease grant
-        (resumed workers, eager prefetch) go peer-first.
+        Keys that have no routing hint yet are batch-``locate``\\ d
+        first, so even pulls outside a lease grant (resumed workers,
+        eager prefetch) go peer-first.
         """
         missing = [key for key in keys if key not in self.store]
         if not missing:
             return 0
-        if self.peer_sync:
-            unknown = [key for key in missing if key not in self.sources]
-            if unknown:
-                self.locate(unknown)
+        self.locate([key for key in missing if key not in self.sources])
         count = 0
         for stage, digest in missing:
             if self.pull(stage, digest):

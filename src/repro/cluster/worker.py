@@ -22,10 +22,10 @@ workers outlive a coordinator restart but don't linger forever after a
 sweep ends.  Every request is one HTTP exchange through
 :class:`~repro.cluster.http_api.ServiceClient`.
 
-**Peer serving.**  Unless disabled, the agent also runs the service's
-own endpoint class (:class:`~repro.cluster.http_api.HttpEndpoint`)
-over its local store on an ephemeral port — its one listener — and
-advertises that port in ``hello``.  The coordinator pairs it with the
+**Peer serving.**  The agent also runs the service's own endpoint
+class (:class:`~repro.cluster.http_api.HttpEndpoint`) over its local
+store on an ephemeral port — its one listener — and advertises that
+port in ``hello``.  The coordinator pairs it with the
 hello's client address, which is loopback when the coordinator is: an
 agent with a loopback coordinator (every local fleet) listens on
 loopback only (:func:`_peer_bind_host`), any other on every interface.
@@ -35,7 +35,8 @@ instead of routing every byte through the coordinator — see
 :class:`~repro.cluster.sync.ArtifactSync` for the pull policy and
 ``docs/cluster.md`` for the fabric topology.  The endpoint only ever
 *reads* the local store, answers 404 for keys it does not hold (the
-puller falls back to the hub), and dies with the agent.
+puller falls back to the hub), and dies with the agent.  A peer this
+agent failed to reach is skipped for the rest of its life.
 """
 
 from __future__ import annotations
@@ -223,13 +224,6 @@ class WorkerAgent:
         Optional ceiling on completed jobs, after which the agent
         returns (tests and controlled-drain scenarios; ``None`` =
         unlimited).
-    peer:
-        With ``True`` (default) the agent serves its local artifacts
-        to other workers (a download-only
-        :class:`~repro.cluster.http_api.HttpEndpoint`) and pulls
-        peer-first; ``False`` reproduces the pure hub topology (no
-        listener, no ``peer_port`` in hello, every byte via the
-        coordinator).
     peer_port:
         Fixed port for the peer endpoint (0 = ephemeral, the default).
     token:
@@ -252,7 +246,6 @@ class WorkerAgent:
         retry_s: float = 0.5,
         client_timeout: float = 30.0,
         max_jobs: Optional[int] = None,
-        peer: bool = True,
         peer_port: int = 0,
         token: Optional[str] = None,
     ):
@@ -262,7 +255,6 @@ class WorkerAgent:
         self.max_idle_s = float(max_idle_s)
         self.retry_s = float(retry_s)
         self.max_jobs = None if max_jobs is None else int(max_jobs)
-        self.peer = bool(peer)
         self.peer_port = int(peer_port)
         self.stats = WorkerStats()
         self._peer_endpoint: Optional[HttpEndpoint] = None
@@ -278,6 +270,10 @@ class WorkerAgent:
         #: them.
         self._holding: set = set()
         self._holding_reported = False
+        #: Peer addresses that failed at the transport level, shared by
+        #: every job's :class:`~repro.cluster.sync.ArtifactSync`: an
+        #: unreachable peer costs one timeout per agent, not per job.
+        self._dead_peers: set = set()
 
     def stop(self) -> None:
         """Ask the agent loop to exit after the current request."""
@@ -294,10 +290,9 @@ class WorkerAgent:
         """
         request: Dict[str, Any] = {
             "worker": self.name,
+            "peer_port": self._peer_endpoint.address[1],
             "telemetry": telemetry_snapshot(),
         }
-        if self._peer_endpoint is not None:
-            request["peer_port"] = self._peer_endpoint.address[1]
         try:
             reply = self.client.http_request("POST", "/worker/hello", request)
         except ServiceAuthError:
@@ -310,22 +305,20 @@ class WorkerAgent:
 
     def run_forever(self) -> WorkerStats:
         """Serve jobs until the coordinator says shutdown (or vanishes)."""
-        if self.peer and self._peer_endpoint is None:
-            self._peer_endpoint = HttpEndpoint(
-                ArtifactEndpoint(self.store),
-                token=self.client.token,
-                host=_peer_bind_host(self.client.address[0]),
-                port=self.peer_port,
-            ).start()
+        self._peer_endpoint = HttpEndpoint(
+            ArtifactEndpoint(self.store),
+            token=self.client.token,
+            host=_peer_bind_host(self.client.address[0]),
+            port=self.peer_port,
+        ).start()
         try:
             return self._run_loop()
         finally:
-            if self._peer_endpoint is not None:
-                served = self._peer_endpoint.artifacts.transfer_stats()
-                self.stats.peer_served = served["get_count"]
-                self.stats.peer_served_bytes = served["get_bytes"]
-                self._peer_endpoint.stop()
-                self._peer_endpoint = None
+            served = self._peer_endpoint.artifacts.transfer_stats()
+            self.stats.peer_served = served["get_count"]
+            self.stats.peer_served_bytes = served["get_bytes"]
+            self._peer_endpoint.stop()
+            self._peer_endpoint = None
 
     def _run_loop(self) -> WorkerStats:
         try:
@@ -415,7 +408,7 @@ class WorkerAgent:
             self.store,
             worker=self.name,
             sources=sources or (),
-            peer_sync=self.peer,
+            dead_peers=self._dead_peers,
         )
         started = time.perf_counter()
         try:

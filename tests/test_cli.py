@@ -79,6 +79,14 @@ class TestClusterParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["sweep", *flag])
 
+    @pytest.mark.parametrize(
+        "command", [["serve"], ["worker", "--coordinator", "host:8752"]]
+    )
+    def test_peer_fabric_has_no_off_switch(self, command):
+        build_parser().parse_args(["cluster", *command])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["cluster", *command, "--no-peer-sync"])
+
     def test_journal_resume_flags(self):
         args = build_parser().parse_args(["sweep", "--journal", "--resume"])
         assert args.journal == "auto"  # bare flag: next to the store

@@ -96,8 +96,8 @@ class TestProtocol:
             sock.shutdown(socket.SHUT_WR)
             reply = sock.makefile("rb").read()
         assert reply.startswith(b"HTTP/1.0 400")
-        assert ("s", "partial") not in coordinator.core.artifacts.store
-        assert coordinator.core.transfer_stats()["put_count"] == 0
+        assert ("s", "partial") not in coordinator.service.artifacts.store
+        assert coordinator.service.artifacts.transfer_stats()["put_count"] == 0
 
     def test_closed_connection_raises(self):
         """A reply cut short of its Content-Length is a ConnectionError
@@ -150,7 +150,7 @@ class TestProtocol:
             )
         assert excinfo.value.status == 400
         assert "Content-Encoding" in str(excinfo.value)
-        assert ("s", "z") not in coordinator.core.artifacts.store
+        assert ("s", "z") not in coordinator.service.artifacts.store
 
 
 class TestConfigWire:
@@ -196,7 +196,7 @@ def coordinator():
         yield SimpleNamespace(
             address=service.address,
             plan=managed.plan,
-            core=service.core,
+            service=service,
             sweep_id=managed.sweep_id,
         )
 
@@ -310,8 +310,35 @@ class TestCoordinatorFaultPaths:
             _client(coordinator).http_request("POST", "/worker/frobnicate", {})
         assert excinfo.value.status == 404
 
+    def test_results_fault_is_a_500_not_a_retryable_409(
+        self, coordinator, monkeypatch
+    ):
+        """Only state conflicts (running, failed, cancelled) answer 409;
+        an assembly that raises anything else is a logged 500."""
+        from repro.cluster import service as service_module
+
+        client = _client(coordinator)
+        with pytest.raises(ServiceError) as running:
+            client.results(coordinator.sweep_id)
+        assert running.value.status == 409
+        plan = coordinator.plan
+        for _ in range(len(plan.jobs)):
+            job = plan.lease("w1")
+            plan.store.put(job.stage, job.digest, "artifact")
+            assert plan.complete("w1", job.job_id)
+        assert plan.done
+
+        def broken_assembly(*args, **kwargs):
+            raise ValueError("assembly bug")
+
+        monkeypatch.setattr(service_module, "assemble_point", broken_assembly)
+        with pytest.raises(ServiceError) as fault:
+            client.results(coordinator.sweep_id)
+        assert fault.value.status == 500
+        assert "ValueError: assembly bug" in str(fault.value)
+
     def test_status_reports_counts(self, coordinator):
-        reply = coordinator.core.status_view()
+        reply = coordinator.service.fleet()
         assert reply["pending"] == len(coordinator.plan.jobs)
         assert reply["failure"] is None
         # The same view is GET /fleet on the one port workers use.
@@ -682,6 +709,22 @@ class TestDistributionTimeout:
 
         with pytest.raises(DistributionTimeout) as info:
             executor.run(GRID, on_ready=poke)
+        error = info.value
+        assert "ghost" in error.worker_ages
+        assert error.counts["leased"] == 1
+        assert "ghost" in str(error) and "seen" in str(error)
+
+    def test_client_wait_timeout_reports_last_worker_contact(self):
+        """``ServiceClient.wait`` runs the service's loop: its timeout
+        carries the same worker last-contact ages, read from ``/fleet``."""
+        from repro.cluster import DistributionTimeout
+
+        with ExperimentService(lease_timeout=30.0) as service:
+            sweep_id = service.submit(TINY, GRID).sweep_id
+            client = ServiceClient(service.address, timeout=5.0)
+            client.http_request("POST", "/worker/lease", {"worker": "ghost"})
+            with pytest.raises(DistributionTimeout) as info:
+                client.wait(sweep_id, timeout=0.3, poll_s=0.05)
         error = info.value
         assert "ghost" in error.worker_ages
         assert error.counts["leased"] == 1

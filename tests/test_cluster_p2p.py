@@ -1,12 +1,11 @@
 """Peer-to-peer artifact fabric + journal compaction tests.
 
-The fabric contract: with peers enabled, artifact bytes flow
-worker-to-worker (the coordinator serves metadata: lease ``sources``
-hints and ``locate`` answers) and every failure mode — dead peer,
-refused key, stale hint — falls back transparently to the hub, so
-records stay value-identical to the serial Runner no matter which path
-the bytes took.  With ``--no-peer-sync`` the PR 4/5 hub topology is
-reproduced exactly.
+The fabric contract: artifact bytes flow worker-to-worker (the
+coordinator serves metadata: lease ``sources`` hints and ``locate``
+answers), a chain only the hub holds is pulled from the hub, and every
+failure mode — dead peer, refused key, stale hint — falls back
+transparently to the hub, so records stay value-identical to the
+serial Runner no matter which path the bytes took.
 
 The compaction contract: a compacted journal replays to the identical
 plan state as the full transition log, at O(done jobs) size.
@@ -165,14 +164,14 @@ class TestPeerRouting:
         plan = SweepPlan(TINY, {}, ArtifactStore(), lease_timeout=10.0)
         plan.registry.register_peer("w1", "10.0.0.1", 7001)
         plan.registry.set_holdings("w1", [["train-baseline", "abc"]])
-        located = plan.locate([("train-baseline", "abc"), ("other", "zzz")])
+        located = plan.registry.locate([("train-baseline", "abc"), ("other", "zzz")])
         assert located == [["train-baseline", "abc", ["10.0.0.1:7001"]]]
 
     def test_locate_excludes_requester(self):
         plan = SweepPlan(TINY, {}, ArtifactStore(), lease_timeout=10.0)
         plan.registry.register_peer("w1", "10.0.0.1", 7001)
         plan.registry.set_holdings("w1", [["a", "1"]])
-        assert plan.locate([("a", "1")], exclude="w1") == []
+        assert plan.registry.locate([("a", "1")], exclude="w1") == []
 
     def test_locate_drops_dead_workers(self):
         clock = {"now": 0.0}
@@ -182,22 +181,14 @@ class TestPeerRouting:
         )
         plan.registry.register_peer("w1", "10.0.0.1", 7001)
         plan.registry.set_holdings("w1", [["a", "1"]])
-        assert plan.locate([("a", "1")]) != []
+        assert plan.registry.locate([("a", "1")]) != []
         clock["now"] = 31.0  # past the 3x lease_timeout liveness window
-        assert plan.locate([("a", "1")]) == []
+        assert plan.registry.locate([("a", "1")]) == []
 
     def test_unregistered_worker_never_listed(self):
         plan = SweepPlan(TINY, {}, ArtifactStore(), lease_timeout=10.0)
         plan.registry.set_holdings("w1", [["a", "1"]])  # no peer_port
-        assert plan.locate([("a", "1")]) == []
-
-    def test_peer_sync_disabled_answers_nothing(self):
-        plan = SweepPlan(
-            TINY, {}, ArtifactStore(), lease_timeout=10.0, peer_sync=False
-        )
-        plan.registry.register_peer("w1", "10.0.0.1", 7001)
-        plan.registry.set_holdings("w1", [["a", "1"]])
-        assert plan.locate([("a", "1")]) == []
+        assert plan.registry.locate([("a", "1")]) == []
 
     def test_complete_folds_chain_into_holdings(self):
         plan = SweepPlan(TINY, {}, ArtifactStore(), lease_timeout=10.0)
@@ -206,7 +197,7 @@ class TestPeerRouting:
         assert plan.complete("w1", job.job_id)
         assert plan.registry.holding_count("w1") == len(job.upstream) + 1
         plan.registry.register_peer("w1", "10.0.0.1", 7001)
-        assert plan.locate([(job.stage, job.digest)]) == [
+        assert plan.registry.locate([(job.stage, job.digest)]) == [
             [job.stage, job.digest, ["10.0.0.1:7001"]]
         ]
 
@@ -234,7 +225,7 @@ class TestSyncPeerFirst:
                 assert sync.pull("s", "d")
                 assert sync.pulled_bytes_peer > 0
                 assert sync.pulled_bytes_hub == 0
-                assert server.core.transfer_stats()["get_count"] == 0
+                assert server.artifacts.transfer_stats()["get_count"] == 0
             finally:
                 peer.stop()
 
@@ -253,7 +244,7 @@ class TestSyncPeerFirst:
             assert sync.peer_fallbacks == 1
             # The address is dead for the whole session: a second pull
             # must not re-dial it.
-            assert dead in sync._dead_peers
+            assert dead in sync.dead_peers
 
     def test_peer_dying_mid_transfer_falls_back(self):
         """A peer that announces a Content-Length it never sends is a
@@ -278,7 +269,7 @@ class TestSyncPeerFirst:
         assert sync.store.get("s", "d") == "authoritative"
         assert sync.pulled_bytes_peer == 0
         assert sync.peer_fallbacks == 1
-        assert address in sync._dead_peers
+        assert address in sync.dead_peers
 
     def test_peer_corrupt_gzip_falls_back(self):
         """A peer reply announcing gzip but carrying garbage is a
@@ -323,25 +314,11 @@ class TestSyncPeerFirst:
                 assert sync.pulled_bytes_hub > 0
                 # A refusal is not a death sentence: the peer stays
                 # dialable for other keys.
-                assert address not in sync._dead_peers
+                assert address not in sync.dead_peers
                 assert sync.pull("s", "other", sources=[address])
                 assert sync.pulled_bytes_peer > 0
             finally:
                 peer.stop()
-
-    def test_peer_sync_disabled_ignores_sources(self):
-        hub_store = ArtifactStore()
-        hub_store.put("s", "d", "hub")
-        with _hub(hub_store) as server:
-            sync = ArtifactSync(
-                ServiceClient(server.address),
-                ArtifactStore(),
-                peer_sync=False,
-                sources=[["s", "d", [_dead_address()]]],
-            )
-            assert sync.pull("s", "d")
-            assert sync.pulled_bytes_hub > 0
-            assert sync.peer_fallbacks == 0  # never even considered
 
 
 class _FlakyClient:
@@ -495,7 +472,7 @@ class TestTelemetryWireCompat:
                 "job_id": reply["job"]["job_id"],
             })
             assert reply["ok"]
-            status = service.core.status_view()
+            status = service.fleet()
         # The worker is live yet absent from the telemetry view — it
         # simply never reported a snapshot.
         assert "plain" in status["workers"]
@@ -513,7 +490,7 @@ class TestTelemetryWireCompat:
             client.http_request(
                 "POST", "/worker/lease", {"worker": "w1", "telemetry": later}
             )
-            view = service.core.status_view()["telemetry"]
+            view = service.fleet()["telemetry"]
         # Snapshots are cumulative: the latest replaces, never adds.
         assert (
             view["workers"]["w1"]["metrics"]["counters"]["compat.test.jobs"]
@@ -527,7 +504,7 @@ class TestTelemetryWireCompat:
                 "POST", "/worker/hello", {"worker": "odd", "telemetry": "garbage"}
             )
             assert reply["ok"]
-            status = service.core.status_view()
+            status = service.fleet()
         assert "odd" not in status["telemetry"]["workers"]
 
     def test_lease_carries_trace_only_when_context_set(self):
@@ -755,7 +732,7 @@ class TestPeerFabricE2E:
                     max_idle_s=10.0, retry_s=0.05,
                 )
                 assert agent.run_forever().jobs_done == 1
-                hub = service.core.transfer_stats()
+                hub = service.artifacts.transfer_stats()
                 records = service.results(managed.sweep_id)
         finally:
             peer.stop()
@@ -765,6 +742,65 @@ class TestPeerFabricE2E:
         assert hub["get_count"] == 0
         assert peer.artifacts.transfer_stats()["get_count"] == len(keys)
         assert records_equivalent(serial_records[:1], records)
+
+    def test_dead_peer_is_dialled_once_per_agent(self, serial_sweep):
+        """Two jobs on one agent whose grants name the same unreachable
+        peer dial it once: the agent, not each job, remembers it dead.
+        Each job pulls its chain afresh (a forgetful local store) and
+        the hub serves every byte."""
+        serial_records, serial_store = serial_sweep
+        keys = [(stage.name, stage.cache_key(TINY)) for stage in default_stages()[:-1]]
+        hub_store = ArtifactStore()
+        for key in keys:
+            hub_store.put(*key, serial_store.get(*key))
+        # A peer that accepts each connection and hangs up at once.
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(8)
+        listener.settimeout(0.05)
+        dead = f"127.0.0.1:{listener.getsockname()[1]}"
+        dials, grants, closing = [], [], threading.Event()
+
+        def hang_up():
+            while not closing.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except socket.timeout:
+                    continue
+                dials.append(1)
+                conn.close()
+
+        class ForgetfulAgent(WorkerAgent):
+            def _execute(self, job, sources, trace, sweep_id):
+                grants.append(sources)
+                super()._execute(job, sources=sources, trace=trace, sweep_id=sweep_id)
+                self.store = ArtifactStore()
+
+        thread = threading.Thread(target=hang_up, daemon=True)
+        thread.start()
+        try:
+            with ExperimentService(hub_store, lease_timeout=10.0, poll_s=0.05) as service:
+                managed = service.submit(TINY, GRID)
+                assert {j.stage for j in managed.plan.jobs.values()} == {"dram-eval"}
+                service.registry.register_peer(
+                    "unreachable", "127.0.0.1", listener.getsockname()[1]
+                )
+                service.registry.set_holdings("unreachable", keys)
+                agent = ForgetfulAgent(
+                    service.address, name="fresh", max_jobs=2,
+                    max_idle_s=10.0, retry_s=0.05,
+                )
+                assert agent.run_forever().jobs_done == 2
+                records = service.results(managed.sweep_id)
+        finally:
+            closing.set()
+            thread.join(timeout=5.0)
+            listener.close()
+        assert grants == [[[stage, digest, [dead]] for stage, digest in keys]] * 2
+        assert len(dials) == 1
+        assert agent.stats.bytes_pulled_peer == 0
+        assert agent.stats.bytes_pulled_hub > 0
+        assert records_equivalent(serial_records, records)
 
     def test_loopback_coordinator_peers_listen_on_loopback(self, serial_sweep):
         """Workers of a loopback coordinator (every local fleet) listen on
@@ -834,34 +870,37 @@ class TestPeerFabricE2E:
     def test_peer_bind_host(self, coordinator, bind):
         assert _peer_bind_host(coordinator) == bind
 
-    def test_no_peer_sync_reproduces_hub_topology(self, serial_sweep):
-        """--no-peer-sync parity: same records, every byte via the hub."""
-        serial_records, _ = serial_sweep
+    def test_warm_hub_serves_fresh_workers(self, serial_sweep):
+        """The hub pull path end to end: the hub's store holds a chain no
+        peer holds, so the fresh worker running the downstream job pulls
+        every upstream byte from the hub."""
+        serial_records, serial_store = serial_sweep
+        keys = [(stage.name, stage.cache_key(TINY)) for stage in default_stages()[:-1]]
+        hub_store = ArtifactStore()
+        for key in keys:
+            hub_store.put(*key, serial_store.get(*key))
         executor = ClusterExecutor(
             TINY,
-            store=ArtifactStore(),
+            store=hub_store,
             lease_timeout=10.0,
             poll_s=0.05,
             wait_timeout=300.0,
-            peer_sync=False,
         )
         agents = []
         with contextlib.ExitStack() as stack:
             records = executor.run(
-                GRID,
+                {"voltages": [(1.325,)]},
                 on_ready=lambda address: agents.extend(
                     stack.enter_context(
-                        local_worker_threads(
-                            address, 2, max_idle_s=60.0, peer=False
-                        )
+                        local_worker_threads(address, 2, max_idle_s=60.0)
                     )
                 ),
             )
-        assert records_equivalent(serial_records, records)
+        assert records_equivalent(serial_records[:1], records)
+        (job,) = executor.last_plan.jobs.values()
+        assert job.stage == "dram-eval"
+        pulled = sum(a.stats.bytes_pulled for a in agents)
+        assert pulled > 0
         assert sum(a.stats.bytes_pulled_peer for a in agents) == 0
-        assert sum(a.stats.peer_served for a in agents) == 0
-        # Whatever was pulled came from the hub, byte for byte.
-        transfers = executor.last_transfer_stats
-        assert transfers["get_bytes"] == sum(
-            a.stats.bytes_pulled for a in agents
-        )
+        # Every pulled byte came from the hub, byte for byte.
+        assert executor.last_transfer_stats["get_bytes"] == pulled

@@ -294,7 +294,7 @@ class TestWorkerAges:
         clock.advance(5.0)
         plan.lease("w2")
         clock.advance(2.0)
-        ages = plan.worker_ages()
+        ages = plan.registry.ages()
         assert ages["w1"] == pytest.approx(7.0)
         assert ages["w2"] == pytest.approx(2.0)
 
