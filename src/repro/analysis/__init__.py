@@ -11,11 +11,10 @@ from repro.analysis.platforms import (
 from repro.analysis.sweeps import (
     AccuracySweepPoint,
     accuracy_vs_ber_sweep,
-    energy_vs_voltage_sweep,
     per_voltage_axis,
 )
 from repro.analysis.reporting import format_table, format_percent_row
-from repro.analysis.pareto import ParetoPoint, tolerance_frontier, frontier_is_monotone
+from repro.analysis.pareto import ParetoPoint, tolerance_frontier
 from repro.analysis.sensitivity import (
     BitSensitivityPoint,
     accuracy_by_bit,
@@ -23,9 +22,7 @@ from repro.analysis.sensitivity import (
 )
 
 from repro.analysis.export import (
-    export_accuracy_curve,
     export_run_records,
-    export_tolerance_report,
     load_run_records,
     run_records_to_json,
     write_rows,
@@ -36,12 +33,9 @@ __all__ = [
     "BitSensitivityPoint",
     "accuracy_by_bit",
     "weight_perturbation_by_bit",
-    "export_accuracy_curve",
-    "export_tolerance_report",
     "write_rows",
     "ParetoPoint",
     "tolerance_frontier",
-    "frontier_is_monotone",
     "PlatformModel",
     "TRUENORTH",
     "PEASE",
@@ -50,7 +44,6 @@ __all__ = [
     "energy_breakdown",
     "AccuracySweepPoint",
     "accuracy_vs_ber_sweep",
-    "energy_vs_voltage_sweep",
     "per_voltage_axis",
     "export_run_records",
     "load_run_records",

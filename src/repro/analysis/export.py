@@ -14,8 +14,6 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-from repro.analysis.sweeps import AccuracySweepPoint
-from repro.core.tolerance_analysis import ToleranceReport
 from repro.pipeline.store import canonical_form
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -47,27 +45,6 @@ def write_rows(
                 )
             writer.writerow(row)
     return path
-
-
-def export_accuracy_curve(
-    path: PathLike, points: Sequence[AccuracySweepPoint], label: str = ""
-) -> Path:
-    """One Fig.-11-style accuracy-vs-BER series."""
-    return write_rows(
-        path,
-        ["label", "ber", "accuracy"],
-        [[label, p.ber, p.accuracy] for p in points],
-    )
-
-
-def export_tolerance_report(path: PathLike, report: ToleranceReport) -> Path:
-    """The Section IV-C tolerance curve plus the selected threshold."""
-    rows = [
-        ["point", p.ber, p.accuracy, p.trials] for p in report.points
-    ]
-    rows.append(["target_accuracy", "", report.target_accuracy, ""])
-    rows.append(["ber_threshold", report.ber_threshold, "", ""])
-    return write_rows(path, ["kind", "ber", "accuracy", "trials"], rows)
 
 
 # ----------------------------------------------------------------------

@@ -75,9 +75,3 @@ def tolerance_frontier(
             ParetoPoint(accuracy_bound=bound, ber_threshold=threshold, decision=decision)
         )
     return tuple(points)
-
-
-def frontier_is_monotone(points: Sequence[ParetoPoint]) -> bool:
-    """Looser accuracy bounds can never save less energy."""
-    savings = [p.energy_saving for p in points]
-    return all(a <= b + 1e-12 for a, b in zip(savings, savings[1:]))

@@ -3,19 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.datasets.base import Dataset
-from repro.dram.controller import DramController
-from repro.dram.specs import DramSpec
 from repro.errors.injection import ErrorInjector
 from repro.rng import ensure_rng
 from repro.snn.network import DiehlCookNetwork, NetworkParameters
 from repro.snn.training import TrainedModel, evaluate_accuracy
-from repro.trace.generator import InferenceTraceSpec, inference_read_trace
-from repro.core.mapping_policy import baseline_mapping
 
 
 @dataclass(frozen=True)
@@ -68,32 +64,6 @@ def accuracy_vs_ber_sweep(
         points.append(AccuracySweepPoint(ber=rate, accuracy=float(np.mean(accuracies))))
     network.set_weights(model.weights)
     return tuple(points)
-
-
-def energy_vs_voltage_sweep(
-    spec: DramSpec,
-    n_weights: int,
-    bits_per_weight: int,
-    voltages: Sequence[float],
-    refetch_passes: int = 1,
-) -> Dict[float, float]:
-    """Total DRAM energy (mJ) of one inference trace at each voltage.
-
-    Uses the baseline sequential mapping so the sweep isolates the pure
-    voltage effect (the SparkXD mapping's contribution is measured by
-    :meth:`repro.core.framework.SparkXD.evaluate_dram`).
-    """
-    controller = DramController(spec)
-    organization = controller.organization
-    mapping = baseline_mapping(organization, n_weights, bits_per_weight)
-    trace_spec = InferenceTraceSpec(
-        n_weights=n_weights,
-        bits_per_weight=bits_per_weight,
-        refetch_passes=refetch_passes,
-    )
-    trace = inference_read_trace(trace_spec, mapping.slot_of_chunk, organization)
-    results = controller.execute_at_voltages(trace, list(voltages))
-    return {r.v_supply: r.energy.total_mj for r in results}
 
 
 def per_voltage_axis(voltages) -> list:

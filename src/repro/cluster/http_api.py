@@ -24,7 +24,6 @@ the one :data:`ROUTES` table:
 ``POST``    ``/worker/complete``              report a finished job
 ``POST``    ``/worker/fail``                  report a job exception
 ``POST``    ``/artifacts/has``                filter keys to those held
-``POST``    ``/artifacts/locate``             live peers holding keys
 ``GET``     ``/artifacts/{stage}/{digest}``   download one pickle
 ``PUT``     ``/artifacts/{stage}/{digest}``   upload one pickle (idempotent)
 ==========  ================================  ==============================
@@ -87,7 +86,6 @@ ROUTES: Tuple[Tuple[str, str, str], ...] = (
     ("POST", "/worker/complete", "complete"),
     ("POST", "/worker/fail", "fail"),
     ("POST", "/artifacts/has", "has"),
-    ("POST", "/artifacts/locate", "locate"),
     ("GET", "/artifacts/{stage}/{digest}", "download"),
     ("PUT", "/artifacts/{stage}/{digest}", "upload"),
 )
@@ -527,11 +525,6 @@ class HttpEndpoint:
         keys = [(str(s), str(d)) for s, d in request.body.get("keys", [])]
         store = self.artifacts.store
         return 200, {"present": [list(key) for key in keys if key in store]}
-
-    def _route_locate(self, request: _Request) -> Tuple[int, Dict[str, Any]]:
-        keys = [(str(s), str(d)) for s, d in request.body.get("keys", [])]
-        worker = request.body.get("worker")
-        return 200, {"sources": self.service.registry.locate(keys, exclude=worker)}
 
     def _route_download(self, request: _Request) -> Tuple[int, Any]:
         accept = [

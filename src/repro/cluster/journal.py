@@ -127,22 +127,6 @@ class SweepJournal:
                     events.append(event)
         return events
 
-    def replay(self) -> List[Dict[str, Any]]:
-        """The events read from disk at open time (oldest first)."""
-        return list(self._events)
-
-    def lag(self) -> int:
-        """Events appended since the last snapshot (all of them if none).
-
-        This is exactly the chatter the next compaction would fold away:
-        a journal that was never compacted lags by its full length.  The
-        coordinator surfaces it per plan in ``cluster status`` so an
-        operator can see ``--compact-every`` falling behind long before
-        the file size on disk does.
-        """
-        with self._lock:
-            return self._lag_locked()
-
     def _lag_locked(self) -> int:
         for index in range(len(self._events) - 1, -1, -1):
             if self._events[index].get("event") == "snapshot":

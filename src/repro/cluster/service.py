@@ -563,8 +563,7 @@ class ExperimentService:
             }
             # Routing hints ride along with the grant: peer addresses
             # for every upstream key some live peer holds, so the
-            # worker can pull missing inputs without a separate
-            # ``locate`` round trip.
+            # worker pulls those inputs peer-first.
             sources = self.registry.locate(job.upstream, exclude=worker)
             if sources:
                 reply["sources"] = sources

@@ -4,9 +4,9 @@ Artifacts move by ``(stage, fingerprint)`` key, never by job identity:
 
 - **pull** — before running a job, the worker downloads whichever
   upstream artifacts its local store is missing, *peer-first*: the
-  coordinator's routing table (lease ``sources`` hints or an explicit
-  ``locate`` round trip) names workers already holding the key, and
-  the bytes move worker-to-worker with the very request a hub download
+  lease grant's ``sources`` hints (built from the coordinator's
+  routing table) name workers already holding the key, and the bytes
+  move worker-to-worker with the very request a hub download
   makes (``GET /artifacts/{stage}/{digest}`` against the peer's
   endpoint).  A refused key, a dead peer, or a worker with no peers
   falls back transparently to the coordinator — the hub is always
@@ -80,9 +80,6 @@ class ArtifactSync:
         The coordinator (hub) client; peers are dialled with its token.
     store:
         The local artifact store.
-    worker:
-        This worker's name — sent with ``locate`` so the coordinator
-        excludes the requester from its own answers.
     sources:
         Initial routing hints, ``[[stage, digest, [address, …]], …]``
         (the lease reply's ``sources`` field).
@@ -100,7 +97,6 @@ class ArtifactSync:
         client: ServiceClient,
         store: ArtifactStore,
         *,
-        worker: Optional[str] = None,
         sources: Optional[Iterable[Sequence[Any]]] = None,
         dead_peers: Optional[Set[str]] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
@@ -108,7 +104,6 @@ class ArtifactSync:
     ):
         self.client = client
         self.store = store
-        self.worker = worker
         self.max_attempts = max(1, int(max_attempts))
         self.backoff_s = float(backoff_s)
         #: key -> peer addresses believed to hold it (coordinator hints).
@@ -147,27 +142,6 @@ class ArtifactSync:
         """Merge ``[[stage, digest, [address, …]], …]`` routing hints."""
         for stage, digest, addresses in triples:
             self.sources[(str(stage), str(digest))] = [str(a) for a in addresses]
-
-    def locate(self, keys: Iterable[Key]) -> int:
-        """Ask the coordinator who holds ``keys``; merge into sources.
-
-        Returns how many of the asked keys gained at least one peer
-        address.
-        """
-        keys = list(keys)
-        if not keys:
-            return 0
-        started = time.perf_counter()
-        try:
-            payload = {"worker": self.worker, "keys": [list(key) for key in keys]}
-            reply = self._hub("locate", lambda: self.client.http_request(
-                "POST", "/artifacts/locate", payload
-            ))
-            triples = reply.get("sources", [])
-            self.update_sources(triples)
-            return len(triples)
-        finally:
-            self.seconds += time.perf_counter() - started
 
     # ------------------------------------------------------------------
     # Transport helpers.
@@ -315,14 +289,10 @@ class ArtifactSync:
     def pull_missing(self, keys: Iterable[Key]) -> int:
         """Pull every key the local store is missing; returns the count.
 
-        Keys that have no routing hint yet are batch-``locate``\\ d
-        first, so even pulls outside a lease grant (resumed workers,
-        eager prefetch) go peer-first.
+        A key with a ``sources`` hint goes peer-first; the rest come
+        from the hub.
         """
         missing = [key for key in keys if key not in self.store]
-        if not missing:
-            return 0
-        self.locate([key for key in missing if key not in self.sources])
         count = 0
         for stage, digest in missing:
             if self.pull(stage, digest):

@@ -406,7 +406,6 @@ class WorkerAgent:
         sync = ArtifactSync(
             self.client,
             self.store,
-            worker=self.name,
             sources=sources or (),
             dead_peers=self._dead_peers,
         )

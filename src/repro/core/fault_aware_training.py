@@ -65,9 +65,6 @@ class FaultAwareTrainingResult:
     #: BER of the stage whose snapshot became the returned model.
     selected_rate: float = 0.0
 
-    def final_accuracy(self) -> float:
-        return self.model.accuracy
-
 
 def improve_error_tolerance(
     baseline: TrainedModel,

@@ -19,14 +19,13 @@ these stand-ins preserve the experiments' behaviour.  See DESIGN.md.
 from repro.datasets.base import Dataset
 from repro.datasets.synthetic_mnist import load_synthetic_mnist
 from repro.datasets.synthetic_fashion import load_synthetic_fashion
-from repro.datasets.loader import load_dataset, dataset_names, DATASETS, DATASET_NAMES
+from repro.datasets.loader import load_dataset, DATASETS, DATASET_NAMES
 
 __all__ = [
     "Dataset",
     "load_synthetic_mnist",
     "load_synthetic_fashion",
     "load_dataset",
-    "dataset_names",
     "DATASETS",
     "DATASET_NAMES",
 ]

@@ -42,18 +42,6 @@ class Dataset:
     def n_test(self) -> int:
         return len(self.test_labels)
 
-    def subset(self, n_train: int, n_test: int) -> "Dataset":
-        """The first ``n_train``/``n_test`` samples of each split."""
-        if n_train > self.n_train or n_test > self.n_test:
-            raise ValueError("subset larger than dataset")
-        return Dataset(
-            name=self.name,
-            train_images=self.train_images[:n_train],
-            train_labels=self.train_labels[:n_train],
-            test_images=self.test_images[:n_test],
-            test_labels=self.test_labels[:n_test],
-        )
-
 
 def render_glyph(bitmap: np.ndarray, upscale: int = 4) -> np.ndarray:
     """Upscale a small binary glyph bitmap to a soft 28×28 image."""

@@ -32,13 +32,8 @@ def _load_fashion(n_train: int, n_test: int, seed: int | None) -> Dataset:
     return load_synthetic_fashion(n_train, n_test, seed if seed is not None else 13)
 
 
-def dataset_names() -> tuple:
-    """Currently registered workload names."""
-    return DATASETS.names()
-
-
 #: Kept (in historical order) for backward compatibility with the seed
-#: API; prefer :func:`dataset_names` which reflects live registrations.
+#: API; prefer ``DATASETS.names()``, which reflects live registrations.
 DATASET_NAMES = ("mnist", "fashion")
 
 

@@ -34,18 +34,8 @@ class TraceExecutionResult:
     energy: TraceEnergyBreakdown
 
     @property
-    def total_energy_nj(self) -> float:
-        return self.energy.total_nj
-
-    @property
     def total_time_ns(self) -> float:
         return self.stats.total_time_ns
-
-    @property
-    def throughput_accesses_per_us(self) -> float:
-        if self.stats.total_time_ns == 0:
-            return 0.0
-        return self.stats.accesses / (self.stats.total_time_ns * 1e-3)
 
     def summary(self) -> str:
         s = self.stats
@@ -115,10 +105,3 @@ class DramController:
         return TraceExecutionResult(
             v_supply=v_supply, timing=timing, stats=stats, energy=energy
         )
-
-    def execute_at_voltages(
-        self, trace: TraceLike, v_supplies: Sequence[float]
-    ) -> list[TraceExecutionResult]:
-        """Run the same trace at several supply voltages (Fig. 12a sweep)."""
-        slots = self._slot_array(trace)  # traces may be generators; reuse across voltages
-        return [self.execute(slots, v) for v in v_supplies]

@@ -44,14 +44,6 @@ class DramCoordinate:
         """True when ``other`` lies in the same (open-able) DRAM row."""
         return self.as_tuple()[:6] == other.as_tuple()[:6]
 
-    def same_bank(self, other: "DramCoordinate") -> bool:
-        return (
-            self.channel == other.channel
-            and self.rank == other.rank
-            and self.chip == other.chip
-            and self.bank == other.bank
-        )
-
 
 @dataclass(frozen=True, order=True)
 class SubarrayId:

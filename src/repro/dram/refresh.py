@@ -41,11 +41,6 @@ class RefreshParameters:
         if self.t_rfc_ns <= 0 or self.idd5_ma <= 0:
             raise ValueError("t_rfc and idd5 must be > 0")
 
-    @property
-    def t_refi_ns(self) -> float:
-        """Average interval between auto-refresh commands."""
-        return self.t_refw_ms * 1e6 / self.commands_per_window
-
 
 class RefreshModel:
     """Refresh energy and bandwidth overhead at a given supply voltage."""
@@ -96,7 +91,3 @@ class RefreshModel:
         if duration_ns < 0:
             raise ValueError(f"duration must be >= 0, got {duration_ns}")
         return self.refresh_power_mw(v_supply) * duration_ns * 1e-3
-
-    def bandwidth_overhead(self, v_supply: float) -> float:
-        """Fraction of time the device is busy refreshing (tRFC/tREFI)."""
-        return self.parameters.t_rfc_ns / self.refresh_interval_ns(v_supply)

@@ -100,11 +100,6 @@ class NominalTimings:
     t_cl_ns: float = 15.0  # CAS latency
     burst_length: int = 8  # beats per RD/WR burst
 
-    @property
-    def t_rc_ns(self) -> float:
-        """Row cycle time: full activate-precharge turnaround."""
-        return self.t_ras_ns + self.t_rp_ns
-
 
 @dataclass(frozen=True)
 class ElectricalParameters:

@@ -29,20 +29,9 @@ class TimingParameters:
     burst_length: int
 
     @property
-    def t_rc_ns(self) -> float:
-        """Row cycle time (activate-to-activate in the same bank)."""
-        return self.t_ras_ns + self.t_rp_ns
-
-    @property
     def burst_time_ns(self) -> float:
         """Data-bus occupancy of one RD/WR burst (DDR: 2 beats/cycle)."""
         return self.burst_length * self.clock_ns / 2.0
-
-    def cycles(self, time_ns: float) -> int:
-        """Round a duration up to whole clock cycles."""
-        if time_ns < 0:
-            raise ValueError(f"time must be >= 0, got {time_ns}")
-        return -(-int(round(time_ns * 1e6)) // int(round(self.clock_ns * 1e6)))
 
 
 def timing_for_voltage(

@@ -1,8 +1,9 @@
 """Chunking policy: bounding the peak memory of a batched pass.
 
 Per chunk of ``B`` samples and ``E`` realizations, a batched pass holds
-the encoded spike trains (one boolean ``(n_steps, B, n_input)``
-array), the sparse drive operator built from them, the ``E x B``
+the encoded spike trains (one boolean ``(n_steps, B, n_input)`` array
+of the Poisson rate code, at most ``MAX_RATE_HZ * 1e-3`` spikes per
+bit), the sparse drive operator built from them, the ``E x B``
 network state with the time loop's scratch, and one streamed block of
 gain-scaled drives: :data:`repro.snn.network.DRIVE_BLOCK_BYTES` worth
 of steps, at least one step of ``E x B x n_neurons`` floats (the whole
@@ -34,8 +35,10 @@ _STATE_ARRAYS = 17
 
 #: Bytes per encoded input bit: the boolean trains (1), plus the sparse
 #: drive operator with its construction scratch (20 bytes per spike at
-#: most 0.064 spikes per bit, the rate code's 63.75 Hz ceiling at 1 ms),
-#: rounded up to 2.
+#: most ``MAX_RATE_HZ * 1e-3`` = 0.06375 spikes per bit, the rate
+#: code's ceiling, :data:`repro.snn.encoding.MAX_RATE_HZ`), rounded up
+#: to 2.  The rate code is the only encoder, so the bound holds by
+#: construction.
 _ENCODE_BYTES_PER_BIT = 3
 
 #: Single-realization drive slabs a block is computed through besides

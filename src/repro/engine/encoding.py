@@ -13,22 +13,18 @@ draws consume *exactly* the random stream of ``B`` successive per-image
 arrays from the bit stream in C order).  Encoded trains are therefore
 identical whether samples are encoded one at a time, per chunk, or all
 at once — the engine equivalence guarantee extends through the encoder.
-
-Non-default encoders run per image into the same storage (same stream
-by construction); the simulation stays vectorized either way.
+The rate code is the only encoder: a pixel spikes with probability at
+most ``MAX_RATE_HZ * 1e-3`` per step
+(:data:`repro.snn.encoding.MAX_RATE_HZ`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-from repro.snn.encoding import poisson_rate_code
-
-#: Encoder signature used across the SNN stack.
-Encoder = Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
+from repro.snn.encoding import MAX_RATE_HZ
 
 
 @dataclass
@@ -62,35 +58,25 @@ def _check_images(images: np.ndarray) -> np.ndarray:
 
 
 def encode_spike_trains(
-    images: np.ndarray,
-    n_steps: int,
-    rng: np.random.Generator,
-    encoder: Optional[Encoder] = None,
-    dt_ms: float = 1.0,
-    max_rate_hz: float = 63.75,
+    images: np.ndarray, n_steps: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Encode a batch of images into ``(B, n_steps, n_input)`` spikes.
 
     The result is the transposed view of step-major ``(n_steps, B,
-    n_input)`` storage.  With ``encoder=None`` the default Poisson rate
-    code draws each image's uniforms into one reused buffer; a custom
-    encoder is applied per image.  Either way the values (and the state
-    of ``rng``) are identical to calling the encoder on each image in
-    order.
+    n_input)`` storage; each image's uniforms are drawn into one reused
+    buffer.  The values (and the state of ``rng``) are identical to
+    calling :func:`repro.snn.encoding.poisson_rate_code` on each image
+    in order.
     """
-    if n_steps <= 0 or dt_ms <= 0:
-        raise ValueError("n_steps and dt_ms must be > 0")
+    if n_steps <= 0:
+        raise ValueError("n_steps must be > 0")
     images = _check_images(images)
     steps = np.empty((n_steps,) + images.shape, dtype=bool)
-    if encoder is not None and encoder is not poisson_rate_code:
-        for b, image in enumerate(images):
-            steps[:, b] = encoder(image, n_steps, rng)
-    else:
-        p = np.clip(images * max_rate_hz * dt_ms * 1e-3, 0.0, 1.0)
-        draw = np.empty((n_steps, images.shape[1]))
-        for b, rate in enumerate(p):
-            rng.random(out=draw)
-            np.less(draw, rate, out=steps[:, b])
+    p = np.clip(images * MAX_RATE_HZ * 1e-3, 0.0, 1.0)
+    draw = np.empty((n_steps, images.shape[1]))
+    for b, rate in enumerate(p):
+        rng.random(out=draw)
+        np.less(draw, rate, out=steps[:, b])
     return steps.transpose(1, 0, 2)
 
 
@@ -99,7 +85,7 @@ def skip_spike_trains(
 ) -> None:
     """Advance ``rng`` exactly as encoding ``n_images`` images would.
 
-    The default encoder draws one 64-bit word per (image, step, pixel).
+    The rate code draws one 64-bit word per (image, step, pixel).
     PCG64 and PCG64DXSM jump over them with ``advance``, which also
     drops the buffered 32-bit half ``rng.permutation`` may leave; float
     draws never touch it, so it is put back.  Other bit generators draw

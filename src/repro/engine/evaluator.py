@@ -31,7 +31,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.engine.chunking import ChunkPolicy
-from repro.engine.encoding import Encoder, encode_spike_trains
+from repro.engine.encoding import encode_spike_trains
 from repro.snn.network import DiehlCookNetwork, NetworkParameters
 from repro.telemetry import get_metrics, span
 
@@ -114,7 +114,6 @@ class BatchedEvaluator:
         n_steps: int,
         rng: np.random.Generator,
         weights: np.ndarray,
-        encoder: Optional[Encoder] = None,
         base_weights: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Per-neuron spike counts over an evaluation set.
@@ -179,9 +178,7 @@ class BatchedEvaluator:
                 samples=window.stop - window.start,
                 realizations=n_real,
             ):
-                trains = encode_spike_trains(
-                    images[window], n_steps, rng, encoder=encoder
-                )
+                trains = encode_spike_trains(images[window], n_steps, rng)
                 out[..., window, :] = self._batched_counts(
                     trains, weights, stacked, installed, base_weights
                 )
@@ -197,7 +194,6 @@ class BatchedEvaluator:
         n_steps: int,
         rng: np.random.Generator,
         weights: np.ndarray,
-        encoder: Optional[Encoder] = None,
         n_classes: int = 10,
         base_weights: Optional[np.ndarray] = None,
     ) -> Union[float, np.ndarray]:
@@ -212,8 +208,7 @@ class BatchedEvaluator:
 
         labels = np.asarray(labels)
         counts = self.spike_counts(
-            images, n_steps, rng, weights, encoder=encoder,
-            base_weights=base_weights,
+            images, n_steps, rng, weights, base_weights=base_weights
         )
         if counts.ndim == 2:
             return float((predict(counts, assignments, n_classes) == labels).mean())

@@ -7,8 +7,9 @@ STDP in place, normalize), it presents a minibatch of ``B`` samples in
 one vectorized pass —
 
 1. **Encode** the minibatch in one Poisson draw
-   (:func:`repro.engine.encoding.encode_spike_trains`), consuming
-   exactly the random stream of ``B`` per-sample draws;
+   (:func:`repro.engine.encoding.encode_spike_trains`, the rate code
+   at :data:`repro.snn.encoding.MAX_RATE_HZ`), consuming exactly the
+   random stream of ``B`` per-sample draws;
 2. **Read** the weights once per minibatch: the fault-aware hook
    (``corrupt_weights``) produces one corrupted realization per
    minibatch read, modelling one DRAM burst read serving the whole
@@ -73,7 +74,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.encoding import Encoder, EncodedMinibatch, encode_spike_trains
+from repro.engine.encoding import EncodedMinibatch, encode_spike_trains
 from repro.rng import ensure_rng
 from repro.snn.encoding import poisson_rate_code
 from repro.snn.network import DiehlCookNetwork, make_stdp
@@ -123,14 +124,13 @@ class StageEncodingCache:
             )
         self._epochs.append(list(minibatches))
 
-    @property
-    def n_bytes(self) -> int:
-        """Approximate resident size of the cached spike trains."""
-        return sum(mb.trains.nbytes for epoch in self._epochs for mb in epoch)
-
 
 class BatchedTrainer:
     """Minibatch STDP training of one (unbatched) network.
+
+    Samples are presented as Poisson rate-coded spike trains
+    (:func:`~repro.snn.encoding.poisson_rate_code`, firing at most
+    :data:`~repro.snn.encoding.MAX_RATE_HZ`), the only encoder.
 
     Parameters
     ----------
@@ -145,9 +145,6 @@ class BatchedTrainer:
         Samples per presentation.  ``1`` (default) is the bit-exact
         sequential reference; larger values trade exactness for one
         vectorized pass per minibatch (see module docstring).
-    encoder:
-        Custom per-image encoder, or ``None`` for the default Poisson
-        rate code (vectorized per minibatch, same random stream).
     corrupt_weights:
         Fault-aware read hook: maps the stored clean tensor to what a
         DRAM read returns.  Called once per presentation — per sample
@@ -159,7 +156,6 @@ class BatchedTrainer:
         network: DiehlCookNetwork,
         stdp_parameters: Optional[STDPParameters] = None,
         batch_size: int = 1,
-        encoder: Optional[Encoder] = None,
         corrupt_weights: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
         if batch_size < 1:
@@ -171,7 +167,6 @@ class BatchedTrainer:
             )
         self.network = network
         self.batch_size = int(batch_size)
-        self.encoder = encoder
         self.corrupt_weights = corrupt_weights
         self.stdp = make_stdp(network, stdp_parameters)
 
@@ -249,10 +244,7 @@ class BatchedTrainer:
         tensor, so neither the read nor the old clean tensor is written.
         """
         net = self.network
-        if self.encoder is not None:
-            train = self.encoder(image, n_steps, rng)
-        else:
-            train = poisson_rate_code(image, n_steps, rng=rng)
+        train = poisson_rate_code(image, n_steps, rng=rng)
         if self.corrupt_weights is not None:
             # The network computes with the *corrupted* weights (what a
             # DRAM read returns); the STDP deltas it produces are then
@@ -291,7 +283,7 @@ class BatchedTrainer:
         """
         net = self.network
         if prepared is None:
-            trains = encode_spike_trains(images, n_steps, rng, encoder=self.encoder)
+            trains = encode_spike_trains(images, n_steps, rng)
             prepared = EncodedMinibatch(trains=trains)
         trains = prepared.trains
         n_batch = trains.shape[0]

@@ -8,12 +8,6 @@ bits of synaptic weights according to where they live in DRAM.
 """
 
 from repro.errors.ber import BerVoltageCurve, DEFAULT_BER_CURVE
-from repro.errors.bitops import (
-    flip_bits_float32,
-    flip_bits_int8,
-    float32_to_bits,
-    bits_to_float32,
-)
 from repro.errors.weak_cells import SubarrayErrorProfile, WeakCellMap
 from repro.errors.models import (
     ErrorModel,
@@ -39,10 +33,6 @@ __all__ = [
     "encode_words",
     "BerVoltageCurve",
     "DEFAULT_BER_CURVE",
-    "flip_bits_float32",
-    "flip_bits_int8",
-    "float32_to_bits",
-    "bits_to_float32",
     "SubarrayErrorProfile",
     "WeakCellMap",
     "ErrorModel",

@@ -100,10 +100,6 @@ class DecodeReport:
     uncorrectable_words: int
     total_words: int
 
-    @property
-    def corrected_fraction(self) -> float:
-        return self.corrected_words / self.total_words if self.total_words else 0.0
-
 
 def decode_words(code: np.ndarray) -> Tuple[np.ndarray, DecodeReport]:
     """Correct single-bit errors; flag double-bit errors.
@@ -234,18 +230,3 @@ class EccProtectedRepresentation:
         mask = np.uint64((1 << bpw) - 1) if bpw < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
         pieces = (data_words[:, None] >> shifts[None, :]) & mask
         return pieces.ravel().astype(self.inner.word_dtype)
-
-    def protected_roundtrip(
-        self, weights: np.ndarray, flat_bit_indices: np.ndarray
-    ) -> Tuple[np.ndarray, DecodeReport]:
-        """Store, flip the given codeword bits, read back corrected.
-
-        Convenience path for experiments; the result is trimmed to the
-        original weight count (padding weights dropped).
-        """
-        n = int(np.size(weights))
-        stored = self.encode(weights)
-        corrupted = self.flip_bits(stored, flat_bit_indices)
-        decoded = self.decode(corrupted)
-        report = self.last_decode_report
-        return decoded.ravel()[:n].reshape(np.shape(weights)), report

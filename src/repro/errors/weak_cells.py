@@ -98,9 +98,3 @@ class SubarrayErrorProfile:
 
     def safe_fraction(self, ber_threshold: float) -> float:
         return float(self.safe_mask(ber_threshold).mean())
-
-    def rate_of(self, subarray_index: int) -> float:
-        return float(self.rates[subarray_index])
-
-    def mean_rate(self) -> float:
-        return float(self.rates.mean())

@@ -278,11 +278,6 @@ class Runner:
         self.threads_per_worker = threads_per_worker
 
     # ------------------------------------------------------------------
-    def configs_for(self, grid: Mapping[str, Sequence[Any]]) -> List[SparkXDConfig]:
-        return [
-            self.base_config.with_overrides(**params) for params in sweep_grid(grid)
-        ]
-
     def run(self, grid: Mapping[str, Sequence[Any]]) -> List[RunRecord]:
         """Run every grid point; return records in grid order."""
         param_sets = sweep_grid(grid)

@@ -2,7 +2,7 @@
 
 Implements the SNN stack of the paper's Section II-A: Leaky
 Integrate-and-Fire neurons with adaptive thresholds, conductance-based
-synapses, Poisson rate coding (plus the other codings the paper cites),
+synapses, Poisson rate coding (the encoder of the paper's evaluation),
 trace-based STDP, and the fully-connected architecture with lateral
 inhibition of Fig. 4(a) (Diehl & Cook style, as used by the paper's
 reference [7] and by BindsNET, the paper's simulation substrate [16]).
@@ -10,12 +10,7 @@ reference [7] and by BindsNET, the paper's simulation substrate [16]).
 
 from repro.snn.neurons import LIFParameters, AdaptiveLIFLayer
 from repro.snn.synapses import ConductanceParameters, SynapticConductance
-from repro.snn.encoding import (
-    poisson_rate_code,
-    rank_order_code,
-    phase_code,
-    burst_code,
-)
+from repro.snn.encoding import MAX_RATE_HZ, poisson_rate_code
 from repro.snn.stdp import STDPParameters, STDPRule
 from repro.snn.network import NetworkParameters, DiehlCookNetwork
 from repro.snn.training import (
@@ -29,7 +24,6 @@ from repro.snn.quantization import (
     Float32Representation,
     FixedPointRepresentation,
 )
-from repro.snn.pruning import prune_by_magnitude, connectivity
 from repro.snn.serialization import save_model, load_model
 from repro.snn.diagnostics import TrainingHealth, check_training_health
 
@@ -42,10 +36,8 @@ __all__ = [
     "AdaptiveLIFLayer",
     "ConductanceParameters",
     "SynapticConductance",
+    "MAX_RATE_HZ",
     "poisson_rate_code",
-    "rank_order_code",
-    "phase_code",
-    "burst_code",
     "STDPParameters",
     "STDPRule",
     "NetworkParameters",
@@ -57,6 +49,4 @@ __all__ = [
     "WeightRepresentation",
     "Float32Representation",
     "FixedPointRepresentation",
-    "prune_by_magnitude",
-    "connectivity",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.rng import ensure_rng
 from repro.snn.network import DiehlCookNetwork
-from repro.snn.training import Encoder, _default_encoder, run_spike_counts
+from repro.snn.training import run_spike_counts
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,6 @@ def check_training_health(
     probe_images: np.ndarray,
     n_steps: int = 60,
     rng: Optional[np.random.Generator] = None,
-    encoder: Encoder = _default_encoder,
 ) -> TrainingHealth:
     """Probe a network with a handful of samples and score its health.
 
@@ -100,7 +99,7 @@ def check_training_health(
         raise ValueError("need at least one probe image")
     rng = ensure_rng(rng)
     theta_before = network.neurons.theta.copy()
-    counts = run_spike_counts(network, probe_images, n_steps, rng, encoder)
+    counts = run_spike_counts(network, probe_images, n_steps, rng)
     network.neurons.theta = theta_before  # inference keeps theta, but be safe
 
     per_neuron = counts.sum(axis=0).astype(np.float64)

@@ -1,12 +1,9 @@
 """Spike coding: converting images into spike trains.
 
 The paper's evaluation uses **rate coding with Poisson-distributed
-spikes** (Section V).  Section II-A also cites rank-order, phase and
-burst coding; all four are implemented so downstream code can swap the
-encoder.
-
-Every encoder maps a float image in ``[0, 1]`` (flattened, ``n_input``
-pixels) to a boolean spike train of shape ``(n_steps, n_input)``.
+spikes** (Section V), the one encoder here.  A float image in ``[0, 1]``
+(flattened, ``n_input`` pixels) becomes a boolean spike train of shape
+``(n_steps, n_input)``.
 """
 
 from __future__ import annotations
@@ -15,106 +12,29 @@ import numpy as np
 
 from repro.rng import ensure_rng
 
-
-def _check_image(image: np.ndarray) -> np.ndarray:
-    arr = np.asarray(image, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError("image must not be empty")
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise ValueError("pixel intensities must lie in [0, 1]")
-    return arr
+#: Firing rate of a full-intensity pixel: the Diehl & Cook setup's
+#: 255/4 Hz for a bright MNIST pixel.  At 1 ms steps a pixel spikes with
+#: probability at most 0.06375 per step.
+MAX_RATE_HZ = 63.75
 
 
 def poisson_rate_code(
     image: np.ndarray,
     n_steps: int,
-    dt_ms: float = 1.0,
-    max_rate_hz: float = 63.75,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Poisson rate coding (the paper's encoder).
 
-    Pixel intensity ``x`` fires at ``x * max_rate_hz``; each timestep of
-    length ``dt_ms`` emits a spike independently with probability
-    ``rate * dt``.  The default 63.75 Hz maximum matches the Diehl &
-    Cook setup (255/4 Hz for a full-intensity MNIST pixel).
+    Pixel intensity ``x`` fires at ``x * MAX_RATE_HZ``; each 1 ms
+    timestep emits a spike independently with probability ``rate * dt``.
     """
-    arr = _check_image(image)
-    if n_steps <= 0 or dt_ms <= 0:
-        raise ValueError("n_steps and dt_ms must be > 0")
-    rng = ensure_rng(rng)
-    p = np.clip(arr * max_rate_hz * dt_ms * 1e-3, 0.0, 1.0)
-    return rng.random((n_steps, arr.size)) < p[None, :]
-
-
-def rank_order_code(image: np.ndarray, n_steps: int) -> np.ndarray:
-    """Rank-order coding: each pixel spikes once; brighter fires earlier.
-
-    Pixels are ranked by intensity; the spike time is the rank scaled
-    into the window.  Zero pixels never fire.
-    """
-    arr = _check_image(image)
+    arr = np.asarray(image, dtype=np.float64).ravel()
+    if arr.size == 0:
+        raise ValueError("image must not be empty")
+    if arr.min() < 0.0 or arr.max() > 1.0:
+        raise ValueError("pixel intensities must lie in [0, 1]")
     if n_steps <= 0:
         raise ValueError("n_steps must be > 0")
-    spikes = np.zeros((n_steps, arr.size), dtype=bool)
-    active = np.flatnonzero(arr > 0)
-    if active.size == 0:
-        return spikes
-    order = active[np.argsort(-arr[active], kind="stable")]
-    times = np.floor(np.arange(order.size) / order.size * n_steps).astype(int)
-    spikes[times, order] = True
-    return spikes
-
-
-def phase_code(
-    image: np.ndarray,
-    n_steps: int,
-    period: int = 8,
-) -> np.ndarray:
-    """Phase coding: intensity bits gate spikes in a repeating period.
-
-    The intensity is quantised to ``period`` bits; bit ``k`` (MSB first)
-    produces a spike in phase slot ``k`` of every period, so stronger
-    pixels spike in earlier, more significant phases.
-    """
-    arr = _check_image(image)
-    if n_steps <= 0 or period <= 0:
-        raise ValueError("n_steps and period must be > 0")
-    levels = (arr * ((1 << period) - 1)).round().astype(np.uint32)
-    bit_index = (1 << period) >> 1
-    bits = np.zeros((period, arr.size), dtype=bool)
-    for k in range(period):
-        bits[k] = (levels & (bit_index >> k)) != 0
-    spikes = np.zeros((n_steps, arr.size), dtype=bool)
-    for t in range(n_steps):
-        spikes[t] = bits[t % period]
-    return spikes
-
-
-def burst_code(
-    image: np.ndarray,
-    n_steps: int,
-    max_burst: int = 5,
-) -> np.ndarray:
-    """Burst coding: intensity sets the length of an initial spike burst.
-
-    A pixel of intensity ``x`` emits ``round(x * max_burst)`` consecutive
-    spikes from t=0; stronger pixels produce longer bursts.
-    """
-    arr = _check_image(image)
-    if n_steps <= 0 or max_burst <= 0:
-        raise ValueError("n_steps and max_burst must be > 0")
-    lengths = np.round(arr * max_burst).astype(int)
-    spikes = np.zeros((n_steps, arr.size), dtype=bool)
-    horizon = min(max_burst, n_steps)
-    for t in range(horizon):
-        spikes[t] = lengths > t
-    return spikes
-
-
-ENCODERS = {
-    "rate": poisson_rate_code,
-    "rank-order": rank_order_code,
-    "phase": phase_code,
-    "burst": burst_code,
-}
+    rng = ensure_rng(rng)
+    p = np.clip(arr * MAX_RATE_HZ * 1e-3, 0.0, 1.0)
+    return rng.random((n_steps, arr.size)) < p[None, :]

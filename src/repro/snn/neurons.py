@@ -167,19 +167,3 @@ class AdaptiveLIFLayer:
             self.theta *= self._theta_decay
             self.theta[spikes] += p.theta_plus
         return spikes
-
-    # ------------------------------------------------------------------
-    def state_snapshot(self) -> dict:
-        """Copy of the full neuron state (for checkpointing / tests)."""
-        return {
-            "v": self.v.copy(),
-            "theta": self.theta.copy(),
-            "refractory_left": self.refractory_left.copy(),
-        }
-
-    def load_state(self, snapshot: dict) -> None:
-        for name in ("v", "theta", "refractory_left"):
-            value = np.asarray(snapshot[name], dtype=self.dtype)
-            if value.shape != self.state_shape:
-                raise ValueError(f"{name} must have shape {self.state_shape}")
-            setattr(self, name, value.copy())

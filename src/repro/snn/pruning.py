@@ -4,57 +4,13 @@ The paper's Fig. 2(a) shows that the approximate-DRAM savings *compose*
 with existing techniques such as weight pruning: pruning removes
 synaptic connections (fewer weights → fewer DRAM accesses), voltage
 scaling then cuts the energy of each remaining access.  This module
-provides the pruning half of that combination.
+provides the pruning half of that combination: how many weights a
+connectivity level keeps.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
-
-
-def connectivity(weights: np.ndarray, threshold: float = 0.0) -> float:
-    """Fraction of synapses with |w| above ``threshold`` (0 = present)."""
-    arr = np.asarray(weights)
-    if arr.size == 0:
-        raise ValueError("weights must not be empty")
-    return float((np.abs(arr) > threshold).mean())
-
-
-def prune_by_magnitude(
-    weights: np.ndarray, target_connectivity: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Zero the smallest-magnitude weights down to a connectivity target.
-
-    Returns ``(pruned_weights, keep_mask)``; the input is untouched.
-    ``target_connectivity`` is the fraction of synapses to *keep*
-    (e.g. 0.7 keeps the strongest 70%), matching the "network
-    connectivity" axis of Fig. 2(a).
-    """
-    if not 0.0 < target_connectivity <= 1.0:
-        raise ValueError(
-            f"target_connectivity must be in (0, 1], got {target_connectivity}"
-        )
-    arr = np.asarray(weights, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("weights must not be empty")
-    keep = int(np.ceil(target_connectivity * arr.size))
-    flat = np.abs(arr).ravel()
-    if keep >= arr.size:
-        mask = np.ones_like(arr, dtype=bool)
-    else:
-        cutoff = np.partition(flat, arr.size - keep)[arr.size - keep]
-        mask = np.abs(arr) >= cutoff
-        # Ties at the cutoff can keep too many; trim deterministically.
-        excess = int(mask.sum()) - keep
-        if excess > 0:
-            tied = np.flatnonzero((np.abs(arr) == cutoff).ravel())
-            drop = tied[:excess]
-            flat_mask = mask.ravel()
-            flat_mask[drop] = False
-            mask = flat_mask.reshape(arr.shape)
-    return arr * mask, mask
 
 
 def pruned_weight_count(n_weights: int, target_connectivity: float) -> int:

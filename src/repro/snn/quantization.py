@@ -17,7 +17,6 @@ caller owns; ``decode`` and ``flip_bits`` never write their input.
 from __future__ import annotations
 
 import abc
-from typing import Tuple
 
 import numpy as np
 
@@ -51,11 +50,6 @@ class WeightRepresentation(abc.ABC):
     def flip_bits(self, words: np.ndarray, flat_bit_indices: np.ndarray) -> np.ndarray:
         """Flip flat bit indices of the stored words (out-of-place)."""
         return flip_bits_uint(words, flat_bit_indices, self.bits_per_weight)
-
-    def storage_bits(self, n_weights: int) -> int:
-        if n_weights < 0:
-            raise ValueError(f"n_weights must be >= 0, got {n_weights}")
-        return n_weights * self.bits_per_weight
 
     def roundtrip(self, weights: np.ndarray) -> np.ndarray:
         """The weights as they would read back with zero errors."""
@@ -161,13 +155,3 @@ def make_representation(name: str, **kwargs) -> WeightRepresentation:
     if key in ("int16", "fixed16", "q16"):
         return FixedPointRepresentation(bits=16, **kwargs)
     raise ValueError(f"unknown representation {name!r}")
-
-
-def quantization_error(
-    weights: np.ndarray, representation: WeightRepresentation
-) -> Tuple[float, float]:
-    """(max, rms) absolute round-trip error of storing ``weights``."""
-    restored = representation.roundtrip(weights)
-    err = np.abs(np.asarray(weights, dtype=np.float64) - restored)
-    rms = float(np.sqrt(np.mean(err**2))) if err.size else 0.0
-    return float(err.max()) if err.size else 0.0, rms

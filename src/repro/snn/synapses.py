@@ -110,26 +110,3 @@ class SynapticConductance:
         self.g *= self._decay
         self.g += injected
         return self.g
-
-    def inject_through_weights(
-        self, weights: np.ndarray, presynaptic_spikes: np.ndarray
-    ) -> np.ndarray:
-        """Decay, then add ``spikes @ weights`` (spikes as 0/1 array).
-
-        ``weights`` has shape ``(n_pre, n_post)`` (or a stack, see
-        :func:`propagate_spikes`); the conductance of postsynaptic
-        neuron ``j`` grows by ``sum_i w[i, j] s[i]`` per batch element.
-        """
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape[-1] != self.n_neurons:
-            raise ValueError(
-                f"weights must map onto {self.n_neurons} postsynaptic neurons, "
-                f"got shape {weights.shape}"
-            )
-        drive = propagate_spikes(weights, presynaptic_spikes)
-        if drive.shape != self.state_shape:
-            raise ValueError(
-                f"spike batch produced drive of shape {drive.shape}; "
-                f"expected the state shape {self.state_shape}"
-            )
-        return self.step(drive)

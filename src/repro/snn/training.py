@@ -14,7 +14,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.rng import ensure_rng
-from repro.snn.encoding import poisson_rate_code
 from repro.snn.network import DiehlCookNetwork
 from repro.snn.stdp import STDPParameters, normalize_columns
 
@@ -52,21 +51,11 @@ class TrainedModel:
         network.neurons.theta = np.asarray(self.theta, dtype=network.dtype).copy()
 
 
-Encoder = Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
-
-
-def _default_encoder(
-    image: np.ndarray, n_steps: int, rng: np.random.Generator
-) -> np.ndarray:
-    return poisson_rate_code(image, n_steps, rng=rng)
-
-
 def run_spike_counts(
     network: DiehlCookNetwork,
     images: np.ndarray,
     n_steps: int,
     rng: np.random.Generator,
-    encoder: Encoder = _default_encoder,
 ) -> np.ndarray:
     """Spike-count responses (n_samples, n_neurons) without learning.
 
@@ -78,11 +67,7 @@ def run_spike_counts(
 
     evaluator = BatchedEvaluator.for_network(network)
     return evaluator.spike_counts(
-        np.asarray(images, dtype=np.float64),
-        n_steps,
-        rng,
-        weights=network.weights,
-        encoder=None if encoder is _default_encoder else encoder,
+        np.asarray(images, dtype=np.float64), n_steps, rng, weights=network.weights
     )
 
 
@@ -132,11 +117,10 @@ def evaluate_accuracy(
     assignments: np.ndarray,
     n_steps: int,
     rng: np.random.Generator,
-    encoder: Encoder = _default_encoder,
     n_classes: int = 10,
 ) -> float:
     """Classification accuracy of ``network`` on a labelled set."""
-    counts = run_spike_counts(network, images, n_steps, rng, encoder)
+    counts = run_spike_counts(network, images, n_steps, rng)
     predictions = predict(counts, assignments, n_classes)
     return float((predictions == np.asarray(labels)).mean())
 
@@ -200,7 +184,6 @@ def train_unsupervised(
     epochs: int = 1,
     stdp_parameters: Optional[STDPParameters] = None,
     rng: Optional[np.random.Generator] = None,
-    encoder: Encoder = _default_encoder,
     corrupt_weights: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     n_classes: int = 10,
     batch_size: int = 1,
@@ -233,22 +216,21 @@ def train_unsupervised(
         raise ValueError("images and labels must align")
 
     model = _fit(
-        network, images, n_steps, epochs, rng, encoder, encoding_cache,
+        network, images, n_steps, epochs, rng, encoding_cache,
         stdp_parameters=stdp_parameters,
         batch_size=batch_size,
         corrupt_weights=corrupt_weights,
     )
-    counts = run_spike_counts(network, images, n_steps, rng, encoder)
+    counts = run_spike_counts(network, images, n_steps, rng)
     model.assignments = assign_labels(counts, labels, n_classes)
     model.accuracy = evaluate_accuracy(
-        network, images, labels, model.assignments, n_steps, rng, encoder, n_classes
+        network, images, labels, model.assignments, n_steps, rng, n_classes
     )
     return model
 
 
 def _fit(
-    network, images, n_steps, epochs, rng, encoder=_default_encoder,
-    encoding_cache=None, **trainer,
+    network, images, n_steps, epochs, rng, encoding_cache=None, **trainer
 ) -> TrainedModel:
     """The training of :func:`train_unsupervised`: no labels, no score.
 
@@ -258,9 +240,7 @@ def _fit(
     """
     from repro.engine.trainer import BatchedTrainer
 
-    fitter = BatchedTrainer(
-        network, encoder=None if encoder is _default_encoder else encoder, **trainer
-    )
+    fitter = BatchedTrainer(network, **trainer)
     fitter.train(
         images, n_steps=n_steps, epochs=epochs, rng=rng, encoding_cache=encoding_cache
     )

@@ -184,12 +184,6 @@ class MetricsRegistry:
             with self._lock:
                 _fold_histogram_locked(hist, data)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-
 
 def _fold_histogram_locked(hist: Histogram, data: Mapping[str, Any]) -> None:
     counts = data.get("counts") or []

@@ -1,11 +1,10 @@
-"""SNN inference → DRAM access trace generation and statistics."""
+"""SNN inference → DRAM access trace generation."""
 
 from repro.trace.generator import (
     InferenceTraceSpec,
     chunks_for_weights,
     inference_read_trace,
 )
-from repro.trace.stats import TraceSummary, summarize_trace
 from repro.trace.tiling import (
     TiledInferencePlan,
     buffer_sweep,
@@ -19,6 +18,4 @@ __all__ = [
     "InferenceTraceSpec",
     "chunks_for_weights",
     "inference_read_trace",
-    "TraceSummary",
-    "summarize_trace",
 ]

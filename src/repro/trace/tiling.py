@@ -8,8 +8,7 @@ that relationship:
 - :func:`refetch_passes_for_buffer` — given the on-chip buffer size,
   the weight tensor size, and how the inference loop is tiled, compute
   how many times each weight is fetched per inference;
-- :class:`TiledInferencePlan` — the derived streaming plan, convertible
-  into an :class:`~repro.trace.generator.InferenceTraceSpec`.
+- :class:`TiledInferencePlan` — the derived streaming plan.
 
 The fully-connected Fig. 4(a) workload processes T timesteps; each
 timestep needs every input row of the weight matrix that carries a
@@ -28,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.trace.generator import InferenceTraceSpec
 
 SCHEDULES = ("weight-stationary", "output-stationary")
 
@@ -49,20 +47,9 @@ class TiledInferencePlan:
         return self.n_weights * self.bits_per_weight
 
     @property
-    def fits_on_chip(self) -> bool:
-        return self.tensor_bits <= self.buffer_bits
-
-    @property
     def total_traffic_bits(self) -> int:
         """DRAM read traffic of one inference."""
         return self.tensor_bits * self.refetch_passes
-
-    def to_trace_spec(self) -> InferenceTraceSpec:
-        return InferenceTraceSpec(
-            n_weights=self.n_weights,
-            bits_per_weight=self.bits_per_weight,
-            refetch_passes=self.refetch_passes,
-        )
 
 
 def refetch_passes_for_buffer(

@@ -132,7 +132,7 @@ def reference_run_sample(network, train, stdp=None, adapt=None, normalize=None):
     return counts
 
 
-def sequential_spike_counts(evaluator, images, n_steps, rng, weights, encoder=None):
+def sequential_spike_counts(evaluator, images, n_steps, rng, weights):
     """Spike counts of ``evaluator``'s network, one sample at a time.
 
     Same contract as :meth:`BatchedEvaluator.spike_counts` (without
@@ -141,9 +141,7 @@ def sequential_spike_counts(evaluator, images, n_steps, rng, weights, encoder=No
     stack gives ``(E, B, n_neurons)``, and ``rng`` draws the same
     encoding stream.
     """
-    trains = encode_spike_trains(
-        np.asarray(images, dtype=np.float64), n_steps, rng, encoder=encoder
-    )
+    trains = encode_spike_trains(np.asarray(images, dtype=np.float64), n_steps, rng)
     weights = np.asarray(weights, dtype=evaluator.dtype)
     net = DiehlCookNetwork(
         evaluator.parameters, init_weights=False, dtype=evaluator.dtype

@@ -1,4 +1,4 @@
-"""Tests of the analysis helpers: platforms (Fig. 1b), sweeps, reporting."""
+"""Tests of the analysis helpers: platforms (Fig. 1b) and reporting."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,6 @@ from repro.analysis.platforms import (
     energy_breakdown,
 )
 from repro.analysis.reporting import format_percent_row, format_table
-from repro.analysis.sweeps import energy_vs_voltage_sweep
-from repro.dram.specs import tiny_spec
 
 
 class TestWorkload:
@@ -59,25 +57,6 @@ class TestPlatforms:
         empty = SNNWorkload(synaptic_ops=0, spike_events=0, weight_bits_fetched=0)
         with pytest.raises(ValueError):
             TRUENORTH.fractions(empty)
-
-
-class TestSweeps:
-    def test_energy_vs_voltage_monotone(self):
-        # tiny spec has 128 column slots; 64 fp32 weights need 64 slots
-        energies = energy_vs_voltage_sweep(
-            tiny_spec(), n_weights=64, bits_per_weight=32,
-            voltages=(1.35, 1.175, 1.025),
-        )
-        assert energies[1.35] > energies[1.175] > energies[1.025]
-
-    def test_refetch_scales_energy(self):
-        once = energy_vs_voltage_sweep(
-            tiny_spec(), 64, 32, voltages=(1.35,), refetch_passes=1
-        )[1.35]
-        twice = energy_vs_voltage_sweep(
-            tiny_spec(), 64, 32, voltages=(1.35,), refetch_passes=2
-        )[1.35]
-        assert twice == pytest.approx(2 * once, rel=0.1)
 
 
 class TestReporting:

@@ -4,13 +4,7 @@ import csv
 
 import pytest
 
-from repro.analysis.export import (
-    export_accuracy_curve,
-    export_tolerance_report,
-    write_rows,
-)
-from repro.analysis.sweeps import AccuracySweepPoint
-from repro.core.tolerance_analysis import TolerancePoint, ToleranceReport
+from repro.analysis.export import write_rows
 
 
 def read_csv(path):
@@ -37,30 +31,24 @@ class TestWriteRows:
         assert path.exists()
 
 
-class TestDomainExports:
-    def test_accuracy_curve(self, tmp_path):
-        points = (
-            AccuracySweepPoint(ber=1e-5, accuracy=0.9),
-            AccuracySweepPoint(ber=1e-3, accuracy=0.8),
-        )
-        path = export_accuracy_curve(tmp_path / "curve.csv", points, label="baseline")
-        rows = read_csv(path)
-        assert rows[0] == ["label", "ber", "accuracy"]
-        assert rows[1][0] == "baseline"
-        assert float(rows[2][2]) == 0.8
+class TestRecordEquivalence:
+    def test_execution_fields_are_ignored(self, run_record_factory):
+        from repro.analysis.export import records_equivalent
 
-    def test_tolerance_report(self, tmp_path):
-        report = ToleranceReport(
-            points=(TolerancePoint(1e-5, 0.9, 2),),
-            target_accuracy=0.88,
-            ber_threshold=1e-5,
-            baseline_accuracy=0.9,
-        )
-        path = export_tolerance_report(tmp_path / "tol.csv", report)
-        rows = read_csv(path)
-        kinds = [r[0] for r in rows[1:]]
-        assert kinds == ["point", "target_accuracy", "ber_threshold"]
-        assert float(rows[1][1]) == 1e-5
+        serial = [run_record_factory("a"), run_record_factory("b")]
+        cluster = [
+            run_record_factory("a", wall_time_s=9.0, cache_hits=0, cache_misses=4),
+            run_record_factory("b", wall_time_s=0.1),
+        ]
+        assert records_equivalent(serial, cluster)
+
+    def test_value_order_and_length_differences_count(self, run_record_factory):
+        from repro.analysis.export import records_equivalent
+
+        a, b = run_record_factory("a"), run_record_factory("b")
+        assert not records_equivalent([a], [run_record_factory("a", improved_accuracy=0.47)])
+        assert not records_equivalent([a, b], [b, a])
+        assert not records_equivalent([a, b], [a])
 
 
 class TestRunRecordExports:

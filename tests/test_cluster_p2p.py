@@ -1,8 +1,8 @@
 """Peer-to-peer artifact fabric + journal compaction tests.
 
 The fabric contract: artifact bytes flow worker-to-worker (the
-coordinator serves metadata: lease ``sources`` hints and ``locate``
-answers), a chain only the hub holds is pulled from the hub, and every
+coordinator serves metadata: lease ``sources`` hints from its routing
+table), a chain only the hub holds is pulled from the hub, and every
 failure mode — dead peer, refused key, stale hint — falls back
 transparently to the hub, so records stay value-identical to the
 serial Runner no matter which path the bytes took.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.mapping_policy import (
+    MAPPING_POLICIES,
     InsufficientSafeCapacityError,
     baseline_mapping,
     sparkxd_mapping,
@@ -141,6 +142,29 @@ class TestSparkXDMapping:
                 org, n_weights=4, bits_per_weight=32,
                 profile=profile_with_rates(other, rates), ber_threshold=1.0,
             )
+
+
+    @pytest.mark.parametrize("n_weights,bits", [(0, 32), (4, 0)])
+    def test_empty_tensor_rejected(self, org, n_weights, bits):
+        rates = np.zeros(org.total_subarrays)
+        with pytest.raises(ValueError, match="must be > 0"):
+            sparkxd_mapping(
+                org, n_weights=n_weights, bits_per_weight=bits,
+                profile=profile_with_rates(org, rates), ber_threshold=1.0,
+            )
+
+
+class TestPolicyRegistry:
+    @pytest.mark.parametrize("name", ["baseline", "sparkxd"])
+    def test_registered_policy_builds_its_labelled_mapping(self, org, name):
+        # The mapping stage calls policies through the registry; a policy
+        # labels its mappings the way infeasible outcomes are reported.
+        policy = MAPPING_POLICIES.get(name)
+        rates = np.zeros(org.total_subarrays)
+        mapping = policy(org, 16, 32, profile_with_rates(org, rates), 1.0)
+        assert mapping.policy == policy.label
+        assert mapping.n_weights == 16
+        assert len(np.unique(mapping.slot_of_chunk)) == len(mapping.slot_of_chunk)
 
 
 class TestWeightMappingInvariants:

@@ -57,17 +57,6 @@ class TestDeterminismAndSplits:
         overlap = sum(img.tobytes() in train_set for img in ds.test_images)
         assert overlap == 0
 
-    def test_subset(self):
-        ds = load_synthetic_mnist(30, 20, seed=1)
-        sub = ds.subset(10, 5)
-        assert sub.n_train == 10 and sub.n_test == 5
-        assert np.array_equal(sub.train_images, ds.train_images[:10])
-
-    def test_subset_too_large_rejected(self):
-        ds = load_synthetic_mnist(10, 5, seed=1)
-        with pytest.raises(ValueError):
-            ds.subset(11, 5)
-
 
 class TestClassStructure:
     def test_prototypes_distinct(self):
@@ -130,6 +119,26 @@ class TestPipelineHelpers:
             Dataset(
                 name="bad",
                 train_images=np.zeros((2, 3), dtype=np.float32),
+                train_labels=np.zeros(2, dtype=np.int64),
+                test_images=np.zeros((1, N_PIXELS), dtype=np.float32),
+                test_labels=np.zeros(1, dtype=np.int64),
+            )
+
+    def test_dataset_rejects_misaligned_labels(self):
+        with pytest.raises(ValueError, match="test labels must align"):
+            Dataset(
+                name="bad",
+                train_images=np.zeros((2, N_PIXELS), dtype=np.float32),
+                train_labels=np.zeros(2, dtype=np.int64),
+                test_images=np.zeros((3, N_PIXELS), dtype=np.float32),
+                test_labels=np.zeros(2, dtype=np.int64),
+            )
+
+    def test_dataset_rejects_out_of_range_pixels(self):
+        with pytest.raises(ValueError, match=r"train pixel values must lie in \[0, 1\]"):
+            Dataset(
+                name="bad",
+                train_images=np.full((2, N_PIXELS), 1.5, dtype=np.float32),
                 train_labels=np.zeros(2, dtype=np.int64),
                 test_images=np.zeros((1, N_PIXELS), dtype=np.float32),
                 test_labels=np.zeros(1, dtype=np.int64),

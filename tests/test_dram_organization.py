@@ -115,13 +115,12 @@ class TestSubarrays:
 
 
 class TestCoordinateHelpers:
-    def test_same_row_and_same_bank(self):
+    def test_same_row(self):
         a = DramCoordinate(0, 0, 0, 1, 2, 3, 4)
         b = DramCoordinate(0, 0, 0, 1, 2, 3, 7)
         c = DramCoordinate(0, 0, 0, 1, 0, 3, 4)
         assert a.same_row(b) and b.same_row(a)
         assert not a.same_row(c)
-        assert a.same_bank(c)
 
     def test_ordering_is_lexicographic(self):
         a = DramCoordinate(0, 0, 0, 0, 0, 0, 1)

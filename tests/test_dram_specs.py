@@ -1,6 +1,7 @@
 """Unit tests for DRAM device specifications."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -9,8 +10,9 @@ from repro.dram.specs import (
     DramSpec,
     ElectricalParameters,
     LPDDR3_1600_4GB,
-    NominalTimings,
     get_dram_spec,
+    spec_from_dict,
+    spec_to_dict,
     tiny_spec,
 )
 
@@ -40,12 +42,6 @@ class TestDramGeometry:
         g = dataclasses.replace(DramGeometry(), **{field: 0})
         with pytest.raises(ValueError, match=field):
             g.validate()
-
-
-class TestNominalTimings:
-    def test_row_cycle_is_ras_plus_rp(self):
-        t = NominalTimings(t_ras_ns=42.0, t_rp_ns=18.0)
-        assert t.t_rc_ns == pytest.approx(60.0)
 
 
 class TestElectricalParameters:
@@ -78,6 +74,16 @@ class TestPaperSpec:
         assert small.geometry.banks_per_chip == LPDDR3_1600_4GB.geometry.banks_per_chip
         assert small.timings == LPDDR3_1600_4GB.timings
         small.validate()
+
+
+class TestWireForm:
+    @pytest.mark.parametrize(
+        "spec", [LPDDR3_1600_4GB, tiny_spec().scaled(rows_per_subarray=8)], ids=["lpddr3", "custom"]
+    )
+    def test_dict_roundtrip_through_json(self, spec):
+        # Configs ship their spec to workers as JSON; an unregistered
+        # custom device must arrive whole.
+        assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
 
 
 class TestTinySpec:

@@ -47,13 +47,6 @@ class TestTimingForVoltage:
 
 
 class TestTimingParameters:
-    def test_row_cycle_time(self):
-        t = TimingParameters(
-            v_supply=1.35, clock_ns=1.25, t_rcd_ns=18, t_ras_ns=42,
-            t_rp_ns=18, t_cl_ns=15, burst_length=8,
-        )
-        assert t.t_rc_ns == pytest.approx(60)
-
     def test_burst_time_is_ddr(self):
         t = TimingParameters(
             v_supply=1.35, clock_ns=1.25, t_rcd_ns=18, t_ras_ns=42,
@@ -61,20 +54,3 @@ class TestTimingParameters:
         )
         # 8 beats at 2 beats per 1.25ns cycle -> 5 ns.
         assert t.burst_time_ns == pytest.approx(5.0)
-
-    def test_cycles_rounds_up(self):
-        t = TimingParameters(
-            v_supply=1.35, clock_ns=1.25, t_rcd_ns=18, t_ras_ns=42,
-            t_rp_ns=18, t_cl_ns=15, burst_length=8,
-        )
-        assert t.cycles(0.0) == 0
-        assert t.cycles(1.25) == 1
-        assert t.cycles(1.3) == 2
-
-    def test_cycles_rejects_negative(self):
-        t = TimingParameters(
-            v_supply=1.35, clock_ns=1.25, t_rcd_ns=18, t_ras_ns=42,
-            t_rp_ns=18, t_cl_ns=15, burst_length=8,
-        )
-        with pytest.raises(ValueError):
-            t.cycles(-1.0)

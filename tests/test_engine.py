@@ -16,7 +16,7 @@ from snn_oracle import sequential_spike_counts
 from repro.engine import BatchedEvaluator, ChunkPolicy, encode_spike_trains
 from repro.engine.encoding import skip_spike_trains
 from repro.errors.injection import ErrorInjector
-from repro.snn.encoding import poisson_rate_code, rank_order_code
+from repro.snn.encoding import MAX_RATE_HZ, poisson_rate_code
 from repro.snn.network import DiehlCookNetwork, NetworkParameters, sample_drive
 from repro.snn.quantization import Float32Representation
 from repro.snn.training import evaluate_accuracy, predict, run_spike_counts
@@ -144,20 +144,6 @@ class TestTrainingHelpersRouting:
         b = float((predict(counts, assignments, 10) == labels).mean())
         assert a == b
 
-    def test_custom_encoder_still_vectorizes_simulation(self, setup):
-        network, images, _ = setup
-
-        def encoder(image, n_steps, rng):
-            return poisson_rate_code(image, n_steps, rng=rng)
-
-        batched = run_spike_counts(
-            network, images, 25, np.random.default_rng(7), encoder=encoder
-        )
-        default = run_spike_counts(
-            network, images, 25, np.random.default_rng(7)
-        )
-        assert np.array_equal(batched, default)
-
 
 class TestEncoding:
     def test_batch_encode_matches_per_image_stream(self):
@@ -172,23 +158,6 @@ class TestEncoding:
         # ...and the generators end in the same state.
         assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
         # Step-major storage: the drive operator's row order is a view.
-        assert batch.transpose(1, 0, 2).flags.c_contiguous
-
-    @pytest.mark.parametrize(
-        "encoder",
-        [
-            lambda image, n_steps, rng: poisson_rate_code(image, n_steps, rng=rng),
-            lambda image, n_steps, rng: rank_order_code(image, n_steps),
-        ],
-        ids=["rate", "rank-order"],
-    )
-    def test_custom_encoder_matches_per_image_calls(self, encoder):
-        images = np.random.default_rng(0).random((6, 30))
-        batch_rng, loop_rng = np.random.default_rng(42), np.random.default_rng(42)
-        batch = encode_spike_trains(images, 17, batch_rng, encoder=encoder)
-        loop = np.stack([encoder(img, 17, loop_rng) for img in images])
-        assert batch.dtype == bool and np.array_equal(batch, loop)
-        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
         assert batch.transpose(1, 0, 2).flags.c_contiguous
 
     def test_drive_matrix_copies_no_trains(self):
@@ -216,6 +185,29 @@ class TestEncoding:
             np.empty((0, 12)), 5, np.random.default_rng(0)
         )
         assert out.shape == (0, 5, 12)
+
+    @pytest.mark.parametrize("shape", [(12,), (3, 0), (2, 3, 4)])
+    def test_rejects_non_matrix_images(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            encode_spike_trains(np.zeros(shape), 5, np.random.default_rng())
+
+    def test_rejects_non_positive_steps(self):
+        with pytest.raises(ValueError, match="n_steps"):
+            encode_spike_trains(np.zeros((2, 4)), 0, np.random.default_rng())
+
+    def test_chunked_encoding_matches_one_call(self):
+        # The guarantee ChunkPolicy's sample-axis split relies on.
+        images = np.random.default_rng(1).random((7, 25))
+        whole_rng, chunk_rng = np.random.default_rng(9), np.random.default_rng(9)
+        whole = encode_spike_trains(images, 11, whole_rng)
+        chunks = [encode_spike_trains(images[s], 11, chunk_rng) for s in (slice(0, 3), slice(3, 7))]
+        assert np.array_equal(whole, np.concatenate(chunks))
+        assert whole_rng.bit_generator.state == chunk_rng.bit_generator.state
+
+    def test_all_bright_images_spike_at_the_rate_ceiling(self):
+        # ChunkPolicy's encode term assumes MAX_RATE_HZ * 1e-3 spikes per bit.
+        trains = encode_spike_trains(np.ones((20, 100)), 500, np.random.default_rng(3))
+        assert trains.mean() == pytest.approx(MAX_RATE_HZ * 1e-3, rel=0.03)
 
 
 def _same_state(a, b):
@@ -278,14 +270,18 @@ class TestChunkPolicy:
         assert [s.stop - s.start for s in slices] == [5, 5, 3]
         assert slices[-1] == slice(10, 13)
 
+    @pytest.mark.parametrize("bright", [False, True], ids=["mnist-like", "all-bright"])
     @pytest.mark.parametrize("n_realizations", [1, 3])
-    def test_traced_peak_within_the_estimate(self, n_realizations):
+    def test_traced_peak_within_the_estimate(self, n_realizations, bright):
         """An N400 pass holds what the policy counts, far below the drive tensor.
 
         Besides ``bytes_per_sample x chunk`` and the policy's fixed drive
         block term, the named overhead is the weight copy the network
         installs plus 1 MiB of interpreter and index slack.  E=1 runs a
         single matrix, E=3 a low-BER stack sharing the clean drive.
+        MNIST-like images spike on about 45% of the rate code's ceiling;
+        all-bright ones reach it (``MAX_RATE_HZ * 1e-3`` = 0.06375 spikes
+        per input bit), the density the policy's encode term assumes.
         """
         n_input, n_neurons, n_samples, n_steps = 784, 400, 300, 100
         rng = np.random.default_rng(8)
@@ -294,6 +290,8 @@ class TestChunkPolicy:
         )
         network.neurons.theta = rng.uniform(0.0, 2.0, n_neurons)
         images = np.clip(rng.random((n_samples, n_input)) - 0.55, 0.0, 0.45) * 2
+        if bright:
+            images = np.ones_like(images)
         weights, base = network.weights, None
         if n_realizations > 1:
             injector = ErrorInjector(Float32Representation(clip_range=(0, 1)), seed=7)
@@ -317,6 +315,18 @@ class TestChunkPolicy:
         overhead = policy.fixed_bytes() + weights.nbytes + 2**20
         assert peak <= policy.bytes_per_sample(*dims) * chunk + overhead
         assert peak < n_steps * n_realizations * n_samples * n_neurons * 8
+
+    def test_fixed_bytes_come_off_the_budget_first(self):
+        dims = (1, 100, 784, 400)
+        policy = ChunkPolicy(max_bytes=64 * 2**20)
+        per_sample = policy.bytes_per_sample(*dims)
+        expected = (64 * 2**20 - policy.fixed_bytes()) // per_sample
+        assert policy.samples_per_chunk(*dims) == expected > 0
+
+    def test_empty_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            ChunkPolicy().bytes_per_sample(1, 100, 0, 400)
+        assert list(ChunkPolicy().iter_chunks(0, 4)) == []
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,125 +1,80 @@
-"""Tests of bit-level views and flipping."""
+"""Tests of XOR bit flipping into unsigned word arrays."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors.bitops import (
-    bits_to_float32,
-    bits_to_int8,
-    flip_bits_float32,
-    flip_bits_int8,
-    flip_bits_uint,
-    float32_to_bits,
-    int8_to_bits,
-    msb_positions,
-    popcount_difference,
-)
+from repro.errors.bitops import flip_bits_uint
+
+#: The float32 bit patterns of 0.1, 0.3, 0.5 and 0.9, as stored weights.
+WORDS = np.array([0x3DCCCCCD, 0x3E99999A, 0x3F000000, 0x3F666666], dtype=np.uint32)
 
 
-class TestViews:
-    def test_float32_bit_view_roundtrip(self):
-        values = np.array([0.0, 1.0, -2.5, 3.14e-7], dtype=np.float32)
-        assert np.array_equal(bits_to_float32(float32_to_bits(values)), values)
-
-    def test_known_float_pattern(self):
-        # IEEE-754: 1.0f == 0x3F800000
-        assert float32_to_bits(np.array([1.0], dtype=np.float32))[0] == 0x3F800000
-
-    def test_int8_view_roundtrip(self):
-        values = np.array([-128, -1, 0, 127], dtype=np.int8)
-        assert np.array_equal(bits_to_int8(int8_to_bits(values)), values)
-
-
-class TestFlipFloat32:
+class TestFlipUint:
     def test_no_flips_is_identity(self):
-        values = np.array([[0.5, 0.25], [0.125, 1.0]], dtype=np.float32)
-        out = flip_bits_float32(values, np.array([], dtype=np.int64))
-        assert np.array_equal(out, values)
-        assert out.shape == values.shape
+        words = WORDS.reshape(2, 2)
+        out = flip_bits_uint(words, np.array([], dtype=np.int64), 32)
+        assert np.array_equal(out, words)
+        assert out.shape == words.shape
 
-    def test_sign_bit_flip_negates(self):
-        values = np.array([1.5], dtype=np.float32)
-        out = flip_bits_float32(values, np.array([31]))
-        assert out[0] == pytest.approx(-1.5)
+    def test_flip_bits_uint16(self):
+        words = np.array([0], dtype=np.uint16)
+        out = flip_bits_uint(words, np.array([15]), 16)
+        assert out[0] == 0x8000
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_top_and_bottom_bit_of_each_word_type(self, dtype):
+        # uint8 and uint16 hold fixed-point weights, uint32 float32 ones.
+        word_bits = 8 * np.dtype(dtype).itemsize
+        words = np.zeros(2, dtype=dtype)
+        out = flip_bits_uint(words, np.array([word_bits - 1, word_bits]), word_bits)
+        assert out.dtype == np.dtype(dtype)
+        assert int(out[0]) == 1 << (word_bits - 1)
+        assert int(out[1]) == 1
 
     def test_flip_is_out_of_place(self):
-        values = np.array([1.0], dtype=np.float32)
-        flip_bits_float32(values, np.array([31]))
-        assert values[0] == 1.0
+        words = np.array([1], dtype=np.uint32)
+        flip_bits_uint(words, np.array([31]), 32)
+        assert words[0] == 1
 
-    def test_second_element_addressing(self):
-        values = np.array([1.0, 1.0], dtype=np.float32)
-        out = flip_bits_float32(values, np.array([32 + 31]))  # sign of element 1
-        assert out[0] == 1.0
-        assert out[1] == -1.0
+    def test_out_flips_in_place(self):
+        words = np.array([1], dtype=np.uint32)
+        out = flip_bits_uint(words, np.array([31]), 32, out=words)
+        assert words[0] == 0x80000001 and out[0] == words[0]
 
-    def test_exponent_flip_changes_magnitude_hugely(self):
-        # The paper's label-2 observation: MSB flips change the weight
-        # value by orders of magnitude.
-        values = np.array([0.5], dtype=np.float32)
-        out = flip_bits_float32(values, np.array([30]))  # exponent MSB
-        assert abs(out[0]) > 1e30 or out[0] == 0.0 or not np.isfinite(out[0])
+    def test_second_word_addressing(self):
+        words = np.zeros(2, dtype=np.uint32)
+        out = flip_bits_uint(words, np.array([32 + 31]), 32)
+        assert out.tolist() == [0, 0x80000000]
 
-    def test_out_of_range_bit_rejected(self):
+    def test_index_past_the_last_word_rejected(self):
         with pytest.raises(IndexError):
-            flip_bits_float32(np.array([1.0], dtype=np.float32), np.array([32]))
+            flip_bits_uint(np.array([0, 0], dtype=np.uint8), np.array([16]), 8)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(IndexError):
+            flip_bits_uint(np.array([0, 0], dtype=np.uint8), np.array([-1]), 8)
+
+    def test_duplicate_flips_cancel(self):
+        words = np.array([42], dtype=np.uint8)
+        out = flip_bits_uint(words, np.array([3, 3]), 8)
+        assert out[0] == 42
 
     @settings(max_examples=100, deadline=None)
     @given(
         bits=st.lists(st.integers(min_value=0, max_value=4 * 32 - 1), max_size=16),
     )
     def test_double_flip_is_identity_property(self, bits):
-        values = np.linspace(0.1, 0.9, 4).astype(np.float32)
         idx = np.array(bits + bits, dtype=np.int64)  # every bit flipped twice
-        out = flip_bits_float32(values, idx)
-        assert np.array_equal(out.view(np.uint32), values.view(np.uint32))
+        out = flip_bits_uint(WORDS, idx, 32)
+        assert np.array_equal(out, WORDS)
 
     @settings(max_examples=100, deadline=None)
     @given(
         bits=st.sets(st.integers(min_value=0, max_value=4 * 32 - 1), max_size=16),
     )
     def test_flip_count_matches_popcount_property(self, bits):
-        values = np.linspace(0.1, 0.9, 4).astype(np.float32)
-        out = flip_bits_float32(values, np.array(sorted(bits), dtype=np.int64))
-        diff = popcount_difference(values.view(np.uint32), out.view(np.uint32))
+        out = flip_bits_uint(WORDS, np.array(sorted(bits), dtype=np.int64), 32)
+        diff = np.unpackbits((WORDS ^ out).view(np.uint8)).sum()
         assert diff == len(bits)
-
-
-class TestFlipInt8:
-    def test_lsb_flip_changes_by_one(self):
-        values = np.array([4], dtype=np.int8)
-        out = flip_bits_int8(values, np.array([0]))
-        assert out[0] == 5
-
-    def test_msb_flip_wraps_to_negative(self):
-        values = np.array([0], dtype=np.int8)
-        out = flip_bits_int8(values, np.array([7]))
-        assert out[0] == -128
-
-    def test_duplicate_flips_cancel(self):
-        values = np.array([42], dtype=np.int8)
-        out = flip_bits_int8(values, np.array([3, 3]))
-        assert out[0] == 42
-
-
-class TestHelpers:
-    def test_flip_bits_uint16(self):
-        words = np.array([0], dtype=np.uint16)
-        out = flip_bits_uint(words, np.array([15]), 16)
-        assert out[0] == 0x8000
-
-    def test_popcount_requires_matching_arrays(self):
-        with pytest.raises(ValueError):
-            popcount_difference(
-                np.zeros(2, dtype=np.uint32), np.zeros(3, dtype=np.uint32)
-            )
-
-    def test_msb_positions(self):
-        assert msb_positions(8, 2) == (7, 6)
-        assert msb_positions(32, 1) == (31,)
-        with pytest.raises(ValueError):
-            msb_positions(8, 0)
-        with pytest.raises(ValueError):
-            msb_positions(8, 9)

@@ -14,6 +14,13 @@ from repro.errors.ecc import (
 from repro.snn.quantization import FixedPointRepresentation, Float32Representation
 
 
+def protected_roundtrip(rep, weights, flat_bit_indices):
+    """Store, flip the given codeword bits, read back corrected (padding
+    weights dropped)."""
+    decoded = rep.decode(rep.flip_bits(rep.encode(weights), flat_bit_indices))
+    return decoded.ravel()[: weights.size].reshape(weights.shape), rep.last_decode_report
+
+
 @pytest.fixture
 def data(rng):
     return rng.integers(0, 2**63, size=32, dtype=np.uint64)
@@ -75,7 +82,7 @@ class TestProtectedRepresentation:
     def test_clean_roundtrip_fp32(self, rng):
         weights = rng.random(100).astype(np.float32)
         rep = EccProtectedRepresentation(Float32Representation())
-        restored, report = rep.protected_roundtrip(weights, np.array([], dtype=np.int64))
+        restored, report = protected_roundtrip(rep, weights, np.array([], dtype=np.int64))
         assert np.array_equal(restored, weights)
         assert report.corrected_words == 0
 
@@ -83,7 +90,7 @@ class TestProtectedRepresentation:
         weights = rng.random(64).astype(np.float32)
         inner = FixedPointRepresentation(bits=8)
         rep = EccProtectedRepresentation(inner)
-        restored, _ = rep.protected_roundtrip(weights, np.array([], dtype=np.int64))
+        restored, _ = protected_roundtrip(rep, weights, np.array([], dtype=np.int64))
         assert np.array_equal(restored, inner.roundtrip(weights))
 
     def test_sparse_flips_fully_corrected(self, rng):
@@ -91,7 +98,7 @@ class TestProtectedRepresentation:
         weights = rng.random(16).astype(np.float32)  # 8 codewords
         rep = EccProtectedRepresentation(Float32Representation())
         flips = np.array([w * CODE_BITS + int(rng.integers(CODE_BITS)) for w in range(8)])
-        restored, report = rep.protected_roundtrip(weights, flips)
+        restored, report = protected_roundtrip(rep, weights, flips)
         assert np.array_equal(restored, weights)
         assert report.corrected_words == 8
 
@@ -99,7 +106,7 @@ class TestProtectedRepresentation:
         # two flips in the same codeword are uncorrectable
         weights = rng.random(2).astype(np.float32)  # one codeword
         rep = EccProtectedRepresentation(Float32Representation(sanitize=False))
-        restored, report = rep.protected_roundtrip(weights, np.array([3, 40]))
+        restored, report = protected_roundtrip(rep, weights, np.array([3, 40]))
         assert report.uncorrectable_words == 1
 
     def test_incompatible_inner_width_rejected(self):
@@ -108,6 +115,39 @@ class TestProtectedRepresentation:
 
         with pytest.raises(ValueError):
             EccProtectedRepresentation(Odd())
+
+    def test_narrow_inner_width_rejected(self):
+        # 4-bit weights divide 64 but would need 4.5 coded bits each
+        class Nibble:
+            bits_per_weight = 4
+
+        with pytest.raises(ValueError, match="whole number of coded bits"):
+            EccProtectedRepresentation(Nibble())
+
+    def test_decode_trims_padding_weights(self, rng):
+        # three fp32 weights pad the second 64-bit data word
+        weights = rng.random(3).astype(np.float32)
+        rep = EccProtectedRepresentation(Float32Representation())
+        stored = rep.encode(weights)
+        assert stored.size == 2 * CODE_BITS
+        assert np.array_equal(rep.decode(stored), weights)
+
+    def test_decode_rejects_partial_codeword(self, rng):
+        rep = EccProtectedRepresentation(Float32Representation())
+        stored = rep.encode(rng.random(2).astype(np.float32))
+        with pytest.raises(ValueError, match="whole number of codewords"):
+            rep.decode(stored[:-1])
+
+    def test_flip_is_out_of_place_and_range_checked(self, rng):
+        rep = EccProtectedRepresentation(Float32Representation())
+        stored = rep.encode(rng.random(2).astype(np.float32))
+        original = stored.copy()
+        flipped = rep.flip_bits(stored, np.array([0, CODE_BITS - 1]))
+        assert np.array_equal(stored, original)
+        assert np.count_nonzero(flipped != stored) == 2
+        for bad in (-1, CODE_BITS):
+            with pytest.raises(IndexError):
+                rep.flip_bits(stored, np.array([bad]))
 
     def test_works_through_error_injector(self, rng):
         from repro.errors.injection import ErrorInjector

@@ -37,6 +37,10 @@ class TestBitContext:
         with pytest.raises(ValueError):
             BitContext(n_bits=10, base_rate=0.1, bitline_of=np.zeros(5, dtype=int))
 
+    def test_word_geometry_must_cover_the_bits(self):
+        with pytest.raises(ValueError, match="3 words of 8 bits are not 32 bits"):
+            BitContext(n_bits=32, base_rate=0.1, words=np.zeros(3, dtype=np.uint8), word_bits=8)
+
     def test_negative_bits_rejected(self):
         with pytest.raises(ValueError):
             BitContext(n_bits=-1, base_rate=0.1)
@@ -96,6 +100,11 @@ class TestModel1:
         ctx = make_context(n_bits=400_000, rate=2e-3)
         flips = model.sample_flips(ctx, np.random.default_rng(2))
         assert flips.size / ctx.n_bits == pytest.approx(2e-3, rel=0.3)
+
+
+    def test_negative_sigma_rejected(self):
+        with pytest.raises(ValueError, match="sigma"):
+            ErrorModel1(sigma=-0.5)
 
 
 class TestModel2:

@@ -66,12 +66,6 @@ class TestSubarrayErrorProfile:
         assert profile.safe_fraction(1.0) == 1.0
         assert profile.safe_fraction(0.0) == 0.0
 
-    def test_rate_of_and_mean(self, org):
-        wc = WeakCellMap(org, sigma=0.3, seed=2)
-        profile = wc.profile_at(1.1)
-        assert profile.rate_of(0) == pytest.approx(profile.rates[0])
-        assert profile.mean_rate() == pytest.approx(profile.rates.mean())
-
     def test_shape_validation(self, org):
         with pytest.raises(ValueError):
             SubarrayErrorProfile(

@@ -51,6 +51,15 @@ class TestRegistry:
         reg.register("x", 2, overwrite=True)
         assert reg.get("x") == 2
 
+    def test_alias_collision_rejected(self):
+        reg = Registry("thing")
+        reg.register("a", 1, aliases=("shared",))
+        with pytest.raises(RegistryError, match="alias 'shared'"):
+            reg.register("b", 2, aliases=("shared",))
+        with pytest.raises(RegistryError, match="alias 'a'"):
+            reg.register("c", 3, aliases=("a",))
+        assert reg.get("shared") == 1
+
     def test_overwrite_displaces_stale_alias(self):
         reg = Registry("thing")
         reg.register("a", 1, aliases=("b",))

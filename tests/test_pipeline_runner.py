@@ -58,12 +58,6 @@ class TestRunnerValidation:
         with pytest.raises(ValueError):
             Runner(TINY, max_workers=0)
 
-    def test_configs_for_expands_grid(self):
-        runner = Runner(TINY)
-        configs = runner.configs_for({"seed": [1, 2], "mapping_policy": ["baseline"]})
-        assert [c.seed for c in configs] == [1, 2]
-        assert all(c.mapping_policy == "baseline" for c in configs)
-
 
 @pytest.mark.slow
 class TestRunnerExecution:

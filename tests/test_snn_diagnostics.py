@@ -88,6 +88,11 @@ class TestProbe:
         assert health.receptive_field_similarity > 0.95
         assert health.is_lockstep
 
+    def test_single_neuron_has_no_field_similarity(self, mini_mnist, rng):
+        net = DiehlCookNetwork(NetworkParameters(n_neurons=1), rng=rng)
+        health = check_training_health(net, mini_mnist.train_images[:3], n_steps=20, rng=rng)
+        assert health.receptive_field_similarity == 0.0
+
     def test_empty_probe_rejected(self, rng):
         net = DiehlCookNetwork(NetworkParameters(n_neurons=5), rng=rng)
         with pytest.raises(ValueError):

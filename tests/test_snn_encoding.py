@@ -1,15 +1,9 @@
-"""Tests of the spike coding schemes."""
+"""Tests of the Poisson rate code."""
 
 import numpy as np
 import pytest
 
-from repro.snn.encoding import (
-    ENCODERS,
-    burst_code,
-    phase_code,
-    poisson_rate_code,
-    rank_order_code,
-)
+from repro.snn.encoding import MAX_RATE_HZ, poisson_rate_code
 
 
 @pytest.fixture
@@ -29,9 +23,8 @@ class TestValidation:
             poisson_rate_code(np.array([]), 10)
 
     def test_rejects_bad_steps(self, image):
-        for encoder in (poisson_rate_code, rank_order_code):
-            with pytest.raises(ValueError):
-                encoder(image, 0)
+        with pytest.raises(ValueError):
+            poisson_rate_code(image, 0)
 
 
 class TestPoissonRate:
@@ -49,78 +42,31 @@ class TestPoissonRate:
 
     def test_rate_proportional_to_intensity(self):
         image = np.array([0.25, 1.0])
-        train = poisson_rate_code(
-            image, 40_000, max_rate_hz=100.0, rng=np.random.default_rng(0)
-        )
+        train = poisson_rate_code(image, 40_000, rng=np.random.default_rng(0))
         rates = train.mean(axis=0)
         assert rates[1] / rates[0] == pytest.approx(4.0, rel=0.15)
 
     def test_max_rate_honoured(self):
         image = np.ones(4)
-        train = poisson_rate_code(
-            image, 50_000, dt_ms=1.0, max_rate_hz=63.75, rng=np.random.default_rng(1)
-        )
+        train = poisson_rate_code(image, 50_000, rng=np.random.default_rng(1))
         # 63.75 Hz at 1 ms steps -> spike probability 0.06375
+        assert MAX_RATE_HZ == 63.75
         assert train.mean() == pytest.approx(0.06375, rel=0.05)
+
+    def test_spike_probability_is_intensity_times_max_rate(self):
+        image = np.array([0.2, 0.5, 1.0])
+        train = poisson_rate_code(image, 100_000, rng=np.random.default_rng(2))
+        expected = image * MAX_RATE_HZ * 1e-3
+        assert train.mean(axis=0) == pytest.approx(expected, rel=0.05)
+
+    def test_two_dimensional_image_is_flattened(self, rng):
+        image = rng.random((8, 8))
+        a = poisson_rate_code(image, 30, rng=np.random.default_rng(5))
+        b = poisson_rate_code(image.ravel(), 30, rng=np.random.default_rng(5))
+        assert a.shape == (30, 64)
+        assert np.array_equal(a, b)
 
     def test_deterministic_given_rng(self, image):
         a = poisson_rate_code(image, 20, rng=np.random.default_rng(3))
         b = poisson_rate_code(image, 20, rng=np.random.default_rng(3))
         assert np.array_equal(a, b)
-
-
-class TestRankOrder:
-    def test_each_active_pixel_spikes_exactly_once(self, image):
-        train = rank_order_code(image, 100)
-        assert np.array_equal(train.sum(axis=0), (image > 0).astype(int))
-
-    def test_brighter_spikes_earlier(self):
-        image = np.array([0.2, 0.9, 0.5])
-        train = rank_order_code(image, 30)
-        times = train.argmax(axis=0)
-        assert times[1] < times[2] < times[0]
-
-    def test_all_zero_image_is_silent(self):
-        train = rank_order_code(np.zeros(8), 10)
-        assert train.sum() == 0
-
-
-class TestPhase:
-    def test_period_structure(self):
-        image = np.array([1.0])
-        train = phase_code(image, 16, period=8)
-        assert np.array_equal(train[:8], train[8:])
-
-    def test_stronger_pixel_spikes_in_early_phase(self):
-        image = np.array([1.0, 1 / 255.0])
-        train = phase_code(image, 8, period=8)
-        # full intensity has its MSB set -> spikes in phase 0
-        assert train[0, 0]
-        assert not train[0, 1]
-
-    def test_zero_pixel_silent(self):
-        train = phase_code(np.array([0.0]), 16)
-        assert train.sum() == 0
-
-
-class TestBurst:
-    def test_burst_length_scales_with_intensity(self):
-        image = np.array([1.0, 0.5, 0.0])
-        train = burst_code(image, 10, max_burst=4)
-        assert train[:, 0].sum() == 4
-        assert train[:, 1].sum() == 2
-        assert train[:, 2].sum() == 0
-
-    def test_burst_is_contiguous_from_start(self):
-        train = burst_code(np.array([1.0]), 10, max_burst=3)
-        assert np.array_equal(np.flatnonzero(train[:, 0]), np.arange(3))
-
-    def test_burst_clipped_by_window(self):
-        train = burst_code(np.array([1.0]), 2, max_burst=5)
-        assert train[:, 0].sum() == 2
-
-
-class TestRegistry:
-    def test_all_four_codings_registered(self):
-        # Section II-A cites rate, rank-order, phase and burst coding.
-        assert set(ENCODERS) == {"rate", "rank-order", "phase", "burst"}

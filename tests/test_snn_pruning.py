@@ -1,73 +1,8 @@
-"""Tests of magnitude-based pruning (the Fig. 2a combination study)."""
+"""Tests of the pruned weight count (the Fig. 2a combination study)."""
 
-import numpy as np
 import pytest
 
-from repro.snn.pruning import connectivity, prune_by_magnitude, pruned_weight_count
-
-
-class TestConnectivity:
-    def test_full_matrix(self):
-        assert connectivity(np.ones((4, 4))) == 1.0
-
-    def test_half_zero(self):
-        weights = np.array([1.0, 0.0, 2.0, 0.0])
-        assert connectivity(weights) == 0.5
-
-    def test_threshold(self):
-        weights = np.array([0.05, 0.5])
-        assert connectivity(weights, threshold=0.1) == 0.5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            connectivity(np.array([]))
-
-
-class TestPrune:
-    def test_keeps_exact_fraction(self, rng):
-        weights = rng.random((20, 20))
-        pruned, mask = prune_by_magnitude(weights, 0.7)
-        assert mask.sum() == pruned_weight_count(weights.size, 0.7)
-        assert connectivity(pruned) == pytest.approx(0.7, abs=0.01)
-
-    def test_keeps_largest_magnitudes(self):
-        weights = np.array([0.1, 0.9, 0.5, 0.2])
-        pruned, mask = prune_by_magnitude(weights, 0.5)
-        assert mask.tolist() == [False, True, True, False]
-        assert pruned.tolist() == [0.0, 0.9, 0.5, 0.0]
-
-    def test_respects_sign(self):
-        weights = np.array([-0.9, 0.1])
-        pruned, _ = prune_by_magnitude(weights, 0.5)
-        assert pruned[0] == -0.9
-        assert pruned[1] == 0.0
-
-    def test_input_untouched(self, rng):
-        weights = rng.random(10)
-        original = weights.copy()
-        prune_by_magnitude(weights, 0.5)
-        assert np.array_equal(weights, original)
-
-    def test_full_connectivity_keeps_everything(self, rng):
-        weights = rng.random(10)
-        pruned, mask = prune_by_magnitude(weights, 1.0)
-        assert np.all(mask)
-        assert np.array_equal(pruned, weights)
-
-    def test_ties_trimmed_deterministically(self):
-        weights = np.full(10, 0.5)
-        _, mask = prune_by_magnitude(weights, 0.5)
-        assert mask.sum() == 5
-
-    def test_invalid_target_rejected(self, rng):
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                prune_by_magnitude(rng.random(4), bad)
-
-    def test_shape_preserved(self, rng):
-        weights = rng.random((7, 3))
-        pruned, mask = prune_by_magnitude(weights, 0.4)
-        assert pruned.shape == mask.shape == (7, 3)
+from repro.snn.pruning import pruned_weight_count
 
 
 class TestPrunedCount:

@@ -9,7 +9,6 @@ from repro.snn.quantization import (
     FixedPointRepresentation,
     Float32Representation,
     make_representation,
-    quantization_error,
 )
 
 
@@ -51,10 +50,53 @@ class TestFloat32:
         flipped = rep.flip_bits(words, np.array([0]))
         assert np.bitwise_xor(words, flipped)[0] == 1
 
-    def test_storage_bits(self):
-        assert Float32Representation().storage_bits(100) == 3200
-        with pytest.raises(ValueError):
-            Float32Representation().storage_bits(-1)
+    def test_no_flips_is_identity(self):
+        rep = Float32Representation()
+        weights = np.array([[0.5, 0.25], [0.125, 1.0]], dtype=np.float32)
+        out = rep.decode(rep.flip_bits(rep.encode(weights), np.array([], dtype=np.int64)))
+        assert out.shape == weights.shape
+        assert np.array_equal(out, weights)
+
+    def test_sign_bit_flip_negates(self):
+        rep = Float32Representation()
+        words = rep.encode(np.array([1.5], dtype=np.float32))
+        assert rep.decode(rep.flip_bits(words, np.array([31])))[0] == -1.5
+
+    def test_second_weight_addressing(self):
+        rep = Float32Representation()
+        words = rep.encode(np.array([1.0, 1.0], dtype=np.float32))
+        out = rep.decode(rep.flip_bits(words, np.array([32 + 31])))  # sign of weight 1
+        assert out.tolist() == [1.0, -1.0]
+
+    def test_exponent_flip_changes_magnitude_hugely(self):
+        # The paper's label-2 observation: MSB flips change the weight
+        # value by orders of magnitude.  0.5 = 2**-1; the exponent MSB
+        # (bit 30) turns it into 2**127, finite and so kept.
+        rep = Float32Representation()
+        words = rep.encode(np.array([0.5], dtype=np.float32))
+        assert rep.decode(rep.flip_bits(words, np.array([30])))[0] == 2.0**127
+
+    def test_exponent_flip_saturates_under_clip_range(self):
+        # The pipeline's setting: the corrupted weight reads as w_max.
+        rep = Float32Representation(clip_range=(0.0, 1.0))
+        words = rep.encode(np.array([0.5, -0.5], dtype=np.float32))
+        out = rep.decode(rep.flip_bits(words, np.array([30, 32 + 30])))
+        assert out.tolist() == [1.0, 0.0]
+
+    def test_flip_and_decode_never_write_their_input(self):
+        rep = Float32Representation(clip_range=(0.0, 1.0))
+        words = np.array([0x3F800000, 0x7FC00000], dtype=np.uint32)  # 1.0, NaN
+        original = words.copy()
+        rep.decode(rep.flip_bits(words, np.array([31])))
+        rep.decode(words)
+        assert np.array_equal(words, original)
+
+    def test_decode_in_place_reuses_the_buffer(self):
+        rep = Float32Representation()
+        words = rep.encode(np.array([0.25, 0.75], dtype=np.float32))
+        out = rep.decode_in_place(words)
+        assert np.shares_memory(out, words)
+        assert out.tolist() == [0.25, 0.75]
 
 
 class TestFixedPoint:
@@ -92,6 +134,38 @@ class TestFixedPoint:
         with pytest.raises(ValueError):
             FixedPointRepresentation(w_min=1.0, w_max=0.0)
 
+    def test_lsb_flip_changes_by_one_step(self):
+        rep = FixedPointRepresentation(bits=8)
+        words = rep.encode(np.array([4 * rep.step]))
+        out = rep.decode(rep.flip_bits(words, np.array([0])))
+        assert out[0] == pytest.approx(5 * rep.step)
+
+    def test_msb_flip_changes_by_max_flip_error(self):
+        rep = FixedPointRepresentation(bits=8, w_min=0.0, w_max=1.0)
+        words = rep.encode(np.array([0.0]))
+        out = rep.decode(rep.flip_bits(words, np.array([7])))
+        assert out[0] == pytest.approx(rep.max_flip_error())
+
+    def test_duplicate_flips_cancel(self):
+        rep = FixedPointRepresentation(bits=8)
+        words = rep.encode(np.array([0.4]))
+        assert np.array_equal(rep.flip_bits(words, np.array([3, 3])), words)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        value=st.floats(min_value=0.0, max_value=1.0),
+        bit=st.integers(min_value=0, max_value=7),
+    )
+    def test_bit_flip_error_is_its_place_value_property(self, value, bit):
+        # A flip of stored bit b moves the weight by (w_max - w_min) * 2**b
+        # / (2**bits - 1): the bound the class docstring states, met up to
+        # the float32 rounding of the two decoded weights (|w| <= 1).
+        rep = FixedPointRepresentation(bits=8, w_min=-1.0, w_max=1.0)
+        words = rep.encode(np.array([value]))
+        flipped = rep.decode(rep.flip_bits(words, np.array([bit])))
+        delta = float(flipped[0]) - float(rep.decode(words)[0])
+        assert abs(delta) == pytest.approx(2.0 * 2**bit / 255, rel=0, abs=2**-22)
+
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_quantisation_idempotent_property(self, value):
@@ -109,18 +183,16 @@ class TestFactoryAndErrors:
     def test_factory(self, name, bits):
         assert make_representation(name).bits_per_weight == bits
 
+    @pytest.mark.parametrize(
+        "name,dtype", [("float32", np.uint32), ("int8", np.uint8), ("int16", np.uint16)]
+    )
+    def test_encode_stores_the_word_dtype(self, name, dtype):
+        # Error injection flips bits of these words: one word per weight.
+        rep = make_representation(name)
+        words = rep.encode(np.array([0.0, 0.5, 1.0]))
+        assert words.dtype == rep.word_dtype == np.dtype(dtype)
+        assert 8 * words.dtype.itemsize == rep.word_bits
+
     def test_factory_unknown(self):
         with pytest.raises(ValueError):
             make_representation("int4")
-
-    def test_quantization_error_zero_for_float32(self, rng):
-        weights = rng.random(50).astype(np.float32)
-        max_err, rms = quantization_error(weights, Float32Representation())
-        assert max_err == 0.0
-        assert rms == 0.0
-
-    def test_quantization_error_bounded_for_int8(self, rng):
-        weights = rng.random(50)
-        rep = FixedPointRepresentation(bits=8)
-        max_err, rms = quantization_error(weights, rep)
-        assert 0 < rms <= max_err <= rep.step / 2 + 1e-9

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.snn.synapses import ConductanceParameters, SynapticConductance
+from repro.snn.synapses import (
+    ConductanceParameters,
+    SynapticConductance,
+    propagate_spikes,
+)
 
 
 class TestParameters:
@@ -55,23 +59,24 @@ class TestWeightInjection:
         g = SynapticConductance(2, tau_ms=1.0)
         weights = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
         spikes = np.array([1.0, 0.0, 1.0])
-        g.inject_through_weights(weights, spikes)
+        g.step(propagate_spikes(weights, spikes))
         assert g.g[0] == pytest.approx(0.1 + 0.5)
         assert g.g[1] == pytest.approx(0.2 + 0.6)
 
     def test_no_spikes_only_decays(self):
         g = SynapticConductance(2, tau_ms=1.0)
         g.g[:] = 1.0
-        weights = np.ones((3, 2))
-        g.inject_through_weights(weights, np.zeros(3))
+        g.step(propagate_spikes(np.ones((3, 2)), np.zeros(3)))
         assert np.all(g.g == pytest.approx(np.exp(-1.0)))
 
     def test_shape_validation(self):
         g = SynapticConductance(2, tau_ms=1.0)
+        # weights onto 5 postsynaptic neurons cannot drive 2
         with pytest.raises(ValueError):
-            g.inject_through_weights(np.ones((3, 5)), np.zeros(3))
-        with pytest.raises(ValueError):
-            g.inject_through_weights(np.ones((3, 2)), np.zeros(4))
+            g.step(propagate_spikes(np.ones((3, 5)), np.zeros(3)))
+        # 4 presynaptic spikes against 3 weight rows
+        with pytest.raises(ValueError, match="3 presynaptic entries"):
+            propagate_spikes(np.ones((3, 2)), np.zeros(4))
 
 
 class TestBatchedConductance:
@@ -93,28 +98,16 @@ class TestBatchedConductance:
         weights = rng.random((6, 4))
         spikes = rng.random((3, 6)) < 0.5
         batched = SynapticConductance(4, tau_ms=1.5, batch_shape=(3,))
-        batched.inject_through_weights(weights, spikes)
+        batched.step(propagate_spikes(weights, spikes))
         for b in range(3):
             ref = SynapticConductance(4, tau_ms=1.5)
-            ref.inject_through_weights(weights, spikes[b])
+            ref.step(propagate_spikes(weights, spikes[b]))
             assert np.allclose(batched.g[b], ref.g)
-
-    def test_stacked_weights_injection(self):
-        rng = np.random.default_rng(2)
-        weights = rng.random((2, 6, 4))
-        spikes = rng.random((2, 3, 6)) < 0.5
-        batched = SynapticConductance(4, tau_ms=1.5, batch_shape=(2, 3))
-        batched.inject_through_weights(weights, spikes)
-        for e in range(2):
-            for b in range(3):
-                ref = SynapticConductance(4, tau_ms=1.5)
-                ref.inject_through_weights(weights[e], spikes[e, b])
-                assert np.allclose(batched.g[e, b], ref.g)
 
     def test_shape_mismatch_rejected(self):
         batched = SynapticConductance(4, tau_ms=1.0, batch_shape=(3,))
         with pytest.raises(ValueError):
-            batched.inject_through_weights(np.ones((6, 4)), np.ones(6, dtype=bool))
+            batched.step(propagate_spikes(np.ones((6, 4)), np.ones((2, 6), dtype=bool)))
 
     def test_set_batch_shape_resets(self):
         g = SynapticConductance(4, tau_ms=1.0)
@@ -126,8 +119,6 @@ class TestBatchedConductance:
 
 class TestPropagateSpikes:
     def test_matches_matmul(self):
-        from repro.snn.synapses import propagate_spikes
-
         rng = np.random.default_rng(3)
         weights = rng.random((5, 7))
         spikes = rng.random((4, 5)) < 0.4
@@ -135,8 +126,28 @@ class TestPropagateSpikes:
             propagate_spikes(weights, spikes), spikes.astype(float) @ weights
         )
 
-    def test_rejects_misaligned_stack(self):
-        from repro.snn.synapses import propagate_spikes
+    def test_stacked_weights_per_leading_index(self):
+        rng = np.random.default_rng(2)
+        weights = rng.random((2, 6, 4))
+        spikes = rng.random((2, 3, 6)) < 0.5
+        drive = propagate_spikes(weights, spikes)
+        for e in range(2):
+            for b in range(3):
+                assert np.allclose(drive[e, b], spikes[e, b].astype(float) @ weights[e])
 
+    def test_one_matrix_serves_any_batch_shape(self):
+        rng = np.random.default_rng(4)
+        weights = rng.random((5, 3))
+        spikes = rng.random((2, 4, 5)) < 0.4
+        drive = propagate_spikes(weights, spikes)
+        assert drive.shape == (2, 4, 3)
+        assert np.allclose(drive, spikes.astype(float) @ weights)
+        assert np.allclose(propagate_spikes(weights, spikes[0, 0]), drive[0, 0])
+
+    def test_rejects_vector_weights(self):
+        with pytest.raises(ValueError, match="at least 2-D"):
+            propagate_spikes(np.ones(5), np.ones(5))
+
+    def test_rejects_misaligned_stack(self):
         with pytest.raises(ValueError):
             propagate_spikes(np.ones((2, 5, 7)), np.ones((3, 4, 5)))

@@ -1,4 +1,4 @@
-"""Tests of inference trace generation and statistics."""
+"""Tests of inference trace generation."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.trace.generator import (
     chunks_for_weights,
     inference_read_trace,
 )
-from repro.trace.stats import summarize_trace
 
 
 @pytest.fixture
@@ -83,16 +82,12 @@ class TestTraceGeneration:
         with pytest.raises(ValueError, match="same DRAM slot"):
             inference_read_trace(spec, np.array([3, 3]), org)
 
-
-class TestSummary:
-    def test_summary_fields_consistent(self, org):
+    def test_refetch_scales_energy(self, org):
+        # 64 fp32 weights in 64 slots, read once or twice per inference
         controller = DramController(org.spec)
-        result = controller.execute(list(range(10)), 1.35)
-        summary = summarize_trace(result)
-        assert summary.accesses == 10
-        assert summary.hit_rate + summary.miss_rate + summary.conflict_rate == pytest.approx(1.0)
-        assert summary.total_energy_mj == pytest.approx(result.energy.total_nj * 1e-6)
-        assert summary.energy_per_access_nj == pytest.approx(
-            result.energy.total_nj / 10
-        )
-        assert "1.350V" in str(summary)
+        energies = []
+        for passes in (1, 2):
+            spec = InferenceTraceSpec(n_weights=64, bits_per_weight=32, refetch_passes=passes)
+            trace = inference_read_trace(spec, np.arange(64), org)
+            energies.append(controller.execute(trace, 1.35).energy.total_nj)
+        assert energies[1] == pytest.approx(2 * energies[0], rel=0.1)

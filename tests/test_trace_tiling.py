@@ -14,7 +14,6 @@ class TestWeightStationary:
         plan = refetch_passes_for_buffer(
             n_weights=1000, bits_per_weight=32, buffer_bits=64_000, n_timesteps=100
         )
-        assert plan.fits_on_chip
         assert plan.refetch_passes == 1
         assert plan.total_traffic_bits == 32_000
 
@@ -22,7 +21,6 @@ class TestWeightStationary:
         plan = refetch_passes_for_buffer(
             n_weights=1000, bits_per_weight=32, buffer_bits=8_000, n_timesteps=100
         )
-        assert not plan.fits_on_chip
         assert plan.refetch_passes == 4  # ceil(32000 / 8000)
         assert plan.total_traffic_bits == 4 * 32_000
 
@@ -57,16 +55,6 @@ class TestOutputStationary:
         ws = refetch_passes_for_buffer(schedule="weight-stationary", **kwargs)
         os_ = refetch_passes_for_buffer(schedule="output-stationary", **kwargs)
         assert os_.total_traffic_bits < ws.total_traffic_bits
-
-
-class TestPlanConversion:
-    def test_to_trace_spec(self):
-        plan = refetch_passes_for_buffer(
-            n_weights=64, bits_per_weight=32, buffer_bits=1024, n_timesteps=10
-        )
-        spec = plan.to_trace_spec()
-        assert spec.n_weights == 64
-        assert spec.refetch_passes == plan.refetch_passes
 
 
 class TestValidation:
