@@ -8,7 +8,6 @@ maximum rate.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import N_STEPS, get_baseline, make_injector
 from repro.analysis.reporting import format_table

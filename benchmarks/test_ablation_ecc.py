@@ -11,7 +11,6 @@ storage overhead.  This ablation compares:
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import N_STEPS, get_baseline
 from repro.analysis.reporting import format_table

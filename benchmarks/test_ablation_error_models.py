@@ -6,7 +6,6 @@ all four models and compares the accuracy impact on one trained model.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import N_STEPS, get_baseline
 from repro.analysis.reporting import format_table

@@ -8,7 +8,6 @@ operating voltage.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import N_STEPS, get_baseline
 from repro.analysis.reporting import format_table

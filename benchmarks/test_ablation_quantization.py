@@ -7,7 +7,6 @@ quantifies the difference at the same BER.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import N_STEPS, get_baseline
 from repro.analysis.reporting import format_table

@@ -7,7 +7,6 @@ network on the synthetic workload and check the ordering.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis.reporting import format_table
 from repro.core.fault_aware_training import train_baseline

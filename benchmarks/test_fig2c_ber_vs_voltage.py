@@ -5,7 +5,6 @@ decreases, spanning many decades between ~1.325 V and ~1.025 V.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis.reporting import format_table
 from repro.errors.ber import DEFAULT_BER_CURVE

@@ -7,7 +7,6 @@ network (scaled here per conftest.SCALED_SIZES).
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import FIG11_RATES, N_STEPS, SCALED_SIZES, get_improved, make_injector
 from repro.analysis.reporting import format_table

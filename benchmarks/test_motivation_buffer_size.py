@@ -9,8 +9,6 @@ schedule and reports the DRAM energy per inference — the quantity the
 rest of the paper then attacks with voltage scaling.
 """
 
-import pytest
-
 from repro.analysis.reporting import format_table
 from repro.dram.energy import DramEnergyModel
 from repro.dram.specs import LPDDR3_1600_4GB

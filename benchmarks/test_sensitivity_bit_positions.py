@@ -7,12 +7,9 @@ stored bit positions one at a time (sign=31, exponent 30..23, mantissa
 below) and reports the per-position weight perturbation and accuracy.
 """
 
-import numpy as np
-import pytest
-
 from benchmarks.conftest import N_STEPS, get_baseline
 from repro.analysis.reporting import format_table
-from repro.analysis.sensitivity import accuracy_by_bit, weight_perturbation_by_bit
+from repro.analysis.sensitivity import accuracy_by_bit
 from repro.snn.quantization import Float32Representation
 
 N_NEURONS = 50

@@ -15,11 +15,7 @@ from repro.analysis.sweeps import (
 )
 from repro.analysis.reporting import format_table, format_percent_row
 from repro.analysis.pareto import ParetoPoint, tolerance_frontier
-from repro.analysis.sensitivity import (
-    BitSensitivityPoint,
-    accuracy_by_bit,
-    weight_perturbation_by_bit,
-)
+from repro.analysis.sensitivity import BitSensitivityPoint, accuracy_by_bit
 
 from repro.analysis.export import (
     export_run_records,
@@ -32,7 +28,6 @@ from repro.analysis.export import (
 __all__ = [
     "BitSensitivityPoint",
     "accuracy_by_bit",
-    "weight_perturbation_by_bit",
     "write_rows",
     "ParetoPoint",
     "tolerance_frontier",

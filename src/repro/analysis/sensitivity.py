@@ -6,8 +6,8 @@ weight values and the accuracy may be decreased significantly", while
 flips in less significant bits barely matter.
 
 This module quantifies that claim: flip *only* one bit position across
-a sampled fraction of the weights and measure the accuracy (or, more
-cheaply, the weight perturbation) per position.
+a sampled fraction of the weights and measure the accuracy and the mean
+weight perturbation per position.
 """
 
 from __future__ import annotations
@@ -54,39 +54,6 @@ def flip_single_position(
     return representation.decode(corrupted).reshape(np.shape(weights))
 
 
-def weight_perturbation_by_bit(
-    weights: np.ndarray,
-    representation,
-    flip_fraction: float = 0.05,
-    bit_positions: Optional[Sequence[int]] = None,
-    seed: int = 0,
-) -> Tuple[BitSensitivityPoint, ...]:
-    """Mean |Δweight| caused by flipping each stored bit position."""
-    rng = np.random.default_rng(seed)
-    bpw = representation.bits_per_weight
-    positions = tuple(bit_positions) if bit_positions is not None else tuple(range(bpw))
-    clean = representation.decode(np.ravel(representation.encode(weights))).reshape(
-        np.shape(weights)
-    )
-    points = []
-    for bit in positions:
-        corrupted = flip_single_position(
-            weights, representation, bit, flip_fraction, rng
-        )
-        changed = np.abs(corrupted - clean)
-        # mean over the actually flipped weights (others are zero)
-        nonzero = changed[changed > 0]
-        mean_change = float(nonzero.mean()) if nonzero.size else 0.0
-        points.append(
-            BitSensitivityPoint(
-                bit_position=bit,
-                flip_fraction=flip_fraction,
-                mean_weight_change=mean_change,
-            )
-        )
-    return tuple(points)
-
-
 def accuracy_by_bit(
     model: TrainedModel,
     dataset: Dataset,
@@ -99,8 +66,8 @@ def accuracy_by_bit(
 ) -> Tuple[BitSensitivityPoint, ...]:
     """Classification accuracy with one stored bit position flipped.
 
-    The expensive variant of :func:`weight_perturbation_by_bit`: runs
-    the SNN on the test split for every probed position.
+    Runs the SNN on the test split for every probed position; each point
+    also carries the mean |Δweight| over the flipped weights.
     """
     rng = np.random.default_rng(seed)
     network = DiehlCookNetwork(

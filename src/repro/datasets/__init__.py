@@ -19,7 +19,7 @@ these stand-ins preserve the experiments' behaviour.  See DESIGN.md.
 from repro.datasets.base import Dataset
 from repro.datasets.synthetic_mnist import load_synthetic_mnist
 from repro.datasets.synthetic_fashion import load_synthetic_fashion
-from repro.datasets.loader import load_dataset, DATASETS, DATASET_NAMES
+from repro.datasets.loader import load_dataset, DATASETS
 
 __all__ = [
     "Dataset",
@@ -27,5 +27,4 @@ __all__ = [
     "load_synthetic_fashion",
     "load_dataset",
     "DATASETS",
-    "DATASET_NAMES",
 ]

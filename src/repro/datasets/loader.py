@@ -32,11 +32,6 @@ def _load_fashion(n_train: int, n_test: int, seed: int | None) -> Dataset:
     return load_synthetic_fashion(n_train, n_test, seed if seed is not None else 13)
 
 
-#: Kept (in historical order) for backward compatibility with the seed
-#: API; prefer ``DATASETS.names()``, which reflects live registrations.
-DATASET_NAMES = ("mnist", "fashion")
-
-
 def load_dataset(
     name: str, n_train: int = 500, n_test: int = 200, seed: int | None = None
 ) -> Dataset:

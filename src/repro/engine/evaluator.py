@@ -10,13 +10,12 @@ simulates state arrays of shape ``(E, B, n_neurons)`` per chunk, and
 returns per-realization spike counts or accuracies.
 
 Each chunk is one :meth:`repro.snn.network.DiehlCookNetwork.run_batch`
-pass.  Spike counts are **bit-identical** to the per-sample,
-per-timestep :meth:`~repro.snn.network.DiehlCookNetwork.run_sample`
-loop at the same seed: encoding draws the same random stream regardless
-of batching, the batched drive rows equal the scalar per-step index-sum
-exactly (see :func:`repro.snn.network.sample_drive`), and all state
-updates are elementwise.  ``tests/snn_oracle.py`` keeps that loop as the
-test oracle.
+pass.  Spike counts are **bit-identical** to a per-sample,
+per-timestep inference loop at the same seed: encoding draws the same
+random stream regardless of batching, the batched CSR drive rows equal
+the scalar per-step index-sum exactly (see :mod:`repro.snn.network`),
+and all state updates are elementwise.  ``tests/snn_oracle.py`` keeps
+that loop (``sequential_spike_counts``) as the test oracle.
 
 Memory is bounded by a :class:`repro.engine.chunking.ChunkPolicy`:
 arbitrarily large evaluation sets stream through fixed-size chunks

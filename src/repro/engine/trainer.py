@@ -253,12 +253,12 @@ class BatchedTrainer:
             clean = net.weights
             read = self.corrupt_weights(clean)
             net.weights = np.array(read, dtype=net.dtype, order="C")
-            counts = net.run_sample(train, stdp=self.stdp, normalize=False)
+            counts = net.run_sample(train, self.stdp)
             apply_post_sample_update(
                 net, base=clean, read=read, columns=np.flatnonzero(counts)
             )
         else:
-            net.run_sample(train, stdp=self.stdp, normalize=False)
+            net.run_sample(train, self.stdp)
             apply_post_sample_update(net)
 
     def present_minibatch(

@@ -166,9 +166,6 @@ class ErrorModel(abc.ABC):
     """Base class: sample the flat indices of flipped bits in a region."""
 
     name: str = "base"
-    #: Optional :class:`BitContext` fields this model reads
-    #: (``"bitline_of"``, ``"wordline_of"``, ``"values"``).
-    context_fields: tuple = ()
 
     @abc.abstractmethod
     def sample_flips(self, context: BitContext, rng: np.random.Generator) -> np.ndarray:
@@ -221,11 +218,6 @@ class _StructuredModel(ErrorModel):
         self.structure_seed = structure_seed
         self._factor_memo: dict = {}
 
-    def _unit_factors(self, unit_ids: np.ndarray) -> np.ndarray:
-        """Deterministic lognormal severity of every bit, by unit id."""
-        context = BitContext(unit_ids.size, 0.0, wordline_of=unit_ids)
-        return self._line_factors(context, "wordline_of")[unit_ids]
-
     def _line_factors(self, context: BitContext, name: str) -> np.ndarray:
         """Severity per line id, normalised to a per-bit mean of 1."""
         span = context.span(name)
@@ -267,7 +259,6 @@ class ErrorModel1(_StructuredModel):
     """Vertical distribution: severity varies across bitlines."""
 
     name = "model1"
-    context_fields = ("bitline_of",)
 
     def sample_flips(self, context: BitContext, rng: np.random.Generator) -> np.ndarray:
         if not context.provides("bitline_of"):
@@ -279,7 +270,6 @@ class ErrorModel2(_StructuredModel):
     """Horizontal distribution: severity varies across wordlines."""
 
     name = "model2"
-    context_fields = ("wordline_of",)
 
     def sample_flips(self, context: BitContext, rng: np.random.Generator) -> np.ndarray:
         if not context.provides("wordline_of"):
@@ -296,7 +286,6 @@ class ErrorModel3(ErrorModel):
     """
 
     name = "model3"
-    context_fields = ("values",)
 
     def __init__(self, one_to_zero_ratio: float = 4.0):
         if one_to_zero_ratio <= 0:
@@ -333,7 +322,6 @@ class ErrorModelEden(_StructuredModel):
     """
 
     name = "eden"
-    context_fields = ("wordline_of", "values")
 
     def __init__(
         self,

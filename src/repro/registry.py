@@ -25,7 +25,7 @@ any layer can depend on it without cycles.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 
 class RegistryError(ValueError):

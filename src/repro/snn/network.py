@@ -7,45 +7,43 @@ unsupervised architecture the paper adopts (its reference [7] and the
 BindsNET substrate [16]); the network sizes of the evaluation are
 N400, N900, N1600, N2500 and N3600 excitatory neurons.
 
-Batching model
---------------
+Time loops
+----------
+The network's dynamics are its three time loops:
+:meth:`DiehlCookNetwork.run_sample` (``batch_size=1`` training),
+:meth:`DiehlCookNetwork.run_batch_stdp` (minibatch training) and
+:meth:`DiehlCookNetwork.run_batch` (every evaluation).  Each allocates
+its scratch, last-step spikes included, once per call before the loop,
+and all three share one membrane update (:func:`_membrane_dv`).
+
 All dynamic state is batch-shape-polymorphic: a network with
 ``batch_shape=(E, B)`` advances ``E x B`` independent network instances
 per step — ``B`` evaluation samples under ``E`` weight tensors (error
 realizations) — with state arrays of shape ``(E, B, n_neurons)``.
-Batched input drive is a ``spikes @ weights`` matmul (via
-:func:`repro.snn.synapses.propagate_spikes` for online stepping, or the
-sparse whole-sample form of :func:`sample_drive`).
 
-:meth:`DiehlCookNetwork.run_batch` evaluates a whole batch of encoded
-samples in one vectorized pass.  The canonical per-step drive is the
-sparse index-sum ``weights[active].sum(axis=0)`` (:func:`step_drive`,
-used by :meth:`DiehlCookNetwork.step`); the loops compute their drives
-with sparse ``spikes @ weights`` matmuls (:func:`sample_drive`), whose
-output rows are **bit-identical** to the per-step index-sum — CSR row
-accumulation and numpy's axis-0 row reduction both add the active
-weight rows left-to-right.  Chunk rows are step-major, so any run of
-steps is a contiguous row slice whose product reshapes to the
-time-major drive slab without a copy: ``run_batch`` streams its drives
-one block of steps at a time (:data:`DRIVE_BLOCK_BYTES`) instead of
-holding the whole ``(n_steps, E, B, n_neurons)`` tensor.  Every state
-update is elementwise, so batched spike counts equal a per-sample,
-per-timestep loop exactly.  Its time loop
-(:meth:`DiehlCookNetwork._run_batch_frozen`) updates only the lanes
-that spiked last step for inhibition, only the refractory elements for
-refractory bookkeeping and only the spike indices for reset and count.
+The loops compute their input drives as sparse CSR ``spikes @ weights``
+matmuls (:func:`_drive_matrix`), whose output rows are
+**bit-identical** to the per-step index-sum
+``weights[active].sum(axis=0)`` — CSR row accumulation and numpy's
+axis-0 row reduction both add the active weight rows left-to-right.
+Chunk rows are step-major, so any run of steps is a contiguous row
+slice whose product reshapes to the time-major drive slab without a
+copy: ``run_batch`` streams its drives one block of steps at a time
+(:data:`DRIVE_BLOCK_BYTES`) instead of holding the whole ``(n_steps,
+E, B, n_neurons)`` tensor.  Every state update is elementwise, so
+batched spike counts equal a per-sample, per-timestep loop exactly.
+The inference loop (:meth:`DiehlCookNetwork._run_batch_frozen`)
+updates only the lanes that spiked last step for inhibition, only the
+refractory elements for refractory bookkeeping and only the spike
+indices for reset and count.  ``run_sample`` reads a per-sample drive
+slab, rewritten column-wise after each in-place STDP update, and skips
+the work whose result cannot change on a step (most steps are silent).
 
-:meth:`DiehlCookNetwork.run_sample` is the ``batch_size=1`` loop of
-training and inference.  It reads a per-sample drive slab, rewritten
-column-wise after each in-place STDP update, and skips the work whose
-result cannot change on a step (most steps are silent); it stays bit
-for bit the historical loop of one :meth:`DiehlCookNetwork.step` plus
-one in-place STDP step per timestep.  ``tests/snn_oracle.py`` keeps
-that loop, its in-place rule and the dense inference loop as test
-oracles, with the other reference loops.
-
-Each time loop allocates its scratch once per call, before the loop,
-and shares one membrane update (:func:`_membrane_dv`).
+``tests/snn_oracle.py`` holds the per-step network API these loops
+replaced (``network_step``, ``step_from_drive``, ``neuron_step``,
+``conductance_step``, ``step_drive``, ``sample_drive``,
+``propagate_spikes``) and the plain reference loops built from it: the
+oracles every loop here matches bit for bit.
 """
 
 from __future__ import annotations
@@ -54,20 +52,12 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
-
-try:  # scipy accelerates the batched drive; plain numpy works without it.
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - exercised via the forced fallback test
-    _sparse = None
+from scipy import sparse
 
 from repro.rng import ensure_rng
 from repro.snn.neurons import AdaptiveLIFLayer, LIFParameters
 from repro.snn.stdp import STDPParameters, STDPRule, normalize_columns
-from repro.snn.synapses import (
-    ConductanceParameters,
-    SynapticConductance,
-    propagate_spikes,
-)
+from repro.snn.synapses import ConductanceParameters, SynapticConductance
 
 #: Network sizes evaluated by the paper (Section V).
 PAPER_NETWORK_SIZES = (400, 900, 1600, 2500, 3600)
@@ -114,50 +104,18 @@ class NetworkParameters:
         self.conductance.validate()
 
 
-def step_drive(weights: np.ndarray, input_spikes: np.ndarray) -> np.ndarray:
-    """One timestep's input drive: ``weights[active].sum(axis=0)``.
-
-    The canonical sequential drive (inherited from the original scalar
-    simulator): the rows of the weight matrix whose input spiked are
-    accumulated top to bottom.  :func:`sample_drive` reproduces exactly
-    this accumulation for every step of a sample at once.
-    """
-    active = np.flatnonzero(input_spikes)
-    return weights[active].sum(axis=0)
-
-
-def sample_drive(spike_train: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """All per-step input drives of one sample: ``train @ weights``.
-
-    ``spike_train`` is boolean ``(n_steps, n_input)``; ``weights`` is
-    one ``(n_input, n_neurons)`` matrix; the result has one drive row
-    per timestep.  With scipy available the product is one sparse CSR
-    matmul — O(spikes) instead of O(n_steps x n_input) work.
-
-    Row ``t`` is **bit-identical** to
-    ``step_drive(weights, spike_train[t])``: CSR accumulates each
-    output row over its active columns in ascending order, exactly as
-    numpy's axis-0 reduction adds the gathered weight rows.  (Covered
-    by ``tests/test_engine.py``; the pure-numpy fallback runs the
-    index-sum per step, so the identity holds with or without scipy.)
-    """
-    return _drive_rows(_drive_matrix(spike_train, np.asarray(weights).dtype), weights)
-
-
 def _drive_matrix(spike_rows: np.ndarray, dtype: np.dtype = np.float64):
-    """Prepare spike rows for (repeated) drive computation.
+    """The CSR operator of spike rows, for (repeated) drive products.
 
-    Returns a CSR matrix when scipy is available, else the boolean
-    array itself.  Building this once and reusing it across an E-stack
-    of weight tensors amortises the sparse-structure construction.
+    ``_drive_matrix(rows) @ weights`` holds one drive row per spike row.
+    Building it once and reusing it across an E-stack of weight tensors
+    amortises the sparse-structure construction.
     """
     rows = np.asarray(spike_rows, dtype=bool)
     if rows.ndim != 2:
         raise ValueError(f"spike rows must be 2-D, got shape {rows.shape}")
-    if _sparse is None:
-        return rows
     if rows.size >= 2**31:
-        return _sparse.csr_matrix(rows, dtype=dtype)
+        return sparse.csr_matrix(rows, dtype=dtype)
     # Assemble the CSR triple directly from one flat nonzero scan —
     # several times faster than scipy's dense-to-CSR path and
     # structurally identical (row-major, ascending columns), so the
@@ -169,33 +127,7 @@ def _drive_matrix(spike_rows: np.ndarray, dtype: np.dtype = np.float64):
     indptr = np.zeros(n_rows + 1, dtype=np.int32)
     np.cumsum(np.bincount(flat // n_cols, minlength=n_rows), out=indptr[1:])
     data = np.ones(flat.size, dtype=dtype)
-    return _sparse.csr_matrix((data, indices, indptr), shape=rows.shape)
-
-
-def _drive_rows(matrix, weights: np.ndarray) -> np.ndarray:
-    """Drive rows of a prepared :func:`_drive_matrix` against one tensor."""
-    if _sparse is not None and _sparse.issparse(matrix):
-        return matrix @ weights
-    rows = np.zeros((matrix.shape[0], weights.shape[1]), dtype=weights.dtype)
-    for t in np.flatnonzero(matrix.any(axis=1)):
-        rows[t] = step_drive(weights, matrix[t])
-    return rows
-
-
-def _drive_columns(
-    matrix, weights: np.ndarray, columns: np.ndarray, start: int
-) -> np.ndarray:
-    """Rows ``start:`` of ``_drive_rows(matrix, weights)[:, columns]``, bit for bit.
-
-    CSR accumulates every output column on its own, so the product with
-    the gathered columns alone is exact (and cheaper over all rows than
-    a CSR row slice).  The numpy fallback reduces full rows and then
-    takes the columns: numpy sums a one-column slice pairwise, which the
-    full-row reduce does not.
-    """
-    if _sparse is not None and _sparse.issparse(matrix):
-        return (matrix @ weights[:, columns])[start:]
-    return _drive_rows(matrix[start:], weights)[:, columns]
+    return sparse.csr_matrix((data, indices, indptr), shape=rows.shape)
 
 
 def _delta_drive_rows(
@@ -206,13 +138,12 @@ def _delta_drive_rows(
     For an error-realization stack close to a shared base tensor (low
     BER), most input rows of ``weights`` equal the base exactly
     (``changed`` lists the others), so most drive rows equal
-    ``base_rows`` exactly, because a CSR output row (and the numpy
-    fallback's index-sum) accumulates only the weight rows its spikes
-    select, in a fixed order.  Only the drive rows touched by a
-    *changed* input row need recomputing, and a CSR row-slice matmul
-    preserves each row's accumulation order, so the result is
-    **bit-identical** to ``_drive_rows(matrix, weights)`` at a fraction
-    of the flops.
+    ``base_rows`` exactly, because a CSR output row accumulates only the
+    weight rows its spikes select, in a fixed order.  Only the drive
+    rows touched by a *changed* input row need recomputing, and a CSR
+    row-slice matmul preserves each row's accumulation order, so the
+    result is **bit-identical** to ``matrix @ weights`` at a fraction of
+    the flops.
 
     Falls back to the full product when the realization is not actually
     sparse against the base (high BER corrupts most input rows, at
@@ -221,32 +152,25 @@ def _delta_drive_rows(
     if changed.size == 0:
         return base_rows
     if changed.size * 4 >= weights.shape[0]:
-        return _drive_rows(matrix, weights)
-    if _sparse is not None and _sparse.issparse(matrix):
-        indicator = np.zeros(weights.shape[0], dtype=matrix.dtype)
-        indicator[changed] = 1.0
-        touched = np.flatnonzero(matrix @ indicator)
-        if touched.size == 0:
-            return base_rows
-        rows = base_rows.copy()
-        rows[touched] = matrix[touched] @ weights
-        return rows
-    touched = np.flatnonzero(matrix[:, changed].any(axis=1))
+        return matrix @ weights
+    indicator = np.zeros(weights.shape[0], dtype=matrix.dtype)
+    indicator[changed] = 1.0
+    touched = np.flatnonzero(matrix @ indicator)
     if touched.size == 0:
         return base_rows
     rows = base_rows.copy()
-    for t in touched:
-        rows[t] = step_drive(weights, matrix[t])
+    rows[touched] = matrix[touched] @ weights
     return rows
 
 
 def _membrane_dv(lif, k, v, g_e, g_i, dv, scratch) -> None:
     """``dv = ((v_rest - v) + g_e (e_exc - v) + g_i (e_inh - v)) * k``, in place.
 
-    The ufuncs and operand order of :meth:`AdaptiveLIFLayer.step`'s
-    expression, written into ``dv`` with ``scratch`` as the second
-    buffer.  Every time loop below computes its membrane update here
-    and applies it with its own refractory handling.
+    The ufuncs and operand order of the reference neuron step's
+    expression (``neuron_step`` in ``tests/snn_oracle.py``), written
+    into ``dv`` with ``scratch`` as the second buffer.  Every time loop
+    below computes its membrane update here and applies it with its own
+    refractory handling.
     """
     np.subtract(lif.v_rest, v, out=dv)
     np.subtract(lif.e_excitatory, v, out=scratch)
@@ -322,7 +246,6 @@ class DiehlCookNetwork:
             batch_shape=bs,
             dtype=self.dtype,
         )
-        self._last_spikes = np.zeros(bs + (p.n_neurons,), dtype=bool)
         if init_weights and p.weight_norm > 0:
             normalize_columns(self.weights, p.weight_norm)
 
@@ -357,7 +280,6 @@ class DiehlCookNetwork:
         self.neurons.set_batch_shape(bs)
         self.g_excitatory.set_batch_shape(bs)
         self.g_inhibitory.set_batch_shape(bs)
-        self._last_spikes = np.zeros(bs + (self.n_neurons,), dtype=bool)
         if self.weights.ndim != 2 and self.weights.shape[:-2] != bs[:-1]:
             self.weights = np.zeros((self.n_input, self.n_neurons), dtype=self.dtype)
 
@@ -385,74 +307,26 @@ class DiehlCookNetwork:
                 )
         self.weights = weights.copy()
 
-    def reset_state(self, keep_theta: bool = True) -> None:
+    def reset_state(self) -> None:
         """Clear per-sample dynamic state; keep long-term homeostasis."""
-        self.neurons.reset_state(keep_theta=keep_theta)
+        self.neurons.reset_state()
         self.g_excitatory.reset_state()
         self.g_inhibitory.reset_state()
-        self._last_spikes = np.zeros(self.batch_shape + (self.n_neurons,), dtype=bool)
 
     # ------------------------------------------------------------------
-    def _step_from_drive(self, drive: np.ndarray, adapt: bool) -> np.ndarray:
-        """Advance one timestep from a precomputed excitatory drive.
+    def run_sample(self, spike_train: np.ndarray, stdp: STDPRule) -> np.ndarray:
+        """Present one encoded sample with in-place STDP; returns spike counts.
 
-        Everything here is elementwise over the state shape, so the
-        arithmetic of a batched step is bit-identical per element to the
-        scalar step — the keystone of the batched ≡ per-sample guarantee.
-        """
-        p = self.parameters
-        self.g_excitatory.step(drive)
-        # Lateral inhibition: each spike last step inhibits all *other*
-        # neurons (Fig. 4a's inhibition fan-out).
-        last = self._last_spikes
-        inhibition = (
-            last.sum(axis=-1, keepdims=True) * p.inhibition_strength
-            - p.inhibition_strength * last
-        )
-        self.g_inhibitory.step(inhibition)
-        spikes = self.neurons.step(
-            self.g_excitatory.g, self.g_inhibitory.g, adapt=adapt
-        )
-        self._last_spikes = spikes
-        return spikes
-
-    def step(self, input_spikes: np.ndarray, adapt: bool = True) -> np.ndarray:
-        """One network timestep; returns the excitatory spike array.
-
-        ``input_spikes`` has shape ``batch_shape + (n_input,)`` (a plain
-        ``(n_input,)`` vector on an unbatched network).  The scalar path
-        uses the sparse per-step index-sum (:func:`step_drive`); batched
-        networks use the ``spikes @ weights`` matmul.
-        """
-        p = self.parameters
-        pre = np.asarray(input_spikes, dtype=bool)
-        expected = self.batch_shape + (p.n_input,)
-        if pre.shape != expected:
-            raise ValueError(f"input spikes must have shape {expected}")
-        if self.batch_shape == () and self.weights.ndim == 2:
-            drive = step_drive(self.weights, pre) * p.excitation_gain
-        else:
-            drive = propagate_spikes(self.weights, pre) * p.excitation_gain
-        return self._step_from_drive(drive, adapt)
-
-    def run_sample(
-        self,
-        spike_train: np.ndarray,
-        stdp: Optional[STDPRule] = None,
-        adapt: Optional[bool] = None,
-        normalize: Optional[bool] = None,
-    ) -> np.ndarray:
-        """Present one encoded sample; returns per-neuron spike counts.
-
-        Passing an :class:`~repro.snn.stdp.STDPRule` enables learning
-        (training mode); otherwise the run is pure inference with frozen
-        adaptive thresholds.  ``normalize`` overrides the default
-        post-sample column normalisation (fault-aware training applies
-        it to the stored clean tensor instead of the corrupted copy).
-        Only available on an unbatched network; use :meth:`run_batch`
-        for batched evaluation.  The time loop (:meth:`_sample_loop`)
-        is bit for bit one :meth:`step` plus one in-place STDP step per
-        timestep (``reference_run_sample`` in ``tests/snn_oracle.py``).
+        The ``batch_size=1`` training presentation: adaptive thresholds
+        advance, and ``stdp`` updates the installed weights in place at
+        every step a neuron fires.  Column normalisation and the
+        fault-aware write-back are the caller's
+        (:func:`repro.snn.training.apply_post_sample_update`).  Only
+        available on an unbatched network; evaluation runs through
+        :meth:`run_batch`.  The time loop (:meth:`_sample_loop`) is bit
+        for bit one reference network step plus one in-place STDP step
+        per timestep (``reference_run_sample`` in
+        ``tests/snn_oracle.py``).
         """
         p = self.parameters
         if self.batch_shape != ():
@@ -465,43 +339,32 @@ class DiehlCookNetwork:
             raise ValueError(
                 f"spike train must have shape (n_steps, {p.n_input}), got {train.shape}"
             )
-        if stdp is not None and stdp.state_shape != (p.n_input,):
+        if stdp.state_shape != (p.n_input,):
             raise ValueError(
                 f"run_sample needs an unbatched STDP rule over {p.n_input} "
                 f"inputs, got trace shape {stdp.state_shape}"
             )
-        if adapt is None:
-            adapt = stdp is not None
-        self.reset_state(keep_theta=True)
-        if stdp is not None:
-            stdp.reset_state()
-        if normalize is None:
-            normalize = stdp is not None and p.weight_norm > 0
-        counts = self._sample_loop(train, stdp, adapt)
-        if normalize and p.weight_norm > 0:
-            normalize_columns(self.weights, p.weight_norm)
-        return counts
+        self.reset_state()
+        stdp.reset_state()
+        return self._sample_loop(train, stdp)
 
-    def _sample_loop(
-        self, train: np.ndarray, stdp: Optional[STDPRule], adapt: bool
-    ) -> np.ndarray:
+    def _sample_loop(self, train: np.ndarray, stdp: STDPRule) -> np.ndarray:
         """The B=1 time loop of :meth:`run_sample`, lean but bit-exact.
 
-        The ufuncs, operand order and dtypes of ``step`` + the in-place
-        STDP step (``reference_run_sample`` and ``reference_stdp_step``
-        in ``tests/snn_oracle.py``), minus work whose result cannot change:
-        drives come from one per-sample slab whose later rows of the
-        updated columns are rewritten after each STDP update
-        (:func:`_drive_columns`); after a silent step ``g_i`` only
-        decays (the skipped inhibition is ``+0.0``, ``g_i`` is never
-        ``-0.0``); with no neuron refractory ``v + dv`` is written
-        unmasked; a silent step resets, bumps, counts and updates
-        nothing.
+        The ufuncs, operand order and dtypes of the reference network
+        step + the in-place STDP step (``reference_run_sample`` and
+        ``reference_stdp_step`` in ``tests/snn_oracle.py``), minus work
+        whose result cannot change: drives come from one per-sample slab
+        whose later rows of the updated columns are rewritten after each
+        STDP update; after a silent step ``g_i`` only decays (the
+        skipped inhibition is ``+0.0``, ``g_i`` is never ``-0.0``); with
+        no neuron refractory ``v + dv`` is written unmasked; a silent
+        step resets, bumps, counts and updates nothing.
         """
         p, lif = self.parameters, self.parameters.lif
         weights = self.weights
         matrix = _drive_matrix(train, weights.dtype)
-        drives = _drive_rows(matrix, weights)
+        drives = matrix @ weights
         drives *= p.excitation_gain
         g_e, g_i = self.g_excitatory.g, self.g_inhibitory.g
         decay_e, decay_i = self.g_excitatory._decay, self.g_inhibitory._decay
@@ -513,10 +376,7 @@ class DiehlCookNetwork:
         active = np.empty(v.shape, dtype=bool)
         spikes, last = np.empty(v.shape, dtype=bool), np.zeros(v.shape, dtype=bool)
         counts = np.zeros(p.n_neurons, dtype=np.int64)
-        if not adapt:
-            np.add(lif.v_threshold, theta, out=thr)
-        if stdp is not None:
-            rule, x_pre = stdp.parameters, stdp.x_pre
+        rule, x_pre = stdp.parameters, stdp.x_pre
         n_last = 0
         refractory = False
         for t in range(train.shape[0]):
@@ -534,43 +394,39 @@ class DiehlCookNetwork:
                 np.copyto(v, s1, where=active)
             else:
                 v += s1
-            if adapt:
-                np.add(lif.v_threshold, theta, out=thr)
+            np.add(lif.v_threshold, theta, out=thr)
             np.greater_equal(v, thr, out=spikes)
             if refractory:
                 spikes &= active
                 refr -= p.dt_ms
                 np.maximum(refr, 0.0, out=refr)
-            if adapt:
-                theta *= neurons._theta_decay
-            if stdp is not None:
-                x_pre *= stdp._trace_decay
-                x_pre[train[t]] = 1.0
+            theta *= neurons._theta_decay
+            x_pre *= stdp._trace_decay
+            x_pre[train[t]] = 1.0
             n_last = np.count_nonzero(spikes)
             if n_last:
                 post = np.flatnonzero(spikes)
                 v[post] = lif.v_reset
                 refr[post] = lif.refractory_ms
-                if adapt:
-                    theta[post] += lif.theta_plus
+                theta[post] += lif.theta_plus
                 counts[post] += 1
-                if stdp is not None:
-                    columns = weights[:, post]
-                    bound = rule.w_max - columns
-                    if rule.mu != 1.0:  # x ** 1.0 is exactly x
-                        bound = bound**rule.mu
-                    updated = columns + rule.learning_rate * (
-                        x_pre[:, None] - rule.trace_offset
-                    ) * bound
-                    weights[:, post] = np.clip(updated, 0.0, rule.w_max, out=updated)
-                    drives[t + 1 :, post] = (
-                        _drive_columns(matrix, weights, post, t + 1)
-                        * p.excitation_gain
-                    )
+                columns = weights[:, post]
+                bound = rule.w_max - columns
+                if rule.mu != 1.0:  # x ** 1.0 is exactly x
+                    bound = bound**rule.mu
+                updated = columns + rule.learning_rate * (
+                    x_pre[:, None] - rule.trace_offset
+                ) * bound
+                weights[:, post] = np.clip(updated, 0.0, rule.w_max, out=updated)
+                # CSR accumulates every output column on its own, so the
+                # product with the updated columns alone is exact (and
+                # cheaper over all rows than a CSR row slice).
+                drives[t + 1 :, post] = (
+                    (matrix @ weights[:, post])[t + 1 :] * p.excitation_gain
+                )
             if refractory or n_last:
                 refractory = np.count_nonzero(refr) > 0
             last, spikes = spikes, last
-        self._last_spikes = last
         return counts
 
     def run_batch(
@@ -596,9 +452,10 @@ class DiehlCookNetwork:
         which is bit-identical to the per-realization matmul.
 
         Adaptive thresholds stay frozen.  The spike counts are
-        bit-identical to looping :meth:`run_sample` over realizations
-        and samples at the same installed weights (see module
-        docstring).
+        bit-identical to a per-sample, per-timestep inference loop over
+        realizations and samples at the same installed weights
+        (``sequential_spike_counts`` in ``tests/snn_oracle.py``; see
+        the module docstring).
         """
         p = self.parameters
         bs = self.batch_shape
@@ -623,7 +480,7 @@ class DiehlCookNetwork:
         else:
             base_weights = None
         blocks = self._drive_blocks(self.prepare_drive_matrix(trains), base_weights)
-        self.reset_state(keep_theta=True)
+        self.reset_state()
         return self._run_batch_frozen(blocks, trains.shape[1])
 
     def _drive_blocks(
@@ -666,16 +523,16 @@ class DiehlCookNetwork:
             rows = matrix[t0 * n_batch : t1 * n_batch]
             shape = (t1 - t0, n_batch, p.n_neurons)
             if not stacked:
-                drives = _drive_rows(rows, self.weights)
+                drives = rows @ self.weights
                 drives *= gain
                 yield drives.reshape(shape)
                 continue
             out = buffer[: t1 - t0]
             if base_weights is not None:
-                base_rows = _drive_rows(rows, base_weights)
+                base_rows = rows @ base_weights
             for e, weights in enumerate(self.weights):
                 if base_weights is None:
-                    drives = _drive_rows(rows, weights)
+                    drives = rows @ weights
                 else:
                     drives = _delta_drive_rows(rows, weights, changed[e], base_rows)
                 out[:, e] = drives.reshape(shape)
@@ -685,7 +542,7 @@ class DiehlCookNetwork:
     def prepare_drive_matrix(self, spike_trains: np.ndarray):
         """Prebuild the reusable sparse drive operator of a chunk.
 
-        The CSR matrix (or boolean fallback) that :meth:`run_batch` and
+        The CSR matrix that :meth:`run_batch` and
         :meth:`run_batch_stdp` stream their drive blocks from
         (:meth:`_drive_blocks`) — exposed so a caller presenting the *same*
         encoded minibatch repeatedly (the per-BER-stage amortization of
@@ -759,7 +616,7 @@ class DiehlCookNetwork:
             matrix = self.prepare_drive_matrix(trains)
         blocks = self._drive_blocks(matrix)
         bound = stdp.frozen_bound(self.weights)
-        self.reset_state(keep_theta=True)
+        self.reset_state()
         stdp.reset_state()
         pre_steps = trains.transpose(1, 0, 2)  # (n_steps, B, n_input) view
         counts = np.zeros(bs + (p.n_neurons,), dtype=np.int64)
@@ -778,9 +635,9 @@ class DiehlCookNetwork:
 
         The training counterpart of :meth:`_run_batch_frozen`, reading
         the same drive blocks: per step it performs exactly the ufunc
-        sequence of
-        :meth:`_step_from_drive` with ``adapt=True`` plus the STDP trace
-        decay/bump, into buffers allocated before the loop, then the
+        sequence of the reference step from a drive (``step_from_drive``
+        in ``tests/snn_oracle.py``) with ``adapt=True`` plus the STDP
+        trace decay/bump, into buffers allocated before the loop, then the
         spiking-column accumulation
         (:meth:`~repro.snn.stdp.STDPRule.accumulate_step`) runs.
         Constants stay plain Python floats, as in the reference
@@ -796,7 +653,7 @@ class DiehlCookNetwork:
         v, refr, theta = neurons.v, neurons.refractory_left, neurons.theta
         s1, s2, thr = np.empty_like(v), np.empty_like(v), np.empty_like(v)
         active, spikes = np.empty(v.shape, dtype=bool), np.empty(v.shape, dtype=bool)
-        last = self._last_spikes
+        last = np.zeros(v.shape, dtype=bool)
         row_count = np.empty(v.shape[:-1] + (1,), dtype=np.int64)
         row_inh = np.empty(v.shape[:-1] + (1,), dtype=np.float64)
         pre, offset = np.empty(x_pre.shape, dtype=bool), np.empty_like(x_pre)
@@ -841,7 +698,6 @@ class DiehlCookNetwork:
             counts += spikes
             stdp.accumulate_step(spikes, delta, bound, offset)
             last, spikes = spikes, last
-        self._last_spikes = last
         return counts
 
     def _run_batch_frozen(
@@ -853,10 +709,10 @@ class DiehlCookNetwork:
         (:meth:`_drive_blocks`); the loop reads each block in place and
         asks for the next one when it is used up.
 
-        The ufuncs, operand order and dtypes of :meth:`_step_from_drive`
-        + :meth:`AdaptiveLIFLayer.step` with frozen thresholds (the dense
-        loop ``reference_run_batch_frozen`` of ``tests/snn_oracle.py``)
-        minus work whose result cannot change.  Inhibition is added only
+        The ufuncs, operand order and dtypes of the reference step from a
+        drive with frozen thresholds (the dense loop
+        ``reference_run_batch_frozen`` of ``tests/snn_oracle.py``) minus
+        work whose result cannot change.  Inhibition is added only
         to the lanes (rows of ``n_neurons``) that spiked last step: the
         others would add ``+0.0``, and ``g_i`` is never ``-0.0``.  Only
         refractory elements count down and have their spikes cleared;
@@ -884,7 +740,7 @@ class DiehlCookNetwork:
         s1, s2 = np.empty(shape, dtype=self.dtype), np.empty(shape, dtype=self.dtype)
         # Rows of s1 and s2 also hold the spiking lanes' inhibition and g_i.
         inh, g_rows = s1.reshape(n_lanes, -1), s2.reshape(n_lanes, -1)
-        spikes, last = np.empty(shape, dtype=bool), self._last_spikes
+        spikes, last = np.empty(shape, dtype=bool), np.zeros(shape, dtype=bool)
         counts = np.zeros(size, dtype=np.int64)
         flat_index, lane_ids = np.arange(size), np.arange(n_lanes)
         lane_any = np.empty(n_lanes, dtype=bool)
@@ -949,7 +805,6 @@ class DiehlCookNetwork:
                     refractory[n_refr : n_refr + n_last] = fired
                     n_refr += n_last
             last, spikes = spikes, last
-        self._last_spikes = last.copy()
         return counts.reshape(shape)
 
 

@@ -12,11 +12,12 @@ neurons to specialise on different input classes instead of a few
 neurons winning every competition.
 
 All dynamic state is *batch-shape-polymorphic*: a layer created with
-``batch_shape=(E, B)`` holds state arrays of shape ``(E, B, n_neurons)``
-and advances ``E x B`` independent neuron populations per ``step`` call.
-Every update is elementwise, so a batched step computes exactly the same
-per-neuron arithmetic as the scalar (``batch_shape=()``) step — this is
-what lets :mod:`repro.engine` guarantee batched evaluation is
+``batch_shape=(E, B)`` holds state arrays of shape ``(E, B, n_neurons)``,
+one row per independent neuron population.  The layer holds state; the
+time loops of :class:`repro.snn.network.DiehlCookNetwork` advance it.
+Every update there is elementwise, so a batched step computes exactly
+the same per-neuron arithmetic as a scalar (``batch_shape=()``) step —
+this is what lets :mod:`repro.engine` guarantee batched evaluation is
 bit-identical to a sequential per-sample loop.
 """
 
@@ -64,7 +65,8 @@ class AdaptiveLIFLayer:
     - ``theta`` — adaptive threshold offset (mV, >= 0);
     - ``refractory_left`` — remaining refractory time (ms).
 
-    The update follows conductance-based LIF dynamics::
+    The network's time loops update it with conductance-based LIF
+    dynamics::
 
         dv/dt = ((v_rest - v) + g_e (E_e - v) + g_i (E_i - v)) / tau_m
 
@@ -122,48 +124,11 @@ class AdaptiveLIFLayer:
         self.theta = np.broadcast_to(theta_vec, self.state_shape).copy()
         self.refractory_left = np.zeros(self.state_shape, dtype=self.dtype)
 
-    def reset_state(self, keep_theta: bool = True) -> None:
+    def reset_state(self) -> None:
         """Return the layer to rest between samples.
 
         ``theta`` is homeostatic long-term state: it survives sample
-        boundaries during training (``keep_theta=True``) and is frozen at
-        inference time.
+        boundaries during training and is frozen at inference time.
         """
         self.v.fill(self.parameters.v_rest)
         self.refractory_left.fill(0.0)
-        if not keep_theta:
-            self.theta.fill(0.0)
-
-    def step(
-        self,
-        g_excitatory: np.ndarray,
-        g_inhibitory: np.ndarray,
-        adapt: bool = True,
-    ) -> np.ndarray:
-        """Advance one timestep; returns the boolean spike array.
-
-        ``g_excitatory`` / ``g_inhibitory`` are dimensionless conductance
-        inputs for this step (see :mod:`repro.snn.synapses`), broadcast
-        against the state shape.  ``adapt=False`` freezes the adaptive
-        thresholds (inference mode).
-        """
-        p = self.parameters
-        active = self.refractory_left <= 0.0
-
-        dv = (
-            (p.v_rest - self.v)
-            + g_excitatory * (p.e_excitatory - self.v)
-            + g_inhibitory * (p.e_inhibitory - self.v)
-        ) * (self.dt_ms / p.tau_membrane_ms)
-        self.v = np.where(active, self.v + dv, self.v)
-
-        spikes = active & (self.v >= p.v_threshold + self.theta)
-        self.v[spikes] = p.v_reset
-        self.refractory_left[spikes] = p.refractory_ms
-        self.refractory_left[~spikes] = np.maximum(
-            0.0, self.refractory_left[~spikes] - self.dt_ms
-        )
-        if adapt:
-            self.theta *= self._theta_decay
-            self.theta[spikes] += p.theta_plus
-        return spikes

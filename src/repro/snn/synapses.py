@@ -8,8 +8,8 @@ and otherwise decreases exponentially."
 postsynaptic neuron (the summed effect of all presynaptic spikes through
 the weight matrix), decaying with time constant ``tau``.  Like the
 neuron layer, its state carries an arbitrary leading batch shape, so one
-object can integrate the conductances of ``E x B`` independent network
-instances at once.
+object holds the conductances of ``E x B`` independent network
+instances; the network's time loops decay it and add each step's input.
 """
 
 from __future__ import annotations
@@ -30,39 +30,6 @@ class ConductanceParameters:
     def validate(self) -> None:
         if self.tau_excitatory_ms <= 0 or self.tau_inhibitory_ms <= 0:
             raise ValueError("conductance time constants must be > 0")
-
-
-def propagate_spikes(weights: np.ndarray, spikes: np.ndarray) -> np.ndarray:
-    """Postsynaptic drive ``spikes @ weights`` for batched spike arrays.
-
-    ``spikes`` has shape ``(..., n_pre)`` (boolean or float);
-    ``weights`` is either one matrix ``(n_pre, n_post)`` — applied to
-    every batch element — or a stack ``stack_shape + (n_pre, n_post)``
-    whose ``stack_shape`` must equal ``spikes.shape[:len(stack_shape)]``
-    (one weight tensor per leading batch index, e.g. per error
-    realization).  Returns drive of shape ``spikes.shape[:-1] + (n_post,)``.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    spikes_f = np.asarray(spikes, dtype=np.float64)
-    if weights.ndim < 2:
-        raise ValueError(f"weights must be at least 2-D, got shape {weights.shape}")
-    n_pre = weights.shape[-2]
-    if spikes_f.shape[-1] != n_pre:
-        raise ValueError(
-            f"spikes must have {n_pre} presynaptic entries on the last axis, "
-            f"got shape {spikes_f.shape}"
-        )
-    if weights.ndim == 2:
-        batch = spikes_f.shape[:-1]
-        flat = spikes_f.reshape(-1, n_pre) if spikes_f.ndim != 2 else spikes_f
-        return (flat @ weights).reshape(batch + (weights.shape[-1],))
-    stack = weights.shape[:-2]
-    if spikes_f.ndim != len(stack) + 2 or spikes_f.shape[: len(stack)] != stack:
-        raise ValueError(
-            f"stacked weights {weights.shape} require spikes shaped "
-            f"{stack + ('B', n_pre)}, got {spikes_f.shape}"
-        )
-    return np.matmul(spikes_f, weights)
 
 
 class SynapticConductance:
@@ -99,14 +66,3 @@ class SynapticConductance:
 
     def reset_state(self) -> None:
         self.g.fill(0.0)
-
-    def step(self, injected: np.ndarray | float = 0.0) -> np.ndarray:
-        """Decay one step, then add ``injected`` conductance; return g.
-
-        ``injected`` broadcasts against the state shape, so a batched
-        conductance accepts per-instance injections of shape
-        ``batch_shape + (n_neurons,)`` (or any broadcastable prefix).
-        """
-        self.g *= self._decay
-        self.g += injected
-        return self.g

@@ -154,10 +154,19 @@ def reference_sample_flips(model, context, rng):
     raise ValueError(f"no reference sampler for {model.name!r}")
 
 
+#: The optional :class:`BitContext` fields each model reads, by name.
+CONTEXT_FIELDS = {
+    "model1": ("bitline_of",),
+    "model2": ("wordline_of",),
+    "model3": ("values",),
+    "eden": ("wordline_of", "values"),
+}
+
+
 def reference_context_for(injector, member_words, bpw, rate):
     """The historical ``ErrorInjector._context_for``, verbatim."""
     n_bits = member_words.size * bpw
-    fields = getattr(injector.model, "context_fields", ())
+    fields = CONTEXT_FIELDS.get(injector.model.name, ())
     needs_lanes = "bitline_of" in fields
     needs_rows = "wordline_of" in fields
     needs_values = "values" in fields

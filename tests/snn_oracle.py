@@ -1,22 +1,42 @@
-"""Reference SNN loops: the oracles the vectorized engine must match.
+"""Reference SNN dynamics: the oracles the vectorized engine must match.
 
-The production evaluator and trainer run one implementation each — the
-batched inference loop (:meth:`DiehlCookNetwork.run_batch`), the fused
+The library's network dynamics are its three time loops — the batched
+inference loop (:meth:`DiehlCookNetwork.run_batch`), the fused
 minibatch training loop (:meth:`DiehlCookNetwork.run_batch_stdp`) and
-the lean ``batch_size=1`` loop (:meth:`DiehlCookNetwork.run_sample`).
-The plain loops they replaced live here, so tests and the
+the lean ``batch_size=1`` training loop
+(:meth:`DiehlCookNetwork.run_sample`).  The per-step simulator and the
+plain loops they replaced live here, so tests and the
 ``benchmarks/perf_*.py`` gates can compare against them with
-``np.array_equal``:
+``np.array_equal``.
+
+The per-step API is functions over a network's state objects; they
+were once the library methods ``DiehlCookNetwork.step`` and
+``_step_from_drive``, ``AdaptiveLIFLayer.step`` and
+``SynapticConductance.step``.  A step takes the last step's spikes
+(:func:`no_spikes` after a reset) and returns its own:
+
+- :func:`step_drive` — one step's drive, the index-sum
+  ``weights[active].sum(axis=0)``;
+- :func:`sample_drive` — every step's drive of one sample, through the
+  library's CSR operator;
+- :func:`propagate_spikes` — the dense ``spikes @ weights`` drive of
+  batched spike arrays;
+- :func:`conductance_step`, :func:`neuron_step`,
+  :func:`step_from_drive` and :func:`network_step` — one timestep of a
+  conductance, a neuron layer and the whole network.
+
+The reference loops:
 
 - :func:`reference_stdp_step` — the in-place B=1 STDP rule, once the
   ``STDPRule.step`` method;
 - :func:`reference_run_sample` — the historical B=1 loop
-  (``network.step`` + :func:`reference_stdp_step` per timestep) that
-  :meth:`DiehlCookNetwork.run_sample`'s lean loop replaced;
+  (:func:`network_step` + :func:`reference_stdp_step` per timestep)
+  that :meth:`DiehlCookNetwork.run_sample`'s lean loop replaced, and,
+  without a rule, the per-sample inference loop;
 - :func:`sequential_spike_counts` — the per-sample, per-timestep
   evaluation loop;
 - :func:`reference_run_batch_stdp` — the unfused minibatch loop
-  (``_step_from_drive`` + :func:`step_accumulate` per step) that
+  (:func:`step_from_drive` + :func:`step_accumulate` per step) that
   :meth:`DiehlCookNetwork._run_batch_stdp_fused` replaced, call-
   compatible with ``DiehlCookNetwork.run_batch_stdp`` so tests can
   swap it in with ``monkeypatch.setattr``;
@@ -30,9 +50,15 @@ The plain loops they replaced live here, so tests and the
   they were before they skipped the training-set scoring: they call
   :func:`train_unsupervised`, which still scores, and overwrite its
   score.
+
+:data:`PARAMETER_VARIANTS` names the network parameter sets every time
+loop is compared with its reference loop under
+(:func:`parameter_variant` applies one).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -46,9 +72,10 @@ from repro.snn.encoding import poisson_rate_code
 from repro.snn.network import (
     DiehlCookNetwork,
     NetworkParameters,
+    _drive_matrix,
     make_stdp,
-    sample_drive,
 )
+from repro.snn.neurons import LIFParameters
 from repro.snn.stdp import STDPParameters, normalize_columns
 from repro.snn.training import (
     assign_labels,
@@ -56,6 +83,189 @@ from repro.snn.training import (
     run_spike_counts,
     train_unsupervised,
 )
+
+#: Parameter sets the time loops are checked against their reference
+#: loops under, as ``NetworkParameters`` / ``LIFParameters`` field
+#: overrides.  Each reaches arithmetic or a branch the defaults leave
+#: alone.
+PARAMETER_VARIANTS = {
+    "default": {},
+    # A spike starts no refractory period.
+    "no-refractory": {"refractory_ms": 0.0},
+    # A period that is no multiple of dt: the countdown clamps at 0.
+    "refractory-2.5": {"refractory_ms": 2.5},
+    # Other decay factors and Euler factor; a refractory period of 10 steps.
+    "dt-0.5": {"dt_ms": 0.5},
+    # No lateral inhibition: many neurons fire, and learn, on one step.
+    "no-inhibition": {"inhibition_strength": 0.0},
+    # Thresholds stay at v_threshold and a reset lands on it: only the
+    # refractory mask keeps a neuron that just fired silent.
+    "reset-at-threshold": {
+        "v_reset": LIFParameters().v_threshold,
+        "theta_plus": 0.0,
+        "theta_init_max": 0.0,
+    },
+}
+
+
+def parameter_variant(params, name):
+    """``params`` with the overrides of ``PARAMETER_VARIANTS[name]``."""
+    lif_fields = {field.name for field in dataclasses.fields(LIFParameters)}
+    overrides = PARAMETER_VARIANTS[name]
+    lif = {key: value for key, value in overrides.items() if key in lif_fields}
+    rest = {key: value for key, value in overrides.items() if key not in lif_fields}
+    return dataclasses.replace(
+        params, lif=dataclasses.replace(params.lif, **lif), **rest
+    )
+
+
+def no_spikes(network):
+    """The last-step spikes of a network at rest: all ``False``."""
+    return np.zeros(network.batch_shape + (network.n_neurons,), dtype=bool)
+
+
+def step_drive(weights, input_spikes):
+    """One timestep's input drive: ``weights[active].sum(axis=0)``.
+
+    The canonical sequential drive (inherited from the original scalar
+    simulator): the rows of the weight matrix whose input spiked are
+    accumulated top to bottom.  :func:`sample_drive` reproduces exactly
+    this accumulation for every step of a sample at once.
+    """
+    active = np.flatnonzero(input_spikes)
+    return weights[active].sum(axis=0)
+
+
+def sample_drive(spike_train, weights):
+    """All per-step input drives of one sample: ``train @ weights``.
+
+    ``spike_train`` is boolean ``(n_steps, n_input)``; ``weights`` is
+    one ``(n_input, n_neurons)`` matrix; the product runs through the
+    library's CSR operator (``repro.snn.network._drive_matrix``), as
+    every time loop's drives do.  Row ``t`` is **bit-identical** to
+    ``step_drive(weights, spike_train[t])``: CSR accumulates each
+    output row over its active columns in ascending order, exactly as
+    numpy's axis-0 reduction adds the gathered weight rows.
+    """
+    weights = np.asarray(weights)
+    return _drive_matrix(spike_train, weights.dtype) @ weights
+
+
+def propagate_spikes(weights, spikes):
+    """Postsynaptic drive ``spikes @ weights`` for batched spike arrays.
+
+    ``spikes`` has shape ``(..., n_pre)`` (boolean or float);
+    ``weights`` is either one matrix ``(n_pre, n_post)`` — applied to
+    every batch element — or a stack ``stack_shape + (n_pre, n_post)``
+    whose ``stack_shape`` must equal ``spikes.shape[:len(stack_shape)]``
+    (one weight tensor per leading batch index, e.g. per error
+    realization).  Returns drive of shape ``spikes.shape[:-1] + (n_post,)``.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    spikes_f = np.asarray(spikes, dtype=np.float64)
+    if weights.ndim < 2:
+        raise ValueError(f"weights must be at least 2-D, got shape {weights.shape}")
+    n_pre = weights.shape[-2]
+    if spikes_f.shape[-1] != n_pre:
+        raise ValueError(
+            f"spikes must have {n_pre} presynaptic entries on the last axis, "
+            f"got shape {spikes_f.shape}"
+        )
+    if weights.ndim == 2:
+        batch = spikes_f.shape[:-1]
+        flat = spikes_f.reshape(-1, n_pre) if spikes_f.ndim != 2 else spikes_f
+        return (flat @ weights).reshape(batch + (weights.shape[-1],))
+    stack = weights.shape[:-2]
+    if spikes_f.ndim != len(stack) + 2 or spikes_f.shape[: len(stack)] != stack:
+        raise ValueError(
+            f"stacked weights {weights.shape} require spikes shaped "
+            f"{stack + ('B', n_pre)}, got {spikes_f.shape}"
+        )
+    return np.matmul(spikes_f, weights)
+
+
+def conductance_step(conductance, injected=0.0):
+    """Decay a :class:`SynapticConductance` one step, add ``injected``; return g.
+
+    ``injected`` broadcasts against the state shape, so a batched
+    conductance accepts per-instance injections of shape
+    ``batch_shape + (n_neurons,)`` (or any broadcastable prefix).
+    """
+    conductance.g *= conductance._decay
+    conductance.g += injected
+    return conductance.g
+
+
+def neuron_step(layer, g_excitatory, g_inhibitory, adapt=True):
+    """Advance an :class:`AdaptiveLIFLayer` one timestep; returns its spikes.
+
+    ``g_excitatory`` / ``g_inhibitory`` are dimensionless conductance
+    inputs for this step, broadcast against the state shape.
+    ``adapt=False`` freezes the adaptive thresholds (inference mode).
+    """
+    p = layer.parameters
+    active = layer.refractory_left <= 0.0
+
+    dv = (
+        (p.v_rest - layer.v)
+        + g_excitatory * (p.e_excitatory - layer.v)
+        + g_inhibitory * (p.e_inhibitory - layer.v)
+    ) * (layer.dt_ms / p.tau_membrane_ms)
+    layer.v = np.where(active, layer.v + dv, layer.v)
+
+    spikes = active & (layer.v >= p.v_threshold + layer.theta)
+    layer.v[spikes] = p.v_reset
+    layer.refractory_left[spikes] = p.refractory_ms
+    layer.refractory_left[~spikes] = np.maximum(
+        0.0, layer.refractory_left[~spikes] - layer.dt_ms
+    )
+    if adapt:
+        layer.theta *= layer._theta_decay
+        layer.theta[spikes] += p.theta_plus
+    return spikes
+
+
+def step_from_drive(network, drive, last, adapt):
+    """Advance ``network`` one timestep from a precomputed excitatory drive.
+
+    ``last`` is the previous step's spike array; the returned spikes
+    are the next step's ``last``.  Everything here is elementwise over
+    the state shape, so the arithmetic of a batched step is
+    bit-identical per element to the scalar step — the keystone of the
+    batched ≡ per-sample guarantee.
+    """
+    p = network.parameters
+    conductance_step(network.g_excitatory, drive)
+    # Lateral inhibition: each spike last step inhibits all *other*
+    # neurons (Fig. 4a's inhibition fan-out).
+    inhibition = (
+        last.sum(axis=-1, keepdims=True) * p.inhibition_strength
+        - p.inhibition_strength * last
+    )
+    conductance_step(network.g_inhibitory, inhibition)
+    return neuron_step(
+        network.neurons, network.g_excitatory.g, network.g_inhibitory.g, adapt=adapt
+    )
+
+
+def network_step(network, input_spikes, last, adapt=True):
+    """One network timestep from input spikes; returns the excitatory spikes.
+
+    ``input_spikes`` has shape ``batch_shape + (n_input,)`` (a plain
+    ``(n_input,)`` vector on an unbatched network).  The scalar path
+    uses the sparse per-step index-sum (:func:`step_drive`); batched
+    networks use the ``spikes @ weights`` matmul.
+    """
+    p = network.parameters
+    pre = np.asarray(input_spikes, dtype=bool)
+    expected = network.batch_shape + (p.n_input,)
+    if pre.shape != expected:
+        raise ValueError(f"input spikes must have shape {expected}")
+    if network.batch_shape == () and network.weights.ndim == 2:
+        drive = step_drive(network.weights, pre) * p.excitation_gain
+    else:
+        drive = propagate_spikes(network.weights, pre) * p.excitation_gain
+    return step_from_drive(network, drive, last, adapt)
 
 
 def reference_stdp_step(rule, weights, pre_spikes, post_spikes):
@@ -99,9 +309,12 @@ def reference_stdp_step(rule, weights, pre_spikes, post_spikes):
 def reference_run_sample(network, train, stdp=None, adapt=None, normalize=None):
     """The historical body of ``DiehlCookNetwork.run_sample``, verbatim.
 
-    One :meth:`DiehlCookNetwork.step` plus one in-place
-    :func:`reference_stdp_step` per timestep; same validation, state
-    reset, counts and post-sample normalisation as the library method.
+    One :func:`network_step` plus one in-place
+    :func:`reference_stdp_step` per timestep, with the validation, state
+    reset and counts of the library method.  Without a rule it is the
+    per-sample inference loop (thresholds frozen unless ``adapt``); with
+    one, ``normalize`` (default on) applies the post-sample column
+    normalisation that ``run_sample`` leaves to its caller.
     """
     p = network.parameters
     if network.batch_shape != ():
@@ -116,14 +329,15 @@ def reference_run_sample(network, train, stdp=None, adapt=None, normalize=None):
         )
     if adapt is None:
         adapt = stdp is not None
-    network.reset_state(keep_theta=True)
+    network.reset_state()
     if stdp is not None:
         stdp.reset_state()
     if normalize is None:
         normalize = stdp is not None and p.weight_norm > 0
     counts = np.zeros(p.n_neurons, dtype=np.int64)
+    spikes = no_spikes(network)
     for t in range(train.shape[0]):
-        spikes = network.step(train[t], adapt=adapt)
+        spikes = network_step(network, train[t], spikes, adapt=adapt)
         if stdp is not None:
             reference_stdp_step(stdp, network.weights, train[t], spikes)
         counts += spikes
@@ -181,12 +395,13 @@ def reference_run_batch_stdp(network, spike_trains, stdp, delta, matrix=None):
     drives = np.stack([sample_drive(train, network.weights) for train in trains], axis=1)
     drives *= network.parameters.excitation_gain
     bound = stdp.frozen_bound(network.weights)
-    network.reset_state(keep_theta=True)
+    network.reset_state()
     stdp.reset_state()
     pre_steps = trains.transpose(1, 0, 2)  # (n_steps, B, n_input) view
     counts = np.zeros(network.batch_shape + (network.n_neurons,), dtype=np.int64)
+    spikes = no_spikes(network)
     for t in range(trains.shape[1]):
-        spikes = network._step_from_drive(drives[t], adapt=True)
+        spikes = step_from_drive(network, drives[t], spikes, adapt=True)
         step_accumulate(stdp, pre_steps[t], spikes, delta, bound)
         counts += spikes
     return counts
@@ -241,7 +456,7 @@ def reference_run_batch_frozen(network, drives, n_steps):
     s2 = np.empty(shape, dtype=network.dtype)
     active = np.empty(shape, dtype=bool)
     spikes = np.empty(shape, dtype=bool)
-    last = network._last_spikes
+    last = np.zeros(shape, dtype=bool)
     counts = np.zeros(shape, dtype=np.int64)
     row_count = np.empty(shape[:-1] + (1,), dtype=np.int64)
     row_inh = np.empty(shape[:-1] + (1,), dtype=np.float64)
@@ -277,7 +492,6 @@ def reference_run_batch_frozen(network, drives, n_steps):
         refr[spikes] = lif.refractory_ms
         counts += spikes
         last, spikes = spikes, last
-    network._last_spikes = last.copy()
     return counts
 
 

@@ -1,6 +1,5 @@
 """Tests of the analysis helpers: platforms (Fig. 1b) and reporting."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.platforms import (

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis.sensitivity import (
-    flip_single_position,
-    weight_perturbation_by_bit,
-)
-from repro.snn.quantization import FixedPointRepresentation, Float32Representation
+from repro.analysis.sensitivity import flip_single_position
+from repro.snn.quantization import Float32Representation
 
 
 @pytest.fixture
@@ -40,29 +37,3 @@ class TestFlipSinglePosition:
             flip_single_position(weights, rep, 0, 0.0, np.random.default_rng(0))
         with pytest.raises(IndexError):
             flip_single_position(weights, rep, 32, 0.5, np.random.default_rng(0))
-
-
-class TestPerturbationByBit:
-    def test_msb_dwarfs_lsb_for_fp32(self, weights):
-        # The label-2 observation in weight space.
-        rep = Float32Representation(clip_range=(0.0, 1.0))
-        points = weight_perturbation_by_bit(
-            weights, rep, flip_fraction=0.2, bit_positions=(0, 30)
-        )
-        by_bit = {p.bit_position: p.mean_weight_change for p in points}
-        assert by_bit[30] > 1e3 * max(by_bit[0], 1e-12)
-
-    def test_int8_perturbation_doubles_per_bit(self, weights):
-        # fixed point: bit k moves the weight by exactly step * 2^k.
-        rep = FixedPointRepresentation(bits=8)
-        points = weight_perturbation_by_bit(
-            weights, rep, flip_fraction=1.0, bit_positions=(0, 1, 2)
-        )
-        changes = [p.mean_weight_change for p in points]
-        assert changes[1] == pytest.approx(2 * changes[0], rel=1e-6)
-        assert changes[2] == pytest.approx(4 * changes[0], rel=1e-6)
-
-    def test_probes_every_position_by_default(self, weights):
-        rep = FixedPointRepresentation(bits=8)
-        points = weight_perturbation_by_bit(weights, rep, flip_fraction=0.5)
-        assert [p.bit_position for p in points] == list(range(8))

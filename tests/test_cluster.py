@@ -808,8 +808,6 @@ class TestJournalResume:
     ):
         import contextlib
 
-        from repro.cluster import SweepJournal
-
         serial_records, _ = serial_sweep
         root = tmp_path / "cache"
         journal_path = root / "journal.jsonl"

@@ -11,7 +11,6 @@ from repro.core.fault_aware_training import (
 )
 from repro.errors.injection import ErrorInjector
 from repro.errors.models import ErrorModel0, ErrorModelEden
-from repro.snn.network import NetworkParameters
 from repro.snn.quantization import Float32Representation
 
 

@@ -1,6 +1,5 @@
 """Tests of the SparkXD orchestrator and its configuration."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import PAPER_BER_RATES, PAPER_VOLTAGES, SparkXDConfig

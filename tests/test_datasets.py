@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.datasets import (
-    DATASET_NAMES,
     Dataset,
     load_dataset,
     load_synthetic_fashion,
@@ -146,9 +145,6 @@ class TestPipelineHelpers:
 
 
 class TestLoader:
-    def test_names(self):
-        assert DATASET_NAMES == ("mnist", "fashion")
-
     @pytest.mark.parametrize(
         "alias,expected",
         [

@@ -1,10 +1,9 @@
 """Tests of the DRAMPower-substitute energy model (Fig. 2b, Table I)."""
 
-import numpy as np
 import pytest
 
 from repro.dram.commands import AccessCondition, CommandKind
-from repro.dram.energy import DramEnergyModel, PERIPHERAL_FRACTION
+from repro.dram.energy import DramEnergyModel
 from repro.dram.organization import DramOrganization
 from repro.dram.row_buffer import RowBufferSimulator
 from repro.dram.specs import LPDDR3_1600_4GB, tiny_spec

@@ -1,6 +1,5 @@
 """Unit + property tests for DRAM address arithmetic."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

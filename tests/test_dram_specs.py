@@ -7,7 +7,6 @@ import pytest
 
 from repro.dram.specs import (
     DramGeometry,
-    DramSpec,
     ElectricalParameters,
     LPDDR3_1600_4GB,
     get_dram_spec,

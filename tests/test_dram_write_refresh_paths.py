@@ -1,6 +1,5 @@
 """Tests of the write-traffic and refresh-inclusive controller paths."""
 
-import numpy as np
 import pytest
 
 from repro.dram.commands import CommandKind

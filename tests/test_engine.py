@@ -11,13 +11,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from snn_oracle import sequential_spike_counts
+from snn_oracle import (
+    reference_run_sample,
+    sample_drive,
+    sequential_spike_counts,
+    step_drive,
+)
 
 from repro.engine import BatchedEvaluator, ChunkPolicy, encode_spike_trains
 from repro.engine.encoding import skip_spike_trains
 from repro.errors.injection import ErrorInjector
 from repro.snn.encoding import MAX_RATE_HZ, poisson_rate_code
-from repro.snn.network import DiehlCookNetwork, NetworkParameters, sample_drive
+from repro.snn.network import DiehlCookNetwork, NetworkParameters
 from repro.snn.quantization import Float32Representation
 from repro.snn.training import evaluate_accuracy, predict, run_spike_counts
 
@@ -71,7 +76,7 @@ class TestSpikeCountIdentity:
         network, images, stack = setup
         batched = _counts(network, images, stack)
         # Hand-rolled reference: encode every image (same stream), then
-        # loop realizations x samples through the scalar legacy API.
+        # loop realizations x samples through the scalar reference loop.
         rng = np.random.default_rng(21)
         trains = [poisson_rate_code(img, 25, rng=rng) for img in images]
         ref_net = DiehlCookNetwork(PARAMS, init_weights=False)
@@ -80,7 +85,7 @@ class TestSpikeCountIdentity:
             ref_net.set_weights(stack[e])
             for b, train in enumerate(trains):
                 assert np.array_equal(
-                    batched[e, b], ref_net.run_sample(train, stdp=None)
+                    batched[e, b], reference_run_sample(ref_net, train)
                 )
 
     def test_ragged_final_chunk_identity(self, setup):
@@ -420,34 +425,12 @@ class TestDriveIdentity:
         return rng.random((40, 96)) < density
 
     def test_rows_match_step_drive(self):
-        from repro.snn.network import step_drive
-
         rng = np.random.default_rng(1)
         weights = rng.random((96, 31))
         train = self._train()
         rows = sample_drive(train, weights)
         for t in range(train.shape[0]):
             assert np.array_equal(rows[t], step_drive(weights, train[t]))
-
-    def test_numpy_fallback_matches(self, monkeypatch):
-        import repro.snn.network as network_module
-
-        rng = np.random.default_rng(2)
-        weights = rng.random((96, 31))
-        train = self._train()
-        with_scipy = sample_drive(train, weights)
-        monkeypatch.setattr(network_module, "_sparse", None)
-        without_scipy = sample_drive(train, weights)
-        assert np.array_equal(with_scipy, without_scipy)
-
-    def test_engines_agree_without_scipy(self, monkeypatch, setup):
-        import repro.snn.network as network_module
-
-        monkeypatch.setattr(network_module, "_sparse", None)
-        network, images, stack = setup
-        batched = _counts(network, images[:4], stack)
-        sequential = _oracle(network, images[:4], stack)
-        assert np.array_equal(batched, sequential)
 
 
 class TestFloat32Engine:

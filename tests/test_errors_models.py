@@ -126,15 +126,6 @@ class TestModel2:
         per_row_uniform = np.bincount(uniform // row_bits, minlength=n_bits // row_bits)
         assert per_row.std() > 2 * per_row_uniform.std()
 
-    def test_unit_factors_match_unique_form(self):
-        model = ErrorModel2(sigma=0.6, structure_seed=3)
-        unit_ids = np.random.default_rng(4).integers(5, 60, size=5000)
-        factors = np.random.default_rng(3).lognormal(
-            mean=0.0, sigma=0.6, size=int(np.unique(unit_ids).max()) + 1
-        )
-        per_bit = factors[unit_ids]
-        assert np.array_equal(model._unit_factors(unit_ids), per_bit / per_bit.mean())
-
 
 class TestModel3:
     def test_requires_values(self):
@@ -223,11 +214,6 @@ class TestEdenModel:
         ones = int((flipped_values != 0).sum())
         zeros = int((flipped_values == 0).sum())
         assert ones > 3 * zeros
-
-    def test_declared_context_fields(self):
-        from repro.errors.models import ErrorModelEden
-
-        assert ErrorModelEden.context_fields == ("wordline_of", "values")
 
     def test_ratio_validation(self):
         from repro.errors.models import ErrorModelEden

