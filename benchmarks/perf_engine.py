@@ -85,7 +85,7 @@ def _build_workload(scenario: dict, n_input: int = 784):
     rng = np.random.default_rng(1234)
     params = NetworkParameters(n_input=n_input, n_neurons=scenario["n_neurons"])
     network = DiehlCookNetwork(params, rng=rng)
-    network.neurons.theta = rng.uniform(0.0, 2.0, params.n_neurons)
+    network.theta = rng.uniform(0.0, 2.0, params.n_neurons)
     injector = ErrorInjector(Float32Representation(clip_range=(0, 1)), seed=7)
     stack, _ = injector.inject_stack(
         network.weights, 1e-3, n_realizations=scenario["n_realizations"], rng=rng

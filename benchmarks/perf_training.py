@@ -172,9 +172,9 @@ def _same_state(a, b) -> bool:
     """
     return bool(
         np.array_equal(a.weights, b.weights)
-        and np.array_equal(a.neurons.theta, b.neurons.theta)
-        and np.array_equal(a.neurons.v, b.neurons.v)
-        and np.array_equal(a.g_excitatory.g, b.g_excitatory.g)
+        and np.array_equal(a.theta, b.theta)
+        and np.array_equal(a.v, b.v)
+        and np.array_equal(a.g_e, b.g_e)
     )
 
 
@@ -184,7 +184,7 @@ def _spiked(network, scenario) -> bool:
     Only a spike raises theta (homeostasis decays it otherwise), so two
     networks that never spiked cannot pass a gate that requires this.
     """
-    return bool((network.neurons.theta > _network(scenario).neurons.theta).any())
+    return bool((network.theta > _network(scenario).theta).any())
 
 
 def _injection_row(n_neurons: int, model: str, reads: int) -> dict:

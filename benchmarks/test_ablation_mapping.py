@@ -14,11 +14,11 @@ from repro.analysis.reporting import format_table
 from repro.core.mapping_policy import baseline_mapping, sparkxd_mapping
 from repro.dram.organization import DramOrganization
 from repro.dram.specs import LPDDR3_1600_4GB
+from repro.engine import BatchedEvaluator
 from repro.errors.injection import ErrorInjector
 from repro.errors.weak_cells import WeakCellMap
 from repro.snn.network import DiehlCookNetwork, NetworkParameters
 from repro.snn.quantization import Float32Representation
-from repro.snn.training import evaluate_accuracy
 
 N_NEURONS = 50
 V_SUPPLY = 1.025
@@ -53,15 +53,16 @@ def test_ablation_mapping_accuracy_effect(benchmark, datasets):
                     model.weights, mapping.subarray_of_weight(), profile.rates,
                     rng=rng,
                 )
+                # The network's initial draws stay part of this random
+                # stream; the evaluator takes the model's thresholds.
                 net = DiehlCookNetwork(
                     NetworkParameters(n_neurons=N_NEURONS), rng=rng
                 )
                 model.install_into(net)
-                net.set_weights(corrupted)
                 accuracies.append(
-                    evaluate_accuracy(
-                        net, dataset.test_images, dataset.test_labels,
-                        model.assignments, N_STEPS, rng,
+                    BatchedEvaluator.for_network(net).accuracies(
+                        dataset.test_images, dataset.test_labels,
+                        model.assignments, N_STEPS, rng, weights=corrupted,
                     )
                 )
                 flips.append(report.flipped_bits)

@@ -59,7 +59,8 @@ tour, and ``python -m repro stages`` for a live inventory.
 """
 
 from repro.core.config import SparkXDConfig
-from repro.core.framework import SparkXD, SparkXDResult, VoltageOutcome
+from repro.core.framework import SparkXD
+from repro.core.results import SparkXDResult, VoltageOutcome
 
 __all__ = ["SparkXD", "SparkXDConfig", "SparkXDResult", "VoltageOutcome"]
 __version__ = "1.1.0"

@@ -18,8 +18,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.datasets.base import Dataset
+from repro.engine import BatchedEvaluator
 from repro.snn.network import DiehlCookNetwork, NetworkParameters
-from repro.snn.training import TrainedModel, evaluate_accuracy
+from repro.snn.training import TrainedModel
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,6 @@ def accuracy_by_bit(
     flip_fraction: float = 0.05,
     n_steps: int = 80,
     seed: int = 0,
-    n_classes: int = 10,
 ) -> Tuple[BitSensitivityPoint, ...]:
     """Classification accuracy with one stored bit position flipped.
 
@@ -70,24 +70,25 @@ def accuracy_by_bit(
     also carries the mean |Δweight| over the flipped weights.
     """
     rng = np.random.default_rng(seed)
+    # The network's initial draws stay in the random stream (see
+    # ``accuracy_vs_ber_sweep``).
     network = DiehlCookNetwork(
         NetworkParameters(n_input=model.n_input, n_neurons=model.n_neurons), rng=rng
     )
     model.install_into(network)
+    evaluator = BatchedEvaluator.for_network(network)
     points = []
     for bit in bit_positions:
         corrupted = flip_single_position(
             model.weights, representation, bit, flip_fraction, rng
         )
-        network.set_weights(corrupted)
-        accuracy = evaluate_accuracy(
-            network,
+        accuracy = evaluator.accuracies(
             dataset.test_images,
             dataset.test_labels,
             model.assignments,
             n_steps,
             rng,
-            n_classes=n_classes,
+            weights=corrupted,
         )
         changed = np.abs(corrupted - model.weights)
         nonzero = changed[changed > 0]
@@ -99,5 +100,4 @@ def accuracy_by_bit(
                 accuracy=accuracy,
             )
         )
-    network.set_weights(model.weights)
     return tuple(points)

@@ -1101,7 +1101,12 @@ def _cmd_lint(args) -> int:
     else:
         import repro
 
-        root = Path(repro.__file__).parent
+        root = Path(repro.__file__).resolve().parent
+        # Name a package under the working directory relatively, so a
+        # report regenerated in any checkout holds no checkout path.
+        cwd = Path.cwd().resolve()
+        if root.is_relative_to(cwd):
+            root = root.relative_to(cwd)
 
     checkers = default_checkers()
     if args.rules:

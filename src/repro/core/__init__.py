@@ -32,7 +32,8 @@ from repro.core.tolerance_analysis import (
     analyze_error_tolerance,
 )
 from repro.core.dram_eval import evaluate_dram
-from repro.core.framework import SparkXD, SparkXDResult, VoltageOutcome
+from repro.core.framework import SparkXD
+from repro.core.results import SparkXDResult, VoltageOutcome
 from repro.core.voltage_selection import VoltageDecision, select_operating_voltage
 
 __all__ = [

@@ -9,8 +9,9 @@ gradually trained to tolerate errors up to the maximum rate.
 Mechanics per presented sample: the network computes with a freshly
 corrupted copy of the stored weights (what a DRAM read returns under
 errors), and the STDP deltas are credited back onto the stored tensor
-(what the training write-back updates).  See
-:func:`repro.snn.training.train_unsupervised`.
+(what the training write-back updates).  Every stage, and the baseline,
+trains with :class:`repro.engine.BatchedTrainer` and is labelled and
+scored with :class:`repro.engine.BatchedEvaluator`.
 
 One deliberate deviation from the paper's Algorithm 1 pseudocode: the
 listing returns as soon as *one* error rate meets the accuracy bound,
@@ -29,13 +30,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.datasets.base import Dataset
-from repro.engine import BatchedEvaluator
+from repro.engine import BatchedEvaluator, BatchedTrainer
 from repro.engine.encoding import skip_spike_trains
+from repro.engine.trainer import STAGE_ENCODINGS, StageEncodingCache
 from repro.errors.injection import ErrorInjector
 from repro.rng import ensure_rng
 from repro.snn.network import DiehlCookNetwork, NetworkParameters
 from repro.snn.stdp import STDPParameters
-from repro.snn.training import TrainedModel, _fit, assign_labels
+from repro.snn.training import TrainedModel, assign_labels
+
+#: The plasticity rule of the fault-aware stages.  They *fine-tune* an
+#: already-trained model; the full from-scratch learning rate would let
+#: error-driven spurious spikes erode the learned receptive fields.
+FINE_TUNING_STDP = STDPParameters(learning_rate=0.01)
 
 
 def default_ber_schedule(
@@ -74,10 +81,7 @@ def improve_error_tolerance(
     epochs_per_rate: int = 1,
     n_steps: int = 100,
     accuracy_bound: float = 0.01,
-    network_parameters: Optional[NetworkParameters] = None,
-    stdp_parameters: Optional[STDPParameters] = None,
     rng: Optional[np.random.Generator] = None,
-    n_classes: int = 10,
     batch_size: int = 1,
     dtype: np.dtype = np.float64,
     stage_encoding: str = "fresh",
@@ -96,7 +100,8 @@ def improve_error_tolerance(
     rates:
         Ascending BER schedule; Step-1 of Section IV-B.
     epochs_per_rate:
-        Training epochs spent at each BER stage.
+        Training epochs spent at each BER stage, under the fine-tuning
+        rule :data:`FINE_TUNING_STDP`.
     batch_size:
         Samples per STDP presentation at every BER stage
         (:class:`repro.engine.trainer.BatchedTrainer`).  With
@@ -120,8 +125,6 @@ def improve_error_tolerance(
         replayed stages skip their permutation/encoding draws, so this
         is a result-changing, fingerprinted knob.
     """
-    from repro.engine.trainer import STAGE_ENCODINGS, StageEncodingCache
-
     if stage_encoding not in STAGE_ENCODINGS:
         raise ValueError(
             f"stage_encoding must be one of {STAGE_ENCODINGS}, got {stage_encoding!r}"
@@ -137,21 +140,13 @@ def improve_error_tolerance(
         raise ValueError("need at least one BER stage")
     if any(r < 0 or r > 1 for r in rates):
         raise ValueError("rates must lie in [0, 1]")
-    if stdp_parameters is None:
-        # Fault-aware stages *fine-tune* an already-trained model; the
-        # full from-scratch learning rate would let error-driven spurious
-        # spikes erode the learned receptive fields.
-        stdp_parameters = STDPParameters(learning_rate=0.01)
 
-    params = network_parameters or NetworkParameters(
-        n_input=baseline.n_input, n_neurons=baseline.n_neurons
-    )
+    params = NetworkParameters(n_input=baseline.n_input, n_neurons=baseline.n_neurons)
     network = DiehlCookNetwork(params, rng=rng, dtype=dtype)
     baseline.install_into(network)
 
     accuracy_per_rate: dict = {}
     snapshots: dict = {}
-    model = baseline.copy()
     encoding_cache = (
         StageEncodingCache() if stage_encoding == "shared" else None
     )
@@ -164,10 +159,9 @@ def improve_error_tolerance(
         # assignment and the stage accuracy are measured under fresh
         # error injection at this stage's BER.
         model = _train_and_score(
-            network, dataset, n_steps, rng, n_classes, read=corrupt,
-            epochs=epochs_per_rate, stdp_parameters=stdp_parameters,
-            corrupt_weights=corrupt, batch_size=batch_size,
-            encoding_cache=encoding_cache,
+            network, dataset, n_steps, epochs_per_rate, rng, read=corrupt,
+            encoding_cache=encoding_cache, stdp_parameters=FINE_TUNING_STDP,
+            batch_size=batch_size, corrupt_weights=corrupt,
         )
         accuracy_per_rate[rate] = model.accuracy
         model.metadata["fault_aware"] = True
@@ -202,10 +196,7 @@ def train_baseline(
     n_neurons: int,
     epochs: int = 1,
     n_steps: int = 100,
-    network_parameters: Optional[NetworkParameters] = None,
-    stdp_parameters: Optional[STDPParameters] = None,
     rng: Optional[np.random.Generator] = None,
-    n_classes: int = 10,
     batch_size: int = 1,
     dtype: np.dtype = np.float64,
 ) -> TrainedModel:
@@ -215,36 +206,49 @@ def train_baseline(
     precision of the STDP engine (see :func:`improve_error_tolerance`).
     """
     rng = ensure_rng(rng)
-    params = network_parameters or NetworkParameters(
-        n_input=dataset.train_images.shape[1], n_neurons=n_neurons
-    )
+    params = NetworkParameters(n_input=dataset.train_images.shape[1], n_neurons=n_neurons)
     network = DiehlCookNetwork(params, rng=rng, dtype=dtype)
-    return _train_and_score(
-        network, dataset, n_steps, rng, n_classes,
-        epochs=epochs, stdp_parameters=stdp_parameters, batch_size=batch_size,
-    )
+    return _train_and_score(network, dataset, n_steps, epochs, rng, batch_size=batch_size)
 
 
 def _train_and_score(
-    network, dataset, n_steps, rng, n_classes, read=None, **training
+    network, dataset, n_steps, epochs, rng, read=None, encoding_cache=None, **trainer
 ) -> TrainedModel:
-    """Train on the training split, label on it and score on the test
-    split, both under ``read(weights)`` (the trained weights if None)."""
+    """Train ``network`` on the training split, label the model on it and
+    score it on the test split, both under ``read(weights)`` (the
+    trained weights if None); ``trainer`` goes to
+    :class:`~repro.engine.BatchedTrainer`."""
     images = dataset.train_images
-    model = _fit(network, images, n_steps, rng=rng, **training)
-    # train_unsupervised scores its model on the training images twice
-    # (labels, then accuracy), a score both callers overwrite.  Skipping
-    # exactly the draws of those two encodings keeps every later draw,
-    # result and recorded RNG state identical.  Delete the skip with the
-    # first change that alters results and bumps the stage model version
-    # (see ROADMAP.md).
-    skip_spike_trains(rng, 2 * len(images), n_steps, images.shape[1])
-    weights = model.weights if read is None else read(model.weights)
-    evaluator = BatchedEvaluator.for_network(network)
-    counts = evaluator.spike_counts(images, n_steps, rng, weights=weights)
-    model.assignments = assign_labels(counts, dataset.train_labels, n_classes)
-    model.accuracy = evaluator.accuracies(
-        dataset.test_images, dataset.test_labels, model.assignments, n_steps,
-        rng, weights=weights, n_classes=n_classes,
+    fitter = BatchedTrainer(network, **trainer)
+    fitter.train(
+        images, n_steps=n_steps, epochs=epochs, rng=rng, encoding_cache=encoding_cache
     )
-    return model
+    # The trainers once scored each trained model on the training images
+    # (labels, then accuracy), a score the labelling and scoring below
+    # overwrote.  Skipping exactly the draws of those two encodings keeps
+    # every later draw, result and recorded RNG state as it was.  Delete
+    # the skip with the first change that alters results and bumps the
+    # stage model version (the fault-aware fine-tuning item of ROADMAP.md).
+    skip_spike_trains(rng, 2 * len(images), n_steps, images.shape[1])
+    weights = network.weights.copy()
+    read_weights = weights if read is None else read(weights)
+    evaluator = BatchedEvaluator.for_network(network)
+    counts = evaluator.spike_counts(images, n_steps, rng, weights=read_weights)
+    assignments = assign_labels(counts, dataset.train_labels)
+    accuracy = evaluator.accuracies(
+        dataset.test_images, dataset.test_labels, assignments, n_steps, rng,
+        weights=read_weights,
+    )
+    return TrainedModel(
+        weights=weights,
+        theta=network.theta.copy(),
+        assignments=assignments,
+        n_input=network.n_input,
+        n_neurons=network.n_neurons,
+        accuracy=accuracy,
+        metadata={
+            "epochs": epochs,
+            "n_steps": n_steps,
+            "train_batch_size": fitter.batch_size,
+        },
+    )

@@ -19,19 +19,16 @@ are the pipeline's four stages, results are byte-identical at a fixed
 seed, and passing an :class:`~repro.pipeline.ArtifactStore` lets
 repeated runs reuse cached stage artifacts (e.g. a sweep over voltages
 trains the SNN once).  The result types (:class:`SparkXDResult`,
-:class:`VoltageOutcome`) now live in :mod:`repro.core.results` and are
-re-exported here for backward compatibility.
+:class:`VoltageOutcome`) live in :mod:`repro.core.results`; step 4
+alone, without an SNN, is :func:`repro.core.dram_eval.evaluate_dram`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core import dram_eval
 from repro.core.config import SparkXDConfig
-from repro.core.results import SparkXDResult, VoltageOutcome
+from repro.core.results import SparkXDResult
 
-__all__ = ["SparkXD", "SparkXDResult", "VoltageOutcome"]
+__all__ = ["SparkXD"]
 
 
 class SparkXD:
@@ -60,19 +57,3 @@ class SparkXD:
         from repro.pipeline import ExperimentPipeline
 
         return ExperimentPipeline(self.config, store=self.store).run()
-
-    # ------------------------------------------------------------------
-    def evaluate_dram(
-        self,
-        n_weights: int,
-        bits_per_weight: int,
-        ber_threshold: Optional[float],
-    ):
-        """Step 4: DRAM mapping + trace execution at every voltage.
-
-        Exposed separately so the energy experiments (Figs. 12a/12b,
-        Table I) can run without retraining an SNN.
-        """
-        return dram_eval.evaluate_dram(
-            self.config, n_weights, bits_per_weight, ber_threshold
-        )

@@ -1,9 +1,8 @@
 """Result types of a SparkXD run.
 
-These used to live inside :mod:`repro.core.framework`; they are a
-separate module so both the staged pipeline (:mod:`repro.pipeline`) and
-the classic :class:`~repro.core.framework.SparkXD` facade can share them
-without import cycles.
+A module of their own, so both the staged pipeline
+(:mod:`repro.pipeline`) and the :class:`~repro.core.framework.SparkXD`
+facade can share them without import cycles.
 """
 
 from __future__ import annotations

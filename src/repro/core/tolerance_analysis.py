@@ -20,11 +20,10 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.datasets.base import Dataset
-from repro.engine import BatchedEvaluator, ChunkPolicy
+from repro.engine import BatchedEvaluator
 from repro.errors.ber import BerVoltageCurve, DEFAULT_BER_CURVE
 from repro.errors.injection import ErrorInjector
 from repro.rng import ensure_rng
-from repro.snn.network import NetworkParameters
 from repro.snn.training import TrainedModel
 
 
@@ -70,10 +69,7 @@ def analyze_error_tolerance(
     accuracy_bound: float = 0.01,
     n_steps: int = 100,
     trials: int = 1,
-    network_parameters: Optional[NetworkParameters] = None,
     rng: Optional[np.random.Generator] = None,
-    n_classes: int = 10,
-    chunk_policy: Optional[ChunkPolicy] = None,
     dtype: np.dtype = np.float64,
 ) -> ToleranceReport:
     """Linear search for the maximum tolerable BER (Section IV-C).
@@ -95,9 +91,6 @@ def analyze_error_tolerance(
     trials:
         Error masks are random; averaging over multiple injections per
         rate reduces evaluation noise.
-    chunk_policy:
-        Optional :class:`~repro.engine.ChunkPolicy` bounding the peak
-        memory of the batched pass.
     dtype:
         Compute precision of the evaluation passes (``numpy.float64``
         default or ``numpy.float32``); matches the pipeline's
@@ -112,15 +105,7 @@ def analyze_error_tolerance(
     rates = tuple(sorted(float(r) for r in rates))
     target = baseline_accuracy - accuracy_bound
 
-    params = network_parameters or NetworkParameters(
-        n_input=model.n_input, n_neurons=model.n_neurons
-    )
-    evaluator = BatchedEvaluator(
-        params,
-        theta=model.theta,
-        chunk_policy=chunk_policy,
-        dtype=dtype,
-    )
+    evaluator = BatchedEvaluator.for_model(model, dtype=dtype)
 
     points = []
     ber_threshold: Optional[float] = None
@@ -139,7 +124,6 @@ def analyze_error_tolerance(
             n_steps,
             rng,
             weights=stack,
-            n_classes=n_classes,
             # The stack is `trials` corruptions of model.weights: share
             # the clean drive precompute, recomputing only the rows each
             # realization's flipped weights touch (bit-identical).

@@ -88,22 +88,14 @@ class BatchedEvaluator:
         compute dtype; the weights to evaluate are passed per call, so
         the network object itself is never mutated.
         """
-        theta = np.asarray(network.neurons.theta)
-        theta = theta.reshape(-1, network.n_neurons)[0]
+        theta = np.asarray(network.theta).reshape(-1, network.n_neurons)[0]
         kwargs.setdefault("dtype", network.dtype)
         return cls(network.parameters, theta=theta, w_max=network.w_max, **kwargs)
 
     @classmethod
-    def for_model(
-        cls,
-        model,
-        parameters: Optional[NetworkParameters] = None,
-        **kwargs,
-    ) -> "BatchedEvaluator":
+    def for_model(cls, model, **kwargs) -> "BatchedEvaluator":
         """An evaluator for a :class:`~repro.snn.training.TrainedModel`."""
-        parameters = parameters or NetworkParameters(
-            n_input=model.n_input, n_neurons=model.n_neurons
-        )
+        parameters = NetworkParameters(n_input=model.n_input, n_neurons=model.n_neurons)
         return cls(parameters, theta=model.theta, **kwargs)
 
     # ------------------------------------------------------------------
@@ -193,7 +185,6 @@ class BatchedEvaluator:
         n_steps: int,
         rng: np.random.Generator,
         weights: np.ndarray,
-        n_classes: int = 10,
         base_weights: Optional[np.ndarray] = None,
     ) -> Union[float, np.ndarray]:
         """Classification accuracy per weight realization.
@@ -210,12 +201,9 @@ class BatchedEvaluator:
             images, n_steps, rng, weights, base_weights=base_weights
         )
         if counts.ndim == 2:
-            return float((predict(counts, assignments, n_classes) == labels).mean())
+            return float((predict(counts, assignments) == labels).mean())
         return np.array(
-            [
-                float((predict(c, assignments, n_classes) == labels).mean())
-                for c in counts
-            ]
+            [float((predict(c, assignments) == labels).mean()) for c in counts]
         )
 
     # ------------------------------------------------------------------
@@ -231,8 +219,6 @@ class BatchedEvaluator:
             # keeps a compatible weight stack and re-broadcasts theta.
             net.set_batch_shape(shape)
         if not installed:
-            net.neurons.theta = np.broadcast_to(
-                self.theta, net.neurons.state_shape
-            ).copy()
+            net.theta = np.broadcast_to(self.theta, net.state_shape).copy()
             net.set_weights(weights)
         return net.run_batch(trains, base_weights=base_weights)

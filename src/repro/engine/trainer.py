@@ -32,12 +32,12 @@ Exactness contract
 ------------------
 ``batch_size=1`` runs the reference sequential presentation — the same
 in-place STDP + post-sample update ufunc sequence and the same RNG
-stream as the historical ``train_unsupervised`` loop — and is therefore
-**bit-identical** to it (covered by ``tests/test_engine_trainer.py``
-against ``reference_sequential_train``, whose presentations run the
-historical per-step loop ``reference_run_sample`` of
-``tests/snn_oracle.py`` rather than the lean loop of
-:meth:`~repro.snn.network.DiehlCookNetwork.run_sample`).
+stream as the historical sequential training loop
+(``reference_sequential_train`` in ``tests/snn_oracle.py``) — and is
+therefore **bit-identical** to it (covered by
+``tests/test_engine_trainer.py``; the reference's presentations run the
+historical per-step loop ``reference_run_sample`` rather than the lean
+loop of :meth:`~repro.snn.network.DiehlCookNetwork.run_sample`).
 
 ``batch_size>1`` is a *documented approximation*, not an equivalent
 reordering: within a minibatch, samples no longer see each other's
@@ -304,10 +304,8 @@ class BatchedTrainer:
             read = np.asarray(self.corrupt_weights(clean), dtype=net.dtype)
         else:
             read = clean
-        theta0 = np.asarray(net.neurons.theta, dtype=net.dtype).reshape(-1)
-        shell.neurons.theta = np.broadcast_to(
-            theta0, shell.neurons.state_shape
-        ).copy()
+        theta0 = np.asarray(net.theta, dtype=net.dtype).reshape(-1)
+        shell.theta = np.broadcast_to(theta0, shell.state_shape).copy()
         shell.set_weights(read)
         delta = np.zeros_like(clean)
         kernel_t0 = time.perf_counter()
@@ -318,6 +316,6 @@ class BatchedTrainer:
         # Homeostasis: every lane's theta advanced independently from
         # theta0; the stored thresholds take the summed increments, the
         # minibatch analogue of B successive per-sample adaptations.
-        net.neurons.theta = theta0 + (shell.neurons.theta - theta0).sum(axis=0)
+        net.theta = theta0 + (shell.theta - theta0).sum(axis=0)
         apply_post_sample_update(net, delta=delta, base=clean)
         return prepared

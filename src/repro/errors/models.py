@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import abc
 import mmap
-from typing import Optional
 
 import numpy as np
 
@@ -40,48 +39,34 @@ from repro.registry import Registry
 class BitContext:
     """Bits of one equal-base-rate region, with their DRAM geometry.
 
-    ``n_bits`` bits are indexed ``0 … n_bits-1`` in data order, described
-    field by field either by explicit per-bit arrays (``bitline_of``,
-    ``wordline_of``, ``values``; irregular ones included) or by the
-    geometry the injector passes: bit ``c`` is bit ``c % word_bits`` of
-    stored word ``c // word_bits`` (0 past the word's width), on bitline
-    ``c % lane_bits`` and wordline ``c // row_bits``.  Models sample
-    through the query methods, which the geometry form answers in
-    O(stored words + positions asked) and the explicit form by indexing;
-    the per-bit attributes stay readable (derived in the geometry form).
+    ``n_bits`` bits are indexed ``0 … n_bits-1`` in data order: bit ``c``
+    is bit ``c % word_bits`` of stored word ``c // word_bits`` (0 past the
+    word's width), on bitline ``c % lane_bits`` and wordline
+    ``c // row_bits`` — the geometry the injector passes.  Models sample
+    through the query methods, which cost O(stored words + positions
+    asked); the per-bit ``values`` stay readable, derived from the words.
     """
 
     def __init__(
-        self, n_bits: int, base_rate: float, bitline_of=None, wordline_of=None,
-        values=None, *, words=None, word_bits: int = 0, lane_bits=None, row_bits=None,
+        self, n_bits: int, base_rate: float, *, words: np.ndarray, word_bits: int,
+        lane_bits: int, row_bits: int,
     ):
         if n_bits < 0:
             raise ValueError(f"n_bits must be >= 0, got {n_bits}")
         if not 0.0 <= base_rate <= 1.0:
             raise ValueError(f"base_rate must be in [0, 1], got {base_rate}")
+        if words.size * word_bits != n_bits:
+            raise ValueError(f"{words.size} words of {word_bits} bits are not {n_bits} bits")
         self.n_bits, self.base_rate = n_bits, base_rate
-        self._arrays = {"bitline_of": bitline_of, "wordline_of": wordline_of, "values": values}
-        for name, arr in self._arrays.items():
-            if arr is not None and arr.shape != (n_bits,):
-                raise ValueError(f"{name} must have shape ({n_bits},)")
         self._spans = {"bitline_of": lane_bits, "wordline_of": row_bits}
         self._words, self._word_bits = words, word_bits
-        if words is not None and words.size * word_bits != n_bits:
-            raise ValueError(f"{words.size} words of {word_bits} bits are not {n_bits} bits")
-        if words is not None and 8 * words.dtype.itemsize > word_bits:
+        if 8 * words.dtype.itemsize > word_bits:
             # Only the low word_bits bits of a word are in the bit space.
             self._words = words & words.dtype.type((1 << word_bits) - 1)
 
-    bitline_of = property(lambda self: self._array("bitline_of"))
-    wordline_of = property(lambda self: self._array("wordline_of"))
-    values = property(lambda self: self._array("values"))
-
-    def _array(self, name: str) -> Optional[np.ndarray]:
-        """The explicit per-bit array, or one derived from the geometry."""
-        if self._arrays[name] is not None or not self.provides(name):
-            return self._arrays[name]
-        if name != "values":
-            return self.lines_at(name, np.arange(self.n_bits, dtype=np.int64))
+    @property
+    def values(self) -> np.ndarray:
+        """The stored value of every bit, ``(n_bits,)`` uint8."""
         # Bit b of a word is bit b % 8 of its little-endian byte b // 8;
         # bits past the word's width read as 0.
         words, word_bits = self._words, self._word_bits
@@ -93,30 +78,21 @@ class BitContext:
             bits = np.pad(bits, ((0, 0), (0, word_bits - width)))
         return bits[:, :word_bits].ravel()
 
-    def provides(self, name: str) -> bool:
-        """Whether the per-bit attribute ``name`` is explicit or derivable."""
-        derivable = self._words if name == "values" else self._spans[name]
-        return self._arrays[name] is not None or derivable is not None
-
-    def span(self, name: str) -> Optional[int]:
-        """The geometry span of a line axis, or ``None`` if it is explicit."""
-        return None if self._arrays[name] is not None else self._spans[name]
+    def span(self, name: str) -> int:
+        """Bits per bitline period (``lane_bits``) or per wordline (``row_bits``)."""
+        return self._spans[name]
 
     def n_lines(self, name: str) -> int:
         """One past the largest line id."""
-        span = self.span(name)
-        if span is None:
-            return int(self._arrays[name].max()) + 1
+        span = self._spans[name]
         return min(self.n_bits, span) if name == "bitline_of" else (self.n_bits - 1) // span + 1
 
     def line_mean(self, name: str, table: np.ndarray) -> float:
-        """Mean of ``table[line id]`` over every bit, from the per-bit
-        array (numpy sums pairwise).  The geometry form builds it in an
+        """Mean of ``table[line id]`` over every bit, summed as numpy sums
+        a per-bit array (pairwise).  The per-bit grid lives in an
         anonymous mapping: freed to malloc, a one-off temporary this large
         raises glibc's mmap threshold and +20 MB of ``grid-sweep`` peak RSS."""
-        span = self.span(name)
-        if span is None:
-            return table[self._arrays[name]].mean()
+        span = self._spans[name]
         width = span if name == "wordline_of" else table.size
         rows = -(-self.n_bits // width)
         grid = np.frombuffer(mmap.mmap(-1, 8 * rows * width)).reshape(rows, width)
@@ -125,15 +101,11 @@ class BitContext:
 
     def lines_at(self, name: str, positions: np.ndarray) -> np.ndarray:
         """Line ids of the bits at ``positions``."""
-        span = self.span(name)
-        if span is None:
-            return self._arrays[name][positions]
+        span = self._spans[name]
         return positions % span if name == "bitline_of" else positions // span
 
     def values_at(self, positions: np.ndarray) -> np.ndarray:
         """Whether each bit at ``positions`` stores a 1."""
-        if self._arrays["values"] is not None:
-            return self._arrays["values"][positions] != 0
         words = self._words[positions // self._word_bits].astype(np.uint64)
         shifts = (positions % self._word_bits).astype(np.uint64)
         return ((words >> shifts) & np.uint64(1)) != 0
@@ -141,10 +113,10 @@ class BitContext:
     def line_presence(self, name: str, by_value: bool = False) -> np.ndarray:
         """Which lines hold bits, ``(n_lines,)``; with ``by_value``,
         ``(2, n_lines)``: row 0 holds a 0, row 1 holds a 1."""
-        span, n_lines = self.span(name), self.n_lines(name)
-        if span is not None and not by_value:
+        span, n_lines = self._spans[name], self.n_lines(name)
+        if not by_value:
             return np.ones(n_lines, dtype=bool)  # consecutive bits: every line
-        if span is not None and name == "wordline_of" and self._arrays["values"] is None:
+        if name == "wordline_of":
             # A wordline is a run of consecutive bits: count its 1-bits
             # from a per-word popcount prefix plus the partial head word.
             bounds = np.minimum(np.arange(n_lines + 1, dtype=np.int64) * span, self.n_bits)
@@ -155,10 +127,8 @@ class BitContext:
             mask = (np.uint64(1) << shift.astype(np.uint64)) - np.uint64(1)
             ones = np.diff(prefix[index] + np.bitwise_count(head & mask))
             return np.stack([ones < np.diff(bounds), ones > 0])
-        lines = self._array(name)
-        if not by_value:
-            return np.bincount(lines, minlength=n_lines) > 0
-        one = self._array("values") != 0
+        lines = self.lines_at(name, np.arange(self.n_bits, dtype=np.int64))
+        one = self.values != 0
         return np.stack([np.bincount(lines[m], minlength=n_lines) > 0 for m in (~one, one)])
 
 
@@ -220,8 +190,7 @@ class _StructuredModel(ErrorModel):
 
     def _line_factors(self, context: BitContext, name: str) -> np.ndarray:
         """Severity per line id, normalised to a per-bit mean of 1."""
-        span = context.span(name)
-        key = (name, context.n_bits, span, self.sigma, self.structure_seed)
+        key = (name, context.n_bits, context.span(name), self.sigma, self.structure_seed)
         factors = self._factor_memo.get(key)
         if factors is None:
             rng = np.random.default_rng(self.structure_seed)
@@ -229,8 +198,7 @@ class _StructuredModel(ErrorModel):
             factors = rng.lognormal(mean=0.0, sigma=self.sigma, size=context.n_lines(name))
             mean = context.line_mean(name, factors)
             factors = factors / mean if mean > 0 else factors
-            if span is not None:  # geometry-form lines: a pure function of key
-                self._factor_memo[key] = factors
+            self._factor_memo[key] = factors  # lines are a pure function of key
         return factors
 
     def _structured_flips(
@@ -261,8 +229,6 @@ class ErrorModel1(_StructuredModel):
     name = "model1"
 
     def sample_flips(self, context: BitContext, rng: np.random.Generator) -> np.ndarray:
-        if not context.provides("bitline_of"):
-            raise ValueError("ErrorModel1 requires BitContext.bitline_of")
         return self._structured_flips(context, "bitline_of", rng)
 
 
@@ -272,8 +238,6 @@ class ErrorModel2(_StructuredModel):
     name = "model2"
 
     def sample_flips(self, context: BitContext, rng: np.random.Generator) -> np.ndarray:
-        if not context.provides("wordline_of"):
-            raise ValueError("ErrorModel2 requires BitContext.wordline_of")
         return self._structured_flips(context, "wordline_of", rng)
 
 
@@ -293,14 +257,12 @@ class ErrorModel3(ErrorModel):
         self.one_to_zero_ratio = one_to_zero_ratio
 
     def sample_flips(self, context: BitContext, rng: np.random.Generator) -> np.ndarray:
-        if not context.provides("values"):
-            raise ValueError("ErrorModel3 requires BitContext.values")
         if context.n_bits == 0 or context.base_rate <= 0:
             return np.empty(0, dtype=np.int64)
         r = self.one_to_zero_ratio
         p_one = min(1.0, context.base_rate * 2.0 * r / (r + 1.0))
         p_zero = min(1.0, context.base_rate * 2.0 / (r + 1.0))
-        values = context.values  # derived from the words in the geometry form
+        values = context.values
         ones = np.flatnonzero(values != 0)
         zeros = np.flatnonzero(values == 0)
         pick_ones = self._binomial_positions(ones.size, p_one, rng)
@@ -335,10 +297,6 @@ class ErrorModelEden(_StructuredModel):
         self.one_to_zero_ratio = one_to_zero_ratio
 
     def sample_flips(self, context: BitContext, rng: np.random.Generator) -> np.ndarray:
-        if not context.provides("wordline_of"):
-            raise ValueError("ErrorModelEden requires BitContext.wordline_of")
-        if not context.provides("values"):
-            raise ValueError("ErrorModelEden requires BitContext.values")
         r = self.one_to_zero_ratio
         return self._structured_flips(
             context, "wordline_of", rng, value_factors=(2.0 / (r + 1.0), 2.0 * r / (r + 1.0))

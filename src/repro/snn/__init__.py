@@ -6,19 +6,18 @@ synapses, Poisson rate coding (the encoder of the paper's evaluation),
 trace-based STDP, and the fully-connected architecture with lateral
 inhibition of Fig. 4(a) (Diehl & Cook style, as used by the paper's
 reference [7] and by BindsNET, the paper's simulation substrate [16]).
+
+:class:`DiehlCookNetwork` is the one object that holds the network's
+weights and state and runs its time loops; :mod:`repro.engine` trains
+(``BatchedTrainer``) and scores (``BatchedEvaluator``) it.
 """
 
-from repro.snn.neurons import LIFParameters, AdaptiveLIFLayer
-from repro.snn.synapses import ConductanceParameters, SynapticConductance
+from repro.snn.neurons import LIFParameters
+from repro.snn.synapses import ConductanceParameters
 from repro.snn.encoding import MAX_RATE_HZ, poisson_rate_code
 from repro.snn.stdp import STDPParameters, STDPRule
 from repro.snn.network import NetworkParameters, DiehlCookNetwork
-from repro.snn.training import (
-    TrainedModel,
-    train_unsupervised,
-    assign_labels,
-    evaluate_accuracy,
-)
+from repro.snn.training import TrainedModel, assign_labels
 from repro.snn.quantization import (
     WeightRepresentation,
     Float32Representation,
@@ -33,9 +32,7 @@ __all__ = [
     "TrainingHealth",
     "check_training_health",
     "LIFParameters",
-    "AdaptiveLIFLayer",
     "ConductanceParameters",
-    "SynapticConductance",
     "MAX_RATE_HZ",
     "poisson_rate_code",
     "STDPParameters",
@@ -43,9 +40,7 @@ __all__ = [
     "NetworkParameters",
     "DiehlCookNetwork",
     "TrainedModel",
-    "train_unsupervised",
     "assign_labels",
-    "evaluate_accuracy",
     "WeightRepresentation",
     "Float32Representation",
     "FixedPointRepresentation",

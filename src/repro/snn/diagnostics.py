@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.rng import ensure_rng
 from repro.snn.network import DiehlCookNetwork
-from repro.snn.training import run_spike_counts
 
 
 @dataclass(frozen=True)
@@ -95,19 +94,21 @@ def check_training_health(
     training set; the probe is inference-only and leaves the network's
     long-term state untouched.
     """
+    from repro.engine import BatchedEvaluator
+
     if len(probe_images) == 0:
         raise ValueError("need at least one probe image")
     rng = ensure_rng(rng)
-    theta_before = network.neurons.theta.copy()
-    counts = run_spike_counts(network, probe_images, n_steps, rng)
-    network.neurons.theta = theta_before  # inference keeps theta, but be safe
+    counts = BatchedEvaluator.for_network(network).spike_counts(
+        probe_images, n_steps, rng, weights=network.weights
+    )
 
     per_neuron = counts.sum(axis=0).astype(np.float64)
     mean_spikes = float(counts.sum(axis=1).mean())
     active_fraction = float((per_neuron > 0).mean())
     concentration = _gini(per_neuron)
 
-    theta = network.neurons.theta
+    theta = network.theta
     theta_mean = float(theta.mean())
     dispersion = float(theta.std() / theta_mean) if theta_mean > 0 else 1.0
 

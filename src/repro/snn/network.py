@@ -16,10 +16,14 @@ The network's dynamics are its three time loops:
 its scratch, last-step spikes included, once per call before the loop,
 and all three share one membrane update (:func:`_membrane_dv`).
 
-All dynamic state is batch-shape-polymorphic: a network with
-``batch_shape=(E, B)`` advances ``E x B`` independent network instances
-per step — ``B`` evaluation samples under ``E`` weight tensors (error
-realizations) — with state arrays of shape ``(E, B, n_neurons)``.
+The network is the one object that holds the SNN's state: membrane
+potentials, refractory countdowns, adaptive thresholds and the two
+conductances are its own arrays, and :mod:`repro.snn.neurons` and
+:mod:`repro.snn.synapses` hold only their constants.  All of it is
+batch-shape-polymorphic: a network with ``batch_shape=(E, B)`` advances
+``E x B`` independent network instances per step — ``B`` evaluation
+samples under ``E`` weight tensors (error realizations) — with state
+arrays of shape ``(E, B, n_neurons)``.
 
 The loops compute their input drives as sparse CSR ``spikes @ weights``
 matmuls (:func:`_drive_matrix`), whose output rows are
@@ -55,9 +59,9 @@ import numpy as np
 from scipy import sparse
 
 from repro.rng import ensure_rng
-from repro.snn.neurons import AdaptiveLIFLayer, LIFParameters
+from repro.snn.neurons import LIFParameters
 from repro.snn.stdp import STDPParameters, STDPRule, normalize_columns
-from repro.snn.synapses import ConductanceParameters, SynapticConductance
+from repro.snn.synapses import ConductanceParameters
 
 #: Network sizes evaluated by the paper (Section V).
 PAPER_NETWORK_SIZES = (400, 900, 1600, 2500, 3600)
@@ -193,6 +197,13 @@ class DiehlCookNetwork:
     ``(E, n_input, n_neurons)`` for ``batch_shape=(E, B)`` — one per
     error realization.
 
+    The network also holds the simulation state, every array of shape
+    ``batch_shape + (n_neurons,)``: membrane potential ``v`` (mV),
+    remaining refractory time ``refractory_left`` (ms), adaptive
+    threshold offset ``theta`` (mV, >= 0) and the excitatory and
+    inhibitory conductances ``g_e`` and ``g_i``, with their per-step
+    decay factors ``g_e_decay``, ``g_i_decay`` and ``theta_decay``.
+
     ``init_weights=False`` skips the random weight / theta
     initialisation (and leaves ``rng`` untouched): the cheap constructor
     for evaluation shells whose weights are installed afterwards.
@@ -214,38 +225,26 @@ class DiehlCookNetwork:
         p = self.parameters
         self.w_max = w_max
         self.dtype = np.dtype(dtype)
+        if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
+            raise ValueError(f"dtype must be float32 or float64, got {dtype}")
+        taus = (p.conductance.tau_excitatory_ms, p.conductance.tau_inhibitory_ms)
+        self.g_e_decay, self.g_i_decay, self.theta_decay = (
+            self.dtype.type(np.exp(-p.dt_ms / tau)) for tau in taus + (p.lif.tau_theta_ms,)
+        )
+        theta = np.zeros(p.n_neurons, dtype=self.dtype)
         if init_weights:
+            # Weights first, thresholds second: one fixed random stream.
             rng = ensure_rng(rng)
             self.weights = (
                 rng.random((p.n_input, p.n_neurons)) * 0.3 * w_max
             ).astype(self.dtype, copy=False)
+            if p.theta_init_max > 0:
+                theta = rng.uniform(0.0, p.theta_init_max, p.n_neurons).astype(
+                    self.dtype, copy=False
+                )
         else:
             self.weights = np.zeros((p.n_input, p.n_neurons), dtype=self.dtype)
-        bs = tuple(int(s) for s in batch_shape)
-        self.neurons = AdaptiveLIFLayer(
-            p.n_neurons, p.lif, p.dt_ms, batch_shape=bs, dtype=self.dtype
-        )
-        if init_weights and p.theta_init_max > 0:
-            self.neurons.theta = np.broadcast_to(
-                rng.uniform(0.0, p.theta_init_max, p.n_neurons).astype(
-                    self.dtype, copy=False
-                ),
-                self.neurons.state_shape,
-            ).copy()
-        self.g_excitatory = SynapticConductance(
-            p.n_neurons,
-            p.conductance.tau_excitatory_ms,
-            p.dt_ms,
-            batch_shape=bs,
-            dtype=self.dtype,
-        )
-        self.g_inhibitory = SynapticConductance(
-            p.n_neurons,
-            p.conductance.tau_inhibitory_ms,
-            p.dt_ms,
-            batch_shape=bs,
-            dtype=self.dtype,
-        )
+        self._allocate_state(batch_shape, theta)
         if init_weights and p.weight_norm > 0:
             normalize_columns(self.weights, p.weight_norm)
 
@@ -263,24 +262,38 @@ class DiehlCookNetwork:
         return self.weights.size
 
     @property
-    def batch_shape(self) -> Tuple[int, ...]:
-        return self.neurons.batch_shape
+    def state_shape(self) -> Tuple[int, ...]:
+        """Shape of every state array: ``batch_shape + (n_neurons,)``."""
+        return self.batch_shape + (self.n_neurons,)
+
+    def _allocate_state(self, batch_shape: Tuple[int, ...], theta: np.ndarray) -> None:
+        """Allocate the state at rest, per-neuron ``theta`` broadcast."""
+        self.batch_shape = tuple(int(s) for s in batch_shape)
+        shape = self.state_shape
+        self.v = np.full(shape, self.parameters.lif.v_rest, dtype=self.dtype)
+        self.refractory_left = np.zeros(shape, dtype=self.dtype)
+        self.theta = np.broadcast_to(theta, shape).copy()
+        self.g_e = np.zeros(shape, dtype=self.dtype)
+        self.g_i = np.zeros(shape, dtype=self.dtype)
 
     def set_batch_shape(self, batch_shape: Tuple[int, ...]) -> None:
         """Re-shape all dynamic state for a new leading batch shape.
 
         Membrane potentials and conductances return to rest; the
-        per-neuron adaptive thresholds (shared across the batch) are
-        re-broadcast.  The weight tensor is kept only if it is still
-        compatible (a single matrix always is; a stack must match the
-        new leading stack dims), otherwise it resets to a zero matrix
-        awaiting :meth:`set_weights`.
+        per-neuron adaptive thresholds — assumed shared across the
+        batch, which holds for every inference use — are re-broadcast
+        from the first lane.  The weight tensor is kept only if it is
+        still compatible (a single matrix always is; a stack must match
+        the new leading stack dims), otherwise it resets to a zero
+        matrix awaiting :meth:`set_weights`.
         """
-        bs = tuple(int(s) for s in batch_shape)
-        self.neurons.set_batch_shape(bs)
-        self.g_excitatory.set_batch_shape(bs)
-        self.g_inhibitory.set_batch_shape(bs)
-        if self.weights.ndim != 2 and self.weights.shape[:-2] != bs[:-1]:
+        theta = (
+            np.asarray(self.theta, dtype=self.dtype).reshape(-1, self.n_neurons)[0]
+            if self.theta.size
+            else np.zeros(self.n_neurons, dtype=self.dtype)
+        )
+        self._allocate_state(batch_shape, theta)
+        if self.weights.ndim != 2 and self.weights.shape[:-2] != self.batch_shape[:-1]:
             self.weights = np.zeros((self.n_input, self.n_neurons), dtype=self.dtype)
 
     def set_weights(self, weights: np.ndarray) -> None:
@@ -308,10 +321,15 @@ class DiehlCookNetwork:
         self.weights = weights.copy()
 
     def reset_state(self) -> None:
-        """Clear per-sample dynamic state; keep long-term homeostasis."""
-        self.neurons.reset_state()
-        self.g_excitatory.reset_state()
-        self.g_inhibitory.reset_state()
+        """Return to rest between samples.
+
+        ``theta`` is homeostatic long-term state: it survives sample
+        boundaries during training and is frozen at inference time.
+        """
+        self.v.fill(self.parameters.lif.v_rest)
+        self.refractory_left.fill(0.0)
+        self.g_e.fill(0.0)
+        self.g_i.fill(0.0)
 
     # ------------------------------------------------------------------
     def run_sample(self, spike_train: np.ndarray, stdp: STDPRule) -> np.ndarray:
@@ -366,10 +384,9 @@ class DiehlCookNetwork:
         matrix = _drive_matrix(train, weights.dtype)
         drives = matrix @ weights
         drives *= p.excitation_gain
-        g_e, g_i = self.g_excitatory.g, self.g_inhibitory.g
-        decay_e, decay_i = self.g_excitatory._decay, self.g_inhibitory._decay
-        neurons = self.neurons
-        v, refr, theta = neurons.v, neurons.refractory_left, neurons.theta
+        g_e, g_i = self.g_e, self.g_i
+        decay_e, decay_i = self.g_e_decay, self.g_i_decay
+        v, refr, theta = self.v, self.refractory_left, self.theta
         k = p.dt_ms / lif.tau_membrane_ms
         strength = p.inhibition_strength
         s1, s2, thr = np.empty_like(v), np.empty_like(v), np.empty_like(v)
@@ -400,7 +417,7 @@ class DiehlCookNetwork:
                 spikes &= active
                 refr -= p.dt_ms
                 np.maximum(refr, 0.0, out=refr)
-            theta *= neurons._theta_decay
+            theta *= self.theta_decay
             x_pre *= stdp._trace_decay
             x_pre[train[t]] = 1.0
             n_last = np.count_nonzero(spikes)
@@ -648,9 +665,8 @@ class DiehlCookNetwork:
         p, lif = self.parameters, self.parameters.lif
         k = p.dt_ms / lif.tau_membrane_ms
         strength = p.inhibition_strength
-        g_e, g_i = self.g_excitatory, self.g_inhibitory
-        neurons, x_pre = self.neurons, stdp.x_pre
-        v, refr, theta = neurons.v, neurons.refractory_left, neurons.theta
+        g_e, g_i, x_pre = self.g_e, self.g_i, stdp.x_pre
+        v, refr, theta = self.v, self.refractory_left, self.theta
         s1, s2, thr = np.empty_like(v), np.empty_like(v), np.empty_like(v)
         active, spikes = np.empty(v.shape, dtype=bool), np.empty(v.shape, dtype=bool)
         last = np.zeros(v.shape, dtype=bool)
@@ -663,18 +679,18 @@ class DiehlCookNetwork:
                 drives = next(blocks)
                 start, end = t, t + drives.shape[0]
             np.copyto(pre, pre_steps[t])
-            g_e.g *= g_e._decay
-            g_e.g += drives[t - start]
+            g_e *= self.g_e_decay
+            g_e += drives[t - start]
             # Lateral inhibition: row totals in int64/float64 exactly as the
             # reference `last.sum(axis=-1, keepdims=True) * inhibition` chain.
             np.sum(last, axis=-1, keepdims=True, out=row_count)
             np.multiply(row_count, strength, out=row_inh)
             np.multiply(last, strength, out=s1)
             np.subtract(row_inh, s1, out=s1)
-            g_i.g *= g_i._decay
-            g_i.g += s1
+            g_i *= self.g_i_decay
+            g_i += s1
             np.less_equal(refr, 0.0, out=active)
-            _membrane_dv(lif, k, v, g_e.g, g_i.g, s1, s2)
+            _membrane_dv(lif, k, v, g_e, g_i, s1, s2)
             # Masked write, not `v += dv * active`: a non-finite dv (float32
             # overflow from unclipped corrupted weights) must leave
             # refractory neurons untouched exactly as the reference
@@ -691,7 +707,7 @@ class DiehlCookNetwork:
             refr -= p.dt_ms
             np.maximum(refr, 0.0, out=refr)
             np.copyto(refr, lif.refractory_ms, where=spikes)
-            theta *= neurons._theta_decay
+            theta *= self.theta_decay
             np.add(theta, lif.theta_plus, out=theta, where=spikes)
             x_pre *= stdp._trace_decay
             np.copyto(x_pre, 1.0, where=pre)
@@ -731,12 +747,12 @@ class DiehlCookNetwork:
         k = p.dt_ms / lif.tau_membrane_ms
         strength = p.inhibition_strength
         enters_refractory = self.dtype.type(lif.refractory_ms) > 0
-        g_e, g_i = self.g_excitatory, self.g_inhibitory
-        v, refr = self.neurons.v, self.neurons.refractory_left
+        g_e, g_i = self.g_e, self.g_i
+        v, refr = self.v, self.refractory_left
         v_flat, refr_flat = v.reshape(-1), refr.reshape(-1)
-        g_i_rows = g_i.g.reshape(n_lanes, -1)
+        g_i_rows = g_i.reshape(n_lanes, -1)
         # Frozen thresholds: v_threshold + theta is step-invariant.
-        thr = lif.v_threshold + self.neurons.theta
+        thr = lif.v_threshold + self.theta
         s1, s2 = np.empty(shape, dtype=self.dtype), np.empty(shape, dtype=self.dtype)
         # Rows of s1 and s2 also hold the spiking lanes' inhibition and g_i.
         inh, g_rows = s1.reshape(n_lanes, -1), s2.reshape(n_lanes, -1)
@@ -757,9 +773,9 @@ class DiehlCookNetwork:
             if t == end:
                 drives = next(blocks)
                 start, end = t, t + drives.shape[0]
-            g_e.g *= g_e._decay
-            g_e.g += drives[t - start]
-            g_i.g *= g_i._decay
+            g_e *= self.g_e_decay
+            g_e += drives[t - start]
+            g_i *= self.g_i_decay
             if n_last:
                 np.floor_divide(spk[:n_last], p.n_neurons, out=scratch[:n_last])
                 lane_any.fill(False)
@@ -775,7 +791,7 @@ class DiehlCookNetwork:
                 np.take(g_i_rows, rows, axis=0, out=g_rows[:m], mode="clip")
                 np.add(g_rows[:m], inh[:m], out=g_rows[:m])
                 g_i_rows[rows] = g_rows[:m]
-            _membrane_dv(lif, k, v, g_e.g, g_i.g, s1, s2)
+            _membrane_dv(lif, k, v, g_e, g_i, s1, s2)
             if n_refr:
                 held, values = refractory[:n_refr], held_values[:n_refr]
                 np.take(v_flat, held, out=values, mode="clip")

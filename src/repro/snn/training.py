@@ -1,21 +1,25 @@
-"""Unsupervised STDP training, label assignment and evaluation.
+"""The trained model, label assignment, prediction and the weight update.
 
 The Diehl & Cook pipeline the paper builds on is unsupervised: STDP
 shapes the receptive fields, then each excitatory neuron is *assigned*
 the class it responds to most strongly on labelled data, and inference
-predicts the class whose assigned neurons spike most.
+predicts the class whose assigned neurons spike most.  Training runs
+through :class:`repro.engine.BatchedTrainer` and scoring through
+:class:`repro.engine.BatchedEvaluator`; this module holds what both
+share: :class:`TrainedModel`, :func:`assign_labels`, :func:`predict`
+and the post-presentation weight update
+(:func:`apply_post_sample_update`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.rng import ensure_rng
 from repro.snn.network import DiehlCookNetwork
-from repro.snn.stdp import STDPParameters, normalize_columns
+from repro.snn.stdp import normalize_columns
 
 
 @dataclass
@@ -48,27 +52,7 @@ class TrainedModel:
 
     def install_into(self, network: DiehlCookNetwork) -> None:
         network.set_weights(self.weights)
-        network.neurons.theta = np.asarray(self.theta, dtype=network.dtype).copy()
-
-
-def run_spike_counts(
-    network: DiehlCookNetwork,
-    images: np.ndarray,
-    n_steps: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Spike-count responses (n_samples, n_neurons) without learning.
-
-    Routed through :class:`repro.engine.BatchedEvaluator`, which
-    simulates the whole set in chunked vectorized passes without
-    mutating ``network``.
-    """
-    from repro.engine import BatchedEvaluator
-
-    evaluator = BatchedEvaluator.for_network(network)
-    return evaluator.spike_counts(
-        np.asarray(images, dtype=np.float64), n_steps, rng, weights=network.weights
-    )
+        network.theta = np.asarray(self.theta, dtype=network.dtype).copy()
 
 
 def assign_labels(
@@ -108,21 +92,6 @@ def predict(
         if n:
             votes[:, cls] = spike_counts[:, members].sum(axis=1) / n
     return votes.argmax(axis=1)
-
-
-def evaluate_accuracy(
-    network: DiehlCookNetwork,
-    images: np.ndarray,
-    labels: np.ndarray,
-    assignments: np.ndarray,
-    n_steps: int,
-    rng: np.random.Generator,
-    n_classes: int = 10,
-) -> float:
-    """Classification accuracy of ``network`` on a labelled set."""
-    counts = run_spike_counts(network, images, n_steps, rng)
-    predictions = predict(counts, assignments, n_classes)
-    return float((predictions == np.asarray(labels)).mean())
 
 
 def apply_post_sample_update(
@@ -175,84 +144,3 @@ def apply_post_sample_update(
     if network.parameters.weight_norm > 0:
         normalize_columns(network.weights, network.parameters.weight_norm)
 
-
-def train_unsupervised(
-    network: DiehlCookNetwork,
-    images: np.ndarray,
-    labels: np.ndarray,
-    n_steps: int = 100,
-    epochs: int = 1,
-    stdp_parameters: Optional[STDPParameters] = None,
-    rng: Optional[np.random.Generator] = None,
-    corrupt_weights: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    n_classes: int = 10,
-    batch_size: int = 1,
-    encoding_cache=None,
-) -> TrainedModel:
-    """Train ``network`` with STDP and return the packaged model.
-
-    ``corrupt_weights``, when given, is applied to the weight tensor
-    before every presentation — this is the hook SparkXD's fault-aware
-    training (Algorithm 1) uses to expose the network to DRAM bit
-    errors *during* learning: the network computes with the corrupted
-    weights, and STDP updates are applied to the stored (clean) tensor,
-    exactly as a DRAM-backed accelerator would behave (errors corrupt
-    reads; the training update writes back).
-
-    The loop is executed by :class:`repro.engine.trainer.BatchedTrainer`:
-    ``batch_size=1`` (default) presents one sample at a time and is
-    bit-identical to the historical sequential loop at the same RNG
-    state; ``batch_size>1`` presents minibatches in vectorized passes —
-    a documented approximation that changes the trained weights (see
-    ``docs/training.md``) while consuming the same random stream.
-    ``encoding_cache`` records/replays the encoded sample stream across
-    repeated calls (see :class:`repro.engine.trainer.StageEncodingCache`).
-    The model is then labelled and scored on the training images.
-    """
-    rng = ensure_rng(rng)
-    images = np.asarray(images)
-    labels = np.asarray(labels)
-    if len(images) != len(labels):
-        raise ValueError("images and labels must align")
-
-    model = _fit(
-        network, images, n_steps, epochs, rng, encoding_cache,
-        stdp_parameters=stdp_parameters,
-        batch_size=batch_size,
-        corrupt_weights=corrupt_weights,
-    )
-    counts = run_spike_counts(network, images, n_steps, rng)
-    model.assignments = assign_labels(counts, labels, n_classes)
-    model.accuracy = evaluate_accuracy(
-        network, images, labels, model.assignments, n_steps, rng, n_classes
-    )
-    return model
-
-
-def _fit(
-    network, images, n_steps, epochs, rng, encoding_cache=None, **trainer
-) -> TrainedModel:
-    """The training of :func:`train_unsupervised`: no labels, no score.
-
-    Every neuron's assignment is ``-1`` and the accuracy ``0.0`` until
-    the caller labels and scores the model; ``trainer`` goes to
-    :class:`~repro.engine.trainer.BatchedTrainer`.
-    """
-    from repro.engine.trainer import BatchedTrainer
-
-    fitter = BatchedTrainer(network, **trainer)
-    fitter.train(
-        images, n_steps=n_steps, epochs=epochs, rng=rng, encoding_cache=encoding_cache
-    )
-    return TrainedModel(
-        weights=network.weights.copy(),
-        theta=network.neurons.theta.copy(),
-        assignments=np.full(network.n_neurons, -1, dtype=np.int64),
-        n_input=network.n_input,
-        n_neurons=network.n_neurons,
-        metadata={
-            "epochs": epochs,
-            "n_steps": n_steps,
-            "train_batch_size": fitter.batch_size,
-        },
-    )

@@ -23,6 +23,26 @@ from scipy import stats
 from repro.errors.models import BitContext, ErrorModel
 
 
+def make_context(
+    n_bits: int = 100_000,
+    rate: float = 1e-3,
+    lanes: int = 64,
+    rows: int = 4096,
+    values: np.ndarray | None = None,
+    word_bits: int = 1,
+) -> BitContext:
+    """A synthetic bit space: ``lanes`` bits per bitline period, ``rows``
+    bits per wordline, bit ``c`` storing ``values[c] != 0`` (0 without
+    ``values``).  Each bit is a 1-bit word, the layout of ECC-stored
+    bits, so every ``n_bits`` fits; ``word_bits=8`` packs the bits
+    eight to a little-endian byte, the layout of a uint8 tensor."""
+    bits = np.zeros(n_bits, dtype=bool) if values is None else np.asarray(values) != 0
+    words = bits.astype(np.uint8) if word_bits == 1 else np.packbits(bits, bitorder="little")
+    return BitContext(
+        n_bits, rate, words=words, word_bits=word_bits, lane_bits=lanes, row_bits=rows,
+    )
+
+
 def sample_flip_positions(
     model: ErrorModel,
     n_bits: int,
@@ -33,9 +53,7 @@ def sample_flip_positions(
     values: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw one flip set from a model over a synthetic bit space."""
-    context = BitContext(
-        n_bits, ber, values=values, lane_bits=lane_bits, row_bits=row_bits
-    )
+    context = make_context(n_bits, ber, lane_bits, row_bits, values)
     return model.sample_flips(context, rng)
 
 

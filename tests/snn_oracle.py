@@ -9,11 +9,12 @@ plain loops they replaced live here, so tests and the
 ``benchmarks/perf_*.py`` gates can compare against them with
 ``np.array_equal``.
 
-The per-step API is functions over a network's state objects; they
+The per-step API is functions over a network's state arrays; they
 were once the library methods ``DiehlCookNetwork.step`` and
-``_step_from_drive``, ``AdaptiveLIFLayer.step`` and
-``SynapticConductance.step``.  A step takes the last step's spikes
-(:func:`no_spikes` after a reset) and returns its own:
+``_step_from_drive`` and the ``step`` methods of the neuron layer and
+conductance objects whose state the network now holds.  A step takes
+the last step's spikes (:func:`no_spikes` after a reset) and returns
+its own:
 
 - :func:`step_drive` — one step's drive, the index-sum
   ``weights[active].sum(axis=0)``;
@@ -23,7 +24,7 @@ were once the library methods ``DiehlCookNetwork.step`` and
   batched spike arrays;
 - :func:`conductance_step`, :func:`neuron_step`,
   :func:`step_from_drive` and :func:`network_step` — one timestep of a
-  conductance, a neuron layer and the whole network.
+  network's conductance, of its neurons and of the whole network.
 
 The reference loops:
 
@@ -45,11 +46,14 @@ The reference loops:
 - :func:`reference_run_batch_frozen` — the dense inference time loop
   that :meth:`DiehlCookNetwork._run_batch_frozen`'s sparse loop
   replaced, call-compatible for ``monkeypatch.setattr``;
+- :func:`reference_train_unsupervised` — the historical library
+  trainer: :class:`BatchedTrainer` training, then labels and an
+  accuracy from the training images;
 - :func:`reference_train_baseline` and
   :func:`reference_improve_error_tolerance` — the pipeline trainers as
   they were before they skipped the training-set scoring: they call
-  :func:`train_unsupervised`, which still scores, and overwrite its
-  score.
+  :func:`reference_train_unsupervised`, which still scores, and
+  overwrite its score.
 
 :data:`PARAMETER_VARIANTS` names the network parameter sets every time
 loop is compared with its reference loop under
@@ -63,10 +67,13 @@ import dataclasses
 import numpy as np
 
 from repro.core.fault_aware_training import (
+    FINE_TUNING_STDP,
     FaultAwareTrainingResult,
     default_ber_schedule,
 )
+from repro.engine import BatchedEvaluator, BatchedTrainer
 from repro.engine.encoding import encode_spike_trains
+from repro.engine.trainer import StageEncodingCache
 from repro.rng import ensure_rng
 from repro.snn.encoding import poisson_rate_code
 from repro.snn.network import (
@@ -76,13 +83,8 @@ from repro.snn.network import (
     make_stdp,
 )
 from repro.snn.neurons import LIFParameters
-from repro.snn.stdp import STDPParameters, normalize_columns
-from repro.snn.training import (
-    assign_labels,
-    evaluate_accuracy,
-    run_spike_counts,
-    train_unsupervised,
-)
+from repro.snn.stdp import normalize_columns
+from repro.snn.training import TrainedModel, assign_labels
 
 #: Parameter sets the time loops are checked against their reference
 #: loops under, as ``NetworkParameters`` / ``LIFParameters`` field
@@ -184,44 +186,47 @@ def propagate_spikes(weights, spikes):
     return np.matmul(spikes_f, weights)
 
 
-def conductance_step(conductance, injected=0.0):
-    """Decay a :class:`SynapticConductance` one step, add ``injected``; return g.
+def conductance_step(network, name, injected=0.0):
+    """Decay ``network``'s conductance ``name`` one step, add ``injected``.
 
-    ``injected`` broadcasts against the state shape, so a batched
-    conductance accepts per-instance injections of shape
-    ``batch_shape + (n_neurons,)`` (or any broadcastable prefix).
+    ``name`` is ``"g_e"`` (excitatory) or ``"g_i"`` (inhibitory); the
+    conductance array is updated in place and returned.  ``injected``
+    broadcasts against the state shape, so a batched network accepts
+    per-instance injections of shape ``batch_shape + (n_neurons,)`` (or
+    any broadcastable prefix).
     """
-    conductance.g *= conductance._decay
-    conductance.g += injected
-    return conductance.g
+    g = getattr(network, name)
+    g *= getattr(network, f"{name}_decay")
+    g += injected
+    return g
 
 
-def neuron_step(layer, g_excitatory, g_inhibitory, adapt=True):
-    """Advance an :class:`AdaptiveLIFLayer` one timestep; returns its spikes.
+def neuron_step(network, g_excitatory, g_inhibitory, adapt=True):
+    """Advance ``network``'s neurons one timestep; returns their spikes.
 
     ``g_excitatory`` / ``g_inhibitory`` are dimensionless conductance
     inputs for this step, broadcast against the state shape.
     ``adapt=False`` freezes the adaptive thresholds (inference mode).
     """
-    p = layer.parameters
-    active = layer.refractory_left <= 0.0
+    p, dt_ms = network.parameters.lif, network.parameters.dt_ms
+    active = network.refractory_left <= 0.0
 
     dv = (
-        (p.v_rest - layer.v)
-        + g_excitatory * (p.e_excitatory - layer.v)
-        + g_inhibitory * (p.e_inhibitory - layer.v)
-    ) * (layer.dt_ms / p.tau_membrane_ms)
-    layer.v = np.where(active, layer.v + dv, layer.v)
+        (p.v_rest - network.v)
+        + g_excitatory * (p.e_excitatory - network.v)
+        + g_inhibitory * (p.e_inhibitory - network.v)
+    ) * (dt_ms / p.tau_membrane_ms)
+    network.v = np.where(active, network.v + dv, network.v)
 
-    spikes = active & (layer.v >= p.v_threshold + layer.theta)
-    layer.v[spikes] = p.v_reset
-    layer.refractory_left[spikes] = p.refractory_ms
-    layer.refractory_left[~spikes] = np.maximum(
-        0.0, layer.refractory_left[~spikes] - layer.dt_ms
+    spikes = active & (network.v >= p.v_threshold + network.theta)
+    network.v[spikes] = p.v_reset
+    network.refractory_left[spikes] = p.refractory_ms
+    network.refractory_left[~spikes] = np.maximum(
+        0.0, network.refractory_left[~spikes] - dt_ms
     )
     if adapt:
-        layer.theta *= layer._theta_decay
-        layer.theta[spikes] += p.theta_plus
+        network.theta *= network.theta_decay
+        network.theta[spikes] += p.theta_plus
     return spikes
 
 
@@ -235,17 +240,15 @@ def step_from_drive(network, drive, last, adapt):
     batched ≡ per-sample guarantee.
     """
     p = network.parameters
-    conductance_step(network.g_excitatory, drive)
+    conductance_step(network, "g_e", drive)
     # Lateral inhibition: each spike last step inhibits all *other*
     # neurons (Fig. 4a's inhibition fan-out).
     inhibition = (
         last.sum(axis=-1, keepdims=True) * p.inhibition_strength
         - p.inhibition_strength * last
     )
-    conductance_step(network.g_inhibitory, inhibition)
-    return neuron_step(
-        network.neurons, network.g_excitatory.g, network.g_inhibitory.g, adapt=adapt
-    )
+    conductance_step(network, "g_i", inhibition)
+    return neuron_step(network, network.g_e, network.g_i, adapt=adapt)
 
 
 def network_step(network, input_spikes, last, adapt=True):
@@ -360,7 +363,7 @@ def sequential_spike_counts(evaluator, images, n_steps, rng, weights):
     net = DiehlCookNetwork(
         evaluator.parameters, init_weights=False, dtype=evaluator.dtype
     )
-    net.neurons.theta = evaluator.theta.copy()
+    net.theta = evaluator.theta.copy()
     stack = weights if weights.ndim == 3 else weights[None]
     counts = np.empty(
         (len(stack), len(trains), evaluator.parameters.n_neurons), dtype=np.int64
@@ -448,10 +451,10 @@ def reference_run_batch_frozen(network, drives, n_steps):
     lif = p.lif
     shape = network.batch_shape + (p.n_neurons,)
     k = p.dt_ms / lif.tau_membrane_ms
-    g_e, g_i = network.g_excitatory, network.g_inhibitory
-    v, refr = network.neurons.v, network.neurons.refractory_left
+    g_e, g_i = network.g_e, network.g_i
+    v, refr = network.v, network.refractory_left
     # Frozen thresholds: v_threshold + theta is step-invariant.
-    thr = lif.v_threshold + network.neurons.theta
+    thr = lif.v_threshold + network.theta
     s1 = np.empty(shape, dtype=network.dtype)
     s2 = np.empty(shape, dtype=network.dtype)
     active = np.empty(shape, dtype=bool)
@@ -461,21 +464,21 @@ def reference_run_batch_frozen(network, drives, n_steps):
     row_count = np.empty(shape[:-1] + (1,), dtype=np.int64)
     row_inh = np.empty(shape[:-1] + (1,), dtype=np.float64)
     for t in range(n_steps):
-        g_e.g *= g_e._decay
-        g_e.g += drives[t]
+        g_e *= network.g_e_decay
+        g_e += drives[t]
         np.sum(last, axis=-1, keepdims=True, out=row_count)
         np.multiply(row_count, p.inhibition_strength, out=row_inh)
         np.multiply(last, p.inhibition_strength, out=s1)
         np.subtract(row_inh, s1, out=s1)
-        g_i.g *= g_i._decay
-        g_i.g += s1
+        g_i *= network.g_i_decay
+        g_i += s1
         np.less_equal(refr, 0.0, out=active)
         np.subtract(lif.v_rest, v, out=s1)
         np.subtract(lif.e_excitatory, v, out=s2)
-        s2 *= g_e.g
+        s2 *= g_e
         s1 += s2
         np.subtract(lif.e_inhibitory, v, out=s2)
-        s2 *= g_i.g
+        s2 *= g_i
         s1 += s2
         s1 *= k
         # Masked write, not `v += dv * active`: a non-finite dv (e.g.
@@ -495,47 +498,66 @@ def reference_run_batch_frozen(network, drives, n_steps):
     return counts
 
 
-def reference_train_baseline(
-    dataset,
-    n_neurons,
-    epochs=1,
-    n_steps=100,
-    network_parameters=None,
-    stdp_parameters=None,
-    rng=None,
-    n_classes=10,
-    batch_size=1,
-    dtype=np.float64,
+def reference_train_unsupervised(
+    network, images, labels, n_steps, epochs, rng, encoding_cache=None, **trainer
 ):
-    """``train_baseline`` as it scored before the skip: verbatim."""
+    """The historical library trainer ``train_unsupervised``.
+
+    Trains ``network`` with :class:`BatchedTrainer` (``trainer`` goes to
+    it), then labels and scores the model on the training images: the
+    two encodings the pipeline trainers now skip.
+    """
+    fitter = BatchedTrainer(network, **trainer)
+    fitter.train(
+        images, n_steps=n_steps, epochs=epochs, rng=rng, encoding_cache=encoding_cache
+    )
+    evaluator = BatchedEvaluator.for_network(network)
+    counts = evaluator.spike_counts(images, n_steps, rng, weights=network.weights)
+    assignments = assign_labels(counts, labels)
+    return TrainedModel(
+        weights=network.weights.copy(),
+        theta=network.theta.copy(),
+        assignments=assignments,
+        n_input=network.n_input,
+        n_neurons=network.n_neurons,
+        accuracy=evaluator.accuracies(
+            images, labels, assignments, n_steps, rng, weights=network.weights
+        ),
+        metadata={
+            "epochs": epochs,
+            "n_steps": n_steps,
+            "train_batch_size": fitter.batch_size,
+        },
+    )
+
+
+def _reference_score(network, dataset, n_steps, rng, model, weights):
+    """Label ``model`` on the training split and score it on the test
+    split, both under ``weights`` (the pipeline trainers' own score)."""
+    evaluator = BatchedEvaluator.for_network(network)
+    counts = evaluator.spike_counts(dataset.train_images, n_steps, rng, weights=weights)
+    model.assignments = assign_labels(counts, dataset.train_labels)
+    model.accuracy = evaluator.accuracies(
+        dataset.test_images, dataset.test_labels, model.assignments, n_steps, rng,
+        weights=weights,
+    )
+
+
+def reference_train_baseline(
+    dataset, n_neurons, epochs=1, n_steps=100, rng=None, batch_size=1, dtype=np.float64
+):
+    """``train_baseline`` as it scored before the skip."""
     rng = ensure_rng(rng)
-    params = network_parameters or NetworkParameters(
+    params = NetworkParameters(
         n_input=dataset.train_images.shape[1], n_neurons=n_neurons
     )
     network = DiehlCookNetwork(params, rng=rng, dtype=dtype)
-    model = train_unsupervised(
-        network,
-        dataset.train_images,
-        dataset.train_labels,
-        n_steps=n_steps,
-        epochs=epochs,
-        stdp_parameters=stdp_parameters,
-        rng=rng,
-        n_classes=n_classes,
+    model = reference_train_unsupervised(
+        network, dataset.train_images, dataset.train_labels, n_steps, epochs, rng,
         batch_size=batch_size,
     )
     # Report accuracy on the held-out test split.
-    counts = run_spike_counts(network, dataset.train_images, n_steps, rng)
-    model.assignments = assign_labels(counts, dataset.train_labels, n_classes)
-    model.accuracy = evaluate_accuracy(
-        network,
-        dataset.test_images,
-        dataset.test_labels,
-        model.assignments,
-        n_steps,
-        rng,
-        n_classes=n_classes,
-    )
+    _reference_score(network, dataset, n_steps, rng, model, network.weights)
     return model
 
 
@@ -547,44 +569,20 @@ def reference_improve_error_tolerance(
     epochs_per_rate=1,
     n_steps=100,
     accuracy_bound=0.01,
-    network_parameters=None,
-    stdp_parameters=None,
     rng=None,
-    n_classes=10,
     batch_size=1,
     dtype=np.float64,
     stage_encoding="fresh",
 ):
-    """``improve_error_tolerance`` as it scored before the skip: verbatim."""
-    from repro.engine.trainer import STAGE_ENCODINGS, StageEncodingCache
-
-    if stage_encoding not in STAGE_ENCODINGS:
-        raise ValueError(
-            f"stage_encoding must be one of {STAGE_ENCODINGS}, got {stage_encoding!r}"
-        )
-    if stage_encoding == "shared" and batch_size == 1:
-        raise ValueError(
-            "stage_encoding='shared' requires batch_size > 1: the bit-exact "
-            "sequential reference always re-encodes"
-        )
+    """``improve_error_tolerance`` as it scored before the skip."""
     rng = ensure_rng(rng)
     rates = tuple(sorted(float(r) for r in rates))
-    if not rates:
-        raise ValueError("need at least one BER stage")
-    if any(r < 0 or r > 1 for r in rates):
-        raise ValueError("rates must lie in [0, 1]")
-    if stdp_parameters is None:
-        stdp_parameters = STDPParameters(learning_rate=0.01)
-
-    params = network_parameters or NetworkParameters(
-        n_input=baseline.n_input, n_neurons=baseline.n_neurons
-    )
+    params = NetworkParameters(n_input=baseline.n_input, n_neurons=baseline.n_neurons)
     network = DiehlCookNetwork(params, rng=rng, dtype=dtype)
     baseline.install_into(network)
 
     accuracy_per_rate: dict = {}
     snapshots: dict = {}
-    model = baseline.copy()
     encoding_cache = (
         StageEncodingCache() if stage_encoding == "shared" else None
     )
@@ -593,35 +591,15 @@ def reference_improve_error_tolerance(
             corrupted, _report = injector.inject_uniform(weights, _rate, rng=rng)
             return corrupted
 
-        model = train_unsupervised(
-            network,
-            dataset.train_images,
-            dataset.train_labels,
-            n_steps=n_steps,
-            epochs=epochs_per_rate,
-            stdp_parameters=stdp_parameters,
-            rng=rng,
+        model = reference_train_unsupervised(
+            network, dataset.train_images, dataset.train_labels, n_steps,
+            epochs_per_rate, rng, encoding_cache=encoding_cache,
+            stdp_parameters=FINE_TUNING_STDP, batch_size=batch_size,
             corrupt_weights=corrupt,
-            n_classes=n_classes,
-            batch_size=batch_size,
-            encoding_cache=encoding_cache,
         )
         corrupted_weights, _ = injector.inject_uniform(model.weights, rate, rng=rng)
-        network.set_weights(corrupted_weights)
-        counts = run_spike_counts(network, dataset.train_images, n_steps, rng)
-        model.assignments = assign_labels(counts, dataset.train_labels, n_classes)
-        accuracy = evaluate_accuracy(
-            network,
-            dataset.test_images,
-            dataset.test_labels,
-            model.assignments,
-            n_steps,
-            rng,
-            n_classes=n_classes,
-        )
-        network.set_weights(model.weights)
-        accuracy_per_rate[rate] = accuracy
-        model.accuracy = accuracy
+        _reference_score(network, dataset, n_steps, rng, model, corrupted_weights)
+        accuracy_per_rate[rate] = model.accuracy
         model.metadata["fault_aware"] = True
         model.metadata["trained_through_ber"] = rate
         snapshots[rate] = model.copy()

@@ -151,11 +151,11 @@ def _model_bytes(model):
 
 
 class TestSkippedScoringMatchesOracle:
-    """The pipeline trainers skip train_unsupervised's discarded scoring.
+    """The pipeline trainers skip the historical trainer's discarded scoring.
 
     They advance the generator past exactly its draws, so models, stage
     accuracies and the final generator state equal the oracle's, which
-    still scores and discards.
+    still scores (``reference_train_unsupervised``) and discards.
     """
 
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import PAPER_BER_RATES, PAPER_VOLTAGES, SparkXDConfig
+from repro.core.dram_eval import evaluate_dram
 from repro.core.framework import SparkXD
 
 
@@ -53,19 +54,19 @@ class TestEvaluateDram:
     """evaluate_dram runs without any SNN training, so it tests fast."""
 
     @pytest.fixture
-    def frame(self):
-        return SparkXD(SparkXDConfig.small(weak_cell_sigma=0.5, weak_cell_seed=1))
+    def config(self):
+        return SparkXDConfig.small(weak_cell_sigma=0.5, weak_cell_seed=1)
 
-    def test_baseline_runs_at_nominal_voltage(self, frame):
-        baseline, _ = frame.evaluate_dram(
-            n_weights=4096, bits_per_weight=32, ber_threshold=1e-3
+    def test_baseline_runs_at_nominal_voltage(self, config):
+        baseline, _ = evaluate_dram(
+            config, n_weights=4096, bits_per_weight=32, ber_threshold=1e-3
         )
         assert baseline.v_supply == pytest.approx(1.35)
         assert baseline.stats.accesses == 4096 // 2  # 2 fp32 weights per slot
 
-    def test_feasible_voltages_save_energy(self, frame):
-        baseline, outcomes = frame.evaluate_dram(
-            n_weights=4096, bits_per_weight=32, ber_threshold=1e-3
+    def test_feasible_voltages_save_energy(self, config):
+        baseline, outcomes = evaluate_dram(
+            config, n_weights=4096, bits_per_weight=32, ber_threshold=1e-3
         )
         feasible = [o for o in outcomes.values() if o.feasible]
         assert feasible, "expected at least one feasible voltage"
@@ -73,24 +74,24 @@ class TestEvaluateDram:
             assert outcome.energy_saving > 0
             assert outcome.result.stats.accesses == baseline.stats.accesses
 
-    def test_savings_grow_as_voltage_drops(self, frame):
-        _, outcomes = frame.evaluate_dram(
-            n_weights=4096, bits_per_weight=32, ber_threshold=1.0
+    def test_savings_grow_as_voltage_drops(self, config):
+        _, outcomes = evaluate_dram(
+            config, n_weights=4096, bits_per_weight=32, ber_threshold=1.0
         )
         voltages = sorted(outcomes)
         savings = [outcomes[v].energy_saving for v in voltages]
         assert all(a > b for a, b in zip(savings, savings[1:]))
 
-    def test_tight_threshold_makes_low_voltages_infeasible(self, frame):
-        _, outcomes = frame.evaluate_dram(
-            n_weights=4096, bits_per_weight=32, ber_threshold=1e-12
+    def test_tight_threshold_makes_low_voltages_infeasible(self, config):
+        _, outcomes = evaluate_dram(
+            config, n_weights=4096, bits_per_weight=32, ber_threshold=1e-12
         )
         assert not outcomes[1.025].feasible
         assert outcomes[1.025].result is None
 
-    def test_none_threshold_treated_as_intolerant(self, frame):
-        _, outcomes = frame.evaluate_dram(
-            n_weights=4096, bits_per_weight=32, ber_threshold=None
+    def test_none_threshold_treated_as_intolerant(self, config):
+        _, outcomes = evaluate_dram(
+            config, n_weights=4096, bits_per_weight=32, ber_threshold=None
         )
         assert not any(o.feasible for o in outcomes.values())
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import SparkXDConfig
+from repro.core.dram_eval import evaluate_dram
 from repro.core.fault_aware_training import FaultAwareTrainingResult
-from repro.core.framework import SparkXD, SparkXDResult, VoltageOutcome
+from repro.core.results import SparkXDResult, VoltageOutcome
 from repro.core.tolerance_analysis import TolerancePoint, ToleranceReport
 from repro.snn.training import TrainedModel
 
@@ -22,10 +23,9 @@ def make_model(accuracy):
 
 
 def make_result():
-    config = SparkXDConfig.small()
-    frame = SparkXD(config.with_overrides(n_neurons=2))
-    baseline_dram, outcomes = frame.evaluate_dram(
-        n_weights=256, bits_per_weight=32, ber_threshold=1e-3
+    config = SparkXDConfig.small().with_overrides(n_neurons=2)
+    baseline_dram, outcomes = evaluate_dram(
+        config, n_weights=256, bits_per_weight=32, ber_threshold=1e-3
     )
     baseline = make_model(0.9)
     improved = make_model(0.89)
@@ -40,7 +40,7 @@ def make_result():
         baseline_accuracy=0.9,
     )
     return SparkXDResult(
-        config=frame.config,
+        config=config,
         baseline_model=baseline,
         improved_model=improved,
         training=training,

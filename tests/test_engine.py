@@ -24,7 +24,7 @@ from repro.errors.injection import ErrorInjector
 from repro.snn.encoding import MAX_RATE_HZ, poisson_rate_code
 from repro.snn.network import DiehlCookNetwork, NetworkParameters
 from repro.snn.quantization import Float32Representation
-from repro.snn.training import evaluate_accuracy, predict, run_spike_counts
+from repro.snn.training import TrainedModel, predict
 
 
 PARAMS = NetworkParameters(n_input=64, n_neurons=20)
@@ -80,7 +80,7 @@ class TestSpikeCountIdentity:
         rng = np.random.default_rng(21)
         trains = [poisson_rate_code(img, 25, rng=rng) for img in images]
         ref_net = DiehlCookNetwork(PARAMS, init_weights=False)
-        ref_net.neurons.theta = network.neurons.theta.copy()
+        ref_net.theta = network.theta.copy()
         for e in range(len(stack)):
             ref_net.set_weights(stack[e])
             for b, train in enumerate(trains):
@@ -98,13 +98,39 @@ class TestSpikeCountIdentity:
         assert np.array_equal(unchunked, ragged)
         assert np.array_equal(ragged, _oracle(network, images, stack))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_model_evaluator_matches_network_evaluator(self, setup, dtype):
+        # Tolerance analysis scores a TrainedModel through for_model; it
+        # must count as an evaluator of the model's installed network.
+        network, images, stack = setup
+        model = TrainedModel(
+            weights=network.weights, theta=network.theta,
+            assignments=np.zeros(PARAMS.n_neurons, dtype=np.int64),
+            n_input=PARAMS.n_input, n_neurons=PARAMS.n_neurons,
+        )
+        installed = DiehlCookNetwork(PARAMS, init_weights=False, dtype=dtype)
+        model.install_into(installed)
+        by_model = BatchedEvaluator.for_model(model, dtype=dtype)
+        by_network = BatchedEvaluator.for_network(installed)
+        for weights in (network.weights, stack):
+            counts = by_model.spike_counts(
+                images, 25, np.random.default_rng(4), weights=weights
+            )
+            assert counts.sum() > 0
+            assert np.array_equal(
+                counts,
+                by_network.spike_counts(
+                    images, 25, np.random.default_rng(4), weights=weights
+                ),
+            )
+
     def test_evaluator_does_not_mutate_network(self, setup):
         network, images, stack = setup
         weights_before = network.weights.copy()
-        theta_before = network.neurons.theta.copy()
+        theta_before = network.theta.copy()
         _counts(network, images, stack)
         assert np.array_equal(network.weights, weights_before)
-        assert np.array_equal(network.neurons.theta, theta_before)
+        assert np.array_equal(network.theta, theta_before)
 
 
 class TestAccuracies:
@@ -130,20 +156,13 @@ class TestAccuracies:
         )
         assert isinstance(acc, float)
 
-
-class TestTrainingHelpersRouting:
-    def test_run_spike_counts_engines_agree(self, setup):
-        network, images, _ = setup
-        batched = run_spike_counts(network, images, 25, np.random.default_rng(7))
-        sequential = _oracle(network, images, network.weights, seed=7)
-        assert np.array_equal(batched, sequential)
-
-    def test_evaluate_accuracy_engines_agree(self, setup):
+    def test_accuracy_matches_oracle_votes(self, setup):
         network, images, _ = setup
         labels = np.arange(len(images)) % 10
         assignments = np.arange(PARAMS.n_neurons) % 10
-        a = evaluate_accuracy(
-            network, images, labels, assignments, 25, np.random.default_rng(5)
+        a = BatchedEvaluator.for_network(network).accuracies(
+            images, labels, assignments, 25, np.random.default_rng(5),
+            weights=network.weights,
         )
         counts = _oracle(network, images, network.weights, seed=5)
         b = float((predict(counts, assignments, 10) == labels).mean())
@@ -293,7 +312,7 @@ class TestChunkPolicy:
         network = DiehlCookNetwork(
             NetworkParameters(n_input=n_input, n_neurons=n_neurons), rng=rng
         )
-        network.neurons.theta = rng.uniform(0.0, 2.0, n_neurons)
+        network.theta = rng.uniform(0.0, 2.0, n_neurons)
         images = np.clip(rng.random((n_samples, n_input)) - 0.55, 0.0, 0.45) * 2
         if bright:
             images = np.ones_like(images)

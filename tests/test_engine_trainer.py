@@ -23,16 +23,13 @@ from repro.errors.models import make_error_model
 from repro.snn.network import DiehlCookNetwork, NetworkParameters, make_stdp
 from repro.snn.quantization import Float32Representation
 from repro.snn.stdp import STDPRule
-from repro.snn.training import train_unsupervised
 
 PARAMS = NetworkParameters(n_input=64, n_neurons=16)
 
 
 def _workload(n_samples=12, seed=3):
     rng = np.random.default_rng(seed)
-    images = rng.random((n_samples, PARAMS.n_input))
-    labels = np.arange(n_samples) % 10
-    return images, labels
+    return rng.random((n_samples, PARAMS.n_input))
 
 
 def _network(dtype=np.float64, seed=1):
@@ -87,7 +84,7 @@ class TestBatchSizeOneBitIdentity:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("corrupt", [False, True, "model0", "eden"])
     def test_matches_pre_refactor_loop(self, dtype, corrupt):
-        images, _ = _workload()
+        images = _workload()
         ref_net, new_net = _network(dtype), _network(dtype)
         ref_rng, new_rng = np.random.default_rng(7), np.random.default_rng(7)
         ref_corrupt, new_corrupt = _corrupter(corrupt), _corrupter(corrupt)
@@ -102,7 +99,7 @@ class TestBatchSizeOneBitIdentity:
 
         assert new_net.weights.dtype == np.dtype(dtype)
         assert np.array_equal(ref_net.weights, new_net.weights)
-        assert np.array_equal(ref_net.neurons.theta, new_net.neurons.theta)
+        assert np.array_equal(ref_net.theta, new_net.theta)
         assert ref_rng.bit_generator.state == new_rng.bit_generator.state
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN arithmetic
@@ -123,7 +120,7 @@ class TestBatchSizeOneBitIdentity:
         ``reference_sequential_train``, byte for byte.  Three samples:
         over longer runs every column gets trained, which hides a
         ``-0.0`` left in an untrained one."""
-        images, _ = _workload(n_samples=3)
+        images = _workload(n_samples=3)
         nets, rngs = [], []
         for _ in range(2):
             net, rng = _network(dtype), np.random.default_rng(7)
@@ -144,12 +141,12 @@ class TestBatchSizeOneBitIdentity:
 
         assert nets[1].weights.dtype == np.dtype(dtype)
         assert nets[0].weights.tobytes() == nets[1].weights.tobytes()
-        assert nets[0].neurons.theta.tobytes() == nets[1].neurons.theta.tobytes()
+        assert nets[0].theta.tobytes() == nets[1].theta.tobytes()
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
     @pytest.mark.parametrize("batch_size", [1, 4])
     def test_identity_read_leaves_clean_tensor_unwritten(self, batch_size):
-        images, _ = _workload()
+        images = _workload()
         reads = []
 
         def corrupt(weights):
@@ -163,32 +160,35 @@ class TestBatchSizeOneBitIdentity:
         for clean, at_read in reads:
             assert np.array_equal(clean, at_read)
 
-    def test_train_unsupervised_routes_through_trainer(self):
-        images, labels = _workload()
-        ref_net, new_net = _network(), _network()
-        ref_rng, new_rng = np.random.default_rng(7), np.random.default_rng(7)
-        reference_sequential_train(ref_net, images, 30, 1, ref_rng)
-        model = train_unsupervised(
-            new_net, images, labels, n_steps=30, epochs=1, rng=new_rng,
-            batch_size=1,
+    def test_train_baseline_routes_through_trainer(self):
+        from repro.core.fault_aware_training import train_baseline
+        from repro.datasets import load_dataset
+
+        dataset = load_dataset("mnist", 12, 6, seed=7)
+        ref_rng = np.random.default_rng(7)
+        ref_net = DiehlCookNetwork(
+            NetworkParameters(n_input=784, n_neurons=16), rng=ref_rng
         )
-        assert np.array_equal(ref_net.weights, new_net.weights)
+        reference_sequential_train(ref_net, dataset.train_images, 30, 1, ref_rng)
+        model = train_baseline(
+            dataset, n_neurons=16, n_steps=30, rng=np.random.default_rng(7)
+        )
+        assert np.array_equal(ref_net.weights, model.weights)
+        assert np.array_equal(ref_net.theta, model.theta)
         assert model.metadata["train_batch_size"] == 1
 
 
 class TestMinibatchSemantics:
     def test_one_corrupted_read_per_minibatch(self):
-        images, labels = _workload(n_samples=10)
+        images = _workload(n_samples=10)
         calls = []
 
         def corrupt(weights):
             calls.append(weights.copy())
             return weights
 
-        net = _network()
-        train_unsupervised(
-            net, images, labels, n_steps=20, epochs=2, batch_size=4,
-            rng=np.random.default_rng(7), corrupt_weights=corrupt,
+        BatchedTrainer(_network(), batch_size=4, corrupt_weights=corrupt).train(
+            images, n_steps=20, epochs=2, rng=np.random.default_rng(7)
         )
         # ceil(10 / 4) = 3 minibatch reads per epoch, 2 epochs.
         assert len(calls) == 6
@@ -196,7 +196,7 @@ class TestMinibatchSemantics:
     def test_random_stream_matches_sequential(self):
         """Minibatching changes the weights but not the random stream:
         permutation + encoding draws are identical either way."""
-        images, labels = _workload()
+        images = _workload()
         rng_seq, rng_mb = np.random.default_rng(7), np.random.default_rng(7)
         net_seq, net_mb = _network(), _network()
         BatchedTrainer(net_seq, batch_size=1).train(
@@ -211,42 +211,37 @@ class TestMinibatchSemantics:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_minibatch_weights_stay_physical(self, dtype):
-        images, labels = _workload()
+        images = _workload()
         net = _network(dtype)
-        train_unsupervised(
-            net, images, labels, n_steps=25, epochs=2, batch_size=4,
-            rng=np.random.default_rng(7),
-            corrupt_weights=_gaussian_corrupter(5),
-        )
+        BatchedTrainer(
+            net, batch_size=4, corrupt_weights=_gaussian_corrupter(5)
+        ).train(images, n_steps=25, epochs=2, rng=np.random.default_rng(7))
         assert net.weights.dtype == np.dtype(dtype)
         assert np.all(np.isfinite(net.weights))
         assert net.weights.min() >= 0.0
         assert net.weights.max() <= net.w_max
         # homeostasis advanced (theta merged back from the lanes)
-        assert (net.neurons.theta > 0).any()
+        assert (net.theta > 0).any()
 
     def test_ragged_final_minibatch(self):
-        images, labels = _workload(n_samples=7)
+        images = _workload(n_samples=7)
         net = _network()
         # 7 samples in minibatches of 3 -> final minibatch of 1 (ragged).
-        train_unsupervised(
-            net, images, labels, n_steps=20, epochs=1, batch_size=3,
-            rng=np.random.default_rng(7),
+        BatchedTrainer(net, batch_size=3).train(
+            images, n_steps=20, epochs=1, rng=np.random.default_rng(7)
         )
         assert np.all(np.isfinite(net.weights))
 
     def test_batch_size_larger_than_set_is_one_pass(self):
-        images, labels = _workload(n_samples=6)
-        net = _network()
+        images = _workload(n_samples=6)
         calls = []
 
         def corrupt(weights):
             calls.append(1)
             return weights
 
-        train_unsupervised(
-            net, images, labels, n_steps=20, epochs=1, batch_size=64,
-            rng=np.random.default_rng(7), corrupt_weights=corrupt,
+        BatchedTrainer(_network(), batch_size=64, corrupt_weights=corrupt).train(
+            images, n_steps=20, epochs=1, rng=np.random.default_rng(7)
         )
         assert len(calls) == 1
 
@@ -303,7 +298,7 @@ class TestValidation:
 
     def test_train_validates_steps_and_epochs(self):
         trainer = BatchedTrainer(_network())
-        images, _ = _workload(n_samples=2)
+        images = _workload(n_samples=2)
         with pytest.raises(ValueError):
             trainer.train(images, n_steps=0)
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from errors_oracle import ReferenceBitContext, reference_sample_flips
-from errors_validation import sample_flip_positions
+from errors_validation import make_context, sample_flip_positions
 
 from repro.errors.models import (
     ERROR_MODELS,
@@ -17,33 +17,25 @@ from repro.errors.models import (
 )
 
 
-def make_context(n_bits=100_000, rate=1e-3, lanes=64, rows=4096, values=None):
-    positions = np.arange(n_bits, dtype=np.int64)
-    return BitContext(
-        n_bits=n_bits,
-        base_rate=rate,
-        bitline_of=positions % lanes,
-        wordline_of=positions // rows,
-        values=values,
+def _words(n_words):
+    """BitContext geometry arguments over ``n_words`` zero bytes."""
+    return dict(
+        words=np.zeros(n_words, dtype=np.uint8), word_bits=8, lane_bits=64, row_bits=4096
     )
 
 
 class TestBitContext:
     def test_validation_rejects_bad_rate(self):
         with pytest.raises(ValueError):
-            BitContext(n_bits=10, base_rate=1.5)
-
-    def test_validation_rejects_mismatched_arrays(self):
-        with pytest.raises(ValueError):
-            BitContext(n_bits=10, base_rate=0.1, bitline_of=np.zeros(5, dtype=int))
+            make_context(n_bits=10, rate=1.5)
 
     def test_word_geometry_must_cover_the_bits(self):
         with pytest.raises(ValueError, match="3 words of 8 bits are not 32 bits"):
-            BitContext(n_bits=32, base_rate=0.1, words=np.zeros(3, dtype=np.uint8), word_bits=8)
+            BitContext(32, 0.1, **_words(3))
 
     def test_negative_bits_rejected(self):
         with pytest.raises(ValueError):
-            BitContext(n_bits=-1, base_rate=0.1)
+            BitContext(-1, 0.1, **_words(0))
 
 
 class TestModel0:
@@ -73,16 +65,11 @@ class TestModel0:
         assert flips.min() >= 0 and flips.max() < ctx.n_bits
 
     def test_empty_context(self):
-        ctx = BitContext(n_bits=0, base_rate=0.5)
+        ctx = make_context(n_bits=0, rate=0.5)
         assert ErrorModel0().sample_flips(ctx, np.random.default_rng(0)).size == 0
 
 
 class TestModel1:
-    def test_requires_bitlines(self):
-        ctx = BitContext(n_bits=100, base_rate=0.1)
-        with pytest.raises(ValueError, match="bitline"):
-            ErrorModel1().sample_flips(ctx, np.random.default_rng(0))
-
     def test_errors_concentrate_on_weak_bitlines(self):
         # Vertical structure: flip counts per bitline should be far more
         # dispersed than a uniform model would produce.
@@ -108,18 +95,10 @@ class TestModel1:
 
 
 class TestModel2:
-    def test_requires_wordlines(self):
-        ctx = BitContext(n_bits=100, base_rate=0.1)
-        with pytest.raises(ValueError, match="wordline"):
-            ErrorModel2().sample_flips(ctx, np.random.default_rng(0))
-
     def test_errors_concentrate_on_weak_wordlines(self):
         model = ErrorModel2(sigma=2.0, structure_seed=11)
         n_bits, row_bits = 400_000, 10_000
-        positions = np.arange(n_bits, dtype=np.int64)
-        ctx = BitContext(
-            n_bits=n_bits, base_rate=5e-3, wordline_of=positions // row_bits
-        )
+        ctx = make_context(n_bits=n_bits, rate=5e-3, rows=row_bits)
         flips = model.sample_flips(ctx, np.random.default_rng(0))
         per_row = np.bincount(flips // row_bits, minlength=n_bits // row_bits)
         uniform = ErrorModel0().sample_flips(ctx, np.random.default_rng(1))
@@ -128,15 +107,10 @@ class TestModel2:
 
 
 class TestModel3:
-    def test_requires_values(self):
-        ctx = BitContext(n_bits=100, base_rate=0.1)
-        with pytest.raises(ValueError, match="values"):
-            ErrorModel3().sample_flips(ctx, np.random.default_rng(0))
-
     def test_ones_fail_more_than_zeros(self):
         n = 400_000
         values = (np.arange(n) % 2).astype(np.uint8)  # half ones
-        ctx = BitContext(n_bits=n, base_rate=2e-3, values=values)
+        ctx = make_context(n_bits=n, rate=2e-3, values=values)
         model = ErrorModel3(one_to_zero_ratio=4.0)
         flips = model.sample_flips(ctx, np.random.default_rng(0))
         flipped_ones = int(values[flips].sum())
@@ -146,7 +120,7 @@ class TestModel3:
     def test_overall_rate_preserved_on_balanced_data(self):
         n = 400_000
         values = (np.arange(n) % 2).astype(np.uint8)
-        ctx = BitContext(n_bits=n, base_rate=2e-3, values=values)
+        ctx = make_context(n_bits=n, rate=2e-3, values=values)
         flips = ErrorModel3().sample_flips(ctx, np.random.default_rng(1))
         assert flips.size / n == pytest.approx(2e-3, rel=0.3)
 
@@ -176,24 +150,9 @@ class TestFactory:
 class TestEdenModel:
     def _context(self, n_bits=20000, rate=0.01, seed=0):
         rng = np.random.default_rng(seed)
-        return BitContext(
-            n_bits=n_bits,
-            base_rate=rate,
-            wordline_of=np.repeat(np.arange(n_bits // 100), 100).astype(np.int64),
-            values=(rng.random(n_bits) < 0.5).astype(np.uint8),
+        return make_context(
+            n_bits=n_bits, rate=rate, rows=100, values=rng.random(n_bits) < 0.5
         )
-
-    def test_requires_wordlines_and_values(self):
-        from repro.errors.models import ErrorModelEden
-
-        model = ErrorModelEden()
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            model.sample_flips(BitContext(10, 0.1, values=np.zeros(10, np.uint8)), rng)
-        with pytest.raises(ValueError):
-            model.sample_flips(
-                BitContext(10, 0.1, wordline_of=np.zeros(10, np.int64)), rng
-            )
 
     def test_mean_rate_near_base(self):
         from repro.errors.models import ErrorModelEden
@@ -238,8 +197,9 @@ class TestEdenModel:
 class TestSamplersMatchOracle:
     """Every model against its historical per-bit ``sample_flips`` body
     (``tests/errors_oracle.py``): same flips, same random-stream end
-    state, on explicit-array contexts and on the geometry form that
-    :func:`errors_validation.sample_flip_positions` builds."""
+    state, on the contexts :func:`errors_validation.make_context` and
+    :func:`errors_validation.sample_flip_positions` build, against the
+    per-bit arrays they stand for."""
 
     N_BITS = 50_000
     BERS = (0.0, 1e-9, 1e-5, 1e-3, 0.3, 1.0)
@@ -249,45 +209,40 @@ class TestSamplersMatchOracle:
         "eden-flat": lambda: ErrorModelEden(sigma=0.0, one_to_zero_ratio=8.0),
     }
 
-    @classmethod
-    def _arrays(cls, kind):
-        n = cls.N_BITS
-        positions = np.arange(n, dtype=np.int64)
-        rng = np.random.default_rng(6)
-        values = (rng.random(n) < 0.4).astype(np.uint8)
-        if kind == "irregular":
-            return dict(
-                bitline_of=rng.integers(3, 40, n),
-                wordline_of=rng.integers(5, 60, n),
-                values=values * 3,
-            )
-        if kind == "eden-rows":  # TestEdenModel's context
-            return dict(
-                bitline_of=positions % 64,
-                wordline_of=np.repeat(np.arange(n // 100), 100).astype(np.int64),
-                values=values,
-            )
-        return dict(  # make_context's, with all-zero values for "zero-values"
-            bitline_of=positions % 64,
-            wordline_of=positions // 4096,
-            values=values if kind == "regular" else np.zeros(n, dtype=np.uint8),
-        )
+    #: (bits per bitline period, bits per wordline, bits per word, random
+    #: values or all zero) per kind: make_context's defaults,
+    #: TestEdenModel's rows of 100 bits, all-zero values, and odd spans
+    #: (a partial last wordline) over values packed eight to a byte.
+    KINDS = {
+        "regular": (64, 4096, 1, True),
+        "irregular": (37, 999, 8, True),
+        "eden-rows": (64, 100, 1, True),
+        "zero-values": (64, 4096, 1, False),
+    }
 
     @staticmethod
     def _assert_same_draws(flips, ref, rng, ref_rng):
         assert flips.dtype == ref.dtype and flips.tobytes() == ref.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @pytest.mark.parametrize("kind", ["regular", "irregular", "eden-rows", "zero-values"])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
     @pytest.mark.parametrize("model", sorted(MODELS))
-    def test_explicit_arrays(self, model, kind):
-        arrays = self._arrays(kind)
+    def test_value_layouts(self, model, kind):
+        n, (lanes, rows, word_bits, random_values) = self.N_BITS, self.KINDS[kind]
+        positions = np.arange(n, dtype=np.int64)
+        values = (np.random.default_rng(6).random(n) < 0.4).astype(np.uint8)
+        if not random_values:
+            values = np.zeros(n, dtype=np.uint8)
         sampler = self.MODELS[model]()
         rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
         for ber in self.BERS:
-            flips = sampler.sample_flips(BitContext(self.N_BITS, ber, **arrays), rng)
+            flips = sampler.sample_flips(
+                make_context(n, ber, lanes, rows, values, word_bits), rng
+            )
             ref = reference_sample_flips(
-                sampler, ReferenceBitContext(self.N_BITS, ber, **arrays), ref_rng
+                sampler,
+                ReferenceBitContext(n, ber, positions % lanes, positions // rows, values),
+                ref_rng,
             )
             self._assert_same_draws(flips, ref, rng, ref_rng)
 
@@ -316,8 +271,8 @@ class TestSamplersMatchOracle:
 
 
 class TestGeometryForm:
-    """A geometry-form context answers every query exactly as the
-    explicit per-bit arrays it stands for (the shift form of the words)."""
+    """A context answers every query exactly as the per-bit arrays it
+    stands for (line ids, and the shift form of the words) would."""
 
     CASES = {
         # name: (dtype, word_bits, lane_bits, row_bits)
@@ -353,41 +308,39 @@ class TestGeometryForm:
         shifts = np.arange(word_bits, dtype=np.uint64)
         values = ((words.astype(np.uint64)[:, None] >> shifts) & 1).astype(np.uint8)
         positions = np.arange(n_bits, dtype=np.int64)
-        explicit = BitContext(
-            n_bits, 0.01, bitline_of=positions % lane_bits,
-            wordline_of=positions // row_bits, values=values.ravel(),
+        per_bit = ReferenceBitContext(
+            n_bits, 0.01, positions % lane_bits, positions // row_bits, values.ravel()
         )
-        return geometry, explicit
+        return geometry, per_bit
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_queries_match_explicit_arrays(self, case):
-        geometry, explicit = self._pair(case)
-        for name in ("bitline_of", "wordline_of", "values"):
-            derived = getattr(geometry, name)
-            assert derived.dtype == getattr(explicit, name).dtype
-            assert np.array_equal(derived, getattr(explicit, name))
+    def test_queries_match_per_bit_arrays(self, case):
+        geometry, per_bit = self._pair(case)
+        assert geometry.values.dtype == per_bit.values.dtype
+        assert np.array_equal(geometry.values, per_bit.values)
         positions = np.random.default_rng(1).integers(0, geometry.n_bits, 500)
-        assert np.array_equal(geometry.values_at(positions), explicit.values_at(positions))
+        assert np.array_equal(geometry.values_at(positions), per_bit.values[positions] != 0)
         table = np.random.default_rng(2).random(geometry.n_bits)
+        one = per_bit.values != 0
         for name in ("bitline_of", "wordline_of"):
-            assert geometry.n_lines(name) == explicit.n_lines(name)
+            lines = getattr(per_bit, name)
+            n_lines = int(lines.max()) + 1
+            assert geometry.n_lines(name) == n_lines
+            assert np.array_equal(geometry.lines_at(name, positions), lines[positions])
+            # Exactly numpy's pairwise sum over the per-bit array.
+            assert geometry.line_mean(name, table[:n_lines]) == table[lines].mean()
             assert np.array_equal(
-                geometry.lines_at(name, positions), explicit.lines_at(name, positions)
+                geometry.line_presence(name), np.bincount(lines, minlength=n_lines) > 0
             )
-            n_lines = geometry.n_lines(name)
-            assert geometry.line_mean(name, table[:n_lines]) == explicit.line_mean(
-                name, table[:n_lines]
+            assert np.array_equal(
+                geometry.line_presence(name, by_value=True),
+                np.stack([np.bincount(lines[m], minlength=n_lines) > 0 for m in (~one, one)]),
             )
-            for by_value in (False, True):
-                assert np.array_equal(
-                    geometry.line_presence(name, by_value),
-                    explicit.line_presence(name, by_value),
-                )
 
     def test_a_line_of_ones_holds_no_zero(self):
         rows = BitContext(
             16, 0.01, words=np.array([255, 255], dtype=np.uint8), word_bits=8,
-            row_bits=8,
+            lane_bits=64, row_bits=8,
         )
         assert rows.line_presence("wordline_of", by_value=True).tolist() == [
             [False, False], [True, True],
@@ -398,14 +351,14 @@ class TestGeometryForm:
     def test_eden_matches_oracle_on_runs(self, case, ratio):
         # With ratio < 1 zeros fail more often: counting the absent
         # (line, 0) pair of a line of ones would raise p_max.
-        geometry, explicit = self._pair(case)
+        geometry, per_bit = self._pair(case)
         model = ErrorModelEden(sigma=0.8, structure_seed=3, one_to_zero_ratio=ratio)
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         for ber in (1e-4, 1e-2, 0.5):
             geometry.base_rate = ber
             reference = ReferenceBitContext(
-                explicit.n_bits, ber, wordline_of=explicit.wordline_of,
-                values=explicit.values,
+                per_bit.n_bits, ber, wordline_of=per_bit.wordline_of,
+                values=per_bit.values,
             )
             flips = model.sample_flips(geometry, rng)
             ref = reference_sample_flips(model, reference, ref_rng)

@@ -6,11 +6,12 @@ import pytest
 from repro.core.mapping_policy import baseline_mapping, sparkxd_mapping
 from repro.dram.controller import DramController
 from repro.dram.specs import LPDDR3_1600_4GB, tiny_spec
+from repro.engine import BatchedEvaluator, BatchedTrainer
 from repro.errors.injection import ErrorInjector
 from repro.errors.weak_cells import WeakCellMap
 from repro.snn.network import DiehlCookNetwork, NetworkParameters
 from repro.snn.quantization import Float32Representation
-from repro.snn.training import evaluate_accuracy, train_unsupervised
+from repro.snn.training import assign_labels
 from repro.trace.generator import InferenceTraceSpec, inference_read_trace
 
 
@@ -116,20 +117,22 @@ class TestTrainingUnderInjection:
     def test_high_ber_hurts_untrained_model(self, mini_mnist):
         rng = np.random.default_rng(3)
         net = DiehlCookNetwork(NetworkParameters(n_neurons=40), rng=rng)
-        model = train_unsupervised(
-            net, mini_mnist.train_images, mini_mnist.train_labels,
-            n_steps=60, rng=rng,
+        BatchedTrainer(net).train(mini_mnist.train_images, n_steps=60, rng=rng)
+        evaluator = BatchedEvaluator.for_network(net)
+        counts = evaluator.spike_counts(
+            mini_mnist.train_images, 60, rng, weights=net.weights
         )
+        assignments = assign_labels(counts, mini_mnist.train_labels)
         injector = ErrorInjector(Float32Representation(clip_range=(0, 1)), seed=5)
-        clean_acc = evaluate_accuracy(
-            net, mini_mnist.test_images, mini_mnist.test_labels,
-            model.assignments, 60, rng,
-        )
-        corrupted, _ = injector.inject_uniform(model.weights, 0.05)
-        net.set_weights(corrupted)
-        noisy_acc = evaluate_accuracy(
-            net, mini_mnist.test_images, mini_mnist.test_labels,
-            model.assignments, 60, rng,
-        )
+
+        def accuracy(weights):
+            return evaluator.accuracies(
+                mini_mnist.test_images, mini_mnist.test_labels,
+                assignments, 60, rng, weights=weights,
+            )
+
+        clean_acc = accuracy(net.weights)
+        corrupted, _ = injector.inject_uniform(net.weights, 0.05)
+        noisy_acc = accuracy(corrupted)
         # At a catastrophic BER the receptive fields are destroyed.
         assert noisy_acc < clean_acc

@@ -65,6 +65,26 @@ class TestLintCommand:
         payload = json.loads(report_path.read_text())
         assert payload["total"] == 4
 
+    def test_default_root_is_reported_relative_to_the_working_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # CI regenerates the committed report from the repository root.
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        report_path = tmp_path / "LINT_report.json"
+        assert main(["lint", "--report", str(report_path)]) == 0
+        assert json.loads(report_path.read_text())["root"] == "src/repro"
+
+    def test_default_root_outside_the_working_directory_is_absolute(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro
+
+        monkeypatch.chdir(tmp_path)
+        report_path = tmp_path / "LINT_report.json"
+        assert main(["lint", "--report", str(report_path)]) == 0
+        root = json.loads(report_path.read_text())["root"]
+        assert root == str(Path(repro.__file__).resolve().parent)
+
     def test_update_baseline_then_check_passes(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -69,10 +69,10 @@ class TestProbe:
 
     def test_probe_preserves_network_state(self, mini_mnist, rng):
         net = DiehlCookNetwork(NetworkParameters(n_neurons=20), rng=rng)
-        theta = net.neurons.theta.copy()
+        theta = net.theta.copy()
         weights = net.weights.copy()
         check_training_health(net, mini_mnist.train_images[:5], n_steps=30, rng=rng)
-        assert np.array_equal(net.neurons.theta, theta)
+        assert np.array_equal(net.theta, theta)
         assert np.array_equal(net.weights, weights)
 
     def test_lockstep_network_flagged(self, mini_mnist, rng):
@@ -80,7 +80,7 @@ class TestProbe:
         params = NetworkParameters(n_neurons=30, theta_init_max=0.0)
         net = DiehlCookNetwork(params, rng=rng)
         net.weights[:] = 0.025  # identical receptive fields
-        net.neurons.theta[:] = 10.0  # identical, nonzero thresholds
+        net.theta[:] = 10.0  # identical, nonzero thresholds
         health = check_training_health(
             net, mini_mnist.train_images[:8], n_steps=30, rng=rng
         )

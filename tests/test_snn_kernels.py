@@ -48,9 +48,7 @@ def _batched_setup(dtype, n_batch=5, n_steps=30, seed=2):
     )
     weights = (rng.random((PARAMS.n_input, PARAMS.n_neurons)) * 0.3).astype(dtype)
     shell.set_weights(weights)
-    shell.neurons.theta = (
-        rng.random(shell.neurons.state_shape) * 0.1
-    ).astype(dtype)
+    shell.theta = (rng.random(shell.state_shape) * 0.1).astype(dtype)
     trains = rng.random((n_batch, n_steps, PARAMS.n_input)) < 0.15
     return shell, trains
 
@@ -59,19 +57,19 @@ def _run_kernel(shell, trains, run_batch_stdp, dtype):
     """One minibatch pass of ``run_batch_stdp``; every observable output."""
     stdp = make_stdp(shell, batch_shape=shell.batch_shape)
     delta = np.zeros((PARAMS.n_input, PARAMS.n_neurons), dtype=dtype)
-    theta0 = shell.neurons.theta.copy()
+    theta0 = shell.theta.copy()
     counts = run_batch_stdp(shell, trains, stdp, delta)
     outputs = {
         "delta": delta,
         "counts": counts,
-        "theta": shell.neurons.theta.copy(),
+        "theta": shell.theta.copy(),
         "x_pre": stdp.x_pre.copy(),
-        "v": shell.neurons.v.copy(),
-        "refractory_left": shell.neurons.refractory_left.copy(),
-        "g_e": shell.g_excitatory.g.copy(),
-        "g_i": shell.g_inhibitory.g.copy(),
+        "v": shell.v.copy(),
+        "refractory_left": shell.refractory_left.copy(),
+        "g_e": shell.g_e.copy(),
+        "g_i": shell.g_i.copy(),
     }
-    shell.neurons.theta = theta0  # restore for the next run
+    shell.theta = theta0  # restore for the next run
     shell.reset_state()
     return outputs
 
@@ -169,7 +167,7 @@ class TestFusedBitIdentity:
         )
         ref, ref_rng = train()
         assert np.array_equal(ref.weights, fused.weights)
-        assert np.array_equal(ref.neurons.theta, fused.neurons.theta)
+        assert np.array_equal(ref.theta, fused.theta)
         assert ref_rng.bit_generator.state == fused_rng.bit_generator.state
 
 
@@ -189,7 +187,7 @@ class TestWorkspaceReuseAcrossMinibatches:
                 images, n_steps=20, epochs=1, rng=rng_b
             )
         assert np.array_equal(net_a.weights, net_b.weights)
-        assert np.array_equal(net_a.neurons.theta, net_b.neurons.theta)
+        assert np.array_equal(net_a.theta, net_b.theta)
 
 
 class TestStageEncodingCache:
@@ -335,7 +333,7 @@ class TestBaseWeightsDriveSharing:
         def accs(base_weights):
             return evaluator.accuracies(
                 images, labels, assignments, 20, np.random.default_rng(3),
-                weights=stack, n_classes=4, base_weights=base_weights,
+                weights=stack, base_weights=base_weights,
             )
 
         assert np.array_equal(accs(None), accs(base))

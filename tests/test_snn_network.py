@@ -47,6 +47,33 @@ class TestConstruction:
         with pytest.raises(ValueError):
             NetworkParameters(excitation_gain=0).validate()
 
+    def test_weights_drawn_before_thresholds(self):
+        # One fixed stream: the benchmark tests' later draws depend on it.
+        params = NetworkParameters(n_input=16, n_neurons=8)
+        net = DiehlCookNetwork(params, rng=np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        weights = rng.random((16, 8)) * 0.3
+        normalize_columns(weights, params.weight_norm)
+        theta = rng.uniform(0.0, params.theta_init_max, 8)
+        assert np.array_equal(net.weights, weights)
+        assert np.array_equal(net.theta, theta)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_decay_factors_take_the_network_dtype(self, dtype):
+        params = NetworkParameters(n_input=4, n_neurons=3)
+        net = DiehlCookNetwork(params, init_weights=False, dtype=dtype)
+        taus = {
+            "g_e_decay": params.conductance.tau_excitatory_ms,
+            "g_i_decay": params.conductance.tau_inhibitory_ms,
+            "theta_decay": params.lif.tau_theta_ms,
+        }
+        for name, tau in taus.items():
+            decay = getattr(net, name)
+            assert type(decay) is np.dtype(dtype).type
+            assert decay == np.dtype(dtype).type(np.exp(-params.dt_ms / tau))
+        for state in (net.v, net.refractory_left, net.theta, net.g_e, net.g_i):
+            assert state.dtype == np.dtype(dtype)
+
     def test_n_weights(self, net):
         assert net.n_weights == 16 * 8
 
@@ -77,7 +104,7 @@ class TestDynamics:
 
     def test_input_spikes_drive_conductance(self, net):
         network_step(net, np.ones(16, dtype=bool), no_spikes(net))
-        assert np.all(net.g_excitatory.g > 0)
+        assert np.all(net.g_e > 0)
 
     def test_lateral_inhibition_spares_the_spiker(self, net):
         # Drive hard so someone fires, then check inhibition applies to
@@ -88,7 +115,7 @@ class TestDynamics:
             spikes = network_step(net, np.ones(16, dtype=bool), spikes)
         assert spikes.any()
         network_step(net, np.zeros(16, dtype=bool), spikes)
-        g = net.g_inhibitory.g
+        g = net.g_i
         n_spikes = int(spikes.sum())
         expected_other = n_spikes * net.parameters.inhibition_strength
         others = ~spikes
@@ -99,9 +126,9 @@ class TestDynamics:
     def test_reset_state_clears_dynamics(self, net):
         network_step(net, np.ones(16, dtype=bool), no_spikes(net))
         net.reset_state()
-        assert np.all(net.g_excitatory.g == 0)
-        assert np.all(net.g_inhibitory.g == 0)
-        assert np.all(net.neurons.v == net.parameters.lif.v_rest)
+        assert np.all(net.g_e == 0)
+        assert np.all(net.g_i == 0)
+        assert np.all(net.v == net.parameters.lif.v_rest)
 
 
 class TestRunSample:
@@ -152,13 +179,13 @@ class TestBatchedNetwork:
             for _ in range(3)
         ])
         batched = DiehlCookNetwork(params, init_weights=False, batch_shape=(3, 5))
-        batched.neurons.theta = np.broadcast_to(
-            source.neurons.theta, (3, 5, 12)
+        batched.theta = np.broadcast_to(
+            source.theta, (3, 5, 12)
         ).copy()
         batched.set_weights(stack)
         counts = batched.run_batch(trains)
         scalar = DiehlCookNetwork(params, init_weights=False)
-        scalar.neurons.theta = source.neurons.theta.copy()
+        scalar.theta = source.theta.copy()
         for e in range(3):
             scalar.set_weights(stack[e])
             for b in range(5):
@@ -171,11 +198,11 @@ class TestBatchedNetwork:
         params = NetworkParameters(n_input=16, n_neurons=8)
         net = DiehlCookNetwork(params, rng=rng, batch_shape=(3,))
         weights = net.weights.copy()
-        theta = net.neurons.theta.copy()
+        theta = net.theta.copy()
         counts = net.run_batch(rng.random((3, 30, 16)) < 0.3)
         assert counts.sum() > 0
         assert np.array_equal(net.weights, weights)
-        assert np.array_equal(net.neurons.theta, theta)
+        assert np.array_equal(net.theta, theta)
 
     def test_batched_step_accepts_batched_input(self):
         params = NetworkParameters(n_input=10, n_neurons=6)
@@ -215,12 +242,22 @@ class TestBatchedNetwork:
     def test_set_batch_shape_roundtrip(self):
         params = NetworkParameters(n_input=10, n_neurons=6)
         net = DiehlCookNetwork(params, rng=np.random.default_rng(1))
-        theta = net.neurons.theta.copy()
+        theta = net.theta.copy()
         net.set_batch_shape((2, 4))
         assert net.batch_shape == (2, 4)
-        assert net.g_excitatory.g.shape == (2, 4, 6)
+        assert net.g_e.shape == (2, 4, 6)
         net.set_batch_shape(())
-        assert np.array_equal(net.neurons.theta, theta)
+        assert np.array_equal(net.theta, theta)
+
+    def test_set_batch_shape_broadcasts_the_first_lane_theta(self):
+        net = DiehlCookNetwork(
+            NetworkParameters(n_input=10, n_neurons=3), init_weights=False,
+            batch_shape=(2,),
+        )
+        net.theta = np.array([[0.1, 0.2, 0.3], [0.7, 0.8, 0.9]])
+        net.set_batch_shape((3, 2))
+        assert net.theta.shape == (3, 2, 3)
+        assert np.array_equal(net.theta, np.broadcast_to([0.1, 0.2, 0.3], (3, 2, 3)))
 
     def test_init_weights_false_skips_rng(self):
         params = NetworkParameters(n_input=10, n_neurons=6)
@@ -229,7 +266,7 @@ class TestBatchedNetwork:
         net = DiehlCookNetwork(params, rng=rng, init_weights=False)
         assert rng.bit_generator.state == state_before
         assert not net.weights.any()
-        assert not net.neurons.theta.any()
+        assert not net.theta.any()
 
 
 class TestPresentationsStartFromRest:
@@ -247,7 +284,7 @@ class TestPresentationsStartFromRest:
 
         def present(net, trains):
             net.set_weights(weights)
-            net.neurons.theta[...] = 0.0
+            net.theta[...] = 0.0
             if loop == "run_sample":
                 counts = net.run_sample(trains[0], make_stdp(net))
             elif loop == "run_batch_stdp":
@@ -255,7 +292,7 @@ class TestPresentationsStartFromRest:
                 counts = net.run_batch_stdp(trains, stdp, np.zeros((30, 12)))
             else:
                 counts = net.run_batch(trains)
-            arrays = (counts, net.neurons.v, net.g_inhibitory.g, net.neurons.theta)
+            arrays = (counts, net.v, net.g_i, net.theta)
             return [a.tobytes() for a in arrays]
 
         def network():
@@ -264,7 +301,7 @@ class TestPresentationsStartFromRest:
 
         net = network()
         present(net, trains[0])
-        assert (net.neurons.v == lif.v_reset).any()  # spiked on the last step
+        assert (net.v == lif.v_reset).any()  # spiked on the last step
         assert present(net, trains[1]) == present(network(), trains[1])
 
 
@@ -285,11 +322,11 @@ def _state_bytes(net, stdp, counts):
     arrays = {
         "counts": counts,
         "weights": net.weights,
-        "theta": net.neurons.theta,
-        "v": net.neurons.v,
-        "refractory": net.neurons.refractory_left,
-        "g_e": net.g_excitatory.g,
-        "g_i": net.g_inhibitory.g,
+        "theta": net.theta,
+        "v": net.v,
+        "refractory": net.refractory_left,
+        "g_e": net.g_e,
+        "g_i": net.g_i,
         "x_pre": stdp.x_pre,
     }
     return {k: (a.dtype.str, a.shape, a.tobytes()) for k, a in arrays.items()}
@@ -412,10 +449,10 @@ def _frozen_state(net, counts):
     """dtype and bytes of the counts and of every state array."""
     arrays = {
         "counts": counts,
-        "v": net.neurons.v,
-        "refractory_left": net.neurons.refractory_left,
-        "g_e": net.g_excitatory.g,
-        "g_i": net.g_inhibitory.g,
+        "v": net.v,
+        "refractory_left": net.refractory_left,
+        "g_e": net.g_e,
+        "g_i": net.g_i,
     }
     return {key: (a.dtype, a.shape, a.tobytes()) for key, a in arrays.items()}
 
@@ -528,7 +565,7 @@ class TestSparseFrozenLoopMatchesOracle:
             for density in (0.0, 0.05, 0.3):
                 config = (scale, density)
                 net, got = run(*config)
-                overflowed += int(np.isinf(net.g_excitatory.g).any())
+                overflowed += int(np.isinf(net.g_e).any())
                 with monkeypatch.context() as patch:
                     patch.setattr(
                         DiehlCookNetwork, "_run_batch_frozen", _reference_frozen
@@ -568,7 +605,7 @@ class TestSparseFrozenLoopMatchesOracle:
 
         ref, want = present(_reference_frozen)
         _, got = present(DiehlCookNetwork._run_batch_frozen)
-        assert ref.neurons.refractory_left[0, 0] > 0  # across the last step
-        assert np.isinf(ref.g_excitatory.g[0]).all()
+        assert ref.refractory_left[0, 0] > 0  # across the last step
+        assert np.isinf(ref.g_e[0]).all()
         for key in want:
             assert got[key] == want[key], key

