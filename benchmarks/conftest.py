@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
 Every file in this directory regenerates one table or figure of the
-paper (see DESIGN.md's experiment index).  Run with::
+paper; each file's docstring names its figure or table.  Run with::
 
     pytest benchmarks/ --benchmark-only -s
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import PAPER_BER_RATES
 from repro.core.fault_aware_training import improve_error_tolerance, train_baseline
 from repro.datasets import load_dataset
 from repro.errors.injection import ErrorInjector
@@ -28,7 +29,7 @@ from repro.snn.quantization import Float32Representation
 SCALED_SIZES = {400: 50, 900: 75, 1600: 100, 2500: 125, 3600: 150}
 
 #: the BER decades of Fig. 11's x-axis
-FIG11_RATES = (1e-9, 1e-7, 1e-5, 1e-3)
+FIG11_RATES = PAPER_BER_RATES
 
 # 350 training samples keeps the larger scaled networks (N100+) stably
 # converged on both workloads; below ~3 samples per neuron the

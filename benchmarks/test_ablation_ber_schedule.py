@@ -1,7 +1,7 @@
 """Ablation: progressive BER schedule vs training directly at max BER.
 
-DESIGN.md calls out the progressive schedule (Section IV-B Step-3: BER
-raised geometrically after each stage) as a design choice.  This
+Section IV-B Step-3 raises the BER geometrically after each fault-aware
+training stage (the progressive schedule), a design choice.  This
 ablation trains one model through the full ascending schedule and one
 directly at the maximum BER, then evaluates both under errors at the
 maximum rate.

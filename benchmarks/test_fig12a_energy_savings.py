@@ -13,41 +13,27 @@ import numpy as np
 import pytest
 
 from repro.analysis.reporting import format_table
-from repro.core.mapping_policy import baseline_mapping, sparkxd_mapping
-from repro.dram.controller import DramController
-from repro.dram.specs import LPDDR3_1600_4GB
-from repro.errors.weak_cells import WeakCellMap
+from repro.core.config import PAPER_VOLTAGES, SparkXDConfig
+from repro.core.dram_eval import evaluate_dram
 from repro.snn.network import PAPER_NETWORK_SIZES
-from repro.trace.generator import InferenceTraceSpec, inference_read_trace
 
-VOLTAGES = (1.325, 1.250, 1.175, 1.100, 1.025)
 PAPER_MEAN_SAVINGS = (0.0384, 0.1333, 0.2269, 0.3112, 0.3946)
 N_INPUT = 784
 BER_THRESHOLD = 1e-3  # the paper's maximum trained-through BER
 
 
 def run_experiment():
-    controller = DramController(LPDDR3_1600_4GB)
-    org = controller.organization
-    weak_cells = WeakCellMap(org, sigma=0.8, seed=0)
+    """Sequential baseline at 1.35 V against Algorithm 2 at each voltage
+    (LPDDR3, weak cells at sigma 0.8 and seed 0, one pass)."""
+    config = SparkXDConfig(voltages=PAPER_VOLTAGES, weak_cell_sigma=0.8)
     savings = {}
     energies = {}
     for n_neurons in PAPER_NETWORK_SIZES:
-        n_weights = N_INPUT * n_neurons
-        spec = InferenceTraceSpec(n_weights=n_weights, bits_per_weight=32)
-        base_map = baseline_mapping(org, n_weights, 32)
-        base = controller.execute(
-            inference_read_trace(spec, base_map.slot_of_chunk, org), 1.35
-        )
+        base, outcomes = evaluate_dram(config, N_INPUT * n_neurons, 32, BER_THRESHOLD)
         energies[(n_neurons, 1.35)] = base.energy.total_mj
-        for v in VOLTAGES:
-            profile = weak_cells.profile_at(v)
-            mapping = sparkxd_mapping(org, n_weights, 32, profile, BER_THRESHOLD)
-            result = controller.execute(
-                inference_read_trace(spec, mapping.slot_of_chunk, org), v
-            )
-            energies[(n_neurons, v)] = result.energy.total_mj
-            savings[(n_neurons, v)] = 1 - result.energy.total_nj / base.energy.total_nj
+        for v in PAPER_VOLTAGES:
+            energies[(n_neurons, v)] = outcomes[v].result.energy.total_mj
+            savings[(n_neurons, v)] = outcomes[v].energy_saving
     return savings, energies
 
 
@@ -58,16 +44,16 @@ def test_fig12a_dram_energy_savings(benchmark):
     for n in PAPER_NETWORK_SIZES:
         rows.append(
             [f"N{n}", f"{energies[(n, 1.35)]:.4f}"]
-            + [f"{savings[(n, v)]:.2%}" for v in VOLTAGES]
+            + [f"{savings[(n, v)]:.2%}" for v in PAPER_VOLTAGES]
         )
     mean_savings = [
         float(np.mean([savings[(n, v)] for n in PAPER_NETWORK_SIZES]))
-        for v in VOLTAGES
+        for v in PAPER_VOLTAGES
     ]
     rows.append(["mean", ""] + [f"{s:.2%}" for s in mean_savings])
     rows.append(["paper-mean", ""] + [f"{s:.2%}" for s in PAPER_MEAN_SAVINGS])
     print("\n" + format_table(
-        ["network", "base [mJ]"] + [f"{v:.3f}V" for v in VOLTAGES],
+        ["network", "base [mJ]"] + [f"{v:.3f}V" for v in PAPER_VOLTAGES],
         rows,
         title="FIG 12(a) - DRAM energy savings vs baseline (accurate DRAM, 1.35V)",
     ))
@@ -79,7 +65,7 @@ def test_fig12a_dram_energy_savings(benchmark):
     # ...stay below the per-access Table-I saving (42.40%)...
     assert mean_savings[-1] < 0.424
     # ...and are nearly independent of the network size.
-    for v in VOLTAGES:
+    for v in PAPER_VOLTAGES:
         per_size = [savings[(n, v)] for n in PAPER_NETWORK_SIZES]
         assert max(per_size) - min(per_size) < 0.02
     # energy grows with network size at fixed voltage

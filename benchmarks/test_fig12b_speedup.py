@@ -9,12 +9,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.reporting import format_table
-from repro.core.mapping_policy import baseline_mapping, sparkxd_mapping
-from repro.dram.controller import DramController
-from repro.dram.specs import LPDDR3_1600_4GB
-from repro.errors.weak_cells import WeakCellMap
+from repro.core.config import SparkXDConfig
+from repro.core.dram_eval import evaluate_dram
 from repro.snn.network import PAPER_NETWORK_SIZES
-from repro.trace.generator import InferenceTraceSpec, inference_read_trace
 
 N_INPUT = 784
 V_REDUCED = 1.025
@@ -22,23 +19,13 @@ BER_THRESHOLD = 1e-3
 
 
 def run_experiment():
-    controller = DramController(LPDDR3_1600_4GB)
-    org = controller.organization
-    weak_cells = WeakCellMap(org, sigma=0.8, seed=0)
-    profile = weak_cells.profile_at(V_REDUCED)
+    """Sequential baseline at 1.35 V against Algorithm 2 at 1.025 V
+    (LPDDR3, weak cells at sigma 0.8 and seed 0, one pass)."""
+    config = SparkXDConfig(voltages=(V_REDUCED,), weak_cell_sigma=0.8)
     speedups = {}
     for n_neurons in PAPER_NETWORK_SIZES:
-        n_weights = N_INPUT * n_neurons
-        spec = InferenceTraceSpec(n_weights=n_weights, bits_per_weight=32)
-        base_map = baseline_mapping(org, n_weights, 32)
-        base = controller.execute(
-            inference_read_trace(spec, base_map.slot_of_chunk, org), 1.35
-        )
-        mapping = sparkxd_mapping(org, n_weights, 32, profile, BER_THRESHOLD)
-        result = controller.execute(
-            inference_read_trace(spec, mapping.slot_of_chunk, org), V_REDUCED
-        )
-        speedups[n_neurons] = base.stats.total_time_ns / result.stats.total_time_ns
+        _, outcomes = evaluate_dram(config, N_INPUT * n_neurons, 32, BER_THRESHOLD)
+        speedups[n_neurons] = outcomes[V_REDUCED].speedup
     return speedups
 
 

@@ -7,10 +7,10 @@ Paper row: 1.325V 3.92% | 1.250V 14.29% | 1.175V 24.33% | 1.100V 33.59%
 import pytest
 
 from repro.analysis.reporting import format_percent_row
+from repro.core.config import PAPER_VOLTAGES as VOLTAGES
 from repro.dram.energy import DramEnergyModel
 from repro.dram.specs import LPDDR3_1600_4GB
 
-VOLTAGES = (1.325, 1.250, 1.175, 1.100, 1.025)
 PAPER = (0.0392, 0.1429, 0.2433, 0.3359, 0.4240)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.analysis.pareto import tolerance_frontier
 from repro.analysis.reporting import format_table
+from repro.core.config import PAPER_BER_RATES as RATES
 from repro.core.fault_aware_training import improve_error_tolerance, train_baseline
 from repro.core.tolerance_analysis import analyze_error_tolerance
 from repro.datasets import load_dataset
@@ -26,7 +27,6 @@ from repro.dram.specs import LPDDR3_1600_4GB
 from repro.errors.injection import ErrorInjector
 from repro.snn.quantization import Float32Representation
 
-RATES = (1e-9, 1e-7, 1e-5, 1e-3)
 BOUNDS = (0.005, 0.01, 0.02, 0.05, 0.10)
 
 

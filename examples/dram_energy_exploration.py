@@ -16,14 +16,13 @@ Usage::
 import numpy as np
 
 from repro.analysis.reporting import format_percent_row, format_table
+from repro.core.config import PAPER_VOLTAGES as VOLTAGES
 from repro.dram.commands import AccessCondition
 from repro.dram.energy import DramEnergyModel
 from repro.dram.specs import LPDDR3_1600_4GB
 from repro.dram.timing import timing_for_voltage
 from repro.dram.voltage import ArrayVoltageModel
 from repro.errors.ber import DEFAULT_BER_CURVE
-
-VOLTAGES = (1.325, 1.250, 1.175, 1.100, 1.025)
 
 
 def main() -> None:
@@ -57,7 +56,7 @@ def main() -> None:
     print("\n--- Fig. 6: array dynamics and reliable timings ---")
     rows = []
     for v in (1.35, 1.25, 1.15):
-        timing = timing_for_voltage(spec, v, voltage_model)
+        timing = timing_for_voltage(spec, v)
         rows.append([
             f"{v:.2f}",
             f"{voltage_model.tau_activate(v):.1f}",

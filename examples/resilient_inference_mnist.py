@@ -21,12 +21,11 @@ import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.analysis.sweeps import accuracy_vs_ber_sweep
+from repro.core.config import PAPER_BER_RATES as RATES
 from repro.core.fault_aware_training import improve_error_tolerance, train_baseline
 from repro.datasets import load_dataset
 from repro.errors.injection import ErrorInjector
 from repro.snn.quantization import Float32Representation
-
-RATES = (1e-9, 1e-7, 1e-5, 1e-3)
 
 
 def main() -> None:

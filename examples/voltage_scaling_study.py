@@ -17,18 +17,9 @@ Usage::
 import argparse
 
 from repro.analysis.reporting import format_table
-from repro.core.mapping_policy import (
-    InsufficientSafeCapacityError,
-    baseline_mapping,
-    sparkxd_mapping,
-)
-from repro.dram.controller import DramController
-from repro.dram.specs import LPDDR3_1600_4GB
-from repro.errors.weak_cells import WeakCellMap
+from repro.core.config import PAPER_VOLTAGES, SparkXDConfig
+from repro.core.dram_eval import evaluate_dram
 from repro.snn.network import PAPER_NETWORK_SIZES
-from repro.trace.generator import InferenceTraceSpec, inference_read_trace
-
-VOLTAGES = (1.325, 1.250, 1.175, 1.100, 1.025)
 
 
 def main() -> None:
@@ -40,38 +31,24 @@ def main() -> None:
     parser.add_argument("--sigma", type=float, default=0.8)
     args = parser.parse_args()
 
-    controller = DramController(LPDDR3_1600_4GB)
-    org = controller.organization
-    weak_cells = WeakCellMap(org, sigma=args.sigma, seed=0)
-
+    # LPDDR3, weak-cell seed 0, one pass; baseline at the nominal 1.35 V.
+    config = SparkXDConfig(voltages=PAPER_VOLTAGES, weak_cell_sigma=args.sigma)
     rows = []
     for n_neurons in args.sizes:
-        n_weights = 784 * n_neurons
-        spec = InferenceTraceSpec(n_weights=n_weights, bits_per_weight=32)
-        base_map = baseline_mapping(org, n_weights, 32)
-        base = controller.execute(
-            inference_read_trace(spec, base_map.slot_of_chunk, org), 1.35
+        base, outcomes = evaluate_dram(
+            config, 784 * n_neurons, 32, args.ber_threshold
         )
         row = [f"N{n_neurons}", f"{base.energy.total_mj:.4f}"]
-        for v in VOLTAGES:
-            profile = weak_cells.profile_at(v)
-            try:
-                mapping = sparkxd_mapping(
-                    org, n_weights, 32, profile, args.ber_threshold
-                )
-            except InsufficientSafeCapacityError:
+        for v in PAPER_VOLTAGES:
+            outcome = outcomes[v]
+            if not outcome.feasible:
                 row.append("infeasible")
                 continue
-            result = controller.execute(
-                inference_read_trace(spec, mapping.slot_of_chunk, org), v
-            )
-            saving = 1 - result.energy.total_nj / base.energy.total_nj
-            speedup = base.stats.total_time_ns / result.stats.total_time_ns
-            row.append(f"{saving:.1%} ({speedup:.2f}x)")
+            row.append(f"{outcome.energy_saving:.1%} ({outcome.speedup:.2f}x)")
         rows.append(row)
 
     print(format_table(
-        ["network", "base [mJ]"] + [f"{v:.3f}V" for v in VOLTAGES],
+        ["network", "base [mJ]"] + [f"{v:.3f}V" for v in PAPER_VOLTAGES],
         rows,
         title="DRAM energy saving (speed-up) vs accurate-DRAM baseline "
         "- Figs. 12(a)+(b)",

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from repro.core.config import PAPER_VOLTAGES
 from repro.core.tolerance_analysis import ToleranceReport
 from repro.core.voltage_selection import VoltageDecision, select_operating_voltage
 from repro.dram.specs import DramSpec
-from repro.errors.ber import BerVoltageCurve, DEFAULT_BER_CURVE
 from repro.errors.weak_cells import WeakCellMap
 
 
@@ -43,9 +43,8 @@ def tolerance_frontier(
     n_weights: int,
     bits_per_weight: int,
     accuracy_bounds: Sequence[float] = (0.005, 0.01, 0.02, 0.05, 0.10),
-    voltages: Sequence[float] = (1.325, 1.250, 1.175, 1.100, 1.025),
+    voltages: Sequence[float] = PAPER_VOLTAGES,
     weak_cells: Optional[WeakCellMap] = None,
-    ber_curve: BerVoltageCurve = DEFAULT_BER_CURVE,
 ) -> Tuple[ParetoPoint, ...]:
     """The energy-saving frontier across accuracy bounds.
 
@@ -69,7 +68,6 @@ def tolerance_frontier(
             threshold,
             voltages=voltages,
             weak_cells=weak_cells,
-            ber_curve=ber_curve,
         )
         points.append(
             ParetoPoint(accuracy_bound=bound, ber_threshold=threshold, decision=decision)

@@ -57,6 +57,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.config import PAPER_BER_RATES, PAPER_VOLTAGES
+
 REPRESENTATIONS = ("float32", "int8", "int16")
 COMPUTE_DTYPES = ("float64", "float32")
 STAGE_ENCODING_CHOICES = ("fresh", "shared")
@@ -367,8 +369,9 @@ def _add_stages_parser(subparsers) -> None:
 def _add_dram_parser(subparsers) -> None:
     p = subparsers.add_parser("dram", help="DRAM energy studies (no training)")
     p.add_argument(
-        "--voltages", type=float, nargs="+",
-        default=[1.325, 1.250, 1.175, 1.100, 1.025],
+        "--voltages", type=float, nargs="+", default=None, metavar="V",
+        help="supply voltages to price (default: the paper's Fig. 12a set, "
+             "at or below the device's nominal supply)",
     )
     p.add_argument("--spec", default="lpddr3-1600-4gb", metavar="NAME",
                    help="DRAM device spec (see 'stages' for choices)")
@@ -383,7 +386,7 @@ def _add_tolerance_parser(subparsers) -> None:
     p.add_argument("--test", type=int, default=80)
     p.add_argument("--bound", type=float, default=0.05)
     p.add_argument("--rates", type=float, nargs="+",
-                   default=[1e-9, 1e-7, 1e-5, 1e-3])
+                   default=list(PAPER_BER_RATES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
 
@@ -995,22 +998,24 @@ def _cmd_dram(args) -> int:
     from repro.dram.specs import get_dram_spec
 
     spec = get_dram_spec(args.spec)
+    nominal = spec.electrical.v_nominal_volts
+    voltages = args.voltages or [v for v in PAPER_VOLTAGES if v <= nominal]
     model = DramEnergyModel(spec)
     rows = []
     for condition in AccessCondition:
         row = [condition.value]
-        for v in args.voltages:
+        for v in voltages:
             row.append(f"{model.access_energy(condition, v).total_nj:.2f}")
         rows.append(row)
-    savings = [model.energy_per_access_saving(v) for v in args.voltages]
+    savings = [model.energy_per_access_saving(v) for v in voltages]
     if args.json:
         payload = {
             "spec": spec.name,
-            "voltages": list(args.voltages),
+            "voltages": list(voltages),
             "access_energy_nj": {
                 condition.value: [
                     model.access_energy(condition, v).total_nj
-                    for v in args.voltages
+                    for v in voltages
                 ]
                 for condition in AccessCondition
             },
@@ -1019,11 +1024,10 @@ def _cmd_dram(args) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(format_table(
-        ["condition"] + [f"{v:.3f}V [nJ]" for v in args.voltages],
+        ["condition"] + [f"{v:.3f}V [nJ]" for v in voltages],
         rows,
         title=f"Access energy - {spec.name}",
     ))
-    nominal = spec.electrical.v_nominal_volts
     print(f"\nper-access savings vs {nominal:.3f}V: "
           + "  ".join(f"{s:.2%}" for s in savings))
     return 0

@@ -18,11 +18,10 @@ weights, in data order) to a DRAM slot:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from repro.dram.organization import DramCoordinate, DramOrganization
+from repro.dram.organization import DramOrganization
 from repro.errors.weak_cells import SubarrayErrorProfile
 from repro.registry import Registry
 
@@ -53,36 +52,19 @@ class WeightMapping:
                 f"mapping must cover {needed} chunks, got {slots.shape}"
             )
 
-    # ------------------------------------------------------------------
-    @property
-    def n_chunks(self) -> int:
-        return int(self.slot_of_chunk.size)
-
     @property
     def weights_per_chunk(self) -> int:
         return max(1, self.organization.slot_bits // self.bits_per_weight)
 
-    def coordinates(self) -> Iterator[DramCoordinate]:
-        """Chunk coordinates in data order."""
-        for slot in self.slot_of_chunk:
-            yield self.organization.coordinate_of(int(slot))
-
     def subarray_of_weight(self) -> np.ndarray:
         """Flat subarray index of every weight (for error injection)."""
-        organization = self.organization
-        g = organization.geometry
         slots = np.asarray(self.slot_of_chunk, dtype=np.int64)
         # Flat slot order is column-major: subarray changes every
         # rows_per_subarray * columns_per_row slots within a bank.
-        slots_per_subarray = g.rows_per_subarray * g.columns_per_row
-        subarray_of_chunk = slots // slots_per_subarray
+        subarray_of_chunk = slots // self.organization.slots_per_subarray()
         wpc = self.weights_per_chunk
         per_weight = np.repeat(subarray_of_chunk, wpc)[: self.n_weights]
         return per_weight
-
-    def subarrays_used(self) -> np.ndarray:
-        """Sorted unique flat subarray indices the mapping touches."""
-        return np.unique(self.subarray_of_weight())
 
 
 def baseline_mapping(

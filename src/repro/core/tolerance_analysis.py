@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.datasets.base import Dataset
 from repro.engine import BatchedEvaluator
-from repro.errors.ber import BerVoltageCurve, DEFAULT_BER_CURVE
+from repro.errors.ber import DEFAULT_BER_CURVE
 from repro.errors.injection import ErrorInjector
 from repro.rng import ensure_rng
 from repro.snn.training import TrainedModel
@@ -53,11 +53,11 @@ class ToleranceReport:
         """Whether the analysis found ``ber`` tolerable."""
         return self.ber_threshold is not None and ber <= self.ber_threshold
 
-    def min_voltage(self, curve: BerVoltageCurve = DEFAULT_BER_CURVE) -> float:
+    def min_voltage(self) -> float:
         """Lowest supply voltage whose BER stays within the threshold."""
         if self.ber_threshold is None:
-            return curve.v_safe
-        return curve.voltage_for_ber(self.ber_threshold)
+            return DEFAULT_BER_CURVE.v_safe
+        return DEFAULT_BER_CURVE.voltage_for_ber(self.ber_threshold)
 
 
 def analyze_error_tolerance(

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from repro.core.config import PAPER_VOLTAGES
 from repro.core.mapping_policy import (
     InsufficientSafeCapacityError,
     sparkxd_mapping,
@@ -28,7 +29,7 @@ from repro.core.mapping_policy import (
 from repro.dram.energy import DramEnergyModel
 from repro.dram.organization import DramOrganization
 from repro.dram.specs import DramSpec
-from repro.errors.ber import BerVoltageCurve, DEFAULT_BER_CURVE
+from repro.errors.ber import DEFAULT_BER_CURVE
 from repro.errors.weak_cells import WeakCellMap
 
 
@@ -44,19 +45,14 @@ class VoltageDecision:
     #: corners rejected and why ('ber' or 'capacity'), lowest first.
     rejected: Tuple[Tuple[float, str], ...]
 
-    @property
-    def is_reduced(self) -> bool:
-        return self.estimated_access_saving > 0.0
-
 
 def select_operating_voltage(
     spec: DramSpec,
     n_weights: int,
     bits_per_weight: int,
     ber_threshold: Optional[float],
-    voltages: Sequence[float] = (1.325, 1.250, 1.175, 1.100, 1.025),
+    voltages: Sequence[float] = PAPER_VOLTAGES,
     weak_cells: Optional[WeakCellMap] = None,
-    ber_curve: BerVoltageCurve = DEFAULT_BER_CURVE,
 ) -> VoltageDecision:
     """Choose the lowest feasible voltage for a weight tensor.
 
@@ -74,8 +70,8 @@ def select_operating_voltage(
 
     rejected = []
     for v in sorted(voltages):  # lowest (best saving) first
-        device_ber = ber_curve.ber_at(v)
-        profile = weak_cells.profile_at(v, ber_curve)
+        device_ber = DEFAULT_BER_CURVE.ber_at(v)
+        profile = weak_cells.profile_at(v)
         if threshold < 0:
             rejected.append((v, "ber"))
             continue

@@ -13,7 +13,7 @@ with the same shapes, value range and API:
 Every accuracy trend the paper reports depends on *class structure*
 (weight corruption scrambles learned receptive fields; fault-aware
 training restores robustness), not on natural-image statistics, so
-these stand-ins preserve the experiments' behaviour.  See DESIGN.md.
+these stand-ins preserve the experiments' behaviour.
 """
 
 from repro.datasets.base import Dataset

@@ -40,8 +40,7 @@ from repro.dram.commands import (
 )
 from repro.dram.row_buffer import TraceStatistics
 from repro.dram.specs import DramSpec
-from repro.dram.timing import TimingParameters, timing_for_voltage
-from repro.dram.voltage import ArrayVoltageModel
+from repro.dram.timing import timing_for_voltage
 
 #: Fraction of each command's charge energy spent in fixed-voltage
 #: peripheral domains (VPP wordline boost, equalisation drivers, I/O).
@@ -69,10 +68,6 @@ class AccessEnergyBreakdown:
     per_command_nj: Mapping[CommandKind, float]
 
     @property
-    def charge_nj(self) -> float:
-        return self.array_nj + self.peripheral_nj
-
-    @property
     def total_nj(self) -> float:
         return self.array_nj + self.peripheral_nj + self.standby_nj
 
@@ -86,10 +81,6 @@ class TraceEnergyBreakdown:
     peripheral_nj: float
     active_standby_nj: float
     idle_standby_nj: float
-
-    @property
-    def command_nj(self) -> float:
-        return self.array_nj + self.peripheral_nj
 
     @property
     def total_nj(self) -> float:
@@ -108,26 +99,9 @@ class TraceEnergyBreakdown:
 class DramEnergyModel:
     """Command-level energy model for one device spec."""
 
-    def __init__(
-        self,
-        spec: DramSpec,
-        voltage_model: ArrayVoltageModel | None = None,
-        peripheral_fraction: Mapping[CommandKind, float] | None = None,
-    ):
+    def __init__(self, spec: DramSpec):
         spec.validate()
         self.spec = spec
-        self.voltage_model = voltage_model or ArrayVoltageModel(
-            v_nominal=spec.electrical.v_nominal_volts
-        )
-        fractions = dict(PERIPHERAL_FRACTION)
-        if peripheral_fraction:
-            fractions.update(peripheral_fraction)
-        for kind, fraction in fractions.items():
-            if not 0.0 <= fraction < 1.0:
-                raise ValueError(
-                    f"peripheral fraction of {kind} must be in [0,1), got {fraction}"
-                )
-        self.peripheral_fraction = fractions
         self._v_nom = spec.electrical.v_nominal_volts
         elec = spec.electrical
         nominal = spec.timings
@@ -183,21 +157,13 @@ class DramEnergyModel:
     ) -> tuple[float, float]:
         """(array_nj, peripheral_nj) of one command at ``v_supply``."""
         nominal = self._charge_nominal_nj[kind]
-        fraction = self.peripheral_fraction[kind]
+        fraction = PERIPHERAL_FRACTION[kind]
         array_nj = nominal * (1.0 - fraction) * self.charge_scale(v_supply)
         peripheral_nj = nominal * fraction
         return array_nj, peripheral_nj
 
-    def command_energy_nj(self, kind: CommandKind, v_supply: float) -> float:
-        """Total charge energy of one command at ``v_supply``."""
-        array_nj, peripheral_nj = self.command_energy_split(kind, v_supply)
-        return array_nj + peripheral_nj
-
     def access_energy(
-        self,
-        condition: AccessCondition,
-        v_supply: float,
-        timing: TimingParameters | None = None,
+        self, condition: AccessCondition, v_supply: float
     ) -> AccessEnergyBreakdown:
         """Energy of one access under the given row-buffer condition.
 
@@ -205,8 +171,7 @@ class DramEnergyModel:
         reduced voltage keeps the array biased for a longer tRAS, a PRE
         for a longer tRP.
         """
-        if timing is None:
-            timing = timing_for_voltage(self.spec, v_supply, self.voltage_model)
+        timing = timing_for_voltage(self.spec, v_supply)
         per_command: Dict[CommandKind, float] = {}
         array_nj = peripheral_nj = standby_nj = 0.0
         for kind in COMMANDS_FOR_CONDITION[condition]:

@@ -11,6 +11,10 @@ faithful latency model:
   ``burst_time_ns``;
 - commands to *different* banks overlap freely (the multi-bank burst
   feature of Fig. 9b) — while bank 0 streams data, bank 1 can activate.
+  PRE/ACT to a bank other than the one currently streaming issue as
+  early as that bank's own timing allows, hiding their latency behind
+  the data transfer; same-bank row transitions are never hidden (the
+  bank must close its own row first).
 
 This is an open-page policy controller: rows stay open until a conflict
 forces a precharge, which matches both the baseline mapping (sequential
@@ -34,7 +38,7 @@ from typing import Dict, Sequence, Union
 
 import numpy as np
 
-from repro.dram.commands import AccessCondition, CommandKind
+from repro.dram.commands import CommandKind
 from repro.dram.organization import DramOrganization
 from repro.dram.timing import TimingParameters
 
@@ -56,18 +60,6 @@ class TraceStatistics:
     banks_touched: int = 0
 
     @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
-    @property
-    def conditions(self) -> Dict[AccessCondition, int]:
-        return {
-            AccessCondition.HIT: self.hits,
-            AccessCondition.MISS: self.misses,
-            AccessCondition.CONFLICT: self.conflicts,
-        }
-
-    @property
     def idle_time_ns(self) -> float:
         """Aggregate bank-idle time across touched banks."""
         if self.banks_touched == 0:
@@ -86,20 +78,9 @@ class RowBufferSimulator:
         Resolved (possibly voltage-derated) timing parameters.
     """
 
-    def __init__(
-        self,
-        organization: DramOrganization,
-        timing: TimingParameters,
-        open_ahead: bool = True,
-    ):
+    def __init__(self, organization: DramOrganization, timing: TimingParameters):
         self.organization = organization
         self.timing = timing
-        #: model the multi-bank burst feature (Fig. 9b): PRE/ACT to a
-        #: bank *other than the one currently streaming* are issued as
-        #: early as that bank's own timing allows, hiding their latency
-        #: behind the data transfer.  Same-bank row transitions can
-        #: never be hidden (the bank must close its own row first).
-        self.open_ahead = open_ahead
 
     def run(
         self, slots: Union[Sequence[int], np.ndarray], write: bool = False
@@ -132,7 +113,6 @@ class RowBufferSimulator:
         timing = self.timing
         t_rcd, t_ras, t_rp = timing.t_rcd_ns, timing.t_ras_ns, timing.t_rp_ns
         burst = timing.burst_time_ns
-        open_ahead = self.open_ahead
         # Per touched bank, in first-touch order: (open row, ready for
         # RD, ready for PRE, last ACT time, active time so far).
         banks: Dict[int, tuple] = {}
@@ -140,11 +120,11 @@ class RowBufferSimulator:
         last_bank = None
         misses = conflicts = 0
         for row, bank, length in zip(head_rows.tolist(), head_banks.tolist(), lengths.tolist()):
-            # With open-ahead, PRE/ACT to a bank that is not the one
-            # currently driving the bus may be issued before "now" (the
-            # controller saw the stream coming); same-bank transitions
-            # always pay their latency in-line.
-            hidden = open_ahead and last_bank is not None and bank != last_bank
+            # PRE/ACT to a bank that is not the one currently driving
+            # the bus may be issued before "now" (the controller saw the
+            # stream coming); same-bank transitions always pay their
+            # latency in-line.
+            hidden = last_bank is not None and bank != last_bank
             t = now
             state = banks.get(bank)
             if state is None:

@@ -34,21 +34,17 @@ class TimingParameters:
         return self.burst_length * self.clock_ns / 2.0
 
 
-def timing_for_voltage(
-    spec: DramSpec,
-    v_supply: float,
-    voltage_model: ArrayVoltageModel | None = None,
-) -> TimingParameters:
+def timing_for_voltage(spec: DramSpec, v_supply: float) -> TimingParameters:
     """Timing parameters of ``spec`` operated at ``v_supply``.
 
-    The row-related parameters (tRCD, tRAS, tRP) are derated by the array
-    voltage model's slowdown factor; the interface clock and CAS latency
-    are unchanged (the I/O path runs from a separate regulated rail, as in
-    the reduced-voltage study the paper builds on).
+    The row-related parameters (tRCD, tRAS, tRP) are derated by the slowdown
+    factor of the array voltage model at the device's nominal supply; the
+    interface clock and CAS latency are unchanged (the I/O path runs from a
+    separate regulated rail, as in the reduced-voltage study the paper
+    builds on).
     """
-    if voltage_model is None:
-        voltage_model = ArrayVoltageModel(v_nominal=spec.electrical.v_nominal_volts)
-    derate = voltage_model.derating_factor(v_supply)
+    v_nominal = spec.electrical.v_nominal_volts
+    derate = ArrayVoltageModel(v_nominal=v_nominal).derating_factor(v_supply)
     nominal = spec.timings
     return TimingParameters(
         v_supply=v_supply,

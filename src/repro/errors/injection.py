@@ -41,10 +41,6 @@ class InjectionReport:
     requested_ber: float
     per_region_flips: Dict[int, int] = field(default_factory=dict)
 
-    @property
-    def achieved_ber(self) -> float:
-        return self.flipped_bits / self.total_bits if self.total_bits else 0.0
-
 
 class ErrorInjector:
     """Injects DRAM bit errors into a weight tensor.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dram.organization import DramOrganization
-from repro.errors.ber import BerVoltageCurve, DEFAULT_BER_CURVE
+from repro.errors.ber import DEFAULT_BER_CURVE
 
 
 class WeakCellMap:
@@ -58,9 +58,9 @@ class WeakCellMap:
             factors /= factors.mean()  # keep the device-level BER unbiased
         self.severity = factors
 
-    def profile_at(self, v_supply: float, curve: BerVoltageCurve = DEFAULT_BER_CURVE) -> "SubarrayErrorProfile":
+    def profile_at(self, v_supply: float) -> "SubarrayErrorProfile":
         """Per-subarray error rates at one supply voltage."""
-        device_ber = curve.ber_at(v_supply)
+        device_ber = DEFAULT_BER_CURVE.ber_at(v_supply)
         rates = np.clip(self.severity * device_ber, 0.0, 1.0)
         return SubarrayErrorProfile(
             organization=self.organization,
@@ -75,7 +75,9 @@ class SubarrayErrorProfile:
     """Error rate of every subarray at one operating voltage.
 
     ``rates[i]`` is the bit error rate of the subarray with flat index
-    ``i`` (see :meth:`repro.dram.organization.DramOrganization.subarray_index`).
+    ``i``: the subarray holding slots ``i * slots_per_subarray`` up to
+    ``(i + 1) * slots_per_subarray - 1`` (see
+    :meth:`repro.dram.organization.DramOrganization.slots_per_subarray`).
     """
 
     organization: DramOrganization

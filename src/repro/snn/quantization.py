@@ -51,10 +51,6 @@ class WeightRepresentation(abc.ABC):
         """Flip flat bit indices of the stored words (out-of-place)."""
         return flip_bits_uint(words, flat_bit_indices, self.bits_per_weight)
 
-    def roundtrip(self, weights: np.ndarray) -> np.ndarray:
-        """The weights as they would read back with zero errors."""
-        return self.decode(self.encode(weights))
-
 
 class Float32Representation(WeightRepresentation):
     """IEEE-754 float32 storage — the paper's FP32 evaluation setting.
@@ -134,15 +130,6 @@ class FixedPointRepresentation(WeightRepresentation):
         arr = np.asarray(words).astype(np.float64)
         values = arr / self._levels * (self.w_max - self.w_min) + self.w_min
         return values.astype(np.float32)
-
-    @property
-    def step(self) -> float:
-        """Quantisation step between adjacent levels."""
-        return (self.w_max - self.w_min) / self._levels
-
-    def max_flip_error(self) -> float:
-        """Largest possible weight change from a single bit flip (MSB)."""
-        return (self.w_max - self.w_min) * (1 << (self.bits_per_weight - 1)) / self._levels
 
 
 def make_representation(name: str, **kwargs) -> WeightRepresentation:

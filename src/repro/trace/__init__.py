@@ -1,10 +1,6 @@
 """SNN inference → DRAM access trace generation."""
 
-from repro.trace.generator import (
-    InferenceTraceSpec,
-    chunks_for_weights,
-    inference_read_trace,
-)
+from repro.trace.generator import InferenceTraceSpec, inference_read_trace
 from repro.trace.tiling import (
     TiledInferencePlan,
     buffer_sweep,
@@ -16,6 +12,5 @@ __all__ = [
     "buffer_sweep",
     "refetch_passes_for_buffer",
     "InferenceTraceSpec",
-    "chunks_for_weights",
     "inference_read_trace",
 ]

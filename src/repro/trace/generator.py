@@ -22,17 +22,6 @@ import numpy as np
 from repro.dram.organization import DramOrganization
 
 
-def chunks_for_weights(
-    organization: DramOrganization, n_weights: int, bits_per_weight: int
-) -> int:
-    """Number of column-slot chunks the weight tensor occupies."""
-    if n_weights < 0:
-        raise ValueError(f"n_weights must be >= 0, got {n_weights}")
-    if bits_per_weight <= 0:
-        raise ValueError(f"bits_per_weight must be > 0, got {bits_per_weight}")
-    return organization.slots_needed(n_weights * bits_per_weight)
-
-
 @dataclass(frozen=True)
 class InferenceTraceSpec:
     """Parameters of one inference's DRAM traffic."""
@@ -67,7 +56,7 @@ def inference_read_trace(
     chunks in data order, ``refetch_passes`` times.
     """
     slots = np.asarray(slot_of_chunk, dtype=np.int64)
-    needed = chunks_for_weights(organization, spec.n_weights, spec.bits_per_weight)
+    needed = organization.slots_needed(spec.total_bits())
     if slots.shape != (needed,):
         raise ValueError(
             f"mapping covers {slots.shape[0]} chunks but the tensor needs {needed}"

@@ -63,13 +63,13 @@ def refetch_passes_for_buffer(
 
     ``weight-stationary``: if the tensor fits, everything is fetched
     exactly once.  Otherwise the tensor is split into
-    ``ceil(tensor/buffer)`` tiles; each timestep needs all tiles, but
-    consecutive timesteps can share the resident tile by processing
-    timesteps in groups — the standard tiling gives each weight
-    ``ceil(tensor/buffer)``... inverted: the whole tensor streams once
-    per timestep group, and the number of groups equals the tile count
-    (every tile is resident for ``T / tiles`` timesteps).  Net effect:
-    the tensor streams ``min(tiles, T)`` times.
+    ``tiles = ceil(tensor/buffer)`` tiles.  Each timestep needs every
+    tile, but consecutive timesteps share a resident tile when the
+    timesteps are processed in groups: the whole tensor streams once
+    per timestep group, and there are as many groups as tiles (each
+    tile stays resident for ``T / tiles`` timesteps), capped at one
+    group per timestep.  Net effect: the tensor streams
+    ``min(tiles, T)`` times.
 
     ``output-stationary``: each neuron partition's columns stream once;
     the whole tensor streams exactly once per inference, independent of

@@ -13,6 +13,12 @@ classifies each access as row-buffer **hit**, **miss** or **conflict**
   ``burst_time_ns``;
 - commands to *different* banks overlap freely (the multi-bank burst
   feature of Fig. 9b) — while bank 0 streams data, bank 1 can activate.
+
+The coordinates come from :func:`coordinate_of`, a divmod chain over the
+geometry that is independent of the production slot arithmetic (the
+row buffer's ``slot // columns_per_row`` and ``row // rows_per_bank``,
+the mapping's ``slot // slots_per_subarray`` and Algorithm 2's loop
+nest), so tests can check that arithmetic against it.
 """
 
 from __future__ import annotations
@@ -21,12 +27,67 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.dram.commands import AccessCondition, CommandKind
-from repro.dram.organization import DramCoordinate, DramOrganization
+from repro.dram.organization import DramOrganization
 from repro.dram.row_buffer import TraceStatistics
+from repro.dram.specs import tiny_spec
 from repro.dram.timing import TimingParameters
 
 BankKey = Tuple[int, int, int, int]
 RowKey = Tuple[int, int, int, int, int, int]
+
+#: A module with two of every level, so every step of
+#: :func:`coordinate_of`'s divmod chain moves the coordinate.
+MULTI_CHIP_SPEC = tiny_spec("multi-chip-test").scaled(
+    channels=2,
+    ranks_per_channel=2,
+    chips_per_rank=2,
+    rows_per_subarray=2,
+    columns_per_row=4,
+)
+
+
+@dataclass(frozen=True)
+class DramCoordinate:
+    """One column slot inside a DRAM module (Fig. 5a)."""
+
+    channel: int
+    rank: int
+    chip: int
+    bank: int
+    subarray: int
+    row: int
+    column: int
+
+
+def coordinate_of(organization: DramOrganization, slot: int) -> DramCoordinate:
+    """The coordinate of flat slot ``slot``.
+
+    The flat order is the *baseline mapping* of the paper's Section
+    IV-B Step-2: consecutive data goes to consecutive columns of the
+    same row (exploiting the burst feature), then the next row of the
+    same subarray, then the next subarray, the next bank, chip, rank,
+    and channel.
+    """
+    g = organization.geometry
+    if not 0 <= slot < organization.total_slots:
+        raise IndexError(f"slot {slot} out of range [0, {organization.total_slots})")
+    slot, column = divmod(slot, g.columns_per_row)
+    slot, row = divmod(slot, g.rows_per_subarray)
+    slot, subarray = divmod(slot, g.subarrays_per_bank)
+    slot, bank = divmod(slot, g.banks_per_chip)
+    slot, chip = divmod(slot, g.chips_per_rank)
+    channel, rank = divmod(slot, g.ranks_per_channel)
+    return DramCoordinate(channel, rank, chip, bank, subarray, row, column)
+
+
+def bank_key(coord: DramCoordinate) -> BankKey:
+    """Hashable identity of the bank holding ``coord``."""
+    return (coord.channel, coord.rank, coord.chip, coord.bank)
+
+
+def global_row_key(coord: DramCoordinate) -> RowKey:
+    """Hashable identity of the DRAM row holding ``coord``."""
+    return (coord.channel, coord.rank, coord.chip, coord.bank, coord.subarray, coord.row)
 
 
 @dataclass
@@ -56,20 +117,9 @@ class OracleRowBufferSimulator:
         Resolved (possibly voltage-derated) timing parameters.
     """
 
-    def __init__(
-        self,
-        organization: DramOrganization,
-        timing: TimingParameters,
-        open_ahead: bool = True,
-    ):
+    def __init__(self, organization: DramOrganization, timing: TimingParameters):
         self.organization = organization
         self.timing = timing
-        #: model the multi-bank burst feature (Fig. 9b): PRE/ACT to a
-        #: bank *other than the one currently streaming* are issued as
-        #: early as that bank's own timing allows, hiding their latency
-        #: behind the data transfer.  Same-bank row transitions can
-        #: never be hidden (the bank must close its own row first).
-        self.open_ahead = open_ahead
         self.banks: Dict[BankKey, BankState] = {}
         self._bus_free_ns: float = 0.0
         self._now_ns: float = 0.0
@@ -84,8 +134,8 @@ class OracleRowBufferSimulator:
 
     def classify(self, coord: DramCoordinate) -> AccessCondition:
         """Row-buffer outcome the next access to ``coord`` would see."""
-        bank = self._bank(self.organization.bank_key(coord))
-        row = self.organization.global_row_key(coord)
+        bank = self._bank(bank_key(coord))
+        row = global_row_key(coord)
         if bank.open_row is None:
             return AccessCondition.MISS
         if bank.open_row == row:
@@ -100,16 +150,17 @@ class OracleRowBufferSimulator:
         behaviour; the energy model prices the commands differently).
         """
         timing = self.timing
-        bank_key = self.organization.bank_key(coord)
-        bank = self._bank(bank_key)
-        row = self.organization.global_row_key(coord)
+        key = bank_key(coord)
+        bank = self._bank(key)
+        row = global_row_key(coord)
         condition = self.classify(coord)
 
-        # With open-ahead, PRE/ACT to a bank that is not the one
-        # currently driving the bus may be issued before "now" (the
-        # controller saw the stream coming); same-bank transitions
-        # always pay their latency in-line.
-        hidden = self.open_ahead and self._last_bank is not None and bank_key != self._last_bank
+        # The multi-bank burst (Fig. 9b): PRE/ACT to a bank that is not
+        # the one currently driving the bus may be issued before "now"
+        # (the controller saw the stream coming), as early as that
+        # bank's own timing allows; same-bank transitions always pay
+        # their latency in-line.
+        hidden = self._last_bank is not None and key != self._last_bank
 
         t = self._now_ns
         if condition is AccessCondition.CONFLICT:
@@ -134,7 +185,7 @@ class OracleRowBufferSimulator:
         self._now_ns = start  # the controller can issue to other banks meanwhile
         self.stats.command_counts[CommandKind.WR if write else CommandKind.RD] += 1
         self.stats.bus_busy_time_ns += timing.burst_time_ns
-        self._last_bank = bank_key
+        self._last_bank = key
 
         self.stats.accesses += 1
         if condition is AccessCondition.HIT:
@@ -175,8 +226,7 @@ def oracle_stats(
     timing: TimingParameters,
     slots: Iterable[int],
     write: bool = False,
-    open_ahead: bool = True,
 ) -> TraceStatistics:
     """Statistics of the slot trace ``slots`` under the per-access simulator."""
-    simulator = OracleRowBufferSimulator(organization, timing, open_ahead=open_ahead)
-    return simulator.run((organization.coordinate_of(int(s)) for s in slots), write=write)
+    simulator = OracleRowBufferSimulator(organization, timing)
+    return simulator.run((coordinate_of(organization, int(s)) for s in slots), write=write)

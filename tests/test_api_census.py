@@ -1,5 +1,6 @@
-"""Every public top-level function and class in ``src/`` has a non-test caller,
-and no module imports a name it never uses.
+"""Every public top-level function and class in ``src/``, and every public
+method and property of such a class, has a non-test caller, and no module
+imports a name it never uses.
 
 Code whose only callers are tests is test code: it belongs in
 ``tests/`` (an oracle) or nowhere.  The census parses ``src/`` and
@@ -10,11 +11,16 @@ attribute, an import, a string that is an identifier or a dotted path
 naming the symbol (as perfbench's ``LAYERS`` table names the functions
 it wraps), or a bare name in a file that imports or defines the
 symbol: a local variable that only shares its name is not a caller.
-Methods are left out: names like ``step`` or ``run`` collide across
-classes.
 
-An unused import is a reference the census would count, so the second
-check keeps every import in ``src/``, ``tests/``, ``benchmarks/`` and
+The member census does the same for every public method and property
+of a public top-level ``src/`` class, counting references the same way
+(the member's own lines excluded).  Names collide across classes
+(``run``, ``summary``, ``total_time_ns``): a reference to one counts
+for every class that defines the name, so the member census can miss
+a test-only member but never flags a used one.
+
+An unused import is a reference the census would count, so the
+unused-import check keeps every import in ``src/``, ``tests/``, ``benchmarks/`` and
 ``examples/`` used.
 """
 
@@ -32,6 +38,10 @@ ALLOWED = {
     "load_model": "the read half of the CLI's --save-model",
     "load_run_records": "the read half of write_run_records_json",
 }
+
+#: Kept public methods and properties whose only callers are tests,
+#: each with its reason.
+ALLOWED_MEMBERS = {}
 
 
 def _bound_names(tree):
@@ -80,33 +90,74 @@ def _public_definitions():
                     yield path, node
 
 
-def _test_only_symbols():
+def _public_members():
+    """(path, class, member) of every public method and property of a
+    public top-level ``src/`` class; dunders and ``_`` names are private."""
+    for path, node in _public_definitions():
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not item.name.startswith("_"):
+                        yield path, node, item
+
+
+def _unreferenced(definitions):
+    """key -> location of each ``(key, path, node)`` whose name has no
+    reference outside ``tests/`` but its own lines."""
     references = {
         path: _references(path)
         for folder in CALLER_DIRS
         for path in sorted((ROOT / folder).rglob("*.py"))
     }
     unreferenced = {}
-    for path, node in _public_definitions():
+    for key, path, node in definitions:
         own = range(node.lineno, node.end_lineno + 1)
         if not any(
             not (where == path and line in own)
             for where, found in references.items()
             for line in found.get(node.name, ())
         ):
-            unreferenced[node.name] = f"{path.relative_to(ROOT)}:{node.lineno}"
+            unreferenced[key] = f"{path.relative_to(ROOT)}:{node.lineno}"
     return unreferenced
 
 
-def test_no_public_symbol_is_test_only():
-    unreferenced = _test_only_symbols()
-    stray = {name: where for name, where in unreferenced.items() if name not in ALLOWED}
+def _assert_no_test_only(unreferenced, allowed, kind):
+    stray = {name: where for name, where in unreferenced.items() if name not in allowed}
     assert not stray, (
-        "public src/ symbols with no caller outside tests/ (move an oracle "
+        f"public src/ {kind} with no caller outside tests/ (move an oracle "
         f"into tests/, delete the rest): {stray}"
     )
-    stale = sorted(set(ALLOWED) - set(unreferenced))
-    assert not stale, f"allowlisted symbols now have callers or are gone: {stale}"
+    stale = sorted(set(allowed) - set(unreferenced))
+    assert not stale, f"allowlisted {kind} now have callers or are gone: {stale}"
+
+
+def test_no_public_symbol_is_test_only():
+    unreferenced = _unreferenced(
+        (node.name, path, node) for path, node in _public_definitions()
+    )
+    _assert_no_test_only(unreferenced, ALLOWED, "symbols")
+
+
+def test_no_public_member_is_test_only():
+    unreferenced = _unreferenced(
+        (f"{cls.name}.{node.name}", path, node) for path, cls, node in _public_members()
+    )
+    _assert_no_test_only(unreferenced, ALLOWED_MEMBERS, "members")
+
+
+def test_a_member_only_tests_call_is_flagged():
+    # ``coordinate_of`` has callers only in tests/ (the DRAM oracle);
+    # ``execute`` is called by the DRAM evaluation.
+    path = ROOT / "src" / "repro" / "dram" / "organization.py"
+
+    def member(name):
+        node = ast.parse(f"def {name}(self):\n    pass\n").body[0]
+        return (f"DramOrganization.{name}", path, node)
+
+    unreferenced = _unreferenced([member("coordinate_of"), member("execute")])
+    assert unreferenced == {
+        "DramOrganization.coordinate_of": "src/repro/dram/organization.py:1"
+    }
 
 
 def test_a_same_named_local_is_not_a_reference(tmp_path):

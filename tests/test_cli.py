@@ -202,6 +202,26 @@ class TestDramSpecFlag:
         assert payload["spec"] == "LPDDR3-1600 4Gb"
         assert len(payload["per_access_savings"]) == 2
 
+    def test_dram_default_voltages_stay_at_or_below_nominal(self, capsys):
+        # DDR5 runs at 1.1 V: the paper's 1.325-1.175 V corners lie above it.
+        import json
+
+        assert main(["dram", "--spec", "ddr5", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["spec"] == "DDR5-4800 8Gb"
+        assert payload["voltages"] == [1.100, 1.025]
+
+    def test_dram_default_voltages_on_lpddr3_are_the_paper_grid(self, capsys):
+        import json
+
+        from repro.core.config import PAPER_VOLTAGES
+
+        assert main(["dram", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["spec"] == "LPDDR3-1600 4Gb"
+        assert payload["voltages"] == list(PAPER_VOLTAGES)
+        assert len(payload["per_access_savings"]) == len(PAPER_VOLTAGES)
+
 
 class TestSweepCommand:
     def test_parser_defaults(self):

@@ -5,6 +5,12 @@ import pytest
 from repro.core.config import PAPER_BER_RATES, PAPER_VOLTAGES, SparkXDConfig
 from repro.core.dram_eval import evaluate_dram
 from repro.core.framework import SparkXD
+from repro.core.mapping_policy import baseline_mapping, sparkxd_mapping
+from repro.dram.controller import DramController
+from repro.dram.specs import LPDDR3_1600_4GB
+from repro.errors.weak_cells import WeakCellMap
+from repro.snn.network import PAPER_NETWORK_SIZES
+from repro.trace.generator import InferenceTraceSpec, inference_read_trace
 
 
 class TestConfig:
@@ -94,6 +100,36 @@ class TestEvaluateDram:
             config, n_weights=4096, bits_per_weight=32, ber_threshold=None
         )
         assert not any(o.feasible for o in outcomes.values())
+
+    @pytest.mark.parametrize("n_neurons", PAPER_NETWORK_SIZES, ids=lambda n: f"N{n}")
+    def test_matches_the_fig12_procedure(self, n_neurons):
+        """Fig. 12, step by step: the sequential baseline at 1.35 V against
+        Algorithm 2 at BER_th = 1e-3 over weak cells at sigma 0.8 and
+        seed 0, one pass, on LPDDR3.  Every energy, saving and speed-up
+        is the one ``evaluate_dram`` reports."""
+        n_weights = 784 * n_neurons
+        config = SparkXDConfig(voltages=PAPER_VOLTAGES, weak_cell_sigma=0.8)
+        baseline, outcomes = evaluate_dram(config, n_weights, 32, 1e-3)
+
+        controller = DramController(LPDDR3_1600_4GB)
+        org = controller.organization
+        weak_cells = WeakCellMap(org, sigma=0.8, seed=0)
+        spec = InferenceTraceSpec(n_weights=n_weights, bits_per_weight=32)
+        base_map = baseline_mapping(org, n_weights, 32)
+        base = controller.execute(
+            inference_read_trace(spec, base_map.slot_of_chunk, org), 1.35
+        )
+        assert baseline.energy.total_mj == base.energy.total_mj
+        for v in PAPER_VOLTAGES:
+            mapping = sparkxd_mapping(org, n_weights, 32, weak_cells.profile_at(v), 1e-3)
+            result = controller.execute(
+                inference_read_trace(spec, mapping.slot_of_chunk, org), v
+            )
+            outcome = outcomes[v]
+            assert outcome.feasible
+            assert outcome.result.energy.total_mj == result.energy.total_mj
+            assert outcome.energy_saving == 1 - result.energy.total_nj / base.energy.total_nj
+            assert outcome.speedup == base.stats.total_time_ns / result.stats.total_time_ns
 
 
 class TestEndToEnd:

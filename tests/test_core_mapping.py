@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dram_oracle import coordinate_of
 from repro.core.mapping_policy import (
     MAPPING_POLICIES,
     InsufficientSafeCapacityError,
@@ -51,7 +52,7 @@ class TestBaselineMapping:
         assert subarrays.shape == (n_weights,)
         assert subarrays[0] == 0
         assert subarrays[-1] == 1
-        assert set(mapping.subarrays_used()) == {0, 1}
+        assert set(subarrays) == {0, 1}
 
     def test_validation(self, org):
         with pytest.raises(ValueError):
@@ -69,7 +70,7 @@ class TestSparkXDMapping:
             org, n_weights=2 * g.columns_per_row, bits_per_weight=32,
             profile=profile_with_rates(org, rates), ber_threshold=1e-3,
         )
-        coords = list(mapping.coordinates())
+        coords = [coordinate_of(org, int(s)) for s in mapping.slot_of_chunk]
         first_row = coords[: g.columns_per_row]
         second_row = coords[g.columns_per_row :]
         assert all(c.bank == 0 and c.row == 0 and c.subarray == 0 for c in first_row)
@@ -83,7 +84,7 @@ class TestSparkXDMapping:
             org, n_weights=8, bits_per_weight=32,
             profile=profile_with_rates(org, rates), ber_threshold=1e-3,
         )
-        assert 0 not in mapping.subarrays_used()
+        assert 0 not in mapping.subarray_of_weight()
 
     def test_threshold_boundary_is_inclusive(self, org):
         # Algorithm 2 line 7: subarray_rate <= BER_th is safe.
@@ -92,7 +93,7 @@ class TestSparkXDMapping:
             org, n_weights=4, bits_per_weight=32,
             profile=profile_with_rates(org, rates), ber_threshold=1e-3,
         )
-        assert mapping.n_chunks == 4
+        assert mapping.slot_of_chunk.size == 4
 
     def test_insufficient_safe_capacity_raises(self, org):
         rates = np.full(org.total_subarrays, 0.5)
@@ -112,7 +113,7 @@ class TestSparkXDMapping:
             org, n_weights=exactly, bits_per_weight=32,
             profile=profile_with_rates(org, rates), ber_threshold=1e-3,
         )
-        assert mapping.subarrays_used().tolist() == [0]
+        assert np.unique(mapping.subarray_of_weight()).tolist() == [0]
 
     def test_no_duplicate_slots(self, org):
         rates = np.zeros(org.total_subarrays)
@@ -121,7 +122,7 @@ class TestSparkXDMapping:
             org, n_weights=n, bits_per_weight=32,
             profile=profile_with_rates(org, rates), ber_threshold=1.0,
         )
-        assert len(np.unique(mapping.slot_of_chunk)) == mapping.n_chunks
+        assert len(np.unique(mapping.slot_of_chunk)) == mapping.slot_of_chunk.size
 
     def test_mapped_weights_only_in_safe_subarrays(self, org):
         rng = np.random.default_rng(0)
@@ -131,7 +132,7 @@ class TestSparkXDMapping:
             org, n_weights=16, bits_per_weight=32,
             profile=profile_with_rates(org, rates), ber_threshold=threshold,
         )
-        used = mapping.subarrays_used()
+        used = mapping.subarray_of_weight()
         assert np.all(rates[used] <= threshold)
 
     def test_geometry_mismatch_rejected(self, org):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import PAPER_VOLTAGES
 from repro.core.voltage_selection import select_operating_voltage
 from repro.dram.organization import DramOrganization
 from repro.dram.specs import LPDDR3_1600_4GB, tiny_spec
@@ -16,7 +17,7 @@ class TestSelection:
         )
         assert decision.v_selected == pytest.approx(1.025)
         assert decision.estimated_access_saving == pytest.approx(0.42, abs=0.01)
-        assert decision.is_reduced
+        assert decision.estimated_access_saving > 0.0
 
     def test_moderate_threshold_picks_matching_corner(self):
         # BER_th 1e-5 -> device BER must be <= 1e-5 -> 1.100V corner.
@@ -35,8 +36,16 @@ class TestSelection:
             ber_threshold=None,
         )
         assert decision.v_selected == pytest.approx(1.35)
-        assert not decision.is_reduced
+        assert decision.estimated_access_saving == 0.0
         assert all(reason == "ber" for _, reason in decision.rejected)
+
+    def test_default_search_covers_the_paper_voltages(self):
+        # With nothing tolerated every corner is rejected, lowest first.
+        decision = select_operating_voltage(
+            LPDDR3_1600_4GB, n_weights=1024, bits_per_weight=32,
+            ber_threshold=None,
+        )
+        assert [v for v, _ in decision.rejected] == sorted(PAPER_VOLTAGES)
 
     def test_capacity_rejection(self):
         # tiny device, tensor larger than any single safe subarray set

@@ -1,12 +1,13 @@
 """Tests of the DRAMPower-substitute energy model (Fig. 2b, Table I)."""
 
+import numpy as np
 import pytest
 
 from repro.dram.commands import AccessCondition, CommandKind
-from repro.dram.energy import DramEnergyModel
+from repro.dram.energy import PERIPHERAL_FRACTION, DramEnergyModel
 from repro.dram.organization import DramOrganization
 from repro.dram.row_buffer import RowBufferSimulator
-from repro.dram.specs import LPDDR3_1600_4GB, tiny_spec
+from repro.dram.specs import DDR5_4800_8GB, LPDDR3_1600_4GB, tiny_spec
 from repro.dram.timing import timing_for_voltage
 
 PAPER_TABLE1 = {
@@ -86,7 +87,7 @@ class TestAccessConditions:
     def test_breakdown_components_sum(self, model):
         b = model.access_energy(AccessCondition.CONFLICT, 1.1)
         assert b.total_nj == pytest.approx(b.array_nj + b.peripheral_nj + b.standby_nj)
-        assert b.charge_nj == pytest.approx(sum(b.per_command_nj.values()))
+        assert b.array_nj + b.peripheral_nj == pytest.approx(sum(b.per_command_nj.values()))
 
     def test_hit_contains_only_rd(self, model):
         b = model.access_energy(AccessCondition.HIT, 1.35)
@@ -106,27 +107,54 @@ class TestCommandEnergies:
         assert a_low / a_nom == pytest.approx((1.025 / 1.35) ** 2)
 
     def test_write_costs_more_than_read(self, model):
-        assert model.command_energy_nj(
-            CommandKind.WR, 1.35
-        ) > model.command_energy_nj(CommandKind.RD, 1.35)
+        write = sum(model.command_energy_split(CommandKind.WR, 1.35))
+        assert write > sum(model.command_energy_split(CommandKind.RD, 1.35))
 
-    def test_invalid_peripheral_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            DramEnergyModel(
-                LPDDR3_1600_4GB, peripheral_fraction={CommandKind.ACT: 1.5}
-            )
+    @pytest.mark.parametrize("kind", list(CommandKind), ids=lambda k: k.name)
+    def test_peripheral_share_is_the_table_entry(self, model, kind):
+        # At nominal voltage the command's fixed-rail share is its
+        # PERIPHERAL_FRACTION entry; at reduced voltage only the array
+        # share shrinks.
+        a_nom, p_nom = model.command_energy_split(kind, 1.35)
+        a_low, p_low = model.command_energy_split(kind, 1.025)
+        assert p_nom == pytest.approx(PERIPHERAL_FRACTION[kind] * (a_nom + p_nom))
+        assert p_low == p_nom
+        assert a_low == pytest.approx(a_nom * (1.025 / 1.35) ** 2)
 
-    def test_custom_peripheral_fraction_used(self):
-        base = DramEnergyModel(LPDDR3_1600_4GB)
-        all_array = DramEnergyModel(
-            LPDDR3_1600_4GB, peripheral_fraction={k: 0.0 for k in CommandKind}
-        )
-        # With no fixed component, the conflict access saves the full V².
-        nominal = all_array.access_energy(AccessCondition.CONFLICT, 1.35)
-        reduced = all_array.access_energy(AccessCondition.CONFLICT, 1.025)
-        charge_saving = 1.0 - reduced.charge_nj / nominal.charge_nj
-        assert charge_saving == pytest.approx(1 - (1.025 / 1.35) ** 2, rel=1e-6)
-        assert base is not all_array
+
+SPECS = pytest.mark.parametrize(
+    "spec",
+    [LPDDR3_1600_4GB, DDR5_4800_8GB, tiny_spec()],
+    ids=["lpddr3", "ddr5", "tiny"],
+)
+
+
+class TestEverySpec:
+    """Each device scales against its own nominal supply (DDR5: 1.1 V)."""
+
+    @SPECS
+    def test_hit_saving_is_cv_squared(self, spec):
+        model = DramEnergyModel(spec)
+        elec = spec.electrical
+        for v in np.linspace(elec.v_min_volts, elec.v_nominal_volts, 5):
+            expected = 1.0 - (v / elec.v_nominal_volts) ** 2
+            assert model.energy_per_access_saving(v) == pytest.approx(expected)
+
+    @SPECS
+    def test_standby_windows_use_the_derated_timings(self, spec):
+        # ACT holds the bank active for tRAS, PRE idles it for tRP and a
+        # RD streams for one burst, all at the timings of ``v``.
+        model = DramEnergyModel(spec)
+        v = spec.electrical.v_min_volts
+        timing = timing_for_voltage(spec, v)
+        active = model.standby_power_mw(v, active=True)
+        idle = model.standby_power_mw(v, active=False)
+        expected = (
+            active * timing.t_ras_ns + idle * timing.t_rp_ns + active * timing.burst_time_ns
+        ) * 1e-3
+        conflict = model.access_energy(AccessCondition.CONFLICT, v)
+        assert conflict.standby_nj == pytest.approx(expected)
+        assert timing.t_ras_ns > spec.timings.t_ras_ns
 
 
 class TestTraceEnergy:
@@ -139,11 +167,12 @@ class TestTraceEnergy:
         model = DramEnergyModel(spec)
         energy = model.trace_energy(stats, 1.35)
         expected_commands = sum(
-            model.command_energy_nj(kind, 1.35) * count
+            sum(model.command_energy_split(kind, 1.35)) * count
             for kind, count in stats.command_counts.items()
         )
-        assert energy.command_nj == pytest.approx(expected_commands)
-        assert energy.total_nj >= energy.command_nj
+        commands_nj = energy.array_nj + energy.peripheral_nj
+        assert commands_nj == pytest.approx(expected_commands)
+        assert energy.total_nj >= commands_nj
 
     def test_trace_energy_decreases_with_voltage(self):
         spec = tiny_spec()

@@ -1,11 +1,17 @@
-"""Unit + property tests for DRAM address arithmetic."""
+"""Unit + property tests for DRAM address arithmetic.
 
+The coordinate of a flat slot comes from the oracle's divmod chain
+(``tests/dram_oracle.py``); the decomposition test checks the
+production slot arithmetic against it.
+"""
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.dram.organization import DramCoordinate, DramOrganization, SubarrayId
-from repro.dram.specs import tiny_spec, LPDDR3_1600_4GB
+from dram_oracle import MULTI_CHIP_SPEC, DramCoordinate, bank_key, coordinate_of
+from repro.core.mapping_policy import _flat_subarray, _row_base_slot
+from repro.dram.organization import DramOrganization
+from repro.dram.specs import DDR5_4800_8GB, LPDDR3_1600_4GB, tiny_spec
 
 
 @pytest.fixture
@@ -38,11 +44,11 @@ class TestCapacity:
             org.slots_needed(-1)
 
 
-class TestRoundTrip:
+class TestBaselineFillOrder:
     def test_first_and_last_slots(self, org):
-        first = org.coordinate_of(0)
+        first = coordinate_of(org, 0)
         assert first == DramCoordinate(0, 0, 0, 0, 0, 0, 0)
-        last = org.coordinate_of(org.total_slots - 1)
+        last = coordinate_of(org, org.total_slots - 1)
         g = org.geometry
         assert last.column == g.columns_per_row - 1
         assert last.row == g.rows_per_subarray - 1
@@ -50,84 +56,77 @@ class TestRoundTrip:
     def test_sequential_slots_walk_columns_first(self, org):
         # Baseline mapping order: consecutive slots share a row until the
         # row is full (Section IV-B Step-2: exploit the burst feature).
-        c0 = org.coordinate_of(0)
-        c1 = org.coordinate_of(1)
+        c0 = coordinate_of(org, 0)
+        c1 = coordinate_of(org, 1)
         assert c1.column == c0.column + 1
-        assert c1.same_row(c0)
+        assert (c1.bank, c1.subarray, c1.row) == (c0.bank, c0.subarray, c0.row)
 
     def test_row_boundary_advances_row(self, org):
         g = org.geometry
-        before = org.coordinate_of(g.columns_per_row - 1)
-        after = org.coordinate_of(g.columns_per_row)
+        before = coordinate_of(org, g.columns_per_row - 1)
+        after = coordinate_of(org, g.columns_per_row)
         assert after.row == before.row + 1
         assert after.column == 0
 
     def test_out_of_range_slot_rejected(self, org):
         with pytest.raises(IndexError):
-            org.coordinate_of(org.total_slots)
+            coordinate_of(org, org.total_slots)
         with pytest.raises(IndexError):
-            org.coordinate_of(-1)
-
-    def test_bad_coordinate_rejected(self, org):
-        bad = DramCoordinate(0, 0, 0, 0, 0, 0, org.geometry.columns_per_row)
-        with pytest.raises(IndexError):
-            org.slot_of(bad)
-
-    @settings(max_examples=200, deadline=None)
-    @given(slot=st.integers(min_value=0, max_value=2 * 2 * 4 * 8 - 1))
-    def test_roundtrip_identity_property(self, slot):
-        org = DramOrganization(tiny_spec())
-        assert org.slot_of(org.coordinate_of(slot)) == slot
-
-    @settings(max_examples=50, deadline=None)
-    @given(slot=st.integers(min_value=0, max_value=LPDDR3_1600_4GB.geometry.total_size_bits // 64 - 1))
-    def test_roundtrip_identity_full_device(self, slot):
-        org = DramOrganization(LPDDR3_1600_4GB)
-        assert org.slot_of(org.coordinate_of(slot)) == slot
+            coordinate_of(org, -1)
 
 
 class TestSubarrays:
     def test_subarray_count(self, org):
-        assert org.total_subarrays == len(list(org.iter_subarrays()))
-
-    def test_subarray_index_roundtrip(self, org):
-        for index in range(org.total_subarrays):
-            sid = org.subarray_from_index(index)
-            assert org.subarray_index(sid) == index
+        per = org.slots_per_subarray()
+        subarrays = {
+            bank_key(c) + (c.subarray,)
+            for c in (coordinate_of(org, s) for s in range(0, org.total_slots, per))
+        }
+        assert org.total_subarrays == len(subarrays)
 
     def test_subarray_of_coordinate(self, org):
-        coord = org.coordinate_of(org.slots_per_subarray())  # first slot of 2nd subarray
-        sid = org.subarray_of(coord)
-        assert org.subarray_index(sid) == 1
-
-    def test_subarray_index_out_of_range(self, org):
-        with pytest.raises(IndexError):
-            org.subarray_from_index(org.total_subarrays)
-
-    def test_flat_slot_order_nests_subarray_above_rows(self, org):
-        # slot // slots_per_subarray must equal the flat subarray index
-        # (the mapping policies rely on this).
-        per = org.slots_per_subarray()
-        for slot in range(0, org.total_slots, max(1, per // 3)):
-            coord = org.coordinate_of(slot)
-            assert org.subarray_index(org.subarray_of(coord)) == slot // per
+        coord = coordinate_of(org, org.slots_per_subarray())
+        assert (coord.bank, coord.subarray, coord.row, coord.column) == (0, 1, 0, 0)
 
 
-class TestCoordinateHelpers:
-    def test_same_row(self):
-        a = DramCoordinate(0, 0, 0, 1, 2, 3, 4)
-        b = DramCoordinate(0, 0, 0, 1, 2, 3, 7)
-        c = DramCoordinate(0, 0, 0, 1, 0, 3, 4)
-        assert a.same_row(b) and b.same_row(a)
-        assert not a.same_row(c)
+def _flat_bank(g, c):
+    """The oracle's bank, numbered in flat order across the module."""
+    index = c.channel
+    index = index * g.ranks_per_channel + c.rank
+    index = index * g.chips_per_rank + c.chip
+    return index * g.banks_per_chip + c.bank
 
-    def test_ordering_is_lexicographic(self):
-        a = DramCoordinate(0, 0, 0, 0, 0, 0, 1)
-        b = DramCoordinate(0, 0, 0, 0, 0, 1, 0)
-        assert a < b
 
-    def test_subarray_id_is_hashable_and_ordered(self):
-        s1 = SubarrayId(0, 0, 0, 0, 1)
-        s2 = SubarrayId(0, 0, 0, 1, 0)
-        assert s1 < s2
-        assert len({s1, s2, SubarrayId(0, 0, 0, 0, 1)}) == 2
+def _sample(spec):
+    total = DramOrganization(spec).total_slots
+    drawn = np.random.default_rng(0).integers(0, total, 1000)
+    return np.concatenate(([0, total - 1], drawn)).tolist()
+
+
+@pytest.mark.parametrize(
+    "spec,slots",
+    [
+        (tiny_spec(), None),
+        (MULTI_CHIP_SPEC, None),
+        (LPDDR3_1600_4GB, _sample(LPDDR3_1600_4GB)),
+        (DDR5_4800_8GB, _sample(DDR5_4800_8GB)),
+    ],
+    ids=["tiny", "multi-chip", "lpddr3-sample", "ddr5-sample"],
+)
+def test_production_slot_arithmetic_matches_the_oracle(spec, slots):
+    """Bank (row buffer), subarray (weight mapping) and slot (Algorithm 2)
+    of every checked slot agree with the oracle's coordinate."""
+    org = DramOrganization(spec)
+    g = org.geometry
+    if slots is None:
+        slots = range(org.total_slots)
+    for slot in slots:
+        c = coordinate_of(org, slot)
+        row = slot // g.columns_per_row
+        assert row // g.rows_per_bank == _flat_bank(g, c)
+        assert slot // org.slots_per_subarray() == _flat_subarray(
+            g, c.channel, c.rank, c.chip, c.bank, c.subarray
+        )
+        base = _row_base_slot(g, c.channel, c.rank, c.chip, c.bank, c.subarray, c.row)
+        assert base + c.column == slot
+

@@ -1,10 +1,17 @@
 """Tests of voltage-dependent timing parameters."""
 
+import numpy as np
 import pytest
 
-from repro.dram.specs import LPDDR3_1600_4GB
+from repro.dram.specs import DDR5_4800_8GB, LPDDR3_1600_4GB, tiny_spec
 from repro.dram.timing import TimingParameters, timing_for_voltage
 from repro.dram.voltage import ArrayVoltageModel
+
+SPECS = pytest.mark.parametrize(
+    "spec",
+    [LPDDR3_1600_4GB, DDR5_4800_8GB, tiny_spec()],
+    ids=["lpddr3", "ddr5", "tiny"],
+)
 
 
 class TestTimingForVoltage:
@@ -38,12 +45,32 @@ class TestTimingForVoltage:
         ratio_rp = t.t_rp_ns / nominal.t_rp_ns
         assert ratio_rcd == pytest.approx(ratio_ras) == pytest.approx(ratio_rp)
 
-    def test_custom_voltage_model_used(self):
-        aggressive = ArrayVoltageModel(drive_exponent=4.0)
-        gentle = ArrayVoltageModel(drive_exponent=1.0)
-        t_fast = timing_for_voltage(LPDDR3_1600_4GB, 1.1, gentle)
-        t_slow = timing_for_voltage(LPDDR3_1600_4GB, 1.1, aggressive)
-        assert t_slow.t_rcd_ns > t_fast.t_rcd_ns
+
+class TestEverySpec:
+    """Each device derates against its own nominal supply (DDR5: 1.1 V)."""
+
+    @SPECS
+    def test_nominal_supply_gives_the_spec_timings_exactly(self, spec):
+        t = timing_for_voltage(spec, spec.electrical.v_nominal_volts)
+        nominal = spec.timings
+        assert (t.t_rcd_ns, t.t_ras_ns, t.t_rp_ns) == (
+            nominal.t_rcd_ns, nominal.t_ras_ns, nominal.t_rp_ns
+        )
+        assert (t.clock_ns, t.t_cl_ns, t.burst_length) == (
+            nominal.clock_ns, nominal.t_cl_ns, nominal.burst_length
+        )
+
+    @SPECS
+    def test_row_timings_follow_the_spec_voltage_model(self, spec):
+        elec = spec.electrical
+        model = ArrayVoltageModel(v_nominal=elec.v_nominal_volts)
+        nominal = spec.timings
+        for v in np.linspace(elec.v_min_volts, elec.v_nominal_volts, 7):
+            t = timing_for_voltage(spec, v)
+            derate = model.derating_factor(v)
+            assert t.t_rcd_ns == nominal.t_rcd_ns * derate
+            assert t.t_ras_ns == nominal.t_ras_ns * derate
+            assert t.t_rp_ns == nominal.t_rp_ns * derate
 
 
 class TestTimingParameters:

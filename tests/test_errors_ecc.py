@@ -91,7 +91,7 @@ class TestProtectedRepresentation:
         inner = FixedPointRepresentation(bits=8)
         rep = EccProtectedRepresentation(inner)
         restored, _ = protected_roundtrip(rep, weights, np.array([], dtype=np.int64))
-        assert np.array_equal(restored, inner.roundtrip(weights))
+        assert np.array_equal(restored, inner.decode(inner.encode(weights)))
 
     def test_sparse_flips_fully_corrected(self, rng):
         # one flip per codeword at most -> everything corrected

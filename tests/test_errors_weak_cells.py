@@ -5,7 +5,6 @@ import pytest
 
 from repro.dram.organization import DramOrganization
 from repro.dram.specs import tiny_spec
-from repro.errors.ber import DEFAULT_BER_CURVE
 from repro.errors.weak_cells import SubarrayErrorProfile, WeakCellMap
 
 
@@ -45,7 +44,7 @@ class TestWeakCellMap:
 
     def test_profile_at_safe_voltage_is_error_free(self, org):
         wc = WeakCellMap(org, seed=0)
-        profile = wc.profile_at(1.35, DEFAULT_BER_CURVE)
+        profile = wc.profile_at(1.35)
         assert profile.device_ber == 0.0
         assert np.all(profile.rates == 0.0)
 

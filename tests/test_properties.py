@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dram_oracle import bank_key, coordinate_of, global_row_key
 from repro.core.mapping_policy import sparkxd_mapping
 from repro.dram.commands import AccessCondition
 from repro.dram.organization import DramOrganization
@@ -24,9 +25,9 @@ def naive_row_buffer_conditions(org, slots):
     open_rows = {}
     conditions = []
     for slot in slots:
-        coord = org.coordinate_of(slot)
-        bank = org.bank_key(coord)
-        row = org.global_row_key(coord)
+        coord = coordinate_of(org, slot)
+        bank = bank_key(coord)
+        row = global_row_key(coord)
         if bank not in open_rows:
             conditions.append(AccessCondition.MISS)
         elif open_rows[bank] == row:
@@ -47,7 +48,16 @@ class TestRowBufferAgainstReference:
         # accesses adds to the counts of running the first i.
         org = DramOrganization(tiny_spec())
         sim = RowBufferSimulator(org, timing_for_voltage(org.spec, 1.35))
-        counts = [sim.run(slots[:i]).conditions for i in range(len(slots) + 1)]
+        counts = []
+        for i in range(len(slots) + 1):
+            stats = sim.run(slots[:i])
+            counts.append(
+                {
+                    AccessCondition.HIT: stats.hits,
+                    AccessCondition.MISS: stats.misses,
+                    AccessCondition.CONFLICT: stats.conflicts,
+                }
+            )
         measured = [
             next(c for c in AccessCondition if after[c] == before[c] + 1)
             for before, after in zip(counts, counts[1:])
@@ -135,9 +145,9 @@ class TestMappingProperties:
         )
         mapping = sparkxd_mapping(org, n_weights, 32, profile, threshold)
         # invariant 1: no duplicate slots
-        assert len(np.unique(mapping.slot_of_chunk)) == mapping.n_chunks
+        assert len(np.unique(mapping.slot_of_chunk)) == mapping.slot_of_chunk.size
         # invariant 2: every weight sits in a safe subarray
         used = mapping.subarray_of_weight()
         assert np.all(rates[used] <= threshold)
         # invariant 3: chunk count covers the tensor exactly
-        assert mapping.n_chunks == org.slots_needed(n_weights * 32)
+        assert mapping.slot_of_chunk.size == org.slots_needed(n_weights * 32)

@@ -16,7 +16,7 @@ class TestFloat32:
     def test_roundtrip_exact(self, rng):
         weights = rng.random(100).astype(np.float32)
         rep = Float32Representation()
-        assert np.array_equal(rep.roundtrip(weights), weights)
+        assert np.array_equal(rep.decode(rep.encode(weights)), weights)
 
     def test_bits_per_weight(self):
         assert Float32Representation().bits_per_weight == 32
@@ -103,13 +103,14 @@ class TestFixedPoint:
     def test_int8_roundtrip_within_step(self, rng):
         weights = rng.random(200)
         rep = FixedPointRepresentation(bits=8)
-        restored = rep.roundtrip(weights)
-        assert np.max(np.abs(restored - weights)) <= rep.step / 2 + 1e-9
+        restored = rep.decode(rep.encode(weights))
+        step = (rep.w_max - rep.w_min) / 255
+        assert np.max(np.abs(restored - weights)) <= step / 2 + 1e-9
 
     def test_extremes_exact(self):
         rep = FixedPointRepresentation(bits=8, w_min=0.0, w_max=1.0)
-        assert rep.roundtrip(np.array([0.0]))[0] == 0.0
-        assert rep.roundtrip(np.array([1.0]))[0] == 1.0
+        assert rep.decode(rep.encode(np.array([0.0])))[0] == 0.0
+        assert rep.decode(rep.encode(np.array([1.0])))[0] == 1.0
 
     def test_encode_clips_out_of_range(self):
         rep = FixedPointRepresentation(bits=8)
@@ -117,16 +118,13 @@ class TestFixedPoint:
         assert words[0] == 0
         assert words[1] == 255
 
-    def test_step_and_max_flip_error(self):
-        rep = FixedPointRepresentation(bits=8, w_min=0.0, w_max=1.0)
-        assert rep.step == pytest.approx(1 / 255)
-        assert rep.max_flip_error() == pytest.approx(128 / 255)
-
     def test_int16_has_finer_step(self):
-        assert (
-            FixedPointRepresentation(bits=16).step
-            < FixedPointRepresentation(bits=8).step
+        # The LSB flip of a stored 0.0 decodes to one level step.
+        int16, int8 = (
+            rep.decode(rep.flip_bits(rep.encode(np.array([0.0])), np.array([0])))[0]
+            for rep in (FixedPointRepresentation(bits=16), FixedPointRepresentation(bits=8))
         )
+        assert 0.0 < int16 < int8
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
@@ -136,15 +134,16 @@ class TestFixedPoint:
 
     def test_lsb_flip_changes_by_one_step(self):
         rep = FixedPointRepresentation(bits=8)
-        words = rep.encode(np.array([4 * rep.step]))
+        step = (rep.w_max - rep.w_min) / 255
+        words = rep.encode(np.array([4 * step]))
         out = rep.decode(rep.flip_bits(words, np.array([0])))
-        assert out[0] == pytest.approx(5 * rep.step)
+        assert out[0] == pytest.approx(5 * step)
 
     def test_msb_flip_changes_by_max_flip_error(self):
         rep = FixedPointRepresentation(bits=8, w_min=0.0, w_max=1.0)
         words = rep.encode(np.array([0.0]))
         out = rep.decode(rep.flip_bits(words, np.array([7])))
-        assert out[0] == pytest.approx(rep.max_flip_error())
+        assert out[0] == pytest.approx(128 / 255)
 
     def test_duplicate_flips_cancel(self):
         rep = FixedPointRepresentation(bits=8)
@@ -171,8 +170,8 @@ class TestFixedPoint:
     def test_quantisation_idempotent_property(self, value):
         # decode(encode(x)) is a fixed point of the quantiser.
         rep = FixedPointRepresentation(bits=8)
-        once = rep.roundtrip(np.array([value]))
-        twice = rep.roundtrip(once)
+        once = rep.decode(rep.encode(np.array([value])))
+        twice = rep.decode(rep.encode(once))
         assert np.array_equal(once, twice)
 
 

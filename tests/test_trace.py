@@ -6,33 +6,12 @@ import pytest
 from repro.dram.controller import DramController
 from repro.dram.organization import DramOrganization
 from repro.dram.specs import tiny_spec
-from repro.trace.generator import (
-    InferenceTraceSpec,
-    chunks_for_weights,
-    inference_read_trace,
-)
+from repro.trace.generator import InferenceTraceSpec, inference_read_trace
 
 
 @pytest.fixture
 def org():
     return DramOrganization(tiny_spec())
-
-
-class TestChunks:
-    def test_chunk_count_math(self, org):
-        # tiny spec: 32-bit slots -> one int8 chunk holds 4 weights
-        assert chunks_for_weights(org, 4, 8) == 1
-        assert chunks_for_weights(org, 5, 8) == 2
-        assert chunks_for_weights(org, 2, 32) == 2
-
-    def test_zero_weights(self, org):
-        assert chunks_for_weights(org, 0, 8) == 0
-
-    def test_validation(self, org):
-        with pytest.raises(ValueError):
-            chunks_for_weights(org, -1, 8)
-        with pytest.raises(ValueError):
-            chunks_for_weights(org, 4, 0)
 
 
 class TestTraceSpec:
@@ -66,6 +45,14 @@ class TestTraceGeneration:
         trace = inference_read_trace(spec, slots, org)
         assert trace.shape == (12,)
         assert np.array_equal(trace[4:8], slots)
+
+    @pytest.mark.parametrize("n_weights,bits,chunks", [(4, 8, 1), (5, 8, 2), (2, 32, 2)])
+    def test_chunk_count_math(self, org, n_weights, bits, chunks):
+        # tiny spec: 32-bit slots -> one int8 chunk holds 4 weights
+        spec = InferenceTraceSpec(n_weights=n_weights, bits_per_weight=bits)
+        assert inference_read_trace(spec, np.arange(chunks), org).shape == (chunks,)
+        with pytest.raises(ValueError, match="chunks"):
+            inference_read_trace(spec, np.arange(chunks + 1), org)
 
     def test_wrong_chunk_count_rejected(self, org):
         spec = InferenceTraceSpec(n_weights=8, bits_per_weight=32)
