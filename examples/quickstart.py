@@ -11,23 +11,24 @@ Runs the full Fig. 7 pipeline on a sub-minute configuration:
 4. map the weights to safe DRAM subarrays with Algorithm 2 and measure
    the DRAM energy at every reduced supply voltage (Section IV-D).
 
-``SparkXD.run()`` is a facade over the staged pipeline
-(:mod:`repro.pipeline`); see ``examples/staged_sweep.py`` for running
-the stages with artifact caching and sweeping grids without retraining.
+:class:`~repro.pipeline.ExperimentPipeline` runs the four steps as
+stages; see ``examples/staged_sweep.py`` for running them with artifact
+caching and sweeping grids without retraining.
 
 Usage::
 
     python examples/quickstart.py
 """
 
-from repro import SparkXD, SparkXDConfig
+from repro import SparkXDConfig
+from repro.pipeline import ExperimentPipeline
 
 
 def main() -> None:
     config = SparkXDConfig.small()
     print(f"Running SparkXD: dataset={config.dataset}, "
           f"N{config.n_neurons}, BER schedule {config.ber_rates}")
-    result = SparkXD(config).run()
+    result = ExperimentPipeline(config).run()
     print()
     print(result.summary())
     print()

@@ -28,13 +28,7 @@ depends on:
   content-addressed artifact sync — records identical to single-host
   runs (see ``docs/cluster.md``).
 
-Quickstart — one run, classic facade::
-
-    from repro import SparkXD, SparkXDConfig
-    result = SparkXD(SparkXDConfig.small()).run()
-    print(result.summary())
-
-Quickstart — staged, cached, swept::
+Quickstart — one run, then a cached sweep::
 
     from repro import SparkXDConfig
     from repro.pipeline import ArtifactStore, ExperimentPipeline, Runner
@@ -59,8 +53,7 @@ tour, and ``python -m repro stages`` for a live inventory.
 """
 
 from repro.core.config import SparkXDConfig
-from repro.core.framework import SparkXD
 from repro.core.results import SparkXDResult, VoltageOutcome
 
-__all__ = ["SparkXD", "SparkXDConfig", "SparkXDResult", "VoltageOutcome"]
+__all__ = ["SparkXDConfig", "SparkXDResult", "VoltageOutcome"]
 __version__ = "1.1.0"

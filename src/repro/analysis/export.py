@@ -111,9 +111,9 @@ def export_run_records(path: PathLike, records: Sequence["RunRecord"]) -> Path:
     return write_rows(path, RUN_RECORD_CSV_HEADERS, rows)
 
 
-def run_records_to_json(records: Sequence["RunRecord"], indent: int = 2) -> str:
+def run_records_to_json(records: Sequence["RunRecord"]) -> str:
     """Serialise sweep records to a JSON array string."""
-    return json.dumps([r.to_dict() for r in records], indent=indent, sort_keys=True)
+    return json.dumps([r.to_dict() for r in records], indent=2, sort_keys=True)
 
 
 def write_run_records_json(path: PathLike, records: Sequence["RunRecord"]) -> Path:

@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from repro.core.config import PAPER_VOLTAGES
 from repro.core.tolerance_analysis import ToleranceReport
 from repro.core.voltage_selection import VoltageDecision, select_operating_voltage
 from repro.dram.specs import DramSpec
-from repro.errors.weak_cells import WeakCellMap
 
 
 @dataclass(frozen=True)
@@ -43,8 +41,6 @@ def tolerance_frontier(
     n_weights: int,
     bits_per_weight: int,
     accuracy_bounds: Sequence[float] = (0.005, 0.01, 0.02, 0.05, 0.10),
-    voltages: Sequence[float] = PAPER_VOLTAGES,
-    weak_cells: Optional[WeakCellMap] = None,
 ) -> Tuple[ParetoPoint, ...]:
     """The energy-saving frontier across accuracy bounds.
 
@@ -61,14 +57,7 @@ def tolerance_frontier(
         target = report.baseline_accuracy - bound
         passing = [p.ber for p in report.points if p.accuracy >= target]
         threshold = max(passing) if passing else None
-        decision = select_operating_voltage(
-            spec,
-            n_weights,
-            bits_per_weight,
-            threshold,
-            voltages=voltages,
-            weak_cells=weak_cells,
-        )
+        decision = select_operating_voltage(spec, n_weights, bits_per_weight, threshold)
         points.append(
             ParetoPoint(accuracy_bound=bound, ber_threshold=threshold, decision=decision)
         )

@@ -33,24 +33,15 @@ class SNNWorkload:
                 raise ValueError(f"{name} must be >= 0")
 
     @classmethod
-    def for_network(
-        cls,
-        n_input: int,
-        n_neurons: int,
-        n_steps: int,
-        input_rate: float = 0.05,
-        output_rate: float = 0.02,
-        bits_per_weight: int = 32,
-    ) -> "SNNWorkload":
-        """Estimate counts for the Fig. 4(a) fully-connected network."""
-        if not 0 <= input_rate <= 1 or not 0 <= output_rate <= 1:
-            raise ValueError("rates must lie in [0, 1]")
-        input_spikes = int(n_input * n_steps * input_rate)
-        output_spikes = int(n_neurons * n_steps * output_rate)
+    def for_network(cls, n_input: int, n_neurons: int, n_steps: int) -> "SNNWorkload":
+        """Estimate counts for the Fig. 4(a) fully-connected network: 5%
+        of inputs and 2% of neurons spike per step, float32 weights."""
+        input_spikes = int(n_input * n_steps * 0.05)
+        output_spikes = int(n_neurons * n_steps * 0.02)
         return cls(
             synaptic_ops=input_spikes * n_neurons,
             spike_events=input_spikes + output_spikes,
-            weight_bits_fetched=n_input * n_neurons * bits_per_weight,
+            weight_bits_fetched=n_input * n_neurons * 32,
         )
 
 
@@ -106,12 +97,8 @@ SNNAP = PlatformModel(
 PAPER_PLATFORMS: Tuple[PlatformModel, ...] = (TRUENORTH, PEASE, SNNAP)
 
 
-def energy_breakdown(
-    platform: PlatformModel,
-    n_input: int = 784,
-    n_neurons: int = 400,
-    n_steps: int = 100,
-) -> Dict[str, float]:
-    """Fractional breakdown of one platform on the paper's workload."""
-    workload = SNNWorkload.for_network(n_input, n_neurons, n_steps)
+def energy_breakdown(platform: PlatformModel) -> Dict[str, float]:
+    """Fractional breakdown of one platform on the paper's workload: a
+    784-input N400 network run for 100 steps."""
+    workload = SNNWorkload.for_network(784, 400, 100)
     return platform.fractions(workload)

@@ -39,7 +39,8 @@ Commands
     Run the project invariant checkers (fingerprint completeness, RNG
     discipline, lock discipline, wire-protocol consistency, workspace
     discipline, log discipline) over the source tree; ``--check``
-    gates on new findings (see docs/lint.md).
+    gates on every error or warning not suppressed by a ``# lint:
+    disable=RULE`` comment (see docs/lint.md).
 
 Every data-producing command accepts ``--json`` for machine-readable
 output on stdout.  ``run``, ``sweep`` and every ``cluster``
@@ -426,16 +427,9 @@ def _add_lint_parser(subparsers) -> None:
     )
     p.add_argument("--root", default=None, metavar="DIR",
                    help="tree to lint (default: the installed repro package)")
-    p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="known-findings file; only findings absent from it "
-                        "gate --check (default: lint-baseline.json in the "
-                        "current directory, if present)")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite the baseline file with the current "
-                        "findings and exit 0")
     p.add_argument("--check", action="store_true",
-                   help="gate mode: exit 1 if any new error/warning "
-                        "finding exists (info never gates)")
+                   help="gate mode: exit 1 if any error/warning finding "
+                        "exists (info never gates)")
     p.add_argument("--rules", nargs="+", metavar="RULE",
                    help="run only these rules (default: all)")
     p.add_argument("--report", metavar="FILE",
@@ -1098,7 +1092,7 @@ def _cmd_cache(args) -> int:
 def _cmd_lint(args) -> int:
     from pathlib import Path
 
-    from repro.lint import Baseline, default_checkers, run_lint
+    from repro.lint import default_checkers, run_lint
 
     if args.root is not None:
         root = Path(args.root)
@@ -1122,29 +1116,7 @@ def _cmd_lint(args) -> int:
             )
         checkers = tuple(c for c in checkers if c.rule in args.rules)
 
-    baseline_path: Optional[Path] = None
-    if args.baseline is not None:
-        baseline_path = Path(args.baseline)
-    elif Path("lint-baseline.json").is_file():
-        baseline_path = Path("lint-baseline.json")
-
-    if args.update_baseline:
-        if baseline_path is None:
-            baseline_path = Path("lint-baseline.json")
-        report = run_lint(root, checkers=checkers)
-        Baseline.from_findings(report.findings).write(baseline_path)
-        if not args.json:
-            print(
-                f"baseline {baseline_path}: {len(report.findings)} "
-                "finding(s) recorded"
-            )
-        return 0
-
-    report = run_lint(
-        root,
-        checkers=checkers,
-        baseline=baseline_path if baseline_path and baseline_path.is_file() else None,
-    )
+    report = run_lint(root, checkers=checkers)
     if args.report:
         Path(args.report).write_text(
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -1153,19 +1125,16 @@ def _cmd_lint(args) -> int:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         for finding in report.findings:
-            marker = "" if finding in report.new_findings else " (baselined)"
-            print(f"{finding.format()}{marker}")
-        summary = (
+            print(finding.format())
+        print(
             f"lint: {report.files_scanned} file(s), "
             f"{len(report.findings)} finding(s) "
-            f"({len(report.new_findings)} new, "
-            f"{report.suppressed} suppressed)"
+            f"({report.suppressed} suppressed)"
         )
-        print(summary)
     if args.check and not report.ok:
         if not args.json:
             print(
-                f"lint --check: {len(report.gating)} new gating finding(s)",
+                f"lint --check: {len(report.gating)} gating finding(s)",
                 file=sys.stderr,
             )
         return 1

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import secrets
 import subprocess
 import sys
 import threading
@@ -39,7 +40,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.cluster.plan import PlanFailed, SweepPlan
-from repro.cluster.protocol import format_address, parse_address
+from repro.cluster.protocol import format_address, is_loopback_host, parse_address
 from repro.cluster.service import ExperimentService
 from repro.core.config import SparkXDConfig
 from repro.pipeline.runner import RunRecord
@@ -48,9 +49,9 @@ from repro.telemetry import get_logger, span, telemetry_log_level, trace_writer
 
 LOG = get_logger(__name__)
 
-#: Lease re-poll interval of a :meth:`ClusterExecutor.run_local` fleet
-#: whose executor sets no ``poll_s``: its coordinator is on loopback,
-#: and a worker waiting on an upstream chain should pick it up at once.
+#: Lease re-poll interval of the workers of an executor that binds a
+#: loopback host: they are local, and a worker waiting on an upstream
+#: chain should pick it up at once.
 LOCAL_POLL_S = 0.05
 
 #: Idle limit (``--max-idle-s``) of a local fleet's workers: their
@@ -71,9 +72,12 @@ class ClusterExecutor:
         this is the address workers connect to.  Port ``0`` picks an
         ephemeral port; read :attr:`address` once running.  The service
         serves its control routes on the same port, so a public bind
-        exposes them too (behind the same ``token``).
-    lease_timeout / max_attempts:
-        Lease semantics (see :mod:`repro.cluster.plan`).
+        exposes them too (behind the same ``token``).  Idle workers of
+        a loopback service re-poll every :data:`LOCAL_POLL_S`, others
+        at the service's default.
+    lease_timeout:
+        Lease semantics (see :mod:`repro.cluster.plan`); a job gets
+        three attempts.
     wait_timeout:
         Optional ceiling in seconds on one sweep's distribution phase;
         ``None`` waits for workers indefinitely.  On expiry a
@@ -94,7 +98,8 @@ class ClusterExecutor:
         compacts automatically.
     token:
         Shared cluster secret the embedded service requires on every
-        route (:meth:`run_local` hands it to its fleet).
+        route.  :meth:`run_local` hands it to its fleet, and makes up a
+        fresh one when there is none.
     """
 
     def __init__(
@@ -104,8 +109,6 @@ class ClusterExecutor:
         address: Any = ("127.0.0.1", 0),
         *,
         lease_timeout: float = 30.0,
-        max_attempts: int = 3,
-        poll_s: Optional[float] = None,
         wait_timeout: Optional[float] = None,
         journal: Optional[Union[str, Path]] = None,
         resume: bool = False,
@@ -117,8 +120,6 @@ class ClusterExecutor:
         self.token = token
         self.bind_address: Tuple[str, int] = parse_address(address)
         self.lease_timeout = float(lease_timeout)
-        self.max_attempts = int(max_attempts)
-        self.poll_s = poll_s
         self.wait_timeout = wait_timeout
         self.journal_path = Path(journal) if journal is not None else None
         self.resume = bool(resume)
@@ -146,18 +147,17 @@ class ClusterExecutor:
         Workers that connect earlier are told to wait, never to shut
         down.
         """
-        return self._serve(grid, on_ready, self.poll_s)
+        return self._serve(grid, on_ready, self.token)
 
-    def _serve(self, grid, on_ready, poll_s: Optional[float]) -> List[RunRecord]:
+    def _serve(self, grid, on_ready, token: Optional[str]) -> List[RunRecord]:
         host, port = self.bind_address
         service = ExperimentService(
             store=self.store,
             host=host,
             port=port,
-            token=self.token,
+            token=token,
             lease_timeout=self.lease_timeout,
-            max_attempts=self.max_attempts,
-            poll_s=poll_s,
+            poll_s=LOCAL_POLL_S if is_loopback_host(host) else None,
             shutdown_when_idle=True,
         )
         # The sweep span opens before submit: the tenant adopts it as
@@ -199,10 +199,11 @@ class ClusterExecutor:
         Fleet sizes are validated before the service starts; a grid
         whose artifacts are all cached (or journaled done) launches no
         worker; a fleet whose workers all exited with work left raises
-        :class:`PlanFailed` naming their exit codes.  Idle workers
-        re-poll every :data:`LOCAL_POLL_S` unless ``poll_s`` was set;
-        ``threads_per_worker`` and ``token`` go to
-        :func:`local_worker_processes`.
+        :class:`PlanFailed` naming their exit codes.
+        ``threads_per_worker`` goes to :func:`local_worker_processes`,
+        with the executor's token or, if it has none, a fresh one: no
+        other local process can then upload an artifact the sweep
+        would unpickle or serve as a cached stage.
         """
         if n_workers < 1:
             raise ValueError(f"workers must be >= 1, got {n_workers}")
@@ -211,6 +212,7 @@ class ClusterExecutor:
                 f"threads_per_worker must be >= 1 or None, got {threads_per_worker}"
             )
         exit_codes: List[int] = []
+        token = self.token or secrets.token_urlsafe(32)
         with contextlib.ExitStack() as fleet:
 
             def on_ready(address: Tuple[str, int]) -> None:
@@ -221,15 +223,14 @@ class ClusterExecutor:
                     address,
                     n_workers,
                     threads_per_worker=threads_per_worker,
-                    token=self.token,
+                    token=token,
                 ))
                 fleet.enter_context(
                     _cancel_when_all_exit(plan, workers, exit_codes)
                 )
 
-            poll_s = LOCAL_POLL_S if self.poll_s is None else self.poll_s
             try:
-                return self._serve(grid, on_ready, poll_s)
+                return self._serve(grid, on_ready, token)
             except RuntimeError as error:
                 if not exit_codes:
                     raise

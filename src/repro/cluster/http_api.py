@@ -97,6 +97,9 @@ PEER_ROUTES = frozenset({"download"})
 #: Artifact uploads are not JSON and carry no cap.
 MAX_JSON_BODY_BYTES = 16 * 1024 * 1024
 
+#: Byte budget of an :class:`ArtifactEndpoint`'s pickle cache.
+WIRE_CACHE_BYTES = 64 * 1024 * 1024
+
 
 class ServiceError(RuntimeError):
     """An HTTP error reply from a cluster endpoint."""
@@ -156,9 +159,8 @@ class ArtifactEndpoint:
     served (get) and received (put).
     """
 
-    def __init__(self, store: ArtifactStore, cache_bytes: int = 64 * 1024 * 1024):
+    def __init__(self, store: ArtifactStore):
         self.store = store
-        self.cache_bytes = int(cache_bytes)
         self._lock = threading.Lock()
         self._cache: "OrderedDict[Tuple[str, str], bytes]" = OrderedDict()
         self.cached_bytes = 0
@@ -202,7 +204,7 @@ class ArtifactEndpoint:
         return True
 
     def _remember(self, key: Tuple[str, str], blob: bytes) -> None:
-        if len(blob) > self.cache_bytes:
+        if len(blob) > WIRE_CACHE_BYTES:
             return
         with self._lock:
             old = self._cache.pop(key, None)
@@ -210,7 +212,7 @@ class ArtifactEndpoint:
                 self.cached_bytes -= len(old)
             self._cache[key] = blob
             self.cached_bytes += len(blob)
-            while self.cached_bytes > self.cache_bytes and len(self._cache) > 1:
+            while self.cached_bytes > WIRE_CACHE_BYTES and len(self._cache) > 1:
                 _, evicted = self._cache.popitem(last=False)
                 self.cached_bytes -= len(evicted)
 
@@ -672,13 +674,9 @@ class ServiceClient:
     def fleet(self) -> Dict[str, Any]:
         return self.http_request("GET", "/fleet")
 
-    def wait(
-        self,
-        sweep_id: str,
-        timeout: Optional[float] = None,
-        poll_s: float = 0.25,
-    ) -> Dict[str, Any]:
-        """Poll until the sweep leaves ``running``; returns final status.
+    def wait(self, sweep_id: str, timeout: Optional[float] = None) -> Dict[str, Any]:
+        """Poll every 0.25 s until the sweep leaves ``running``; returns
+        its final status.
 
         The in-process service's loop
         (:func:`~repro.cluster.service.wait_for_sweep`) over ``GET
@@ -692,7 +690,7 @@ class ServiceClient:
             lambda: self.fleet().get("workers") or {},
             self.address,
             timeout=timeout,
-            poll_s=poll_s,
+            poll_s=0.25,
         )
 
 

@@ -1,7 +1,7 @@
 """Cluster addresses and the artifact blob encoding.
 
 Every cluster exchange is one HTTP request on a fresh connection (see
-:mod:`repro.cluster.http_api`); this module holds the two wire helpers
+:mod:`repro.cluster.http_api`); this module holds the wire helpers
 both ends share: ``host:port`` address parsing and the gzip rule for
 artifact bodies.
 
@@ -13,6 +13,7 @@ and networks you trust, as you would with any shared build cache.
 from __future__ import annotations
 
 import gzip
+import ipaddress
 from typing import Any, Optional, Sequence, Tuple
 
 #: Default service TCP port (chosen from the unassigned range).
@@ -28,7 +29,7 @@ GZIP_MIN_BYTES = 1024
 GZIP_LEVEL = 1
 
 
-def parse_address(address: Any, default_port: int = DEFAULT_PORT) -> Tuple[str, int]:
+def parse_address(address: Any) -> Tuple[str, int]:
     """Normalise ``"host:port"`` / ``"host"`` / ``(host, port)`` forms.
 
     IPv6 literals use the standard bracket syntax — ``[::1]:8752`` or
@@ -43,13 +44,21 @@ def parse_address(address: Any, default_port: int = DEFAULT_PORT) -> Tuple[str, 
         host, bracket, rest = text[1:].partition("]")
         if not bracket or (rest and not rest.startswith(":")):
             raise ValueError(f"malformed bracketed address {text!r}")
-        return host, int(rest[1:]) if rest else default_port
+        return host, int(rest[1:]) if rest else DEFAULT_PORT
     if text.count(":") > 1:
-        return text, default_port  # bare IPv6 literal, no port
+        return text, DEFAULT_PORT  # bare IPv6 literal, no port
     if ":" in text:
         host, _, port = text.partition(":")
         return host or "127.0.0.1", int(port)
-    return text or "127.0.0.1", default_port
+    return text or "127.0.0.1", DEFAULT_PORT
+
+
+def is_loopback_host(host: str) -> bool:
+    """Whether ``host`` (an IP literal or ``localhost``) is loopback."""
+    try:
+        return ipaddress.ip_address(host).is_loopback
+    except ValueError:
+        return host == "localhost"
 
 
 def format_address(address: Tuple[str, int]) -> str:
@@ -59,11 +68,7 @@ def format_address(address: Tuple[str, int]) -> str:
     return f"{host}:{port}"
 
 
-def encode_blob(
-    blob: bytes,
-    accept: Sequence[str],
-    min_bytes: int = GZIP_MIN_BYTES,
-) -> Tuple[bytes, Optional[str]]:
+def encode_blob(blob: bytes, accept: Sequence[str]) -> Tuple[bytes, Optional[str]]:
     """Compress ``blob`` for the wire iff the receiver accepts it *and* it pays.
 
     Returns ``(wire_blob, encoding)`` where ``encoding`` is ``None``
@@ -72,7 +77,7 @@ def encode_blob(
     when gzip is accepted — the receiver never sees an encoding that
     grew the payload.
     """
-    if "gzip" not in accept or len(blob) < min_bytes:
+    if "gzip" not in accept or len(blob) < GZIP_MIN_BYTES:
         return blob, None
     encoded = gzip.compress(blob, compresslevel=GZIP_LEVEL)
     if len(encoded) >= len(blob):

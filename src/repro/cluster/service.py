@@ -277,8 +277,6 @@ class ExperimentService:
         sweep is finished (done, failed or cancelled), workers are told
         to shut down.  The default ``False`` never answers
         ``shutdown``: idle workers poll for future submissions.
-    wire_cache_bytes:
-        Byte budget of :attr:`artifacts`' pickle cache.
     """
 
     def __init__(
@@ -294,7 +292,6 @@ class ExperimentService:
         journal_dir: Optional[Union[str, Path]] = None,
         compact_every: Optional[int] = None,
         shutdown_when_idle: bool = False,
-        wire_cache_bytes: int = 64 * 1024 * 1024,
     ):
         self.store = store if store is not None else ArtifactStore()
         self.bind_host = str(host)
@@ -316,7 +313,7 @@ class ExperimentService:
         #: The hub's artifact side: what it served (get) and received
         #: (put).  The peer-fabric checks assert served get bytes are 0
         #: when workers pull from each other instead.
-        self.artifacts = ArtifactEndpoint(self.store, wire_cache_bytes)
+        self.artifacts = ArtifactEndpoint(self.store)
         self._lock = threading.Lock()
         self._sweeps: Dict[str, ManagedSweep] = {}
         self._order: List[str] = []  # submission order = lease priority
@@ -346,17 +343,15 @@ class ExperimentService:
         journal_path: Optional[Union[str, Path]] = None,
         resume: Any = "auto",
         compact_every: Optional[int] = None,
-        trace_context: Optional[Dict[str, str]] = None,
     ) -> ManagedSweep:
         """Register a sweep; idempotent on the deterministic sweep id.
 
         ``resume`` — ``"auto"`` (default) replays an existing journal
         file and starts fresh otherwise; ``True``/``False`` force the
         :class:`~repro.cluster.journal.SweepJournal` behaviour.
-        ``trace_context`` defaults to the caller's current span, so
-        in-process submitters (:class:`~repro.cluster.ClusterExecutor`)
-        parent worker job spans under their own trace; HTTP submits
-        pass ``None``.
+        Worker job spans parent under the caller's current span, so an
+        in-process submitter (:class:`~repro.cluster.ClusterExecutor`)
+        sees them in its own trace.
         """
         sweep_id = sweep_identity(base_config, grid)
         with self._lock:
@@ -403,11 +398,7 @@ class ExperimentService:
                 plan=plan,
                 journal=journal,
                 name=name,
-                trace_context=(
-                    trace_context
-                    if trace_context is not None
-                    else current_context()
-                ),
+                trace_context=current_context(),
             )
             self._sweeps[sweep_id] = managed
             self._order.append(sweep_id)
@@ -495,20 +486,15 @@ class ExperimentService:
         managed.records = records
         return list(records)
 
-    def wait(
-        self,
-        sweep_id: str,
-        timeout: Optional[float] = None,
-        poll_s: float = 0.05,
-    ) -> Dict[str, Any]:
-        """Block until a sweep leaves ``running``; returns its final
-        ``GET /sweeps/{id}`` body (:func:`wait_for_sweep`)."""
+    def wait(self, sweep_id: str, timeout: Optional[float] = None) -> Dict[str, Any]:
+        """Block until a sweep leaves ``running``, polling every 0.05 s;
+        returns its final ``GET /sweeps/{id}`` body (:func:`wait_for_sweep`)."""
         return wait_for_sweep(
             self._get(sweep_id).describe,
             self.registry.ages,
             self.address,
             timeout=timeout,
-            poll_s=poll_s,
+            poll_s=0.05,
         )
 
     def fleet(self) -> Dict[str, Any]:

@@ -88,8 +88,9 @@ class ArtifactSync:
         peer that fails at the transport level is added to it.  A
         :class:`~repro.cluster.worker.WorkerAgent` passes one set to
         every job's sync, so a dead peer costs one timeout per agent.
-    max_attempts / backoff_s:
-        Hub round trips per request, and the first retry's sleep.
+
+    Hub round trips make :data:`DEFAULT_MAX_ATTEMPTS` attempts, the
+    first retry sleeping about :data:`DEFAULT_BACKOFF_S`.
     """
 
     def __init__(
@@ -99,13 +100,9 @@ class ArtifactSync:
         *,
         sources: Optional[Iterable[Sequence[Any]]] = None,
         dead_peers: Optional[Set[str]] = None,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        backoff_s: float = DEFAULT_BACKOFF_S,
     ):
         self.client = client
         self.store = store
-        self.max_attempts = max(1, int(max_attempts))
-        self.backoff_s = float(backoff_s)
         #: key -> peer addresses believed to hold it (coordinator hints).
         self.sources: Dict[Key, List[str]] = {}
         if sources:
@@ -154,11 +151,11 @@ class ArtifactSync:
         (refused, reset or truncated connections) triggers the backoff
         loop.
         """
-        for attempt in range(self.max_attempts):
+        for attempt in range(DEFAULT_MAX_ATTEMPTS):
             try:
                 return call()
             except OSError:
-                if attempt + 1 >= self.max_attempts:
+                if attempt + 1 >= DEFAULT_MAX_ATTEMPTS:
                     raise
                 self.retries += 1
                 get_metrics().counter("sync.retries").inc()
@@ -166,7 +163,7 @@ class ArtifactSync:
                     "hub round trip retrying after transport error",
                     extra={"sync_op": label, "attempt": attempt + 1},
                 )
-                time.sleep(self.backoff_s * (2.0 ** attempt) * _backoff_jitter())
+                time.sleep(DEFAULT_BACKOFF_S * (2.0 ** attempt) * _backoff_jitter())
         raise AssertionError("unreachable")  # pragma: no cover
 
     @staticmethod
@@ -215,23 +212,16 @@ class ArtifactSync:
         metrics.counter(f"sync.pulled_bytes_{source}").inc(len(blob))
 
     # ------------------------------------------------------------------
-    def pull(
-        self,
-        stage: str,
-        digest: str,
-        sources: Optional[Sequence[str]] = None,
-    ) -> bool:
+    def pull(self, stage: str, digest: str) -> bool:
         """Fetch one artifact into the local store; False if absent remotely.
 
-        Tries each peer address (``sources`` argument, else the routing
-        table) before the hub.  Every failure mode — dead peer, refusal,
+        Tries each peer address the routing table names before the hub.  Every failure mode — dead peer, refusal,
         stale hint — falls through; only "nobody has it, hub included"
         returns False.
         """
         started = time.perf_counter()
         try:
-            if sources is None:
-                sources = self.sources.get((stage, digest), ())
+            sources = self.sources.get((stage, digest), ())
             for address in sources:
                 reply = self._peer_get(address, stage, digest)
                 if reply is not None:

@@ -41,7 +41,6 @@ agent failed to reach is skipped for the rest of its life.
 
 from __future__ import annotations
 
-import ipaddress
 import os
 import socket
 import threading
@@ -57,6 +56,7 @@ from repro.cluster.http_api import (
     ServiceClient,
     ServiceError,
 )
+from repro.cluster.protocol import is_loopback_host
 from repro.cluster.sync import ArtifactSync
 from repro.core.config import SparkXDConfig
 from repro.pipeline.stages import ExperimentPipeline, default_stage_classes
@@ -71,6 +71,13 @@ from repro.telemetry import (
 
 LOG = get_logger(__name__)
 
+#: Seconds between retries while the coordinator is unreachable, and
+#: between lease polls when its reply names no wait.
+RETRY_S = 0.5
+
+#: Connect and read timeout of the agent's coordinator requests.
+CLIENT_TIMEOUT_S = 30.0
+
 
 def _peer_bind_host(coordinator_host: str) -> str:
     """The interface a worker's peer endpoint listens on.
@@ -79,11 +86,7 @@ def _peer_bind_host(coordinator_host: str) -> str:
     from ``127.0.0.1`` or ``::1``, the address the coordinator
     advertises to peers.  Every interface otherwise.
     """
-    try:
-        loopback = ipaddress.ip_address(coordinator_host).is_loopback
-    except ValueError:
-        loopback = coordinator_host == "localhost"
-    if not loopback:
+    if not is_loopback_host(coordinator_host):
         return "0.0.0.0"
     return "::1" if ":" in coordinator_host else "127.0.0.1"
 
@@ -243,17 +246,14 @@ class WorkerAgent:
         name: Optional[str] = None,
         store: Optional[ArtifactStore] = None,
         max_idle_s: float = 30.0,
-        retry_s: float = 0.5,
-        client_timeout: float = 30.0,
         max_jobs: Optional[int] = None,
         peer_port: int = 0,
         token: Optional[str] = None,
     ):
-        self.client = ServiceClient(address, token=token, timeout=client_timeout)
+        self.client = ServiceClient(address, token=token, timeout=CLIENT_TIMEOUT_S)
         self.name = name or default_worker_name()
         self.store = store if store is not None else ArtifactStore()
         self.max_idle_s = float(max_idle_s)
-        self.retry_s = float(retry_s)
         self.max_jobs = None if max_jobs is None else int(max_jobs)
         self.peer_port = int(peer_port)
         self.stats = WorkerStats()
@@ -367,7 +367,7 @@ class WorkerAgent:
                 if now - unreachable_since >= self.max_idle_s:
                     self.stats.errors.append(f"coordinator unreachable: {error}")
                     break
-                self._stop.wait(self.retry_s)
+                self._stop.wait(RETRY_S)
                 continue
             unreachable_since = None
             if "holding" in request:
@@ -380,7 +380,7 @@ class WorkerAgent:
                 break
             job = reply.get("job")
             if job is None:
-                self._stop.wait(float(reply.get("wait", self.retry_s)))
+                self._stop.wait(float(reply.get("wait", RETRY_S)))
                 continue
             self._execute(
                 job,

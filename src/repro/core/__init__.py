@@ -11,7 +11,9 @@ Three mechanisms (Fig. 7):
    subarrays while maximising row-buffer hits and multi-bank bursts
    (Section IV-D, Algorithm 2).
 
-:class:`repro.core.framework.SparkXD` orchestrates all three end to end.
+:class:`repro.pipeline.ExperimentPipeline` runs all three end to end,
+after training the baseline; :func:`repro.core.dram_eval.evaluate_dram`
+is the DRAM step alone.
 """
 
 from repro.core.config import SparkXDConfig
@@ -32,7 +34,6 @@ from repro.core.tolerance_analysis import (
     analyze_error_tolerance,
 )
 from repro.core.dram_eval import evaluate_dram
-from repro.core.framework import SparkXD
 from repro.core.results import SparkXDResult, VoltageOutcome
 from repro.core.voltage_selection import VoltageDecision, select_operating_voltage
 
@@ -52,6 +53,5 @@ __all__ = [
     "TolerancePoint",
     "ToleranceReport",
     "analyze_error_tolerance",
-    "SparkXD",
     "SparkXDResult",
 ]

@@ -27,7 +27,7 @@ PAPER_BER_RATES = (1e-9, 1e-7, 1e-5, 1e-3)
 
 @dataclass(frozen=True)
 class SparkXDConfig:
-    """Everything a :class:`repro.core.framework.SparkXD` run needs.
+    """Everything a :class:`repro.pipeline.ExperimentPipeline` run needs.
 
     The defaults follow the paper's setup (Section V) at a compute scale
     a CPU can train: the paper's GPU runs use the full 60k-sample MNIST;
@@ -189,10 +189,9 @@ class SparkXDConfig:
         return base.with_overrides(**overrides) if overrides else base
 
     @classmethod
-    def paper(cls, n_neurons: int = 400, dataset: str = "mnist", **overrides) -> "SparkXDConfig":
+    def paper(cls, n_neurons: int = 400, **overrides) -> "SparkXDConfig":
         """The paper's Section V parameterisation (CPU-scaled workload)."""
         base = cls(
-            dataset=dataset,
             n_neurons=n_neurons,
             n_train=500,
             n_test=200,

@@ -1,10 +1,9 @@
 """DRAM-side evaluation: mapping + trace execution at every voltage.
 
-Step 4 of the Fig. 7 flow, factored out of the orchestrator so the
-energy experiments (Figs. 12a/12b, Table I), the staged pipeline's
-``DramEvalStage`` and the classic :class:`~repro.core.framework.SparkXD`
-facade all share one implementation — and so it can run without any SNN
-training at all.
+Step 4 of the Fig. 7 flow, a function of its own so the energy
+experiments (Figs. 12a/12b, Table I) and the staged pipeline's
+``DramEvalStage`` share one implementation, and so it can run without
+any SNN training at all.
 """
 
 from __future__ import annotations

@@ -45,23 +45,6 @@ from repro.snn.training import TrainedModel, assign_labels
 FINE_TUNING_STDP = STDPParameters(learning_rate=0.01)
 
 
-def default_ber_schedule(
-    minimum: float = 1e-9, maximum: float = 1e-3, factor: float = 100.0
-) -> tuple:
-    """The paper's geometric BER schedule (each rate ``factor``× the last)."""
-    if not 0 < minimum <= maximum:
-        raise ValueError("require 0 < minimum <= maximum")
-    if factor <= 1:
-        raise ValueError("factor must be > 1")
-    rates = []
-    rate = minimum
-    while rate < maximum * (1.0 - 1e-12):
-        rates.append(rate)
-        rate *= factor
-    rates.append(maximum)
-    return tuple(rates)
-
-
 @dataclass
 class FaultAwareTrainingResult:
     """The improved model plus the per-stage accuracy trajectory."""
@@ -77,7 +60,7 @@ def improve_error_tolerance(
     baseline: TrainedModel,
     dataset: Dataset,
     injector: ErrorInjector,
-    rates: Sequence[float] = default_ber_schedule(),
+    rates: Sequence[float],
     epochs_per_rate: int = 1,
     n_steps: int = 100,
     accuracy_bound: float = 0.01,

@@ -1,8 +1,8 @@
 """Result types of a SparkXD run.
 
-A module of their own, so both the staged pipeline
-(:mod:`repro.pipeline`) and the :class:`~repro.core.framework.SparkXD`
-facade can share them without import cycles.
+A module of their own, so the staged pipeline (:mod:`repro.pipeline`)
+and the DRAM evaluation (:mod:`repro.core.dram_eval`) share them
+without import cycles.
 """
 
 from __future__ import annotations

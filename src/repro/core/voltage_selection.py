@@ -19,7 +19,7 @@ expected energy saving.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.core.config import PAPER_VOLTAGES
 from repro.core.mapping_policy import (
@@ -51,8 +51,6 @@ def select_operating_voltage(
     n_weights: int,
     bits_per_weight: int,
     ber_threshold: Optional[float],
-    voltages: Sequence[float] = PAPER_VOLTAGES,
-    weak_cells: Optional[WeakCellMap] = None,
 ) -> VoltageDecision:
     """Choose the lowest feasible voltage for a weight tensor.
 
@@ -63,13 +61,13 @@ def select_operating_voltage(
     if n_weights <= 0 or bits_per_weight <= 0:
         raise ValueError("n_weights and bits_per_weight must be > 0")
     organization = DramOrganization(spec)
-    weak_cells = weak_cells or WeakCellMap(organization)
+    weak_cells = WeakCellMap(organization)
     energy = DramEnergyModel(spec)
     v_nominal = spec.electrical.v_nominal_volts
     threshold = ber_threshold if ber_threshold is not None else -1.0
 
     rejected = []
-    for v in sorted(voltages):  # lowest (best saving) first
+    for v in sorted(PAPER_VOLTAGES):  # lowest (best saving) first
         device_ber = DEFAULT_BER_CURVE.ber_at(v)
         profile = weak_cells.profile_at(v)
         if threshold < 0:

@@ -43,10 +43,10 @@ class Dataset:
         return len(self.test_labels)
 
 
-def render_glyph(bitmap: np.ndarray, upscale: int = 4) -> np.ndarray:
-    """Upscale a small binary glyph bitmap to a soft 28×28 image."""
+def render_glyph(bitmap: np.ndarray) -> np.ndarray:
+    """Upscale a small binary glyph bitmap 4× to a soft 28×28 image."""
     bitmap = np.asarray(bitmap, dtype=np.float64)
-    enlarged = np.kron(bitmap, np.ones((upscale, upscale)))
+    enlarged = np.kron(bitmap, np.ones((4, 4)))
     canvas = np.zeros((IMAGE_SIDE, IMAGE_SIDE))
     h, w = enlarged.shape
     if h > IMAGE_SIDE or w > IMAGE_SIDE:
@@ -57,23 +57,19 @@ def render_glyph(bitmap: np.ndarray, upscale: int = 4) -> np.ndarray:
     return ndimage.gaussian_filter(canvas, sigma=0.9)
 
 
-def augment(
-    prototype: np.ndarray,
-    rng: np.random.Generator,
-    max_shift: int = 2,
-    noise_scale: float = 0.05,
-    intensity_range: tuple = (0.75, 1.0),
-) -> np.ndarray:
-    """One jittered sample from a class prototype (28×28 → 784 floats)."""
-    shift_y = int(rng.integers(-max_shift, max_shift + 1))
-    shift_x = int(rng.integers(-max_shift, max_shift + 1))
+def augment(prototype: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One jittered sample from a class prototype (28×28 → 784 floats):
+    shifted up to 2 pixels, blurred, scaled to 75–100% intensity, with
+    Gaussian noise of standard deviation 0.05."""
+    shift_y = int(rng.integers(-2, 3))
+    shift_x = int(rng.integers(-2, 3))
     image = ndimage.shift(prototype, (shift_y, shift_x), order=1, mode="constant")
     blur = float(rng.uniform(0.0, 0.6))
     if blur > 0.05:
         image = ndimage.gaussian_filter(image, sigma=blur)
-    intensity = float(rng.uniform(*intensity_range))
+    intensity = float(rng.uniform(0.75, 1.0))
     image = image * intensity
-    image = image + rng.normal(0.0, noise_scale, image.shape)
+    image = image + rng.normal(0.0, 0.05, image.shape)
     peak = image.max()
     if peak > 1.0:
         image = image / peak
@@ -89,7 +85,7 @@ def build_dataset(
 ) -> Dataset:
     """Assemble a balanced dataset by augmenting per-class prototypes.
 
-    ``prototypes`` has shape (n_classes, 28, 28).  Train and test use
+    ``prototypes`` has shape (N_CLASSES, 28, 28).  Train and test use
     disjoint RNG streams so the splits never share samples.
     """
     if len(prototypes) != N_CLASSES:

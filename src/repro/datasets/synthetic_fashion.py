@@ -32,20 +32,6 @@ _CLASS_ROWS = {
     9: ("0110000", "0110000", "0110000", "0110000", "0111111", "0100001", "0111111"),  # ankle boot
 }
 
-CLASS_NAMES = (
-    "t-shirt",
-    "trouser",
-    "pullover",
-    "dress",
-    "coat",
-    "sandal",
-    "shirt",
-    "sneaker",
-    "bag",
-    "ankle-boot",
-)
-
-
 def fashion_bitmap(cls: int) -> np.ndarray:
     """The 7×7 binary silhouette of one garment class."""
     if cls not in _CLASS_ROWS:

@@ -207,10 +207,10 @@ DDR5_4800_8GB = DramSpec(
 )
 
 
-def tiny_spec(name: str = "tiny-test-dram") -> DramSpec:
+def tiny_spec() -> DramSpec:
     """A miniature device for fast unit tests (a few KiB total)."""
     return DramSpec(
-        name=name,
+        name="tiny-test-dram",
         geometry=DramGeometry(
             channels=1,
             ranks_per_channel=1,

@@ -48,6 +48,16 @@ READY_TO_PRECHARGE_FRACTION = 0.98
 #: around Vsupply/2 (tRP).
 READY_TO_ACTIVATE_TOLERANCE = 0.02
 
+#: Restore time constant at nominal voltage (ns), calibrated so the
+#: ready-to-access crossing at nominal voltage lands near the JEDEC
+#: tRCD of LPDDR3-1600.
+TAU_ACTIVATE_NS = 12.0
+#: Equalisation time constant at nominal voltage (ns).
+TAU_PRECHARGE_NS = 5.5
+#: ``alpha`` in ``tau(Vs) = tau0 * (Vnom/Vs)**alpha``: the sense
+#: amplifier slowing down at reduced voltage.
+DRIVE_EXPONENT = 2.0
+
 
 @dataclass(frozen=True)
 class VoltageTransient:
@@ -63,36 +73,16 @@ class VoltageTransient:
 class ArrayVoltageModel:
     """First-order RC model of the DRAM cell/bitline voltage.
 
-    Parameters
-    ----------
-    v_nominal:
-        The nominal (accurate-DRAM) supply voltage, 1.35 V for LPDDR3.
-    tau_activate_ns:
-        Restore time constant at nominal voltage.  The default is
-        calibrated so the ready-to-access crossing at nominal voltage
-        lands near the JEDEC tRCD of LPDDR3-1600.
-    tau_precharge_ns:
-        Equalisation time constant at nominal voltage.
-    drive_exponent:
-        ``alpha`` in ``tau(Vs) = tau0 * (Vnom/Vs)**alpha``; models the
-        sense amplifier slowing down at reduced voltage.
+    ``v_nominal`` is the nominal (accurate-DRAM) supply voltage, 1.35 V
+    for LPDDR3; the time constants at that voltage are
+    :data:`TAU_ACTIVATE_NS` and :data:`TAU_PRECHARGE_NS`, and they grow
+    with :data:`DRIVE_EXPONENT` as the supply shrinks.
     """
 
-    def __init__(
-        self,
-        v_nominal: float = 1.35,
-        tau_activate_ns: float = 12.0,
-        tau_precharge_ns: float = 5.5,
-        drive_exponent: float = 2.0,
-    ):
+    def __init__(self, v_nominal: float = 1.35):
         if v_nominal <= 0:
             raise ValueError(f"v_nominal must be > 0, got {v_nominal}")
-        if tau_activate_ns <= 0 or tau_precharge_ns <= 0:
-            raise ValueError("time constants must be > 0")
         self.v_nominal = v_nominal
-        self.tau_activate_ns = tau_activate_ns
-        self.tau_precharge_ns = tau_precharge_ns
-        self.drive_exponent = drive_exponent
 
     # ------------------------------------------------------------------
     # time constants
@@ -108,12 +98,12 @@ class ArrayVoltageModel:
     def tau_activate(self, v_supply: float) -> float:
         """Restore time constant at the given supply voltage (ns)."""
         self._check_supply(v_supply)
-        return self.tau_activate_ns * (self.v_nominal / v_supply) ** self.drive_exponent
+        return TAU_ACTIVATE_NS * (self.v_nominal / v_supply) ** DRIVE_EXPONENT
 
     def tau_precharge(self, v_supply: float) -> float:
         """Equalisation time constant at the given supply voltage (ns)."""
         self._check_supply(v_supply)
-        return self.tau_precharge_ns * (self.v_nominal / v_supply) ** self.drive_exponent
+        return TAU_PRECHARGE_NS * (self.v_nominal / v_supply) ** DRIVE_EXPONENT
 
     # ------------------------------------------------------------------
     # waveforms
@@ -167,7 +157,7 @@ class ArrayVoltageModel:
         All three crossing times scale by the same ``(Vnom/Vs)**alpha``
         factor, so a single derating factor captures the timing impact.
         """
-        return (self.v_nominal / v_supply) ** self.drive_exponent
+        return (self.v_nominal / v_supply) ** DRIVE_EXPONENT
 
     # ------------------------------------------------------------------
     # full transient for Figs. 2(d) and 6

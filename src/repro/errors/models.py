@@ -17,7 +17,10 @@ but with a different spatial structure:
 
 SparkXD itself uses Model-0 (fast software injection, good approximation
 of the others — Section III), but all four are implemented so the
-ablation benchmark can compare them.
+ablation benchmark can compare them.  Each model is fixed: its
+structure's lognormal spread (``sigma``), the seed of its per-line
+severities (0) and the 1-to-0 failure ratio
+(:data:`ONE_TO_ZERO_RATIO`) are constants of the model, not options.
 
 Every model receives a :class:`BitContext` describing the bits of one
 *region* that shares a base error rate (in practice: the bits mapped to
@@ -34,6 +37,10 @@ import mmap
 import numpy as np
 
 from repro.registry import Registry
+
+#: How much likelier a bit holding 1 fails than a bit holding 0 (the
+#: true-cell vs anti-cell asymmetry of Model-3 and the EDEN model).
+ONE_TO_ZERO_RATIO = 4.0
 
 
 class BitContext:
@@ -173,27 +180,26 @@ class _StructuredModel(ErrorModel):
     """Shared machinery for per-bitline / per-wordline severity.
 
     Severity factors for each structural unit are drawn per unit id from
-    a deterministic per-model stream, then normalised so the *mean*
-    error rate stays equal to the base rate (the structure redistributes
-    errors, it does not add them); they are memoized per geometry.
+    a deterministic stream (seed 0) with log-space spread :attr:`sigma`,
+    then normalised so the *mean* error rate stays equal to the base
+    rate (the structure redistributes errors, it does not add them);
+    they are memoized per geometry.
     Thinning draws Binomial(n_bits, p_max) candidates and accepts each
     with probability ``p / p_max``: ``p_max`` is a maximum over the (line,
     stored value) pairs that occur, and ``p`` is evaluated at candidates.
     """
 
-    def __init__(self, sigma: float = 1.0, structure_seed: int = 0):
-        if sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {sigma}")
-        self.sigma = sigma
-        self.structure_seed = structure_seed
+    sigma = 1.0
+
+    def __init__(self):
         self._factor_memo: dict = {}
 
     def _line_factors(self, context: BitContext, name: str) -> np.ndarray:
         """Severity per line id, normalised to a per-bit mean of 1."""
-        key = (name, context.n_bits, context.span(name), self.sigma, self.structure_seed)
+        key = (name, context.n_bits, context.span(name))
         factors = self._factor_memo.get(key)
         if factors is None:
-            rng = np.random.default_rng(self.structure_seed)
+            rng = np.random.default_rng(0)
             # Draw enough factors to cover the largest unit id seen.
             factors = rng.lognormal(mean=0.0, sigma=self.sigma, size=context.n_lines(name))
             mean = context.line_mean(name, factors)
@@ -244,22 +250,17 @@ class ErrorModel2(_StructuredModel):
 class ErrorModel3(ErrorModel):
     """Data-dependent errors: ``1`` bits and ``0`` bits fail differently.
 
-    ``one_to_zero_ratio`` is the relative failure likelihood of a bit
-    holding 1 versus a bit holding 0.  Rates are scaled so that the
-    overall expected BER equals the base rate on balanced data.
+    A bit holding 1 is :data:`ONE_TO_ZERO_RATIO` times likelier to fail
+    than a bit holding 0.  Rates are scaled so that the overall expected
+    BER equals the base rate on balanced data.
     """
 
     name = "model3"
 
-    def __init__(self, one_to_zero_ratio: float = 4.0):
-        if one_to_zero_ratio <= 0:
-            raise ValueError(f"ratio must be > 0, got {one_to_zero_ratio}")
-        self.one_to_zero_ratio = one_to_zero_ratio
-
     def sample_flips(self, context: BitContext, rng: np.random.Generator) -> np.ndarray:
         if context.n_bits == 0 or context.base_rate <= 0:
             return np.empty(0, dtype=np.int64)
-        r = self.one_to_zero_ratio
+        r = ONE_TO_ZERO_RATIO
         p_one = min(1.0, context.base_rate * 2.0 * r / (r + 1.0))
         p_zero = min(1.0, context.base_rate * 2.0 / (r + 1.0))
         values = context.values
@@ -278,26 +279,17 @@ class ErrorModelEden(_StructuredModel):
     combines *both* spatial structure (weak rows concentrate failures)
     and data dependence (true-cells holding ``1`` fail more often than
     anti-cells holding ``0``).  This model composes Model-2's
-    per-wordline lognormal severity with Model-3's value asymmetry,
-    normalised so the expected BER on balanced data stays at the base
-    rate — structure redistributes errors, it does not add them.
+    per-wordline lognormal severity (a milder spread, ``sigma`` 0.6)
+    with Model-3's value asymmetry, normalised so the expected BER on
+    balanced data stays at the base rate — structure redistributes
+    errors, it does not add them.
     """
 
     name = "eden"
-
-    def __init__(
-        self,
-        sigma: float = 0.6,
-        structure_seed: int = 0,
-        one_to_zero_ratio: float = 4.0,
-    ):
-        super().__init__(sigma=sigma, structure_seed=structure_seed)
-        if one_to_zero_ratio <= 0:
-            raise ValueError(f"ratio must be > 0, got {one_to_zero_ratio}")
-        self.one_to_zero_ratio = one_to_zero_ratio
+    sigma = 0.6
 
     def sample_flips(self, context: BitContext, rng: np.random.Generator) -> np.ndarray:
-        r = self.one_to_zero_ratio
+        r = ONE_TO_ZERO_RATIO
         return self._structured_flips(
             context, "wordline_of", rng, value_factors=(2.0 / (r + 1.0), 2.0 * r / (r + 1.0))
         )
@@ -314,9 +306,9 @@ ERROR_MODELS.register("model3", ErrorModel3, aliases=("data-dependent",))
 ERROR_MODELS.register("eden", ErrorModelEden, aliases=("model4", "eden-composite"))
 
 
-def make_error_model(name: str, **kwargs) -> ErrorModel:
+def make_error_model(name: str) -> ErrorModel:
     """Construct an error model by its paper name ('model0' … 'model3')."""
     key = name.lower().replace("-", "").replace("_", "").replace("errormodel", "model")
     if key not in ERROR_MODELS:
         key = name
-    return ERROR_MODELS.get(key)(**kwargs)
+    return ERROR_MODELS.get(key)()

@@ -19,11 +19,9 @@ from repro.lint.base import (
     Checker,
     ParseFailure,
     SourceModule,
-    load_project,
     load_source_module,
 )
 from repro.lint.findings import (
-    Baseline,
     Finding,
     GATING_SEVERITIES,
     SEVERITIES,
@@ -39,7 +37,6 @@ from repro.lint.wire import ProtocolConsistencyChecker
 from repro.lint.workspace import WorkspaceDisciplineChecker
 
 __all__ = [
-    "Baseline",
     "Checker",
     "Finding",
     "FingerprintCompletenessChecker",
@@ -56,7 +53,6 @@ __all__ = [
     "WorkspaceDisciplineChecker",
     "default_checkers",
     "is_suppressed",
-    "load_project",
     "load_source_module",
     "parse_suppressions",
     "run_lint",

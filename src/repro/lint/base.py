@@ -11,7 +11,7 @@ import abc
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Union
 
 from repro.lint.findings import Finding, parse_suppressions
 
@@ -68,15 +68,6 @@ def iter_python_files(root: Union[str, Path]) -> Iterator[Path]:
         yield root
         return
     yield from sorted(root.rglob("*.py"))
-
-
-def load_project(
-    root: Union[str, Path], paths: Optional[Iterable[Union[str, Path]]] = None
-) -> List[SourceModule]:
-    """Parse every python file under ``root`` (or just ``paths``)."""
-    root = Path(root)
-    files = [Path(p) for p in paths] if paths is not None else iter_python_files(root)
-    return [load_source_module(path, root) for path in files]
 
 
 class Checker(abc.ABC):
@@ -159,6 +150,5 @@ __all__ = [
     "const_str",
     "enclosing_symbols",
     "iter_python_files",
-    "load_project",
     "load_source_module",
 ]

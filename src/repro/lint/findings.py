@@ -1,36 +1,29 @@
-"""Finding records, suppression comments and the committed baseline.
+"""Finding records and suppression comments.
 
 A :class:`Finding` is one rule violation anchored to a file and line.
 Its :attr:`~Finding.identity` deliberately excludes the line number, so
-a baseline entry survives unrelated edits that shift code around; two
-findings with the same identity on one file are disambiguated by an
-occurrence counter, never by position.
+reports of two revisions can be compared across edits that shift code
+around.
 
 Suppression is per line: a violation whose line carries a
 ``# lint: disable=RULE`` (or ``disable=RULE1,RULE2``, or
-``disable=all``) comment is dropped before reporting.  The baseline
-file is the *bulk* form of the same idea — a committed JSON list of
-finding identities that are accepted for now; ``repro lint --check``
-fails only on findings *not* in it.
+``disable=all``) comment is dropped before reporting.  That comment is
+the one way to accept a finding; ``repro lint --check`` fails on every
+other error or warning.
 """
 
 from __future__ import annotations
 
-import json
 import re
-from collections import Counter
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Set, Tuple
 
 #: Severity ladder, most severe first.  ``error`` and ``warning``
 #: findings gate ``--check``; ``info`` findings are advisory only.
 SEVERITIES = ("error", "warning", "info")
 
-#: Severities that fail a ``--check`` run when not baselined.
+#: Severities that fail a ``--check`` run.
 GATING_SEVERITIES = frozenset({"error", "warning"})
-
-BASELINE_VERSION = 1
 
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*disable=([A-Za-z0-9_,\- ]+)")
 
@@ -45,7 +38,7 @@ class Finding:
     line: int
     message: str
     #: Stable anchor within the file (``Class.method``, op name, …) —
-    #: part of the identity so baselines survive line-number churn.
+    #: part of the identity, which survives line-number churn.
     symbol: str = ""
 
     def __post_init__(self) -> None:
@@ -56,7 +49,7 @@ class Finding:
 
     @property
     def identity(self) -> str:
-        """Line-free identity used by suppression baselines."""
+        """Line-free identity: path, rule, symbol and message."""
         return f"{self.path}::{self.rule}::{self.symbol}::{self.message}"
 
     @property
@@ -116,55 +109,7 @@ def is_suppressed(finding: Finding, suppressions: Dict[int, Set[str]]) -> bool:
     return finding.rule in rules or "all" in rules
 
 
-# ----------------------------------------------------------------------
-# Baseline file.
-
-
-@dataclass
-class Baseline:
-    """Accepted finding identities (a multiset: duplicates count)."""
-
-    identities: Counter = field(default_factory=Counter)
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "Baseline":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(payload, dict) or "findings" not in payload:
-            raise ValueError(
-                f"baseline {path} is not a lint baseline "
-                "(expected a JSON object with a 'findings' list)"
-            )
-        return cls(identities=Counter(str(i) for i in payload["findings"]))
-
-    @classmethod
-    def from_findings(cls, findings: Iterable[Finding]) -> "Baseline":
-        return cls(identities=Counter(f.identity for f in findings))
-
-    def write(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        payload = {
-            "version": BASELINE_VERSION,
-            "findings": sorted(self.identities.elements()),
-        }
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        return path
-
-    def new_findings(self, findings: Sequence[Finding]) -> List[Finding]:
-        """The findings not covered by this baseline (multiset diff)."""
-        budget = Counter(self.identities)
-        fresh: List[Finding] = []
-        for finding in sorted(findings, key=Finding.sort_key):
-            if budget[finding.identity] > 0:
-                budget[finding.identity] -= 1
-            else:
-                fresh.append(finding)
-        return fresh
-
-
 __all__ = [
-    "Baseline",
     "Finding",
     "GATING_SEVERITIES",
     "SEVERITIES",

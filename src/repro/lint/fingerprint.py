@@ -46,32 +46,21 @@ class FingerprintCompletenessChecker(Checker):
         "appear in the stage's `fields` fingerprint tuple"
     )
 
-    def __init__(
-        self,
-        config_fields: Optional[Set[str]] = None,
-        config_module_suffix: str = "core/config.py",
-        config_class: str = "SparkXDConfig",
-    ):
-        #: Known config dataclass fields.  Reads of other attribute
-        #: names (helper methods, derived properties) are ignored.  When
-        #: ``None``, the set is parsed from ``config_module_suffix`` /
-        #: ``config_class`` in the scanned tree.
-        self.config_fields = config_fields
-        self.config_module_suffix = config_module_suffix
-        self.config_class = config_class
-
-    # ------------------------------------------------------------------
     def check_project(self, modules: Sequence[SourceModule]) -> Iterator[Finding]:
-        fields = self.config_fields or self._discover_config_fields(modules)
+        fields = self._discover_config_fields(modules)
         for module in modules:
             yield from self._check_module(module, fields)
 
-    def _discover_config_fields(self, modules) -> Optional[Set[str]]:
+    @staticmethod
+    def _discover_config_fields(modules) -> Optional[Set[str]]:
+        """The ``SparkXDConfig`` dataclass fields parsed from the scanned
+        tree's ``core/config.py``.  Reads of other attribute names
+        (helper methods, derived properties) are ignored."""
         for module in modules:
-            if not module.relpath.endswith(self.config_module_suffix):
+            if not module.relpath.endswith("core/config.py"):
                 continue
             for node in ast.walk(module.tree):
-                if isinstance(node, ast.ClassDef) and node.name == self.config_class:
+                if isinstance(node, ast.ClassDef) and node.name == "SparkXDConfig":
                     return {
                         child.target.id
                         for child in node.body

@@ -1,4 +1,4 @@
-"""Run the checkers over a tree and fold in suppressions + baseline."""
+"""Run the checkers over a tree and fold in suppressions."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from repro.lint.base import (
     iter_python_files,
     load_source_module,
 )
-from repro.lint.findings import Baseline, Finding, is_suppressed
+from repro.lint.findings import Finding, is_suppressed
 from repro.lint.fingerprint import FingerprintCompletenessChecker
 from repro.lint.locks import LockDisciplineChecker
 from repro.lint.logdiscipline import LogDisciplineChecker
@@ -21,7 +21,7 @@ from repro.lint.wire import ProtocolConsistencyChecker
 from repro.lint.workspace import WorkspaceDisciplineChecker
 
 #: JSON report schema version (bump on breaking shape changes).
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def default_checkers() -> Tuple[Checker, ...]:
@@ -45,15 +45,12 @@ class LintReport:
     rules: Tuple[str, ...]
     #: Findings that survived suppression comments, sorted by severity.
     findings: List[Finding] = field(default_factory=list)
-    #: Subset of :attr:`findings` not covered by the baseline.
-    new_findings: List[Finding] = field(default_factory=list)
     suppressed: int = 0
-    baseline_path: Optional[str] = None
 
     @property
     def gating(self) -> List[Finding]:
-        """The new error/warning findings that fail a ``--check`` run."""
-        return [f for f in self.new_findings if f.gating]
+        """The error/warning findings that fail a ``--check`` run."""
+        return [f for f in self.findings if f.gating]
 
     @property
     def ok(self) -> bool:
@@ -80,37 +77,27 @@ class LintReport:
             "counts_by_rule": self.counts_by_rule(),
             "counts_by_severity": self.counts_by_severity(),
             "total": len(self.findings),
-            "new": len(self.new_findings),
             "gating": len(self.gating),
             "suppressed": self.suppressed,
-            "baseline": self.baseline_path,
             "ok": self.ok,
             "findings": [f.to_dict() for f in self.findings],
-            "new_findings": [f.identity for f in self.new_findings],
         }
 
 
 def run_lint(
-    root: Union[str, Path],
-    checkers: Optional[Sequence[Checker]] = None,
-    baseline: Optional[Union[str, Path, Baseline]] = None,
-    paths: Optional[Sequence[Union[str, Path]]] = None,
+    root: Union[str, Path], checkers: Optional[Sequence[Checker]] = None
 ) -> LintReport:
-    """Lint every python file under ``root`` (or just ``paths``).
+    """Lint every python file under ``root``.
 
-    Suppression comments are applied first (those findings vanish into
-    the ``suppressed`` count), then the baseline splits what remains
-    into known and new.  Parse failures become findings themselves
+    Findings on a line with a suppression comment vanish into the
+    ``suppressed`` count.  Parse failures become findings themselves
     (rule ``parse-error``) rather than aborting the pass.
     """
     root = Path(root)
     checkers = tuple(checkers) if checkers is not None else default_checkers()
     modules = []
     findings: List[Finding] = []
-    files = (
-        [Path(p) for p in paths] if paths is not None else iter_python_files(root)
-    )
-    for file_path in files:
+    for file_path in iter_python_files(root):
         try:
             modules.append(load_source_module(file_path, root))
         except ParseFailure as failure:
@@ -136,24 +123,12 @@ def run_lint(
             kept.append(finding)
     kept.sort(key=Finding.sort_key)
 
-    baseline_path: Optional[str] = None
-    if isinstance(baseline, Baseline):
-        resolved = baseline
-    elif baseline is not None:
-        baseline_path = str(baseline)
-        resolved = Baseline.load(baseline)
-    else:
-        resolved = Baseline()
-    new = resolved.new_findings(kept)
-
     return LintReport(
         root=str(root),
         files_scanned=len(modules),
         rules=tuple(c.rule for c in checkers),
         findings=kept,
-        new_findings=new,
         suppressed=suppressed,
-        baseline_path=baseline_path,
     )
 
 

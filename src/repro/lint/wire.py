@@ -42,18 +42,10 @@ class ProtocolConsistencyChecker(Checker):
         "every row must have an in-tree emitter and a _route_ handler"
     )
 
-    def __init__(
-        self,
-        emitter_dir: str = "cluster/",
-        http_suffix: str = "cluster/http_api.py",
-    ):
-        self.emitter_dir = emitter_dir
-        self.http_suffix = http_suffix
-
     # ------------------------------------------------------------------
     def check_project(self, modules: Sequence[SourceModule]) -> Iterator[Finding]:
         route_modules = [
-            m for m in modules if m.relpath.endswith(self.http_suffix)
+            m for m in modules if m.relpath.endswith("cluster/http_api.py")
         ]
         if not route_modules:
             return
@@ -64,7 +56,7 @@ class ProtocolConsistencyChecker(Checker):
                 routes.setdefault(key, []).append((module, line, handler))
         emitted: Dict[Tuple[str, str], List[Tuple[SourceModule, int, str]]] = {}
         for module in modules:
-            if self.emitter_dir not in module.relpath:
+            if "cluster/" not in module.relpath:
                 continue
             for method, path, line, symbol in _emitted_http_requests(module.tree):
                 key = (method.upper(), _normalize_http_path(path))

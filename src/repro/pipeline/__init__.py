@@ -20,9 +20,6 @@ Staged usage::
         {"voltages": [(1.325,), (1.175,), (1.025,)],
          "mapping_policy": ["sparkxd", "baseline"]}
     )
-
-The classic ``SparkXD(config).run()`` facade produces byte-identical
-results at the same seed and accepts the same ``store``.
 """
 
 from repro.pipeline.artifacts import (
@@ -36,7 +33,6 @@ from repro.pipeline.stages import (
     DramEvalStage,
     ExperimentPipeline,
     FaultAwareTrainStage,
-    PIPELINE_STAGES,
     Stage,
     StageContext,
     ToleranceStage,
@@ -62,7 +58,6 @@ __all__ = [
     "DramEvalStage",
     "ExperimentPipeline",
     "FaultAwareTrainStage",
-    "PIPELINE_STAGES",
     "PruneReport",
     "Runner",
     "RunRecord",

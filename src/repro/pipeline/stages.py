@@ -15,10 +15,8 @@ cached artifact, including its recorded RNG state.
 
 :class:`ExperimentPipeline` executes the stages in order against an
 :class:`~repro.pipeline.store.ArtifactStore`, skipping any stage whose
-artifact is already cached, and assembles the classic
-:class:`~repro.core.results.SparkXDResult`.  Running the staged
-pipeline with a fixed seed is byte-identical to the pre-redesign
-monolithic ``SparkXD.run()``.
+artifact is already cached, and assembles the
+:class:`~repro.core.results.SparkXDResult`.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from repro.pipeline.artifacts import (
     TrainingArtifact,
 )
 from repro.pipeline.store import MISS, ArtifactStore, config_fingerprint
-from repro.registry import Registry
 from repro.rng import restored_rng
 from repro.snn.quantization import make_representation
 from repro.telemetry import timed_span
@@ -136,12 +133,6 @@ class Stage(abc.ABC):
         return f"{type(self).__name__}({self.name!r})"
 
 
-#: Registry of stages; external scenarios may register replacements or
-#: additional stages and pass a custom chain to ExperimentPipeline.
-PIPELINE_STAGES = Registry("pipeline stage")
-
-
-@PIPELINE_STAGES.register("train-baseline")
 class TrainBaselineStage(Stage):
     """Step 1: train the error-free baseline SNN (``model0``)."""
 
@@ -168,7 +159,6 @@ class TrainBaselineStage(Stage):
         return BaselineArtifact(model=model, rng_state=rng.bit_generator.state)
 
 
-@PIPELINE_STAGES.register("fault-aware-train")
 class FaultAwareTrainStage(Stage):
     """Step 2: Algorithm 1 — progressive fault-aware fine-tuning."""
 
@@ -197,7 +187,6 @@ class FaultAwareTrainStage(Stage):
         return TrainingArtifact(training=training, rng_state=rng.bit_generator.state)
 
 
-@PIPELINE_STAGES.register("tolerance-analysis")
 class ToleranceStage(Stage):
     """Step 3: find the maximum tolerable BER (Section IV-C)."""
 
@@ -226,7 +215,6 @@ class ToleranceStage(Stage):
         return ToleranceArtifact(report=report, rng_state=rng.bit_generator.state)
 
 
-@PIPELINE_STAGES.register("dram-eval")
 class DramEvalStage(Stage):
     """Step 4: DRAM mapping + trace execution at every voltage."""
 

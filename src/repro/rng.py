@@ -30,17 +30,17 @@ DEFAULT_SEED = 0
 
 def ensure_rng(
     rng: Optional[Union[np.random.Generator, int]] = None,
-    seed: int = DEFAULT_SEED,
 ) -> np.random.Generator:
-    """Return ``rng`` as a Generator, else a generator seeded ``seed``.
+    """Return ``rng`` as a Generator, else one seeded :data:`DEFAULT_SEED`.
 
     Accepts an existing :class:`numpy.random.Generator` (returned
-    as-is), an integer seed, or ``None`` (seeded with ``seed``).
+    as-is), an integer seed, or ``None`` (seeded with
+    :data:`DEFAULT_SEED`).
     """
     if isinstance(rng, np.random.Generator):
         return rng
     if rng is None:
-        return np.random.default_rng(seed)
+        return np.random.default_rng(DEFAULT_SEED)
     return np.random.default_rng(rng)
 
 

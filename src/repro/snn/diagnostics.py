@@ -85,14 +85,13 @@ def _gini(values: np.ndarray) -> float:
 def check_training_health(
     network: DiehlCookNetwork,
     probe_images: np.ndarray,
-    n_steps: int = 60,
     rng: Optional[np.random.Generator] = None,
 ) -> TrainingHealth:
     """Probe a network with a handful of samples and score its health.
 
     ``probe_images`` should be a small (10-30 sample) slice of the
-    training set; the probe is inference-only and leaves the network's
-    long-term state untouched.
+    training set, each presented for 60 steps; the probe is
+    inference-only and leaves the network's long-term state untouched.
     """
     from repro.engine import BatchedEvaluator
 
@@ -100,7 +99,7 @@ def check_training_health(
         raise ValueError("need at least one probe image")
     rng = ensure_rng(rng)
     counts = BatchedEvaluator.for_network(network).spike_counts(
-        probe_images, n_steps, rng, weights=network.weights
+        probe_images, 60, rng, weights=network.weights
     )
 
     per_neuron = counts.sum(axis=0).astype(np.float64)

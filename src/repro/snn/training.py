@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.datasets.base import N_CLASSES
 from repro.snn.network import DiehlCookNetwork
 from repro.snn.stdp import normalize_columns
 
@@ -55,10 +56,9 @@ class TrainedModel:
         network.theta = np.asarray(self.theta, dtype=network.dtype).copy()
 
 
-def assign_labels(
-    spike_counts: np.ndarray, labels: np.ndarray, n_classes: int = 10
-) -> np.ndarray:
-    """Assign each neuron the class it fires for most, on average.
+def assign_labels(spike_counts: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Assign each neuron the class (of :data:`N_CLASSES`) it fires for
+    most, on average.
 
     Neurons that never fire get assignment ``-1`` and never vote.
     """
@@ -66,8 +66,8 @@ def assign_labels(
     if spike_counts.shape[0] != labels.shape[0]:
         raise ValueError("one label per response row required")
     n_neurons = spike_counts.shape[1]
-    mean_rates = np.zeros((n_classes, n_neurons))
-    for cls in range(n_classes):
+    mean_rates = np.zeros((N_CLASSES, n_neurons))
+    for cls in range(N_CLASSES):
         rows = spike_counts[labels == cls]
         if len(rows):
             mean_rates[cls] = rows.mean(axis=0)
@@ -77,16 +77,14 @@ def assign_labels(
     return assignments
 
 
-def predict(
-    spike_counts: np.ndarray, assignments: np.ndarray, n_classes: int = 10
-) -> np.ndarray:
+def predict(spike_counts: np.ndarray, assignments: np.ndarray) -> np.ndarray:
     """Predict the class whose assigned neurons spiked most per sample.
 
     Votes are normalised by the number of neurons assigned to each class
     so that over-represented classes do not dominate.
     """
-    votes = np.zeros((spike_counts.shape[0], n_classes))
-    for cls in range(n_classes):
+    votes = np.zeros((spike_counts.shape[0], N_CLASSES))
+    for cls in range(N_CLASSES):
         members = assignments == cls
         n = int(members.sum())
         if n:

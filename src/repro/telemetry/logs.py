@@ -68,7 +68,6 @@ def get_logger(name: str) -> logging.Logger:
 def configure_telemetry(
     level: Optional[str] = None,
     trace_path: Optional[str] = None,
-    stream: Any = None,
 ) -> None:
     """Shared entrypoint behind the ``--log-level`` / ``--trace`` flags.
 
@@ -86,7 +85,7 @@ def configure_telemetry(
         for handler in list(root.handlers):
             if handler.get_name() == _HANDLER_NAME:
                 root.removeHandler(handler)
-        handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+        handler = logging.StreamHandler(sys.stderr)
         handler.set_name(_HANDLER_NAME)
         handler.setFormatter(JsonLineFormatter())
         root.addHandler(handler)

@@ -291,8 +291,8 @@ class adopt_context:
         _tls.remote = self._prior
 
 
-def open_spans(limit: int = 5) -> List[Dict[str, Any]]:
-    """The oldest currently-open spans as ``{"name", "age_s"}`` rows.
+def open_spans() -> List[Dict[str, Any]]:
+    """The five oldest currently-open spans as ``{"name", "age_s"}`` rows.
 
     This is the "slowest open spans" feed for worker telemetry
     snapshots and ``repro cluster status`` — a span that has been open for
@@ -304,7 +304,7 @@ def open_spans(limit: int = 5) -> List[Dict[str, Any]]:
         entries = [(name, now - t0) for (name, t0) in _open.values()]
     entries.sort(key=lambda item: -item[1])
     return [
-        {"name": name, "age_s": round(age, 3)} for name, age in entries[:limit]
+        {"name": name, "age_s": round(age, 3)} for name, age in entries[:5]
     ]
 
 

@@ -23,7 +23,7 @@ nest), so tests can check that arithmetic against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.dram.commands import AccessCondition, CommandKind
@@ -37,7 +37,7 @@ RowKey = Tuple[int, int, int, int, int, int]
 
 #: A module with two of every level, so every step of
 #: :func:`coordinate_of`'s divmod chain moves the coordinate.
-MULTI_CHIP_SPEC = tiny_spec("multi-chip-test").scaled(
+MULTI_CHIP_SPEC = replace(tiny_spec(), name="multi-chip-test").scaled(
     channels=2,
     ranks_per_channel=2,
     chips_per_rank=2,

@@ -36,6 +36,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.errors.injection import ErrorInjector, InjectionReport
+from repro.errors.models import ONE_TO_ZERO_RATIO
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ def reference_binomial_positions(n_bits, rate, rng):
 
 def reference_unit_factors(model, unit_ids):
     """Deterministic lognormal severity per structural unit id."""
-    rng = np.random.default_rng(model.structure_seed)
+    rng = np.random.default_rng(0)
     # Draw enough factors to cover the largest unit id seen.
     factors = rng.lognormal(mean=0.0, sigma=model.sigma, size=int(unit_ids.max()) + 1)
     per_bit = factors[unit_ids]
@@ -97,7 +98,7 @@ def _reference_model3(model, context, rng):
         raise ValueError("ErrorModel3 requires BitContext.values")
     if context.n_bits == 0 or context.base_rate <= 0:
         return np.empty(0, dtype=np.int64)
-    r = model.one_to_zero_ratio
+    r = ONE_TO_ZERO_RATIO
     p_one = min(1.0, context.base_rate * 2.0 * r / (r + 1.0))
     p_zero = min(1.0, context.base_rate * 2.0 / (r + 1.0))
     ones = np.flatnonzero(context.values != 0)
@@ -115,7 +116,7 @@ def _reference_eden(model, context, rng):
         raise ValueError("ErrorModelEden requires BitContext.values")
     if context.n_bits == 0 or context.base_rate <= 0:
         return np.empty(0, dtype=np.int64)
-    r = model.one_to_zero_ratio
+    r = ONE_TO_ZERO_RATIO
     value_factor = np.where(
         context.values != 0, 2.0 * r / (r + 1.0), 2.0 / (r + 1.0)
     )

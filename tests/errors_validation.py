@@ -104,8 +104,9 @@ def data_dependence_ratio(
 ) -> float:
     """Observed failure-rate ratio of 1-bits to 0-bits.
 
-    ~1 for data-independent models; matches the configured
-    ``one_to_zero_ratio`` (in expectation) for Model-3.
+    ~1 for data-independent models; matches
+    :data:`~repro.errors.models.ONE_TO_ZERO_RATIO` (in expectation) for
+    Model-3.
     """
     if flips.size == 0:
         raise ValueError("need at least one flip")

@@ -66,11 +66,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.core.fault_aware_training import (
-    FINE_TUNING_STDP,
-    FaultAwareTrainingResult,
-    default_ber_schedule,
-)
+from repro.core.fault_aware_training import FINE_TUNING_STDP, FaultAwareTrainingResult
 from repro.engine import BatchedEvaluator, BatchedTrainer
 from repro.engine.encoding import encode_spike_trains
 from repro.engine.trainer import StageEncodingCache
@@ -565,7 +561,7 @@ def reference_improve_error_tolerance(
     baseline,
     dataset,
     injector,
-    rates=default_ber_schedule(),
+    rates,
     epochs_per_rate=1,
     n_steps=100,
     accuracy_bound=0.01,

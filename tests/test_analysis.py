@@ -15,17 +15,14 @@ from repro.analysis.reporting import format_percent_row, format_table
 
 class TestWorkload:
     def test_for_network_counts(self):
-        w = SNNWorkload.for_network(
-            n_input=10, n_neurons=5, n_steps=100, input_rate=0.1, output_rate=0.1
-        )
-        assert w.synaptic_ops == 10 * 100 * 0.1 * 5
-        assert w.weight_bits_fetched == 10 * 5 * 32
+        w = SNNWorkload.for_network(n_input=100, n_neurons=50, n_steps=100)
+        assert w.synaptic_ops == 100 * 100 * 0.05 * 50
+        assert w.spike_events == 100 * 100 * 0.05 + 50 * 100 * 0.02
+        assert w.weight_bits_fetched == 100 * 50 * 32
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SNNWorkload(synaptic_ops=-1, spike_events=0, weight_bits_fetched=0)
-        with pytest.raises(ValueError):
-            SNNWorkload.for_network(10, 5, 10, input_rate=1.5)
 
 
 class TestPlatforms:

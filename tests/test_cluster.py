@@ -26,6 +26,8 @@ from repro.cluster import (
     WorkerAgent,
     parse_address,
 )
+from repro.cluster.executor import LOCAL_POLL_S
+from repro.cluster.protocol import is_loopback_host
 from repro.pipeline import ArtifactStore, Runner, default_stages
 
 TINY = SparkXDConfig.small(
@@ -67,6 +69,22 @@ class TestProtocol:
         # format/parse round trip, v4 and v6
         for addr in (("10.0.0.1", 8752), ("2001:db8::1", 9000)):
             assert parse_address(format_address(addr)) == addr
+
+    @pytest.mark.parametrize(
+        "host, loopback",
+        [
+            ("127.0.0.1", True),
+            ("127.8.9.10", True),  # all of 127.0.0.0/8
+            ("::1", True),
+            ("localhost", True),
+            ("0.0.0.0", False),  # wildcard binds reach other hosts
+            ("::", False),
+            ("192.0.2.7", False),
+            ("example.org", False),
+        ],
+    )
+    def test_is_loopback_host(self, host, loopback):
+        assert is_loopback_host(host) is loopback
 
     def test_ipv6_bind_serves(self):
         from repro.cluster import format_address
@@ -347,10 +365,11 @@ class TestCoordinatorFaultPaths:
 
 
 class TestWireCache:
-    def test_byte_bounded_lru_eviction(self):
+    def test_byte_bounded_lru_eviction(self, monkeypatch):
         from repro.cluster.http_api import ArtifactEndpoint
 
-        endpoint = ArtifactEndpoint(ArtifactStore(), cache_bytes=100)
+        monkeypatch.setattr("repro.cluster.http_api.WIRE_CACHE_BYTES", 100)
+        endpoint = ArtifactEndpoint(ArtifactStore())
         endpoint._remember(("s", "a"), b"x" * 40)
         endpoint._remember(("s", "b"), b"y" * 40)
         # Served from the cache (the store holds neither); the hit
@@ -362,10 +381,11 @@ class TestWireCache:
         assert list(endpoint._cache) == [("s", "a"), ("s", "c")]
         assert endpoint.cached_bytes <= 100
 
-    def test_oversized_blob_is_not_cached(self):
+    def test_oversized_blob_is_not_cached(self, monkeypatch):
         from repro.cluster.http_api import ArtifactEndpoint
 
-        endpoint = ArtifactEndpoint(ArtifactStore(), cache_bytes=10)
+        monkeypatch.setattr("repro.cluster.http_api.WIRE_CACHE_BYTES", 10)
+        endpoint = ArtifactEndpoint(ArtifactStore())
         endpoint._remember(("s", "big"), b"x" * 100)
         assert endpoint.get("s", "big") is None
         assert endpoint.cached_bytes == 0
@@ -384,7 +404,6 @@ class TestDistributedSweep:
             TINY,
             store=ArtifactStore(),
             lease_timeout=10.0,
-            poll_s=0.05,
             wait_timeout=300.0,
         )
         with contextlib.ExitStack() as stack:
@@ -425,7 +444,7 @@ class TestDistributedSweep:
         import contextlib
 
         executor = ClusterExecutor(
-            TINY, store=store, lease_timeout=10.0, poll_s=0.05, wait_timeout=300.0
+            TINY, store=store, lease_timeout=10.0, wait_timeout=300.0
         )
         agents = []
         with contextlib.ExitStack() as stack:
@@ -460,7 +479,6 @@ class TestDistributedSweep:
                 store=ArtifactStore(),
                 address=address,
                 lease_timeout=10.0,
-                poll_s=0.05,
                 wait_timeout=300.0,
             )
             records = executor.run(GRID)
@@ -482,8 +500,6 @@ class TestDistributedSweep:
             TINY,
             store=ArtifactStore(),
             lease_timeout=10.0,
-            max_attempts=2,
-            poll_s=0.05,
             wait_timeout=120.0,
         )
         with contextlib.ExitStack() as stack:
@@ -495,8 +511,9 @@ class TestDistributedSweep:
                     ),
                 )
 
-    def test_plan_failure_shuts_workers_down_gracefully(self):
+    def test_plan_failure_shuts_workers_down_gracefully(self, monkeypatch):
         """A failed plan must deliver shutdown, not look unreachable."""
+        monkeypatch.setattr("repro.cluster.worker.RETRY_S", 0.05)
         with ExperimentService(
             lease_timeout=5.0, max_attempts=1, poll_s=0.05,
             shutdown_when_idle=True,
@@ -512,7 +529,7 @@ class TestDistributedSweep:
             })
             assert plan.failed  # retry budget (1) exhausted
             agent = WorkerAgent(
-                service.address, max_idle_s=10.0, retry_s=0.05
+                service.address, max_idle_s=10.0
             )
             started = time.monotonic()
             stats = agent.run_forever()
@@ -522,11 +539,12 @@ class TestDistributedSweep:
             assert any("shut the sweep down" in e for e in stats.errors)
             assert not any("unreachable" in e for e in stats.errors)
 
-    def test_worker_gives_up_on_dead_coordinator(self):
+    def test_worker_gives_up_on_dead_coordinator(self, monkeypatch):
+        monkeypatch.setattr("repro.cluster.worker.RETRY_S", 0.05)
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             dead = probe.getsockname()[1]
-        agent = WorkerAgent(("127.0.0.1", dead), max_idle_s=0.3, retry_s=0.05)
+        agent = WorkerAgent(("127.0.0.1", dead), max_idle_s=0.3)
         started = time.monotonic()
         stats = agent.run_forever()
         assert time.monotonic() - started < 5.0
@@ -541,6 +559,33 @@ class TestDistributedSweep:
         records = executor.run(GRID)  # no workers connected at all
         assert records_equivalent(serial_records, records)
         assert executor.last_plan.jobs == {}
+
+    @pytest.mark.parametrize(
+        "host, poll_s",
+        # Off loopback the service default: min(1 s, lease_timeout / 4).
+        [("127.0.0.1", LOCAL_POLL_S), ("localhost", LOCAL_POLL_S), ("0.0.0.0", 1.0)],
+    )
+    def test_service_poll_follows_bind_host(
+        self, serial_sweep, monkeypatch, host, poll_s
+    ):
+        """Workers of a loopback executor are local and re-poll at
+        :data:`LOCAL_POLL_S`; networked ones at the service default."""
+        from repro.cluster import executor as executor_module
+
+        polls = []
+
+        class RecordingService(ExperimentService):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                polls.append(self.poll_s)
+
+        monkeypatch.setattr(executor_module, "ExperimentService", RecordingService)
+        serial_records, serial_store = serial_sweep
+        executor = ClusterExecutor(
+            TINY, store=serial_store, address=(host, 0), wait_timeout=30.0
+        )
+        assert records_equivalent(serial_records, executor.run(GRID))
+        assert polls == [poll_s]
 
     def test_public_worker_bind_keeps_control_plane_on_loopback(
         self, serial_sweep
@@ -680,7 +725,7 @@ class TestDistributionTimeout:
         from repro.cluster import DistributionTimeout
 
         executor = ClusterExecutor(
-            TINY, store=ArtifactStore(), wait_timeout=0.3, poll_s=0.05
+            TINY, store=ArtifactStore(), wait_timeout=0.3
         )
         with pytest.raises(DistributionTimeout) as info:
             executor.run(GRID)
@@ -698,7 +743,6 @@ class TestDistributionTimeout:
             store=ArtifactStore(),
             wait_timeout=0.8,
             lease_timeout=30.0,
-            poll_s=0.05,
         )
 
         def poke(address):
@@ -724,7 +768,7 @@ class TestDistributionTimeout:
             client = ServiceClient(service.address, timeout=5.0)
             client.http_request("POST", "/worker/lease", {"worker": "ghost"})
             with pytest.raises(DistributionTimeout) as info:
-                client.wait(sweep_id, timeout=0.3, poll_s=0.05)
+                client.wait(sweep_id, timeout=0.3)
         error = info.value
         assert "ghost" in error.worker_ages
         assert error.counts["leased"] == 1
@@ -766,7 +810,6 @@ class TestJournalResume:
             TINY,
             store=store2,
             lease_timeout=10.0,
-            poll_s=0.05,
             wait_timeout=300.0,
             journal=journal_path,
             resume=True,
@@ -816,7 +859,6 @@ class TestJournalResume:
             TINY,
             store=store,
             lease_timeout=10.0,
-            poll_s=0.05,
             wait_timeout=300.0,
             journal=journal_path,
         )
@@ -1004,7 +1046,7 @@ class TestWorkerAffinityE2E:
             )
 
         executor = ClusterExecutor(
-            TINY, store=store, lease_timeout=10.0, poll_s=0.05,
+            TINY, store=store, lease_timeout=10.0, 
             wait_timeout=300.0,
         )
         agents = []

@@ -315,7 +315,8 @@ class TestSyncPeerFirst:
                 # A refusal is not a death sentence: the peer stays
                 # dialable for other keys.
                 assert address not in sync.dead_peers
-                assert sync.pull("s", "other", sources=[address])
+                sync.update_sources([["s", "other", [address]]])
+                assert sync.pull("s", "other")
                 assert sync.pulled_bytes_peer > 0
             finally:
                 peer.stop()
@@ -339,18 +340,20 @@ class _FlakyClient:
 
 
 class TestRetryBackoff:
+    @pytest.fixture(autouse=True)
+    def short_backoff(self, monkeypatch):
+        monkeypatch.setattr("repro.cluster.sync.DEFAULT_BACKOFF_S", 0.001)
+
     def test_transient_errors_are_retried(self):
         client = _FlakyClient(failures=2)
-        sync = ArtifactSync(client, ArtifactStore(), backoff_s=0.001)
+        sync = ArtifactSync(client, ArtifactStore())
         assert sync.remote_has([("s", "d")]) == []
         assert client.calls == 3
         assert sync.retries == 2
 
     def test_attempts_are_bounded(self):
         client = _FlakyClient(failures=99)
-        sync = ArtifactSync(
-            client, ArtifactStore(), max_attempts=3, backoff_s=0.001
-        )
+        sync = ArtifactSync(client, ArtifactStore())
         with pytest.raises(OSError):
             sync.remote_has([("s", "d")])
         assert client.calls == 3
@@ -359,7 +362,7 @@ class TestRetryBackoff:
         # A deterministic error reply must surface immediately —
         # retrying it would just repeat the same answer N times.
         client = _FlakyClient(failures=99, error=ServiceError(400, "bad request"))
-        sync = ArtifactSync(client, ArtifactStore(), backoff_s=0.001)
+        sync = ArtifactSync(client, ArtifactStore())
         with pytest.raises(ServiceError):
             sync.remote_has([("s", "d")])
         assert client.calls == 1
@@ -450,9 +453,13 @@ class TestTelemetryWireCompat:
     @staticmethod
     @contextlib.contextmanager
     def _service(trace_context=None):
-        """A live service with one tenant, and a client for it."""
+        """A live service with one tenant submitted under
+        ``trace_context``, and a client for it."""
+        from repro.telemetry import adopt_context
+
         with ExperimentService(lease_timeout=10.0) as service:
-            service.submit(TINY, GRID, trace_context=trace_context)
+            with adopt_context(trace_context):
+                service.submit(TINY, GRID)
             yield service, ServiceClient(service.address)
 
     def test_old_worker_without_telemetry_field_interoperates(self):
@@ -670,7 +677,6 @@ class TestPeerFabricE2E:
             TINY,
             store=ArtifactStore(),
             lease_timeout=10.0,
-            poll_s=0.05,
             wait_timeout=300.0,
         )
         agents = []
@@ -694,12 +700,13 @@ class TestPeerFabricE2E:
         pulled = sum(a.stats.bytes_pulled for a in agents)
         assert pulled == sum(a.stats.bytes_pulled_peer for a in agents)
 
-    def test_downstream_job_pulls_its_chain_from_a_peer(self, serial_sweep):
+    def test_downstream_job_pulls_its_chain_from_a_peer(self, serial_sweep, monkeypatch):
         """The peer path, deterministically: a live peer endpoint holds
         a chain's upstream artifacts (so does the hub) and is registered
         with its holdings; a fresh worker leasing the downstream job is
         pointed at the peer by its grant and pulls every byte from it —
         none from the hub."""
+        monkeypatch.setattr("repro.cluster.worker.RETRY_S", 0.05)
         serial_records, serial_store = serial_sweep
         grid = {"voltages": [(1.325,)]}
         keys = [(stage.name, stage.cache_key(TINY)) for stage in default_stages()[:-1]]
@@ -729,7 +736,7 @@ class TestPeerFabricE2E:
                 service.registry.set_holdings("seeded-peer", keys)
                 agent = RecordingAgent(
                     service.address, name="fresh", max_jobs=1,
-                    max_idle_s=10.0, retry_s=0.05,
+                    max_idle_s=10.0,
                 )
                 assert agent.run_forever().jobs_done == 1
                 hub = service.artifacts.transfer_stats()
@@ -743,11 +750,12 @@ class TestPeerFabricE2E:
         assert peer.artifacts.transfer_stats()["get_count"] == len(keys)
         assert records_equivalent(serial_records[:1], records)
 
-    def test_dead_peer_is_dialled_once_per_agent(self, serial_sweep):
+    def test_dead_peer_is_dialled_once_per_agent(self, serial_sweep, monkeypatch):
         """Two jobs on one agent whose grants name the same unreachable
         peer dial it once: the agent, not each job, remembers it dead.
         Each job pulls its chain afresh (a forgetful local store) and
         the hub serves every byte."""
+        monkeypatch.setattr("repro.cluster.worker.RETRY_S", 0.05)
         serial_records, serial_store = serial_sweep
         keys = [(stage.name, stage.cache_key(TINY)) for stage in default_stages()[:-1]]
         hub_store = ArtifactStore()
@@ -788,7 +796,7 @@ class TestPeerFabricE2E:
                 service.registry.set_holdings("unreachable", keys)
                 agent = ForgetfulAgent(
                     service.address, name="fresh", max_jobs=2,
-                    max_idle_s=10.0, retry_s=0.05,
+                    max_idle_s=10.0,
                 )
                 assert agent.run_forever().jobs_done == 2
                 records = service.results(managed.sweep_id)
@@ -802,11 +810,12 @@ class TestPeerFabricE2E:
         assert agent.stats.bytes_pulled_hub > 0
         assert records_equivalent(serial_records, records)
 
-    def test_loopback_coordinator_peers_listen_on_loopback(self, serial_sweep):
+    def test_loopback_coordinator_peers_listen_on_loopback(self, serial_sweep, monkeypatch):
         """Workers of a loopback coordinator (every local fleet) listen on
         127.0.0.1 only, are advertised there, and still serve pulls: a
         holder agent that leases nothing serves a chain's upstream
         artifacts to a fresh agent running the downstream job."""
+        monkeypatch.setattr("repro.cluster.worker.RETRY_S", 0.05)
         serial_records, serial_store = serial_sweep
         grid = {"voltages": [(1.325,)]}
         keys = [(stage.name, stage.cache_key(TINY)) for stage in default_stages()[:-1]]
@@ -841,7 +850,7 @@ class TestPeerFabricE2E:
                 (job,) = managed.plan.jobs.values()
                 puller = PullingAgent(
                     service.address, name="puller", max_jobs=1,
-                    max_idle_s=10.0, retry_s=0.05,
+                    max_idle_s=10.0,
                 )
                 assert puller.run_forever().jobs_done == 1
                 records = service.results(managed.sweep_id)
@@ -883,7 +892,6 @@ class TestPeerFabricE2E:
             TINY,
             store=hub_store,
             lease_timeout=10.0,
-            poll_s=0.05,
             wait_timeout=300.0,
         )
         agents = []

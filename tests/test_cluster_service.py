@@ -418,9 +418,10 @@ class TestAuthRejection:
         assert "anon" not in after["workers"]
         assert ("s", "d") not in service.store
 
-    def test_peer_endpoint_requires_the_fleet_token(self):
+    def test_peer_endpoint_requires_the_fleet_token(self, monkeypatch):
         """A worker's peer endpoint answers 401 to a tokenless download
         and serves the artifact to a peer holding the fleet token."""
+        monkeypatch.setattr("repro.cluster.worker.RETRY_S", 0.05)
         import pickle
 
         store = ArtifactStore()
@@ -429,7 +430,7 @@ class TestAuthRejection:
         with ExperimentService(token=TOKEN) as service:
             agent = WorkerAgent(
                 service.address, store=store, token=TOKEN, peer_port=port,
-                max_idle_s=5.0, retry_s=0.05,
+                max_idle_s=5.0,
             )
             thread = threading.Thread(target=agent.run_forever, daemon=True)
             thread.start()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from snn_oracle import reference_improve_error_tolerance, reference_train_baseline
 
+from repro.core.config import SparkXDConfig
 from repro.core.fault_aware_training import (
-    default_ber_schedule,
     improve_error_tolerance,
     train_baseline,
 )
@@ -15,26 +15,19 @@ from repro.snn.quantization import Float32Representation
 
 
 class TestSchedule:
+    """The default schedule: ``SparkXDConfig.ber_rates``, which the
+    fault-aware stage hands to :func:`improve_error_tolerance`."""
+
     def test_default_schedule_spans_paper_range(self):
-        rates = default_ber_schedule()
+        rates = SparkXDConfig().ber_rates
         assert rates[0] == pytest.approx(1e-9)
         assert rates[-1] == pytest.approx(1e-3)
 
     def test_geometric_progression(self):
-        rates = default_ber_schedule(1e-8, 1e-4, factor=100.0)
-        assert len(rates) == 3
-        assert rates[1] / rates[0] == pytest.approx(100.0)
-
-    def test_ragged_maximum_included_once(self):
-        rates = default_ber_schedule(1e-6, 5e-4, factor=10.0)
-        assert rates[-1] == pytest.approx(5e-4)
-        assert len(rates) == len(set(rates))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            default_ber_schedule(1e-3, 1e-6)
-        with pytest.raises(ValueError):
-            default_ber_schedule(1e-6, 1e-3, factor=1.0)
+        rates = SparkXDConfig().ber_rates
+        assert len(rates) == 4
+        for low, high in zip(rates, rates[1:]):
+            assert high / low == pytest.approx(100.0)
 
 
 @pytest.fixture(scope="module")

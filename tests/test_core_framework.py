@@ -1,13 +1,13 @@
-"""Tests of the SparkXD orchestrator and its configuration."""
+"""Tests of the SparkXD run configuration, DRAM evaluation and end-to-end run."""
 
 import pytest
 
 from repro.core.config import PAPER_BER_RATES, PAPER_VOLTAGES, SparkXDConfig
 from repro.core.dram_eval import evaluate_dram
-from repro.core.framework import SparkXD
 from repro.core.mapping_policy import baseline_mapping, sparkxd_mapping
 from repro.dram.controller import DramController
 from repro.dram.specs import LPDDR3_1600_4GB
+from repro.pipeline import ExperimentPipeline
 from repro.errors.weak_cells import WeakCellMap
 from repro.snn.network import PAPER_NETWORK_SIZES
 from repro.trace.generator import InferenceTraceSpec, inference_read_trace
@@ -139,7 +139,7 @@ class TestEndToEnd:
             n_train=50, n_test=30, n_neurons=20, n_steps=40,
             baseline_epochs=1, ber_rates=(1e-5, 1e-3), accuracy_bound=0.3,
         )
-        result = SparkXD(config).run()
+        result = ExperimentPipeline(config).run()
         assert 0.0 <= result.baseline_model.accuracy <= 1.0
         assert set(result.outcomes) == set(config.voltages)
         assert result.training.rates == (1e-5, 1e-3)

@@ -6,7 +6,6 @@ from repro.core.config import PAPER_VOLTAGES
 from repro.core.voltage_selection import select_operating_voltage
 from repro.dram.organization import DramOrganization
 from repro.dram.specs import LPDDR3_1600_4GB, tiny_spec
-from repro.errors.weak_cells import WeakCellMap
 
 
 class TestSelection:
@@ -24,7 +23,6 @@ class TestSelection:
         decision = select_operating_voltage(
             LPDDR3_1600_4GB, n_weights=784 * 100, bits_per_weight=32,
             ber_threshold=1e-5,
-            weak_cells=WeakCellMap(DramOrganization(LPDDR3_1600_4GB), sigma=0.0),
         )
         assert decision.v_selected == pytest.approx(1.100)
         rejected_voltages = [v for v, _ in decision.rejected]
@@ -51,21 +49,15 @@ class TestSelection:
         # tiny device, tensor larger than any single safe subarray set
         spec = tiny_spec()
         org = DramOrganization(spec)
-        # all subarrays identical; threshold below the device BER at
-        # every corner except none -> capacity is the binding constraint
-        # when the tensor exceeds total capacity of safe subarrays.
-        weak = WeakCellMap(org, sigma=2.5, seed=0)
         n_weights = org.total_slots  # 32-bit slots, 1 weight per slot
         decision = select_operating_voltage(
-            spec, n_weights=n_weights, bits_per_weight=32,
-            ber_threshold=1e-7, weak_cells=weak,
+            spec, n_weights=n_weights, bits_per_weight=32, ber_threshold=1e-7,
         )
-        # at least one corner must have been rejected for capacity
-        # (with sigma=2.5 some subarrays exceed the threshold), or the
-        # search fell back to nominal entirely.
+        # the device's weak subarrays exceed the threshold below 1.325 V,
+        # and the tensor needs every slot.
         reasons = {reason for _, reason in decision.rejected}
         assert decision.v_selected in (1.35, 1.100, 1.175, 1.250, 1.325)
-        assert reasons <= {"ber", "capacity"}
+        assert reasons == {"capacity"}
 
     def test_validation(self):
         with pytest.raises(ValueError):

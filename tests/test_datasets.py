@@ -10,7 +10,7 @@ from repro.datasets import (
     load_synthetic_mnist,
 )
 from repro.datasets.base import N_PIXELS, augment, build_dataset, render_glyph
-from repro.datasets.synthetic_fashion import CLASS_NAMES, fashion_prototypes
+from repro.datasets.synthetic_fashion import fashion_bitmap, fashion_prototypes
 from repro.datasets.synthetic_mnist import digit_bitmap, digit_prototypes
 
 
@@ -28,12 +28,14 @@ class TestShapesAndRanges:
         assert ds.train_images.min() >= 0.0
         assert ds.train_images.max() <= 1.0
 
-    def test_labels_cover_ten_classes(self):
-        ds = load_synthetic_mnist(100, 50, seed=3)
+    @pytest.mark.parametrize("loader", [load_synthetic_mnist, load_synthetic_fashion])
+    def test_labels_cover_ten_classes(self, loader):
+        ds = loader(100, 50, seed=3)
         assert set(ds.train_labels.tolist()) == set(range(10))
 
-    def test_classes_balanced(self):
-        ds = load_synthetic_mnist(100, 50, seed=3)
+    @pytest.mark.parametrize("loader", [load_synthetic_mnist, load_synthetic_fashion])
+    def test_classes_balanced(self, loader):
+        ds = loader(100, 50, seed=3)
         counts = np.bincount(ds.train_labels, minlength=10)
         assert counts.max() - counts.min() <= 1
 
@@ -85,8 +87,9 @@ class TestClassStructure:
         with pytest.raises(ValueError):
             digit_bitmap(10)
 
-    def test_fashion_class_names(self):
-        assert len(CLASS_NAMES) == 10
+    def test_fashion_bitmap_validation(self):
+        with pytest.raises(ValueError):
+            fashion_bitmap(10)
 
 
 class TestPipelineHelpers:
@@ -97,7 +100,7 @@ class TestPipelineHelpers:
 
     def test_render_glyph_too_large(self):
         with pytest.raises(ValueError):
-            render_glyph(np.ones((10, 10)), upscale=4)
+            render_glyph(np.ones((10, 10)))
 
     def test_augment_output_contract(self, rng):
         proto = render_glyph(np.ones((7, 5)))

@@ -204,7 +204,8 @@ def assert_matches_oracle(org, slots, v, write):
 #: timing gives a burst time (3.336 ns) that binary floats cannot hold
 #: exactly, so summing in another order than the oracle shows.
 WIDE_SPEC = dataclasses.replace(
-    tiny_spec("wide-test-dram").scaled(banks_per_chip=4, columns_per_row=64),
+    tiny_spec().scaled(banks_per_chip=4, columns_per_row=64),
+    name="wide-test-dram",
     timings=DDR5_4800_8GB.timings,
 )
 

@@ -92,7 +92,13 @@ class TestTinySpec:
         assert spec.geometry.total_size_bits <= 64 * 1024
 
     def test_tiny_spec_custom_name(self):
-        assert tiny_spec("abc").name == "abc"
+        # How a test names its own tiny device (the DRAM oracle's
+        # multi-chip spec): the name survives the wire form, and the
+        # device is the tiny one otherwise.
+        spec = dataclasses.replace(tiny_spec(), name="abc")
+        spec.validate()
+        assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
+        assert dataclasses.replace(spec, name=tiny_spec().name) == tiny_spec()
 
 
 class TestDdr5Spec:

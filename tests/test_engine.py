@@ -165,7 +165,7 @@ class TestAccuracies:
             weights=network.weights,
         )
         counts = _oracle(network, images, network.weights, seed=5)
-        b = float((predict(counts, assignments, 10) == labels).mean())
+        b = float((predict(counts, assignments) == labels).mean())
         assert a == b
 
 

@@ -202,7 +202,7 @@ class TestStructuredModels:
         weights = np.zeros(5000, dtype=np.float32)
         injector = ErrorInjector(
             Float32Representation(sanitize=False),
-            model=ErrorModel3(one_to_zero_ratio=4.0),
+            model=ErrorModel3(),
             seed=0,
         )
         out, report = injector.inject_uniform(weights, 0.01)

@@ -9,7 +9,13 @@ from errors_validation import (
     uniformity_pvalue,
 )
 
-from repro.errors.models import ErrorModel0, ErrorModel1, ErrorModel2, ErrorModel3
+from repro.errors.models import (
+    ONE_TO_ZERO_RATIO,
+    ErrorModel0,
+    ErrorModel1,
+    ErrorModel2,
+    ErrorModel3,
+)
 
 N_BITS = 600_000
 BER = 2e-3
@@ -37,14 +43,14 @@ class TestModel0Statistics:
 
 class TestStructuredModelStatistics:
     def test_model1_concentrates_on_bitlines(self, rng):
-        model = ErrorModel1(sigma=2.0, structure_seed=1)
+        model = ErrorModel1()
         flips = sample_flip_positions(model, N_BITS, BER, rng, lane_bits=LANES)
         lanes = np.arange(N_BITS, dtype=np.int64) % LANES
         assert structure_score(flips, lanes) > 10.0
 
     def test_model1_uniform_along_other_axis(self, rng):
         # vertical structure must NOT show up on the wordline axis
-        model = ErrorModel1(sigma=2.0, structure_seed=1)
+        model = ErrorModel1()
         flips = sample_flip_positions(
             model, N_BITS, BER, rng, lane_bits=LANES, row_bits=ROW_BITS
         )
@@ -52,23 +58,26 @@ class TestStructuredModelStatistics:
         assert structure_score(flips, rows) < 5.0
 
     def test_model2_concentrates_on_wordlines(self, rng):
-        model = ErrorModel2(sigma=2.0, structure_seed=2)
+        # Model-2's sigma is 1.0: over 147 wordlines of ~8 flips each
+        # it scores about 8.5, where the unstructured axes above score
+        # under 3 and under 5.
+        model = ErrorModel2()
         flips = sample_flip_positions(
             model, N_BITS, BER, rng, row_bits=ROW_BITS
         )
         rows = np.arange(N_BITS, dtype=np.int64) // ROW_BITS
-        assert structure_score(flips, rows) > 10.0
+        assert structure_score(flips, rows) > 5.0
 
 
 class TestModel3Statistics:
     def test_ratio_matches_configuration(self, rng):
         values = (np.arange(N_BITS) % 2).astype(np.uint8)
-        model = ErrorModel3(one_to_zero_ratio=4.0)
+        model = ErrorModel3()
         flips = sample_flip_positions(
             model, N_BITS, BER, rng, values=values
         )
         ratio = data_dependence_ratio(flips, values)
-        assert ratio == pytest.approx(4.0, rel=0.35)
+        assert ratio == pytest.approx(ONE_TO_ZERO_RATIO, rel=0.35)
 
     def test_model0_is_data_independent(self, rng):
         values = (np.arange(N_BITS) % 2).astype(np.uint8)

@@ -1,4 +1,4 @@
-"""The ``repro lint`` CLI: check/baseline/json/rules/report flags."""
+"""The ``repro lint`` CLI: check/json/rules/report flags."""
 
 import json
 from pathlib import Path
@@ -19,7 +19,7 @@ class TestParser:
     def test_flags(self):
         args = build_parser().parse_args(
             ["lint", "--root", "src", "--check", "--json",
-             "--rules", "rng-discipline", "--baseline", "b.json"]
+             "--rules", "rng-discipline"]
         )
         assert args.root == "src"
         assert args.check and args.json
@@ -43,9 +43,23 @@ class TestLintCommand:
         assert payload["counts_by_rule"]["rng-discipline"] == 4
         assert payload["suppressed"] == 1
 
+    def test_suppressed_findings_pass_check(self, tmp_path, capsys):
+        # A ``# lint: disable=RULE`` comment is the way to accept a
+        # finding: once every flagged line carries one, --check passes.
+        assert main(["lint", "--root", RNG_TREE, "--json"]) == 0
+        flagged = {f["line"] for f in json.loads(capsys.readouterr().out)["findings"]}
+        lines = (FIXTURES / "rng_tree" / "bad_rng.py").read_text().splitlines()
+        for line in flagged:
+            lines[line - 1] += "  # lint: disable=rng-discipline"
+        (tmp_path / "bad_rng.py").write_text("\n".join(lines) + "\n")
+        assert main(["lint", "--root", str(tmp_path), "--check", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] and payload["total"] == 0
+        assert payload["suppressed"] == len(flagged) + 1
+
     def test_source_tree_is_clean(self, capsys):
         assert main(["lint", "--check"]) == 0
-        assert "0 new" in capsys.readouterr().out
+        assert " 0 finding(s)" in capsys.readouterr().out
 
     def test_rules_filter(self, capsys):
         assert main(
@@ -84,28 +98,3 @@ class TestLintCommand:
         assert main(["lint", "--report", str(report_path)]) == 0
         root = json.loads(report_path.read_text())["root"]
         assert root == str(Path(repro.__file__).resolve().parent)
-
-    def test_update_baseline_then_check_passes(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(
-            ["lint", "--root", RNG_TREE, "--update-baseline",
-             "--baseline", str(baseline)]
-        ) == 0
-        assert main(
-            ["lint", "--root", RNG_TREE, "--check",
-             "--baseline", str(baseline)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "(baselined)" in out
-
-    def test_default_baseline_discovered_in_cwd(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        assert main(["lint", "--root", RNG_TREE, "--update-baseline"]) == 0
-        assert (tmp_path / "lint-baseline.json").is_file()
-        # No --baseline flag: the cwd file is picked up automatically.
-        assert main(["lint", "--root", RNG_TREE, "--check"]) == 0

@@ -1,4 +1,4 @@
-"""Lint framework mechanics: findings, suppressions, baseline, report."""
+"""Lint framework mechanics: findings, suppressions, report."""
 
 import json
 from pathlib import Path
@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
-    Baseline,
     Finding,
     REPORT_VERSION,
     default_checkers,
@@ -82,38 +81,6 @@ class TestSuppressions:
         assert not is_suppressed(_finding(line=2), suppressions)
 
 
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        findings = [_finding(), _finding(symbol="other")]
-        path = tmp_path / "lint-baseline.json"
-        Baseline.from_findings(findings).write(path)
-        loaded = Baseline.load(path)
-        assert loaded.new_findings(findings) == []
-
-    def test_new_finding_survives_baseline(self, tmp_path):
-        path = tmp_path / "lint-baseline.json"
-        Baseline.from_findings([_finding()]).write(path)
-        fresh = _finding(message="a different defect")
-        assert Baseline.load(path).new_findings([_finding(), fresh]) == [fresh]
-
-    def test_multiset_semantics(self):
-        # Two identical findings, one baselined: one is still new.
-        baseline = Baseline.from_findings([_finding()])
-        pair = [_finding(line=1), _finding(line=2)]  # same identity
-        assert len(baseline.new_findings(pair)) == 1
-
-    def test_baseline_survives_line_churn(self, tmp_path):
-        path = tmp_path / "lint-baseline.json"
-        Baseline.from_findings([_finding(line=17)]).write(path)
-        assert Baseline.load(path).new_findings([_finding(line=400)]) == []
-
-    def test_malformed_file_rejected(self, tmp_path):
-        path = tmp_path / "lint-baseline.json"
-        path.write_text("[]")
-        with pytest.raises(ValueError, match="not a lint baseline"):
-            Baseline.load(path)
-
-
 class TestRunLint:
     def test_parse_failure_becomes_finding(self, tmp_path):
         (tmp_path / "broken.py").write_text("def f(:\n")
@@ -122,15 +89,6 @@ class TestRunLint:
         assert report.files_scanned == 1  # the parseable one
         assert [f.rule for f in report.findings] == ["parse-error"]
         assert report.findings[0].path == "broken.py"
-
-    def test_baseline_path_accepted(self, tmp_path):
-        baseline = tmp_path / "lint-baseline.json"
-        report = run_lint(FIXTURES / "rng_tree")
-        Baseline.from_findings(report.findings).write(baseline)
-        rerun = run_lint(FIXTURES / "rng_tree", baseline=baseline)
-        assert rerun.new_findings == []
-        assert rerun.ok
-        assert len(rerun.findings) == len(report.findings)
 
     def test_default_checkers_cover_all_six_rules(self):
         assert tuple(c.rule for c in default_checkers()) == (
@@ -150,8 +108,8 @@ class TestReportSchema:
         assert payload["version"] == REPORT_VERSION
         assert set(payload) == {
             "version", "root", "files_scanned", "rules", "counts_by_rule",
-            "counts_by_severity", "total", "new", "gating", "suppressed",
-            "baseline", "ok", "findings", "new_findings",
+            "counts_by_severity", "total", "gating", "suppressed", "ok",
+            "findings",
         }
         assert payload["total"] == len(payload["findings"])
         assert payload["ok"] is (payload["gating"] == 0)

@@ -242,6 +242,36 @@ class TestLocalFleet:
         again = Runner(TINY, store=store, max_workers=2).run(self.GRID)
         assert records_equivalent(first, again)
 
+    def test_fleet_service_refuses_tokenless_uploads(self, monkeypatch):
+        """A local fleet's service requires the fleet's own token, so no
+        other local process can plant an artifact that the sweep would
+        unpickle or serve to its workers as a cached stage."""
+        import pickle
+
+        from repro.cluster import ServiceClient, ServiceError, executor
+
+        launch_fleet = executor.local_worker_processes
+        statuses = []
+
+        def upload_then_launch(address, *args, **kwargs):
+            try:
+                ServiceClient(address).http_request(
+                    "PUT", "/artifacts/train-baseline/deadbeef",
+                    blob=pickle.dumps("planted"),
+                )
+                statuses.append(200)
+            except ServiceError as error:
+                statuses.append(error.status)
+            return launch_fleet(address, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "local_worker_processes", upload_then_launch)
+        store = ArtifactStore()
+        records = Runner(TINY, store=store, max_workers=2).run(self.GRID)
+        assert statuses == [401]
+        assert ("train-baseline", "deadbeef") not in store
+        serial = Runner(TINY, store=ArtifactStore()).run(self.GRID)
+        assert records_equivalent(serial, records)
+
     def test_dead_fleet_fails_fast_naming_exit_codes(self, monkeypatch, tmp_path):
         from repro.cluster import PlanFailed, executor
 

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from repro import SparkXD, SparkXDConfig
+from repro import SparkXDConfig
 from repro.pipeline import (
     ArtifactStore,
     DramEvalStage,
     ExperimentPipeline,
-    PIPELINE_STAGES,
     default_stages,
 )
 
@@ -47,14 +46,6 @@ class TestStageChain:
             assert set(stage.requires) <= provided, stage.name
             provided.add(stage.provides)
 
-    def test_stages_are_registered(self):
-        assert set(PIPELINE_STAGES.names()) == {
-            "train-baseline",
-            "fault-aware-train",
-            "tolerance-analysis",
-            "dram-eval",
-        }
-
     def test_missing_prerequisite_raises(self):
         pipeline = ExperimentPipeline(TINY, stages=[DramEvalStage()])
         with pytest.raises(ValueError, match="requires artifacts"):
@@ -69,39 +60,23 @@ class TestStageChain:
 
 
 @pytest.mark.slow
-class TestFacadeEquivalence:
-    def test_facade_equals_staged_pipeline_at_fixed_seed(self, warm_store):
-        staged = ExperimentPipeline(TINY, store=warm_store).run()
-        facade = SparkXD(TINY).run()  # fresh store: recomputes from scratch
-        assert np.array_equal(
-            staged.baseline_model.weights, facade.baseline_model.weights
-        )
-        assert np.array_equal(
-            staged.improved_model.weights, facade.improved_model.weights
-        )
-        assert staged.baseline_model.accuracy == facade.baseline_model.accuracy
-        assert staged.tolerance == facade.tolerance
-        assert staged.training.accuracy_per_rate == facade.training.accuracy_per_rate
-        assert set(staged.outcomes) == set(facade.outcomes)
-        for v in staged.outcomes:
-            assert staged.outcomes[v] == facade.outcomes[v]
-        assert staged.summary() == facade.summary()
-
-    def test_facade_accepts_shared_store(self, warm_store):
-        before = warm_store.stats.snapshot()
-        result = SparkXD(TINY, store=warm_store).run()
-        assert warm_store.stats.hits - before.hits == 4
-        assert warm_store.stats.misses == before.misses
-        assert result.summary()
-
-
-@pytest.mark.slow
 class TestCaching:
     def test_full_rerun_hits_every_stage(self, warm_store):
         before = warm_store.stats.snapshot()
         ExperimentPipeline(TINY, store=warm_store).run()
         assert warm_store.stats.hits - before.hits == 4
         assert warm_store.stats.misses == before.misses
+
+    def test_cached_run_equals_fresh_run(self, warm_store):
+        cached = ExperimentPipeline(TINY, store=warm_store).run()
+        fresh = ExperimentPipeline(TINY).run()  # fresh store: recomputes
+        assert np.array_equal(cached.baseline_model.weights, fresh.baseline_model.weights)
+        assert np.array_equal(cached.improved_model.weights, fresh.improved_model.weights)
+        assert cached.baseline_model.accuracy == fresh.baseline_model.accuracy
+        assert cached.tolerance == fresh.tolerance
+        assert cached.training.accuracy_per_rate == fresh.training.accuracy_per_rate
+        assert cached.outcomes == fresh.outcomes
+        assert cached.summary() == fresh.summary()
 
     def test_dram_override_reuses_training(self, warm_store):
         swept = TINY.with_overrides(voltages=(1.175,), mapping_policy="baseline")

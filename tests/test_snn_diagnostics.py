@@ -60,9 +60,7 @@ class TestFailureModes:
 class TestProbe:
     def test_probe_on_fresh_network(self, mini_mnist, rng):
         net = DiehlCookNetwork(NetworkParameters(n_neurons=20), rng=rng)
-        health = check_training_health(
-            net, mini_mnist.train_images[:10], n_steps=40, rng=rng
-        )
+        health = check_training_health(net, mini_mnist.train_images[:10], rng=rng)
         assert 0.0 <= health.active_neuron_fraction <= 1.0
         assert 0.0 <= health.spike_concentration <= 1.0
         assert -1.0 <= health.receptive_field_similarity <= 1.0
@@ -71,7 +69,7 @@ class TestProbe:
         net = DiehlCookNetwork(NetworkParameters(n_neurons=20), rng=rng)
         theta = net.theta.copy()
         weights = net.weights.copy()
-        check_training_health(net, mini_mnist.train_images[:5], n_steps=30, rng=rng)
+        check_training_health(net, mini_mnist.train_images[:5], rng=rng)
         assert np.array_equal(net.theta, theta)
         assert np.array_equal(net.weights, weights)
 
@@ -81,16 +79,14 @@ class TestProbe:
         net = DiehlCookNetwork(params, rng=rng)
         net.weights[:] = 0.025  # identical receptive fields
         net.theta[:] = 10.0  # identical, nonzero thresholds
-        health = check_training_health(
-            net, mini_mnist.train_images[:8], n_steps=30, rng=rng
-        )
+        health = check_training_health(net, mini_mnist.train_images[:8], rng=rng)
         assert health.theta_dispersion < 0.05
         assert health.receptive_field_similarity > 0.95
         assert health.is_lockstep
 
     def test_single_neuron_has_no_field_similarity(self, mini_mnist, rng):
         net = DiehlCookNetwork(NetworkParameters(n_neurons=1), rng=rng)
-        health = check_training_health(net, mini_mnist.train_images[:3], n_steps=20, rng=rng)
+        health = check_training_health(net, mini_mnist.train_images[:3], rng=rng)
         assert health.receptive_field_similarity == 0.0
 
     def test_empty_probe_rejected(self, rng):

@@ -267,11 +267,11 @@ class TestStageEncodingCache:
 
         with pytest.raises(ValueError, match="stage_encoding"):
             improve_error_tolerance(
-                None, None, None, stage_encoding="cached"
+                None, None, None, (1e-3,), stage_encoding="cached"
             )
         with pytest.raises(ValueError, match="batch_size"):
             improve_error_tolerance(
-                None, None, None, stage_encoding="shared", batch_size=1
+                None, None, None, (1e-3,), stage_encoding="shared", batch_size=1
             )
 
     def test_config_validates_stage_encoding(self):

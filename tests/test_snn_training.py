@@ -22,26 +22,26 @@ class TestAssignLabels:
     def test_assigns_strongest_class(self):
         counts = np.array([[10, 0], [9, 1], [0, 10], [1, 8]])
         labels = np.array([0, 0, 1, 1])
-        assignments = assign_labels(counts, labels, n_classes=2)
+        assignments = assign_labels(counts, labels)
         assert assignments.tolist() == [0, 1]
 
     def test_silent_neurons_get_minus_one(self):
         counts = np.zeros((4, 3), dtype=int)
         counts[:, 0] = 1
-        assignments = assign_labels(counts, np.array([0, 1, 0, 1]), n_classes=2)
+        assignments = assign_labels(counts, np.array([0, 1, 0, 1]))
         assert assignments[1] == -1
         assert assignments[2] == -1
 
     def test_label_alignment_enforced(self):
         with pytest.raises(ValueError):
-            assign_labels(np.zeros((3, 2)), np.zeros(4), n_classes=2)
+            assign_labels(np.zeros((3, 2)), np.zeros(4))
 
 
 class TestPredict:
     def test_majority_vote(self):
         counts = np.array([[5, 0, 1], [0, 6, 0]])
         assignments = np.array([0, 1, 1])
-        preds = predict(counts, assignments, n_classes=2)
+        preds = predict(counts, assignments)
         assert preds.tolist() == [0, 1]
 
     def test_votes_normalised_by_class_size(self):
@@ -49,13 +49,13 @@ class TestPredict:
         # favour class 0, per-neuron averages must not.
         counts = np.array([[2, 2, 5]])
         assignments = np.array([0, 0, 1])
-        preds = predict(counts, assignments, n_classes=2)
+        preds = predict(counts, assignments)
         assert preds[0] == 1
 
     def test_unassigned_neurons_never_vote(self):
         counts = np.array([[100, 1]])
         assignments = np.array([-1, 1])
-        preds = predict(counts, assignments, n_classes=2)
+        preds = predict(counts, assignments)
         assert preds[0] == 1
 
 

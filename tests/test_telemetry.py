@@ -113,6 +113,15 @@ class TestSpans:
             assert rows[0]["age_s"] >= 0.0
         assert all(r["name"] != "long-running" for r in open_spans())
 
+    def test_open_spans_lists_the_five_oldest(self):
+        import contextlib
+
+        with contextlib.ExitStack() as stack:
+            for index in range(7):
+                stack.enter_context(timed_span(f"open-{index}"))
+            rows = open_spans()
+        assert [row["name"] for row in rows] == [f"open-{i}" for i in range(5)]
+
     def test_threads_get_independent_stacks(self, tmp_path):
         configure_tracing(str(tmp_path / "trace.jsonl"))
         seen = {}
@@ -219,6 +228,23 @@ class TestLogs:
         assert telemetry_log_level() == "DEBUG"  # what a fleet inherits
         root.removeHandler(named[0])
         assert telemetry_log_level() is None
+
+    def test_configured_records_go_to_stderr(self, capsys):
+        # stdout stays reserved for CLI output and --json payloads.
+        root = logging.getLogger("repro")
+        level = root.level
+        configure_telemetry(level="INFO")
+        try:
+            get_logger("repro.test").info("to stderr", extra={"job": "j2"})
+        finally:
+            for handler in list(root.handlers):
+                if handler.get_name() == "repro-telemetry":
+                    root.removeHandler(handler)
+            root.setLevel(level)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err.strip().splitlines()[-1])
+        assert payload["message"] == "to stderr" and payload["job"] == "j2"
 
     def test_bad_level_raises(self):
         with pytest.raises(ValueError, match="unknown log level"):
