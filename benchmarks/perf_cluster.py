@@ -17,26 +17,22 @@ Additional scenarios ride along:
   served worker-to-worker, so the coordinator's ``get`` path moves
   **zero** bytes (asserted), and the records must match serial;
 - **kill-resume** (``--kill-resume``) — a ``repro sweep --workers 2
-  --journal`` subprocess SIGKILLed at ~50% journaled completion and
-  restarted with ``--resume``; the kill must land with work left, and
-  the resumed records must be value-identical to the serial Runner
-  with no fingerprint executed twice.  This is the CI crash-recovery
-  smoke;
-- **compact-resume** (``--compact-resume``) — same SIGKILL recipe, but
-  the sweep journals with ``--compact-every`` and the orphaned journal
-  is compacted *offline* (``repro cluster journal compact``) down to
-  its plan header + one snapshot before resuming.  The resumed sweep
-  must replay every done job from the snapshot alone: zero
-  re-executions, records identical to serial.
+  --cache-dir C`` subprocess SIGKILLed once half of its jobs'
+  artifacts are in ``C``, then the identical command run again.  The
+  kill must land with work left, the rerun's records must be
+  value-identical to the serial Runner, and the artifacts stored at
+  the kill plus the rerun's cache misses must add up to the sweep's
+  job count (no stored fingerprint executed again).  This is the CI
+  crash-recovery smoke.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/perf_cluster.py           # full run
     PYTHONPATH=src python benchmarks/perf_cluster.py --quick   # CI smoke
     PYTHONPATH=src python benchmarks/perf_cluster.py --quick \\
-        --kill-resume --skip-throughput   # CI kill-and-resume smoke
+        --kill-resume --skip-throughput   # CI kill-and-rerun smoke
     PYTHONPATH=src python benchmarks/perf_cluster.py --quick \\
-        --skip-throughput --peer-fabric --compact-resume   # CI p2p smoke
+        --skip-throughput --peer-fabric   # CI p2p smoke
 
 The grid deliberately contains several *training-side* fingerprints
 (a seed axis), so there is real work to distribute: each worker is a
@@ -242,45 +238,27 @@ def run_peer_fabric_benchmark(quick: bool) -> dict:
     }
 
 
-def _journal_done_keys(journal: Path) -> list:
-    """Every done ``(stage, digest)`` in the journal, snapshots included.
-
-    ``done`` lines append one key each; a ``snapshot`` event contributes
-    its folded done map.  Duplicates therefore mean a journaled-done
-    fingerprint was executed more than once across coordinator lives —
-    the regression resume and compaction both exist to prevent.
-    """
-    if not journal.exists():
-        return []
-    keys = []
-    for line in journal.read_text().splitlines():
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if event.get("event") == "done":
-            keys.append((event["stage"], event["digest"]))
-        elif event.get("event") == "snapshot":
-            keys.extend(
-                (entry["stage"], entry["digest"])
-                for entry in event.get("done", [])
-            )
-    return keys
+def _stored(cache: Path) -> int:
+    """Artifacts in the coordinator's disk store: one per stored job."""
+    return len(list(cache.glob("*/*.pkl")))
 
 
-#: Seconds between journal polls while waiting for the kill point: the
+#: Seconds between store polls while waiting for the kill point: the
 #: quick sweep takes ~1 s, so a coarse poll lets the kill land after
-#: the last job and the resume verify nothing.
+#: the last job and the rerun verify nothing.
 KILL_POLL_S = 0.02
 
 
 def run_kill_resume(quick: bool) -> dict:
-    """SIGKILL a journaled ``sweep --workers 2`` at ~50%, resume, verify.
+    """SIGKILL ``sweep --workers 2 --cache-dir C`` at ~50%, rerun, verify.
 
-    Drives the real CLI in a subprocess — the same recipe an operator
-    follows after a coordinator crash (docs/cluster.md) — and checks
-    that the resumed records are value-identical to the serial Runner
-    and that no fingerprint was executed twice across both lives.
+    Drives the real CLI in a subprocess — the recipe an operator
+    follows after a crash (docs/cluster.md, "Resuming a killed
+    sweep"): the identical command again on the same cache.  Checks
+    that the rerun's records are value-identical to the serial Runner
+    and that the artifacts stored at the kill plus the rerun's cache
+    misses add up to the sweep's job count: a stored fingerprint
+    executed again would be one miss too many.
     """
     import tempfile
 
@@ -295,7 +273,6 @@ def run_kill_resume(quick: bool) -> dict:
     with tempfile.TemporaryDirectory(prefix="repro-kill-resume-") as tmp:
         tmp_path = Path(tmp)
         cache = tmp_path / "cache"
-        journal = cache / "journal.jsonl"
         out = tmp_path / "records.json"
         package_root = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
@@ -305,165 +282,66 @@ def run_kill_resume(quick: bool) -> dict:
         command = [
             sys.executable, "-m", "repro", "sweep",
             *cli_args, *CLI_GRID_ARGS,
-            "--workers", "2", "--cache-dir", str(cache), "--journal",
-            "--out", str(out),
+            "--workers", "2", "--cache-dir", str(cache), "--out", str(out),
         ]
-
-        def done_events():
-            if not journal.exists():
-                return []
-            events = []
-            for line in journal.read_text().splitlines():
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if event.get("event") == "done":
-                    events.append((event["stage"], event["digest"]))
-            return events
 
         proc = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
         deadline = time.monotonic() + 1800.0
         while time.monotonic() < deadline:
-            if len(done_events()) >= kill_at or proc.poll() is not None:
+            if _stored(cache) >= kill_at or proc.poll() is not None:
                 break
             time.sleep(KILL_POLL_S)
         killed = proc.poll() is None
         if killed:
             proc.send_signal(signal.SIGKILL)
         proc.wait()
-        done_at_kill = len(done_events())
-        print(f"coordinator {'SIGKILLed' if killed else 'finished'} at "
-              f"{done_at_kill}/{n_jobs} jobs done")
+        stored_at_kill = _stored(cache)
+        print(f"sweep {'SIGKILLed' if killed else 'finished'} with "
+              f"{stored_at_kill}/{n_jobs} artifacts stored")
 
-        resumed = subprocess.run(
-            command + ["--resume"], env=env, stdout=subprocess.DEVNULL
-        )
+        rerun = subprocess.run(command, env=env, stdout=subprocess.DEVNULL)
         records = (
             [RunRecord.from_dict(e) for e in json.loads(out.read_text())]
-            if resumed.returncode == 0 and out.exists()
+            if rerun.returncode == 0 and out.exists()
             else []
         )
-        done = done_events()
         result = {
             "killed_mid_sweep": bool(killed),
-            "jobs_done_at_kill": done_at_kill,
+            "artifacts_at_kill": stored_at_kill,
             "total_jobs": n_jobs,
-            "resume_exit_code": resumed.returncode,
+            "rerun_exit_code": rerun.returncode,
             "records_match_serial": bool(
                 records and records_equivalent(serial_records, records)
             ),
-            "reexecuted_fingerprints": len(done) - len(set(done)),
+            "rerun_cache_misses": sum(r.cache_misses for r in records),
         }
-        print(f"resume: exit {resumed.returncode}, "
+        print(f"rerun: exit {rerun.returncode}, "
               f"identical={result['records_match_serial']}, "
-              f"re-executions={result['reexecuted_fingerprints']}")
+              f"cache misses={result['rerun_cache_misses']}")
         return result
 
 
-def run_compact_resume(quick: bool) -> dict:
-    """SIGKILL a ``--compact-every`` sweep, compact offline, resume.
-
-    The crash-recovery recipe for million-job sweeps: the orphaned
-    journal is folded down to its plan header + one ``snapshot`` before
-    the restart, so the resumed coordinator replays O(done jobs) — and
-    every job finished in the first life must come back from the
-    snapshot alone (zero re-executions, records identical to serial).
-    """
-    import tempfile
-
-    cli_config = QUICK_CLI_CONFIG if quick else FULL_CLI_CONFIG
-    cli_args = QUICK_CLI_ARGS if quick else FULL_CLI_ARGS
-    serial_records = Runner(
-        SparkXDConfig.small(**cli_config), store=ArtifactStore()
-    ).run(CLI_GRID)
-    n_jobs = 2 * 3 + len(CLI_GRID["voltages"]) * 2  # 2 chains + dram points
-    kill_at = n_jobs // 2
-
-    with tempfile.TemporaryDirectory(prefix="repro-compact-resume-") as tmp:
-        tmp_path = Path(tmp)
-        cache = tmp_path / "cache"
-        journal = cache / "journal.jsonl"
-        out = tmp_path / "records.json"
-        package_root = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = package_root + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+def _kill_resume_failures(result: dict) -> list:
+    """The crash-recovery gate: the SIGKILL left work for the rerun,
+    the rerun matches serial, and it executed exactly the jobs whose
+    artifacts the kill left unstored."""
+    failures = []
+    stored, total = result["artifacts_at_kill"], result["total_jobs"]
+    if not (result["killed_mid_sweep"] and 0 < stored < total):
+        failures.append(
+            "kill-resume: the kill landed with no work left "
+            f"(killed={result['killed_mid_sweep']}, "
+            f"{stored}/{total} artifacts stored)"
         )
-        command = [
-            sys.executable, "-m", "repro", "sweep",
-            *cli_args, *CLI_GRID_ARGS,
-            "--workers", "2", "--cache-dir", str(cache), "--journal",
-            "--compact-every", "5", "--out", str(out),
-        ]
-
-        proc = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
-        deadline = time.monotonic() + 1800.0
-        while time.monotonic() < deadline:
-            done_now = len(set(_journal_done_keys(journal)))
-            if done_now >= kill_at or proc.poll() is not None:
-                break
-            time.sleep(KILL_POLL_S)
-        killed = proc.poll() is None
-        if killed:
-            proc.send_signal(signal.SIGKILL)
-        proc.wait()
-        done_at_kill = len(set(_journal_done_keys(journal)))
-        print(f"coordinator {'SIGKILLed' if killed else 'finished'} at "
-              f"{done_at_kill}/{n_jobs} jobs done")
-
-        # Offline compaction: fold the orphaned journal down to its
-        # plan header + one snapshot (the operator-facing subcommand).
-        compacted = subprocess.run(
-            [sys.executable, "-m", "repro", "cluster", "journal",
-             "compact", str(journal)],
-            env=env,
+    if not result["records_match_serial"]:
+        failures.append("the rerun sweep diverged from the serial Runner")
+    elif stored + result["rerun_cache_misses"] != total:
+        failures.append(
+            f"{stored} artifacts stored at the kill + "
+            f"{result['rerun_cache_misses']} rerun cache misses != "
+            f"{total} jobs: the rerun re-executed stored work"
         )
-        journal_lines = len(
-            [l for l in journal.read_text().splitlines() if l.strip()]
-        )
-        print(f"offline compact: exit {compacted.returncode}, "
-              f"journal now {journal_lines} line(s)")
-
-        resumed = subprocess.run(
-            command + ["--resume"], env=env, stdout=subprocess.DEVNULL
-        )
-        records = (
-            [RunRecord.from_dict(e) for e in json.loads(out.read_text())]
-            if resumed.returncode == 0 and out.exists()
-            else []
-        )
-        done = _journal_done_keys(journal)
-        result = {
-            "killed_mid_sweep": bool(killed),
-            "jobs_done_at_kill": done_at_kill,
-            "total_jobs": n_jobs,
-            "compact_exit_code": compacted.returncode,
-            "journal_lines_after_compact": journal_lines,
-            "resume_exit_code": resumed.returncode,
-            "records_match_serial": bool(
-                records and records_equivalent(serial_records, records)
-            ),
-            "reexecuted_fingerprints": len(done) - len(set(done)),
-        }
-        print(f"resume: exit {resumed.returncode}, "
-              f"identical={result['records_match_serial']}, "
-              f"re-executions={result['reexecuted_fingerprints']}")
-        return result
-
-
-def _kill_failures(leg: str, result: dict) -> list:
-    """A crash-recovery leg proves nothing unless the SIGKILL landed
-    while the sweep still had work left for the resume to do."""
-    if result["killed_mid_sweep"] and (
-        0 < result["jobs_done_at_kill"] < result["total_jobs"]
-    ):
-        return []
-    return [
-        f"{leg}: the kill landed with no work left "
-        f"(killed={result['killed_mid_sweep']}, "
-        f"{result['jobs_done_at_kill']}/{result['total_jobs']} jobs done)"
-    ]
+    return failures
 
 
 def main(argv=None) -> int:
@@ -471,29 +349,23 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="tiny sweep + 2 workers (the CI cluster smoke)")
     parser.add_argument("--kill-resume", action="store_true",
-                        help="also SIGKILL a journaled sweep at ~50% and "
-                             "verify --resume (the crash-recovery smoke)")
-    parser.add_argument("--compact-resume", action="store_true",
-                        help="also SIGKILL a --compact-every sweep, compact "
-                             "the journal offline, and verify the resume "
-                             "replays from the snapshot alone")
+                        help="also SIGKILL a cached sweep at ~50% and "
+                             "verify that rerunning it resumes (the "
+                             "crash-recovery smoke)")
     parser.add_argument("--peer-fabric", action="store_true",
                         help="force the peer-fabric sweep even with "
                              "--skip-throughput (it always runs without)")
     parser.add_argument("--skip-throughput", action="store_true",
                         help="skip the fleet-throughput and peer-fabric "
                              "scans (combine with --kill-resume/"
-                             "--compact-resume/--peer-fabric to run only "
-                             "those)")
+                             "--peer-fabric to run only those)")
     parser.add_argument("--out", default="BENCH_cluster.json", metavar="PATH",
                         help="output JSON path (default: ./BENCH_cluster.json)")
     args = parser.parse_args(argv)
-    if args.skip_throughput and not (
-        args.kill_resume or args.compact_resume or args.peer_fabric
-    ):
+    if args.skip_throughput and not (args.kill_resume or args.peer_fabric):
         parser.error("--skip-throughput alone would run nothing; add "
-                     "--kill-resume, --compact-resume or --peer-fabric, "
-                     "or drop --skip-throughput")
+                     "--kill-resume or --peer-fabric, or drop "
+                     "--skip-throughput")
 
     failures = []
     if args.skip_throughput:
@@ -522,27 +394,7 @@ def main(argv=None) -> int:
 
     if args.kill_resume:
         payload["kill_resume"] = run_kill_resume(args.quick)
-        failures += _kill_failures("kill-resume", payload["kill_resume"])
-        if not payload["kill_resume"]["records_match_serial"]:
-            failures.append("resumed sweep diverged from the serial Runner")
-        if payload["kill_resume"]["reexecuted_fingerprints"]:
-            failures.append("a journaled-done fingerprint was re-executed")
-
-    if args.compact_resume:
-        payload["compact_resume"] = run_compact_resume(args.quick)
-        failures += _kill_failures("compact-resume", payload["compact_resume"])
-        if not payload["compact_resume"]["records_match_serial"]:
-            failures.append(
-                "compact-resumed sweep diverged from the serial Runner"
-            )
-        if payload["compact_resume"]["reexecuted_fingerprints"]:
-            failures.append(
-                "a snapshot-journaled fingerprint was re-executed"
-            )
-        if payload["compact_resume"]["journal_lines_after_compact"] > 2:
-            failures.append(
-                "offline compaction left more than header + snapshot"
-            )
+        failures += _kill_resume_failures(payload["kill_resume"])
 
     out = Path(args.out)
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -97,7 +97,6 @@ def start_service(workdir: Path) -> tuple:
             "cluster", "serve",
             "--bind", "127.0.0.1:0",
             "--cache-dir", str(workdir / "cache"),
-            "--journal-dir", str(workdir / "journals"),
         ),
         env=env_with_token(), stdout=subprocess.PIPE, text=True,
     )

@@ -8,9 +8,9 @@ Commands
     Run a grid of pipeline configs, reusing trained models across
     DRAM-side grid points; ``--workers N`` runs it on N localhost
     worker subprocesses behind an embedded single-shot experiment
-    service.  ``--journal`` persists that service's job transitions
-    next to the store and ``--resume`` replays them, so a sweep killed
-    mid-run restarts without re-executing done work.
+    service.  A sweep killed mid-run resumes by running the same
+    command again on the same ``--cache-dir``: stored stages are not
+    re-executed.
 ``cluster``
     Distribute sweeps across hosts (see docs/cluster.md): ``cluster
     serve`` keeps an experiment service up for ``cluster submit``/
@@ -18,8 +18,7 @@ Commands
     of them speaking HTTP to its one address;
     ``cluster status`` renders its fleet view (jobs, per-worker
     throughput, peer-vs-hub bytes, slowest open spans, per-sweep
-    journal lag), once or live with ``--watch``; ``cluster journal
-    compact`` folds a journal offline.
+    state), once or live with ``--watch``.
 ``telemetry``
     Work with recorded traces: ``telemetry export`` converts the
     JSONL file written by ``--trace`` to a Chrome/Perfetto
@@ -171,26 +170,14 @@ def _add_sweep_parser(subparsers) -> None:
     _add_grid_arguments(p)
     p.add_argument("--workers", type=int, default=1,
                    help="localhost worker subprocesses (1 = serial, "
-                        "in-process, unless journaling)")
+                        "in-process)")
     p.add_argument("--threads-per-worker", type=int, default=1, metavar="T",
                    help="BLAS/OpenMP threads each worker may use "
                         "(0 = leave the runtimes uncapped)")
     p.add_argument("--cache-dir", metavar="DIR",
-                   help="artifact-store directory shared across sweeps")
-    p.add_argument("--journal", nargs="?", const="auto", default=None,
-                   metavar="PATH",
-                   help="run the worker fleet (even at --workers 1) and "
-                        "append its job transitions to a JSONL journal; "
-                        "with no PATH it lives next to the store "
-                        "(CACHE_DIR/journal.jsonl, requires --cache-dir)")
-    p.add_argument("--resume", action="store_true",
-                   help="replay an existing journal: journaled-done jobs "
-                        "whose artifacts are still cached are never "
-                        "re-leased (implies --journal)")
-    p.add_argument("--compact-every", type=int, default=None, metavar="N",
-                   help="auto-compact the journal after every N events, "
-                        "folding lease/requeue chatter into one done "
-                        "snapshot (implies --journal; default: never)")
+                   help="artifact-store directory shared across sweeps; "
+                        "rerunning a killed sweep on it executes only "
+                        "the stages it does not hold")
     _add_record_output_arguments(p)
     _add_telemetry_arguments(p)
 
@@ -223,17 +210,13 @@ def _add_cluster_parser(subparsers) -> None:
                        help="the one address workers and clients use "
                             "(port 0 = ephemeral)")
     serve.add_argument("--cache-dir", metavar="DIR",
-                       help="artifact-store directory shared by every sweep")
-    serve.add_argument("--journal-dir", metavar="DIR",
-                       help="directory for per-sweep journals "
-                            "(sweep-<id>.jsonl; resubmits resume them)")
+                       help="artifact-store directory shared by every "
+                            "sweep; restarted on it, the service runs only "
+                            "the missing stages of a resubmitted sweep")
     serve.add_argument("--lease-s", type=float, default=30.0, metavar="S",
                        help="job lease/heartbeat timeout in seconds")
     serve.add_argument("--max-retries", type=int, default=3, metavar="N",
                        help="lease grants per job before a sweep fails")
-    serve.add_argument("--compact-every", type=int, default=None, metavar="N",
-                       help="auto-compact each tenant journal after every "
-                            "N events (default: never)")
     serve.add_argument("--shutdown-when-idle", action="store_true",
                        help="tell workers to shut down once every submitted "
                             "sweep has finished (single-shot lifecycle)")
@@ -307,7 +290,7 @@ def _add_cluster_parser(subparsers) -> None:
         "status",
         help="fleet view of a running service: job-state counts, "
              "per-worker throughput and transfer bytes, per-sweep "
-             "tenants and journal lag, the slowest open spans",
+             "tenants, the slowest open spans",
     )
     status.add_argument("--service", required=True, metavar="HOST:PORT",
                         help="address of the service")
@@ -320,24 +303,6 @@ def _add_cluster_parser(subparsers) -> None:
                         help="print the raw fleet view as JSON")
     _add_token_argument(status)
     _add_telemetry_arguments(status)
-
-    journal = commands.add_parser(
-        "journal",
-        help="offline journal maintenance (no coordinator required)",
-    )
-    journal_commands = journal.add_subparsers(
-        dest="journal_command", required=True
-    )
-    compact = journal_commands.add_parser(
-        "compact",
-        help="fold a sweep journal down to its plan header + one done "
-             "snapshot (replays to identical state, O(done) size)",
-    )
-    compact.add_argument("path", metavar="JOURNAL",
-                         help="the JSONL journal file to compact in place")
-    compact.add_argument("--json", action="store_true",
-                         help="print the compaction summary as JSON")
-    _add_telemetry_arguments(compact)
 
 
 def _add_telemetry_parser(subparsers) -> None:
@@ -587,51 +552,12 @@ def _cmd_sweep(args) -> int:
     grid = _grid_from_args(args, base)
     store = ArtifactStore(args.cache_dir) if args.cache_dir else ArtifactStore()
     threads = None if args.threads_per_worker == 0 else args.threads_per_worker
-    journal = _resolve_journal(args)
-    if journal is None:
-        records = Runner(
-            base, store=store, max_workers=args.workers,
-            threads_per_worker=threads,
-        ).run(grid)
-    else:
-        # The journal belongs to the fleet's coordinator, so a journaled
-        # sweep runs the fleet even at --workers 1.
-        from repro.cluster import ClusterExecutor
-
-        records = ClusterExecutor(
-            base,
-            store=store,
-            journal=journal,
-            resume=args.resume,
-            compact_every=args.compact_every,
-        ).run_local(grid, args.workers, threads_per_worker=threads)
+    records = Runner(
+        base, store=store, max_workers=args.workers,
+        threads_per_worker=threads,
+    ).run(grid)
     _emit_records(args, records, title=f"sweep: {len(records)} grid points")
     return 0
-
-
-def _resolve_journal(args):
-    """The journal path the ``--journal``/``--resume`` flags describe.
-
-    ``--resume`` and ``--compact-every`` imply journaling; the bare
-    ``--journal`` flag (no PATH) places the journal next to the store,
-    which therefore requires ``--cache-dir`` — an in-memory store
-    cannot resume anyway.
-    """
-    from pathlib import Path
-
-    implied = args.resume or args.compact_every is not None
-    journal = args.journal or ("auto" if implied else None)
-    if journal is None:
-        return None
-    if journal == "auto":
-        if not args.cache_dir:
-            raise ValueError(
-                "--journal/--resume without a PATH places the journal next "
-                "to the store: pass --cache-dir (resume needs a disk-backed "
-                "store to hold the artifacts) or an explicit --journal PATH"
-            )
-        return Path(args.cache_dir) / "journal.jsonl"
-    return Path(journal)
 
 
 def _format_bytes(n: float) -> str:
@@ -708,7 +634,7 @@ def _render_top(status: dict) -> str:
 
 
 def _sweep_status_lines(status: dict) -> list:
-    """Per-tenant lines of the fleet view: state, counts, journal lag.
+    """Per-tenant lines of the fleet view: state, counts, failure.
 
     One line per entry of the ``GET /fleet`` reply's ``sweeps`` map.
     """
@@ -723,9 +649,6 @@ def _sweep_status_lines(status: dict) -> list:
         name = info.get("name")
         label = f"sweep {sweep_id}" + (f" ({name})" if name else "")
         line = f"{label} [{info.get('state', '?')}]: {counts}"
-        journal = info.get("journal") or {}
-        if journal:
-            line += f" | journal lag {journal.get('lag', 0)}"
         if info.get("failure"):
             line += f" | failure: {info['failure']}"
         lines.append(line)
@@ -762,33 +685,6 @@ def _cmd_cluster(args) -> int:
                 f"{stats.artifacts_pushed} pushed"
             )
         return 0 if not stats.jobs_failed else 1
-
-    if args.cluster_command == "journal":
-        from pathlib import Path
-
-        from repro.cluster import SweepJournal
-
-        if args.journal_command != "compact":
-            raise ValueError(
-                f"unknown journal command {args.journal_command!r}"
-            )
-        path = Path(args.path)
-        if not path.exists():
-            print(f"error: journal {path} does not exist", file=sys.stderr)
-            return 1
-        with SweepJournal(path, resume=True) as journal_file:
-            summary = journal_file.compact()
-        summary["path"] = str(path)
-        summary["bytes"] = path.stat().st_size
-        if args.json:
-            print(json.dumps(summary, indent=2, sort_keys=True))
-        else:
-            print(
-                f"compacted {path}: {summary['events_before']} event(s) -> "
-                f"{summary['events_after']} ({summary['done']} done jobs, "
-                f"{summary['bytes']} bytes)"
-            )
-        return 0
 
     if args.cluster_command == "status":
         import time
@@ -831,8 +727,6 @@ def _cmd_cluster(args) -> int:
             token=args.token,
             lease_timeout=args.lease_s,
             max_attempts=args.max_retries,
-            journal_dir=args.journal_dir,
-            compact_every=args.compact_every,
             shutdown_when_idle=args.shutdown_when_idle,
         )
         service.start()
@@ -865,8 +759,7 @@ def _cmd_cluster(args) -> int:
                 print(
                     f"sweep {submitted['sweep_id']} "
                     f"[{submitted.get('state', '?')}]: "
-                    f"{submitted.get('grid_points', '?')} grid point(s), "
-                    f"{submitted.get('replayed_done', 0)} replayed done"
+                    f"{submitted.get('grid_points', '?')} grid point(s)"
                 )
             return 0
         final = client.wait(submitted["sweep_id"], timeout=args.wait_timeout)

@@ -8,10 +8,10 @@ nothing beyond the standard library (``http.server``, ``http.client``,
 - the **coordinator** is the experiment service
   (:class:`ExperimentService`): the one coordinator runtime, many
   named sweeps (each a :class:`ManagedSweep` with its own
-  :class:`SweepPlan` and journal) multiplexed over one shared store
-  and one worker fleet.  Each plan expands its grid, dedupes jobs by
-  stage fingerprint and hands them out in creation order with leases,
-  heartbeats, requeue-with-exclusion and bounded retries;
+  :class:`SweepPlan`) multiplexed over one shared store and one worker
+  fleet.  Each plan expands its grid, dedupes jobs by stage fingerprint
+  and hands them out in creation order with leases, heartbeats,
+  requeue-with-exclusion and bounded retries;
 - **worker agents** (:class:`WorkerAgent`) lease jobs, run them through
   the ordinary :class:`~repro.pipeline.stages.ExperimentPipeline`
   against a local store, and sync artifacts by fingerprint
@@ -21,10 +21,12 @@ nothing beyond the standard library (``http.server``, ``http.client``,
   end on an embedded, single-shot :class:`ExperimentService` and
   assembles :class:`~repro.pipeline.runner.RunRecord` lists whose
   values are identical to the serial
-  :class:`~repro.pipeline.runner.Runner`;
-- an optional **journal** (:class:`SweepJournal`) persists every job
-  transition next to the store, so a sweep killed mid-run restarts
-  with ``--resume`` and never re-leases a journaled-done fingerprint.
+  :class:`~repro.pipeline.runner.Runner`.
+
+The content-addressed store is the one resume mechanism: a plan gives
+no job to a fingerprint already stored, so a sweep killed mid-run is
+resumed by running the same command again on the same ``--cache-dir``
+(or resubmitting it to a service restarted on the same store).
 
 One wire: every client, worker and peer request is one HTTP request
 through :class:`ServiceClient`, dispatched by one route table
@@ -55,7 +57,6 @@ artifact sync contract.
 
 from repro.cluster.executor import ClusterExecutor, local_worker_processes
 from repro.cluster.http_api import ServiceAuthError, ServiceClient, ServiceError
-from repro.cluster.journal import JournalMismatch, SweepJournal
 from repro.cluster.plan import Job, PlanFailed, SweepPlan, WorkerRegistry
 from repro.cluster.protocol import (
     DEFAULT_PORT,
@@ -79,13 +80,11 @@ __all__ = [
     "DistributionTimeout",
     "ExperimentService",
     "Job",
-    "JournalMismatch",
     "ManagedSweep",
     "PlanFailed",
     "ServiceAuthError",
     "ServiceClient",
     "ServiceError",
-    "SweepJournal",
     "SweepPlan",
     "WorkerAgent",
     "WorkerRegistry",

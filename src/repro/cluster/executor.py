@@ -20,12 +20,6 @@ compute, reaching the service on its one port.
 :meth:`ClusterExecutor.run_local` adds N localhost worker subprocesses
 instead, for ``Runner(max_workers=N)`` and ``repro sweep --workers
 N``.
-
-With ``journal=...`` the tenant keeps a disk journal of every job
-transition next to the store; ``resume=True`` replays it so a
-coordinator killed mid-sweep restarts without re-leasing a single
-journaled-done fingerprint (see docs/cluster.md, "Journal and
-resume").
 """
 
 from __future__ import annotations
@@ -37,7 +31,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.plan import PlanFailed, SweepPlan
 from repro.cluster.protocol import format_address, is_loopback_host, parse_address
@@ -84,22 +78,12 @@ class ClusterExecutor:
         :class:`~repro.cluster.service.DistributionTimeout` is raised
         carrying the job-state counts and each worker's last-contact
         age.
-    journal:
-        Optional path to the coordinator journal (JSONL of job
-        transitions, conventionally next to the store).  An existing
-        journal is refused unless ``resume=True``.
-    resume:
-        Replay an existing journal before distributing: jobs whose
-        ``done`` events are journaled and whose artifacts are still in
-        the store are never re-leased.
-    compact_every:
-        Auto-compact the journal after this many appended events (see
-        :class:`~repro.cluster.journal.SweepJournal`); ``None`` never
-        compacts automatically.
     token:
         Shared cluster secret the embedded service requires on every
-        route.  :meth:`run_local` hands it to its fleet, and makes up a
-        fresh one when there is none.
+        route; with none, the executor makes up a fresh one, so no
+        route is ever served without a token.  Workers of :meth:`run`
+        read it from :attr:`token`; :meth:`run_local` hands it to its
+        fleet.
     """
 
     def __init__(
@@ -110,20 +94,14 @@ class ClusterExecutor:
         *,
         lease_timeout: float = 30.0,
         wait_timeout: Optional[float] = None,
-        journal: Optional[Union[str, Path]] = None,
-        resume: bool = False,
-        compact_every: Optional[int] = None,
         token: Optional[str] = None,
     ):
         self.base_config = base_config or SparkXDConfig()
         self.store = store if store is not None else ArtifactStore()
-        self.token = token
+        self.token = token or secrets.token_urlsafe(32)
         self.bind_address: Tuple[str, int] = parse_address(address)
         self.lease_timeout = float(lease_timeout)
         self.wait_timeout = wait_timeout
-        self.journal_path = Path(journal) if journal is not None else None
-        self.resume = bool(resume)
-        self.compact_every = None if compact_every is None else int(compact_every)
         #: Actual bound address of the most recent (or current) run.
         self.address: Optional[Tuple[str, int]] = None
         #: The plan of the most recent run (inspection/tests).
@@ -145,17 +123,14 @@ class ClusterExecutor:
         service's bound ``(host, port)``; convenient for launching a
         worker fleet against an ephemeral port (see :meth:`run_local`).
         Workers that connect earlier are told to wait, never to shut
-        down.
+        down.  Every route requires :attr:`token`.
         """
-        return self._serve(grid, on_ready, self.token)
-
-    def _serve(self, grid, on_ready, token: Optional[str]) -> List[RunRecord]:
         host, port = self.bind_address
         service = ExperimentService(
             store=self.store,
             host=host,
             port=port,
-            token=token,
+            token=self.token,
             lease_timeout=self.lease_timeout,
             poll_s=LOCAL_POLL_S if is_loopback_host(host) else None,
             shutdown_when_idle=True,
@@ -164,13 +139,7 @@ class ClusterExecutor:
         # the trace context its lease grants carry, so worker job spans
         # land in this trace (no-op when tracing is off).
         with service, span("cluster.sweep") as sweep_span:
-            managed = service.submit(
-                self.base_config,
-                grid,
-                journal_path=self.journal_path,
-                resume=self.resume,
-                compact_every=self.compact_every,
-            )
+            managed = service.submit(self.base_config, grid)
             plan = managed.plan
             self.last_plan = plan
             self.address = service.address
@@ -197,13 +166,13 @@ class ClusterExecutor:
         """:meth:`run` ``grid`` on ``n_workers`` localhost worker subprocesses.
 
         Fleet sizes are validated before the service starts; a grid
-        whose artifacts are all cached (or journaled done) launches no
-        worker; a fleet whose workers all exited with work left raises
+        whose artifacts are all cached launches no worker; a fleet
+        whose workers all exited with work left raises
         :class:`PlanFailed` naming their exit codes.
         ``threads_per_worker`` goes to :func:`local_worker_processes`,
-        with the executor's token or, if it has none, a fresh one: no
-        other local process can then upload an artifact the sweep
-        would unpickle or serve as a cached stage.
+        with the executor's :attr:`token`: no other local process can
+        then upload an artifact the sweep would unpickle or serve as a
+        cached stage.
         """
         if n_workers < 1:
             raise ValueError(f"workers must be >= 1, got {n_workers}")
@@ -212,7 +181,6 @@ class ClusterExecutor:
                 f"threads_per_worker must be >= 1 or None, got {threads_per_worker}"
             )
         exit_codes: List[int] = []
-        token = self.token or secrets.token_urlsafe(32)
         with contextlib.ExitStack() as fleet:
 
             def on_ready(address: Tuple[str, int]) -> None:
@@ -223,14 +191,14 @@ class ClusterExecutor:
                     address,
                     n_workers,
                     threads_per_worker=threads_per_worker,
-                    token=token,
+                    token=self.token,
                 ))
                 fleet.enter_context(
                     _cancel_when_all_exit(plan, workers, exit_codes)
                 )
 
             try:
-                return self._serve(grid, on_ready, token)
+                return self.run(grid, on_ready)
             except RuntimeError as error:
                 if not exit_codes:
                     raise
@@ -313,15 +281,17 @@ def local_worker_processes(
     address: Any,
     n_workers: int,
     threads_per_worker: Optional[int] = 1,
-    token: Optional[str] = None,
+    *,
+    token: str,
 ) -> Iterator[List[subprocess.Popen]]:
     """``n_workers`` subprocess agents (``python -m repro cluster worker``).
 
     Each worker is a fresh interpreter, so BLAS parallelism and memory
     are genuinely per-worker — the localhost stand-in for real hosts.
     ``threads_per_worker`` caps each agent's BLAS/OpenMP threads
-    (``None`` leaves the runtimes at their defaults).  The agents
-    inherit this process's telemetry: with a trace writer installed
+    (``None`` leaves the runtimes at their defaults); ``token`` is the
+    fleet's secret (:attr:`ClusterExecutor.token`).  The agents inherit
+    this process's telemetry: with a trace writer installed
     they append spans to the same JSONL file (line-atomic appends; the
     exporter separates processes by pid) — this is how ``repro sweep
     --workers N --trace`` yields one merged fleet trace — and they log
@@ -349,10 +319,9 @@ def local_worker_processes(
     if log_level is not None:
         command += ["--log-level", log_level]
     env = _worker_env(threads_per_worker)
-    if token:
-        # The secret travels by environment, not argv: process listings
-        # are world-readable on shared hosts.
-        env["REPRO_CLUSTER_TOKEN"] = str(token)
+    # The secret travels by environment, not argv: process listings
+    # are world-readable on shared hosts.
+    env["REPRO_CLUSTER_TOKEN"] = token
     # stdout is silenced (the agent prints a summary line that would
     # corrupt --json output); stderr is inherited so a worker that dies
     # on startup — import error, bad PYTHONPATH — shows its traceback

@@ -11,7 +11,7 @@ the one :data:`ROUTES` table:
                                               in wire form); idempotent — an
                                               already-registered sweep_id
                                               reattaches
-``GET``     ``/sweeps/{sweep_id}``            state, job counts, journal lag
+``GET``     ``/sweeps/{sweep_id}``            state, job counts, failure
 ``POST``    ``/sweeps/{sweep_id}/cancel``     withdraw: frees live leases
 ``GET``     ``/sweeps/{sweep_id}/results``    assembled RunRecords (409
                                               until the sweep is done)
@@ -424,19 +424,12 @@ class HttpEndpoint:
             grid = grid_from_wire(wire_grid)
         except (TypeError, ValueError, KeyError) as error:
             return 400, {"error": f"bad sweep description: {error}"}
-        resume = body.get("resume", "auto")
-        if resume != "auto" and not isinstance(resume, bool):
-            return 400, {
-                "error": "'resume' must be \"auto\", true or false, "
-                f"got {resume!r}"
-            }
         name = body.get("name")
         try:
             managed = self.service.submit(
                 config,
                 grid,
                 name=None if name is None else str(name),
-                resume=resume,
             )
         except ValueError as error:
             return 400, {"error": str(error)}
@@ -651,12 +644,10 @@ class ServiceClient:
         base_config: SparkXDConfig,
         grid: Mapping[str, Sequence[Any]],
         name: Optional[str] = None,
-        resume: Any = "auto",
     ) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
             "base_config": base_config.to_wire(),
             "grid": grid_to_wire(grid),
-            "resume": resume,
         }
         if name is not None:
             payload["name"] = str(name)

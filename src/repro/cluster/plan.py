@@ -11,8 +11,10 @@ networked or the localhost fleet behind
   one job, so each training-side fingerprint is executed exactly once
   cluster-wide;
 - **dependencies** — a job becomes *ready* when the jobs producing its
-  upstream artifacts are done (artifacts already cached in the
-  coordinator's store need no job at all);
+  upstream artifacts are done;
+- **resume** — an artifact already in the coordinator's store needs no
+  job at all, so rerunning a killed sweep on the same store executes
+  only what the first life left unfinished;
 - **leases** — a worker holds a job for ``lease_timeout`` seconds,
   renewable by heartbeat; a lease that expires (worker death, network
   partition) requeues the job with that worker excluded, so a healthy
@@ -23,11 +25,7 @@ networked or the localhost fleet behind
   completion fails the whole plan with a diagnostic;
 - **grant order** — a leasing worker gets the first ready job in
   creation order (grid-major, depth-minor); what it reports holding
-  only feeds the peer routing table, never the grant;
-- **journal** — with a :class:`~repro.cluster.journal.SweepJournal`
-  attached, every transition is appended to disk and a reconstructed
-  plan replays ``done`` events (validated against the store), so a
-  coordinator crash never re-leases a finished fingerprint.
+  only feeds the peer routing table, never the grant.
 
 The plan is deliberately socket-free (all methods are plain calls under
 an internal lock, time is injectable) so the scheduling semantics are
@@ -53,7 +51,6 @@ from typing import (
 )
 
 from repro.core.config import SparkXDConfig
-from repro.cluster.journal import SweepJournal
 from repro.pipeline.runner import sweep_grid
 from repro.pipeline.stages import default_stages
 from repro.pipeline.store import ArtifactStore, fingerprint
@@ -261,20 +258,14 @@ class SweepPlan:
         Same meaning as in :class:`repro.pipeline.runner.Runner`.
     store:
         The coordinator's artifact store.  Fingerprints already present
-        get no job; completions are validated against it.
+        get no job (the one resume rule); completions are validated
+        against it.
     lease_timeout:
         Seconds a worker may hold a job between heartbeats.
     max_attempts:
         Lease grants per job before the plan fails.
     clock:
         Injectable monotonic time source (tests).
-    journal:
-        Optional :class:`~repro.cluster.journal.SweepJournal`.  Job
-        transitions are appended to it, and ``done`` events already on
-        disk are replayed at construction: a journaled-done fingerprint
-        whose artifact is still in the store comes back as a done job
-        (original worker attribution and stats intact) and is never
-        re-leased.
     registry:
         Optional shared :class:`WorkerRegistry`.  ``None`` (the
         default) creates a private one whose liveness window is the
@@ -291,7 +282,6 @@ class SweepPlan:
         lease_timeout: float = 30.0,
         max_attempts: int = 3,
         clock: Callable[[], float] = time.monotonic,
-        journal: Optional[SweepJournal] = None,
         registry: Optional[WorkerRegistry] = None,
     ):
         if lease_timeout <= 0:
@@ -302,7 +292,6 @@ class SweepPlan:
         self.lease_timeout = float(lease_timeout)
         self.max_attempts = int(max_attempts)
         self.clock = clock
-        self.journal = journal
         self._lock = threading.Lock()
         self.param_sets = sweep_grid(grid)
         self.configs = [base_config.with_overrides(**p) for p in self.param_sets]
@@ -315,9 +304,8 @@ class SweepPlan:
             for config in self.configs
         ]
         #: Stable identity of this sweep: the full config × stage digest
-        #: matrix.  Independent of store warmth, so a resumed plan gets
-        #: the same id and journal replay can verify it is reading the
-        #: journal of *this* sweep.
+        #: matrix.  Independent of store warmth, so a rerun on a warm
+        #: store gets the same id.
         self.plan_id = fingerprint([list(map(list, keys)) for keys in self.chain_keys])
         self.jobs: Dict[str, Job] = {}
         self._order: List[str] = []  # creation order: grid-major, depth-minor
@@ -326,26 +314,12 @@ class SweepPlan:
         self.registry = registry if registry is not None else WorkerRegistry(
             clock=clock, liveness_window_s=3.0 * self.lease_timeout
         )
-        replayed = (
-            journal.done_events(plan_id=self.plan_id) if journal is not None else {}
-        )
-        self._build_jobs(replayed)
-        self.replayed_done = sum(
-            1 for job in self.jobs.values() if job.state == "done"
-        )
-        self._journal_event({
-            "event": "plan",
-            "plan_id": self.plan_id,
-            "jobs": len(self.jobs),
-            "replayed_done": self.replayed_done,
-            "grid_points": len(self.configs),
-        })
+        self._build_jobs()
         LOG.info(
             "sweep plan built",
             extra={
                 "plan_id": self.plan_id[:16],
                 "jobs": len(self.jobs),
-                "replayed_done": self.replayed_done,
                 "grid_points": len(self.configs),
             },
         )
@@ -353,7 +327,7 @@ class SweepPlan:
     # ------------------------------------------------------------------
     # Construction.
 
-    def _build_jobs(self, replayed: Mapping[Tuple[str, str], Dict[str, Any]]) -> None:
+    def _build_jobs(self) -> None:
         for config, keys in zip(self.configs, self.chain_keys):
             last_job_id: Optional[str] = None
             upstream: List[Tuple[str, str]] = []
@@ -371,11 +345,10 @@ class SweepPlan:
                     last_job_id = job_id
                     upstream.append(key)
                     continue
-                in_store = key in self.store
-                replay_event = replayed.get(key)
-                if in_store and replay_event is None:
-                    # Cached on the coordinator before this sweep ever
-                    # ran: no job.  The dependency chain continues from
+                if key in self.store:
+                    # The one resume rule: a stored artifact gets no
+                    # job, so a killed sweep's rerun executes only what
+                    # is missing.  The dependency chain continues from
                     # the last job this config did create (if any) so
                     # downstream jobs still wait for every artifact
                     # they must pull.
@@ -390,25 +363,10 @@ class SweepPlan:
                     deps=set() if last_job_id is None else {last_job_id},
                     upstream=tuple(upstream),
                 )
-                if in_store and replay_event is not None:
-                    # Journaled done AND the artifact survived: replay
-                    # as a finished job so the resumed plan's counts,
-                    # stats and dependency graph cover the whole sweep
-                    # — without a single re-lease or re-execution.  A
-                    # journaled done whose artifact vanished (pruned
-                    # store) is NOT replayed: bytes win over history,
-                    # the job simply runs again.
-                    job.state = "done"
-                    job.worker = replay_event.get("worker")
-                    job.stats = dict(replay_event.get("stats") or {})
                 self.jobs[job_id] = job
                 self._order.append(job_id)
                 last_job_id = job_id
                 upstream.append(key)
-
-    def _journal_event(self, event: Dict[str, Any]) -> None:
-        if self.journal is not None:
-            self.journal.append(event)
 
     # ------------------------------------------------------------------
     # State inspection.
@@ -468,11 +426,6 @@ class SweepPlan:
             self.failure = (
                 f"job {job.job_id} failed after {job.attempts} attempt(s): {reason}"
             )
-            self._journal_event({
-                "event": "plan-failed",
-                "job": job.job_id,
-                "failure": self.failure,
-            })
             get_metrics().counter("plan.failures").inc()
             LOG.error(
                 "plan failed",
@@ -480,12 +433,6 @@ class SweepPlan:
             )
         else:
             job.state = "pending"
-            self._journal_event({
-                "event": "requeue",
-                "job": job.job_id,
-                "worker": worker,
-                "reason": reason,
-            })
             get_metrics().counter("plan.requeues").inc()
             LOG.warning(
                 "job requeued",
@@ -523,12 +470,6 @@ class SweepPlan:
             job.worker = worker
             job.attempts += 1
             job.deadline = self.clock() + self.lease_timeout
-            self._journal_event({
-                "event": "lease",
-                "job": job.job_id,
-                "worker": worker,
-                "attempt": job.attempts,
-            })
             get_metrics().counter("plan.leases").inc()
             return job
 
@@ -591,14 +532,6 @@ class SweepPlan:
                 job.stats = dict(stats or {})
                 job.stats.setdefault("worker", worker)
                 job.stats.setdefault("slot", self.registry.slot(worker))
-            self._journal_event({
-                "event": "done",
-                "job": job.job_id,
-                "stage": job.stage,
-                "digest": job.digest,
-                "worker": worker,
-                "stats": job.stats,
-            })
             get_metrics().counter("plan.completions").inc()
             return True
 
@@ -636,7 +569,8 @@ class SweepPlan:
         other tenants.  A completion that still arrives for a freed job
         is accepted as usual (content-addressed artifacts make it
         idempotent).  Cancellation is in-memory only: resubmitting the
-        same sweep later resumes from the journal as if never cancelled.
+        same sweep to a restarted service plans it afresh, and every
+        artifact the cancelled tenant stored needs no job.
         """
         with self._lock:
             if self._cancelled:
@@ -649,23 +583,12 @@ class SweepPlan:
                     job.deadline = None
                     job.state = "pending"
                     freed += 1
-            self._journal_event({
-                "event": "cancelled",
-                "plan_id": self.plan_id,
-                "leases_freed": freed,
-            })
             get_metrics().counter("plan.cancellations").inc()
             LOG.info(
                 "plan cancelled",
                 extra={"plan_id": self.plan_id[:16], "leases_freed": freed},
             )
             return freed
-
-    def journal_status(self) -> Optional[Dict[str, Any]]:
-        """The attached journal's lag/size view (``None`` without one)."""
-        if self.journal is None:
-            return None
-        return self.journal.status()
 
     # ------------------------------------------------------------------
     def job_for(self, stage_name: str, digest: str) -> Optional[Job]:

@@ -15,10 +15,7 @@ calls the service directly:
   `GET /fleet`), through which clients submit and harvest sweeps.
 
 Each tenant (:class:`ManagedSweep`) owns its
-:class:`~repro.cluster.plan.SweepPlan` and (optionally) its own
-:class:`~repro.cluster.journal.SweepJournal` — journal files are keyed
-by ``sweep_id`` under ``journal_dir``, so compaction and replay are
-strictly per tenant — while every tenant shares ONE
+:class:`~repro.cluster.plan.SweepPlan`, while every tenant shares ONE
 :class:`~repro.pipeline.store.ArtifactStore` (cross-sweep fingerprint
 dedupe comes for free: a stage another tenant already computed needs
 no job at all) and ONE :class:`~repro.cluster.plan.WorkerRegistry`
@@ -34,11 +31,14 @@ that worker's previous one, and the fleet view merges the latest per
 worker with the service's own registry.
 
 Sweep identity is deterministic: ``sweep_id`` fingerprints the config ×
-grid, so resubmitting after a service crash reattaches to the same
-journal and replays it — the restart story is "resubmit everything,
-re-execute nothing".  Scheduling state lives in plans (thread-safe,
-lock-based), so requests run on the server's per-connection threads; a
-separate thread expires the leases of workers that went quiet.
+grid, so an identical submission reattaches to the registered tenant.
+The store is the one resume mechanism: a service restarted on the same
+disk store (``cluster serve --cache-dir``) plans a resubmitted sweep
+with no job for any artifact it already holds — the restart story is
+"resubmit everything, re-execute nothing".  Scheduling state lives in
+plans (thread-safe, lock-based), so requests run on the server's
+per-connection threads; a separate thread expires the leases of
+workers that went quiet.
 
 ``shutdown_when_idle=True`` is the single-shot lifecycle (workers get
 ``shutdown`` once every submitted sweep finished).
@@ -53,11 +53,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.http_api import ArtifactEndpoint, HttpEndpoint
-from repro.cluster.journal import SweepJournal
 from repro.cluster.plan import JOB_STATES, PlanFailed, SweepPlan, WorkerRegistry
 from repro.cluster.protocol import format_address
 from repro.core.config import SparkXDConfig
@@ -76,8 +74,8 @@ def sweep_identity(
 
     Stable across processes, restarts, and the JSON round trip of the
     control plane (``canonical_form`` normalises tuples vs. lists), so
-    a resubmitted sweep lands on the same journal file and an identical
-    concurrent submission reattaches instead of duplicating work.
+    an identical concurrent submission reattaches instead of
+    duplicating work.
     """
     return fingerprint(
         {"config": base_config.to_wire(), "grid": dict(grid)}
@@ -152,11 +150,10 @@ def wait_for_sweep(
 
 @dataclass
 class ManagedSweep:
-    """One tenant: its plan, its journal, its lifecycle state."""
+    """One tenant: its plan and its lifecycle state."""
 
     sweep_id: str
     plan: SweepPlan
-    journal: Optional[SweepJournal] = None
     name: Optional[str] = None
     #: Trace context adopted by lease grants of THIS sweep (the
     #: submitter's active span), so worker job spans join the
@@ -178,7 +175,7 @@ class ManagedSweep:
         return "running"
 
     def describe(self) -> Dict[str, Any]:
-        """The ``GET /sweeps/{id}`` body: state, counts, failure, journal lag."""
+        """The ``GET /sweeps/{id}`` body: state, job counts, failure."""
         plan = self.plan
         payload: Dict[str, Any] = {
             "sweep_id": self.sweep_id,
@@ -186,13 +183,9 @@ class ManagedSweep:
             "state": self.state,
             "plan_id": plan.plan_id,
             "grid_points": len(plan.configs),
-            "replayed_done": plan.replayed_done,
             "failure": plan.failure,
         }
         payload.update(plan.counts())
-        journal = plan.journal_status()
-        if journal is not None:
-            payload["journal"] = journal
         return payload
 
 
@@ -266,12 +259,6 @@ class ExperimentService:
         :class:`~repro.cluster.plan.SweepPlan`).
     poll_s:
         The ``wait`` a lease reply asks an idle worker to sleep.
-    journal_dir:
-        Directory for per-tenant journals (``sweep-<sweep_id>.jsonl``).
-        ``None`` disables journaling unless a submit passes an explicit
-        path.
-    compact_every:
-        Per-tenant auto-compaction threshold (journal events).
     shutdown_when_idle:
         ``True`` is the single-shot lifecycle: once every submitted
         sweep is finished (done, failed or cancelled), workers are told
@@ -289,8 +276,6 @@ class ExperimentService:
         lease_timeout: float = 30.0,
         max_attempts: int = 3,
         poll_s: Optional[float] = None,
-        journal_dir: Optional[Union[str, Path]] = None,
-        compact_every: Optional[int] = None,
         shutdown_when_idle: bool = False,
     ):
         self.store = store if store is not None else ArtifactStore()
@@ -304,8 +289,6 @@ class ExperimentService:
             if poll_s is not None
             else min(1.0, self.lease_timeout / 4.0)
         )
-        self.journal_dir = Path(journal_dir) if journal_dir is not None else None
-        self.compact_every = None if compact_every is None else int(compact_every)
         self.shutdown_when_idle = bool(shutdown_when_idle)
         self.registry = WorkerRegistry(
             liveness_window_s=3.0 * self.lease_timeout
@@ -340,16 +323,12 @@ class ExperimentService:
         grid: Mapping[str, Sequence[Any]],
         *,
         name: Optional[str] = None,
-        journal_path: Optional[Union[str, Path]] = None,
-        resume: Any = "auto",
-        compact_every: Optional[int] = None,
     ) -> ManagedSweep:
         """Register a sweep; idempotent on the deterministic sweep id.
 
-        ``resume`` — ``"auto"`` (default) replays an existing journal
-        file and starts fresh otherwise; ``True``/``False`` force the
-        :class:`~repro.cluster.journal.SweepJournal` behaviour.
-        Worker job spans parent under the caller's current span, so an
+        A fingerprint already in the store gets no job, so a sweep
+        resubmitted to a service restarted on the same store executes
+        only what is missing.  Worker job spans parent under the caller's current span, so an
         in-process submitter (:class:`~repro.cluster.ClusterExecutor`)
         sees them in its own trace.
         """
@@ -360,43 +339,17 @@ class ExperimentService:
                 # Reattach: same config × grid is the same sweep.  The
                 # done work is shared; the caller polls the same id.
                 return existing
-            path = Path(journal_path) if journal_path is not None else None
-            if path is None and self.journal_dir is not None:
-                path = self.journal_dir / f"sweep-{sweep_id}.jsonl"
-            journal: Optional[SweepJournal] = None
-            if path is not None:
-                do_resume = (
-                    path.exists() and path.stat().st_size > 0
-                    if resume == "auto"
-                    else bool(resume)
-                )
-                journal = SweepJournal(
-                    path,
-                    resume=do_resume,
-                    compact_every=(
-                        self.compact_every
-                        if compact_every is None
-                        else int(compact_every)
-                    ),
-                )
-            try:
-                plan = SweepPlan(
-                    base_config,
-                    grid,
-                    self.store,
-                    lease_timeout=self.lease_timeout,
-                    max_attempts=self.max_attempts,
-                    journal=journal,
-                    registry=self.registry,
-                )
-            except Exception:
-                if journal is not None:
-                    journal.close()
-                raise
+            plan = SweepPlan(
+                base_config,
+                grid,
+                self.store,
+                lease_timeout=self.lease_timeout,
+                max_attempts=self.max_attempts,
+                registry=self.registry,
+            )
             managed = ManagedSweep(
                 sweep_id=sweep_id,
                 plan=plan,
-                journal=journal,
                 name=name,
                 trace_context=current_context(),
             )
@@ -409,8 +362,6 @@ class ExperimentService:
                 "sweep_id": sweep_id,
                 "sweep_name": name,
                 "jobs": len(plan.jobs),
-                "replayed_done": plan.replayed_done,
-                "journal": str(path) if path is not None else None,
             },
         )
         return managed
@@ -467,8 +418,8 @@ class ExperimentService:
             raise RuntimeError(
                 f"sweep {sweep_id} is not complete (job states: {counts})"
             )
-        # Each key a job of this sweep produced (journal replays
-        # included) is owned by the first grid point that needs it.
+        # Each key a job of this sweep produced is owned by the first
+        # grid point that needs it.
         owner: Dict[Tuple[str, str], int] = {}
         for index, keys in enumerate(plan.chain_keys):
             for key in keys:
@@ -633,24 +584,19 @@ class ExperimentService:
             for tenant in self._tenants():
                 try:
                     tenant.plan.expire_leases()
-                except Exception:  # journaling I/O error must not kill the tick
+                except Exception:  # the tick must outlive one tenant's fault
                     LOG.exception(
                         "lease expiry failed", extra={"sweep_id": tenant.sweep_id}
                     )
 
     def stop(self) -> None:
-        """Close the listener, stop the tick, close tenant journals."""
+        """Close the listener and stop the lease-expiry tick."""
         if self._endpoint is not None:
             self._endpoint.stop()
             self._endpoint = None
             self._stopping.set()
             self._expiry_thread.join(timeout=10.0)
             self._expiry_thread = None
-        with self._lock:
-            managed_sweeps = list(self._sweeps.values())
-        for managed in managed_sweeps:
-            if managed.journal is not None:
-                managed.journal.close()
 
     def __enter__(self) -> "ExperimentService":
         return self.start()

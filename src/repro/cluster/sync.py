@@ -14,8 +14,8 @@ Artifacts move by ``(stage, fingerprint)`` key, never by job identity:
 - **push** — after running, the worker uploads every chain artifact
   the coordinator is missing (one ``has`` round trip filters the
   list, so nothing is ever re-sent).  Pushes always target the hub:
-  the coordinator's store is the durable system of record that
-  resume/journal replay validates against.
+  the coordinator's store is the durable system of record, and a
+  rerun of a killed sweep skips every artifact it holds.
 
 Both directions are idempotent: an upload of an already-present
 fingerprint is acknowledged without a write (the store treats losing a

@@ -356,9 +356,10 @@ class WorkerAgent:
             except ServiceAuthError:
                 raise  # handled (loudly) one frame up
             except (OSError, ServiceError) as error:
-                # The coordinator may be restarting (crash + --resume):
-                # its holdings map and peer registry start empty, so
-                # re-hello and re-report ours when it comes back.
+                # The coordinator may be restarting (a killed service
+                # rerun on its store): its holdings map and peer
+                # registry start empty, so re-hello and re-report ours
+                # when it comes back.
                 self._holding_reported = False
                 self._said_hello = False
                 now = time.monotonic()

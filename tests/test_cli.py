@@ -63,21 +63,23 @@ class TestClusterParser:
         cluster = subcommands(subcommands(build_parser())["cluster"])
         assert sorted(cluster) == sorted([
             "serve", "submit", "cancel", "results", "worker", "status",
-            "journal",
         ])
 
     def test_sweep_fleet_defaults(self):
         args = build_parser().parse_args(["sweep"])
         assert args.workers == 1
-        assert args.journal is None
-        assert args.resume is False
-        assert args.compact_every is None
-        # The local fleet's port, lease, idle and fabric settings are fixed.
+        # The local fleet's port, lease, idle and fabric settings are
+        # fixed, and resuming is rerunning on the same --cache-dir.
         for flag in (["--port", "0"], ["--lease-s", "15"], ["--max-idle-s", "5"],
                      ["--wait-timeout", "60"], ["--no-affinity"],
-                     ["--no-peer-sync"]):
+                     ["--no-peer-sync"], ["--journal"], ["--resume"],
+                     ["--compact-every", "5"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["sweep", *flag])
+        for flag in (["--no-affinity"], ["--journal-dir", "j"],
+                     ["--compact-every", "5"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["cluster", "serve", *flag])
 
     @pytest.mark.parametrize(
         "command", [["serve"], ["worker", "--coordinator", "host:8752"]]
@@ -86,36 +88,6 @@ class TestClusterParser:
         build_parser().parse_args(["cluster", *command])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cluster", *command, "--no-peer-sync"])
-
-    def test_journal_resume_flags(self):
-        args = build_parser().parse_args(["sweep", "--journal", "--resume"])
-        assert args.journal == "auto"  # bare flag: next to the store
-        assert args.resume is True
-        args = build_parser().parse_args(["sweep", "--journal", "/tmp/j.jsonl"])
-        assert args.journal == "/tmp/j.jsonl"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["cluster", "serve", "--no-affinity"])
-
-    def test_journal_path_resolution(self, tmp_path):
-        from repro.cli import _resolve_journal
-
-        # Bare --journal/--resume/--compact-every need --cache-dir to
-        # place the file.
-        for flags in (["--journal"], ["--resume"], ["--compact-every", "5"]):
-            args = build_parser().parse_args(
-                ["sweep", *flags, "--cache-dir", str(tmp_path)]
-            )
-            assert _resolve_journal(args) == tmp_path / "journal.jsonl"
-            args = build_parser().parse_args(["sweep", *flags])
-            with pytest.raises(ValueError, match="cache-dir"):
-                _resolve_journal(args)
-        # Explicit paths pass through, no journal means None.
-        args = build_parser().parse_args(
-            ["sweep", "--journal", str(tmp_path / "j.jsonl")]
-        )
-        assert _resolve_journal(args) == tmp_path / "j.jsonl"
-        args = build_parser().parse_args(["sweep"])
-        assert _resolve_journal(args) is None
 
 
 class TestDramCommand:
@@ -255,25 +227,19 @@ class TestSweepCommand:
 
 class TestLocalFleetSizes:
     """``sweep`` rejects bad fleet sizes with exit 2 and an ``error:``
-    line, before any service starts — journaled (always the fleet) or
-    not."""
+    line, before any service starts."""
 
-    @pytest.mark.parametrize(
-        "command", [["sweep"], ["sweep", "--journal", "j.jsonl"]]
-    )
+    @pytest.mark.parametrize("command", [["sweep"]])
     @pytest.mark.parametrize(
         "flags", [["--workers", "0"], ["--threads-per-worker", "-3"]]
     )
-    def test_rejected_before_any_service(
-        self, command, flags, capsys, monkeypatch, tmp_path
-    ):
+    def test_rejected_before_any_service(self, command, flags, capsys, monkeypatch):
         from repro.cluster import ExperimentService
 
         def no_service(self):
             raise AssertionError("an experiment service was started")
 
         monkeypatch.setattr(ExperimentService, "start", no_service)
-        monkeypatch.chdir(tmp_path)
         exit_code = main([
             *command, "--neurons", "12", "--train", "40", "--test", "25",
             "--steps", "30", "--bound", "0.5",
@@ -283,7 +249,6 @@ class TestLocalFleetSizes:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "must be >= 1" in err
-        assert not (tmp_path / "j.jsonl").exists()
 
 
 class TestCacheCommand:
@@ -460,7 +425,6 @@ class TestFleetViews:
             "aaaa": {
                 "name": "alpha", "state": "running", "failure": None,
                 "pending": 3, "leased": 1, "done": 2, "failed": 0,
-                "journal": {"events": 9, "lag": 4},
             },
             "bbbb": {
                 "state": "failed", "failure": FAILURE,
@@ -474,7 +438,7 @@ class TestFleetViews:
 
         assert _sweep_status_lines(self.STATUS) == [
             "sweep aaaa (alpha) [running]: pending=3, leased=1, done=2, "
-            "failed=0 | journal lag 4",
+            "failed=0",
             "sweep bbbb [failed]: pending=0, leased=0, done=3, failed=1 "
             f"| failure: {self.FAILURE}",
         ]

@@ -410,7 +410,9 @@ class TestDistributedSweep:
             records = executor.run(
                 GRID,
                 on_ready=lambda address: stack.enter_context(
-                    local_worker_threads(address, 2, max_idle_s=60.0)
+                    local_worker_threads(
+                        address, 2, max_idle_s=60.0, token=executor.token
+                    )
                 ),
             )
 
@@ -452,7 +454,9 @@ class TestDistributedSweep:
                 GRID,
                 on_ready=lambda address: agents.extend(
                     stack.enter_context(
-                        local_worker_threads(address, 1, max_idle_s=60.0)
+                        local_worker_threads(
+                            address, 1, max_idle_s=60.0, token=executor.token
+                        )
                     )
                 ),
             )
@@ -473,14 +477,16 @@ class TestDistributedSweep:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
         address = ("127.0.0.1", port)
-        with local_worker_threads(address, 2, max_idle_s=60.0):
-            executor = ClusterExecutor(
-                TINY,
-                store=ArtifactStore(),
-                address=address,
-                lease_timeout=10.0,
-                wait_timeout=300.0,
-            )
+        executor = ClusterExecutor(
+            TINY,
+            store=ArtifactStore(),
+            address=address,
+            lease_timeout=10.0,
+            wait_timeout=300.0,
+        )
+        with local_worker_threads(
+            address, 2, max_idle_s=60.0, token=executor.token
+        ):
             records = executor.run(GRID)
         assert records_equivalent(serial_records, records)
         assert executor.address == address
@@ -507,7 +513,9 @@ class TestDistributedSweep:
                 executor.run(
                     GRID,
                     on_ready=lambda address: stack.enter_context(
-                        local_worker_threads(address, 2, max_idle_s=60.0)
+                        local_worker_threads(
+                            address, 2, max_idle_s=60.0, token=executor.token
+                        )
                     ),
                 )
 
@@ -704,7 +712,7 @@ class TestRecordValueHelpers:
 
 
 # ----------------------------------------------------------------------
-# Journal, resume and distribution diagnostics.
+# Resume by rerun and distribution diagnostics.
 
 
 @pytest.fixture(scope="module")
@@ -747,9 +755,9 @@ class TestDistributionTimeout:
 
         def poke(address):
             # One worker leases a job and is never heard from again.
-            ServiceClient(address, timeout=5.0).http_request(
-                "POST", "/worker/lease", {"worker": "ghost"}
-            )
+            ServiceClient(
+                address, token=executor.token, timeout=5.0
+            ).http_request("POST", "/worker/lease", {"worker": "ghost"})
 
         with pytest.raises(DistributionTimeout) as info:
             executor.run(GRID, on_ready=poke)
@@ -775,8 +783,9 @@ class TestDistributionTimeout:
         assert "ghost" in str(error) and "seen" in str(error)
 
 
-class TestJournalResume:
-    """Coordinator crash -> --resume: identical records, zero re-runs."""
+class TestResumeByRerun:
+    """Coordinator crash -> the same sweep again on the same store:
+    identical records, zero re-runs."""
 
     def test_interrupted_sweep_resumes_without_reexecution(
         self, serial_sweep, tmp_path
@@ -785,113 +794,53 @@ class TestJournalResume:
 
         serial_records, _ = serial_sweep
         root = tmp_path / "cache"
-        journal_path = root / "journal.jsonl"
 
         # ---- Phase 1: a sweep that dies after 2 of 5 jobs. ----------
         store1 = ArtifactStore(root)
         with ExperimentService(
             store1, lease_timeout=10.0, poll_s=0.05
         ) as service:
-            plan1 = service.submit(TINY, GRID, journal_path=journal_path).plan
+            plan1 = service.submit(TINY, GRID).plan
             n_jobs = len(plan1.jobs)
             agent = WorkerAgent(
                 service.address, name="mortal", max_jobs=2,
                 max_idle_s=30.0,
             )
             agent.run_forever()  # returns after 2 completed jobs
-        # The "crash": service gone, its stop() closed the journal.
+        # The "crash": the service is gone, its artifacts stay on disk.
         assert agent.stats.jobs_done == 2
         done_phase1 = [j for j in plan1.jobs.values() if j.state == "done"]
         assert len(done_phase1) == 2
 
-        # ---- Phase 2: restart with --resume semantics. --------------
+        # ---- Phase 2: the same sweep again, on the same disk. -------
         store2 = ArtifactStore(root)  # fresh instance, same disk
         executor = ClusterExecutor(
-            TINY,
-            store=store2,
-            lease_timeout=10.0,
-            wait_timeout=300.0,
-            journal=journal_path,
-            resume=True,
+            TINY, store=store2, lease_timeout=10.0, wait_timeout=300.0
         )
         with contextlib.ExitStack() as stack:
             records = executor.run(
                 GRID,
                 on_ready=lambda address: stack.enter_context(
-                    local_worker_threads(address, 1, max_idle_s=60.0)
+                    local_worker_threads(
+                        address, 1, max_idle_s=60.0, token=executor.token
+                    )
                 ),
             )
 
         # Value-identical to an uninterrupted serial run.
         assert records_equivalent(serial_records, records)
         plan2 = executor.last_plan
-        assert len(plan2.jobs) == n_jobs  # the whole sweep is visible
-        assert plan2.replayed_done == 2
-        for job in done_phase1:
-            resumed = plan2.jobs[job.job_id]
-            assert resumed.state == "done"
-            assert resumed.attempts == 0  # never re-leased
-            assert resumed.worker == "mortal"  # attribution survives
-        # Zero re-executions of journaled-done fingerprints: the
-        # resumed coordinator accepted uploads only for the 3 jobs
-        # phase 1 never finished.
+        assert plan2.plan_id == plan1.plan_id
+        # Stored work got no job: only the 3 jobs phase 1 never
+        # finished ran, and the coordinator accepted only their uploads.
+        assert sorted(plan2.jobs) == sorted(
+            job_id for job_id in plan1.jobs
+            if job_id not in {job.job_id for job in done_phase1}
+        )
+        assert all(job.attempts == 1 for job in plan2.jobs.values())
         assert store2.stats.puts == n_jobs - 2
-
-    def test_existing_journal_refused_without_resume(self, tmp_path):
-        journal_path = tmp_path / "journal.jsonl"
-        journal_path.write_text('{"event": "plan"}\n')
-        executor = ClusterExecutor(
-            TINY, store=ArtifactStore(), journal=journal_path, wait_timeout=5.0
-        )
-        with pytest.raises(ValueError, match="already exists"):
-            executor.run(GRID)
-
-    def test_resumed_fully_done_sweep_needs_no_workers(
-        self, serial_sweep, tmp_path
-    ):
-        import contextlib
-
-        serial_records, _ = serial_sweep
-        root = tmp_path / "cache"
-        journal_path = root / "journal.jsonl"
-        store = ArtifactStore(root)
-        executor = ClusterExecutor(
-            TINY,
-            store=store,
-            lease_timeout=10.0,
-            wait_timeout=300.0,
-            journal=journal_path,
-        )
-        with contextlib.ExitStack() as stack:
-            first = executor.run(
-                GRID,
-                on_ready=lambda address: stack.enter_context(
-                    local_worker_threads(address, 2, max_idle_s=60.0)
-                ),
-            )
-        assert records_equivalent(serial_records, first)
-
-        # Resume after completion: everything replays, nothing runs.
-        resumed = ClusterExecutor(
-            TINY,
-            store=ArtifactStore(root),
-            wait_timeout=30.0,
-            journal=journal_path,
-            resume=True,
-        )
-        records = resumed.run(GRID)  # no workers connected at all
-        assert records_equivalent(serial_records, records)
-        plan = resumed.last_plan
-        assert all(job.state == "done" for job in plan.jobs.values())
-        assert all(job.attempts == 0 for job in plan.jobs.values())
-        # The pre-crash placement stats flow into the resumed records.
-        cluster_keys = [
-            key
-            for record in records
-            for key in record.stage_timings
-            if key.startswith("cluster/")
-        ]
-        assert any(key.endswith(":sync_bytes") for key in cluster_keys)
+        # The rerun counts the pre-crash work as cache hits.
+        assert sum(r.cache_misses for r in records) == n_jobs - 2
 
 
 class TestKillResumeSubprocess:
@@ -899,9 +848,10 @@ class TestKillResumeSubprocess:
     def test_sigkill_mid_sweep_then_resume_matches_serial(
         self, cli_reference, tmp_path
     ):
-        """The operational recipe end to end: ``sweep --journal``
-        SIGKILLed mid-run, restarted with ``--resume``, records
-        value-identical to serial and no fingerprint executed twice."""
+        """The operational recipe end to end: ``sweep --workers 2
+        --cache-dir C`` SIGKILLed mid-run, then the identical command
+        again: records value-identical to serial and no stored
+        fingerprint executed again."""
         import json
         import signal
         import subprocess
@@ -912,7 +862,6 @@ class TestKillResumeSubprocess:
 
         base, serial_records = cli_reference
         cache = tmp_path / "cache"
-        journal = cache / "journal.jsonl"
         out = tmp_path / "records.json"
         env = _cli_env()
         command = [
@@ -920,17 +869,12 @@ class TestKillResumeSubprocess:
             "--neurons", "12", "--train", "40", "--test", "25",
             "--steps", "30", "--bound", "0.5",
             "--voltages", "1.325", "1.025",
-            "--workers", "2", "--cache-dir", str(cache), "--journal",
+            "--workers", "2", "--cache-dir", str(cache),
             "--out", str(out),
         ]
 
-        def journal_done_count():
-            if not journal.exists():
-                return 0
-            return sum(
-                1 for line in journal.read_text().splitlines()
-                if '"event": "done"' in line or '"event":"done"' in line
-            )
+        def stored():
+            return len(list(cache.glob("*/*.pkl")))
 
         proc = subprocess.Popen(
             command, env=env, stdout=subprocess.DEVNULL
@@ -938,10 +882,10 @@ class TestKillResumeSubprocess:
         try:
             # SIGKILL the coordinator at ~50% of the 5-job sweep; the
             # poll must be fine next to the ~1 s sweep, or the kill
-            # lands after the last job and the resume has nothing to do.
+            # lands after the last job and the rerun has nothing to do.
             deadline = _time.monotonic() + 300.0
             while _time.monotonic() < deadline:
-                if journal_done_count() >= 2 or proc.poll() is not None:
+                if stored() >= 2 or proc.poll() is not None:
                     break
                 _time.sleep(0.02)
             killed = proc.poll() is None
@@ -951,33 +895,28 @@ class TestKillResumeSubprocess:
         finally:
             if proc.poll() is None:  # pragma: no cover - cleanup path
                 proc.kill()
-        done_at_kill = journal_done_count()
+        stored_at_kill = stored()
         assert killed
-        assert 0 < done_at_kill < 5  # the resume really has work left
+        assert 0 < stored_at_kill < 5  # the rerun really has work left
 
-        resumed = subprocess.run(
-            command + ["--resume"], env=env,
-            stdout=subprocess.DEVNULL, timeout=600.0,
+        rerun = subprocess.run(
+            command, env=env, stdout=subprocess.DEVNULL, timeout=600.0,
         )
-        assert resumed.returncode == 0
+        assert rerun.returncode == 0
         records = [
             RunRecord.from_dict(entry) for entry in json.loads(out.read_text())
         ]
         assert records_equivalent(serial_records, records)
-        # No (stage, digest) was executed twice across both lives.
-        done = [
-            (event["stage"], event["digest"])
-            for event in map(json.loads, journal.read_text().splitlines())
-            if event.get("event") == "done"
-        ]
-        assert len(done) == len(set(done))
+        # No stored (stage, digest) was executed again: the rerun's
+        # misses are exactly the jobs the first life left unstored.
+        assert stored_at_kill + sum(r.cache_misses for r in records) == 5
 
 
 class TestOrphanedFleet:
     @pytest.mark.slow
     def test_killed_sweep_leaves_no_workers_behind(self, tmp_path):
-        """SIGKILL a ``sweep --workers 2 --journal`` mid-sweep: its
-        worker subprocesses, orphaned in its process group, exit within
+        """SIGKILL a ``sweep --workers 2`` mid-sweep: its worker
+        subprocesses, orphaned in its process group, exit within
         seconds (the local fleet's idle limit), not the 30 s default."""
         import os
         import signal
@@ -985,14 +924,13 @@ class TestOrphanedFleet:
         import sys
 
         cache = tmp_path / "cache"
-        journal = cache / "journal.jsonl"
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "sweep",
                 "--neurons", "12", "--train", "40", "--test", "25",
                 "--steps", "30", "--bound", "0.5",
                 "--voltages", "1.325", "1.025",
-                "--workers", "2", "--cache-dir", str(cache), "--journal",
+                "--workers", "2", "--cache-dir", str(cache),
             ],
             env=_cli_env(), stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL, start_new_session=True,
@@ -1001,7 +939,7 @@ class TestOrphanedFleet:
         try:
             deadline = time.monotonic() + 300.0
             while time.monotonic() < deadline and proc.poll() is None:
-                if journal.exists() and '"event": "done"' in journal.read_text():
+                if any(cache.glob("*/*.pkl")):  # a job's artifact landed
                     break
                 time.sleep(0.02)
             assert proc.poll() is None  # the kill lands mid-sweep
@@ -1046,15 +984,15 @@ class TestWorkerAffinityE2E:
             )
 
         executor = ClusterExecutor(
-            TINY, store=store, lease_timeout=10.0, 
-            wait_timeout=300.0,
+            TINY, store=store, lease_timeout=10.0, wait_timeout=300.0
         )
         agents = []
         with contextlib.ExitStack() as stack:
 
             def launch(address):
                 agent = WorkerAgent(
-                    address, name="warm", store=worker_store, max_idle_s=60.0
+                    address, name="warm", store=worker_store,
+                    max_idle_s=60.0, token=executor.token,
                 )
                 # Report what this worker already holds.
                 agent._holding.update(

@@ -1,4 +1,4 @@
-"""Peer-to-peer artifact fabric + journal compaction tests.
+"""Peer-to-peer artifact fabric tests.
 
 The fabric contract: artifact bytes flow worker-to-worker (the
 coordinator serves metadata: lease ``sources`` hints from its routing
@@ -6,13 +6,9 @@ table), a chain only the hub holds is pulled from the hub, and every
 failure mode — dead peer, refused key, stale hint — falls back
 transparently to the hub, so records stay value-identical to the
 serial Runner no matter which path the bytes took.
-
-The compaction contract: a compacted journal replays to the identical
-plan state as the full transition log, at O(done jobs) size.
 """
 
 import contextlib
-import json
 import pickle
 import socket
 import threading
@@ -27,12 +23,10 @@ from repro.cluster import (
     ExperimentService,
     ServiceClient,
     ServiceError,
-    SweepJournal,
     SweepPlan,
     WorkerAgent,
 )
 from repro.cluster.http_api import ArtifactEndpoint, HttpEndpoint
-from repro.cluster.journal import JournalMismatch
 from repro.cluster.protocol import GZIP_MIN_BYTES, encode_blob
 from repro.cluster.sync import ArtifactSync
 from repro.cluster.worker import _peer_bind_host
@@ -533,139 +527,6 @@ class TestTelemetryWireCompat:
 
 
 # ----------------------------------------------------------------------
-class TestJournalCompaction:
-    def _chattery_journal(self, path):
-        journal = SweepJournal(path)
-        journal.append({"event": "plan", "plan_id": "p1", "jobs": 2})
-        for i in range(20):
-            journal.append({"event": "lease", "job": "a:1", "worker": f"w{i}"})
-            journal.append({"event": "requeue", "job": "a:1", "worker": f"w{i}"})
-        journal.append({
-            "event": "done", "job": "a:1", "stage": "a", "digest": "1",
-            "worker": "w9", "stats": {"wall_s": 1.0},
-        })
-        journal.append({
-            "event": "done", "job": "b:2", "stage": "b", "digest": "2",
-            "worker": "w3", "stats": {},
-        })
-        return journal
-
-    def test_compact_folds_to_header_plus_snapshot(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = self._chattery_journal(path)
-        before = journal.done_events(plan_id="p1")
-        summary = journal.compact()
-        journal.close()
-        assert summary["events_before"] == 43
-        assert summary["events_after"] == 2
-        assert summary["done"] == 2
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2  # O(done), not O(transitions)
-        assert json.loads(lines[0])["event"] == "plan"
-        assert json.loads(lines[1])["event"] == "snapshot"
-        with SweepJournal(path, resume=True) as reopened:
-            after = reopened.done_events(plan_id="p1")
-        assert set(after) == set(before)
-        assert after[("a", "1")]["worker"] == "w9"
-        assert after[("a", "1")]["stats"] == {"wall_s": 1.0}
-
-    def test_compaction_is_idempotent_and_appendable(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = self._chattery_journal(path)
-        journal.compact()
-        journal.compact()  # folding a snapshot is a no-op fold
-        journal.append({
-            "event": "done", "job": "c:3", "stage": "c", "digest": "3",
-            "worker": "w1", "stats": {},
-        })
-        journal.close()
-        with SweepJournal(path, resume=True) as reopened:
-            done = reopened.done_events(plan_id="p1")
-        assert set(done) == {("a", "1"), ("b", "2"), ("c", "3")}
-
-    def test_snapshot_plan_id_mismatch_raises(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = self._chattery_journal(path)
-        journal.compact()
-        journal.close()
-        with SweepJournal(path, resume=True) as reopened:
-            with pytest.raises(JournalMismatch):
-                reopened.done_events(plan_id="some-other-sweep")
-
-    def test_compact_every_bounds_the_file(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = SweepJournal(path, compact_every=10)
-        journal.append({"event": "plan", "plan_id": "p1"})
-        for i in range(100):
-            journal.append({"event": "lease", "job": "a:1", "worker": "w"})
-        journal.close()
-        lines = path.read_text().strip().splitlines()
-        # Never more than compact_every lines past the snapshot floor.
-        assert len(lines) <= 12
-
-    def test_plan_resumes_identically_from_compacted_journal(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        store = ArtifactStore()
-        with SweepJournal(path) as journal:
-            plan = SweepPlan(
-                TINY, GRID, store, lease_timeout=10.0, journal=journal
-            )
-            # Some requeue chatter plus two real completions.
-            job = plan.lease("w1")
-            plan.fail("w1", job.job_id, "induced")
-            for _ in range(2):
-                job = plan.lease("w1")
-                store.put(job.stage, job.digest, f"artifact-{job.job_id}")
-                assert plan.complete("w1", job.job_id)
-            reference = plan.counts()
-            done_ids = {
-                j.job_id for j in plan.jobs.values() if j.state == "done"
-            }
-        with SweepJournal(path, resume=True) as journal:
-            assert journal.compact()["events_after"] == 2
-        with SweepJournal(path, resume=True) as journal:
-            resumed = SweepPlan(
-                TINY, GRID, store, lease_timeout=10.0, journal=journal
-            )
-            assert resumed.replayed_done == len(done_ids)
-            counts = resumed.counts()
-            assert counts["done"] == reference["done"]
-            assert counts["pending"] == reference["pending"] + reference["leased"]
-            assert {
-                j.job_id for j in resumed.jobs.values() if j.state == "done"
-            } == done_ids
-            # Worker attribution and stats survive the fold.
-            for job_id in done_ids:
-                assert resumed.jobs[job_id].worker == "w1"
-
-    def test_offline_cli_compact(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = tmp_path / "journal.jsonl"
-        journal = self._chattery_journal(path)
-        journal.close()
-        exit_code = main([
-            "cluster", "journal", "compact", str(path), "--json"
-        ])
-        summary = json.loads(capsys.readouterr().out)
-        assert exit_code == 0
-        assert summary["events_before"] == 43
-        assert summary["events_after"] == 2
-        with SweepJournal(path, resume=True) as reopened:
-            assert set(reopened.done_events(plan_id="p1")) == {
-                ("a", "1"), ("b", "2"),
-            }
-
-    def test_offline_cli_compact_missing_file(self, tmp_path, capsys):
-        from repro.cli import main
-
-        exit_code = main([
-            "cluster", "journal", "compact", str(tmp_path / "nope.jsonl")
-        ])
-        assert exit_code == 1
-
-
-# ----------------------------------------------------------------------
 class TestPeerFabricE2E:
     def test_two_workers_empty_store_zero_hub_gets(self, serial_sweep):
         """The acceptance benchmark in miniature: an empty coordinator
@@ -685,7 +546,9 @@ class TestPeerFabricE2E:
                 GRID,
                 on_ready=lambda address: agents.extend(
                     stack.enter_context(
-                        local_worker_threads(address, 2, max_idle_s=60.0)
+                        local_worker_threads(
+                            address, 2, max_idle_s=60.0, token=executor.token
+                        )
                     )
                 ),
             )
@@ -900,7 +763,9 @@ class TestPeerFabricE2E:
                 {"voltages": [(1.325,)]},
                 on_ready=lambda address: agents.extend(
                     stack.enter_context(
-                        local_worker_threads(address, 2, max_idle_s=60.0)
+                        local_worker_threads(
+                            address, 2, max_idle_s=60.0, token=executor.token
+                        )
                     )
                 ),
             )

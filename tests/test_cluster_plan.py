@@ -352,131 +352,39 @@ class TestAffinity:
                 assert (stage_name, digest) == (dep_job.stage, dep_job.digest)
 
 
-class TestJournal:
-    def _journal(self, tmp_path, resume=True):
-        from repro.cluster.journal import SweepJournal
+class TestRerunOnTheStore:
+    """A killed sweep resumes by planning it again on the same store."""
 
-        return SweepJournal(tmp_path / "journal.jsonl", resume=resume)
-
-    def test_done_jobs_replay_without_re_lease(self, tmp_path):
+    def test_rebuilt_plan_gives_stored_work_no_job(self):
         store = ArtifactStore()
-        journal = self._journal(tmp_path)
-        plan, _ = make_plan({}, store=store, journal=journal)
-        first = plan.lease("w1")
-        finish(plan, first, "w1")
-        journal.close()
-
-        # "Crash": rebuild from the same journal + store.
-        resumed, _ = make_plan({}, store=store, journal=self._journal(tmp_path))
-        replayed = resumed.jobs[first.job_id]
-        assert replayed.state == "done"
-        assert replayed.attempts == 0  # never re-leased
-        assert replayed.worker == "w1"
-        assert replayed.stats["worker"] == "w1"
-        assert resumed.replayed_done == 1
-        # The next lease continues the chain, not the done job.
-        next_job = resumed.lease("w2")
-        assert next_job.job_id != first.job_id
-        assert first.job_id in next_job.deps
-
-    def test_done_without_artifact_is_not_replayed(self, tmp_path):
-        store = ArtifactStore()
-        journal = self._journal(tmp_path)
-        plan, _ = make_plan({}, store=store, journal=journal)
-        job = plan.lease("w1")
-        finish(plan, job, "w1")
-        journal.close()
-
-        # The artifact vanished (fresh in-memory store): the job must
-        # run again — the store, not the journal, owns the bytes.
-        resumed, _ = make_plan(
-            {}, store=ArtifactStore(), journal=self._journal(tmp_path)
-        )
-        assert resumed.jobs[job.job_id].state == "pending"
-        assert resumed.replayed_done == 0
-        assert resumed.lease("w2").job_id == job.job_id
-
-    def test_journal_of_a_different_sweep_is_refused(self, tmp_path):
-        from repro.cluster.journal import JournalMismatch
-
-        journal = self._journal(tmp_path)
-        plan, _ = make_plan({}, journal=journal)
-        journal.close()
-        with pytest.raises(JournalMismatch):
-            make_plan({"seed": [1, 2]}, journal=self._journal(tmp_path))
-
-    def test_existing_journal_requires_resume(self, tmp_path):
-        journal = self._journal(tmp_path)
-        journal.append({"event": "plan"})
-        journal.close()
-        with pytest.raises(ValueError, match="resume"):
-            self._journal(tmp_path, resume=False)
-
-    def test_truncated_tail_line_is_tolerated(self, tmp_path):
-        store = ArtifactStore()
-        journal = self._journal(tmp_path)
-        plan, _ = make_plan({}, store=store, journal=journal)
+        plan, _ = make_plan({}, store=store)
         first = plan.lease("w1")
         finish(plan, first, "w1")
         second = plan.lease("w1")
         finish(plan, second, "w1")
-        journal.close()
+        plan.lease("w1")  # in flight when the coordinator dies
 
-        # Simulate a crash mid-write: chop the final line in half.
-        path = tmp_path / "journal.jsonl"
-        text = path.read_text()
-        path.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1])
+        rerun, _ = make_plan({}, store=store)
+        assert rerun.plan_id == plan.plan_id
+        assert sorted(rerun.jobs) == sorted(
+            job_id
+            for job_id in plan.jobs
+            if job_id not in (first.job_id, second.job_id)
+        )
+        # The in-flight job runs again, after no dependency: its
+        # upstream artifacts are stored.
+        resumed = rerun.lease("w2")
+        assert resumed.depth == 2 and not resumed.deps
+        assert resumed.upstream == (
+            (first.stage, first.digest), (second.stage, second.digest)
+        )
 
-        journal2 = self._journal(tmp_path)
-        resumed, _ = make_plan({}, store=store, journal=journal2)
-        # The intact done event replays; the truncated one is dropped
-        # (its artifact is still in the store, so nothing recomputes —
-        # the job is simply eligible for a no-op re-lease cycle).
-        assert resumed.jobs[first.job_id].state == "done"
-        journal2.close()
-
-        # Appending after a torn tail must not glue the new event onto
-        # the partial line: the second life's plan header (and every
-        # later event) survives a further replay intact.
-        import json
-
-        events = [
-            json.loads(line)
-            for line in path.read_text().splitlines()
-            if line.strip() and self._is_json(line)
-        ]
-        assert [e["event"] for e in events].count("plan") == 2
-        third, _ = make_plan({}, store=store, journal=self._journal(tmp_path))
-        assert third.jobs[first.job_id].state == "done"
-
-    @staticmethod
-    def _is_json(line):
-        import json
-
-        try:
-            json.loads(line)
-            return True
-        except json.JSONDecodeError:
-            return False
-
-    def test_transitions_are_journaled(self, tmp_path):
-        import json
-
-        store = ArtifactStore()
-        journal = self._journal(tmp_path)
-        plan, clock = make_plan({}, store=store, journal=journal)
-        job = plan.lease("w1")
-        clock.advance(10.1)
-        plan.expire_leases()  # requeue
-        retaken = plan.lease("w1")  # sole worker reclaims
-        finish(plan, retaken, "w1")
-        journal.close()
-
-        events = [
-            json.loads(line)
-            for line in (tmp_path / "journal.jsonl").read_text().splitlines()
-        ]
-        kinds = [e["event"] for e in events]
-        assert kinds == ["plan", "lease", "requeue", "lease", "done"]
-        assert events[0]["plan_id"] == plan.plan_id
-        assert events[-1]["digest"] == job.digest
+    def test_pruned_artifact_runs_again(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        plan, _ = make_plan({}, store=store)
+        first = plan.lease("w1")
+        finish(plan, first, "w1")
+        store.prune(0)  # ``repro cache prune --max-bytes 0``
+        rerun, _ = make_plan({}, store=ArtifactStore(tmp_path))
+        assert len(rerun.jobs) == len(plan.jobs)
+        assert rerun.lease("w2").job_id == first.job_id

@@ -1,11 +1,10 @@
-"""Experiment-service tests: multi-tenant sweeps, auth, journal isolation.
+"""Experiment-service tests: multi-tenant sweeps, restart, auth.
 
 Three layers:
 
 - **scheduling** (no sockets): tenant registry semantics, deterministic
-  sweep ids, cancel, per-tenant journal isolation across a simulated
-  SIGKILL + service restart (zero re-executions, no cross-tenant
-  done-map bleed);
+  sweep ids, cancel, and a simulated SIGKILL + service restart on the
+  same disk store (resubmitted tenants re-execute nothing stored);
 - **end-to-end** (real sockets, module-scoped): one service, two
   overlapping sweeps, a 2-worker fleet, records value-identical to the
   serial Runner; the control-plane HTTP API against the live service;
@@ -42,8 +41,8 @@ TINY = SparkXDConfig.small(
     accuracy_bound=0.5,
 )
 GRID_A = {"voltages": [(1.325,), (1.025,)]}
-#: Shares TINY's training chain but is a distinct sweep (its own id,
-#: plan and journal) — the overlap exercises cross-tenant dedupe.
+#: Shares TINY's training chain but is a distinct sweep (its own id and
+#: plan) — the overlap exercises cross-tenant dedupe.
 GRID_B = {"voltages": [(1.125,)]}
 TOKEN = "sweep-secret"
 
@@ -132,97 +131,42 @@ class TestTenantRegistry:
 
 
 # ----------------------------------------------------------------------
-class TestJournalIsolation:
-    def _service(self, tmp_path, store):
-        return ExperimentService(
-            store=store, journal_dir=tmp_path / "journals"
-        )
-
-    def test_per_tenant_journal_files(self, tmp_path):
-        service = self._service(tmp_path, ArtifactStore())
-        a = service.submit(TINY, GRID_A)
-        b = service.submit(TINY, GRID_B)
-        assert a.journal.path.name == f"sweep-{a.sweep_id}.jsonl"
-        assert b.journal.path.name == f"sweep-{b.sweep_id}.jsonl"
-        assert a.journal.path != b.journal.path
-
-    def test_kill_and_restart_replays_both_tenants(self, tmp_path):
-        store = ArtifactStore()
-        service = self._service(tmp_path, store)
+class TestServiceRestart:
+    def test_kill_and_restart_resumes_both_tenants(self, tmp_path):
+        """A service killed mid-flight and restarted on the same disk
+        store: both tenants resubmitted, no stored key gets a job, and
+        the one job in flight at the kill runs again."""
+        store = ArtifactStore(tmp_path)
+        service = ExperimentService(store=store)
         a = service.submit(TINY, GRID_A)
         b = service.submit(TINY, GRID_B)
         # Interleave the two tenants mid-flight: A fully drains, B
-        # completes exactly one job and holds a live lease on another.
+        # completes its copy of the shared training chain (A stored
+        # it) and holds a live lease on its own dram-eval job.
         drain(a.plan, worker="w1")
-        job1 = b.plan.lease("w2")
-        store.put(job1.stage, job1.digest, "artifact-b1")
-        assert b.plan.complete("w2", job1.job_id)
-        leased = b.plan.lease("w2")
-        assert leased is not None
-        b_done_before = b.plan.counts()["done"]
-        # SIGKILL: the journal flushes per line, so dropping the
-        # service without close() leaves exactly what a killed process
-        # would have left on disk.
-        del service, a
-
-        restarted = self._service(tmp_path, store)
-        a2 = restarted.submit(TINY, GRID_A)
-        b2 = restarted.submit(TINY, GRID_B)
-        # A replays straight to done: zero jobs to re-execute.
-        assert a2.plan.done
-        assert a2.plan.replayed_done == len(a2.plan.jobs)
-        assert a2.plan.counts()["pending"] == 0
-        # B replays its completed work; only genuinely unfinished jobs
-        # (including the in-flight lease, which journaled no done)
-        # come back as pending.
-        assert b2.plan.replayed_done == b_done_before
-        assert b2.plan.counts()["leased"] == 0
-        assert b2.plan.counts()["done"] == b_done_before
-        assert (
-            b2.plan.counts()["pending"]
-            == len(b2.plan.jobs) - b_done_before
-        )
-        drain(b2.plan, worker="w3")
-
-    def test_no_cross_tenant_done_bleed(self, tmp_path):
-        """A's journaled done set never leaks into B's plan (and vice
-        versa): each journal replays only fingerprints of its own
-        chain."""
-        store = ArtifactStore()
-        service = self._service(tmp_path, store)
-        a = service.submit(TINY, GRID_A)
-        b = service.submit(TINY, GRID_B)
-        a_ids = set(a.plan.jobs)
-        b_ids = set(b.plan.jobs)
-        drain(a.plan, worker="w1")
-        drain(b.plan, worker="w2")
+        for _ in range(len(b.plan.jobs)):
+            in_flight = b.plan.lease("w2")
+            if in_flight.stage == "dram-eval":
+                break
+            assert b.plan.complete("w2", in_flight.job_id)
+        assert in_flight.stage == "dram-eval"
+        # SIGKILL: the service is gone, its store's files stay.
         del service, a, b
 
-        restarted = self._service(tmp_path, store)
+        restarted = ExperimentService(store=ArtifactStore(tmp_path))
         a2 = restarted.submit(TINY, GRID_A)
         b2 = restarted.submit(TINY, GRID_B)
-        assert set(a2.plan.jobs) == a_ids
-        assert set(b2.plan.jobs) == b_ids
-        assert a2.plan.done and b2.plan.done
-        # The shared-chain overlap dedupes through the *store*, not
-        # through each other's journals: every replayed-done job id in
-        # a tenant's plan belongs to that tenant's own chain.
-        assert all(j in a_ids for j in a2.plan.jobs)
-        assert all(j in b_ids for j in b2.plan.jobs)
-
-    def test_journal_lag_reported_per_tenant(self, tmp_path):
-        service = self._service(tmp_path, ArtifactStore())
-        managed = service.submit(TINY, GRID_A, name="lagged")
-        drain(managed.plan)
-        info = service.describe(managed.sweep_id)
-        # plan header + every lease/done transition, no snapshot yet
-        assert info["journal"]["lag"] == info["journal"]["events"] > 0
-        managed.journal.compact()
-        assert service.describe(managed.sweep_id)["journal"]["lag"] == 0
-        fleet = service.fleet()
-        sweep_view = fleet["sweeps"][managed.sweep_id]
-        assert sweep_view["journal"]["lag"] == 0
-        assert sweep_view["name"] == "lagged"
+        for plan in (a2.plan, b2.plan):
+            assert not any(
+                (job.stage, job.digest) in restarted.store
+                for job in plan.jobs.values()
+            )
+        # A resumes straight to done: zero jobs to re-execute.
+        assert a2.plan.jobs == {} and a2.plan.done
+        # B: only the job in flight at the kill comes back, pending.
+        assert list(b2.plan.jobs) == [in_flight.job_id]
+        assert b2.plan.counts()["pending"] == 1
+        drain(b2.plan, worker="w3")
 
 
 # ----------------------------------------------------------------------
@@ -325,57 +269,6 @@ class TestServiceEndToEnd:
         stats = agent.run_forever()
         assert stats.jobs_done == 0
         assert any("authentication" in e for e in stats.errors)
-
-
-class TestSubmitResume:
-    """``POST /sweeps`` takes ``resume`` as "auto", true or false only."""
-
-    @pytest.fixture
-    def restarted(self, tmp_path):
-        """A live service restarted over GRID_A's finished journal."""
-        store = ArtifactStore()
-        first = ExperimentService(store=store, journal_dir=tmp_path)
-        drain(first.submit(TINY, GRID_A).plan)
-        first.stop()
-        service = ExperimentService(store=store, journal_dir=tmp_path)
-        service.start()
-        yield service, ServiceClient(service.address)
-        service.stop()
-
-    @pytest.mark.parametrize("resume", ["no", [], None, 0])
-    def test_malformed_resume_is_rejected(self, restarted, resume):
-        service, client = restarted
-        with pytest.raises(ServiceError) as excinfo:
-            client.submit(TINY, GRID_A, resume=resume)
-        assert excinfo.value.status == 400
-        assert "'resume' must be" in str(excinfo.value)
-        # Refused before submit: the journal was neither replayed nor
-        # reopened.
-        assert service.fleet()["sweeps"] == {}
-
-    @pytest.mark.parametrize("resume", ["auto", True])
-    def test_auto_and_true_replay_the_journal(self, restarted, resume):
-        _, client = restarted
-        reply = client.submit(TINY, GRID_A, resume=resume)
-        assert reply["state"] == "done"
-        assert reply["replayed_done"] == reply["done"] > 0
-
-    def test_absent_resume_means_auto(self, restarted):
-        from repro.cluster.http_api import grid_to_wire
-
-        _, client = restarted
-        reply = client.http_request("POST", "/sweeps", {
-            "base_config": TINY.to_wire(),
-            "grid": grid_to_wire(GRID_A),
-        })
-        assert reply["replayed_done"] == reply["done"] > 0
-
-    def test_false_refuses_an_existing_journal(self, restarted):
-        _, client = restarted
-        with pytest.raises(ServiceError) as excinfo:
-            client.submit(TINY, GRID_A, resume=False)
-        assert excinfo.value.status == 400
-        assert "already exists" in str(excinfo.value)
 
 
 def _free_port() -> int:

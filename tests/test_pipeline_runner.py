@@ -272,6 +272,56 @@ class TestLocalFleet:
         serial = Runner(TINY, store=ArtifactStore()).run(self.GRID)
         assert records_equivalent(serial, records)
 
+    def test_single_shot_service_refuses_tokenless_uploads(self):
+        """``ClusterExecutor.run`` serves networked workers, so its service
+        requires a token too, one made up when the caller gave none:
+        a tokenless upload gets 401 and lands nowhere."""
+        import pickle
+
+        from repro.cluster import ClusterExecutor, ServiceClient, ServiceError
+
+        store = ArtifactStore()
+        serial = Runner(TINY, store=store).run(self.GRID)
+        statuses = []
+
+        def upload(address):
+            try:
+                ServiceClient(address).http_request(
+                    "PUT", "/artifacts/train-baseline/deadbeef",
+                    blob=pickle.dumps("planted"),
+                )
+                statuses.append(200)
+            except ServiceError as error:
+                statuses.append(error.status)
+
+        executor = ClusterExecutor(TINY, store=store, wait_timeout=30.0)
+        records = executor.run(self.GRID, on_ready=upload)  # warm: no jobs
+        assert statuses == [401]
+        assert ("train-baseline", "deadbeef") not in store
+        assert executor.token
+        assert records_equivalent(serial, records)
+
+    def test_rerun_accounting_matches_a_serial_rerun(self, tmp_path):
+        """On a store a killed sweep left partially warm, the fleet
+        reports the cache hits and misses a serial rerun reports: the
+        store is the one resume mechanism, for both."""
+        import shutil
+
+        grid = {"seed": [42, 43], **self.GRID}
+        crashed = tmp_path / "crashed"
+        Runner(TINY, store=ArtifactStore(crashed)).run(
+            {"seed": [42], "voltages": [(1.325,)]}
+        )
+        shutil.copytree(crashed, tmp_path / "copy")
+        serial = Runner(TINY, store=ArtifactStore(crashed)).run(grid)
+        fleet = Runner(
+            TINY, store=ArtifactStore(tmp_path / "copy"), max_workers=2
+        ).run(grid)
+        accounting = [(r.cache_hits, r.cache_misses) for r in serial]
+        assert accounting == [(4, 0), (3, 1), (0, 4), (3, 1)]
+        assert [(r.cache_hits, r.cache_misses) for r in fleet] == accounting
+        assert records_equivalent(serial, fleet)
+
     def test_dead_fleet_fails_fast_naming_exit_codes(self, monkeypatch, tmp_path):
         from repro.cluster import PlanFailed, executor
 
