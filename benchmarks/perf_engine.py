@@ -27,6 +27,11 @@ Usage::
 The workload mirrors the paper's evaluation loop (Fig. 8 / Fig. 11):
 one trained-like network, a stack of E bit-error-corrupted weight
 copies, B evaluation images, n_steps of Poisson-coded simulation.
+Each row records ``parts``, the number of parts the batched pass split
+its samples into on this host (one per CPU, at most two, at least 64
+samples each and per chunk; ``docs/engine.md``): the last scenario of
+each set is large enough to split on a multi-core host, so the
+identity and memory gates cover a split pass.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine import BatchedEvaluator
+from repro.engine import BatchedEvaluator, ChunkPolicy
+from repro.engine.evaluator import _split
 from repro.errors.injection import ErrorInjector
 from repro.snn.network import DiehlCookNetwork, NetworkParameters
 from repro.snn.quantization import Float32Representation
@@ -64,15 +70,18 @@ FULL_SCENARIOS = (
      "dtype": "float64"},
     {"n_neurons": 400, "n_samples": 20, "n_realizations": 8, "n_steps": 100,
      "dtype": "float32"},
+    {"n_neurons": 400, "n_samples": 160, "n_realizations": 2, "n_steps": 100,
+     "dtype": "float64"},
 )
 QUICK_SCENARIOS = (
     {"n_neurons": 60, "n_samples": 8, "n_realizations": 2, "n_steps": 30,
      "dtype": "float64"},
     {"n_neurons": 100, "n_samples": 8, "n_realizations": 2, "n_steps": 30,
      "dtype": "float32"},
-    # Large enough that the drives stream in blocks and a whole-chunk
-    # drive tensor would break the memory estimate.
-    {"n_neurons": 400, "n_samples": 64, "n_realizations": 2, "n_steps": 100,
+    # Large enough that the drives stream in blocks, a whole-chunk
+    # drive tensor would break the memory estimate, and the pass splits
+    # into two parts on a multi-core host.
+    {"n_neurons": 400, "n_samples": 128, "n_realizations": 2, "n_steps": 100,
      "dtype": "float64"},
 )
 
@@ -133,7 +142,15 @@ def run_benchmark(quick: bool, repeats: int) -> dict:
     for scenario in scenarios:
         network, stack, images = _build_workload(scenario)
         evaluations = stack.shape[0] * images.shape[0]
-        row = dict(scenario, n_input=network.n_input, evaluations=evaluations)
+        chunk = ChunkPolicy().samples_per_chunk(
+            stack.shape[0], scenario["n_steps"], network.n_input, network.n_neurons
+        )
+        row = dict(
+            scenario,
+            n_input=network.n_input,
+            evaluations=evaluations,
+            parts=len(_split(len(images), chunk, np.random.default_rng(99))),
+        )
         reference = {}
         for engine in ENGINES:
             seconds, counts = _time_engine(
@@ -157,7 +174,7 @@ def run_benchmark(quick: bool, repeats: int) -> dict:
         results.append(row)
         print(
             f"N{scenario['n_neurons']:<4} {scenario['dtype']:<8} "
-            f"{evaluations:>4} evaluations | "
+            f"{evaluations:>4} evaluations, {row['parts']} part(s) | "
             f"sequential {row['sequential_samples_per_sec']:8.1f}/s | "
             f"batched {row['batched_samples_per_sec']:8.1f}/s | "
             f"speedup {row['speedup']:5.2f}x | "

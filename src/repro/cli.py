@@ -660,7 +660,9 @@ def _cmd_cluster(args) -> int:
 
     if args.cluster_command == "worker":
         from repro.cluster import WorkerAgent
+        from repro.engine.evaluator import limit_parts
 
+        limit_parts()  # a fleet's OMP_NUM_THREADS is this process's budget
         store = (
             ArtifactStore(args.cache_dir) if args.cache_dir else ArtifactStore()
         )

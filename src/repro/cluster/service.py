@@ -326,16 +326,19 @@ class ExperimentService:
     ) -> ManagedSweep:
         """Register a sweep; idempotent on the deterministic sweep id.
 
-        A fingerprint already in the store gets no job, so a sweep
-        resubmitted to a service restarted on the same store executes
-        only what is missing.  Worker job spans parent under the caller's current span, so an
-        in-process submitter (:class:`~repro.cluster.ClusterExecutor`)
-        sees them in its own trace.
+        A running or done tenant with the same id is reattached; a
+        cancelled or failed one is replaced by a fresh plan.  A
+        fingerprint already in the store gets no job, so a replaced
+        tenant, or a sweep resubmitted to a service restarted on the
+        same store, executes only what is missing.  Worker job spans
+        parent under the caller's current span, so an in-process
+        submitter (:class:`~repro.cluster.ClusterExecutor`) sees them
+        in its own trace.
         """
         sweep_id = sweep_identity(base_config, grid)
         with self._lock:
             existing = self._sweeps.get(sweep_id)
-            if existing is not None:
+            if existing is not None and existing.state in ("running", "done"):
                 # Reattach: same config × grid is the same sweep.  The
                 # done work is shared; the caller polls the same id.
                 return existing
@@ -354,6 +357,8 @@ class ExperimentService:
                 trace_context=current_context(),
             )
             self._sweeps[sweep_id] = managed
+            if existing is not None:
+                self._order.remove(sweep_id)
             self._order.append(sweep_id)
         get_metrics().counter("service.sweeps_submitted").inc()
         LOG.info(

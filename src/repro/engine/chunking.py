@@ -13,6 +13,12 @@ sample count ``B`` that keeps those buffers under budget, so
 arbitrarily large evaluation sets and realization stacks stream through
 bounded memory.
 
+The budget covers a whole pass.  A pass split into parts
+(:mod:`repro.engine.evaluator`) runs them at once, so each part's
+chunks hold ``1 / n`` of the chunk size and each part's drive blocks
+``1 / n`` of the drive block budget: the parts together hold what one
+serial chunk would.
+
 Chunk boundaries never change results: encoding draws the same random
 stream regardless of how the sample axis is split, and the simulation
 consumes no randomness.
@@ -26,12 +32,12 @@ from typing import Iterator, Optional
 from repro.snn.network import DRIVE_BLOCK_BYTES
 
 #: Eight-byte arrays the frozen pass holds per (e, b, neuron) element:
-#: five of network state (v, theta, refractory, two conductances), nine
-#: of time-loop scratch (threshold, two update buffers, counts, flat
-#: index, four spike-index buffers), the saved refractory potentials
-#: and the evaluator's result counts, plus a share for the boolean
-#: masks.
-_STATE_ARRAYS = 17
+#: five of network state (v, theta, refractory, two conductances), four
+#: of time-loop scratch (threshold, two update buffers, counts), the
+#: saved refractory potentials and the evaluator's result counts; two
+#: and a half for the five four-byte index buffers (flat index, four
+#: spike-index buffers); and a half for the boolean masks.
+_STATE_ARRAYS = 14
 
 #: Bytes per encoded input bit: the boolean trains (1), plus the sparse
 #: drive operator with its construction scratch (20 bytes per spike at
@@ -54,13 +60,14 @@ class ChunkPolicy:
     Parameters
     ----------
     max_bytes:
-        Approximate peak-buffer budget per chunk (default 256 MiB).
+        Approximate peak-buffer budget of a pass, shared by its parts
+        (default 96 MiB; ``docs/engine.md`` gives the measurement).
     max_samples:
         Optional hard cap on samples per chunk, whatever the budget
         allows (useful in tests to force ragged final chunks).
     """
 
-    max_bytes: int = 256 * 1024 * 1024
+    max_bytes: int = 96 * 1024 * 1024
     max_samples: Optional[int] = None
 
     def __post_init__(self):
@@ -87,13 +94,15 @@ class ChunkPolicy:
         return encode + state + drive
 
     def fixed_bytes(self) -> int:
-        """Peak bytes of a drive block of more than one step, with its scratch."""
+        """Peak bytes of a drive block of more than one step, with its
+        scratch (the parts of a pass share it)."""
         return (1 + _DRIVE_SCRATCH_SLABS) * DRIVE_BLOCK_BYTES
 
     def samples_per_chunk(
         self, n_realizations: int, n_steps: int, n_input: int, n_neurons: int
     ) -> int:
-        """Largest chunk size within budget (always at least 1)."""
+        """Largest chunk size within budget (always at least 1); a pass
+        split into ``n`` parts gives each part ``1 / n`` of it."""
         per_sample = self.bytes_per_sample(
             n_realizations, n_steps, n_input, n_neurons
         )

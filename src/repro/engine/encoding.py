@@ -85,7 +85,10 @@ def skip_spike_trains(
 ) -> None:
     """Advance ``rng`` exactly as encoding ``n_images`` images would.
 
-    The rate code draws one 64-bit word per (image, step, pixel).
+    The jump of a split evaluation pass
+    (:mod:`repro.engine.evaluator`): each part starts from the caller's
+    generator jumped past the samples before it.  The rate code draws
+    one 64-bit word per (image, step, pixel).
     PCG64 and PCG64DXSM jump over them with ``advance``, which also
     drops the buffered 32-bit half ``rng.permutation`` may leave; float
     draws never touch it, so it is put back.  Other bit generators draw

@@ -225,6 +225,9 @@ class DiehlCookNetwork:
         p = self.parameters
         self.w_max = w_max
         self.dtype = np.dtype(dtype)
+        #: Byte budget of one streamed drive block; the evaluator's
+        #: concurrent parts of one pass share :data:`DRIVE_BLOCK_BYTES`.
+        self.drive_block_bytes = DRIVE_BLOCK_BYTES
         if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise ValueError(f"dtype must be float32 or float64, got {dtype}")
         taus = (p.conductance.tau_excitatory_ms, p.conductance.tau_inhibitory_ms)
@@ -496,9 +499,13 @@ class DiehlCookNetwork:
                 )
         else:
             base_weights = None
-        blocks = self._drive_blocks(self.prepare_drive_matrix(trains), base_weights)
+        n_steps = trains.shape[1]
+        matrix = self.prepare_drive_matrix(trains)
+        # The operator replaces the trains: a caller that passed them
+        # without keeping a reference gets them freed before the loop.
+        del spike_trains, trains
         self.reset_state()
-        return self._run_batch_frozen(blocks, trains.shape[1])
+        return self._run_batch_frozen(self._drive_blocks(matrix, base_weights), n_steps)
 
     def _drive_blocks(
         self, matrix, base_weights: Optional[np.ndarray] = None
@@ -510,7 +517,7 @@ class DiehlCookNetwork:
         ``t0 * B : t1 * B`` (a row's product does not depend on the
         other rows, so every drive row is bit-identical to the
         whole-chunk matmul and to the scalar per-step index-sum).  A
-        block holds :data:`DRIVE_BLOCK_BYTES` worth of steps, at least
+        block holds :attr:`drive_block_bytes` worth of steps, at least
         one.  A single matrix yields ``(steps, B, n_neurons)`` blocks,
         which a ``(E, B)`` network's time loop broadcasts over ``E``; a
         stack yields ``(steps, E, B, n_neurons)`` views of one reused
@@ -527,7 +534,7 @@ class DiehlCookNetwork:
         stacked = self.weights.ndim == 3
         n_held = self.weights.shape[0] if stacked else 1
         step_bytes = n_held * n_batch * p.n_neurons * self.dtype.itemsize
-        block = max(1, min(n_steps, DRIVE_BLOCK_BYTES // step_bytes))
+        block = max(1, min(n_steps, self.drive_block_bytes // step_bytes))
         if stacked:
             buffer = np.empty((block,) + self.batch_shape + (p.n_neurons,), self.dtype)
             if base_weights is not None:
@@ -758,15 +765,18 @@ class DiehlCookNetwork:
         inh, g_rows = s1.reshape(n_lanes, -1), s2.reshape(n_lanes, -1)
         spikes, last = np.empty(shape, dtype=bool), np.zeros(shape, dtype=bool)
         counts = np.zeros(size, dtype=np.int64)
-        flat_index, lane_ids = np.arange(size), np.arange(n_lanes)
+        # Element indices fit 4 bytes below 2**31 elements: half the
+        # memory of intp for the five buffers sized for every element.
+        index = np.int32 if size < 2**31 else np.intp
+        flat_index, lane_ids = np.arange(size, dtype=index), np.arange(n_lanes)
         lane_any = np.empty(n_lanes, dtype=bool)
         lanes = np.empty(n_lanes, dtype=np.intp)
         last_rows = np.empty((n_lanes, p.n_neurons), dtype=bool)
         row_count = np.empty((n_lanes, 1), dtype=np.int64)
         row_inh = np.empty((n_lanes, 1), dtype=np.float64)
         # Last step's spike indices, and the refractory ones double-buffered.
-        spk, scratch = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
-        refractory, spare = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+        spk, scratch = np.empty(size, dtype=index), np.empty(size, dtype=index)
+        refractory, spare = np.empty(size, dtype=index), np.empty(size, dtype=index)
         held_values, keep = np.empty(size, dtype=self.dtype), np.empty(size, dtype=bool)
         n_last = n_refr = start = end = 0
         for t in range(n_steps):

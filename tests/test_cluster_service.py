@@ -123,6 +123,32 @@ class TestTenantRegistry:
         with pytest.raises(RuntimeError, match="cancelled"):
             service.results(managed.sweep_id)
 
+    def test_cancelled_sweep_resubmits_as_a_fresh_tenant(self):
+        service = ExperimentService()
+        first = service.submit(TINY, GRID_A)
+        service.cancel(first.sweep_id)
+        second = service.submit(TINY, GRID_A)
+        assert second is not first
+        assert second.sweep_id == first.sweep_id
+        assert service.describe(second.sweep_id)["state"] == "running"
+        assert "job" in service.lease("w1")
+        assert len(service.fleet()["sweeps"]) == 1
+
+    def test_failed_sweep_resubmits_and_runs_only_missing_jobs(self):
+        service = ExperimentService(max_attempts=1)
+        first = service.submit(TINY, GRID_A)
+        done = first.plan.lease("w1")
+        first.plan.store.put(done.stage, done.digest, "artifact")
+        assert first.plan.complete("w1", done.job_id)
+        failing = first.plan.lease("w1")
+        first.plan.fail("w1", failing.job_id, "boom")
+        assert first.state == "failed"
+        second = service.submit(TINY, GRID_A)
+        assert second.state == "running"
+        assert len(second.plan.jobs) == len(first.plan.jobs) - 1
+        # A running tenant still reattaches.
+        assert service.submit(TINY, GRID_A) is second
+
     def test_results_before_done_is_an_error(self):
         service = ExperimentService()
         managed = service.submit(TINY, GRID_A)
@@ -360,11 +386,14 @@ class TestAuthRejection:
     def test_worker_cli_exits_2_on_rejected_token(
         self, live_service, capsys, monkeypatch
     ):
+        import repro.engine.evaluator as evaluator
         from repro.cli import main
         from repro.cluster import format_address
 
         service, *_ = live_service
         monkeypatch.delenv("REPRO_CLUSTER_TOKEN", raising=False)
+        # The worker command caps evaluation parts for its whole process.
+        monkeypatch.setattr(evaluator, "_PARTS", evaluator._PARTS)
         exit_code = main([
             "cluster", "worker", "--coordinator",
             format_address(service.address), "--max-idle-s", "5",

@@ -7,6 +7,14 @@ seed — for single weights, for E>1 realization stacks, and across
 ragged chunk boundaries.
 """
 
+import json
+import os
+import select
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -18,6 +26,7 @@ from snn_oracle import (
     step_drive,
 )
 
+import repro.engine.evaluator as evaluator_module
 from repro.engine import BatchedEvaluator, ChunkPolicy, encode_spike_trains
 from repro.engine.encoding import skip_spike_trains
 from repro.errors.injection import ErrorInjector
@@ -131,6 +140,260 @@ class TestSpikeCountIdentity:
         _counts(network, images, stack)
         assert np.array_equal(network.weights, weights_before)
         assert np.array_equal(network.theta, theta_before)
+
+
+def _split_into(monkeypatch, n_parts):
+    """Make every pass of at least ``n_parts`` samples split ``n_parts`` ways."""
+    monkeypatch.setattr(evaluator_module, "_PARTS", n_parts)
+    monkeypatch.setattr(evaluator_module, "_MIN_PART_SAMPLES", 1)
+
+
+def _buffered_rng(seed=21, bit_generator=np.random.PCG64):
+    """A generator holding a buffered 32-bit half, as after a shuffle."""
+    rng = np.random.Generator(bit_generator(seed))
+    rng.permutation(37)
+    return rng
+
+
+class TestParts:
+    """A pass split into parts counts and draws exactly as one part."""
+
+    def _pass(
+        self, monkeypatch, n_parts, network, images, weights, rng=None,
+        base_weights=None, **evaluator_options,
+    ):
+        _split_into(monkeypatch, n_parts)
+        rng = rng or _buffered_rng()
+        evaluator = BatchedEvaluator.for_network(network, **evaluator_options)
+        counts = evaluator.spike_counts(
+            images, 25, rng, weights, base_weights=base_weights
+        )
+        return counts, rng.bit_generator.state
+
+    @pytest.mark.parametrize("n_parts", [2, 3])
+    @pytest.mark.parametrize(
+        "case", ["single", "stack-with-base", "ragged-chunks", "float32"]
+    )
+    def test_counts_and_generator_match_one_part(
+        self, setup, monkeypatch, n_parts, case
+    ):
+        network, images, stack = setup
+        weights, options = network.weights, {}
+        if case == "stack-with-base":
+            weights, options = stack, {"base_weights": network.weights}
+        elif case == "ragged-chunks":
+            # 13 samples, 6 at once: parts of 6 + 7 in chunks of 3 + 3
+            # and 3 + 3 + 1, or 4 + 4 + 5 in chunks of 2 (2 + 2 + 1).
+            weights, options = stack, {"chunk_policy": ChunkPolicy(max_samples=6)}
+        elif case == "float32":
+            weights, options = stack, {"dtype": np.float32}
+        serial = self._pass(monkeypatch, 1, network, images, weights, **options)
+        split = self._pass(monkeypatch, n_parts, network, images, weights, **options)
+        assert serial[0].sum() > 0
+        assert np.array_equal(serial[0], split[0])
+        assert _same_state(serial[1], split[1])
+        assert split[1]["has_uint32"] == 1
+
+    def test_split_pass_matches_the_oracle(self, setup, monkeypatch):
+        network, images, stack = setup
+        counts, _ = self._pass(
+            monkeypatch, 3, network, images, stack, rng=np.random.default_rng(21)
+        )
+        assert np.array_equal(counts, _oracle(network, images, stack))
+
+    def test_other_bit_generators_run_one_part(self, setup, monkeypatch):
+        network, images, stack = setup
+        _split_into(monkeypatch, 3)
+        rng = _buffered_rng(bit_generator=np.random.Philox)
+        assert len(evaluator_module._split(len(images), len(images), rng)) == 1
+        serial = self._pass(
+            monkeypatch, 1, network, images, stack,
+            rng=_buffered_rng(bit_generator=np.random.Philox),
+        )
+        split = self._pass(monkeypatch, 3, network, images, stack, rng=rng)
+        assert np.array_equal(serial[0], split[0])
+        assert _same_state(serial[1], split[1])
+
+    def test_small_passes_and_small_chunks_stay_one_part(self, monkeypatch):
+        monkeypatch.setattr(evaluator_module, "_PARTS", 4)
+        rng = np.random.default_rng(0)
+        minimum = evaluator_module._MIN_PART_SAMPLES
+        n_samples = 10 * minimum + 3
+        assert len(evaluator_module._split(2 * minimum - 1, n_samples, rng)) == 1
+        assert len(evaluator_module._split(n_samples, 2 * minimum - 1, rng)) == 1
+        assert len(evaluator_module._split(n_samples, 3 * minimum, rng)) == 3
+        parts = evaluator_module._split(n_samples, n_samples, rng)
+        assert len(parts) == 4
+        assert parts[0].start == 0 and parts[-1].stop == n_samples
+        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity"), reason="needs CPU affinity"
+    )
+    def test_wide_hosts_split_at_most_two_ways(self):
+        """Splits wider than two were never measured."""
+        engine = os.path.dirname(evaluator_module.__file__)
+        src = os.path.dirname(os.path.dirname(engine))
+        probe = (
+            "import os\n"
+            "os.sched_getaffinity = lambda pid: set(range({}))\n"
+            "import repro.engine.evaluator as e\n"
+            "print(e._PARTS)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        for n_cpus, n_parts in ((1, "1"), (64, "2")):
+            out = subprocess.run(
+                [sys.executable, "-c", probe.format(n_cpus)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert out.stdout.strip() == n_parts, out.stderr
+
+    @pytest.mark.parametrize("max_samples", [1, 3, 4, 6, 13])
+    def test_parts_together_hold_at_most_one_chunk(
+        self, setup, monkeypatch, max_samples
+    ):
+        """However many parts run at once, their chunks sum to at most
+        the chunk one part would hold, and no part's chunk is below the
+        minimum."""
+        network, images, stack = setup
+        monkeypatch.setattr(evaluator_module, "_PARTS", 3)
+        monkeypatch.setattr(evaluator_module, "_MIN_PART_SAMPLES", 2)
+        encode = evaluator_module.encode_spike_trains
+        by_part, alive = {}, []
+
+        def recording(chunk, n_steps, rng):
+            alive.append(rng)  # no two parts' generators share an id
+            by_part.setdefault(id(rng), []).append(len(chunk))
+            return encode(chunk, n_steps, rng)
+
+        monkeypatch.setattr(evaluator_module, "encode_spike_trains", recording)
+        policy = ChunkPolicy(max_samples=max_samples)
+        counts = _counts(network, images, stack, chunk_policy=policy)
+        assert np.array_equal(counts, _oracle(network, images, stack))
+        assert len(by_part) == max(1, min(3, max_samples // 2))
+        assert sum(max(sizes) for sizes in by_part.values()) <= max_samples
+        if len(by_part) > 1:
+            assert all(max(sizes) >= 2 for sizes in by_part.values())
+
+    def test_fleet_thread_budget_caps_the_parts(self, monkeypatch):
+        monkeypatch.setattr(evaluator_module, "_PARTS", 2)
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        evaluator_module.limit_parts()
+        assert evaluator_module._PARTS == 1
+        monkeypatch.setattr(evaluator_module, "_PARTS", 2)
+        for budget in ("4", "0", "many"):
+            monkeypatch.setenv("OMP_NUM_THREADS", budget)
+            evaluator_module.limit_parts()
+            assert evaluator_module._PARTS == 2
+        monkeypatch.delenv("OMP_NUM_THREADS")
+        evaluator_module.limit_parts()
+        assert evaluator_module._PARTS == 2
+
+    def test_failing_part_raises_after_the_others_finish(self, setup, monkeypatch):
+        network, images, stack = setup
+        _split_into(monkeypatch, 3)  # parts [0, 4), [4, 8), [8, 13)
+        encode = evaluator_module.encode_spike_trains
+        finished = []
+
+        def flaky(chunk, n_steps, rng):
+            if np.array_equal(chunk[0], images[4]):
+                raise RuntimeError("part 1 failed")
+            if np.array_equal(chunk[0], images[8]):
+                time.sleep(0.3)  # the slowest part ends after the failure
+            trains = encode(chunk, n_steps, rng)
+            finished.append(chunk.shape[0])
+            return trains
+
+        monkeypatch.setattr(evaluator_module, "encode_spike_trains", flaky)
+        evaluator = BatchedEvaluator.for_network(network)
+        with pytest.raises(RuntimeError, match="part 1 failed"):
+            evaluator.spike_counts(images, 25, np.random.default_rng(21), stack)
+        assert sorted(finished) == [4, 5]
+        monkeypatch.setattr(evaluator_module, "encode_spike_trains", encode)
+        counts = evaluator.spike_counts(images, 25, np.random.default_rng(21), stack)
+        assert np.array_equal(counts, _oracle(network, images, stack))
+
+    def test_concurrent_callers_share_the_pool(self, setup, monkeypatch):
+        """Four callers of three parts each, on a shared pool, under a
+        short switch interval: every caller gets the serial counts."""
+        network, images, stack = setup
+        _split_into(monkeypatch, 1)
+        want = [_counts(network, images, stack, seed=seed) for seed in range(4)]
+        _split_into(monkeypatch, 3)
+        got = [None] * 4
+
+        def call(seed):
+            got[seed] = _counts(network, images, stack, seed=seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for seed in range(4):
+            assert np.array_equal(got[seed], want[seed])
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_forked_child_evaluates_after_a_split_pass(self, setup, monkeypatch):
+        """The pool's threads do not survive a fork; the child makes its own."""
+        network, images, stack = setup
+        _split_into(monkeypatch, 2)
+        parent = _counts(network, images, stack)
+        assert evaluator_module._pool is not None
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: never return into pytest
+            try:
+                os.close(read_end)
+                os.write(write_end, _counts(network, images, stack).tobytes())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        data, deadline = b"", time.monotonic() + 60.0
+        try:
+            while time.monotonic() < deadline:
+                if select.select([read_end], [], [], 1.0)[0]:
+                    block = os.read(read_end, 1 << 16)
+                    if not block:
+                        break
+                    data += block
+            else:
+                os.kill(pid, signal.SIGKILL)
+                pytest.fail("the forked child's evaluation hung")
+        finally:
+            os.close(read_end)
+            os.waitpid(pid, 0)
+        child = np.frombuffer(data, dtype=np.int64).reshape(parent.shape)
+        assert np.array_equal(child, parent)
+
+    def test_chunk_spans_of_pool_parts_join_the_callers_trace(
+        self, setup, monkeypatch, tmp_path
+    ):
+        from repro.telemetry import configure_tracing, shutdown_tracing, span
+
+        network, images, stack = setup
+        _split_into(monkeypatch, 2)
+        trace = tmp_path / "trace.jsonl"
+        configure_tracing(str(trace))
+        try:
+            with span("score"):
+                _counts(network, images, stack)
+        finally:
+            shutdown_tracing()
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        (root,) = [r for r in records if r["name"] == "score"]
+        chunks = [r for r in records if r["name"] == "eval.chunk"]
+        assert len(chunks) == 2
+        assert len({r["tid"] for r in chunks}) == 2
+        assert all(r["parent"] == root["span"] for r in chunks)
+        assert all(r["trace"] == root["trace"] for r in chunks)
 
 
 class TestAccuracies:

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from snn_oracle import PARAMETER_VARIANTS, parameter_variant, reference_run_batch_stdp
 
-import repro.snn.network as network_module
 from repro.engine.trainer import BatchedTrainer, StageEncodingCache
 from repro.snn.network import DiehlCookNetwork, NetworkParameters, make_stdp
 
@@ -107,13 +106,11 @@ class TestFusedBitIdentity:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("block_steps", [1, 7])
-    def test_drive_blocks_match_reference(self, dtype, block_steps, monkeypatch):
+    def test_drive_blocks_match_reference(self, dtype, block_steps):
         """Drives streamed in blocks of 1 or 7 of the 30 steps."""
         shell, trains = _batched_setup(dtype)
         step_bytes = 5 * PARAMS.n_neurons * np.dtype(dtype).itemsize
-        monkeypatch.setattr(
-            network_module, "DRIVE_BLOCK_BYTES", block_steps * step_bytes
-        )
+        shell.drive_block_bytes = block_steps * step_bytes
         ref = _run_kernel(shell, trains, reference_run_batch_stdp, dtype)
         got = _run_kernel(shell, trains, DiehlCookNetwork.run_batch_stdp, dtype)
         for key in ref:

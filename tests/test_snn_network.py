@@ -11,7 +11,6 @@ from snn_oracle import (
     reference_run_sample,
 )
 
-import repro.snn.network as network_module
 from repro.engine.trainer import BatchedTrainer
 from repro.snn.network import (
     DiehlCookNetwork,
@@ -508,9 +507,7 @@ class TestDriveBlocks:
             trains = rng.random((4, self.N_STEPS, 30)) < 0.2
             held = shape[0] if stacked else 1
             step_bytes = held * 4 * 12 * np.dtype(dtype).itemsize
-            monkeypatch.setattr(
-                network_module, "DRIVE_BLOCK_BYTES", block_steps * step_bytes
-            )
+            net.drive_block_bytes = block_steps * step_bytes
             lengths.clear()
             counts = net.run_batch(
                 trains, base_weights=base if case == "E-stack-base" else None
@@ -526,13 +523,13 @@ class TestDriveBlocks:
             for key in want:
                 assert got[key] == want[key], (block_steps, key)
 
-    def test_stack_blocks_reuse_one_buffer(self, monkeypatch):
+    def test_stack_blocks_reuse_one_buffer(self):
         params = NetworkParameters(n_input=10, n_neurons=6)
         rng = np.random.default_rng(2)
         net = DiehlCookNetwork(params, rng=rng, batch_shape=(2, 3))
         net.set_weights(rng.random((2, 10, 6)))
         matrix = net.prepare_drive_matrix(rng.random((3, 9, 10)) < 0.3)
-        monkeypatch.setattr(network_module, "DRIVE_BLOCK_BYTES", 4 * 2 * 3 * 6 * 8)
+        net.drive_block_bytes = 4 * 2 * 3 * 6 * 8
         blocks = list(net._drive_blocks(matrix))
         assert [block.shape for block in blocks] == [(4, 2, 3, 6)] * 2 + [(1, 2, 3, 6)]
         assert all(np.shares_memory(block, blocks[0]) for block in blocks[1:])
